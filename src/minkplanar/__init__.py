@@ -6,6 +6,7 @@ from .drawings import (
     Crossing,
     CrossingProfile,
     Drawing,
+    Verdict,
     crossing_profile,
     drawings_equal,
     is_k_planar,
@@ -21,7 +22,6 @@ from .frames import (
     FrameParams,
     build_frame,
     compose,
-    double_wheel,
     separation_property_check,
 )
 from .geometry import Scene, on_circle, scene_to_drawing
@@ -76,6 +76,7 @@ __all__ = [
     "SearchOutcome",
     "SearchStats",
     "Status",
+    "Verdict",
     "audit_layout",
     "biclique_obstruction",
     "brute_oracle",
@@ -85,7 +86,6 @@ __all__ = [
     "build_frame",
     "compose",
     "crossing_profile",
-    "double_wheel",
     "drawing_from_json",
     "drawing_to_json",
     "drawings_equal",

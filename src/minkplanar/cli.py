@@ -25,7 +25,6 @@ import random
 import sys
 import time
 from dataclasses import asdict
-from os import environ
 from typing import Any, Optional
 
 from . import __version__
@@ -65,16 +64,6 @@ _STATUS_EXIT = {
     Status.EXHAUSTED_UNSAT: 1,
     Status.BUDGET_EXCEEDED: 2,
 }
-
-THREADS_VAR = "MINKPLANAR_THREADS"
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(environ.get(THREADS_VAR, "1")))
-    except ValueError:
-        return 1
-
 
 # --------------------------------------------------------------- plumbing
 
@@ -195,24 +184,25 @@ def cmd_validate(args, rep: RunReport) -> int:
     verdict: dict[str, Any] = {"valid": True}
     failed = False
     if args.min_k is not None:
-        ok, wit = is_min_k_planar(d, args.min_k, check=False)
+        v = is_min_k_planar(d, args.min_k, check=False)
         verdict["min_k"] = {
             "k": args.min_k,
-            "holds": ok,
-            "heavy_crossing_pair": None if ok else list(wit),
+            "holds": v.ok,
+            "heavy_crossing_pair": None if v else list(v.witness),
         }
-        failed = failed or not ok
+        failed = failed or not v
     if args.k is not None:
-        ok = is_k_planar(d, args.k, check=False)
-        verdict["k_planar"] = {"k": args.k, "holds": ok}
-        failed = failed or not ok
+        v = is_k_planar(d, args.k, check=False)
+        verdict["k_planar"] = {"k": args.k, "holds": v.ok}
+        failed = failed or not v
     if args.simple:
-        ok, wit = is_simple(d, check=False)
+        v = is_simple(d, check=False)
         verdict["simple"] = {
-            "holds": ok,
-            "witness": None if ok else {"pair": list(wit[0]), "reason": wit[1]},
+            "holds": v.ok,
+            "witness": None if v else {"pair": list(v.witness[0]),
+                                       "reason": v.witness[1]},
         }
-        failed = failed or not ok
+        failed = failed or not v
     _emit(verdict, args.out)
     rep.outcome = "property-failed" if failed else "ok"
     return 1 if failed else 0
@@ -259,7 +249,6 @@ def cmd_search(args, rep: RunReport) -> int:
         "simple": args.simple,
         "budget_nodes": args.budget_nodes,
         "budget_secs": args.budget_secs,
-        "threads": args.threads,
     })
     outcome = search_anchored(
         g, args.k, require_simple=args.simple, budget=_budget(args)
@@ -359,13 +348,12 @@ def _finish_repro(name: str, checks: list[tuple[str, bool]], args,
 def _repro_lemma3_g2(args, rep: RunReport) -> int:
     b = build_G2()
     checks = [("drawing-valid", validate(b.drawing) == [])]
-    ok, _ = is_min_k_planar(b.drawing, 2, check=False)
-    checks.append(("min-2-planar", ok))
-    simp, wit = is_simple(b.drawing, check=False)
-    checks.append(("not-simple", not simp))
+    checks.append(("min-2-planar", is_min_k_planar(b.drawing, 2, check=False).ok))
+    simple = is_simple(b.drawing, check=False)
+    checks.append(("not-simple", not simple))
     want = {b.edge("a1a2"), b.edge("b1a2")}
     checks.append(
-        ("offender-is-a1a2-b1a2", (not simp) and set(wit[0]) == want)
+        ("offender-is-a1a2-b1a2", (not simple) and set(simple.witness[0]) == want)
     )
     outcome = search_anchored(
         b.anchored_graph, 2, require_simple=True, budget=_budget(args)
@@ -390,8 +378,8 @@ def _repro_lemma3_gk(args, rep: RunReport) -> int:
     m2 = sum(1 for n in names if n.startswith("m2_"))
     m3 = sum(1 for n in names if n.startswith("m3_")) + ("b1b2" in names)
     checks = [("drawing-valid", validate(b.drawing) == [])]
-    ok, _ = is_min_k_planar(b.drawing, b.claimed_min_k, check=False)
-    checks.append((f"min-{b.claimed_min_k}-planar", ok))
+    checks.append((f"min-{b.claimed_min_k}-planar",
+                   is_min_k_planar(b.drawing, b.claimed_min_k, check=False).ok))
     checks.append(("side-matchings-k-plus-1", m1 == k + 1 and m2 == k + 1))
     checks.append(("top-matching-k", m3 == k))
     checks.append(
@@ -412,9 +400,8 @@ def _repro_lemma5_frame(args, rep: RunReport) -> int:
     prof = crossing_profile(fr.drawing, check=False)
     checks = [("drawing-valid", validate(fr.drawing) == [])]
     checks.append(("anchored", fr.drawing.anchored))
-    checks.append(("simple", is_simple(fr.drawing, check=False)[0]))
-    ok, _ = is_min_k_planar(fr.drawing, 1, check=False)
-    checks.append(("min-1-planar", ok))
+    checks.append(("simple", is_simple(fr.drawing, check=False).ok))
+    checks.append(("min-1-planar", is_min_k_planar(fr.drawing, 1, check=False).ok))
     checks.append(("web-separates-wheel", separation_property_check(fr)))
     checks.append(
         ("each-wheel-edge-crossed-t-times",
@@ -440,8 +427,7 @@ def _repro_thm1_compose(args, rep: RunReport) -> int:
         p for p in prof.per_pair if p[0] in heavy and p[1] in heavy
     ]
     checks = [("drawing-valid", validate(comp) == [])]
-    ok, _ = is_min_k_planar(comp, mk, check=False)
-    checks.append((f"min-{mk}-planar", ok))
+    checks.append((f"min-{mk}-planar", is_min_k_planar(comp, mk, check=False).ok))
     checks.append(("no-heavy-heavy-crossing", clash == []))
     checks.append(
         ("crossings-additive",
@@ -468,12 +454,10 @@ def _repro_prop2_simplify(args, rep: RunReport) -> int:
         monotone = monotone and all(
             a > b for a, b in zip(sizes, sizes[1:])
         )
-        ok_simple, _ = is_simple(s, check=False)
-        ok_min1, _ = is_min_k_planar(s, 1, check=False)
         clean = clean and (
             validate(s) == []
-            and ok_simple
-            and ok_min1
+            and is_simple(s, check=False).ok
+            and is_min_k_planar(s, 1, check=False).ok
             and s.graph == d.graph
         )
         produced += 1
@@ -585,9 +569,6 @@ def _build_parser() -> _Parser:
                     help="restrict to simple drawings")
     sp.add_argument("--budget-nodes", type=int, metavar="N")
     sp.add_argument("--budget-secs", type=float, metavar="S")
-    sp.add_argument("--threads", type=int, default=_default_threads(),
-                    metavar="T",
-                    help=f"worker count (default ${THREADS_VAR} or 1)")
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("frame", parents=[common],
@@ -629,8 +610,6 @@ def _build_parser() -> _Parser:
                     help="sample size for prop2-simplify")
     sp.add_argument("--budget-nodes", type=int, metavar="N")
     sp.add_argument("--budget-secs", type=float, metavar="S")
-    sp.add_argument("--threads", type=int, default=_default_threads(),
-                    metavar="T")
     sp.set_defaults(fn=cmd_repro)
 
     return p

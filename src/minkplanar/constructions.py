@@ -116,10 +116,10 @@ def _disk_bundle(
     scene = Scene(graph, positions, routes, anchors=anchors, radius=DISK_RADIUS)
     drawing, crossing_points = scene_to_drawing(scene)
 
-    ok_min, witness = is_min_k_planar(drawing, claimed_min_k, check=False)
-    _require(ok_min, f"drawing is not min-{claimed_min_k}-planar ({witness})")
-    simple_ok, _ = is_simple(drawing, check=False)
-    _require(simple_ok == claimed_simple, "simplicity differs from the claim")
+    min_k = is_min_k_planar(drawing, claimed_min_k, check=False)
+    _require(min_k, f"drawing is not min-{claimed_min_k}-planar ({min_k.witness})")
+    _require(is_simple(drawing, check=False).ok == claimed_simple,
+             "simplicity differs from the claim")
     adj = adjacent_crossing_pairs(drawing, check=False)
     _require((not adj) == claimed_adjacency_free, "adjacent-crossing claim failed")
 
@@ -232,11 +232,11 @@ def build_G2() -> CounterexampleBundle:
     _require(prof.total == 10, "crossing total off")
     _require(prof.per_edge[bundle.edge("a1a2")] == 5, "a1a2 count off")
     _require(prof.per_edge[bundle.edge("c1c2")] == 4, "c1c2 count off")
-    _, witness = is_simple(bundle.drawing, check=False)
+    simple = is_simple(bundle.drawing, check=False)
     pair = (bundle.edge("a1a2"), bundle.edge("b1a2"))
-    _require(witness is not None and witness[0] == pair, "simplicity witness off")
-    ok1, _ = is_min_k_planar(bundle.drawing, 1, check=False)
-    _require(not ok1, "drawing should not be min-1-planar")
+    _require(not simple and simple.witness[0] == pair, "simplicity witness off")
+    _require(not is_min_k_planar(bundle.drawing, 1, check=False),
+             "drawing should not be min-1-planar")
     return bundle
 
 
@@ -368,8 +368,8 @@ def build_biclique_gadget(k: int, m: int) -> BicliqueGadget:
                 for b in hb
             )
             _require(n == 1, "each copy pair must cross exactly once")
-    ok, _ = is_min_k_planar(drawing, k, check=False)
-    _require(ok == (m <= k), "gadget min-k verdict off")
+    _require(is_min_k_planar(drawing, k, check=False).ok == (m <= k),
+             "gadget min-k verdict off")
     return BicliqueGadget(
         graph=amplified,
         classes=classes,

@@ -16,21 +16,21 @@ lists only interior arc ends, linearly, starting just after the boundary
 arc towards the next anchor and ending just before the one from the
 previous anchor.
 
-Face tracing uses the same convention as the embeddings module: with
-clockwise rotations the face to the left of a dart is traced by following
-"next clockwise after the twin".  For a valid anchored drawing the face to
-the left of the forward boundary darts is the region outside the disk, and
-its orbit must consist of exactly those forward darts.
+Faces are traced by ``PlanarizationMap``: with clockwise rotations the
+face to the left of a dart is traced by following "next clockwise after
+the twin".  For a valid anchored drawing the face to the left of the
+forward boundary darts is the region outside the disk, and its orbit must
+consist of exactly those forward darts.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, components
 
 ArcRef = tuple[int, int]
 
@@ -285,7 +285,15 @@ def validate(d: Drawing) -> list[str]:
 
     # face structure
     pm = PlanarizationMap(d)
-    comp = _planarization_components(d, pm)
+    adj: dict[int, list[int]] = {node: [] for node in sorted(d.nodes())}
+    for a, b in pm.arc_nodes.values():
+        adj[a].append(b)
+        adj[b].append(a)
+    comp = {
+        node: c
+        for c, nodes in enumerate(components(adj, adj.__getitem__))
+        for node in nodes
+    }
     n_comp = max(comp.values()) + 1 if comp else 0
     v_cnt = [0] * n_comp
     e_cnt = [0] * n_comp
@@ -323,28 +331,6 @@ def validate(d: Drawing) -> list[str]:
     return problems
 
 
-def _planarization_components(d: Drawing, pm: PlanarizationMap) -> dict[int, int]:
-    adj: dict[int, set[int]] = {node: set() for node in d.nodes()}
-    for a, b in pm.arc_nodes.values():
-        adj[a].add(b)
-        adj[b].add(a)
-    comp: dict[int, int] = {}
-    c = 0
-    for start in sorted(adj):
-        if start in comp:
-            continue
-        queue = collections.deque([start])
-        comp[start] = c
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in comp:
-                    comp[w] = c
-                    queue.append(w)
-        c += 1
-    return comp
-
-
 # ------------------------------------------------------------- predicates
 
 
@@ -375,20 +361,34 @@ def crossing_profile(d: Drawing, check: bool = True) -> CrossingProfile:
     return CrossingProfile(per_edge, dict(per_pair))
 
 
-def is_simple(d: Drawing, check: bool = True):
-    """(ok, witness): no pair crosses twice and no adjacent pair crosses.
+class Verdict(NamedTuple):
+    """Answer of a drawing predicate: ``ok`` plus a witness when it fails.
+
+    The truth value is ``ok``, so ``if is_simple(d):`` means what it says,
+    and ``ok, witness = is_simple(d)`` still unpacks the pair.
+    """
+
+    ok: bool
+    witness: Any = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def is_simple(d: Drawing, check: bool = True) -> Verdict:
+    """No pair crosses twice and no adjacent pair crosses.
 
     The witness is the lexicographically first offending pair together with
-    the reason, or None when the drawing is simple.
+    the reason.
     """
     prof = crossing_profile(d, check=check)
     for pair in sorted(prof.per_pair):
         if prof.per_pair[pair] > 1:
-            return False, (pair, "pair crosses more than once")
+            return Verdict(False, (pair, "pair crosses more than once"))
     for pair in sorted(prof.per_pair):
         if d.graph.adjacent_edges(*pair):
-            return False, (pair, "edges share a vertex and cross")
-    return True, None
+            return Verdict(False, (pair, "edges share a vertex and cross"))
+    return Verdict(True)
 
 
 def adjacent_crossing_pairs(d: Drawing, check: bool = True) -> list[tuple[int, int]]:
@@ -396,22 +396,25 @@ def adjacent_crossing_pairs(d: Drawing, check: bool = True) -> list[tuple[int, i
     return [p for p in sorted(prof.per_pair) if d.graph.adjacent_edges(*p)]
 
 
-def is_k_planar(d: Drawing, k: int, check: bool = True) -> bool:
-    """True when no edge carries more than k crossings."""
-    prof = crossing_profile(d, check=check)
-    return all(c <= k for c in prof.per_edge.values())
+def is_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
+    """No edge carries more than k crossings.
+
+    The witness is the first edge with more than k crossings.
+    """
+    heavy = crossing_profile(d, check=check).heavy_edges(k)
+    return Verdict(False, heavy[0]) if heavy else Verdict(True)
 
 
-def is_min_k_planar(d: Drawing, k: int, check: bool = True):
-    """(ok, witness): every crossing pair has a side with at most k crossings.
+def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
+    """Every crossing pair has a side with at most k crossings.
 
     The witness is the first pair of heavy edges that cross each other.
     """
     prof = crossing_profile(d, check=check)
     for (e1, e2) in sorted(prof.per_pair):
         if prof.per_edge[e1] > k and prof.per_edge[e2] > k:
-            return False, (e1, e2)
-    return True, None
+            return Verdict(False, (e1, e2))
+    return Verdict(True)
 
 
 # ------------------------------------------------------------ restriction

@@ -70,21 +70,7 @@ def _ensure(cond: bool, what: str) -> None:
         raise MinkplanarError("frame self-check failed: " + what)
 
 
-# ------------------------------------------------------------ the wheel
-
-
-def double_wheel(d: int) -> Graph:
-    """Cycle of length d plus two hubs each joined to every cycle vertex.
-
-    Rim vertices are 0..d-1, the hubs are d and d+1.  Edge ids follow the
-    rim (d edges), then the first hub's spokes, then the second's.
-    """
-    if d < 3:
-        raise InputError("a double wheel needs a rim of length >= 3")
-    rim = [(j, (j + 1) % d) for j in range(d)]
-    inner = [(d, j) for j in range(d)]
-    outer = [(d + 1, j) for j in range(d)]
-    return Graph(tuple(range(d + 2)), tuple(rim + inner + outer))
+# ------------------------------------------------------------ the bundle
 
 
 class FrameParams(NamedTuple):
@@ -483,9 +469,8 @@ def compose(frame: FrameBundle, bundle) -> Drawing:
         == len(frame.drawing.crossings) + len(gd.crossings),
         "composition changed the crossing count",
     )
-    still_min_k, _ = is_min_k_planar(out, bundle.claimed_min_k, check=False)
     _ensure(
-        still_min_k,
+        is_min_k_planar(out, bundle.claimed_min_k, check=False),
         f"composition lost min-{bundle.claimed_min_k}-planarity",
     )
     return out

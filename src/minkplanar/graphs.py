@@ -1,4 +1,5 @@
-"""Graphs, anchored graphs and the double-edge amplification transform.
+"""Graphs, anchored graphs, the double-edge amplification transform, and
+the package's one breadth-first walk, ``components``.
 
 Vertices and edges are opaque non-negative integers.  Edge ids are simply
 positions in the edge tuple, so identical inputs always produce identical
@@ -11,11 +12,37 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
-
-import networkx as nx
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
+
+
+# ------------------------------------------------------------ reachability
+
+
+def components(nodes: Iterable, neighbors: Callable[..., Iterable]) -> list[dict]:
+    """Breadth-first components, one per node of ``nodes`` not yet reached.
+
+    Each component maps its nodes to their distance from the node that
+    started it, in discovery order; ``components([v], nb)[0]`` is the ball
+    reachable from v.  Components come in the order of their start nodes.
+    """
+    seen: set = set()
+    out = []
+    for start in nodes:
+        if start in seen:
+            continue
+        dist = {start: 0}
+        queue = collections.deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        seen.update(dist)
+        out.append(dist)
+    return out
 
 
 # ------------------------------------------------------------------ graphs
@@ -41,18 +68,20 @@ class Graph:
         )
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
-            raise InputError("duplicate vertex id")
+            raise InputError("/vertices: duplicate vertex id")
         if any(v < 0 for v in self.vertices):
-            raise InputError("vertex ids must be non-negative")
+            raise InputError("/vertices: vertex ids must be non-negative")
         pairs = set()
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
-                raise InputError(f"loop at vertex {u} is not allowed")
+                raise InputError(f"/edges/{i}: loop at vertex {u} is not allowed")
             if u not in seen or v not in seen:
-                raise InputError(f"edge ({u}, {v}) uses an undeclared vertex")
+                raise InputError(
+                    f"/edges/{i}: edge ({u}, {v}) uses an undeclared vertex")
             key = (u, v) if u < v else (v, u)
             if key in pairs and self.simple:
-                raise InputError(f"parallel edge ({u}, {v}) in a simple graph")
+                raise InputError(
+                    f"/edges/{i}: parallel edge ({u}, {v}) in a simple graph")
             pairs.add(key)
 
     # -- basic queries -------------------------------------------------
@@ -110,23 +139,7 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components, each as a sorted vertex tuple."""
-        seen: set[int] = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            queue = collections.deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        queue.append(w)
-            out.append(tuple(sorted(comp)))
-        return out
+        return [tuple(sorted(c)) for c in components(self.vertices, self.neighbors)]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -146,11 +159,10 @@ class AnchoredGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchors", tuple(int(a) for a in self.anchors))
         if len(set(self.anchors)) != len(self.anchors):
-            raise InputError("anchors must be distinct")
-        declared = set(self.graph.vertices)
-        for a in self.anchors:
-            if a not in declared:
-                raise InputError(f"anchor {a} is not a vertex")
+            raise InputError("/anchors: anchors must be distinct")
+        for i, a in enumerate(self.anchors):
+            if not self.graph.has_vertex(a):
+                raise InputError(f"/anchors/{i}: anchor {a} is not a vertex")
 
     @property
     def anchor_set(self) -> frozenset[int]:
@@ -272,65 +284,21 @@ def max_finite_anchor_distance(ag: AnchoredGraph) -> int:
     """
     g = ag.graph
     aset = ag.anchor_set
-    interior = [v for v in g.vertices if v not in aset]
-    # components of G - A
-    seen: set[int] = set()
     discarded: set[int] = set()
-    for start in interior:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = collections.deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w in aset or w in seen:
-                    continue
-                seen.add(w)
-                comp.append(w)
-                queue.append(w)
-        attached = set()
-        for v in comp:
-            for w in g.neighbors(v):
-                if w in aset:
-                    attached.add(w)
+    for comp in components(
+        ag.interior_vertices(),
+        lambda v: [w for w in g.neighbors(v) if w not in aset],
+    ):
+        attached = {w for v in comp for w in g.neighbors(v) if w in aset}
         if len(attached) <= 1:
             discarded.update(comp)
 
-    alive = set(g.vertices) - discarded
     best = 0
     for a in ag.anchors:
-        dist = {a: 0}
-        queue = collections.deque([a])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w in alive and w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        (dist,) = components(
+            [a], lambda v: [w for w in g.neighbors(v) if w not in discarded]
+        )
         for v, dv in dist.items():
             if v not in aset:
                 best = max(best, dv)
     return best
-
-
-# -------------------------------------------------------------- interop
-
-
-def to_networkx(g: Graph) -> "nx.Graph | nx.MultiGraph":
-    """Converts to a networkx graph; edge ids go into the 'id' attribute."""
-    out = nx.Graph() if g.simple else nx.MultiGraph()
-    out.add_nodes_from(g.vertices)
-    for e, (u, v) in enumerate(g.edges):
-        out.add_edge(u, v, id=e)
-    return out
-
-
-def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    a, b = to_networkx(g1), to_networkx(g2)
-    if g1.simple != g2.simple:
-        return False
-    if g1.simple:
-        return nx.is_isomorphic(a, b)
-    return nx.is_isomorphic(nx.MultiGraph(a), nx.MultiGraph(b))

@@ -14,7 +14,6 @@ spot, so CLI users can find the field without reading a stack trace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -139,38 +138,27 @@ def graph_to_json(g: Graph | AnchoredGraph) -> dict:
     return doc
 
 
-def graph_from_json(obj: Any, where: str = "") -> Graph | AnchoredGraph:
+def graph_from_json(obj: Any) -> Graph | AnchoredGraph:
     _check_schema(obj, GRAPH_SCHEMA)
-    verts = obj["vertices"]
-    vset = set(verts)
-    if len(vset) != len(verts):
-        _fail(where + "/vertices", "repeated vertex id")
-    seen_edges = set()
-    multigraph = bool(obj.get("multigraph", False))
-    for i, (u, v) in enumerate(obj["edges"]):
-        if u == v:
-            _fail(where + f"/edges/{i}", "loop edge")
-        for w in (u, v):
-            if w not in vset:
-                _fail(where + f"/edges/{i}", f"endpoint {w} is not a vertex")
-        key = (min(u, v), max(u, v))
-        if key in seen_edges and not multigraph:
-            _fail(where + f"/edges/{i}", "parallel edge in a simple graph")
-        seen_edges.add(key)
-    g = Graph(
-        tuple(verts),
-        tuple((u, v) for (u, v) in obj["edges"]),
-        simple=not multigraph,
-    )
-    if "anchors" not in obj:
-        return g
-    anchors = obj["anchors"]
-    if len(set(anchors)) != len(anchors):
-        _fail(where + "/anchors", "repeated anchor")
-    for i, a in enumerate(anchors):
-        if a not in vset:
-            _fail(where + f"/anchors/{i}", f"anchor {a} is not a vertex")
-    return AnchoredGraph(g, tuple(anchors))
+    return _graph(obj)
+
+
+def _graph(obj: dict, where: str = "") -> Graph | AnchoredGraph:
+    """The graph of a schema-checked document.
+
+    ``Graph`` and ``AnchoredGraph`` do the semantic checks; their messages
+    start with a pointer relative to the graph document, which ``where``
+    prefixes.
+    """
+    try:
+        g = Graph(
+            tuple(obj["vertices"]),
+            tuple((u, v) for (u, v) in obj["edges"]),
+            simple=not obj.get("multigraph", False),
+        )
+        return AnchoredGraph(g, tuple(obj["anchors"])) if "anchors" in obj else g
+    except InputError as err:
+        raise InputError(f"{where}{err}") from None
 
 
 # --------------------------------------------------------------- drawings
@@ -204,7 +192,7 @@ def drawing_to_json(d: Drawing) -> dict:
 
 def drawing_from_json(obj: Any) -> Drawing:
     _check_schema(obj, DRAWING_SCHEMA)
-    g = graph_from_json(obj["graph"], where="/graph")
+    g = _graph(obj["graph"], where="/graph")
     if isinstance(g, AnchoredGraph):
         # a nested anchor list would shadow outer_face; keep one source
         _fail("/graph/anchors", "use outer_face for a drawing's boundary")
@@ -273,22 +261,3 @@ class RunReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-# ------------------------------------------------------------------ files
-
-
-def load_file(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as err:
-        raise InputError(f"{path} is not JSON: {err}")
-
-
-def dump_file(path: str, doc: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import cg, spsolve
 from .drawings import Drawing, PlanarizationMap, crossing_profile
 from .errors import LayoutError
 from .geometry import Point, Scene, scene_to_drawing
-from .graphs import Graph
+from .graphs import Graph, components
 
 _DIRECT_SOLVE_LIMIT = 50_000
 
@@ -128,16 +128,9 @@ def tutte_layout(d: Drawing) -> Layout:
     if any(not adj[v] for v in free):
         raise LayoutError("isolated nodes make the system singular")
 
-    # reachability from the pinned set doubles as the singularity check
-    seen = set(pinned)
-    stack = list(pinned)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if any(v not in seen for v in free):
+    # the pinned walk is connected, so one component means every free node
+    # reaches it: that doubles as the singularity check
+    if len(components(adj, adj.__getitem__)) > 1:
         raise LayoutError(
             "planarization has a component detached from the boundary"
         )

@@ -76,8 +76,7 @@ def biclique_obstruction(
                 if all(_doubles_cross(crossed, da, db) for da in picked)
             )
             if len(common) >= need:
-                ok, _ = is_min_k_planar(d, k, check=False)
-                if ok:
+                if is_min_k_planar(d, k, check=False):
                     raise MinkplanarError(
                         "obstruction witness found in a drawing that still "
                         "verifies as min-{}-planar".format(k)

@@ -22,10 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 
-try:
-    import networkx as nx
-except ImportError:  # pragma: no cover
-    nx = None
+import networkx as nx
 
 from .errors import InputError
 from .graphs import AnchoredGraph
@@ -43,8 +40,6 @@ def _interleaved(anchor_pos: dict, e_ends, f_ends) -> bool:
 def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
         -> SearchOutcome:
     """Same statuses as search_anchored, by exhaustive pattern testing."""
-    if nx is None:  # pragma: no cover
-        raise InputError("the oracle needs networkx")
     if k < 0:
         raise InputError("k must be non-negative")
     g = ag.graph
@@ -55,7 +50,11 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
     if len(ag.anchors) < 2:
         raise InputError("routing needs at least two anchors")
     anchor_pos = {a: i for i, a in enumerate(ag.anchors)}
-    _check_anchored_components(g, set(ag.anchors))
+    if any(len(c) > 1 and not ag.anchor_set.intersection(c)
+           for c in g.components()):
+        raise InputError(
+            "a component with edges contains no anchor and cannot be "
+            "routed in the disk")
 
     pairs = list(itertools.combinations(range(g.m), 2))
     cap = 1 if require_simple else 2
@@ -94,26 +93,6 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
     stats.seconds = time.perf_counter() - t0
     return SearchOutcome(status=Status.EXHAUSTED_UNSAT, certificate=None,
                          stats=stats)
-
-
-def _check_anchored_components(g, anchors: set) -> None:
-    seen = set(anchors)
-    stack = list(anchors)
-    adj = {v: [] for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    loose = [v for v in g.vertices if v not in seen and adj[v]]
-    if loose:
-        raise InputError(
-            "a component with edges contains no anchor and cannot be "
-            "routed in the disk")
 
 
 def _realizable(ag: AnchoredGraph, pairs, counts, stats: SearchStats) -> bool:

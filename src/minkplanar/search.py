@@ -296,12 +296,9 @@ def verify_certificate(outcome: SearchOutcome, ag: AnchoredGraph, k: int,
         return False
     if validate(d):
         return False
-    ok, _ = is_min_k_planar(d, k, check=False)
-    if not ok:
+    if not is_min_k_planar(d, k, check=False):
         return False
-    if require_simple and not is_simple(d, check=False)[0]:
-        return False
-    return True
+    return not require_simple or is_simple(d, check=False).ok
 
 
 # ------------------------------------------------------------------ search

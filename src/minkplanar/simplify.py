@@ -30,9 +30,10 @@ def violating_pairs(d: Drawing, check: bool = True) -> list[tuple[int, int]]:
     """
     if check:
         d.require_valid()
-    ok, pair = is_min_k_planar(d, 1, check=False)
-    if not ok:
-        raise InputError(f"drawing is not min-1-planar (heavy pair {pair})")
+    verdict = is_min_k_planar(d, 1, check=False)
+    if not verdict:
+        raise InputError(
+            f"drawing is not min-1-planar (heavy pair {verdict.witness})")
     return adjacent_crossing_pairs(d, check=False)
 
 

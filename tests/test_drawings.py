@@ -224,6 +224,20 @@ def test_k_planarity_thresholds():
     assert ok and witness is None
 
 
+def test_verdicts_are_truthful():
+    # a failing verdict is falsy, not a tuple that happens to hold False
+    d = double_crossing()
+    assert not is_simple(d)
+    assert is_simple(crossing_chords())
+    assert not is_min_k_planar(d, 1)
+    assert is_min_k_planar(d, 2)
+    assert not is_k_planar(d, 1)
+    assert is_k_planar(d, 2)
+    # and it still unpacks as (ok, witness); edge 0 is the first one over 1
+    assert is_k_planar(d, 1) == (False, 0)
+    assert is_k_planar(d, 2) == (True, None)
+
+
 def test_min_k_allows_heavy_light_crossings():
     # edge 0 of the comb carries 2 crossings; both partners carry 1, so for
     # k = 1 every crossing still has a light side

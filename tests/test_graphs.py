@@ -8,10 +8,9 @@ from minkplanar.errors import InputError
 from minkplanar.graphs import (
     AnchoredGraph,
     Graph,
-    graphs_isomorphic,
+    components,
     max_finite_anchor_distance,
     t_amplify,
-    to_networkx,
 )
 
 
@@ -66,6 +65,20 @@ def test_components():
     assert g.components() == [(0, 1), (2, 3), (4,)]
     assert not g.is_connected()
     assert triangle().is_connected()
+
+
+def test_components_helper_gives_bfs_distances():
+    path = Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
+    assert components([1], path.neighbors) == [{1: 0, 0: 1, 2: 1, 3: 2}]
+    # every listed node not yet reached starts a component of its own
+    assert components([3, 0, 2], lambda v: ()) == [{3: 0}, {0: 0}, {2: 0}]
+
+
+def test_graph_errors_carry_pointers():
+    with pytest.raises(InputError, match=r"^/edges/1: loop"):
+        Graph((0, 1), ((0, 1), (1, 1)))
+    with pytest.raises(InputError, match=r"^/anchors/1: anchor 7"):
+        AnchoredGraph(triangle(), (0, 7))
 
 
 def test_anchored_graph_checks():
@@ -137,10 +150,10 @@ def test_amplify_preserves_planarity_status():
     import networkx as nx
 
     amp_pl, _ = t_amplify(k4(), 3)
-    ok, _ = nx.check_planarity(to_networkx(amp_pl))
+    ok, _ = nx.check_planarity(nx.Graph(amp_pl.edges))
     assert ok
     amp_np, _ = t_amplify(k5(), 2)
-    ok, _ = nx.check_planarity(to_networkx(amp_np))
+    ok, _ = nx.check_planarity(nx.Graph(amp_np.edges))
     assert not ok
 
 
@@ -203,9 +216,3 @@ def test_anchor_distance_mixed():
     ag = AnchoredGraph(g, (0, 1))
     assert max_finite_anchor_distance(ag) == 1
 
-
-def test_isomorphism_helper():
-    g1 = triangle()
-    g2 = Graph((5, 6, 7), ((5, 6), (6, 7), (7, 5)))
-    assert graphs_isomorphic(g1, g2)
-    assert not graphs_isomorphic(g1, k4())
