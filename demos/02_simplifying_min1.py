@@ -45,7 +45,7 @@ for _ in range(300):
     d = random_min1_drawing(rng)
     trace = []
     s = simplify_min1(d, trace=trace)
-    assert is_simple(s, check=False)[0]
+    assert is_simple(s)[0]
     total += 1
     swaps += len(trace)
 print(f"\nswept {total} fuzzed drawings, {swaps} swaps, all ended simple")

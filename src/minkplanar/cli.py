@@ -152,7 +152,7 @@ def cmd_gen(args, rep: RunReport) -> int:
     rep.parameters.update({"family": args.family, "k": k})
     bundle = _source_bundle(k) if args.family == "gk" else build_G2()
 
-    prof = crossing_profile(bundle.drawing, check=False)
+    prof = crossing_profile(bundle.drawing)
     g = bundle.anchored_graph
     rep.stats.update({
         "vertices": g.graph.n,
@@ -184,7 +184,7 @@ def cmd_validate(args, rep: RunReport) -> int:
     verdict: dict[str, Any] = {"valid": True}
     failed = False
     if args.min_k is not None:
-        v = is_min_k_planar(d, args.min_k, check=False)
+        v = is_min_k_planar(d, args.min_k)
         verdict["min_k"] = {
             "k": args.min_k,
             "holds": v.ok,
@@ -192,11 +192,11 @@ def cmd_validate(args, rep: RunReport) -> int:
         }
         failed = failed or not v
     if args.k is not None:
-        v = is_k_planar(d, args.k, check=False)
+        v = is_k_planar(d, args.k)
         verdict["k_planar"] = {"k": args.k, "holds": v.ok}
         failed = failed or not v
     if args.simple:
-        v = is_simple(d, check=False)
+        v = is_simple(d)
         verdict["simple"] = {
             "holds": v.ok,
             "witness": None if v else {"pair": list(v.witness[0]),
@@ -211,7 +211,7 @@ def cmd_validate(args, rep: RunReport) -> int:
 def cmd_profile(args, rep: RunReport) -> int:
     d = _load_drawing(args.drawing, rep)
     rep.parameters.update({"k": args.k})
-    prof = crossing_profile(d, check=False)
+    prof = crossing_profile(d)
     doc: dict[str, Any] = {
         "total": prof.total,
         "per_edge": {str(e): c for e, c in sorted(prof.per_edge.items())},
@@ -231,7 +231,7 @@ def cmd_simplify(args, rep: RunReport) -> int:
     d = _load_drawing(args.drawing, rep)
     trace: list = []
     before = len(d.crossings)
-    out = simplify_min1(d, check=False, trace=trace)
+    out = simplify_min1(d, trace=trace)
     _emit(drawing_to_json(out), args.out)
     rep.stats.update({
         "crossings_before": before,
@@ -268,7 +268,7 @@ def cmd_frame(args, rep: RunReport) -> int:
     fr = build_frame(g, args.k, t=args.t)
     p = fr.params
     rep.parameters.update({"k": args.k, "t": p.t})
-    prof = crossing_profile(fr.drawing, check=False)
+    prof = crossing_profile(fr.drawing)
     rep.stats.update({
         "vertices": fr.graph.n,
         "edges": fr.graph.m,
@@ -291,7 +291,7 @@ def cmd_compose(args, rep: RunReport) -> int:
     comp = compose(fr, src)
     p = fr.params
     rep.parameters.update({"k": args.k, "t": p.t})
-    prof = crossing_profile(comp, check=False)
+    prof = crossing_profile(comp)
     rep.stats.update({
         "vertices": comp.graph.n,
         "edges": comp.graph.m,
@@ -348,8 +348,8 @@ def _finish_repro(name: str, checks: list[tuple[str, bool]], args,
 def _repro_lemma3_g2(args, rep: RunReport) -> int:
     b = build_G2()
     checks = [("drawing-valid", validate(b.drawing) == [])]
-    checks.append(("min-2-planar", is_min_k_planar(b.drawing, 2, check=False).ok))
-    simple = is_simple(b.drawing, check=False)
+    checks.append(("min-2-planar", is_min_k_planar(b.drawing, 2).ok))
+    simple = is_simple(b.drawing)
     checks.append(("not-simple", not simple))
     want = {b.edge("a1a2"), b.edge("b1a2")}
     checks.append(
@@ -379,13 +379,11 @@ def _repro_lemma3_gk(args, rep: RunReport) -> int:
     m3 = sum(1 for n in names if n.startswith("m3_")) + ("b1b2" in names)
     checks = [("drawing-valid", validate(b.drawing) == [])]
     checks.append((f"min-{b.claimed_min_k}-planar",
-                   is_min_k_planar(b.drawing, b.claimed_min_k, check=False).ok))
+                   is_min_k_planar(b.drawing, b.claimed_min_k).ok))
     checks.append(("side-matchings-k-plus-1", m1 == k + 1 and m2 == k + 1))
     checks.append(("top-matching-k", m3 == k))
-    checks.append(
-        ("no-adjacent-pair-crosses",
-         adjacent_crossing_pairs(b.drawing, check=False) == [])
-    )
+    checks.append(("no-adjacent-pair-crosses",
+                   adjacent_crossing_pairs(b.drawing) == []))
     return _finish_repro("lemma3-gk", checks, args, rep, {"k": k})
 
 
@@ -397,11 +395,11 @@ def _repro_lemma5_frame(args, rep: RunReport) -> int:
         g = build_G2().anchored_graph
     fr = build_frame(g, k, t=args.t)
     p = fr.params
-    prof = crossing_profile(fr.drawing, check=False)
+    prof = crossing_profile(fr.drawing)
     checks = [("drawing-valid", validate(fr.drawing) == [])]
     checks.append(("anchored", fr.drawing.anchored))
-    checks.append(("simple", is_simple(fr.drawing, check=False).ok))
-    checks.append(("min-1-planar", is_min_k_planar(fr.drawing, 1, check=False).ok))
+    checks.append(("simple", is_simple(fr.drawing).ok))
+    checks.append(("min-1-planar", is_min_k_planar(fr.drawing, 1).ok))
     checks.append(("web-separates-wheel", separation_property_check(fr)))
     checks.append(
         ("each-wheel-edge-crossed-t-times",
@@ -421,13 +419,13 @@ def _repro_thm1_compose(args, rep: RunReport) -> int:
     mk = src.claimed_min_k
     fr = build_frame(src.anchored_graph, mk, t=args.t)
     comp = compose(fr, src)
-    prof = crossing_profile(comp, check=False)
+    prof = crossing_profile(comp)
     heavy = set(prof.heavy_edges(mk))
     clash = [
         p for p in prof.per_pair if p[0] in heavy and p[1] in heavy
     ]
     checks = [("drawing-valid", validate(comp) == [])]
-    checks.append((f"min-{mk}-planar", is_min_k_planar(comp, mk, check=False).ok))
+    checks.append((f"min-{mk}-planar", is_min_k_planar(comp, mk).ok))
     checks.append(("no-heavy-heavy-crossing", clash == []))
     checks.append(
         ("crossings-additive",
@@ -449,15 +447,15 @@ def _repro_prop2_simplify(args, rep: RunReport) -> int:
     for _ in range(count):
         d = random_min1_drawing(rng)
         trace: list = []
-        s = simplify_min1(d, check=False, trace=trace)
+        s = simplify_min1(d, trace=trace)
         sizes = [len(step) for step in trace] + [0]
         monotone = monotone and all(
             a > b for a, b in zip(sizes, sizes[1:])
         )
         clean = clean and (
             validate(s) == []
-            and is_simple(s, check=False).ok
-            and is_min_k_planar(s, 1, check=False).ok
+            and is_simple(s).ok
+            and is_min_k_planar(s, 1).ok
             and s.graph == d.graph
         )
         produced += 1

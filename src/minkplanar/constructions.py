@@ -116,11 +116,11 @@ def _disk_bundle(
     scene = Scene(graph, positions, routes, anchors=anchors, radius=DISK_RADIUS)
     drawing, crossing_points = scene_to_drawing(scene)
 
-    min_k = is_min_k_planar(drawing, claimed_min_k, check=False)
+    min_k = is_min_k_planar(drawing, claimed_min_k)
     _require(min_k, f"drawing is not min-{claimed_min_k}-planar ({min_k.witness})")
-    _require(is_simple(drawing, check=False).ok == claimed_simple,
+    _require(is_simple(drawing).ok == claimed_simple,
              "simplicity differs from the claim")
-    adj = adjacent_crossing_pairs(drawing, check=False)
+    adj = adjacent_crossing_pairs(drawing)
     _require((not adj) == claimed_adjacency_free, "adjacent-crossing claim failed")
 
     return CounterexampleBundle(
@@ -228,14 +228,14 @@ def build_G2() -> CounterexampleBundle:
     g = bundle.anchored_graph
     _require(g.graph.n == 20 and g.graph.m == 11, "vertex/edge count off")
     _require(len(g.anchors) == 19, "anchor count off")
-    prof = crossing_profile(bundle.drawing, check=False)
+    prof = crossing_profile(bundle.drawing)
     _require(prof.total == 10, "crossing total off")
     _require(prof.per_edge[bundle.edge("a1a2")] == 5, "a1a2 count off")
     _require(prof.per_edge[bundle.edge("c1c2")] == 4, "c1c2 count off")
-    simple = is_simple(bundle.drawing, check=False)
+    simple = is_simple(bundle.drawing)
     pair = (bundle.edge("a1a2"), bundle.edge("b1a2"))
     _require(not simple and simple.witness[0] == pair, "simplicity witness off")
-    _require(not is_min_k_planar(bundle.drawing, 1, check=False),
+    _require(not is_min_k_planar(bundle.drawing, 1),
              "drawing should not be min-1-planar")
     return bundle
 
@@ -298,7 +298,7 @@ def build_Gk(k: int) -> CounterexampleBundle:
     _require(g.graph.n == 6 * k + 9, "vertex count off")
     _require(g.graph.m == 3 * k + 5, "edge count off")
     _require(len(g.anchors) == 6 * k + 8, "anchor count off")
-    prof = crossing_profile(bundle.drawing, check=False)
+    prof = crossing_profile(bundle.drawing)
     _require(prof.total == 5 * k + 1, "crossing total off")
     _require(prof.per_edge[bundle.edge("a1a2")] == 3 * k, "a1a2 count off")
     _require(prof.per_edge[bundle.edge("c1c2")] == 2 * k, "c1c2 count off")
@@ -356,7 +356,7 @@ def build_biclique_gadget(k: int, m: int) -> BicliqueGadget:
     scene = Scene(amplified, positions, routes)
     drawing, crossing_points = scene_to_drawing(scene)
 
-    prof = crossing_profile(drawing, check=False)
+    prof = crossing_profile(drawing)
     _require(prof.total == m * m, "gadget must have exactly m*m crossings")
     lane_halves = [d.halves for d in classes.by_edge[0]]
     col_halves = [d.halves for d in classes.by_edge[1]]
@@ -368,8 +368,7 @@ def build_biclique_gadget(k: int, m: int) -> BicliqueGadget:
                 for b in hb
             )
             _require(n == 1, "each copy pair must cross exactly once")
-    _require(is_min_k_planar(drawing, k, check=False).ok == (m <= k),
-             "gadget min-k verdict off")
+    _require(is_min_k_planar(drawing, k).ok == (m <= k), "gadget min-k verdict off")
     return BicliqueGadget(
         graph=amplified,
         classes=classes,

@@ -21,12 +21,17 @@ face to the left of a dart is traced by following "next clockwise after
 the twin".  For a valid anchored drawing the face to the left of the
 forward boundary darts is the region outside the disk, and its orbit must
 consist of exactly those forward darts.
+
+Each drawing object is validated once: ``validate`` keeps its report on
+the object and ``Drawing.planarization`` keeps the one dart map, so every
+predicate can call ``require_valid`` and only the first call costs.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
@@ -43,7 +48,12 @@ class Crossing:
 
 @dataclass(frozen=True, eq=False)
 class Drawing:
-    """A combinatorial drawing of ``graph``, possibly anchored."""
+    """A combinatorial drawing of ``graph``, possibly anchored.
+
+    A drawing is never mutated, ``chains`` and ``rotation`` included, and
+    ``replace`` makes a new object; so each object keeps its validation
+    report and its ``planarization`` once they are computed.
+    """
 
     graph: Graph
     crossings: tuple[Crossing, ...]
@@ -69,6 +79,11 @@ class Drawing:
         if problems:
             raise InputError("invalid drawing: " + "; ".join(problems[:8]))
 
+    @cached_property
+    def planarization(self) -> PlanarizationMap:
+        """The drawing's dart map, built on first use and kept."""
+        return PlanarizationMap(self)
+
 
 # ----------------------------------------------------------- the dart map
 #
@@ -84,7 +99,6 @@ class PlanarizationMap:
     """Compiled dart structure of a drawing, used for face tracing."""
 
     def __init__(self, d: Drawing):
-        self.drawing = d
         self.arc_nodes: dict[ArcKey, tuple[int, int]] = {}
         for e, chain in d.chains.items():
             for i in range(len(chain) - 1):
@@ -133,9 +147,6 @@ class PlanarizationMap:
             return (key, 1)
         raise InputError(f"arc {ref} is not incident to node {node}")
 
-    def darts(self) -> list[MapDart]:
-        return [(key, end) for key in self.arc_nodes for end in (0, 1)]
-
     def tail(self, dart: MapDart) -> int:
         return self._tail[dart]
 
@@ -147,8 +158,10 @@ class PlanarizationMap:
     def phi(self, dart: MapDart) -> MapDart:
         return self._next[self.twin(dart)]
 
-    def faces(self) -> list[tuple[MapDart, ...]]:
-        remaining = set(self.darts())
+    @cached_property
+    def faces(self) -> tuple[tuple[MapDart, ...], ...]:
+        """Every face as its dart orbit, traced once and kept."""
+        remaining = {(key, end) for key in self.arc_nodes for end in (0, 1)}
         out = []
         for key in sorted(self.arc_nodes, key=repr):
             for end in (0, 1):
@@ -163,7 +176,7 @@ class PlanarizationMap:
                     remaining.discard(d)
                     d = self.phi(d)
                 out.append(tuple(orbit))
-        return out
+        return tuple(out)
 
 
 # ------------------------------------------------------------- validation
@@ -185,7 +198,17 @@ def _expected_arc_ends(d: Drawing) -> dict[int, collections.Counter]:
 
 
 def validate(d: Drawing) -> list[str]:
-    """Well-formedness report; an empty list means the drawing is valid."""
+    """Well-formedness report; an empty list means the drawing is valid.
+
+    The checks run once per drawing object, which keeps the report.
+    """
+    report = vars(d).get("_problems")
+    if report is None:
+        report = vars(d)["_problems"] = tuple(_find_problems(d))
+    return list(report)
+
+
+def _find_problems(d: Drawing) -> list[str]:
     problems: list[str] = []
     g = d.graph
     vset = set(g.vertices)
@@ -284,7 +307,7 @@ def validate(d: Drawing) -> list[str]:
         return problems
 
     # face structure
-    pm = PlanarizationMap(d)
+    pm = d.planarization
     adj: dict[int, list[int]] = {node: [] for node in sorted(d.nodes())}
     for a, b in pm.arc_nodes.values():
         adj[a].append(b)
@@ -302,7 +325,7 @@ def validate(d: Drawing) -> list[str]:
         v_cnt[c] += 1
     for key, (a, b) in pm.arc_nodes.items():
         e_cnt[comp[a]] += 1
-    for orbit in pm.faces():
+    for orbit in pm.faces:
         f_cnt[comp[pm.tail(orbit[0])]] += 1
     for c in range(n_comp):
         if e_cnt[c] == 0:
@@ -315,15 +338,10 @@ def validate(d: Drawing) -> list[str]:
             break
 
     if d.anchored and not problems:
-        m = len(d.anchors)
-        start: MapDart = (("b", 0), 0)
-        orbit = [start]
-        dart = pm.phi(start)
-        while dart != start and len(orbit) <= 2 * len(pm.arc_nodes):
-            orbit.append(dart)
-            dart = pm.phi(dart)
-        want = [(("b", i), 0) for i in range(m)]
-        if orbit != want:
+        # faces are listed from their least dart, so the orbit of the
+        # first boundary dart comes first and starts at that dart
+        orbit = pm.faces[0]
+        if orbit != tuple((("b", i), 0) for i in range(len(d.anchors))):
             problems.append(
                 "boundary: outer face is not the bare anchor circle "
                 f"(walk of length {len(orbit)})"
@@ -347,10 +365,9 @@ class CrossingProfile:
         return tuple(sorted(e for e, c in self.per_edge.items() if c > k))
 
 
-def crossing_profile(d: Drawing, check: bool = True) -> CrossingProfile:
-    """Per-edge and per-pair crossing counts of a valid drawing."""
-    if check:
-        d.require_valid()
+def crossing_profile(d: Drawing) -> CrossingProfile:
+    """Per-edge and per-pair crossing counts; the drawing is validated."""
+    d.require_valid()
     per_edge = {e: 0 for e in range(d.graph.m)}
     per_pair: dict[tuple[int, int], int] = collections.defaultdict(int)
     for x in d.crossings:
@@ -379,9 +396,9 @@ def is_simple(d: Drawing, check: bool = True) -> Verdict:
     """No pair crosses twice and no adjacent pair crosses.
 
     The witness is the lexicographically first offending pair together with
-    the reason.
+    the reason.  ``check`` has no effect; it stays for existing callers.
     """
-    prof = crossing_profile(d, check=check)
+    prof = crossing_profile(d)
     for pair in sorted(prof.per_pair):
         if prof.per_pair[pair] > 1:
             return Verdict(False, (pair, "pair crosses more than once"))
@@ -391,17 +408,17 @@ def is_simple(d: Drawing, check: bool = True) -> Verdict:
     return Verdict(True)
 
 
-def adjacent_crossing_pairs(d: Drawing, check: bool = True) -> list[tuple[int, int]]:
-    prof = crossing_profile(d, check=check)
+def adjacent_crossing_pairs(d: Drawing) -> list[tuple[int, int]]:
+    prof = crossing_profile(d)
     return [p for p in sorted(prof.per_pair) if d.graph.adjacent_edges(*p)]
 
 
-def is_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
+def is_k_planar(d: Drawing, k: int) -> Verdict:
     """No edge carries more than k crossings.
 
     The witness is the first edge with more than k crossings.
     """
-    heavy = crossing_profile(d, check=check).heavy_edges(k)
+    heavy = crossing_profile(d).heavy_edges(k)
     return Verdict(False, heavy[0]) if heavy else Verdict(True)
 
 
@@ -409,8 +426,9 @@ def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
     """Every crossing pair has a side with at most k crossings.
 
     The witness is the first pair of heavy edges that cross each other.
+    ``check`` has no effect; it stays for existing callers.
     """
-    prof = crossing_profile(d, check=check)
+    prof = crossing_profile(d)
     for (e1, e2) in sorted(prof.per_pair):
         if prof.per_edge[e1] > k and prof.per_edge[e2] > k:
             return Verdict(False, (e1, e2))
@@ -424,7 +442,6 @@ def restrict(
     d: Drawing,
     keep_edges: Iterable[int],
     keep_vertices: Iterable[int] | None = None,
-    check: bool = True,
 ) -> tuple[Drawing, dict[int, int]]:
     """Sub-drawing induced by a set of edges.
 
@@ -432,10 +449,10 @@ def restrict(
     adjacent arcs merge and rotations are rewritten accordingly.  Vertices
     default to the endpoints of kept edges; pass ``keep_vertices`` to retain
     more.  The result keeps its boundary only when every anchor survives.
-    Returns the new drawing and the old-edge -> new-edge id mapping.
+    Both the input and the result are validated.  Returns the new drawing
+    and the old-edge -> new-edge id mapping.
     """
-    if check:
-        d.require_valid()
+    d.require_valid()
     keep = sorted(set(keep_edges))
     for e in keep:
         if not 0 <= e < d.graph.m:
@@ -495,8 +512,7 @@ def restrict(
         for x in sorted(surviving.values(), key=lambda x: x.id)
     )
     out = Drawing(new_graph, new_crossings, new_chains, new_rotation, anchors)
-    if check:
-        out.require_valid()
+    out.require_valid()
     return out, edge_map
 
 

@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .drawings import (
     Crossing,
     Drawing,
-    PlanarizationMap,
     crossing_profile,
     is_min_k_planar,
     is_simple,
@@ -336,15 +335,14 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
     scene = _frame_scene(amplified, classes, anchors, a, q, t)
     drawing, xpts = scene_to_drawing(scene)
 
-    prof = crossing_profile(drawing, check=False)
+    prof = crossing_profile(drawing)
     _ensure(prof.total == 3 * d * t, "crossing total is off")
     _ensure(all(prof.per_edge.get(e, 0) == t for e in core),
             "a wheel edge missed its t crossings")
     _ensure(all(prof.per_edge.get(h, 0) <= 1 for h in classes.half_ids()),
             "a double-edge half picked up two crossings")
-    _ensure(is_simple(drawing, check=False), "bundled drawing is not simple")
-    _ensure(is_min_k_planar(drawing, 1, check=False),
-            "bundled drawing is not min-1-planar")
+    _ensure(is_simple(drawing), "bundled drawing is not simple")
+    _ensure(is_min_k_planar(drawing, 1), "bundled drawing is not min-1-planar")
 
     return FrameBundle(
         source=g,
@@ -376,15 +374,15 @@ def separation_property_check(frame: FrameBundle) -> bool:
     halves = frame.classes.half_ids()
     if not halves:
         return False
-    sub, _ = restrict(frame.drawing, halves, check=False)
+    sub, _ = restrict(frame.drawing, halves)
     if sub.crossings:
         return False
 
     # forget the disk boundary: the web's own plane structure decides
     sub = replace(sub, anchors=None)
-    pm = PlanarizationMap(sub)
+    pm = sub.planarization
     star: dict[int, set[int]] = {v: set() for v in sub.graph.vertices}
-    for fi, orbit in enumerate(pm.faces()):
+    for fi, orbit in enumerate(pm.faces):
         for dart in orbit:
             star[pm.tail(dart)].add(fi)
 
@@ -469,8 +467,6 @@ def compose(frame: FrameBundle, bundle) -> Drawing:
         == len(frame.drawing.crossings) + len(gd.crossings),
         "composition changed the crossing count",
     )
-    _ensure(
-        is_min_k_planar(out, bundle.claimed_min_k, check=False),
-        f"composition lost min-{bundle.claimed_min_k}-planarity",
-    )
+    _ensure(is_min_k_planar(out, bundle.claimed_min_k),
+            f"composition lost min-{bundle.claimed_min_k}-planarity")
     return out

@@ -170,13 +170,13 @@ def _check_scene(scene: Scene, tol: float) -> float | None:
 
 
 def scene_to_drawing(
-    scene: Scene, tol: float = 1e-9, check: bool = True
+    scene: Scene, tol: float = 1e-9
 ) -> tuple[Drawing, dict[int, Point]]:
     """Builds the combinatorial drawing a scene depicts.
 
     Returns the drawing and a map from crossing node id to coordinates.
-    When ``check`` is set the drawing is also run through the validator
-    (a cheap way to catch conversion bugs on top of geometry checks).
+    The drawing is validated before it is returned, which catches
+    conversion bugs on top of the geometry checks.
     """
     g = scene.graph
     radius = _check_scene(scene, tol)
@@ -550,6 +550,5 @@ def scene_to_drawing(
         g, tuple(crossings), chains, rotation,
         scene.anchors if scene.anchors is not None else None,
     )
-    if check:
-        drawing.require_valid()
+    drawing.require_valid()
     return drawing, xid_points

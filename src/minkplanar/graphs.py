@@ -141,9 +141,6 @@ class Graph:
         """Connected components, each as a sorted vertex tuple."""
         return [tuple(sorted(c)) for c in components(self.vertices, self.neighbors)]
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
 
 @dataclass(frozen=True)
 class AnchoredGraph:

@@ -169,6 +169,8 @@ _PROBLEM_POINTERS = {
     "crossing-degree": "/crossings",
     "chain": "/chains",
     "rotation": "/rotation",
+    "alternation": "/rotation",
+    "euler": "/rotation",
 }
 
 

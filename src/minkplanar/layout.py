@@ -59,7 +59,7 @@ def _outer_walk(pm: PlanarizationMap, d: Drawing) -> list[int]:
         return list(d.anchors)
     best: list[int] | None = None
     best_key = None
-    for orbit in pm.faces():
+    for orbit in pm.faces:
         walk = [pm.tail(dart) for dart in orbit]
         if len(walk) < 3 or len(set(walk)) != len(walk):
             continue
@@ -84,7 +84,7 @@ def tutte_layout(d: Drawing) -> Layout:
     inside the disk.
     """
     d.require_valid()
-    pm = PlanarizationMap(d)
+    pm = d.planarization
     nodes = list(d.graph.vertices) + list(d.crossing_ids())
 
     if not pm.arc_nodes:
@@ -106,7 +106,7 @@ def tutte_layout(d: Drawing) -> Layout:
 
     apex = max(nodes) + 1 if nodes else 0
     outer_set = set(walk)
-    for orbit in pm.faces():
+    for orbit in pm.faces:
         face_walk = [pm.tail(dart) for dart in orbit]
         if face_walk and set(face_walk) == outer_set and len(face_walk) == len(walk):
             # the pinned face itself stays hollow; everything else may
@@ -186,12 +186,12 @@ def tutte_layout(d: Drawing) -> Layout:
 # ------------------------------------------------------------------ audit
 
 
-def _planarization_graph(pm: PlanarizationMap) -> tuple[Graph, list]:
+def _planarization_graph(d: Drawing) -> tuple[Graph, list]:
     """The planarization as a plain graph, interior arcs only."""
+    pm = d.planarization
     keys = sorted(
         (k for k in pm.arc_nodes if k[0] == "e"), key=lambda k: (k[1], k[2])
     )
-    d = pm.drawing
     nodes = tuple(d.graph.vertices) + d.crossing_ids()
     edges = tuple(pm.arc_nodes[k] for k in keys)
     return Graph(nodes, edges, simple=False), keys
@@ -207,8 +207,8 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
     from the drawing's raises LayoutError.
     """
     d.require_valid()
-    pm = PlanarizationMap(d)
-    pg, keys = _planarization_graph(pm)
+    pm = d.planarization
+    pg, keys = _planarization_graph(d)
     for v in pg.vertices:
         if v not in layout.coordinates:
             raise LayoutError(f"layout has no coordinates for node {v}")
@@ -225,7 +225,7 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
         radius=1.0 if d.anchored else None,
     )
     try:
-        redrawn, _ = scene_to_drawing(scene, tol=tol / 1000.0, check=True)
+        redrawn, _ = scene_to_drawing(scene, tol=tol / 1000.0)
     except Exception as err:
         raise LayoutError(f"layout does not redraw cleanly: {err}") from err
     if redrawn.crossings:
@@ -311,7 +311,7 @@ def to_svg(
 
     heavy: set[int] = set()
     if k is not None and d.graph.m:
-        prof = crossing_profile(d, check=False)
+        prof = crossing_profile(d)
         heavy = {e for e in range(d.graph.m) if prof.per_edge[e] > k}
 
     out: list[str] = []

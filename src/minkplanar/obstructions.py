@@ -21,11 +21,6 @@ from .graphs import DoubleEdge, EdgeClassMap
 # --------------------------------------------------------------- helpers
 
 
-def _crossing_pair_set(d: Drawing, check: bool) -> set[tuple[int, int]]:
-    prof = crossing_profile(d, check=check)
-    return set(prof.per_pair)
-
-
 def _doubles_cross(crossed: set[tuple[int, int]], da: DoubleEdge, db: DoubleEdge) -> bool:
     """True when any half of one double edge crosses any half of the other."""
     for a in da.halves:
@@ -47,7 +42,6 @@ def biclique_obstruction(
     d: Drawing,
     k: int,
     classes: EdgeClassMap,
-    check: bool = True,
 ) -> Optional[tuple[tuple[DoubleEdge, ...], tuple[DoubleEdge, ...]]]:
     """Search for the bundle-against-bundle counting obstruction.
 
@@ -63,7 +57,7 @@ def biclique_obstruction(
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    crossed = _crossing_pair_set(d, check)
+    crossed = set(crossing_profile(d).per_pair)
     need = 2 * k + 1
     class_ids = sorted(classes.by_edge)
     for e, f in itertools.combinations(class_ids, 2):
@@ -76,7 +70,7 @@ def biclique_obstruction(
                 if all(_doubles_cross(crossed, da, db) for da in picked)
             )
             if len(common) >= need:
-                if is_min_k_planar(d, k, check=False):
+                if is_min_k_planar(d, k):
                     raise MinkplanarError(
                         "obstruction witness found in a drawing that still "
                         "verifies as min-{}-planar".format(k)
@@ -100,7 +94,6 @@ def extract_planar_amplification(
     d: Drawing,
     classes: EdgeClassMap,
     w: int,
-    check: bool = True,
 ) -> Optional[PlanarExtraction]:
     """Pick w double edges per class so that no two chosen ones cross.
 
@@ -112,12 +105,10 @@ def extract_planar_amplification(
     """
     if w < 0:
         raise InputError("w must be non-negative")
-    if check:
-        d.require_valid()
     t = classes.t
     if w > t:
         raise InputError(f"cannot pick {w} copies out of {t}")
-    crossed = _crossing_pair_set(d, check=False)
+    crossed = set(crossing_profile(d).per_pair)
 
     class_ids = sorted(classes.by_edge)
     candidates: list[list[DoubleEdge]] = []
@@ -172,5 +163,5 @@ def extract_planar_amplification(
     for group in chosen.values():
         for de in group:
             keep.extend(de.halves)
-    sub, edge_map = restrict(d, sorted(keep), check=False)
+    sub, edge_map = restrict(d, sorted(keep))
     return PlanarExtraction(sub, edge_map, dict(sorted(chosen.items())))

@@ -57,6 +57,6 @@ def random_min1_drawing(rng: random.Random, attempts: int = 400) -> Drawing:
             d, _ = scene_to_drawing(scene)
         except (GeometryError, InputError):
             continue
-        if is_min_k_planar(d, 1, check=False):
+        if is_min_k_planar(d, 1):
             return d
     raise MinkplanarError("could not sample a min-1 drawing; widen attempts")

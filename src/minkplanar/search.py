@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arrangement import BOUNDARY, Arrangement, Cursor
-from .drawings import ArcRef, Crossing, Drawing, is_min_k_planar, is_simple, validate
+from .drawings import Crossing, Drawing, is_min_k_planar, is_simple, validate
 from .errors import InputError
 from .graphs import AnchoredGraph
 
@@ -296,9 +296,9 @@ def verify_certificate(outcome: SearchOutcome, ag: AnchoredGraph, k: int,
         return False
     if validate(d):
         return False
-    if not is_min_k_planar(d, k, check=False):
+    if not is_min_k_planar(d, k):
         return False
-    return not require_simple or is_simple(d, check=False).ok
+    return not require_simple or is_simple(d).ok
 
 
 # ------------------------------------------------------------------ search

@@ -22,19 +22,17 @@ from .errors import InputError, MinkplanarError
 # --------------------------------------------------------- violating pairs
 
 
-def violating_pairs(d: Drawing, check: bool = True) -> list[tuple[int, int]]:
+def violating_pairs(d: Drawing) -> list[tuple[int, int]]:
     """Edge pairs that share a vertex and cross, lowest ids first.
 
     Only defined on min-1-planar drawings; there a pair can never cross
     twice, so each listed pair meets in exactly one crossing node.
     """
-    if check:
-        d.require_valid()
-    verdict = is_min_k_planar(d, 1, check=False)
+    verdict = is_min_k_planar(d, 1)
     if not verdict:
         raise InputError(
             f"drawing is not min-1-planar (heavy pair {verdict.witness})")
-    return adjacent_crossing_pairs(d, check=False)
+    return adjacent_crossing_pairs(d)
 
 
 # -------------------------------------------------------------- the swap
@@ -46,7 +44,7 @@ def _oriented(chain, from_node: int) -> tuple[list[int], bool]:
     return list(reversed(chain)), True
 
 
-def swap_at(d: Drawing, e: int, f: int, y: int, check: bool = True) -> Drawing:
+def swap_at(d: Drawing, e: int, f: int, y: int) -> Drawing:
     """Exchange the x-to-y sub-curves of e and f and delete crossing y.
 
     x is the vertex the two edges share.  The operation is symmetric in e
@@ -55,8 +53,7 @@ def swap_at(d: Drawing, e: int, f: int, y: int, check: bool = True) -> Drawing:
     x (the swapped curve would then cross itself, which the planarization
     cannot express).
     """
-    if check:
-        d.require_valid()
+    d.require_valid()
     g = d.graph
     if e == f or not (0 <= e < g.m) or not (0 <= f < g.m):
         raise InputError("swap needs two distinct edge ids")
@@ -177,11 +174,10 @@ def simplify_min1(d: Drawing, check: bool = True,
     incident to the same vertex (test_simplify constructs an instance).
     An already-simple drawing is returned unchanged.  Pass a list as
     ``trace`` to record the violating pairs seen before each swap.
+    ``check`` has no effect; it stays for existing callers.
     """
-    if check:
-        d.require_valid()
-    pairs = violating_pairs(d, check=False)
-    budget = crossing_profile(d, check=False).total + 1
+    pairs = violating_pairs(d)
+    budget = crossing_profile(d).total + 1
     steps = 0
     while pairs:
         if trace is not None:
@@ -189,7 +185,7 @@ def simplify_min1(d: Drawing, check: bool = True,
         if steps >= budget:
             raise MinkplanarError("simplification failed to make progress")
         e, f = pairs[0]
-        d = swap_at(d, e, f, _crossing_of(d, e, f), check=False)
+        d = swap_at(d, e, f, _crossing_of(d, e, f))
         steps += 1
-        pairs = violating_pairs(d, check=False)
+        pairs = violating_pairs(d)
     return d

@@ -50,9 +50,9 @@ def test_criterion_01_g2_generator_counts_and_crossing_pair(tmp_path, capsys):
     assert g.graph.n == 20
     assert g.graph.m == 11
     assert len(g.anchors) == 19
-    ok, _ = is_min_k_planar(d, 2, check=False)
+    ok, _ = is_min_k_planar(d, 2)
     assert ok
-    simple, wit = is_simple(d, check=False)
+    simple, wit = is_simple(d)
     assert not simple
     b = build_G2()
     assert set(wit[0]) == {b.edge("a1a2"), b.edge("b1a2")}
@@ -73,9 +73,9 @@ def test_criterion_02_gk_generator_matchings_and_min3(capsys):
     m3 = sum(1 for n in names if n.startswith("m3_")) + ("b1b2" in names)
     assert m1 == 5 and m2 == 5
     assert m3 == 4
-    ok, _ = is_min_k_planar(d, 3, check=False)
+    ok, _ = is_min_k_planar(d, 3)
     assert ok
-    assert adjacent_crossing_pairs(d, check=False) == []
+    assert adjacent_crossing_pairs(d) == []
     assert elapsed < 1.0
 
 
@@ -121,13 +121,13 @@ def test_criterion_05_simplifier_on_thousand_fuzzed_min1_drawings():
     for i in range(1000):
         d = random_min1_drawing(rng)
         trace = []
-        s = simplify_min1(d, check=False, trace=trace)
+        s = simplify_min1(d, trace=trace)
         sizes = [len(step) for step in trace] + [0]
         assert all(a > b for a, b in zip(sizes, sizes[1:])), i
         assert validate(s) == [], i
-        ok_simple, _ = is_simple(s, check=False)
+        ok_simple, _ = is_simple(s)
         assert ok_simple, i
-        ok_min1, _ = is_min_k_planar(s, 1, check=False)
+        ok_min1, _ = is_min_k_planar(s, 1)
         assert ok_min1, i
         assert s.graph == d.graph, i
     assert time.perf_counter() - t0 < 60.0
@@ -136,7 +136,7 @@ def test_criterion_05_simplifier_on_thousand_fuzzed_min1_drawings():
 def test_criterion_06_biclique_rule_fires_at_2k_plus_1_not_below():
     g5 = build_biclique_gadget(2, 5)
     assert biclique_obstruction(g5.drawing, 2, g5.classes) is not None
-    ok, _ = is_min_k_planar(g5.drawing, 2, check=False)
+    ok, _ = is_min_k_planar(g5.drawing, 2)
     assert not ok
 
     g4 = build_biclique_gadget(2, 4)
@@ -152,15 +152,15 @@ def test_criterion_07_frame_for_g2_separates_and_stays_min1():
     p = fr.params
     assert p.ell == 1
     assert p.d == 171
-    web, _ = restrict(fr.drawing, fr.classes.half_ids(), check=False)
+    web, _ = restrict(fr.drawing, fr.classes.half_ids())
     assert nx.check_planarity(nx.Graph(web.graph.edges))[0]
     assert separation_property_check(fr)
     d = fr.drawing
     assert validate(d) == []
     assert d.anchored
-    ok_simple, _ = is_simple(d, check=False)
+    ok_simple, _ = is_simple(d)
     assert ok_simple
-    ok_min1, _ = is_min_k_planar(d, 1, check=False)
+    ok_min1, _ = is_min_k_planar(d, 1)
     assert ok_min1
     assert elapsed < 10.0
 

@@ -6,6 +6,7 @@ the exit code contract: 0 ok/Found, 1 property-failed/Unsat, 2 budget,
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -77,6 +78,22 @@ def test_validate_exit_codes_match_the_figure(fig1, capsys):
     verdict = json.loads(out)
     assert verdict["simple"]["holds"] is False
     assert verdict["simple"]["witness"]["reason"]
+
+
+@pytest.mark.parametrize("category", ["alternation", "euler"])
+def test_validate_points_rotation_faults_at_rotation(fig1, tmp_path, capsys,
+                                                     category):
+    doc = json.loads(pathlib.Path(str(fig1) + ".drawing.json").read_text())
+    r = doc["rotation"]["20"]
+    # swapping two ends at crossing 20 breaks alternation; reversing all
+    # four keeps it but mirrors the crossing, which breaks Euler's formula
+    doc["rotation"]["20"] = (
+        [r[1], r[0], r[2], r[3]] if category == "alternation" else r[::-1])
+    bad = tmp_path / "bad.drawing.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--drawing", str(bad))
+    assert code == 3
+    assert f"/rotation: {category}:" in err
 
 
 def test_profile_lists_heavy_edges(fig1, capsys):

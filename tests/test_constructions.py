@@ -23,7 +23,7 @@ from minkplanar.errors import InputError
 def _pair_names(bundle):
     """Per-pair crossing counts keyed by sorted edge-name pairs."""
     byid = {i: n for n, i in bundle.edge_names.items()}
-    prof = crossing_profile(bundle.drawing, check=False)
+    prof = crossing_profile(bundle.drawing)
     return {tuple(sorted((byid[a], byid[b]))): c for (a, b), c in prof.per_pair.items()}
 
 
@@ -45,7 +45,7 @@ def test_g2_shape():
 
 def test_g2_profile_frozen():
     b = build_G2()
-    prof = crossing_profile(b.drawing, check=False)
+    prof = crossing_profile(b.drawing)
     per_edge = {n: prof.per_edge[i] for n, i in b.edge_names.items()}
     assert per_edge == {
         "a1a2": 5,
@@ -92,7 +92,7 @@ def test_g2_verdicts():
 
 def test_g2_heavy_edges():
     b = build_G2()
-    prof = crossing_profile(b.drawing, check=False)
+    prof = crossing_profile(b.drawing)
     assert set(prof.heavy_edges(2)) == {b.edge("a1a2"), b.edge("c1c2")}
     # the two heavy edges never cross each other, that is the whole point
     key = tuple(sorted((b.edge("a1a2"), b.edge("c1c2"))))
@@ -131,7 +131,7 @@ def test_gk_shape(k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_gk_profile_frozen(k):
     b = build_Gk(k)
-    prof = crossing_profile(b.drawing, check=False)
+    prof = crossing_profile(b.drawing)
     per_edge = {n: prof.per_edge[i] for n, i in b.edge_names.items()}
     expected = {"a1a2": 3 * k, "c1c2": 2 * k, "c2c3": 2, "m3_top": 1, "b1b2": 3}
     for i in range(k + 1):
@@ -195,15 +195,15 @@ def test_gadget_shape(k, m):
     assert g.graph.n == 4 + 2 * m
     assert g.graph.m == 4 * m
     assert validate(g.drawing) == []
-    prof = crossing_profile(g.drawing, check=False)
+    prof = crossing_profile(g.drawing)
     assert prof.total == m * m
-    ok, _ = is_min_k_planar(g.drawing, k, check=False)
+    ok, _ = is_min_k_planar(g.drawing, k)
     assert ok == (m <= k)
 
 
 def test_gadget_pairwise_once():
     g = build_biclique_gadget(2, 3)
-    prof = crossing_profile(g.drawing, check=False)
+    prof = crossing_profile(g.drawing)
 
     def doubles_cross(da, db):
         return sum(
@@ -226,7 +226,7 @@ def test_gadget_pairwise_once():
 def test_gadget_single_copy_is_clean():
     g = build_biclique_gadget(1, 1)
     for k in (1, 2, 5):
-        ok, _ = is_min_k_planar(g.drawing, k, check=False)
+        ok, _ = is_min_k_planar(g.drawing, k)
         assert ok
-    ok0, _ = is_min_k_planar(g.drawing, 0, check=False)
+    ok0, _ = is_min_k_planar(g.drawing, 0)
     assert not ok0

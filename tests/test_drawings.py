@@ -4,8 +4,11 @@ The fixtures are small drawings whose rotations were worked out by placing
 coordinates on paper; comments describe the picture each one encodes.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from minkplanar.constructions import build_G2
 from minkplanar.errors import InputError
 from minkplanar.graphs import Graph
 from minkplanar.drawings import (
@@ -127,6 +130,20 @@ def test_validate_catches_broken_alternation():
     bad[4] = ((0, 0), (0, 1), (1, 0), (1, 1))
     problems = validate(Drawing(d.graph, d.crossings, d.chains, bad, d.anchors))
     assert any("alternation" in p for p in problems)
+
+
+def test_validation_report_stays_with_its_object():
+    d = build_G2().drawing
+    assert validate(d) == []
+    validate(d).append("changing a returned report changes nothing")
+    assert validate(d) == []
+    a, b, c, e = d.rotation[20]
+    bad = replace(d, rotation={**d.rotation, 20: (b, a, c, e)})
+    assert validate(bad) == [
+        "alternation: edges do not alternate at crossing 20"]
+    with pytest.raises(InputError, match="alternation"):
+        is_simple(bad)
+    assert validate(d) == []
 
 
 def test_validate_catches_wrong_chain_direction():

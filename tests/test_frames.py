@@ -62,7 +62,7 @@ def test_toy_frame_certified():
     assert validate(fr.drawing) == []
     assert is_simple(fr.drawing) == (True, None)
     assert is_min_k_planar(fr.drawing, 1) == (True, None)
-    prof = crossing_profile(fr.drawing, check=False)
+    prof = crossing_profile(fr.drawing)
     core = set(fr.core_edges)
     for e in core:
         assert prof.per_edge[e] == fr.params.t

@@ -63,8 +63,6 @@ def test_rejects_malformed():
 def test_components():
     g = Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3)))
     assert g.components() == [(0, 1), (2, 3), (4,)]
-    assert not g.is_connected()
-    assert triangle().is_connected()
 
 
 def test_components_helper_gives_bfs_distances():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from minkplanar.constructions import build_G2
-from minkplanar.drawings import Drawing
+from minkplanar.drawings import Drawing, PlanarizationMap
 from minkplanar.errors import LayoutError
 from minkplanar.frames import build_frame
 from minkplanar.graphs import AnchoredGraph, Graph
@@ -156,3 +156,21 @@ def test_svg_needs_full_coordinates():
     partial = {v: p for v, p in lay.coordinates.items() if v != 3}
     with pytest.raises(LayoutError):
         to_svg(d, Layout(partial, lay.boundary, lay.residual))
+
+
+def test_layout_audit_and_svg_share_one_map(monkeypatch):
+    built = []
+    init = PlanarizationMap.__init__
+
+    def counting_init(self, d):
+        built.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(PlanarizationMap, "__init__", counting_init)
+    d = build_G2().drawing
+    lay = tutte_layout(d)
+    audit_layout(d, lay)
+    to_svg(d, lay, k=2)
+    # one map for the drawing itself, however many layers ask for it; the
+    # audit's redrawn planarization is a different object with its own
+    assert sum(x is d for x in built) == 1

@@ -22,7 +22,7 @@ from minkplanar.obstructions import biclique_obstruction, extract_planar_amplifi
 
 def brute_selection(d, classes, w):
     """Slow exhaustive search for a crossing-free choice of w doubles per class."""
-    crossed = set(crossing_profile(d, check=False).per_pair)
+    crossed = set(crossing_profile(d).per_pair)
 
     def clean(doubles):
         halves = [h for de in doubles for h in de.halves]
@@ -104,7 +104,7 @@ def test_obstruction_fires_when_bundles_saturate():
     assert witness is not None
     d1, d2 = witness
     assert len(d1) == 5 and len(d2) == 5
-    ok, _ = is_min_k_planar(g.drawing, 2, check=False)
+    ok, _ = is_min_k_planar(g.drawing, 2)
     assert not ok
 
 
@@ -118,7 +118,7 @@ def test_obstruction_silent_at_2k_bundles():
     g = build_biclique_gadget(2, 4)
     assert biclique_obstruction(g.drawing, 2, g.classes) is None
     # the drawing is still not min-2-planar, the rule just cannot see it
-    ok, _ = is_min_k_planar(g.drawing, 2, check=False)
+    ok, _ = is_min_k_planar(g.drawing, 2)
     assert not ok
 
 
@@ -137,7 +137,7 @@ def test_extract_full_from_clean_drawing():
     res = extract_planar_amplification(d, classes, 2)
     assert res is not None
     assert res.drawing.graph.m == d.graph.m
-    assert crossing_profile(res.drawing, check=False).total == 0
+    assert crossing_profile(res.drawing).total == 0
     assert {e: len(g) for e, g in res.chosen.items()} == {0: 2, 1: 2}
 
 
@@ -158,10 +158,10 @@ def test_extract_tolerates_kept_edge_crossings():
     d, classes = _kept_edge_crossings()
     res1 = extract_planar_amplification(d, classes, 1)
     assert res1 is not None
-    assert crossing_profile(res1.drawing, check=False).total == 1
+    assert crossing_profile(res1.drawing).total == 1
     res2 = extract_planar_amplification(d, classes, 2)
     assert res2 is not None
-    assert crossing_profile(res2.drawing, check=False).total == 2
+    assert crossing_profile(res2.drawing).total == 2
     kept_new = classes.kept_edge_map[1]
     assert kept_new in res2.edge_map
 
@@ -190,7 +190,7 @@ def test_extract_matches_brute_oracle():
         assert (fast is None) == (slow is None), f"disagreement at w={w}"
         if fast is not None:
             # the extractor's own pick must satisfy the oracle's predicate
-            crossed = set(crossing_profile(d, check=False).per_pair)
+            crossed = set(crossing_profile(d).per_pair)
             halves = [h for g in fast.chosen.values() for de in g for h in de.halves]
             for a, b in itertools.combinations(halves, 2):
                 assert (min(a, b), max(a, b)) not in crossed

@@ -103,8 +103,8 @@ def test_full_counterexample_found_nonsimple():
     assert out.status is Status.FOUND
     assert verify_certificate(out, g, 2, False)
     d = out.certificate
-    assert is_min_k_planar(d, 2, check=False)[0]
-    assert not is_simple(d, check=False)[0]
+    assert is_min_k_planar(d, 2)[0]
+    assert not is_simple(d)[0]
 
 
 def test_family_member_unsat_one_level_down():

@@ -77,7 +77,7 @@ def _double_cross():
 
 
 def _naive_violating(d):
-    prof = crossing_profile(d, check=False)
+    prof = crossing_profile(d)
     out = []
     for a, b in itertools.combinations(range(d.graph.m), 2):
         crosses = prof.per_pair.get((a, b), 0) > 0
@@ -110,7 +110,7 @@ def test_violating_pairs_matches_naive_scan():
     rng = random.Random(402)
     for _ in range(60):
         d = random_min1_drawing(rng)
-        assert violating_pairs(d, check=False) == _naive_violating(d)
+        assert violating_pairs(d) == _naive_violating(d)
 
 
 # ------------------------------------------------------------------ swaps
@@ -121,8 +121,8 @@ def test_swap_lone_pair_goes_planar():
     y = d.crossings[0].id
     out = swap_at(d, 0, 1, y)
     assert validate(out) == []
-    assert crossing_profile(out, check=False).total == 0
-    assert is_simple(out, check=False)[0]
+    assert crossing_profile(out).total == 0
+    assert is_simple(out)[0]
 
 
 def test_swap_migrates_side_crossing():
@@ -131,11 +131,11 @@ def test_swap_migrates_side_crossing():
     y = byedges[(0, 1)]
     z = byedges[(1, 2)]
     out = swap_at(d, 0, 1, y)
-    prof = crossing_profile(out, check=False)
+    prof = crossing_profile(out)
     assert prof.total == 1
     moved = {c.id: c.edges for c in out.crossings}
     assert moved == {z: (0, 2)}
-    before = crossing_profile(d, check=False)
+    before = crossing_profile(d)
     assert sum(before.per_edge.values()) - sum(prof.per_edge.values()) == 2
 
 
@@ -161,14 +161,14 @@ def test_swap_profile_bookkeeping_fuzzed():
     done = 0
     while done < 25:
         d = random_min1_drawing(rng)
-        pairs = violating_pairs(d, check=False)
+        pairs = violating_pairs(d)
         if not pairs:
             continue
         e, f = pairs[0]
         y = next(c.id for c in d.crossings if set(c.edges) == {e, f})
         out = swap_at(d, e, f, y)
-        assert crossing_profile(out, check=False).total == (
-            crossing_profile(d, check=False).total - 1
+        assert crossing_profile(out).total == (
+            crossing_profile(d).total - 1
         )
         assert set(out.crossing_ids()) == set(d.crossing_ids()) - {y}
         done += 1
@@ -186,8 +186,8 @@ def test_simplify_identity_on_simple_input():
 
 def test_simplify_lone_pair():
     out = simplify_min1(_lone_pair())
-    assert is_simple(out, check=False)[0]
-    assert crossing_profile(out, check=False).total == 0
+    assert is_simple(out)[0]
+    assert crossing_profile(out).total == 0
 
 
 def test_simplify_lens_stalls_once_but_finishes():
@@ -197,9 +197,9 @@ def test_simplify_lens_stalls_once_but_finishes():
     # the violating-pair count holds at 1 for two rounds: no strict decrease
     assert [sorted(t) for t in trace] == [[(0, 1)], [(0, 2)]]
     assert validate(out) == []
-    assert is_simple(out, check=False)[0]
+    assert is_simple(out)[0]
     assert out.graph == d.graph
-    assert crossing_profile(out, check=False).total == 0
+    assert crossing_profile(out).total == 0
 
 
 def test_simplify_rejects_non_min1():
@@ -211,13 +211,13 @@ def test_simplify_fuzzed_corpus():
     rng = random.Random(2024)
     for _ in range(120):
         d = random_min1_drawing(rng)
-        out = simplify_min1(d, check=False)
+        out = simplify_min1(d)
         assert validate(out) == []
-        ok, why = is_simple(out, check=False)
+        ok, why = is_simple(out)
         assert ok, why
-        okk, _ = is_min_k_planar(out, 1, check=False)
+        okk, _ = is_min_k_planar(out, 1)
         assert okk
         assert out.graph == d.graph
         assert out.anchors == d.anchors
         # running it again must be a no-op
-        assert simplify_min1(out, check=False) is out
+        assert simplify_min1(out) is out
