@@ -91,14 +91,6 @@ class Arrangement:
 
     # ------------------------------------------------------------ darts
 
-    def tail(self, dart: Dart) -> int:
-        arc, d = dart
-        return self.arc_nodes[arc][d]
-
-    def head(self, dart: Dart) -> int:
-        arc, d = dart
-        return self.arc_nodes[arc][1 - d]
-
     def phi(self, dart: Dart) -> Dart:
         """Next dart of the face to the left of ``dart``."""
         arc, d = dart

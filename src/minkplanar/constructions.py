@@ -56,9 +56,6 @@ class CounterexampleBundle:
     crossing_points: dict[int, Point]
     radius: float = DISK_RADIUS
 
-    def vertex(self, name: str) -> int:
-        return self.vertex_names[name]
-
     def edge(self, name: str) -> int:
         return self.edge_names[name]
 

@@ -58,19 +58,6 @@ class Scene:
 # --------------------------------------------------- low level primitives
 
 
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
 def _segment_intersection(a: Point, b: Point, c: Point, d: Point, tol: float):
     """Classified intersection of segments ab and cd.
 

@@ -94,9 +94,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
         if v == u:
@@ -113,24 +110,11 @@ class Graph:
             inc[v].append(e)
         return {v: tuple(es) for v, es in inc.items()}
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return self._incidence[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._incidence[v])
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.other_end(e, v) for e in self._incidence[v])
 
     def has_vertex(self, v: int) -> bool:
         return v in self._incidence
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Id of the unique edge between u and v (simple graphs)."""
-        for e in self._incidence[u]:
-            if self.other_end(e, u) == v:
-                return e
-        raise InputError(f"no edge between {u} and {v}")
 
     def adjacent_edges(self, e: int, f: int) -> bool:
         """True when the two edges share at least one endpoint."""

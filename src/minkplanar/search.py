@@ -7,11 +7,18 @@ in a frozen dual) keeps the face structure exact when a curve revisits a
 face, so every planarization gets generated exactly once up to the lens
 reductions noted below.
 
-Two route shapes are deliberately skipped because removing them from any
-drawing leaves a drawing that is no worse: re-crossing an arc piece next
-to the crossing just made (an empty lens), and any pair of edges crossing
-more than twice.  Both cuts preserve the reported status: crossing
-removal never breaks validity, simplicity, or the min-k property.
+Two route shapes are deliberately skipped: re-crossing an arc piece next
+to the crossing just made (an empty lens), and any pair of edges
+crossing more than twice.  The pair cap relies on the claim that two
+crossings of such a pair can always be removed without making the
+drawing worse.  The lens cut is not safe for non-simple queries: the
+lens is empty when the curve is inserted, but vertices and edges routed
+later can land inside it, so the cut can drop every drawing of an
+instance and the answer then depends on the insertion order
+(``build_Gk(3)`` at k = 3 without simplicity comes back ExhaustedUnsat
+although its bundled drawing is a witness).  Simple queries are not
+affected: a pair crosses at most once there, so the pair cap already
+forbids every route the lens cut skips.
 
 Statuses are Found, ExhaustedUnsat, and BudgetExceeded.  A budget stop is
 always reported as such; ExhaustedUnsat is only returned when the whole
@@ -30,10 +37,6 @@ from .arrangement import BOUNDARY, Arrangement, Cursor
 from .drawings import Crossing, Drawing, is_min_k_planar, is_simple, validate
 from .errors import InputError
 from .graphs import AnchoredGraph
-
-_DEDUP_CAP = 100_000
-_GROUP_TRIES = 50_000
-
 
 class Status(enum.Enum):
     FOUND = "Found"
@@ -113,146 +116,6 @@ def insertion_order(ag: AnchoredGraph) -> tuple[int, ...]:
     return tuple(out)
 
 
-# ----------------------------------------------------- anchored symmetries
-
-
-def _rotation_group(ag: AnchoredGraph) -> list[tuple[dict, dict]]:
-    """Automorphisms of the anchored graph that rotate the boundary order.
-
-    Returns (vertex map, edge map) pairs; the identity is always present.
-    The interior extension is an exact backtracking search with a small
-    work cap, falling back to the identity alone if it trips.
-    """
-    g = ag.graph
-    n = len(ag.anchors)
-    anchor_set = set(ag.anchors)
-    interior = sorted(v for v in g.vertices if v not in anchor_set)
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    deg = {v: len(adj[v]) for v in g.vertices}
-    edge_ids = {frozenset(e): i for i, e in enumerate(g.edges)}
-
-    tries = 0
-    out = []
-
-    def emap_of(vmap: dict) -> Optional[dict]:
-        m = {}
-        for i, (u, v) in enumerate(g.edges):
-            j = edge_ids.get(frozenset((vmap[u], vmap[v])))
-            if j is None:
-                return None
-            m[i] = j
-        return m
-
-    def extend(vmap: dict, todo: list[int], used: set[int]) -> None:
-        nonlocal tries
-        if not todo:
-            em = emap_of(vmap)
-            if em is not None:
-                out.append((dict(vmap), em))
-            return
-        v = todo[0]
-        for w in interior:
-            if w in used or deg[w] != deg[v]:
-                continue
-            ok = True
-            for nb in adj[v]:
-                if nb in vmap and vmap[nb] not in adj[w]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            tries += 1
-            if tries > _GROUP_TRIES:
-                raise _Stop
-            vmap[v] = w
-            extend(vmap, todo[1:], used | {w})
-            del vmap[v]
-
-    try:
-        for r in range(n):
-            vmap = {ag.anchors[i]: ag.anchors[(i + r) % n] for i in range(n)}
-            ok = True
-            for u, v in g.edges:
-                if u in anchor_set and v in anchor_set:
-                    if frozenset((vmap[u], vmap[v])) not in edge_ids:
-                        ok = False
-                        break
-            if ok:
-                extend(vmap, interior, set())
-    except _Stop:
-        ident = {v: v for v in g.vertices}
-        return [(ident, {e: e for e in range(g.m)})]
-    return out
-
-
-def _canonical_rot(entries: tuple) -> tuple:
-    if not entries:
-        return entries
-    best = entries
-    for i in range(1, len(entries)):
-        cand = entries[i:] + entries[:i]
-        if cand < best:
-            best = cand
-    return best
-
-
-def _partial_key(arr: Arrangement, ag: AnchoredGraph, routed: set[int],
-                 vmap: dict, emap: dict):
-    g = ag.graph
-    # chains of the mapped state: vertices pushed through vmap, crossing
-    # nodes kept raw until they get canonical names by first appearance
-    mapped: dict[int, list] = {}
-    for e in routed:
-        ch = arr.chains[e]
-        seq = ch if ch[0] == g.edges[e][0] else ch[::-1]
-        e2 = emap[e]
-        mseq = [vmap[seq[0]]] + list(seq[1:-1]) + [vmap[seq[-1]]]
-        if g.edges[e2][0] != mseq[0]:
-            mseq.reverse()
-        mapped[e2] = mseq
-    rename: dict[int, int] = {}
-    for e2 in sorted(mapped):
-        for x in mapped[e2][1:-1]:
-            if x not in rename:
-                rename[x] = len(rename)
-
-    def tok(x: int):
-        if x in rename:
-            return ("c", rename[x])
-        return ("v", vmap[x])
-
-    chains_ser = []
-    arcref = {}
-    for e2 in sorted(mapped):
-        mseq = mapped[e2]
-        toks = ([("v", mseq[0])]
-                + [("c", rename[x]) for x in mseq[1:-1]]
-                + [("v", mseq[-1])])
-        chains_ser.append((e2, tuple(toks)))
-        for i in range(len(toks) - 1):
-            arcref[frozenset((toks[i], toks[i + 1]))] = (e2, i)
-
-    rows = []
-    for node, entries in arr.rot.items():
-        refs = []
-        for arc in entries:
-            if arr.arc_owner[arc] == BOUNDARY:
-                continue
-            x, y = arr.arc_nodes[arc]
-            refs.append(arcref[frozenset((tok(x), tok(y)))])
-        if not refs:
-            continue
-        if node in arr.crossing_edges or node not in arr.anchor_set:
-            rows.append((tok(node), _canonical_rot(tuple(refs))))
-        else:
-            rows.append((tok(node), tuple(refs)))
-    rows.sort()
-    return (tuple(chains_ser), tuple(rows))
-
-
 # ------------------------------------------------------------- certificates
 
 
@@ -305,21 +168,29 @@ def verify_certificate(outcome: SearchOutcome, ag: AnchoredGraph, k: int,
 
 
 def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
-                    budget: Optional[Budget] = None,
-                    symmetry_breaking: bool = True) -> SearchOutcome:
+                    budget: Optional[Budget] = None) -> SearchOutcome:
+    """Decide whether ``ag`` has an anchored min-k drawing.
+
+    ``k`` bounds the crossings on every edge that crosses an edge with more
+    than k crossings (the min-k rule); ``require_simple`` also asks that
+    adjacent edges never cross and other pairs cross at most once.
+    ``budget`` caps the nodes visited and the seconds spent; without it
+    the search runs to the end.
+
+    The status is Found with a certificate drawing, re-validated before it
+    is returned; ExhaustedUnsat when the whole tree was walked without a
+    drawing (see the module docstring for when that answer can be wrong);
+    or BudgetExceeded when the budget stopped the walk first.  Raises
+    InputError for a negative k, fewer than two anchors, or a component
+    with edges but no anchor.
+    """
     if k < 0:
         raise InputError("k must be non-negative")
-    if not ag.anchors:
-        raise InputError("the anchored search needs at least one anchor")
     order = insertion_order(ag)
     g = ag.graph
     arr = Arrangement(ag)
     cap = 1 if require_simple else 2
     ends = [set(e) for e in g.edges]
-
-    group = _rotation_group(ag) if symmetry_breaking else None
-    use_dedup = group is not None and len(group) > 1
-    seen: list[set] = [set() for _ in order] if use_dedup else []
 
     stats = SearchStats()
     t0 = time.perf_counter()
@@ -347,19 +218,6 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         stats.routes += 1
         if idx + 1 > stats.max_depth:
             stats.max_depth = idx + 1
-        if use_dedup:
-            routed = set(order[:idx + 1])
-            best = None
-            for vmap, emap in group:
-                if {emap[e] for e in routed} != routed:
-                    continue
-                key = _partial_key(arr, ag, routed, vmap, emap)
-                if best is None or key < best:
-                    best = key
-            if best in seen[idx]:
-                return
-            if len(seen[idx]) < _DEDUP_CAP:
-                seen[idx].add(best)
         route(idx + 1)
 
     def extend(e: int, idx: int, target: int, cursor: Cursor) -> None:

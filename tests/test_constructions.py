@@ -38,8 +38,8 @@ def test_g2_shape():
     assert len(g.anchors) == 19
     # ids: anchors first in clockwise order, the lone interior vertex last
     assert g.anchors == tuple(range(19))
-    assert b.vertex("a1") == 0
-    assert b.vertex("c2") == 19
+    assert b.vertex_names["a1"] == 0
+    assert b.vertex_names["c2"] == 19
     assert validate(b.drawing) == []
 
 

@@ -34,12 +34,10 @@ def k5():
 def test_basic_queries():
     g = triangle()
     assert g.n == 3 and g.m == 3
-    assert g.endpoints(1) == (1, 2)
+    assert g.edges[1] == (1, 2)
     assert g.other_end(2, 0) == 2
-    assert sorted(g.incident_edges(1)) == [0, 1]
-    assert g.degree(0) == 2
+    assert len(g.neighbors(0)) == 2
     assert set(g.neighbors(2)) == {0, 1}
-    assert g.edge_id(2, 0) == 2
     assert g.adjacent_edges(0, 1)
     assert not Graph((0, 1, 2, 3), ((0, 1), (2, 3))).adjacent_edges(0, 1)
 
@@ -102,7 +100,7 @@ def test_amplify_single_edge():
     assert list(cmap.by_edge) == [0]
     assert len(cmap.by_edge[0]) == 3
     for _, _, de in cmap.double_edges():
-        assert amp.degree(de.midpoint) == 2
+        assert len(amp.neighbors(de.midpoint)) == 2
         assert set(amp.neighbors(de.midpoint)) == {0, 1}
         u_half, v_half = de.halves
         assert amp.edges[u_half] == (0, de.midpoint)

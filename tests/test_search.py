@@ -148,25 +148,21 @@ def test_status_and_stats_deterministic():
            (b.stats.nodes, b.stats.routes, b.stats.max_depth)
 
 
-# ----------------------------------------------------------------- symmetry
+# ------------------------------------------------------------------ octagon
 
 
-def test_symmetry_breaking_safety():
+def test_octagon_diameters_agree_with_oracle():
+    # the four diameters of an octagon: every pair interleaves, and every
+    # rotation of the boundary maps the instance onto itself
     g4 = Graph(tuple(range(8)), ((0, 4), (1, 5), (2, 6), (3, 7)))
     ag4 = AnchoredGraph(g4, tuple(range(8)))
-    for k, simple in [(2, True), (1, True), (3, False)]:
-        on = search_anchored(ag4, k, simple, symmetry_breaking=True)
-        off = search_anchored(ag4, k, simple, symmetry_breaking=False)
-        assert on.status is off.status
-        assert on.stats.nodes <= off.stats.nodes
-
-
-def test_symmetry_breaking_prunes_symmetric_instance():
-    g4 = Graph(tuple(range(8)), ((0, 4), (1, 5), (2, 6), (3, 7)))
-    ag4 = AnchoredGraph(g4, tuple(range(8)))
-    on = search_anchored(ag4, 2, True, symmetry_breaking=True)
-    off = search_anchored(ag4, 2, True, symmetry_breaking=False)
-    assert on.stats.nodes < off.stats.nodes
+    for k, simple, expected in [(2, True, Status.EXHAUSTED_UNSAT),
+                                (1, True, Status.EXHAUSTED_UNSAT),
+                                (3, False, Status.FOUND)]:
+        out = search_anchored(ag4, k, simple)
+        assert out.status is expected
+        assert brute_oracle(ag4, k, simple).status is expected
+    assert verify_certificate(out, ag4, 3, False)
 
 
 # ------------------------------------------------------------- certificates
