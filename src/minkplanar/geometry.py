@@ -11,6 +11,11 @@ segments.  Violations raise GeometryError rather than producing a drawing
 that silently means something else.  For an anchored scene the anchors
 must sit on a common circle, listed clockwise, and every route must stay
 inside the closed disk.
+
+Candidate pairs come from sorting and sweeping bounding boxes: each route
+piece and each vertex gets a box grown by 32 tol, and boxes are paired
+with those that start inside their x-range and meet their y-range,
+expanded a slice at a time to bound memory.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import GeometryError, InputError
 from .graphs import Graph
@@ -109,6 +113,38 @@ def _segment_intersection(a: Point, b: Point, c: Point, d: Point, tol: float):
 
 # ------------------------------------------------------------- conversion
 
+# pairs expanded per slice of the sweep; bounds the sweep's memory
+_SWEEP_SLICE = 1 << 21
+
+
+def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Index pairs of overlapping closed boxes, two rows with row 0 < row 1.
+
+    Each box of the (n, 2) corner arrays, in order of left edge, pairs with
+    the boxes whose left edge lies in its x-range (a binary search on its
+    right edge) and whose y-range meets its own.  Pairs are expanded about
+    ``_SWEEP_SLICE`` at a time, so memory follows the pairs that overlap.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    ylo, yhi = lo[order, 1], hi[order, 1]
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = stop - np.arange(order.size) - 1
+    ends = np.cumsum(count)
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
+    start = 0
+    while start < order.size:
+        end = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - count[start] + _SWEEP_SLICE, side="right")))
+        c = count[start:end]
+        # sorted box a pairs with the sorted boxes a+1 .. stop[a]-1
+        a = np.repeat(np.arange(start, end), c)
+        b = np.repeat(np.arange(start + 1, end + 1) - (np.cumsum(c) - c), c)
+        b += np.arange(b.size)
+        keep = (ylo[b] <= yhi[a]) & (ylo[a] <= yhi[b])
+        pairs.append(np.sort(order[np.stack((a[keep], b[keep]))], axis=0))
+        start = end
+    return np.concatenate(pairs, axis=1)
+
 
 def _clean_route(route, tol: float):
     pts = [route[0]]
@@ -191,39 +227,23 @@ def scene_to_drawing(
                         f"route of edge {e} leaves the boundary disk"
                     )
 
-    # prefix arclengths, for ordering crossings along a route
+    # flatten every polyline piece into parallel arrays, with the prefix
+    # arclengths that order crossings along a route
     prefix: dict[int, list[float]] = {}
-    diag = 0.0
-    xs, ys = [], []
-    for e, r in routes.items():
-        acc = [0.0]
-        for i in range(len(r) - 1):
-            acc.append(acc[-1] + _dist(r[i], r[i + 1]))
-        prefix[e] = acc
-        for (x, y) in r:
-            xs.append(x)
-            ys.append(y)
-    for v, (x, y) in scene.positions.items():
-        xs.append(x)
-        ys.append(y)
-    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) if xs else 1.0
-    cell = max(diag / 256.0, 16.0 * tol)
-
-    # flatten every polyline piece into parallel arrays
     seg_edge: list[int] = []
     seg_idx: list[int] = []
     seg_a: list[Point] = []
     seg_b: list[Point] = []
-    seg_pref: list[float] = []
     for e in range(g.m):
         r = routes[e]
-        pref = prefix[e]
+        acc = [0.0]
         for i in range(len(r) - 1):
+            acc.append(acc[-1] + _dist(r[i], r[i + 1]))
             seg_edge.append(e)
             seg_idx.append(i)
             seg_a.append(r[i])
             seg_b.append(r[i + 1])
-            seg_pref.append(pref[i])
+        prefix[e] = acc
     nseg = len(seg_edge)
 
     crossings_raw: list[tuple[int, int, float, float, Point]] = []
@@ -233,7 +253,7 @@ def scene_to_drawing(
         SI = np.asarray(seg_idx, dtype=np.int64)
         SA = np.asarray(seg_a, dtype=float)
         SB = np.asarray(seg_b, dtype=float)
-        SPREF = np.asarray(seg_pref, dtype=float)
+        SPREF = np.concatenate([prefix[e][:-1] for e in range(g.m)])
         SLEN = np.hypot(SB[:, 0] - SA[:, 0], SB[:, 1] - SA[:, 1])
         if np.any(SLEN == 0.0):
             raise GeometryError("zero length segment in a route")
@@ -244,69 +264,47 @@ def scene_to_drawing(
         end_u = np.array([vrow[u] for (u, _) in g.edges], dtype=np.int64)
         end_v = np.array([vrow[v] for (_, v) in g.edges], dtype=np.int64)
 
-        # cover each piece by chunks no longer than L; a radius search on
-        # chunk midpoints is then a complete candidate filter, since two
-        # pieces that meet (or nearly meet) must each put a chunk midpoint
-        # within half a chunk length of the contact
-        L = 4.0 * cell
-        nchunk = np.maximum(1, np.ceil(SLEN / L)).astype(np.int64)
-        parent = np.repeat(np.arange(nseg), nchunk)
-        first = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(nchunk)[:-1])
+        # candidates: the boxes of all pieces and vertices, grown by 32 tol,
+        # so that any two within 64 tol of each other pair up; sorted keys
+        # make the first fault found independent of the sweep's order
+        grow = 32.0 * tol
+        first, second = _overlapping_boxes(
+            np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
+            np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
         )
-        ordinal = np.arange(parent.size) - np.repeat(first, nchunk)
-        tmid = (ordinal + 0.5) / nchunk[parent]
-        cmid = SA[parent] + tmid[:, None] * (SB[parent] - SA[parent])
-        ctree = cKDTree(cmid)
+        at_vertex = (first < nseg) & (second >= nseg)
+        qv, qs = np.divmod(np.sort(
+            (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]), nseg)
 
         # no route may pass through a vertex other than its own endpoints
-        near = ctree.query_ball_point(pos_arr, 0.5 * L + 16.0 * tol)
-        cand_v: list[int] = []
-        cand_c: list[int] = []
-        for i, found in enumerate(near):
-            if found:
-                cand_v.extend([i] * len(found))
-                cand_c.extend(found)
-        if cand_v:
-            qv = np.asarray(cand_v, dtype=np.int64)
-            qs = parent[np.asarray(cand_c, dtype=np.int64)]
-            pair_key = np.unique(qv * np.int64(nseg) + qs)
-            qv = pair_key // nseg
-            qs = pair_key % nseg
-            outside = (end_u[SE[qs]] != qv) & (end_v[SE[qs]] != qv)
-            qv = qv[outside]
-            qs = qs[outside]
-            if qv.size:
-                px = pos_arr[qv, 0]
-                py = pos_arr[qv, 1]
-                dx = SB[qs, 0] - SA[qs, 0]
-                dy = SB[qs, 1] - SA[qs, 1]
-                tt = (
-                    (px - SA[qs, 0]) * dx + (py - SA[qs, 1]) * dy
-                ) / (SLEN[qs] * SLEN[qs])
-                tt = np.clip(tt, 0.0, 1.0)
-                gap = np.hypot(
-                    px - SA[qs, 0] - tt * dx, py - SA[qs, 1] - tt * dy
+        outside = (end_u[SE[qs]] != qv) & (end_v[SE[qs]] != qv)
+        qv = qv[outside]
+        qs = qs[outside]
+        if qv.size:
+            px = pos_arr[qv, 0]
+            py = pos_arr[qv, 1]
+            dx = SB[qs, 0] - SA[qs, 0]
+            dy = SB[qs, 1] - SA[qs, 1]
+            tt = (
+                (px - SA[qs, 0]) * dx + (py - SA[qs, 1]) * dy
+            ) / (SLEN[qs] * SLEN[qs])
+            tt = np.clip(tt, 0.0, 1.0)
+            gap = np.hypot(
+                px - SA[qs, 0] - tt * dx, py - SA[qs, 1] - tt * dy
+            )
+            hit_at = np.flatnonzero(gap <= 16.0 * tol)
+            if hit_at.size:
+                b = int(hit_at[0])
+                raise GeometryError(
+                    f"route of edge {int(SE[qs[b]])} passes through "
+                    f"vertex {int(vids[qv[b]])}"
                 )
-                hit_at = np.flatnonzero(gap <= 16.0 * tol)
-                if hit_at.size:
-                    b = int(hit_at[0])
-                    raise GeometryError(
-                        f"route of edge {int(SE[qs[b]])} passes through "
-                        f"vertex {int(vids[qv[b]])}"
-                    )
 
-        # candidate piece pairs, deduplicated; consecutive pieces of one
-        # curve share a joint and are skipped
-        raw = ctree.query_pairs(L + 64.0 * tol, output_type="ndarray")
-        p1 = parent[raw[:, 0]]
-        p2 = parent[raw[:, 1]]
-        mixed = p1 != p2
-        plo = np.minimum(p1[mixed], p2[mixed])
-        phi = np.maximum(p1[mixed], p2[mixed])
-        pair_key = np.unique(plo * np.int64(nseg) + phi)
-        plo = pair_key // nseg
-        phi = pair_key % nseg
+        # piece pairs; consecutive pieces of one curve share a joint and
+        # are skipped
+        pieces = second < nseg
+        plo, phi = np.divmod(np.sort(
+            first[pieces] * np.int64(nseg) + second[pieces]), nseg)
         joint = (SE[plo] == SE[phi]) & (np.abs(SI[plo] - SI[phi]) == 1)
         plo = plo[~joint]
         phi = phi[~joint]
@@ -420,16 +418,21 @@ def scene_to_drawing(
                 )
 
         if crossings_raw:
-            vtree = cKDTree(pos_arr)
+            # each crossing as a point against vertex boxes grown by 16 tol
             xy = np.array([rec[4] for rec in crossings_raw], dtype=float)
-            for rec, found in zip(
-                crossings_raw, vtree.query_ball_point(xy, 16.0 * tol)
-            ):
-                if found:
-                    raise GeometryError(
-                        f"edges {rec[0]} and {rec[1]} cross too close to "
-                        f"vertex {int(vids[found[0]])}"
-                    )
+            nv, near = len(vids), 16.0 * tol
+            v, c = _overlapping_boxes(np.concatenate((pos_arr - near, xy)),
+                                      np.concatenate((pos_arr + near, xy)))
+            mixed = (v < nv) & (c >= nv)
+            v, c = v[mixed], c[mixed] - nv
+            hit = np.hypot(*(xy[c] - pos_arr[v]).T) <= near
+            if np.any(hit):
+                c, v = min(zip(c[hit].tolist(), v[hit].tolist()))
+                rec = crossings_raw[c]
+                raise GeometryError(
+                    f"edges {rec[0]} and {rec[1]} cross too close to "
+                    f"vertex {int(vids[v])}"
+                )
 
     # deterministic ids: sort by (smaller edge, position along it)
     def sort_key(rec):
@@ -496,12 +499,10 @@ def scene_to_drawing(
             incident[x].append((direction_at(e, s, False), (e, pos - 1)))
             incident[x].append((direction_at(e, s, True), (e, pos)))
 
-    anchor_index = (
-        {a: i for i, a in enumerate(scene.anchors)} if scene.anchors else {}
-    )
+    anchor_set = set(scene.anchors or ())
     rotation: dict[int, tuple[ArcRef, ...]] = {}
     for node, ends in incident.items():
-        if node in anchor_index:
+        if node in anchor_set:
             continue
         ends.sort(key=lambda t: -t[0])
         for (a1, _), (a2, _) in zip(ends, ends[1:]):
@@ -527,15 +528,10 @@ def scene_to_drawing(
                 if o2 - o1 < 1e-12:
                     raise GeometryError(f"tangential curves at anchor {a}")
             rotation[a] = tuple(ref for _, ref in keyed)
-        for v in g.vertices:
-            rotation.setdefault(v, ())
 
     for v in g.vertices:
         rotation.setdefault(v, ())
 
-    drawing = Drawing(
-        g, tuple(crossings), chains, rotation,
-        scene.anchors if scene.anchors is not None else None,
-    )
+    drawing = Drawing(g, tuple(crossings), chains, rotation, scene.anchors)
     drawing.require_valid()
     return drawing, xid_points

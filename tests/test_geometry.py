@@ -3,11 +3,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from minkplanar.errors import GeometryError
 from minkplanar.graphs import Graph
-from minkplanar.geometry import Scene, on_circle, scene_to_drawing
+from minkplanar import geometry
+from minkplanar.geometry import (
+    Scene, _overlapping_boxes, _segment_intersection, on_circle,
+    scene_to_drawing,
+)
 from minkplanar.drawings import crossing_profile, drawings_equal, validate
 
 from test_drawings import crossing_chords, double_crossing
@@ -72,40 +78,43 @@ def line_graph():
 
 def test_rejects_overlapping_segments():
     g = line_graph()
-    pos = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (1.0, 0.0), 3: (3.0, 0.0)}
-    with pytest.raises(GeometryError):
-        scene_to_drawing(Scene(g, pos, {0: (pos[0], pos[1]), 1: (pos[2], pos[3])}))
+    pos = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (1.0, 1.0), 3: (3.0, 1.0)}
+    routes = {0: (pos[0], pos[1]), 1: (pos[2], (1.5, 0.0), (2.5, 0.0), pos[3])}
+    with pytest.raises(GeometryError, match="run along a shared segment"):
+        scene_to_drawing(Scene(g, pos, routes))
 
 
 def test_rejects_touch_without_crossing():
     g = line_graph()
     pos = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (1.0, 1.0), 3: (3.0, 1.0)}
     routes = {0: (pos[0], pos[1]), 1: (pos[2], (2.0, 0.0), pos[3])}
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError,
+                       match=r"edges 0 and 1 touch without crossing near \(2\.0, 0\.0\)"):
         scene_to_drawing(Scene(g, pos, routes))
 
 
 def test_rejects_route_through_vertex():
     g = Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3)))
-    pos = {
-        0: (0.0, 0.0), 1: (4.0, 0.0),
-        2: (1.0, 1.0), 3: (3.0, 1.0),
-        4: (2.0, 1.0),  # isolated vertex sitting on edge 1
-    }
-    routes = {0: (pos[0], pos[1]), 1: (pos[2], pos[3])}
-    with pytest.raises(GeometryError):
-        scene_to_drawing(Scene(g, pos, routes))
+    # an isolated vertex on edge 1, then one 1e-8 (under 16 tol) beside it
+    for offset in (0.0, 1e-8):
+        pos = {
+            0: (0.0, 0.0), 1: (4.0, 0.0),
+            2: (1.0, 1.0), 3: (3.0, 1.0),
+            4: (2.0, 1.0 + offset),
+        }
+        routes = {0: (pos[0], pos[1]), 1: (pos[2], pos[3])}
+        with pytest.raises(GeometryError,
+                           match="route of edge 1 passes through vertex 4"):
+            scene_to_drawing(Scene(g, pos, routes))
 
 
 def test_rejects_crossing_near_vertex():
-    g = Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3)))
-    pos = {
-        0: (0.0, 0.0), 1: (4.0, 0.0),
-        2: (2.0, 1.0), 3: (2.0, -1.0),
-        4: (2.0, 0.0),
-    }
-    routes = {0: (pos[0], pos[1]), 1: (pos[2], pos[3])}
-    with pytest.raises(GeometryError):
+    # both edges leave vertex 0, so neither passes through it; edge 1 comes
+    # back and crosses edge 0 a hair's breadth (1e-8) from the vertex
+    g = Graph((0, 1, 2), ((0, 1), (0, 2)))
+    pos = {0: (2.0, 0.0), 1: (4.0, 0.0), 2: (4.0 + 2e-8, -2.0)}
+    routes = {0: (pos[0], pos[1]), 1: (pos[0], (0.0, 1.0), (0.0, 2.0), pos[2])}
+    with pytest.raises(GeometryError, match="edges 0 and 1 cross too close to vertex 0"):
         scene_to_drawing(Scene(g, pos, routes))
 
 
@@ -113,14 +122,15 @@ def test_rejects_self_crossing_route():
     g = Graph((0, 1), ((0, 1),))
     pos = {0: (0.0, 0.0), 1: (3.0, 0.0)}
     route = (pos[0], (2.0, 1.0), (1.0, 1.0), (2.5, -1.0), pos[1])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="edge 0 crosses itself"):
         scene_to_drawing(Scene(g, pos, {0: route}))
 
 
 def test_rejects_anchor_off_circle():
     g = Graph((0, 1), ((0, 1),))
     pos = {0: on_circle(1.0, 90.0), 1: (0.5, 0.0)}
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError,
+                       match="anchor 1 does not sit on the boundary circle"):
         scene_to_drawing(Scene(g, pos, {0: (pos[0], pos[1])}, anchors=(0, 1)))
 
 
@@ -132,7 +142,7 @@ def test_rejects_counterclockwise_anchor_listing():
         2: on_circle(1.0, 210.0),
     }
     scene = Scene(g, pos, {0: (pos[0], pos[1])}, anchors=(0, 2, 1))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="not listed in clockwise circular order"):
         scene_to_drawing(scene)
 
 
@@ -140,7 +150,7 @@ def test_rejects_route_leaving_disk():
     g = Graph((0, 1), ((0, 1),))
     pos = {0: on_circle(1.0, 90.0), 1: on_circle(1.0, -90.0)}
     route = (pos[0], (1.4, 0.0), pos[1])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="route of edge 0 leaves the boundary disk"):
         scene_to_drawing(Scene(g, pos, {0: route}, anchors=(0, 1)))
 
 
@@ -187,3 +197,121 @@ def test_random_chord_diagrams_match_interleaving_count():
             if chords_interleave(edges[x], edges[y])
         )
         assert crossing_profile(d).total == want
+
+
+# ------------------------------------------- property test against oracle
+
+
+@pytest.mark.parametrize("per_slice", [1, 5, 1 << 21])
+def test_box_sweep_finds_every_overlapping_pair(monkeypatch, per_slice):
+    monkeypatch.setattr(geometry, "_SWEEP_SLICE", per_slice)
+    rng = random.Random(per_slice)
+    for _ in range(20):
+        n = rng.randrange(1, 40)
+        # coarse integer corners, so boxes often share edges and corners
+        lo = [(rng.randrange(10), rng.randrange(10)) for _ in range(n)]
+        hi = [(x + rng.randrange(4), y + rng.randrange(4)) for x, y in lo]
+        want = sorted(
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if lo[i][0] <= hi[j][0] and lo[j][0] <= hi[i][0]
+            and lo[i][1] <= hi[j][1] and lo[j][1] <= hi[i][1]
+        )
+        got = _overlapping_boxes(np.array(lo, dtype=float),
+                                 np.array(hi, dtype=float))
+        assert sorted(zip(got[0].tolist(), got[1].tolist())) == want
+
+
+def _oracle(scene, tol):
+    """Sorted crossing edge pairs by all-pairs ``_segment_intersection``,
+    or None where the converter must reject the scene."""
+    g, pos = scene.graph, scene.positions
+    segs = [(e, i, r[i], r[i + 1])
+            for e, r in scene.routes.items() for i in range(len(r) - 1)]
+    for v, p in pos.items():
+        for e, _, a, b in segs:
+            if v not in g.edges[e]:
+                t = ((p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+                     ) / math.dist(a, b) ** 2
+                t = min(1.0, max(0.0, t))
+                foot = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                if math.dist(p, foot) <= 16.0 * tol:
+                    return None
+    crossings = []
+    for x, (e1, i1, a1, b1) in enumerate(segs):
+        for e2, i2, a2, b2 in segs[x + 1:]:
+            if e1 == e2 and abs(i1 - i2) == 1:
+                continue
+            hit = _segment_intersection(a1, b1, a2, b2, tol)
+            if hit is None:
+                continue
+            if hit[0] == "overlap" or e1 == e2:
+                return None
+            if hit[0] == "touch":
+                shared = set(g.edges[e1]) & set(g.edges[e2])
+                if any(math.dist(hit[1], pos[v]) <= 16.0 * tol for v in shared):
+                    continue
+                return None
+            crossings.append((min(e1, e2), max(e1, e2), hit[1]))
+    for _, _, p in crossings:
+        if any(math.dist(p, q) <= 16.0 * tol for q in pos.values()):
+            return None
+    for x, (e1, f1, p) in enumerate(crossings):
+        for e2, f2, q in crossings[x + 1:]:
+            if {e1, f1} & {e2, f2} and math.dist(p, q) <= 16.0 * tol:
+                return None
+    return sorted((e, f) for e, f, _ in crossings)
+
+
+def _point_on(route, i, t):
+    (ax, ay), (bx, by) = route[i], route[i + 1]
+    return (ax + t * (bx - ax), ay + t * (by - ay))
+
+
+@st.composite
+def anchored_scenes(draw):
+    """Anchored scenes with interior vertices, chords and 0-3 bends, some
+    with a vertex placed on a route or a bend placed on another route."""
+    unit = st.floats(0.0, 1.0)
+    angles = sorted(draw(st.lists(st.integers(0, 359), min_size=3,
+                                  max_size=6, unique=True)), reverse=True)
+    na = len(angles)
+    pos = {i: on_circle(1.0, a) for i, a in enumerate(angles)}
+    for v in range(na, na + draw(st.integers(0, 3))):
+        pos[v] = on_circle(0.8 * draw(unit) ** 0.5, 360.0 * draw(unit))
+    pairs = [(u, v) for u in pos for v in pos if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=6,
+                          unique=True))
+    routes = {}
+    for e, (u, v) in enumerate(edges):
+        bends = [on_circle(0.9 * draw(unit) ** 0.5, 360.0 * draw(unit))
+                 for _ in range(draw(st.integers(0, 3)))]
+        routes[e] = (pos[u], *bends, pos[v])
+    fault = draw(st.sampled_from(("none", "none", "vertex", "bend")))
+    e = draw(st.integers(0, len(edges) - 1))
+    f = draw(st.integers(0, len(edges) - 1))
+    i = draw(st.integers(0, len(routes[f]) - 2))
+    p = _point_on(routes[f], i, draw(st.floats(0.1, 0.9)))
+    if fault == "vertex":
+        pos[len(pos)] = p
+    elif fault == "bend" and e != f:
+        j = draw(st.integers(1, len(routes[e]) - 1))
+        routes[e] = routes[e][:j] + (p,) + routes[e][j:]
+    assume(all(math.dist(a, b) > 1e-3
+               for r in routes.values() for a, b in zip(r, r[1:])))
+    g = Graph(tuple(pos), tuple(edges))
+    return Scene(g, pos, routes, anchors=tuple(range(na)), radius=1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(anchored_scenes())
+def test_converter_agrees_with_all_pairs_oracle(scene):
+    want = _oracle(scene, 1e-9)
+    assume(want == _oracle(scene, 1e-6))  # not within 1e-6 of a degeneracy
+    try:
+        d, _ = scene_to_drawing(scene)
+    except GeometryError:
+        assert want is None
+        return
+    assert want is not None
+    assert len(d.crossings) == len(want)
+    assert sorted(c.edges for c in d.crossings) == want

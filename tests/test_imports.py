@@ -5,8 +5,10 @@ imports bind are looked up among the names the module reads;
 ``__init__.py`` is skipped there, its imports are the package's
 re-exports.  Every function, method and class must be read by name (an
 ``ast.Name`` or ``ast.Attribute``) somewhere in the package or the demos
-outside its own body, or be exported in ``__all__``.  Dunders are
-exempt, and so is ``_Parser.error``, which argparse calls.
+outside its own body, or be exported in ``__all__``.  A method counts as
+read only through an attribute, and an attribute read on ``self``, ``cls``
+or a package class by name counts only for that class and its bases.
+Dunders are exempt, and so is ``_Parser.error``, which argparse calls.
 """
 
 import ast
@@ -36,49 +38,99 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def _reads(tree: ast.AST):
-    """Each name read in ``tree``, with the ids of the definitions around it."""
-    stack = [(tree, ())]
+def _reads(tree: ast.AST, classes: set[str]):
+    """Each name read in ``tree`` as ``(name, outer, owner)``.
+
+    ``outer`` holds the ids of the definitions around the read.  ``owner``
+    is "" for a bare name, the class for an attribute read on ``self`` or
+    ``cls`` inside a class or on a package class by name, and None for any
+    other attribute read.
+    """
+    stack = [(tree, (), None)]
     while stack:
-        node, outer = stack.pop()
+        node, outer, inside = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, outer
+            yield node.id, outer, ""
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, outer
+            owner = None
+            if isinstance(node.value, ast.Name):
+                if node.value.id in ("self", "cls"):
+                    owner = inside
+                elif node.value.id in classes:
+                    owner = node.value.id
+            yield node.attr, outer, owner
         if isinstance(node, DEFINITIONS):
             outer = outer + (id(node),)
-        stack.extend((child, outer) for child in ast.iter_child_nodes(node))
+        if isinstance(node, ast.ClassDef):
+            inside = node.name
+        stack.extend((child, outer, inside)
+                     for child in ast.iter_child_nodes(node))
 
 
 def _definitions(tree: ast.AST):
-    """Each definition in ``tree`` with its dotted name (``Class.method``)."""
-    stack = [(tree, "")]
+    """Each definition in ``tree`` with its dotted name (``Class.method``)
+    and the class whose body holds it, or None."""
+    stack = [(tree, "", None)]
     while stack:
-        node, prefix = stack.pop()
+        node, prefix, holder = stack.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, DEFINITIONS):
-                yield prefix + child.name, child
-                stack.append((child, f"{prefix}{child.name}."))
+                yield prefix + child.name, child, holder
+                stack.append((child, f"{prefix}{child.name}.",
+                              child.name if isinstance(child, ast.ClassDef)
+                              else None))
             else:
-                stack.append((child, prefix))
+                stack.append((child, prefix, holder))
+
+
+def _lineage(trees) -> dict[str, set[str]]:
+    """Each class defined in ``trees`` with itself and its bases among them."""
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id if isinstance(b, ast.Name) else b.attr
+                                    for b in node.bases
+                                    if isinstance(b, (ast.Name, ast.Attribute))}
+    lineage = {}
+    for name in bases:
+        seen, todo = set(), [name]
+        while todo:
+            c = todo.pop()
+            if c in bases and c not in seen:
+                seen.add(c)
+                todo.extend(bases[c])
+        lineage[name] = seen
+    return lineage
 
 
 def _unused_definitions(modules: dict[str, str], readers: dict[str, str],
                         exported: set[str]) -> list[str]:
-    """Definitions in ``modules`` that no module and no reader reads."""
+    """Definitions in ``modules`` that no module and no reader reads.
+
+    Any definition counts as read by an attribute read of its name on
+    anything but ``self``, ``cls`` or a package class.  A method also
+    counts as read by one on its own class, a subclass of it, or
+    ``self``/``cls`` inside either; anything else by its bare name.
+    """
     trees = {name: ast.parse(src) for name, src in {**readers, **modules}.items()}
-    reads: dict[str, list[tuple[int, ...]]] = {}
+    lineage = _lineage(trees[m] for m in modules)
+    reads: dict[str, list[tuple[tuple[int, ...], str | None]]] = {}
     for tree in trees.values():
-        for name, outer in _reads(tree):
-            reads.setdefault(name, []).append(outer)
+        for name, outer, owner in _reads(tree, set(lineage)):
+            reads.setdefault(name, []).append((outer, owner))
     unused = []
     for module in sorted(modules):
-        for dotted, node in _definitions(trees[module]):
+        for dotted, node, holder in _definitions(trees[module]):
             name = node.name
             if (name.startswith("__") and name.endswith("__")
                     or name in exported or dotted in CALLED_BY_LIBRARIES):
                 continue
-            if all(id(node) in outer for outer in reads.get(name, ())):
+            counted = [outer for outer, owner in reads.get(name, ())
+                       if owner is None
+                       or (owner == "" if holder is None
+                           else holder in lineage.get(owner, ()))]
+            if all(id(node) in outer for outer in counted):
                 unused.append(f"{module}: {dotted}")
     return sorted(unused)
 
@@ -107,11 +159,20 @@ def test_checker_sees_an_unused_definition():
               "class C:\n"
               "    def __init__(self):\n        pass\n"
               "    def read(self):\n        pass\n"
-              "    def unread(self):\n        pass\n")
-    reader = "used()\nC().read()\n"
-    assert _unused_definitions({"m.py": module}, {"demo.py": reader},
-                               {"public"}) == [
-        "m.py: C.unread", "m.py: recursive", "m.py: unused"]
+              "    def unread(self):\n        pass\n"
+              "    def head(self):\n        pass\n"
+              "    def inherited(self):\n        pass\n"
+              "class D(C):\n"
+              "    def run(self):\n        self.inherited()\n"
+              "    def tail(self):\n        pass\n")
+    # a local called head does not count for C.head, and E's self.tail
+    # does not count for D.tail
+    reader = "used()\nC().read()\nD().run()\nhead = 1\nprint(head)\n"
+    other = "class E:\n    def go(self):\n        return self.tail\n"
+    assert _unused_definitions({"m.py": module, "o.py": other},
+                               {"demo.py": reader}, {"public"}) == [
+        "m.py: C.head", "m.py: C.unread", "m.py: D.tail", "m.py: recursive",
+        "m.py: unused", "o.py: E", "o.py: E.go"]
 
 
 def test_every_definition_is_used():

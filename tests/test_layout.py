@@ -1,6 +1,10 @@
 """Barycentric layouts, the redraw audit, and SVG output."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -174,3 +178,27 @@ def test_layout_audit_and_svg_share_one_map(monkeypatch):
     # one map for the drawing itself, however many layers ask for it; the
     # audit's redrawn planarization is a different object with its own
     assert sum(x is d for x in built) == 1
+
+
+_AUDIT_T3 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from minkplanar.constructions import build_G2
+from minkplanar.frames import build_frame, compose
+from minkplanar.layout import audit_layout, tutte_layout
+b = build_G2()
+d = compose(build_frame(b.anchored_graph, 2, 3), b)
+audit_layout(d, tutte_layout(d))
+"""
+
+
+def test_composed_g2_audit_at_t3_fits_in_two_gib():
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run([sys.executable, "-c", _AUDIT_T3], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
