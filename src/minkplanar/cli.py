@@ -90,7 +90,9 @@ def _read_json(path: str, rep: RunReport) -> Any:
     rep.inputs[path] = hashlib.sha256(data).hexdigest()
     try:
         return json.loads(data)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError also covers undecodable bytes and integer literals
+        # past Python's digit limit; RecursionError, nesting too deep
         raise InputError(f"{path} is not JSON: {err}")
 
 

@@ -216,6 +216,14 @@ def scene_to_drawing(
             raise GeometryError(f"route of edge {e} does not end at vertex {v}")
         r[0] = scene.positions[u]
         r[-1] = scene.positions[v]
+        # consecutive pieces are never paired as candidates below, so no
+        # piece may run straight back along the one before it here
+        for (ax, ay), (bx, by), (cx, cy) in zip(r, r[1:], r[2:]):
+            px, py, qx, qy = bx - ax, by - ay, cx - bx, cy - by
+            if px * qx + py * qy < 0.0 and abs(px * qy - py * qx) <= (
+                tol * math.hypot(px, py) * math.hypot(qx, qy)
+            ):
+                raise GeometryError(f"route of edge {e} doubles back on itself")
         routes[e] = r
 
     if radius is not None:

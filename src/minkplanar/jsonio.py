@@ -7,116 +7,110 @@ significant.  Drawing documents wrap a graph together with ``crossings``,
 A ``"multigraph": true`` marker on a graph preserves the parallel-edge
 flag across a round trip even when no parallels happen to be present.
 
-Anything that violates the schema or the semantic validator raises
-InputError whose message starts with a JSON pointer to the offending
-spot, so CLI users can find the field without reading a stack trace.
+A document of the wrong shape, or one that the graph and drawing checks
+reject, raises InputError whose message starts with a JSON pointer to the
+first offending spot, so CLI users can find it without a stack trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any
-
-import jsonschema
+from typing import Any, NoReturn
 
 from .drawings import Crossing, Drawing, validate
 from .errors import InputError
 from .graphs import AnchoredGraph, Graph
 from .search import SearchOutcome, SearchStats, Status
 
-GRAPH_SCHEMA: dict = {
-    "type": "object",
-    "required": ["vertices", "edges"],
-    "properties": {
-        "vertices": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "anchors": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "multigraph": {"type": "boolean"},
-    },
-    "additionalProperties": True,
-}
 
-DRAWING_SCHEMA: dict = {
-    "type": "object",
-    "required": ["graph", "crossings", "chains", "rotation"],
-    "properties": {
-        "graph": GRAPH_SCHEMA,
-        "crossings": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "edges"],
-                "properties": {
-                    "id": {"type": "integer", "minimum": 0},
-                    "edges": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-                "additionalProperties": False,
-            },
-        },
-        "chains": {
-            "type": "object",
-            "patternProperties": {
-                r"^\d+$": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                    "minItems": 2,
-                }
-            },
-            "additionalProperties": False,
-        },
-        "rotation": {
-            "type": "object",
-            "patternProperties": {
-                r"^\d+$": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                }
-            },
-            "additionalProperties": False,
-        },
-        "outer_face": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-        },
-    },
-    "additionalProperties": True,
-}
-
-
-def _fail(pointer: str, message: str) -> None:
+def _fail(pointer: str, message: str) -> NoReturn:
     raise InputError(f"{pointer or '/'}: {message}")
 
 
-def _check_schema(obj: Any, schema: dict) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if err is not None:
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        _fail(pointer, err.message)
+# ------------------------------------------------------------ shape walk
+# JSON types, arity and the form of ids and keys only: Graph,
+# AnchoredGraph and validate check everything else.
+
+
+def _object(obj: Any, where: str, required: tuple[str, ...] = (),
+            closed: bool = False) -> dict:
+    """``obj`` as a JSON object with every ``required`` key and, when
+    ``closed``, no other key."""
+    if type(obj) is not dict:
+        _fail(where, "expected an object")
+    for key in required:
+        if key not in obj:
+            _fail(where, f"missing key {key!r}")
+    if closed:
+        for key in obj:
+            if key not in required:
+                _fail(f"{where}/{key}", "unexpected key")
+    return obj
+
+
+def _list(obj: Any, where: str, n: int | None = None) -> list:
+    """``obj`` as a JSON list, of ``n`` items if ``n`` is given."""
+    if type(obj) is not list:
+        _fail(where, "expected a list")
+    if n is not None and len(obj) != n:
+        _fail(where, f"expected {n} items, got {len(obj)}")
+    return obj
+
+
+def _is_id(v: Any) -> bool:
+    # type(), not isinstance: a bool is not an id
+    return type(v) is int and v >= 0
+
+
+def _ids(obj: Any, where: str, n: int | None = None) -> None:
+    """Checks that ``obj`` is a list of non-negative integers."""
+    for i, v in enumerate(_list(obj, where, n)):
+        if not _is_id(v):
+            _fail(f"{where}/{i}", "expected a non-negative integer")
+
+
+def _by_id(obj: Any, where: str) -> dict:
+    """``obj`` as a JSON object keyed by decimal ids."""
+    for key in _object(obj, where):
+        # isdecimal, not isdigit: "²".isdigit() holds but int("²") fails.
+        # The round trip rules out "01" beside "1", and numerals too long
+        # for int().
+        try:
+            ok = key.isascii() and key.isdecimal() and str(int(key)) == key
+        except ValueError:
+            ok = False
+        if not ok:
+            _fail(f"{where}/{key}", "key is not a decimal id")
+    return obj
+
+
+def _check_graph(obj: Any, where: str) -> None:
+    _object(obj, where, ("vertices", "edges"))
+    _ids(obj["vertices"], f"{where}/vertices")
+    for i, edge in enumerate(_list(obj["edges"], f"{where}/edges")):
+        _ids(edge, f"{where}/edges/{i}", 2)
+    if "anchors" in obj:
+        _ids(obj["anchors"], f"{where}/anchors")
+    if "multigraph" in obj and type(obj["multigraph"]) is not bool:
+        _fail(f"{where}/multigraph", "expected true or false")
+
+
+def _check_drawing(obj: Any, where: str) -> None:
+    _object(obj, where, ("graph", "crossings", "chains", "rotation"))
+    _check_graph(obj["graph"], f"{where}/graph")
+    for i, x in enumerate(_list(obj["crossings"], f"{where}/crossings")):
+        at = f"{where}/crossings/{i}"
+        _object(x, at, ("id", "edges"), closed=True)
+        if not _is_id(x["id"]):
+            _fail(f"{at}/id", "expected a non-negative integer")
+        _ids(x["edges"], f"{at}/edges", 2)
+    for key, chain in _by_id(obj["chains"], f"{where}/chains").items():
+        _ids(chain, f"{where}/chains/{key}")
+    for key, refs in _by_id(obj["rotation"], f"{where}/rotation").items():
+        for j, ref in enumerate(_list(refs, f"{where}/rotation/{key}")):
+            _ids(ref, f"{where}/rotation/{key}/{j}", 2)
+    if "outer_face" in obj:
+        _ids(obj["outer_face"], f"{where}/outer_face")
 
 
 # ----------------------------------------------------------------- graphs
@@ -139,17 +133,13 @@ def graph_to_json(g: Graph | AnchoredGraph) -> dict:
 
 
 def graph_from_json(obj: Any) -> Graph | AnchoredGraph:
-    _check_schema(obj, GRAPH_SCHEMA)
-    return _graph(obj)
+    _check_graph(obj, "")
+    return _graph(obj, "")
 
 
-def _graph(obj: dict, where: str = "") -> Graph | AnchoredGraph:
-    """The graph of a schema-checked document.
-
-    ``Graph`` and ``AnchoredGraph`` do the semantic checks; their messages
-    start with a pointer relative to the graph document, which ``where``
-    prefixes.
-    """
+def _graph(obj: dict, where: str) -> Graph | AnchoredGraph:
+    """The graph of a shape-checked document at pointer ``where``, which
+    prefixes the pointers of ``Graph`` and ``AnchoredGraph`` faults."""
     try:
         g = Graph(
             tuple(obj["vertices"]),
@@ -193,27 +183,28 @@ def drawing_to_json(d: Drawing) -> dict:
 
 
 def drawing_from_json(obj: Any) -> Drawing:
-    _check_schema(obj, DRAWING_SCHEMA)
-    g = _graph(obj["graph"], where="/graph")
+    return _drawing(obj, "")
+
+
+def _drawing(obj: Any, where: str) -> Drawing:
+    """The drawing of the document at pointer ``where``."""
+    _check_drawing(obj, where)
+    g = _graph(obj["graph"], f"{where}/graph")
     if isinstance(g, AnchoredGraph):
         # a nested anchor list would shadow outer_face; keep one source
-        _fail("/graph/anchors", "use outer_face for a drawing's boundary")
-    crossings = tuple(
-        Crossing(c["id"], (c["edges"][0], c["edges"][1]))
-        for c in obj["crossings"]
-    )
+        _fail(f"{where}/graph/anchors", "use outer_face for a drawing's boundary")
+    crossings = tuple(Crossing(x["id"], tuple(x["edges"]))
+                      for x in obj["crossings"])
     chains = {int(e): tuple(ch) for e, ch in obj["chains"].items()}
-    rotation = {
-        int(v): tuple((e, seg) for (e, seg) in refs)
-        for v, refs in obj["rotation"].items()
-    }
+    rotation = {int(v): tuple(tuple(ref) for ref in refs)
+                for v, refs in obj["rotation"].items()}
     anchors = tuple(obj["outer_face"]) if "outer_face" in obj else None
     d = Drawing(g, crossings, chains, rotation, anchors)
     problems = validate(d)
     if problems:
-        head = problems[0]
-        category = head.split(":", 1)[0]
-        _fail(_PROBLEM_POINTERS.get(category, ""), "; ".join(problems[:3]))
+        category = problems[0].split(":", 1)[0]
+        _fail(where + _PROBLEM_POINTERS.get(category, ""),
+              "; ".join(problems[:3]))
     return d
 
 
@@ -231,21 +222,26 @@ def outcome_to_json(o: SearchOutcome) -> dict:
 
 
 def outcome_from_json(obj: Any) -> SearchOutcome:
+    _object(obj, "", ("status",))
     try:
         status = Status(obj["status"])
-    except (KeyError, ValueError):
+    except ValueError:
         _fail("/status", "unknown search status")
-    st = obj.get("stats", {})
+    st = _object(obj.get("stats", {}), "/stats")
+    for key, kinds in (("nodes", (int,)), ("routes", (int,)),
+                       ("max_depth", (int,)), ("seconds", (int, float))):
+        if key in st and (type(st[key]) not in kinds or st[key] < 0):
+            _fail(f"/stats/{key}", "expected a non-negative number")
     stats = SearchStats(
-        nodes=int(st.get("nodes", 0)),
-        routes=int(st.get("routes", 0)),
-        max_depth=int(st.get("max_depth", 0)),
+        nodes=st.get("nodes", 0),
+        routes=st.get("routes", 0),
+        max_depth=st.get("max_depth", 0),
         seconds=float(st.get("seconds", 0.0)),
     )
     cert = obj.get("certificate")
     return SearchOutcome(
         status=status,
-        certificate=None if cert is None else drawing_from_json(cert),
+        certificate=None if cert is None else _drawing(cert, "/certificate"),
         stats=stats,
     )
 

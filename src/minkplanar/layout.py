@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import cg, spsolve
 
 from .drawings import Drawing, PlanarizationMap, crossing_profile
-from .errors import LayoutError
+from .errors import GeometryError, LayoutError
 from .geometry import Point, Scene, scene_to_drawing
 from .graphs import Graph, components
 
@@ -226,7 +226,7 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
     )
     try:
         redrawn, _ = scene_to_drawing(scene, tol=tol / 1000.0)
-    except Exception as err:
+    except GeometryError as err:
         raise LayoutError(f"layout does not redraw cleanly: {err}") from err
     if redrawn.crossings:
         x = redrawn.crossings[0]

@@ -259,6 +259,19 @@ def test_missing_file_and_malformed_graph(tmp_path, capsys):
     assert "/edges/0" in err
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe\xff",  # no text in any JSON encoding
+    b"[" + b"1" * 5000 + b"]",  # past Python's integer digit limit
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+], ids=["undecodable", "long-integer", "deep"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, _, err = run(capsys, "validate", "--drawing", str(bad))
+    assert code == 3
+    assert "is not JSON" in err
+
+
 def test_report_goes_to_file_when_asked(fig1, tmp_path, capsys):
     drawing = str(fig1) + ".drawing.json"
     rpath = tmp_path / "run.json"

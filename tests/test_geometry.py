@@ -126,6 +126,18 @@ def test_rejects_self_crossing_route():
         scene_to_drawing(Scene(g, pos, {0: route}))
 
 
+def test_rejects_route_doubling_back():
+    # the second piece runs back over [1, 3] of the first; consecutive
+    # pieces are never paired as candidates, so this needs its own check
+    g = Graph((0, 1), ((0, 1),))
+    pos = {0: (0.0, 0.0), 1: (1.0, 0.0)}
+    route = (pos[0], (3.0, 0.0), pos[1])
+    with pytest.raises(GeometryError, match="route of edge 0 doubles back on itself"):
+        scene_to_drawing(Scene(g, pos, {0: route}))
+    # a straight bend, both pieces in one direction, is fine
+    scene_to_drawing(Scene(g, pos, {0: (pos[0], (0.5, 0.0), pos[1])}))
+
+
 def test_rejects_anchor_off_circle():
     g = Graph((0, 1), ((0, 1),))
     pos = {0: on_circle(1.0, 90.0), 1: (0.5, 0.0)}
@@ -239,9 +251,12 @@ def _oracle(scene, tol):
     crossings = []
     for x, (e1, i1, a1, b1) in enumerate(segs):
         for e2, i2, a2, b2 in segs[x + 1:]:
-            if e1 == e2 and abs(i1 - i2) == 1:
-                continue
             hit = _segment_intersection(a1, b1, a2, b2, tol)
+            if e1 == e2 and abs(i1 - i2) == 1:
+                # consecutive pieces share a joint; they may not overlap
+                if hit is not None and hit[0] == "overlap":
+                    return None
+                continue
             if hit is None:
                 continue
             if hit[0] == "overlap" or e1 == e2:
@@ -270,7 +285,8 @@ def _point_on(route, i, t):
 @st.composite
 def anchored_scenes(draw):
     """Anchored scenes with interior vertices, chords and 0-3 bends, some
-    with a vertex placed on a route or a bend placed on another route."""
+    with a vertex placed on a route, a bend placed on another route, or a
+    route that runs past its end vertex and back."""
     unit = st.floats(0.0, 1.0)
     angles = sorted(draw(st.lists(st.integers(0, 359), min_size=3,
                                   max_size=6, unique=True)), reverse=True)
@@ -286,7 +302,7 @@ def anchored_scenes(draw):
         bends = [on_circle(0.9 * draw(unit) ** 0.5, 360.0 * draw(unit))
                  for _ in range(draw(st.integers(0, 3)))]
         routes[e] = (pos[u], *bends, pos[v])
-    fault = draw(st.sampled_from(("none", "none", "vertex", "bend")))
+    fault = draw(st.sampled_from(("none", "none", "vertex", "bend", "back")))
     e = draw(st.integers(0, len(edges) - 1))
     f = draw(st.integers(0, len(edges) - 1))
     i = draw(st.integers(0, len(routes[f]) - 2))
@@ -296,6 +312,11 @@ def anchored_scenes(draw):
     elif fault == "bend" and e != f:
         j = draw(st.integers(1, len(routes[e]) - 1))
         routes[e] = routes[e][:j] + (p,) + routes[e][j:]
+    elif fault == "back":
+        (ax, ay), (bx, by) = routes[e][-2:]
+        s = draw(st.floats(0.05, 0.5))
+        routes[e] = routes[e][:-1] + ((bx + s * (bx - ax), by + s * (by - ay)),
+                                      (bx, by))
     assume(all(math.dist(a, b) > 1e-3
                for r in routes.values() for a, b in zip(r, r[1:])))
     g = Graph(tuple(pos), tuple(edges))

@@ -9,10 +9,16 @@ outside its own body, or be exported in ``__all__``.  A method counts as
 read only through an attribute, and an attribute read on ``self``, ``cls``
 or a package class by name counts only for that class and its bases.
 Dunders are exempt, and so is ``_Parser.error``, which argparse calls.
+The runtime dependencies in ``pyproject.toml`` are exactly the
+third-party packages the package imports.
 """
 
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 import minkplanar
 
@@ -182,3 +188,33 @@ def test_every_definition_is_used():
                for p in sorted(DEMOS.glob("*.py"))}
     assert modules and readers
     assert _unused_definitions(modules, readers, set(minkplanar.__all__)) == []
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source``, anywhere in
+    it, that are neither the standard library nor the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return {n for n in names
+            if n not in sys.stdlib_module_names and n != "minkplanar"}
+
+
+def test_checker_sees_third_party_imports():
+    source = ("import os, numpy.linalg\nfrom . import graphs\n"
+              "def f():\n    from scipy.sparse import csr_matrix\n")
+    assert _third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_dependencies_are_what_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in project["dependencies"]}
+    imported = set().union(*(_third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in PACKAGE.glob("*.py")))
+    assert declared == imported

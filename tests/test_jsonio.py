@@ -1,8 +1,14 @@
 """Serialization round trips and the pointered rejection paths."""
 
+import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.drawings import drawings_equal, validate
@@ -144,6 +150,128 @@ def test_schema_violation_carries_a_pointer():
 def test_outcome_bad_status():
     with pytest.raises(InputError, match=r"^/status"):
         outcome_from_json({"status": "Maybe", "stats": {}})
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ("x", "/"),
+    ({"status": "Found", "stats": {"nodes": "abc"}}, "/stats/nodes"),
+    ({"status": "Found", "stats": []}, "/stats"),
+])
+def test_outcome_shape_faults_carry_pointers(doc, pointer):
+    with pytest.raises(InputError) as err:
+        outcome_from_json(doc)
+    assert str(err.value).startswith(f"{pointer}: ")
+
+
+def test_certificate_faults_point_into_the_certificate():
+    cert = {"graph": {}, "crossings": [], "chains": {}, "rotation": {}}
+    with pytest.raises(InputError, match=r"^/certificate/graph: "):
+        outcome_from_json({"status": "Found", "certificate": cert})
+    cert = {**_wire(drawing_to_json(build_G2().drawing)), "chains": {}}
+    with pytest.raises(InputError, match=r"^/certificate/chains: "):
+        outcome_from_json({"status": "Found", "certificate": cert})
+
+
+def test_shape_walk_rejects_what_looks_like_an_id():
+    g = {"vertices": [0, 1], "edges": [[0, 1]]}
+    # JSON has no integer type of its own: 1.0 and true are not ids
+    for bad in (1.0, True):
+        with pytest.raises(InputError, match=r"^/edges/0/1: "):
+            graph_from_json({**g, "edges": [[0, bad]]})
+    with pytest.raises(InputError, match=r"^/multigraph: "):
+        graph_from_json({**g, "multigraph": 1})
+    doc = _wire(drawing_to_json(build_G2().drawing))
+    # "01" and "1" would name one edge
+    doc["chains"]["01"] = doc["chains"].pop("1")
+    with pytest.raises(InputError, match=r"^/chains/01: "):
+        drawing_from_json(doc)
+
+
+# ------------------------------------------------------- mutation fuzzing
+
+_REQUIRED = {"vertices", "edges", "graph", "crossings", "chains", "rotation",
+             "id"}
+_NOT_JSON_IDS = ("x", True, False, 1.0, 2.5, -1, None, [[0]])
+
+
+def _bases():
+    b = build_G2()
+    return {"graph": _wire(graph_to_json(b.anchored_graph)),
+            "drawing": _wire(drawing_to_json(b.drawing))}
+
+
+_BASES = _bases()
+
+
+def _slots(doc):
+    """Every (container, key) pair in ``doc``, depth first."""
+    todo, out = [doc], []
+    while todo:
+        node = todo.pop()
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in list(keys):
+            out.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    """The G2 graph or drawing document with one fault: a required key
+    dropped, a value replaced by a non-id, an extra key on a crossing, or
+    a chain or rotation key that is not a decimal id."""
+    name = draw(st.sampled_from(sorted(_BASES)))
+    doc = copy.deepcopy(_BASES[name])
+    kinds = ["drop", "swap"] + (["extra", "key"] if name == "drawing" else [])
+    kind = draw(st.sampled_from(kinds))
+    slots = _slots(doc)
+    if kind == "drop":
+        node, key = draw(st.sampled_from(
+            [(n, k) for n, k in slots if isinstance(n, dict) and k in _REQUIRED]))
+        del node[key]
+    elif kind == "swap":
+        value = draw(st.sampled_from(_NOT_JSON_IDS))
+        if draw(st.integers(0, len(slots))) == 0:
+            return name, value  # the whole document
+        node, key = draw(st.sampled_from(slots))
+        node[key] = value
+    elif kind == "extra":
+        x = draw(st.sampled_from(doc["crossings"]))
+        x[draw(st.sampled_from(("label", "ID", "")))] = 0
+    else:
+        node = doc[draw(st.sampled_from(("chains", "rotation")))]
+        key = draw(st.sampled_from(sorted(node)))
+        node[draw(st.sampled_from(("²", "-1", "01", " 1", "1.0")))] = node.pop(key)
+    return name, doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_mutated_documents_raise_pointered_input_errors(case):
+    name, doc = case
+    read = graph_from_json if name == "graph" else drawing_from_json
+    with pytest.raises(InputError) as err:
+        read(doc)
+    assert str(err.value).startswith("/")
+
+
+def test_cli_rejects_a_mutated_drawing_without_a_traceback(tmp_path):
+    doc = copy.deepcopy(_BASES["drawing"])
+    doc["rotation"]["²"] = doc["rotation"].pop("2")
+    path = tmp_path / "mutated.drawing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-m", "minkplanar.cli", "validate", "--drawing",
+         str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 3
+    assert "Traceback" not in run.stderr
+    assert "error: /rotation/²: " in run.stderr
 
 
 # ---------------------------------------------------------------- reports

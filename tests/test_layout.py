@@ -10,7 +10,8 @@ import pytest
 
 from minkplanar.constructions import build_G2
 from minkplanar.drawings import Drawing, PlanarizationMap
-from minkplanar.errors import LayoutError
+from minkplanar import layout
+from minkplanar.errors import GeometryError, LayoutError
 from minkplanar.frames import build_frame
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.layout import (
@@ -128,6 +129,28 @@ def test_audit_rejects_mirrored_picture():
     flipped = {v: (-x, y) for v, (x, y) in lay.coordinates.items()}
     with pytest.raises(LayoutError):
         audit_layout(d, Layout(flipped, lay.boundary, lay.residual))
+
+
+def test_audit_turns_only_geometry_faults_into_layout_errors(monkeypatch):
+    d = _triangle_hub()
+    lay = tutte_layout(d)
+
+    def raising(exc):
+        def convert(scene, tol):
+            raise exc
+        return convert
+
+    monkeypatch.setattr(layout, "scene_to_drawing",
+                        raising(GeometryError("pieces touch")))
+    with pytest.raises(LayoutError,
+                       match="layout does not redraw cleanly: pieces touch"):
+        audit_layout(d, lay)
+    # running out of memory is no verdict on the layout
+    oom = MemoryError()
+    monkeypatch.setattr(layout, "scene_to_drawing", raising(oom))
+    with pytest.raises(MemoryError) as err:
+        audit_layout(d, lay)
+    assert err.value is oom
 
 
 # ------------------------------------------------------------------- svg
