@@ -123,9 +123,9 @@ def _write_pack(prefix: str, graph_doc: dict, drawing_doc: dict,
     for tag, doc in (("graph", graph_doc), ("drawing", drawing_doc),
                      ("provenance", provenance)):
         path = f"{prefix}.{tag}.json"
+        # one write: json.dump would make one per token
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         written.append(path)
     rep.stats["written"] = written
 

@@ -16,11 +16,13 @@ lists only interior arc ends, linearly, starting just after the boundary
 arc towards the next anchor and ending just before the one from the
 previous anchor.
 
-Faces are traced by ``PlanarizationMap``: with clockwise rotations the
-face to the left of a dart is traced by following "next clockwise after
-the twin".  For a valid anchored drawing the face to the left of the
-forward boundary darts is the region outside the disk, and its orbit must
-consist of exactly those forward darts.
+Faces are traced by ``PlanarizationMap``, which numbers the arcs (the
+boundary arcs first, then each edge's segments in edge order) and gives
+arc a the darts 2a and 2a+1, one leaving each end.  With clockwise
+rotations the face to the left of a dart is traced by following "next
+clockwise after the twin".  For a valid anchored drawing the face to the
+left of the forward boundary darts is the region outside the disk, and
+its orbit must consist of exactly those forward darts.
 
 Each drawing object is validated once: ``validate`` keeps its report on
 the object and ``Drawing.planarization`` keeps the one dart map, so every
@@ -87,114 +89,72 @@ class Drawing:
 
 # ----------------------------------------------------------- the dart map
 #
-# Arcs get structural keys: ('e', edge, seg) for edge arcs and ('b', i) for
-# the boundary arc from anchor i to anchor i+1.  A dart is (key, end) with
-# end 0 leaving the arc's first node and end 1 leaving its second.
-
-ArcKey = tuple
-MapDart = tuple[ArcKey, int]
+# Arcs are integers.  With b anchors, arcs 0 .. b-1 are the boundary arcs,
+# arc i running from anchor i to anchor i+1; each edge's chain arcs follow
+# in edge order, segment i of edge e being arc ``first_arc[e] + i``.  Dart
+# 2a leaves arc a's tail and dart 2a+1 its head, so a dart's twin is d ^ 1.
 
 
 class PlanarizationMap:
-    """Compiled dart structure of a drawing, used for face tracing."""
+    """Compiled dart structure of a drawing, used for face tracing.
+
+    The drawing's chains and rotations must agree; ``validate`` checks
+    that before it builds a map.
+    """
 
     def __init__(self, d: Drawing):
-        self.arc_nodes: dict[ArcKey, tuple[int, int]] = {}
-        for e, chain in d.chains.items():
-            for i in range(len(chain) - 1):
-                self.arc_nodes[("e", e, i)] = (chain[i], chain[i + 1])
-        if d.anchored:
-            m = len(d.anchors)
-            for i in range(m):
-                self.arc_nodes[("b", i)] = (d.anchors[i], d.anchors[(i + 1) % m])
+        anchors = d.anchors or ()
+        b = len(anchors)
+        tails, heads = list(anchors), list(anchors[1:] + anchors[:1])
+        self.first_arc: list[int] = []
+        for e in range(d.graph.m):
+            chain = d.chains[e]
+            self.first_arc.append(len(tails))
+            tails += chain[:-1]
+            heads += chain[1:]
+        self.arc_tail, self.arc_head = tails, heads
+        self._tail = [node for arc in zip(tails, heads) for node in arc]
 
-        # full clockwise rotations, boundary arcs spliced in at anchors
-        self.rot: dict[int, list[MapDart]] = {}
-        anchor_pos = (
-            {a: i for i, a in enumerate(d.anchors)} if d.anchored else {}
-        )
-        for node, refs in d.rotation.items():
-            darts = [self._dart_for(ref, node) for ref in refs]
-            if node in anchor_pos:
-                i = anchor_pos[node]
-                m = len(d.anchors)
-                darts = (
-                    [(("b", i), 0)] + darts + [(("b", (i - 1) % m), 1)]
-                )
-            self.rot[node] = darts
-        if d.anchored:
-            for a in d.anchors:
-                if a not in self.rot:
-                    i = anchor_pos[a]
-                    m = len(d.anchors)
-                    self.rot[a] = [(("b", i), 0), (("b", (i - 1) % m), 1)]
+        # next clockwise dart around each node, boundary darts spliced in
+        # at the anchors
+        self._next = [0] * len(self._tail)
+        anchor_at = {a: i for i, a in enumerate(anchors)}
+        for node in set(d.rotation).union(anchors):
+            arcs = [self.first_arc[e] + i for e, i in d.rotation.get(node, ())]
+            darts = [2 * a + (tails[a] != node) for a in arcs]
+            i = anchor_at.get(node)
+            if i is not None:
+                darts = [2 * i, *darts, 2 * ((i - 1) % b) + 1]
+            for x, y in zip(darts, darts[1:] + darts[:1]):
+                self._next[x] = y
 
-        self._next: dict[MapDart, MapDart] = {}
-        self._tail: dict[MapDart, int] = {}
-        for node, darts in self.rot.items():
-            k = len(darts)
-            for i, dart in enumerate(darts):
-                self._next[dart] = darts[(i + 1) % k]
-                self._tail[dart] = node
-
-    def _dart_for(self, ref: ArcRef, node: int) -> MapDart:
-        e, i = ref
-        key = ("e", e, i)
-        a, b = self.arc_nodes[key]
-        if node == a:
-            return (key, 0)
-        if node == b:
-            return (key, 1)
-        raise InputError(f"arc {ref} is not incident to node {node}")
-
-    def tail(self, dart: MapDart) -> int:
+    def tail(self, dart: int) -> int:
         return self._tail[dart]
 
-    @staticmethod
-    def twin(dart: MapDart) -> MapDart:
-        key, end = dart
-        return (key, 1 - end)
-
-    def phi(self, dart: MapDart) -> MapDart:
-        return self._next[self.twin(dart)]
-
     @cached_property
-    def faces(self) -> tuple[tuple[MapDart, ...], ...]:
-        """Every face as its dart orbit, traced once and kept."""
-        remaining = {(key, end) for key in self.arc_nodes for end in (0, 1)}
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Every face as its dart orbit, traced once and kept.
+
+        Orbits come in the order of their least dart and start there, so
+        an anchored drawing's forward boundary darts lead.
+        """
+        nxt = self._next
+        seen = bytearray(len(nxt))
         out = []
-        for key in sorted(self.arc_nodes, key=repr):
-            for end in (0, 1):
-                start = (key, end)
-                if start not in remaining:
-                    continue
-                orbit = [start]
-                remaining.discard(start)
-                d = self.phi(start)
-                while d != start:
-                    orbit.append(d)
-                    remaining.discard(d)
-                    d = self.phi(d)
-                out.append(tuple(orbit))
+        for start in range(len(nxt)):
+            if seen[start]:
+                continue
+            orbit = []
+            dart = start
+            while not seen[dart]:
+                seen[dart] = 1
+                orbit.append(dart)
+                dart = nxt[dart ^ 1]
+            out.append(tuple(orbit))
         return tuple(out)
 
 
 # ------------------------------------------------------------- validation
-
-
-def _expected_arc_ends(d: Drawing) -> dict[int, collections.Counter]:
-    """Interior arc-end multiset each node must list in its rotation."""
-    expect: dict[int, collections.Counter] = collections.defaultdict(
-        collections.Counter
-    )
-    for e, chain in d.chains.items():
-        last = len(chain) - 1
-        for pos, node in enumerate(chain):
-            if pos > 0:
-                expect[node][(e, pos - 1)] += 1
-            if pos < last:
-                expect[node][(e, pos)] += 1
-    return expect
 
 
 def validate(d: Drawing) -> list[str]:
@@ -272,18 +232,25 @@ def _find_problems(d: Drawing) -> list[str]:
                 f"{sorted(seen_at.get(x.id, []))}"
             )
 
-    # rotations: multiset agreement
-    expect = _expected_arc_ends(d)
-    all_nodes = set(g.vertices) | set(xids)
+    # rotations: each node lists exactly the arc ends its chains imply;
+    # those come out sorted, as edges and segments are taken in order
+    all_nodes = vset | set(xids)
+    expect: dict[int, list[ArcRef]] = {node: [] for node in all_nodes}
+    for e in range(g.m):
+        chain = d.chains[e]
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            ref = (e, i)
+            expect[a].append(ref)
+            expect[b].append(ref)
     for node in sorted(set(d.rotation) - all_nodes):
         problems.append(f"rotation: unknown node {node}")
     for node in sorted(all_nodes):
-        want = expect.get(node, collections.Counter())
-        got = collections.Counter(d.rotation.get(node, ()))
+        want = expect[node]
+        got = sorted(d.rotation.get(node, ()))
         if want != got:
             problems.append(
-                f"rotation: node {node} lists {sorted(got)} but its chains "
-                f"imply {sorted(want)}"
+                f"rotation: node {node} lists {got} but its chains "
+                f"imply {want}"
             )
     if problems:
         return problems
@@ -309,7 +276,7 @@ def _find_problems(d: Drawing) -> list[str]:
     # face structure
     pm = d.planarization
     adj: dict[int, list[int]] = {node: [] for node in sorted(d.nodes())}
-    for a, b in pm.arc_nodes.values():
+    for a, b in zip(pm.arc_tail, pm.arc_head):
         adj[a].append(b)
         adj[b].append(a)
     comp = {
@@ -321,9 +288,9 @@ def _find_problems(d: Drawing) -> list[str]:
     v_cnt = [0] * n_comp
     e_cnt = [0] * n_comp
     f_cnt = [0] * n_comp
-    for node, c in comp.items():
+    for c in comp.values():
         v_cnt[c] += 1
-    for key, (a, b) in pm.arc_nodes.items():
+    for a in pm.arc_tail:
         e_cnt[comp[a]] += 1
     for orbit in pm.faces:
         f_cnt[comp[pm.tail(orbit[0])]] += 1
@@ -338,10 +305,9 @@ def _find_problems(d: Drawing) -> list[str]:
             break
 
     if d.anchored and not problems:
-        # faces are listed from their least dart, so the orbit of the
-        # first boundary dart comes first and starts at that dart
+        # the boundary darts are the least, so their orbit comes first
         orbit = pm.faces[0]
-        if orbit != tuple((("b", i), 0) for i in range(len(d.anchors))):
+        if orbit != tuple(range(0, 2 * len(d.anchors), 2)):
             problems.append(
                 "boundary: outer face is not the bare anchor circle "
                 f"(walk of length {len(orbit)})"

@@ -27,6 +27,11 @@ def _fail(pointer: str, message: str) -> NoReturn:
     raise InputError(f"{pointer or '/'}: {message}")
 
 
+def _child(where: str, key: str) -> str:
+    """The pointer to ``key`` under ``where``, escaped as RFC 6901 asks."""
+    return f"{where}/{key.replace('~', '~0').replace('/', '~1')}"
+
+
 # ------------------------------------------------------------ shape walk
 # JSON types, arity and the form of ids and keys only: Graph,
 # AnchoredGraph and validate check everything else.
@@ -44,7 +49,7 @@ def _object(obj: Any, where: str, required: tuple[str, ...] = (),
     if closed:
         for key in obj:
             if key not in required:
-                _fail(f"{where}/{key}", "unexpected key")
+                _fail(_child(where, key), "unexpected key")
     return obj
 
 
@@ -80,7 +85,7 @@ def _by_id(obj: Any, where: str) -> dict:
         except ValueError:
             ok = False
         if not ok:
-            _fail(f"{where}/{key}", "key is not a decimal id")
+            _fail(_child(where, key), "key is not a decimal id")
     return obj
 
 

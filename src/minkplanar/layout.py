@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import cg, spsolve
 
-from .drawings import Drawing, PlanarizationMap, crossing_profile
+from .drawings import Drawing, crossing_profile
 from .errors import GeometryError, LayoutError
 from .geometry import Point, Scene, scene_to_drawing
 from .graphs import Graph, components
@@ -53,27 +53,26 @@ def _circle_point(index: int, count: int) -> Point:
     return (math.cos(ang), math.sin(ang))
 
 
-def _outer_walk(pm: PlanarizationMap, d: Drawing) -> list[int]:
+def _least_rotation(walk: list[int]) -> tuple[int, ...]:
+    """The rotation of a walk that starts at its first least node."""
+    i = walk.index(min(walk))
+    return tuple(walk[i:] + walk[:i])
+
+
+def _outer_walk(walks: list[list[int]], d: Drawing) -> list[int]:
     """Nodes of the face that will be pinned, in clockwise order."""
     if d.anchored:
         return list(d.anchors)
-    best: list[int] | None = None
-    best_key = None
-    for orbit in pm.faces:
-        walk = [pm.tail(dart) for dart in orbit]
-        if len(walk) < 3 or len(set(walk)) != len(walk):
-            continue
-        # deterministic: longest walk, ties broken on the rotated node list
-        rots = [tuple(walk[i:] + walk[:i]) for i in range(len(walk))]
-        key = (-len(walk), min(rots))
-        if best is None or key < best_key:
-            best, best_key = walk, key
-    if best is None:
+    simple = [w for w in walks if len(w) >= 3 and len(set(w)) == len(w)]
+    if not simple:
         raise LayoutError(
             "no simple face cycle to pin as the boundary; "
             "the planarization is too loosely connected"
         )
-    return best
+    # deterministic: the least rotation of the longest walks, so the pinned
+    # walk starts at its least node whatever dart its orbit was traced from
+    longest = max(map(len, simple))
+    return list(min(_least_rotation(w) for w in simple if len(w) == longest))
 
 
 def tutte_layout(d: Drawing) -> Layout:
@@ -87,12 +86,13 @@ def tutte_layout(d: Drawing) -> Layout:
     pm = d.planarization
     nodes = list(d.graph.vertices) + list(d.crossing_ids())
 
-    if not pm.arc_nodes:
+    if not pm.arc_tail:
         if nodes:
             raise LayoutError("isolated nodes make the system singular")
         return Layout({}, (), 0.0)
 
-    walk = _outer_walk(pm, d)
+    walks = [[pm.tail(dart) for dart in orbit] for orbit in pm.faces]
+    walk = _outer_walk(walks, d)
     pinned: dict[int, Point] = {
         v: _circle_point(i, len(walk)) for i, v in enumerate(walk)
     }
@@ -100,23 +100,18 @@ def tutte_layout(d: Drawing) -> Layout:
     # adjacency of the augmented graph: planarization arcs (boundary arcs
     # of an anchored drawing included) plus one apex per big face
     adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for (a, b) in pm.arc_nodes.values():
+    for a, b in zip(pm.arc_tail, pm.arc_head):
         adj[a].append(b)
         adj[b].append(a)
 
     apex = max(nodes) + 1 if nodes else 0
-    outer_set = set(walk)
-    for orbit in pm.faces:
-        face_walk = [pm.tail(dart) for dart in orbit]
-        if face_walk and set(face_walk) == outer_set and len(face_walk) == len(walk):
-            # the pinned face itself stays hollow; everything else may
-            # receive an apex (there is exactly one such orbit by choice)
-            rots = {tuple(walk[i:] + walk[:i]) for i in range(len(walk))}
-            rev = list(reversed(walk))
-            rots |= {tuple(rev[i:] + rev[:i]) for i in range(len(rev))}
-            if tuple(face_walk) in rots:
-                continue
-        if len(face_walk) <= 3:
+    # the pinned face itself stays hollow, in either orientation
+    hollow = {_least_rotation(walk), _least_rotation(walk[::-1])}
+    for face_walk in walks:
+        if len(face_walk) <= 3 or (
+            len(face_walk) == len(walk)
+            and _least_rotation(face_walk) in hollow
+        ):
             continue
         adj[apex] = []
         for v in face_walk:
@@ -186,15 +181,14 @@ def tutte_layout(d: Drawing) -> Layout:
 # ------------------------------------------------------------------ audit
 
 
-def _planarization_graph(d: Drawing) -> tuple[Graph, list]:
-    """The planarization as a plain graph, interior arcs only."""
+def _planarization_graph(d: Drawing) -> Graph:
+    """The planarization as a plain graph on its edge arcs: edge i of the
+    result is arc ``len(anchors) + i`` of the drawing's dart map."""
     pm = d.planarization
-    keys = sorted(
-        (k for k in pm.arc_nodes if k[0] == "e"), key=lambda k: (k[1], k[2])
-    )
+    b = len(d.anchors or ())
     nodes = tuple(d.graph.vertices) + d.crossing_ids()
-    edges = tuple(pm.arc_nodes[k] for k in keys)
-    return Graph(nodes, edges, simple=False), keys
+    return Graph(nodes, tuple(zip(pm.arc_tail[b:], pm.arc_head[b:])),
+                 simple=False)
 
 
 def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
@@ -208,7 +202,8 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
     """
     d.require_valid()
     pm = d.planarization
-    pg, keys = _planarization_graph(d)
+    pg = _planarization_graph(d)
+    n_boundary = len(d.anchors or ())
     for v in pg.vertices:
         if v not in layout.coordinates:
             raise LayoutError(f"layout has no coordinates for node {v}")
@@ -229,23 +224,23 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
     except GeometryError as err:
         raise LayoutError(f"layout does not redraw cleanly: {err}") from err
     if redrawn.crossings:
-        x = redrawn.crossings[0]
+        refs = [(e, i) for e in range(d.graph.m)
+                for i in range(len(d.chains[e]) - 1)]
+        e1, e2 = redrawn.crossings[0].edges
         raise LayoutError(
-            f"stray intersection between arcs {keys[x.edges[0]]} "
-            f"and {keys[x.edges[1]]}"
+            f"stray intersection between arcs {refs[e1]} and {refs[e2]}"
         )
 
     # same cyclic (for anchors: linear) arc order around every node
+    anchor_set = set(d.anchors or ())
     for node in pg.vertices:
-        got = tuple(keys[e] for (e, _) in redrawn.rotation.get(node, ()))
-        want = tuple(
-            key for (key, _) in pm.rot.get(node, []) if key[0] == "e"
-        )
+        got = tuple(n_boundary + e for e, _ in redrawn.rotation.get(node, ()))
+        want = tuple(pm.first_arc[e] + i for e, i in d.rotation.get(node, ()))
         if len(got) != len(want):
             raise LayoutError(f"arc count mismatch at node {node}")
         if not got:
             continue
-        if d.anchored and node in set(d.anchors):
+        if node in anchor_set:
             if got != want:
                 raise LayoutError(f"arc order differs at anchor {node}")
             continue

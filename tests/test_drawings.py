@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import pytest
 
-from minkplanar.constructions import build_G2
+from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.errors import InputError
+from minkplanar.frames import build_frame
 from minkplanar.graphs import Graph
 from minkplanar.drawings import (
     Crossing,
@@ -144,6 +145,101 @@ def test_validation_report_stays_with_its_object():
     with pytest.raises(InputError, match="alternation"):
         is_simple(bad)
     assert validate(d) == []
+
+
+def _swapped(refs, i, j):
+    refs = list(refs)
+    refs[i], refs[j] = refs[j], refs[i]
+    return tuple(refs)
+
+
+def _corrupted(name):
+    """The G2 or Gk(4) drawing with one fault of the named family."""
+    g2, gk = build_G2().drawing, build_Gk(4).drawing
+    if name == "chain direction":
+        return replace(gk, chains={**gk.chains, 3: gk.chains[3][::-1]})
+    if name == "crossing label":
+        return replace(g2, crossings=tuple(
+            Crossing(20, (0, 6)) if x.id == 20 else x for x in g2.crossings))
+    if name == "crossing edge pair":
+        return replace(gk, crossings=tuple(
+            Crossing(33, (0, 0)) if x.id == 33 else x for x in gk.crossings))
+    if name == "missing rotation ref":
+        return replace(g2, rotation={**g2.rotation, 19: g2.rotation[19][:1]})
+    if name == "unknown rotation node":
+        return replace(gk, rotation={**gk.rotation, 99: ((0, 0),)})
+    if name == "crossing degree":
+        # a fifth end at a crossing is caught by the rotation check
+        return replace(g2, rotation={
+            **g2.rotation, 20: g2.rotation[20] + ((6, 0),)})
+    if name == "alternation":
+        return replace(gk, rotation={
+            **gk.rotation, 33: _swapped(gk.rotation[33], 1, 2)})
+    if name == "euler":
+        # swapping opposite ends mirrors the crossing
+        return replace(g2, rotation={
+            **g2.rotation, 20: _swapped(g2.rotation[20], 0, 2)})
+    assert name == "boundary"
+    return replace(gk, anchors=gk.anchors[:2] + (gk.anchors[0], 99))
+
+
+REPORTS = {
+    "chain direction": [
+        "chain: edge 3 must run from 9 to 11; got (11, 53, 9)"],
+    "crossing label": [
+        "crossing: node 20 labelled (0, 6) but lies on chains [0, 5]"],
+    "crossing edge pair": ["crossing: node 33 has a bad edge pair (0, 0)"],
+    "missing rotation ref": [
+        "rotation: node 19 lists [(2, 0)] but its chains imply "
+        "[(1, 4), (2, 0)]"],
+    "unknown rotation node": ["rotation: unknown node 99"],
+    "crossing degree": [
+        "rotation: node 20 lists [(0, 0), (0, 1), (5, 0), (5, 1), (6, 0)] "
+        "but its chains imply [(0, 0), (0, 1), (5, 0), (5, 1)]"],
+    "alternation": ["alternation: edges do not alternate at crossing 33"],
+    "euler": ["euler: component has V-E+F = 0, expected 2"],
+    "boundary": [
+        "boundary: repeated anchor", "boundary: anchor 99 is not a vertex"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(REPORTS))
+def test_validate_report_text_is_pinned(family):
+    assert validate(_corrupted(family)) == REPORTS[family]
+
+
+def test_rotation_report_shows_repeated_ends():
+    d = build_G2().drawing
+    bad = replace(d, rotation={**d.rotation, 20: d.rotation[20] + ((0, 0),)})
+    assert validate(bad) == [
+        "rotation: node 20 lists [(0, 0), (0, 0), (0, 1), (5, 0), (5, 1)] "
+        "but its chains imply [(0, 0), (0, 1), (5, 0), (5, 1)]"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_G2().drawing,
+    lambda: build_Gk(4).drawing,
+    lambda: build_frame(build_G2().anchored_graph, 2, 1).drawing,
+], ids=["g2", "gk4", "g2-frame-t1"])
+def test_dart_map_invariants(build):
+    d = build()
+    assert validate(d) == []
+    pm = d.planarization
+    b, n_arcs = len(d.anchors), len(pm.arc_tail)
+    # boundary arcs first, then each edge's segments in edge order
+    assert pm.arc_tail[:b] == list(d.anchors)
+    for e, chain in d.chains.items():
+        arcs = range(pm.first_arc[e], pm.first_arc[e] + len(chain) - 1)
+        assert [pm.arc_tail[a] for a in arcs] == list(chain[:-1])
+        assert [pm.arc_head[a] for a in arcs] == list(chain[1:])
+    # every dart lies in exactly one orbit, and each orbit is a closed walk
+    assert sorted(x for orbit in pm.faces for x in orbit) == list(
+        range(2 * n_arcs))
+    for orbit in pm.faces:
+        for x, y in zip(orbit, orbit[1:] + orbit[:1]):
+            assert pm.tail(x ^ 1) == pm.tail(y)
+    assert pm.faces[0] == tuple(range(0, 2 * b, 2))
+    assert len(d.nodes()) - n_arcs + len(pm.faces) == 2
 
 
 def test_validate_catches_wrong_chain_direction():

@@ -10,10 +10,12 @@ read only through an attribute, and an attribute read on ``self``, ``cls``
 or a package class by name counts only for that class and its bases.
 Dunders are exempt, and so is ``_Parser.error``, which argparse calls.
 The runtime dependencies in ``pyproject.toml`` are exactly the
-third-party packages the package imports.
+third-party packages the package imports, and every function the
+benchmark's tracer wraps still exists under the name it looks up.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -218,3 +220,33 @@ def test_dependencies_are_what_the_package_imports():
     imported = set().union(*(_third_party_imports(p.read_text(encoding="utf-8"))
                              for p in PACKAGE.glob("*.py")))
     assert declared == imported
+
+
+def _unresolved(targets) -> list[str]:
+    """Each ``(name, module, "attr.path", hook)`` target whose path does
+    not resolve on its module."""
+    missing = []
+    for name, module, path, _ in targets:
+        obj = module
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{name}: {module.__name__}.{path}")
+    return missing
+
+
+def test_checker_sees_an_unresolved_target():
+    from minkplanar import drawings
+    assert _unresolved([
+        ("ok", drawings, "PlanarizationMap.__init__", None),
+        ("gone", drawings, "PlanarizationMap.build", None),
+    ]) == ["gone: minkplanar.drawings.PlanarizationMap.build"]
+
+
+def test_traced_benchmark_targets_resolve(monkeypatch):
+    # bench/layers.py names each function it wraps by an attribute path;
+    # a rename in the package must fail here, not in a traced run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    layers = importlib.import_module("layers")
+    assert layers.TARGETS
+    assert _unresolved(layers.TARGETS) == []

@@ -187,6 +187,17 @@ def test_shape_walk_rejects_what_looks_like_an_id():
         drawing_from_json(doc)
 
 
+def test_pointers_escape_slash_and_tilde():
+    doc = _wire(drawing_to_json(build_G2().drawing))
+    doc["chains"]["1/2"] = doc["chains"].pop("1")
+    with pytest.raises(InputError, match=r"^/chains/1~12: key is not"):
+        drawing_from_json(doc)
+    doc = _wire(drawing_to_json(build_G2().drawing))
+    doc["crossings"][0]["a~b/c"] = 0
+    with pytest.raises(InputError, match=r"^/crossings/0/a~0b~1c: unexpected"):
+        drawing_from_json(doc)
+
+
 # ------------------------------------------------------- mutation fuzzing
 
 _REQUIRED = {"vertices", "edges", "graph", "crossings", "chains", "rotation",

@@ -131,6 +131,16 @@ def test_audit_rejects_mirrored_picture():
         audit_layout(d, Layout(flipped, lay.boundary, lay.residual))
 
 
+def test_audit_names_stray_arcs_by_their_refs():
+    d = build_G2().drawing
+    lay = tutte_layout(d)
+    # vertex 19 pulled down past edge 10's lower arc
+    moved = {**lay.coordinates, 19: (0.0, -0.95)}
+    with pytest.raises(LayoutError, match=r"^stray intersection between "
+                       r"arcs \(1, 4\) and \(10, 1\)$"):
+        audit_layout(d, Layout(moved, lay.boundary, lay.residual))
+
+
 def test_audit_turns_only_geometry_faults_into_layout_errors(monkeypatch):
     d = _triangle_hub()
     lay = tutte_layout(d)
