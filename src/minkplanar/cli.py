@@ -19,6 +19,7 @@ timing and size stats, and the tool version.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import random
@@ -110,6 +111,7 @@ def _load_anchored(path: str, rep: RunReport, why: str) -> AnchoredGraph:
 def _emit(doc: Any, out: Optional[str]) -> None:
     text = json.dumps(doc, indent=1, sort_keys=True)
     if out:
+        # one write: json.dump would make one per token
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -123,9 +125,7 @@ def _write_pack(prefix: str, graph_doc: dict, drawing_doc: dict,
     for tag, doc in (("graph", graph_doc), ("drawing", drawing_doc),
                      ("provenance", provenance)):
         path = f"{prefix}.{tag}.json"
-        # one write: json.dump would make one per token
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        _emit(doc, path)
         written.append(path)
     rep.stats["written"] = written
 
@@ -624,6 +624,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     rep = RunReport(command=args.cmd, version=__version__)
     t0 = time.perf_counter()
+    # The cyclic collector is paused while the command runs: its drawings
+    # of up to ~10^5 arcs are small tuples, lists and dicts that hold no
+    # reference cycles, yet each full collection re-walks all of them.
+    # The few cycles a command leaves (the parser, the search's closures)
+    # wait for the collector's first run after it is back on.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.fn(args, rep)
     except InputError as err:
@@ -634,6 +641,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"minkplanar: error: {err}", file=sys.stderr)
         rep.outcome = f"failed: {err}"
         code = 1
+    finally:
+        if was_enabled:
+            gc.enable()
     rep.stats.setdefault("seconds", round(time.perf_counter() - t0, 3))
 
     text = json.dumps(rep.to_json(), sort_keys=True)

@@ -161,7 +161,6 @@ def _graph(obj: dict, where: str) -> Graph | AnchoredGraph:
 _PROBLEM_POINTERS = {
     "boundary": "/outer_face",
     "crossing": "/crossings",
-    "crossing-degree": "/crossings",
     "chain": "/chains",
     "rotation": "/rotation",
     "alternation": "/rotation",

@@ -153,8 +153,8 @@ def tutte_layout(d: Drawing) -> Layout:
                     vals.append(-1.0)
         mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
         if n <= _DIRECT_SOLVE_LIMIT:
-            xs = spsolve(mat, rhs[:, 0])
-            ys = spsolve(mat, rhs[:, 1])
+            # one factorisation serves both coordinate columns
+            xs, ys = spsolve(mat, rhs).T
         else:
             xs, ok_x = cg(mat, rhs[:, 0], rtol=1e-12)
             ys, ok_y = cg(mat, rhs[:, 1], rtol=1e-12)

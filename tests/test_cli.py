@@ -5,12 +5,16 @@ the exit code contract: 0 ok/Found, 1 property-failed/Unsat, 2 budget,
 3 bad input.
 """
 
+import gc
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
+from minkplanar import cli
 from minkplanar.cli import main
+from minkplanar.errors import InputError, MinkplanarError
 
 
 def run(capsys, *argv):
@@ -285,3 +289,81 @@ def test_report_goes_to_file_when_asked(fig1, tmp_path, capsys):
     assert "seconds" in rep["stats"]
     # nothing report-shaped leaked onto stderr
     assert "\"command\"" not in err
+
+
+# ------------------------------------------------------ the paused collector
+
+
+@pytest.fixture()
+def gc_restored():
+    """Hand the collector back as it was, whatever the test left."""
+    was, flags = gc.isenabled(), gc.get_debug()
+    yield
+    gc.garbage.clear()
+    gc.set_debug(flags)
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("raises, want", [
+    (None, 0), (MinkplanarError, 1), (InputError, 3),
+], ids=["ok", "failed", "input-error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_collector_is_paused_while_a_command_runs(monkeypatch, capsys,
+                                                  gc_restored, enabled,
+                                                  raises, want):
+    seen = []
+
+    def fake(args, rep):
+        seen.append(gc.isenabled())
+        if raises:
+            raise raises("boom")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_profile", fake)
+    (gc.enable if enabled else gc.disable)()
+    code, _, _ = run(capsys, "profile", "--drawing", "unread.json")
+    assert gc.isenabled() is enabled
+    assert code == want
+    assert seen == [False]
+
+
+def test_collector_comes_back_when_a_command_crashes(monkeypatch,
+                                                    gc_restored):
+    def crash(args, rep):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setattr(cli, "cmd_profile", crash)
+    gc.enable()
+    with pytest.raises(RuntimeError):
+        main(["profile", "--drawing", "unread.json"])
+    assert gc.isenabled()
+
+
+_CYCLE_FREE = {f"minkplanar.{m}"
+               for m in ("drawings", "layout", "geometry", "frames", "graphs")}
+
+
+def test_paused_commands_leave_no_cycles_through_drawings(tmp_path, capsys,
+                                                          gc_restored):
+    """Run paused, nothing a command builds may wait for the collector."""
+    p = str(tmp_path / "g")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    for argv in (
+        ["gen", "g2", "--out", p],
+        ["frame", "--graph", p + ".graph.json", "--k", "2", "--t", "1",
+         "--out", p + "-fr"],
+        ["compose", "--k", "2", "--t", "1", "--out", p + "-comp"],
+        ["validate", "--drawing", p + "-comp.drawing.json", "--min-k", "2"],
+        ["render", "--drawing", p + "-comp.drawing.json",
+         "--svg", p + ".svg", "--k", "2", "--audit"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    left = list(gc.garbage)
+    # the parser's own cycles are expected; arrays are not tracked, so look
+    # for them among what the unreachable objects hold
+    assert not [o for o in left if type(o).__module__ in _CYCLE_FREE]
+    assert not [r for o in left for r in gc.get_referents(o)
+                if isinstance(r, np.ndarray)]
