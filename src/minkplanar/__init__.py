@@ -25,7 +25,7 @@ from .frames import (
     separation_property_check,
 )
 from .geometry import Scene, on_circle, scene_to_drawing
-from .layout import Layout, SvgStyle, audit_layout, to_svg, tutte_layout
+from .layout import Layout, audit_layout, to_svg, tutte_layout
 from .jsonio import (
     RunReport,
     drawing_from_json,
@@ -72,7 +72,6 @@ __all__ = [
     "PlanarExtraction",
     "RunReport",
     "Scene",
-    "SvgStyle",
     "SearchOutcome",
     "SearchStats",
     "Status",

@@ -3,16 +3,20 @@
 The arrangement starts as the bare boundary circle and grows one curve
 segment at a time: crossing an arc splits it at a fresh degree-4 node,
 finishing a curve attaches it to its endpoint vertex.  Both moves only
-touch a handful of rotation lists, and both can be undone exactly, which
-is what the depth-first existence search needs.
+relink a handful of darts, and the last one can always be undone
+exactly, which is what the depth-first existence search needs.
 
-Darts and rotations follow the drawings module conventions: rotations are
-clockwise, a dart (arc, d) leaves the arc's d-th endpoint, and the face to
-the left of a dart is traced by "next clockwise after the twin".  Anchor
-rotation lists materialise the boundary arcs explicitly, first and last,
-so face tracing needs no special cases; the gap between the last and
-first entries of an anchor is the outside of the disk and is never a
-legal corner.
+Arcs and darts follow ``drawings.PlanarizationMap``: the boundary arcs
+come first, arc i running from anchor i to anchor i+1, and arc a has the
+darts 2a, leaving its tail, and 2a+1, leaving its head, so a dart's twin
+is d ^ 1.  The darts leaving a node form a clockwise ring, kept in the
+flat lists ``ring_next`` and ``ring_prev``, and the face to the left of a
+dart is traced by ``drawings.face_orbit`` ("next clockwise after the
+twin"), the same walk the map uses.  An anchor's ring holds its two
+boundary darts, so face tracing needs no special cases; the corner just
+before the forward boundary dart is the outside of the disk and is never
+a legal one.  A split leaves the crossed dart where it is and hands the
+far end to a new arc of the same orientation, so no arc is re-oriented.
 """
 
 from __future__ import annotations
@@ -25,189 +29,174 @@ from .graphs import AnchoredGraph
 
 BOUNDARY = -1
 
-Dart = tuple[int, int]
-
 
 class Cursor(NamedTuple):
     """Position of the head of a partial curve: a corner of the arrangement.
 
-    ``gap`` indexes the corner in the clockwise rotation list of ``node``
-    (between entries gap and gap+1).  ``banned`` holds the two arc pieces
-    flanking a crossing entry; crossing them again right away would create
-    an empty lens, so the search skips them.
+    ``dart`` is the dart just clockwise of the corner, among those leaving
+    the head's node.  ``banned`` holds the two arc pieces flanking a
+    crossing; crossing them again right away would create an empty lens,
+    so the search skips them.
     """
 
-    node: int
-    gap: int
+    dart: int
     banned: tuple[int, ...]
 
 
 class Arrangement:
     def __init__(self, anchored: AnchoredGraph):
         g = anchored.graph
-        if len(anchored.anchors) < 2:
+        anchors = anchored.anchors
+        if len(anchors) < 2:
             raise InputError("routing needs at least two anchors")
-        self.graph = g
-        self.anchors = tuple(anchored.anchors)
-        self.anchor_set = set(self.anchors)
-        self.rot: dict[int, list[int]] = {}
-        self.arc_nodes: dict[int, tuple[int, int]] = {}
-        self.arc_owner: dict[int, int] = {}
+        b = len(anchors)
+        self.anchor_set = set(anchors)
+        self.arc_owner: list[int] = [BOUNDARY] * b
+        self.dart_tail: list[int] = [
+            x for i, a in enumerate(anchors) for x in (a, anchors[(i + 1) % b])]
+        # clockwise at anchor i: the forward boundary dart, then the
+        # backward one; a node's ring start is where its rotation begins
+        self.ring_next: list[int] = [0] * (2 * b)
+        self.ring_prev: list[int] = [0] * (2 * b)
+        self.ring_start: dict[int, int] = {}
+        for i, a in enumerate(anchors):
+            fwd, back = 2 * i, 2 * ((i - 1) % b) + 1
+            self.ring_next[fwd] = self.ring_prev[fwd] = back
+            self.ring_next[back] = self.ring_prev[back] = fwd
+            self.ring_start[a] = fwd
         self.crossing_edges: dict[int, tuple[int, int]] = {}
-        self.chains: dict[int, list[int]] = {}
-        self.route_tail: dict[int, int] = {}
         self.pair_counts: collections.Counter = collections.Counter()
         self.edge_counts: collections.Counter = collections.Counter()
         self.partners: dict[int, set[int]] = collections.defaultdict(set)
-        self.placed: set[int] = set()
-        self._arc_seq = 0
         self._node_seq = (max(g.vertices) + 1) if g.vertices else 0
 
-        n = len(self.anchors)
-        boundary = []
-        for i in range(n):
-            boundary.append(
-                self._new_arc(self.anchors[i], self.anchors[(i + 1) % n],
-                              BOUNDARY)
-            )
-        self.boundary_arcs = tuple(boundary)
-        for i, a in enumerate(self.anchors):
-            self.rot[a] = [boundary[i], boundary[i - 1]]
-            self.placed.add(a)
+    # ------------------------------------------------------------ rings
 
-    # ------------------------------------------------------------- arcs
+    def ring(self, node: int) -> list[int]:
+        """The darts leaving a placed ``node``, clockwise from its start."""
+        start = self.ring_start[node]
+        out = [start]
+        dart = self.ring_next[start]
+        while dart != start:
+            out.append(dart)
+            dart = self.ring_next[dart]
+        return out
 
-    def _new_arc(self, a: int, b: int, owner: int) -> int:
-        i = self._arc_seq
-        self._arc_seq += 1
-        self.arc_nodes[i] = (a, b)
-        self.arc_owner[i] = owner
-        return i
-
-    def _drop_arc(self, i: int) -> None:
-        del self.arc_nodes[i]
-        del self.arc_owner[i]
-        self._arc_seq = i
-
-    # ------------------------------------------------------------ darts
-
-    def phi(self, dart: Dart) -> Dart:
-        """Next dart of the face to the left of ``dart``."""
-        arc, d = dart
-        h = self.arc_nodes[arc][1 - d]
-        entries = self.rot[h]
-        nxt = entries[(entries.index(arc) + 1) % len(entries)]
-        return (nxt, 0 if self.arc_nodes[nxt][0] == h else 1)
-
-    def face(self, start: Dart) -> list[Dart]:
-        orbit = [start]
-        d = self.phi(start)
-        while d != start:
-            orbit.append(d)
-            d = self.phi(d)
-        return orbit
-
-    def corner_dart(self, node: int, gap: int) -> Dart:
-        """The face through corner ``gap`` contains this outgoing dart."""
-        entries = self.rot[node]
-        nxt = entries[(gap + 1) % len(entries)]
-        return (nxt, 0 if self.arc_nodes[nxt][0] == node else 1)
-
-    def corners(self, node: int) -> range:
-        n = len(self.rot[node])
+    def corners(self, node: int) -> list[int]:
+        """The legal corners at ``node``, each as the dart after it."""
+        darts = self.ring(node)
         if node in self.anchor_set:
-            return range(n - 1)  # the wrap-around gap faces the outside
-        return range(n)
+            return darts[1:]  # the corner before the start faces the outside
+        return darts[1:] + darts[:1]
+
+    def _insert_before(self, new: int, dart: int) -> None:
+        nxt, prv = self.ring_next, self.ring_prev
+        before = prv[dart]
+        nxt[before], prv[new], nxt[new], prv[dart] = new, before, dart, new
+
+    def _unlink(self, dart: int) -> None:
+        nxt, prv = self.ring_next, self.ring_prev
+        before, after = prv[dart], nxt[dart]
+        nxt[before], prv[after] = after, before
+
+    def _replace(self, old: int, new: int) -> None:
+        """Puts ``new`` in the place of ``old`` in its ring."""
+        self._insert_before(new, old)
+        self._unlink(old)
+        node = self.dart_tail[new]
+        if self.ring_start[node] == old:
+            self.ring_start[node] = new
 
     # --------------------------------------------------------- routing
 
-    def begin_edge(self, e: int, from_vertex: int) -> None:
-        self.chains[e] = [from_vertex]
-        self.route_tail[e] = from_vertex
-
-    def abort_edge(self, e: int) -> None:
-        del self.chains[e]
-        del self.route_tail[e]
-
-    def commit_cross(self, e: int, cursor: Cursor, dart: Dart):
-        """Extend the curve of e across ``dart``; returns (cursor, token)."""
-        alpha, dd = dart
-        a = self.arc_nodes[alpha][dd]
-        b = self.arc_nodes[alpha][1 - dd]
-        g = self.arc_owner[alpha]
-        old_pair = self.arc_nodes[alpha]
+    def commit_cross(self, e: int, cursor: Cursor, dart: int) -> Cursor:
+        """Extend the curve of e across the arc of ``dart``, which lies in
+        the cursor's face; returns the cursor just past the crossing."""
+        owner, tail = self.arc_owner, self.dart_tail
+        alpha = dart >> 1
+        g = owner[alpha]
+        far = dart ^ 1
+        b = tail[far]
         q = self._node_seq
         self._node_seq += 1
-        beta = self._new_arc(q, b, g)
-        self.arc_nodes[alpha] = (a, q)
-        rb = self.rot[b]
-        ib = rb.index(alpha)
-        rb[ib] = beta
-        p, gap = cursor.node, cursor.gap
-        s = self._new_arc(p, q, e)
-        self.rot[p].insert(gap + 1, s)
-        # entering from the left of a->b: clockwise at q the curve-in end,
-        # the piece towards b, the reserved exit slot, the piece towards a
-        self.rot[q] = [s, beta, alpha]
+        # beta takes over alpha's far end: dart bq leaves q, bb leaves b
+        beta = len(owner)
+        bq = 2 * beta + (dart & 1)
+        bb = bq ^ 1
+        sp = 2 * beta + 2
+        sq = sp + 1
+        owner += (g, e)
+        tail += (q, b) if bq < bb else (b, q)
+        tail += (tail[cursor.dart], q)
+        self.ring_next += (0, 0, 0, 0)
+        self.ring_prev += (0, 0, 0, 0)
+        # insert before splitting: if the cursor sits before the far end,
+        # the new segment then stays before beta's dart that takes its place
+        self._insert_before(sp, cursor.dart)
+        self._replace(far, bb)
+        tail[far] = q
+        # entering from the left of the crossed dart: clockwise at q the
+        # curve-in end, the piece towards b, then the piece back towards
+        # the crossed dart's tail, before which lies the exit corner
+        self.ring_next[sq], self.ring_next[bq], self.ring_next[far] = bq, far, sq
+        self.ring_prev[bq], self.ring_prev[far], self.ring_prev[sq] = sq, bq, far
+        self.ring_start[q] = sq
         self.crossing_edges[q] = (g, e)
-        key = (min(g, e), max(g, e))
-        self.pair_counts[key] += 1
+        self.pair_counts[(min(g, e), max(g, e))] += 1
         self.edge_counts[g] += 1
         self.edge_counts[e] += 1
         self.partners[g].add(e)
         self.partners[e].add(g)
-        self.chains[e].append(q)
-        # the crossed edge's chain gains q between the split arc's ends
-        cg = self.chains[g]
-        ig = next(i for i in range(len(cg) - 1)
-                  if {cg[i], cg[i + 1]} == {a, b})
-        cg.insert(ig + 1, q)
-        token = ("x", e, alpha, beta, s, old_pair, b, ib, p, gap, q, key, ig)
-        return Cursor(q, 1, (beta, alpha)), token
+        return Cursor(far, (beta, alpha))
 
     def commit_finish(self, e: int, cursor: Cursor, v: int,
-                      vgap: Optional[int]):
-        """Attach the last segment of e to v; vgap None places v afresh."""
-        p, gap = cursor.node, cursor.gap
-        s = self._new_arc(p, v, e)
-        self.rot[p].insert(gap + 1, s)
-        if vgap is None:
-            self.rot[v] = [s]
-            self.placed.add(v)
+                      corner: Optional[int]) -> None:
+        """Attach the last segment of e to v before the dart ``corner``;
+        ``corner`` None places v afresh."""
+        s = len(self.arc_owner)
+        self.arc_owner.append(e)
+        self.dart_tail += (self.dart_tail[cursor.dart], v)
+        self.ring_next += (0, 0)
+        self.ring_prev += (0, 0)
+        self._insert_before(2 * s, cursor.dart)
+        if corner is None:
+            self.ring_next[2 * s + 1] = self.ring_prev[2 * s + 1] = 2 * s + 1
+            self.ring_start[v] = 2 * s + 1
         else:
-            self.rot[v].insert(vgap + 1, s)
-        self.chains[e].append(v)
-        return ("f", e, s, p, gap, v, vgap)
+            self._insert_before(2 * s + 1, corner)
 
-    def undo(self, token) -> None:
-        if token[0] == "x":
-            _, e, alpha, beta, s, old_pair, b, ib, p, gap, q, key, ig = token
-            g = self.arc_owner[alpha]
-            del self.chains[g][ig + 1]
-            del self.rot[q]
-            self.rot[b][ib] = alpha
-            self.arc_nodes[alpha] = old_pair
-            del self.rot[p][gap + 1]
-            self._drop_arc(s)
-            self._drop_arc(beta)
-            del self.crossing_edges[q]
-            self._node_seq = q
+    def undo(self) -> None:
+        """Takes back the latest commit still in place."""
+        owner, tail, nxt = self.arc_owner, self.dart_tail, self.ring_next
+        s = len(owner) - 1
+        e = owner[s]
+        end = tail[2 * s + 1]
+        self._unlink(2 * s)
+        if end in self.crossing_edges:
+            # clockwise at the crossing: the curve's end, beta, the far end
+            bq = nxt[2 * s + 1]
+            far = nxt[bq]
+            tail[far] = tail[bq ^ 1]
+            self._replace(bq ^ 1, far)
+            del self.ring_start[end]
+            g, _ = self.crossing_edges.pop(end)
+            self._node_seq = end
+            key = (min(g, e), max(g, e))
             self.pair_counts[key] -= 1
             if not self.pair_counts[key]:
                 del self.pair_counts[key]
-                g = self.arc_owner[alpha]
                 self.partners[g].discard(e)
                 self.partners[e].discard(g)
-            self.edge_counts[self.arc_owner[alpha]] -= 1
+            self.edge_counts[g] -= 1
             self.edge_counts[e] -= 1
-            self.chains[e].pop()
+            arcs = 2
         else:
-            _, e, s, p, gap, v, vgap = token
-            del self.rot[p][gap + 1]
-            if vgap is None:
-                del self.rot[v]
-                self.placed.discard(v)
+            if nxt[2 * s + 1] == 2 * s + 1:
+                del self.ring_start[end]
             else:
-                del self.rot[v][vgap + 1]
-            self._drop_arc(s)
-            self.chains[e].pop()
+                self._unlink(2 * s + 1)
+            arcs = 1
+        del owner[-arcs:]
+        del tail[-2 * arcs:]
+        del nxt[-2 * arcs:]
+        del self.ring_prev[-2 * arcs:]

@@ -20,10 +20,12 @@ Faces are traced by ``PlanarizationMap``, which numbers the arcs (the
 boundary arcs first, then each edge's segments in edge order) and gives
 arc a the darts 2a and 2a+1, one leaving each end.  With clockwise
 rotations the face to the left of a dart is traced by following "next
-clockwise after the twin".  For a valid anchored drawing the face to the
-left of the forward boundary darts is the region outside the disk; the
-map splices those darts at the two ends of each anchor's rotation, so
-their orbit is exactly the forward darts by construction.
+clockwise after the twin" (``face_orbit``).  For a valid anchored drawing
+the face to the left of the forward boundary darts is the region outside
+the disk; the map splices those darts at the two ends of each anchor's
+rotation, so their orbit is exactly the forward darts by construction.
+The existence search's ``arrangement.Arrangement`` keeps its darts in the
+same numbering and traces its faces with the same ``face_orbit``.
 
 Each drawing object is validated once: ``validate`` keeps its report on
 the object and ``Drawing.planarization`` keeps the one dart map, so every
@@ -96,6 +98,17 @@ class Drawing:
 # 2a leaves arc a's tail and dart 2a+1 its head, so a dart's twin is d ^ 1.
 
 
+def face_orbit(nxt: list[int], start: int) -> list[int]:
+    """The darts of the face left of ``start``, from ``start`` on; ``nxt``
+    gives the next dart clockwise around each dart's tail."""
+    orbit = [start]
+    dart = nxt[start ^ 1]
+    while dart != start:
+        orbit.append(dart)
+        dart = nxt[dart ^ 1]
+    return orbit
+
+
 class PlanarizationMap:
     """Compiled dart structure of a drawing, used for face tracing.
 
@@ -139,19 +152,14 @@ class PlanarizationMap:
         Orbits come in the order of their least dart and start there, so
         an anchored drawing's forward boundary darts lead.
         """
-        nxt = self._next
-        seen = bytearray(len(nxt))
+        seen = bytearray(len(self._next))
         out = []
-        for start in range(len(nxt)):
-            if seen[start]:
-                continue
-            orbit = []
-            dart = start
-            while not seen[dart]:
-                seen[dart] = 1
-                orbit.append(dart)
-                dart = nxt[dart ^ 1]
-            out.append(tuple(orbit))
+        for start in range(len(self._next)):
+            if not seen[start]:
+                orbit = face_orbit(self._next, start)
+                for dart in orbit:
+                    seen[dart] = 1
+                out.append(tuple(orbit))
         return tuple(out)
 
 

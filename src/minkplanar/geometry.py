@@ -13,7 +13,7 @@ must sit on a common circle, listed clockwise, and every route must stay
 inside the closed disk.
 
 Candidate pairs come from sorting and sweeping bounding boxes: each route
-piece and each vertex gets a box grown by 32 tol, and boxes are paired
+piece and each vertex gets a box grown by 32 TOL, and boxes are paired
 with those that start inside their x-range and meet their y-range,
 expanded a slice at a time to bound memory.
 """
@@ -31,6 +31,10 @@ from .graphs import Graph
 from .drawings import ArcRef, Crossing, Drawing
 
 Point = tuple[float, float]
+
+# the converter's tolerance: points this close count as one, and the
+# candidate boxes and vertex clearances are multiples of it
+TOL = 1e-9
 
 
 def on_circle(radius: float, degrees: float) -> Point:
@@ -146,15 +150,15 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.concatenate(pairs, axis=1)
 
 
-def _clean_route(route, tol: float):
+def _clean_route(route):
     pts = [route[0]]
     for p in route[1:]:
-        if _dist(p, pts[-1]) > tol:
+        if _dist(p, pts[-1]) > TOL:
             pts.append(p)
     return pts
 
 
-def _check_scene(scene: Scene, tol: float) -> float | None:
+def _check_scene(scene: Scene) -> float | None:
     g = scene.graph
     for v in g.vertices:
         if v not in scene.positions:
@@ -192,9 +196,7 @@ def _check_scene(scene: Scene, tol: float) -> float | None:
     return radius
 
 
-def scene_to_drawing(
-    scene: Scene, tol: float = 1e-9
-) -> tuple[Drawing, dict[int, Point]]:
+def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     """Builds the combinatorial drawing a scene depicts.
 
     Returns the drawing and a map from crossing node id to coordinates.
@@ -202,12 +204,12 @@ def scene_to_drawing(
     conversion bugs on top of the geometry checks.
     """
     g = scene.graph
-    radius = _check_scene(scene, tol)
+    radius = _check_scene(scene)
 
     routes: dict[int, list[Point]] = {}
     for e in range(g.m):
         u, v = g.edges[e]
-        r = _clean_route(scene.routes[e], tol)
+        r = _clean_route(scene.routes[e])
         if len(r) < 2:
             raise GeometryError(f"route of edge {e} collapses to a point")
         if _dist(r[0], scene.positions[u]) > 1e-6:
@@ -221,7 +223,7 @@ def scene_to_drawing(
         for (ax, ay), (bx, by), (cx, cy) in zip(r, r[1:], r[2:]):
             px, py, qx, qy = bx - ax, by - ay, cx - bx, cy - by
             if px * qx + py * qy < 0.0 and abs(px * qy - py * qx) <= (
-                tol * math.hypot(px, py) * math.hypot(qx, qy)
+                TOL * math.hypot(px, py) * math.hypot(qx, qy)
             ):
                 raise GeometryError(f"route of edge {e} doubles back on itself")
         routes[e] = r
@@ -229,7 +231,7 @@ def scene_to_drawing(
     if radius is not None:
         for e, r in routes.items():
             for i, p in enumerate(r):
-                limit = radius + 1e-9 if i in (0, len(r) - 1) else radius - tol
+                limit = radius + 1e-9 if i in (0, len(r) - 1) else radius - TOL
                 if _dist(p, (0.0, 0.0)) > limit:
                     raise GeometryError(
                         f"route of edge {e} leaves the boundary disk"
@@ -272,10 +274,10 @@ def scene_to_drawing(
         end_u = np.array([vrow[u] for (u, _) in g.edges], dtype=np.int64)
         end_v = np.array([vrow[v] for (_, v) in g.edges], dtype=np.int64)
 
-        # candidates: the boxes of all pieces and vertices, grown by 32 tol,
-        # so that any two within 64 tol of each other pair up; sorted keys
+        # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
+        # so that any two within 64 TOL of each other pair up; sorted keys
         # make the first fault found independent of the sweep's order
-        grow = 32.0 * tol
+        grow = 32.0 * TOL
         first, second = _overlapping_boxes(
             np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
             np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
@@ -300,7 +302,7 @@ def scene_to_drawing(
             gap = np.hypot(
                 px - SA[qs, 0] - tt * dx, py - SA[qs, 1] - tt * dy
             )
-            hit_at = np.flatnonzero(gap <= 16.0 * tol)
+            hit_at = np.flatnonzero(gap <= 16.0 * TOL)
             if hit_at.size:
                 b = int(hit_at[0])
                 raise GeometryError(
@@ -326,8 +328,8 @@ def scene_to_drawing(
         denom = rx * sy - ry * sx
         len_r = SLEN[plo]
         len_s = SLEN[phi]
-        par = np.abs(denom) <= tol * len_r * len_s
-        on_line = np.abs(acx * ry - acy * rx) <= tol * len_r
+        par = np.abs(denom) <= TOL * len_r * len_s
+        on_line = np.abs(acx * ry - acy * rx) <= TOL * len_r
 
         # parallel collinear pairs are rare; classify them one at a time
         for j in np.flatnonzero(par & on_line):
@@ -338,7 +340,7 @@ def scene_to_drawing(
                 (float(SB[plo[j], 0]), float(SB[plo[j], 1])),
                 (float(SA[phi[j], 0]), float(SA[phi[j], 1])),
                 (float(SB[phi[j], 0]), float(SB[phi[j], 1])),
-                tol,
+                TOL,
             )
             if hit is None:
                 continue
@@ -351,7 +353,7 @@ def scene_to_drawing(
             if hit[0] == "touch":
                 pt = hit[1]
                 shared = set(g.edges[a1]) & set(g.edges[a2])
-                if any(_dist(pt, vert_pos[v]) <= 16.0 * tol for v in shared):
+                if any(_dist(pt, vert_pos[v]) <= 16.0 * TOL for v in shared):
                     continue
                 raise GeometryError(
                     f"edges {a1} and {a2} touch without crossing near {pt}"
@@ -370,8 +372,8 @@ def scene_to_drawing(
         act = np.flatnonzero(~par)
         uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
         vv = (acx[act] * ry[act] - acy[act] * rx[act]) / denom[act]
-        eu = tol / len_r[act]
-        ev = tol / len_s[act]
+        eu = TOL / len_r[act]
+        ev = TOL / len_s[act]
         inside = (uu >= -eu) & (uu <= 1.0 + eu) & (vv >= -ev) & (vv <= 1.0 + ev)
         crossed = (
             inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
@@ -393,7 +395,7 @@ def scene_to_drawing(
                 for c2 in (end_u[SE[phi[ti]]], end_v[SE[phi[ti]]]):
                     ok |= (c1 == c2) & (
                         np.hypot(tpx - pos_arr[c1, 0], tpy - pos_arr[c1, 1])
-                        <= 16.0 * tol
+                        <= 16.0 * TOL
                     )
             bad = np.flatnonzero(~ok)
             if bad.size:
@@ -426,9 +428,9 @@ def scene_to_drawing(
                 )
 
         if crossings_raw:
-            # each crossing as a point against vertex boxes grown by 16 tol
+            # each crossing as a point against vertex boxes grown by 16 TOL
             xy = np.array([rec[4] for rec in crossings_raw], dtype=float)
-            nv, near = len(vids), 16.0 * tol
+            nv, near = len(vids), 16.0 * TOL
             v, c = _overlapping_boxes(np.concatenate((pos_arr - near, xy)),
                                       np.concatenate((pos_arr + near, xy)))
             mixed = (v < nv) & (c >= nv)
@@ -467,7 +469,7 @@ def scene_to_drawing(
         u, v = g.edges[e]
         mids = sorted(along.get(e, []))
         for (sa, xa), (sb, xb) in zip(mids, mids[1:]):
-            if sb - sa <= 16.0 * tol:
+            if sb - sa <= 16.0 * TOL:
                 raise GeometryError(
                     f"crossings {xa} and {xb} are too close on edge {e}"
                 )
@@ -482,13 +484,13 @@ def scene_to_drawing(
         r = routes[e]
         if outgoing:
             j = 0
-            while j < len(acc) - 2 and acc[j + 1] <= s + tol:
+            while j < len(acc) - 2 and acc[j + 1] <= s + TOL:
                 j += 1
             dx = r[j + 1][0] - r[j][0]
             dy = r[j + 1][1] - r[j][1]
         else:
             j = len(acc) - 2
-            while j > 0 and acc[j] >= s - tol:
+            while j > 0 and acc[j] >= s - TOL:
                 j -= 1
             dx = r[j][0] - r[j + 1][0]
             dy = r[j][1] - r[j + 1][1]

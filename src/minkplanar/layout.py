@@ -20,7 +20,7 @@ bend points of their two curves, not dots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -191,7 +191,7 @@ def _planarization_graph(d: Drawing) -> Graph:
                  simple=False)
 
 
-def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
+def audit_layout(d: Drawing, layout: Layout) -> None:
     """Checks that straight arcs at these coordinates redraw ``d`` exactly.
 
     The planarization is handed to the scene converter as a graph in its
@@ -220,7 +220,7 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
         radius=1.0 if d.anchored else None,
     )
     try:
-        redrawn, _ = scene_to_drawing(scene, tol=tol / 1000.0)
+        redrawn, _ = scene_to_drawing(scene)
     except GeometryError as err:
         raise LayoutError(f"layout does not redraw cleanly: {err}") from err
     if redrawn.crossings:
@@ -255,21 +255,19 @@ def audit_layout(d: Drawing, layout: Layout, tol: float = 1e-6) -> None:
 # -------------------------------------------------------------------- svg
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    size: int = 640
-    margin: float = 0.07
-    background: str = "#ffffff"
-    boundary_color: str = "#9aa4ae"
-    edge_color: str = "#34495e"
-    heavy_color: str = "#c0392b"
-    edge_width: float = 1.3
-    heavy_width: float = 2.8
-    vertex_color: str = "#111111"
-    vertex_radius: float = 2.4
-    anchor_color: str = "#1a6b9a"
-    anchor_radius: float = 4.2
-    extras: dict = field(default_factory=dict)
+# the one picture style of ``to_svg``
+SVG_SIZE = 640
+SVG_MARGIN = 0.07
+BACKGROUND = "#ffffff"
+BOUNDARY_COLOR = "#9aa4ae"
+EDGE_COLOR = "#34495e"
+HEAVY_COLOR = "#c0392b"
+EDGE_WIDTH = 1.3
+HEAVY_WIDTH = 2.8
+VERTEX_COLOR = "#111111"
+VERTEX_RADIUS = 2.4
+ANCHOR_COLOR = "#1a6b9a"
+ANCHOR_RADIUS = 4.2
 
 
 def _fmt(v: float) -> str:
@@ -277,19 +275,13 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def to_svg(
-    d: Drawing,
-    layout: Layout,
-    style: SvgStyle | None = None,
-    k: int | None = None,
-) -> str:
+def to_svg(d: Drawing, layout: Layout, k: int | None = None) -> str:
     """Deterministic standalone SVG for a drawing at these coordinates.
 
     With ``k`` given, edges crossed more than k times are drawn in the
     heavy style.  Crossing nodes are not marked; each edge is one
     polyline through its chain.
     """
-    st = style or SvgStyle()
     coords = layout.coordinates
     for v in d.graph.vertices:
         if v not in coords:
@@ -298,8 +290,8 @@ def to_svg(
         if x.id not in coords:
             raise LayoutError(f"layout has no coordinates for node {x.id}")
 
-    half = st.size / 2.0
-    scale = half * (1.0 - st.margin)
+    half = SVG_SIZE / 2.0
+    scale = half * (1.0 - SVG_MARGIN)
 
     def pix(p: Point) -> tuple[float, float]:
         return (half + scale * p[0], half - scale * p[1])
@@ -312,16 +304,15 @@ def to_svg(
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{st.size}" '
-        f'height="{st.size}" viewBox="0 0 {st.size} {st.size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     )
     out.append(
-        f'<rect width="{st.size}" height="{st.size}" '
-        f'fill="{st.background}"/>'
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="{BACKGROUND}"/>'
     )
     out.append(
         f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(scale)}" '
-        f'fill="none" stroke="{st.boundary_color}" stroke-width="1" '
+        f'fill="none" stroke="{BOUNDARY_COLOR}" stroke-width="1" '
         'stroke-dasharray="6 5"/>'
     )
 
@@ -332,8 +323,8 @@ def to_svg(
                 f"{_fmt(x)},{_fmt(y)}"
                 for x, y in (pix(coords[nd]) for nd in d.chains[e])
             )
-            color = st.heavy_color if e in heavy else st.edge_color
-            width = st.heavy_width if e in heavy else st.edge_width
+            color = HEAVY_COLOR if e in heavy else EDGE_COLOR
+            width = HEAVY_WIDTH if e in heavy else EDGE_WIDTH
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 f'stroke-width="{width}" stroke-linejoin="round" '
@@ -346,12 +337,12 @@ def to_svg(
         if v in anchor_set:
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                f'r="{st.anchor_radius}" fill="{st.anchor_color}"/>'
+                f'r="{ANCHOR_RADIUS}" fill="{ANCHOR_COLOR}"/>'
             )
         else:
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                f'r="{st.vertex_radius}" fill="{st.vertex_color}"/>'
+                f'r="{VERTEX_RADIUS}" fill="{VERTEX_COLOR}"/>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -5,7 +5,10 @@ new curve can run through the current arrangement, crossing one arc per
 step.  Enumerating crossings against live arc pieces (rather than walks
 in a frozen dual) keeps the face structure exact when a curve revisits a
 face, so every planarization gets generated exactly once up to the lens
-reductions noted below.
+reductions noted below.  The arrangement numbers darts as
+``drawings.PlanarizationMap`` does and traces faces with the same
+``drawings.face_orbit``; edge chains are only walked off the finished
+arrangement, for the certificate.
 
 Two route shapes are deliberately skipped: re-crossing an arc piece next
 to the crossing just made (an empty lens), and any pair of edges
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arrangement import BOUNDARY, Arrangement, Cursor
-from .drawings import Crossing, Drawing, is_min_k_planar, is_simple, validate
+from .drawings import (Crossing, Drawing, face_orbit, is_min_k_planar,
+                       is_simple, validate)
 from .errors import InputError
 from .graphs import AnchoredGraph
 
@@ -120,31 +124,32 @@ def insertion_order(ag: AnchoredGraph) -> tuple[int, ...]:
 
 
 def _assemble(arr: Arrangement, ag: AnchoredGraph) -> Drawing:
+    """The drawing of a finished arrangement, chains walked off its rings."""
     g = ag.graph
-    chains = {}
-    for e in range(g.m):
-        ch = list(arr.chains[e])
-        if ch[0] != g.edges[e][0]:
-            ch.reverse()
-        chains[e] = tuple(ch)
-    pos = {e: {nd: i for i, nd in enumerate(chains[e])} for e in chains}
-    refs = {}
-    for arc, (x, y) in arr.arc_nodes.items():
-        own = arr.arc_owner[arc]
-        if own == BOUNDARY:
-            continue
-        refs[arc] = (own, min(pos[own][x], pos[own][y]))
+    nxt, tail = arr.ring_next, arr.dart_tail
+    chains, refs = {}, {}
+    for e, (u, _) in enumerate(g.edges):
+        dart = next(x for x in arr.ring(u) if arr.arc_owner[x >> 1] == e)
+        chain = [u]
+        while True:
+            refs[dart >> 1] = (e, len(chain) - 1)
+            node = tail[dart ^ 1]
+            chain.append(node)
+            if node not in arr.crossing_edges:
+                break
+            dart = nxt[nxt[dart ^ 1]]
+        chains[e] = tuple(chain)
     rotation = {}
     for v in g.vertices:
-        entries = arr.rot.get(v, [])
+        darts = arr.ring(v) if v in arr.ring_start else []
         if v in arr.anchor_set:
-            entries = entries[1:-1]
-        rotation[v] = tuple(refs[a] for a in entries)
+            darts = darts[1:-1]
+        rotation[v] = tuple(refs[x >> 1] for x in darts)
     crossings = []
     for q in sorted(arr.crossing_edges):
         pair = arr.crossing_edges[q]
         crossings.append(Crossing(q, (min(pair), max(pair))))
-        rotation[q] = tuple(refs[a] for a in arr.rot[q])
+        rotation[q] = tuple(refs[x >> 1] for x in arr.ring(q))
     return Drawing(graph=g, crossings=tuple(crossings), chains=chains,
                    rotation=rotation, anchors=ag.anchors)
 
@@ -222,20 +227,20 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
 
     def extend(e: int, idx: int, target: int, cursor: Cursor) -> None:
         tick()
-        orbit = arr.face(arr.corner_dart(cursor.node, cursor.gap))
+        orbit = face_orbit(arr.ring_next, cursor.dart)
         oset = set(orbit)
-        if target in arr.placed:
-            for vg in arr.corners(target):
-                if arr.corner_dart(target, vg) in oset:
-                    tok = arr.commit_finish(e, cursor, target, vg)
+        if target in arr.ring_start:
+            for corner in arr.corners(target):
+                if corner in oset:
+                    arr.commit_finish(e, cursor, target, corner)
                     after_route(idx)
-                    arr.undo(tok)
+                    arr.undo()
         else:
-            tok = arr.commit_finish(e, cursor, target, None)
+            arr.commit_finish(e, cursor, target, None)
             after_route(idx)
-            arr.undo(tok)
+            arr.undo()
         for dart in orbit:
-            arc = dart[0]
+            arc = dart >> 1
             own = arr.arc_owner[arc]
             if own == BOUNDARY or own == e or arc in cursor.banned:
                 continue
@@ -247,24 +252,20 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
                 continue
             if arr.edge_counts[own] >= k and arr.edge_counts[e] >= k:
                 continue  # the new crossing would make both exceed k
-            ncur, tok = arr.commit_cross(e, cursor, dart)
+            ncur = arr.commit_cross(e, cursor, dart)
             if not mink_dead(e, own):
                 extend(e, idx, target, ncur)
-            arr.undo(tok)
+            arr.undo()
 
     def route(idx: int) -> None:
         if idx == len(order):
             raise _Found(_assemble(arr, ag))
         e = order[idx]
         u, v = g.edges[e]
-        if u not in arr.placed:
+        if u not in arr.ring_start:  # a vertex is placed once it has a ring
             u, v = v, u
-        arr.begin_edge(e, u)
-        try:
-            for gap in arr.corners(u):
-                extend(e, idx, v, Cursor(u, gap, ()))
-        finally:
-            arr.abort_edge(e)
+        for corner in arr.corners(u):
+            extend(e, idx, v, Cursor(corner, ()))
 
     status = Status.EXHAUSTED_UNSAT
     certificate = None
@@ -278,6 +279,10 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         certificate = hit.drawing
     except _Stop:
         status = Status.BUDGET_EXCEEDED
+    finally:
+        # extend reaches itself through closure cells, directly and via
+        # route; clearing both lets reference counting free the arrangement
+        extend = route = None
     stats.seconds = time.perf_counter() - t0
     return SearchOutcome(status=status, certificate=certificate, stats=stats)
 

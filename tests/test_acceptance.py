@@ -210,4 +210,4 @@ def test_criterion_10_every_bundled_drawing_renders_and_audits():
     for name, d in bundled:
         layout = tutte_layout(d)
         assert layout.residual < 1e-9, name
-        audit_layout(d, layout, tol=1e-6)
+        audit_layout(d, layout)

@@ -9,9 +9,11 @@ outside its own body, or be exported in ``__all__``.  A method counts as
 read only through an attribute, and an attribute read on ``self``, ``cls``
 or a package class by name counts only for that class and its bases.
 Dunders are exempt, and so is ``_Parser.error``, which argparse calls.
-The runtime dependencies in ``pyproject.toml`` are exactly the
-third-party packages the package imports, and every function the
-benchmark's tracer wraps still exists under the name it looks up.
+Every attribute a package class stores on ``self`` is read somewhere in
+the package or the demos.  The runtime dependencies in ``pyproject.toml``
+are exactly the third-party packages the package imports, and every
+function the benchmark's tracer wraps still exists under the name it
+looks up.
 """
 
 import ast
@@ -190,6 +192,59 @@ def test_every_definition_is_used():
                for p in sorted(DEMOS.glob("*.py"))}
     assert modules and readers
     assert _unused_definitions(modules, readers, set(minkplanar.__all__)) == []
+
+
+def _unread_attributes(modules: dict[str, str],
+                       readers: dict[str, str]) -> list[str]:
+    """Attributes stored on ``self`` in ``modules`` that nothing reads.
+
+    A read is an attribute load of the name on anything, in ``modules``
+    or ``readers``; loading ``self.x`` only to store into an item of it
+    or delete one (``self.x[k] = v``, ``del self.x[k]``) is no read.
+    """
+    trees = {name: ast.parse(src) for name, src in {**readers, **modules}.items()}
+    read = set()
+    for tree in trees.values():
+        written = {id(n.value) for n in ast.walk(tree)
+                   if isinstance(n, ast.Subscript)
+                   and not isinstance(n.ctx, ast.Load)}
+        read.update(n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load) and id(n) not in written)
+    unread = set()
+    for module in modules:
+        for cls in ast.walk(trees[module]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for n in ast.walk(cls):
+                if (isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self" and n.attr not in read):
+                    unread.add(f"{module}: {cls.name}.{n.attr}")
+    return sorted(unread)
+
+
+def test_checker_sees_an_unread_attribute():
+    module = ("class C:\n"
+              "    def __init__(self):\n"
+              "        self.read, self.shown = {}, 0\n"
+              "        self.stored, self.deleted, self.unread = {}, {}, 0\n"
+              "    def go(self, k):\n"
+              "        self.stored[k] = 1\n"
+              "        del self.deleted[k]\n"
+              "        return self.read[k]\n")
+    reader = "print(C().shown)\n"
+    assert _unread_attributes({"m.py": module}, {"demo.py": reader}) == [
+        "m.py: C.deleted", "m.py: C.stored", "m.py: C.unread"]
+
+
+def test_every_stored_attribute_is_read():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {f"demos/{p.name}": p.read_text(encoding="utf-8")
+               for p in sorted(DEMOS.glob("*.py"))}
+    assert _unread_attributes(modules, readers) == []
 
 
 def _third_party_imports(source: str) -> set[str]:

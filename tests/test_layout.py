@@ -146,7 +146,7 @@ def test_audit_turns_only_geometry_faults_into_layout_errors(monkeypatch):
     lay = tutte_layout(d)
 
     def raising(exc):
-        def convert(scene, tol):
+        def convert(scene):
             raise exc
         return convert
 

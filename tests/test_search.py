@@ -1,20 +1,20 @@
 """Existence search and brute oracle: statuses, certificates, budgets."""
 
-import copy
+import gc
 import itertools
 import random
 
 import pytest
 
-from minkplanar.arrangement import Arrangement, Cursor
+from minkplanar.arrangement import BOUNDARY, Arrangement, Cursor
 from minkplanar.constructions import build_G2, build_Gk
-from minkplanar.drawings import (crossing_profile, is_min_k_planar, is_simple,
-                                 mirror, validate)
+from minkplanar.drawings import (crossing_profile, face_orbit, is_min_k_planar,
+                                 is_simple, mirror, validate)
 from minkplanar.errors import InputError
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.oracle import brute_oracle
 from minkplanar.sampling import random_anchored_graph
-from minkplanar.search import (Budget, SearchOutcome, Status,
+from minkplanar.search import (Budget, SearchOutcome, Status, _assemble,
                                explore_open_question, insertion_order,
                                search_anchored, verify_certificate)
 
@@ -285,39 +285,100 @@ def test_engines_agree_on_random_instances():
 # ------------------------------------------------------- arrangement bowels
 
 
-def test_arrangement_undo_restores_state_exactly():
-    rng = random.Random(77)
-    for _ in range(40):
-        ag = random_anchored_graph(rng, n_edges=4)
-        arr = Arrangement(ag)
-        pristine = (copy.deepcopy(arr.rot), copy.deepcopy(arr.arc_nodes),
-                    copy.deepcopy(arr.arc_owner))
-        e = rng.randrange(ag.graph.m)
-        u, v = ag.graph.edges[e]
-        arr.begin_edge(e, u)
-        cursor = Cursor(u, rng.choice(list(arr.corners(u))), ())
-        tokens = []
-        for _ in range(rng.randint(0, 3)):
-            orbit = arr.face(arr.corner_dart(cursor.node, cursor.gap))
-            opts = [d for d in orbit
-                    if arr.arc_owner[d[0]] >= 0
-                    and arr.arc_owner[d[0]] != e
-                    and d[0] not in cursor.banned]
-            if not opts:
+def _rings_hold(arr):
+    # every ring is a cycle of its own node's darts and every dart is in
+    # one, walked with a bound so that a broken ring fails and ends
+    n = len(arr.dart_tail)
+    seen = []
+    for node, start in arr.ring_start.items():
+        dart = start
+        for _ in range(n):
+            seen.append(dart)
+            if arr.dart_tail[dart] != node:
+                return False
+            dart = arr.ring_next[dart]
+            if dart == start:
                 break
-            cursor, tok = arr.commit_cross(e, cursor, rng.choice(opts))
-            tokens.append(tok)
-        orbit = arr.face(arr.corner_dart(cursor.node, cursor.gap))
-        oset = set(orbit)
-        lands = [gap for gap in arr.corners(v)
-                 if arr.corner_dart(v, gap) in oset]
-        if lands:
-            tokens.append(arr.commit_finish(e, cursor, v, rng.choice(lands)))
-        for tok in reversed(tokens):
-            arr.undo(tok)
-        arr.abort_edge(e)
-        assert arr.rot == pristine[0]
-        assert arr.arc_nodes == pristine[1]
-        assert arr.arc_owner == pristine[2]
-        assert not arr.crossing_edges
-        assert not arr.chains
+        else:
+            return False
+    return (sorted(seen) == list(range(n))
+            and all(arr.ring_prev[arr.ring_next[d]] == d for d in range(n)))
+
+
+def _state(arr):
+    return (list(arr.arc_owner), list(arr.dart_tail), list(arr.ring_next),
+            list(arr.ring_prev), dict(arr.ring_start), dict(arr.crossing_edges),
+            +arr.pair_counts, +arr.edge_counts)
+
+
+def test_arrangement_undo_restores_state_exactly():
+    # chords plus a pendant path a - x - c through an interior vertex x:
+    # the route of (x, c) starts before the dart of (a, x) at x, whose
+    # twin lies in the same face, so crossing it moves the cursor's dart
+    rng = random.Random(77)
+    twin_crossings = complete = 0
+    for _ in range(40):
+        chords = random_anchored_graph(rng, n_edges=3)
+        n = len(chords.anchors)
+        a, c = rng.sample(range(n), 2)
+        g = Graph(tuple(range(n + 1)), chords.graph.edges + ((a, n), (n, c)))
+        ag = AnchoredGraph(g, chords.anchors)
+        arr = Arrangement(ag)
+        pristine = _state(arr)
+        commits = 0
+        for e in insertion_order(ag):
+            u, v = g.edges[e]
+            if u not in arr.ring_start:
+                u, v = v, u
+            cursor = Cursor(rng.choice(arr.corners(u)), ())
+            for _ in range(rng.randint(0, 3)):
+                orbit = face_orbit(arr.ring_next, cursor.dart)
+                opts = [d for d in orbit
+                        if arr.arc_owner[d >> 1] not in (BOUNDARY, e)
+                        and d >> 1 not in cursor.banned]
+                if not opts:
+                    break
+                dart = rng.choice(opts)
+                if cursor.dart ^ 1 in opts and rng.random() < 0.5:
+                    dart = cursor.dart ^ 1
+                twin_crossings += dart == cursor.dart ^ 1
+                cursor = arr.commit_cross(e, cursor, dart)
+                commits += 1
+                assert _rings_hold(arr)
+            oset = set(face_orbit(arr.ring_next, cursor.dart))
+            if v in arr.ring_start:
+                lands = [d for d in arr.corners(v) if d in oset]
+                if not lands:
+                    break
+                arr.commit_finish(e, cursor, v, rng.choice(lands))
+            else:
+                arr.commit_finish(e, cursor, v, None)
+            commits += 1
+            assert _rings_hold(arr)
+        else:
+            assert validate(_assemble(arr, ag)) == []
+            complete += 1
+        for _ in range(commits):
+            arr.undo()
+        assert _state(arr) == pristine
+    assert twin_crossings and complete
+
+
+def test_search_leaves_nothing_to_the_cyclic_collector():
+    ag = build_G2().anchored_graph
+    was = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            search_anchored(ag, 2, require_simple=True)
+        gc.collect()
+        left = [x for x in gc.garbage if isinstance(x, Arrangement)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+    assert left == []
