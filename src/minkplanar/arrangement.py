@@ -17,11 +17,19 @@ boundary darts, so face tracing needs no special cases; the corner just
 before the forward boundary dart is the outside of the disk and is never
 a legal one.  A split leaves the crossed dart where it is and hands the
 far end to a new arc of the same orientation, so no arc is re-oriented.
+
+The search prunes on counts the arrangement keeps as flat integer state:
+``edge_counts[e]`` is the number of crossings on edge e, ``partners[e]``
+the set of edges e crosses, and ``pair_counts`` maps the pair key
+``e * m + f`` to the crossings of e with f.  The pair key is symmetric:
+each crossing updates both ``e * m + f`` and ``f * m + e``, so a lookup
+needs no ordering of the two edges, and a pair's keys exist only while
+it crosses, so the dict grows with the crossings made, not with m².
+Commits and undos splice the rings inline.
 """
 
 from __future__ import annotations
 
-import collections
 from typing import NamedTuple, Optional
 
 from .errors import InputError
@@ -65,9 +73,10 @@ class Arrangement:
             self.ring_next[back] = self.ring_prev[back] = fwd
             self.ring_start[a] = fwd
         self.crossing_edges: dict[int, tuple[int, int]] = {}
-        self.pair_counts: collections.Counter = collections.Counter()
-        self.edge_counts: collections.Counter = collections.Counter()
-        self.partners: dict[int, set[int]] = collections.defaultdict(set)
+        self.m = g.m  # pair keys are e * m + f, see the module docstring
+        self.edge_counts: list[int] = [0] * g.m
+        self.pair_counts: dict[int, int] = {}
+        self.partners: list[set[int]] = [set() for _ in range(g.m)]
         self._node_seq = (max(g.vertices) + 1) if g.vertices else 0
 
     # ------------------------------------------------------------ rings
@@ -89,36 +98,20 @@ class Arrangement:
             return darts[1:]  # the corner before the start faces the outside
         return darts[1:] + darts[:1]
 
-    def _insert_before(self, new: int, dart: int) -> None:
-        nxt, prv = self.ring_next, self.ring_prev
-        before = prv[dart]
-        nxt[before], prv[new], nxt[new], prv[dart] = new, before, dart, new
-
-    def _unlink(self, dart: int) -> None:
-        nxt, prv = self.ring_next, self.ring_prev
-        before, after = prv[dart], nxt[dart]
-        nxt[before], prv[after] = after, before
-
-    def _replace(self, old: int, new: int) -> None:
-        """Puts ``new`` in the place of ``old`` in its ring."""
-        self._insert_before(new, old)
-        self._unlink(old)
-        node = self.dart_tail[new]
-        if self.ring_start[node] == old:
-            self.ring_start[node] = new
-
     # --------------------------------------------------------- routing
 
     def commit_cross(self, e: int, cursor: Cursor, dart: int) -> Cursor:
         """Extend the curve of e across the arc of ``dart``, which lies in
         the cursor's face; returns the cursor just past the crossing."""
         owner, tail = self.arc_owner, self.dart_tail
+        nxt, prv = self.ring_next, self.ring_prev
+        cd = cursor.dart
         alpha = dart >> 1
         g = owner[alpha]
         far = dart ^ 1
         b = tail[far]
         q = self._node_seq
-        self._node_seq += 1
+        self._node_seq = q + 1
         # beta takes over alpha's far end: dart bq leaves q, bb leaves b
         beta = len(owner)
         bq = 2 * beta + (dart & 1)
@@ -127,76 +120,113 @@ class Arrangement:
         sq = sp + 1
         owner += (g, e)
         tail += (q, b) if bq < bb else (b, q)
-        tail += (tail[cursor.dart], q)
-        self.ring_next += (0, 0, 0, 0)
-        self.ring_prev += (0, 0, 0, 0)
+        tail += (tail[cd], q)
+        nxt += (0, 0, 0, 0)
+        prv += (0, 0, 0, 0)
         # insert before splitting: if the cursor sits before the far end,
         # the new segment then stays before beta's dart that takes its place
-        self._insert_before(sp, cursor.dart)
-        self._replace(far, bb)
+        before = prv[cd]
+        nxt[before] = prv[cd] = sp
+        prv[sp], nxt[sp] = before, cd
+        # bb takes far's place in b's ring, alone if far was alone
+        before, after = prv[far], nxt[far]
+        if before == far:
+            before = after = bb
+        nxt[before] = prv[after] = bb
+        prv[bb], nxt[bb] = before, after
+        if self.ring_start[b] == far:
+            self.ring_start[b] = bb
         tail[far] = q
         # entering from the left of the crossed dart: clockwise at q the
         # curve-in end, the piece towards b, then the piece back towards
         # the crossed dart's tail, before which lies the exit corner
-        self.ring_next[sq], self.ring_next[bq], self.ring_next[far] = bq, far, sq
-        self.ring_prev[bq], self.ring_prev[far], self.ring_prev[sq] = sq, bq, far
+        nxt[sq], nxt[bq], nxt[far] = bq, far, sq
+        prv[bq], prv[far], prv[sq] = sq, bq, far
         self.ring_start[q] = sq
         self.crossing_edges[q] = (g, e)
-        self.pair_counts[(min(g, e), max(g, e))] += 1
-        self.edge_counts[g] += 1
-        self.edge_counts[e] += 1
-        self.partners[g].add(e)
-        self.partners[e].add(g)
+        m = self.m
+        pairs = self.pair_counts
+        c = pairs.get(g * m + e, 0) + 1
+        pairs[g * m + e] = pairs[e * m + g] = c
+        if c == 1:
+            self.partners[g].add(e)
+            self.partners[e].add(g)
+        counts = self.edge_counts
+        counts[g] += 1
+        counts[e] += 1
         return Cursor(far, (beta, alpha))
 
     def commit_finish(self, e: int, cursor: Cursor, v: int,
                       corner: Optional[int]) -> None:
         """Attach the last segment of e to v before the dart ``corner``;
         ``corner`` None places v afresh."""
+        nxt, prv = self.ring_next, self.ring_prev
+        cd = cursor.dart
         s = len(self.arc_owner)
         self.arc_owner.append(e)
-        self.dart_tail += (self.dart_tail[cursor.dart], v)
-        self.ring_next += (0, 0)
-        self.ring_prev += (0, 0)
-        self._insert_before(2 * s, cursor.dart)
+        self.dart_tail += (self.dart_tail[cd], v)
+        sp, sv = 2 * s, 2 * s + 1
+        before = prv[cd]
+        nxt[before] = sp
+        nxt += (cd, 0)
+        prv += (before, 0)
+        prv[cd] = sp
         if corner is None:
-            self.ring_next[2 * s + 1] = self.ring_prev[2 * s + 1] = 2 * s + 1
-            self.ring_start[v] = 2 * s + 1
+            nxt[sv] = prv[sv] = sv
+            self.ring_start[v] = sv
         else:
-            self._insert_before(2 * s + 1, corner)
+            before = prv[corner]
+            nxt[before] = prv[corner] = sv
+            prv[sv], nxt[sv] = before, corner
 
     def undo(self) -> None:
         """Takes back the latest commit still in place."""
-        owner, tail, nxt = self.arc_owner, self.dart_tail, self.ring_next
+        owner, tail = self.arc_owner, self.dart_tail
+        nxt, prv = self.ring_next, self.ring_prev
         s = len(owner) - 1
-        e = owner[s]
-        end = tail[2 * s + 1]
-        self._unlink(2 * s)
+        sp, sv = 2 * s, 2 * s + 1
+        end = tail[sv]
+        before, after = prv[sp], nxt[sp]
+        nxt[before], prv[after] = after, before
         if end in self.crossing_edges:
             # clockwise at the crossing: the curve's end, beta, the far end
-            bq = nxt[2 * s + 1]
+            bq = nxt[sv]
             far = nxt[bq]
-            tail[far] = tail[bq ^ 1]
-            self._replace(bq ^ 1, far)
-            del self.ring_start[end]
-            g, _ = self.crossing_edges.pop(end)
+            bb = bq ^ 1
+            b = tail[far] = tail[bb]
+            # far takes bb's place in b's ring, alone if bb was alone
+            before, after = prv[bb], nxt[bb]
+            if before == bb:
+                before = after = far
+            nxt[before] = prv[after] = far
+            prv[far], nxt[far] = before, after
+            starts = self.ring_start
+            if starts[b] == bb:
+                starts[b] = far
+            del starts[end]
+            g, e = self.crossing_edges.pop(end)
             self._node_seq = end
-            key = (min(g, e), max(g, e))
-            self.pair_counts[key] -= 1
-            if not self.pair_counts[key]:
-                del self.pair_counts[key]
+            m = self.m
+            pairs = self.pair_counts
+            c = pairs[g * m + e] - 1
+            if c:
+                pairs[g * m + e] = pairs[e * m + g] = c
+            else:
+                del pairs[g * m + e], pairs[e * m + g]
                 self.partners[g].discard(e)
                 self.partners[e].discard(g)
-            self.edge_counts[g] -= 1
-            self.edge_counts[e] -= 1
+            counts = self.edge_counts
+            counts[g] -= 1
+            counts[e] -= 1
             arcs = 2
         else:
-            if nxt[2 * s + 1] == 2 * s + 1:
+            if nxt[sv] == sv:
                 del self.ring_start[end]
             else:
-                self._unlink(2 * s + 1)
+                before, after = prv[sv], nxt[sv]
+                nxt[before], prv[after] = after, before
             arcs = 1
         del owner[-arcs:]
         del tail[-2 * arcs:]
         del nxt[-2 * arcs:]
-        del self.ring_prev[-2 * arcs:]
+        del prv[-2 * arcs:]

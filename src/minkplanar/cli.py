@@ -245,6 +245,7 @@ def cmd_simplify(args, rep: RunReport) -> int:
 
 
 def cmd_search(args, rep: RunReport) -> int:
+    budget = _budget(args)  # a bad budget fails before it reaches the report
     g = _load_anchored(args.graph, rep, "the anchored search")
     rep.parameters.update({
         "k": args.k,
@@ -252,9 +253,8 @@ def cmd_search(args, rep: RunReport) -> int:
         "budget_nodes": args.budget_nodes,
         "budget_secs": args.budget_secs,
     })
-    outcome = search_anchored(
-        g, args.k, require_simple=args.simple, budget=_budget(args)
-    )
+    outcome = search_anchored(g, args.k, require_simple=args.simple,
+                              budget=budget)
     if outcome.status is Status.FOUND and not verify_certificate(
         outcome, g, args.k, args.simple
     ):
@@ -347,6 +347,23 @@ def _finish_repro(name: str, checks: list[tuple[str, bool]], args,
     return 0 if confirmed else 1
 
 
+def _finish_lemma3(name: str, b, k: int, checks: list[tuple[str, bool]],
+                   args, rep: RunReport, extra: dict) -> int:
+    """Lemma 3's negative claim: the search finds no simple anchored min-k
+    drawing of the bundle's graph.  A budget stop exits 2."""
+    outcome = search_anchored(b.anchored_graph, k, require_simple=True,
+                              budget=_budget(args))
+    rep.stats.update(asdict(outcome.stats))
+    extra["search"] = outcome.status.value
+    if outcome.status is Status.BUDGET_EXCEEDED:
+        _finish_repro(name, checks, args, rep, extra)
+        rep.outcome = outcome.status.value  # the claim went unchecked
+        return 2
+    checks.append((f"no-simple-anchored-min-{k}",
+                   outcome.status is Status.EXHAUSTED_UNSAT))
+    return _finish_repro(name, checks, args, rep, extra)
+
+
 def _repro_lemma3_g2(args, rep: RunReport) -> int:
     b = build_G2()
     checks = [("drawing-valid", validate(b.drawing) == [])]
@@ -357,19 +374,7 @@ def _repro_lemma3_g2(args, rep: RunReport) -> int:
     checks.append(
         ("offender-is-a1a2-b1a2", (not simple) and set(simple.witness[0]) == want)
     )
-    outcome = search_anchored(
-        b.anchored_graph, 2, require_simple=True, budget=_budget(args)
-    )
-    rep.stats.update(asdict(outcome.stats))
-    if outcome.status is Status.BUDGET_EXCEEDED:
-        _finish_repro("lemma3-g2", checks, args, rep,
-                      {"search": outcome.status.value})
-        return 2
-    checks.append(
-        ("no-simple-anchored-min-2", outcome.status is Status.EXHAUSTED_UNSAT)
-    )
-    return _finish_repro("lemma3-g2", checks, args, rep,
-                         {"search": outcome.status.value})
+    return _finish_lemma3("lemma3-g2", b, 2, checks, args, rep, {})
 
 
 def _repro_lemma3_gk(args, rep: RunReport) -> int:
@@ -386,7 +391,7 @@ def _repro_lemma3_gk(args, rep: RunReport) -> int:
     checks.append(("top-matching-k", m3 == k))
     checks.append(("no-adjacent-pair-crosses",
                    adjacent_crossing_pairs(b.drawing) == []))
-    return _finish_repro("lemma3-gk", checks, args, rep, {"k": k})
+    return _finish_lemma3("lemma3-gk", b, k, checks, args, rep, {"k": k})
 
 
 def _repro_lemma5_frame(args, rep: RunReport) -> int:
@@ -505,6 +510,7 @@ _REPROS = {
 
 
 def cmd_repro(args, rep: RunReport) -> int:
+    _budget(args)  # a bad budget fails before it reaches the report
     rep.parameters.update({
         "pipeline": args.pipeline, "k": args.k, "t": args.t,
         "seed": args.seed, "count": args.count,

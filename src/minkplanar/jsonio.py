@@ -236,11 +236,13 @@ def outcome_from_json(obj: Any) -> SearchOutcome:
                        ("max_depth", (int,)), ("seconds", (int, float))):
         if key in st and (type(st[key]) not in kinds or st[key] < 0):
             _fail(f"/stats/{key}", "expected a non-negative number")
+    _ids(st.get("order", []), "/stats/order")
     stats = SearchStats(
         nodes=st.get("nodes", 0),
         routes=st.get("routes", 0),
         max_depth=st.get("max_depth", 0),
         seconds=float(st.get("seconds", 0.0)),
+        order=tuple(st.get("order", ())),
     )
     cert = obj.get("certificate")
     return SearchOutcome(

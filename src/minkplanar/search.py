@@ -23,6 +23,13 @@ although its bundled drawing is a witness).  Simple queries are not
 affected: a pair crosses at most once there, so the pair cap already
 forbids every route the lens cut skips.
 
+The pruning reads the arrangement's count state, all flat integers: a
+list of crossings per edge, a dict of crossings per pair keyed by
+``e * m + f`` and kept under both orders, so a candidate costs one
+integer sum and one lookup, and per edge the set of edges it has
+crossed.  Each edge's adjacency (the edges a simple drawing bars it from
+crossing) is computed once per search.
+
 Statuses are Found, ExhaustedUnsat, and BudgetExceeded.  A budget stop is
 always reported as such; ExhaustedUnsat is only returned when the whole
 tree was walked.  Found certificates are real Drawing objects and are
@@ -32,6 +39,7 @@ re-validated before being returned.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -50,16 +58,35 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Budget:
+    """Caps on the nodes a search visits and the seconds it spends; None
+    leaves that side open.  Raises InputError for a node count that is
+    negative or not an integer, and for seconds that are negative or not
+    finite."""
+
     nodes: Optional[int] = None
     seconds: Optional[float] = None
+
+    def __post_init__(self):
+        n, s = self.nodes, self.seconds
+        if n is not None and (type(n) is not int or n < 0):
+            raise InputError(
+                f"a node budget must be a non-negative integer, not {n!r}")
+        if s is not None and (type(s) not in (int, float)
+                              or not 0 <= s < math.inf):
+            raise InputError(
+                f"a seconds budget must be finite and non-negative, not {s!r}")
 
 
 @dataclass
 class SearchStats:
+    """What a search did.  ``order`` is the edge insertion order it used;
+    the brute oracle leaves it empty."""
+
     nodes: int = 0
     routes: int = 0
     max_depth: int = 0
     seconds: float = 0.0
+    order: tuple[int, ...] = ()
 
 
 @dataclass
@@ -193,29 +220,38 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         raise InputError("k must be non-negative")
     order = insertion_order(ag)
     g = ag.graph
+    m = g.m
     arr = Arrangement(ag)
     cap = 1 if require_simple else 2
-    ends = [set(e) for e in g.edges]
+    # per edge, the edges it may not cross: in a simple drawing, those
+    # sharing an endpoint with it (itself included)
+    barred: list[set[int]] = [set() for _ in range(m)]
+    if require_simple:
+        at: dict[int, set[int]] = {v: set() for v in g.vertices}
+        for e, (u, v) in enumerate(g.edges):
+            at[u].add(e)
+            at[v].add(e)
+        barred = [at[u] | at[v] for u, v in g.edges]
+    owner, tail, nxt = arr.arc_owner, arr.dart_tail, arr.ring_next
+    starts, counts = arr.ring_start, arr.edge_counts
+    pairs, partners = arr.pair_counts, arr.partners
+    commit_cross, commit_finish = arr.commit_cross, arr.commit_finish
+    undo, corners = arr.undo, arr.corners
+    k1 = k + 1
 
-    stats = SearchStats()
+    stats = SearchStats(order=order)
     t0 = time.perf_counter()
-    node_cap = budget.nodes if budget else None
-    sec_cap = budget.seconds if budget else None
-
-    def tick() -> None:
-        stats.nodes += 1
-        if node_cap is not None and stats.nodes > node_cap:
-            raise _Stop
-        if sec_cap is not None and stats.nodes % 64 == 0:
-            if time.perf_counter() - t0 > sec_cap:
-                raise _Stop
+    nodes = 0
+    # nodes never reaches 0, so a search without a node cap never stops on it
+    stop_at = budget.nodes + 1 if budget and budget.nodes is not None else 0
+    timed = budget is not None and budget.seconds is not None
 
     def mink_dead(e: int, f: int) -> bool:
         # a pair of crossing edges that both exceed k can never recover
         for x, other in ((e, f), (f, e)):
-            if arr.edge_counts[x] == k + 1:
-                for h in arr.partners[x]:
-                    if h != other and arr.edge_counts[h] > k:
+            if counts[x] == k1:
+                for h in partners[x]:
+                    if h != other and counts[h] > k:
                         return True
         return False
 
@@ -226,45 +262,54 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         route(idx + 1)
 
     def extend(e: int, idx: int, target: int, cursor: Cursor) -> None:
-        tick()
-        orbit = face_orbit(arr.ring_next, cursor.dart)
-        oset = set(orbit)
-        if target in arr.ring_start:
-            for corner in arr.corners(target):
-                if corner in oset:
-                    arr.commit_finish(e, cursor, target, corner)
-                    after_route(idx)
-                    arr.undo()
+        nonlocal nodes
+        nodes += 1
+        if nodes == stop_at or (
+                timed and not nodes & 63
+                and time.perf_counter() - t0 > budget.seconds):
+            raise _Stop
+        orbit = face_orbit(nxt, cursor.dart)
+        if target in starts:
+            # the face is never the outside, so its darts leaving the
+            # target are the legal corners there; the face walk can meet
+            # several out of rotation order, the order they are tried in
+            lands = [d for d in orbit if tail[d] == target]
+            if len(lands) > 1:
+                lands = [c for c in corners(target) if c in lands]
+            for corner in lands:
+                commit_finish(e, cursor, target, corner)
+                after_route(idx)
+                undo()
         else:
-            arr.commit_finish(e, cursor, target, None)
+            commit_finish(e, cursor, target, None)
             after_route(idx)
-            arr.undo()
+            undo()
+        banned = cursor.banned
+        skip = barred[e]
+        row = e * m
+        heavy = counts[e] >= k
         for dart in orbit:
             arc = dart >> 1
-            own = arr.arc_owner[arc]
-            if own == BOUNDARY or own == e or arc in cursor.banned:
+            own = owner[arc]
+            if (own == BOUNDARY or own == e or arc in banned
+                    or own in skip or pairs.get(row + own, 0) >= cap):
                 continue
-            limit = cap
-            if require_simple and ends[own] & ends[e]:
-                limit = 0
-            key = (min(own, e), max(own, e))
-            if arr.pair_counts.get(key, 0) >= limit:
-                continue
-            if arr.edge_counts[own] >= k and arr.edge_counts[e] >= k:
+            if heavy and counts[own] >= k:
                 continue  # the new crossing would make both exceed k
-            ncur = arr.commit_cross(e, cursor, dart)
-            if not mink_dead(e, own):
+            ncur = commit_cross(e, cursor, dart)
+            # mink_dead can only fire on an edge at exactly k + 1
+            if counts[e] != k1 and counts[own] != k1 or not mink_dead(e, own):
                 extend(e, idx, target, ncur)
-            arr.undo()
+            undo()
 
     def route(idx: int) -> None:
         if idx == len(order):
             raise _Found(_assemble(arr, ag))
         e = order[idx]
         u, v = g.edges[e]
-        if u not in arr.ring_start:  # a vertex is placed once it has a ring
+        if u not in starts:  # a vertex is placed once it has a ring
             u, v = v, u
-        for corner in arr.corners(u):
+        for corner in corners(u):
             extend(e, idx, v, Cursor(corner, ()))
 
     status = Status.EXHAUSTED_UNSAT
@@ -280,6 +325,7 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     except _Stop:
         status = Status.BUDGET_EXCEEDED
     finally:
+        stats.nodes = nodes
         # extend reaches itself through closure cells, directly and via
         # route; clearing both lets reference counting free the arrangement
         extend = route = None

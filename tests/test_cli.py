@@ -14,7 +14,9 @@ import pytest
 
 from minkplanar import cli
 from minkplanar.cli import main
+from minkplanar.constructions import build_G2
 from minkplanar.errors import InputError, MinkplanarError
+from minkplanar.search import insertion_order
 
 
 def run(capsys, *argv):
@@ -128,6 +130,39 @@ def test_search_unsat_and_budget_codes(fig1, tmp_path, capsys):
     assert code == 2
 
 
+def test_search_report_records_the_insertion_order(fig1, capsys):
+    graph = str(fig1) + ".graph.json"
+    code, _, err = run(capsys, "search", "--graph", graph, "--k", "2",
+                       "--simple")
+    assert code == 1
+    order = _report_of(err)["stats"]["order"]
+    assert order == list(insertion_order(build_G2().anchored_graph))
+
+
+def _no_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--budget-nodes", "-5"), ("--budget-secs", "-1"),
+    ("--budget-secs", "nan"), ("--budget-secs", "inf"),
+], ids=["nodes-negative", "secs-negative", "secs-nan", "secs-inf"])
+@pytest.mark.parametrize("cmd", ["search", "repro"])
+def test_bad_budgets_exit_three_with_a_json_report(fig1, capsys, cmd, argv):
+    if cmd == "search":
+        base = ("search", "--graph", str(fig1) + ".graph.json", "--k", "2")
+    else:
+        base = ("repro", "lemma3-gk", "--k", "3")
+    code, out, err = run(capsys, *base, *argv)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert "budget must be" in err
+    line = err.strip().splitlines()[-1]
+    rep = json.loads(line, parse_constant=_no_constant)
+    assert rep["outcome"].startswith("input-error")
+
+
 def test_search_found_emits_verified_certificate(tmp_path, capsys):
     graph = tmp_path / "path.json"
     graph.write_text(json.dumps({
@@ -196,11 +231,27 @@ def test_repro_lemma3_g2_confirms(capsys):
 
 
 def test_repro_lemma3_gk_confirms(capsys):
-    code, out, _ = run(capsys, "repro", "lemma3-gk", "--k", "4")
-    assert code == 0
+    for k in (3, 4):
+        code, out, err = run(capsys, "repro", "lemma3-gk", "--k", str(k))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["confirmed"] is True
+        checks = doc["checks"]
+        assert {"check": "no-adjacent-pair-crosses", "ok": True} in checks
+        assert {"check": f"no-simple-anchored-min-{k}", "ok": True} in checks
+        assert doc["search"] == "ExhaustedUnsat"
+        assert _report_of(err)["stats"]["nodes"] > 0
+
+
+def test_repro_lemma3_gk_budget_stop_exits_two(capsys):
+    code, out, err = run(capsys, "repro", "lemma3-gk", "--k", "3",
+                         "--budget-nodes", "10")
+    assert code == 2
     doc = json.loads(out)
-    assert doc["confirmed"] is True
-    assert {"check": "no-adjacent-pair-crosses", "ok": True} in doc["checks"]
+    assert doc["search"] == "BudgetExceeded"
+    names = [c["check"] for c in doc["checks"]]
+    assert "no-simple-anchored-min-3" not in names
+    assert _report_of(err)["outcome"] == "BudgetExceeded"
 
 
 def test_repro_lemma5_frame_confirms(capsys):

@@ -82,7 +82,8 @@ def test_multigraph_flag_survives_even_without_parallels():
 def test_outcome_round_trip_with_and_without_certificate():
     d = build_G2().drawing
     found = SearchOutcome(
-        Status.FOUND, d, SearchStats(nodes=11, routes=4, max_depth=3, seconds=0.25)
+        Status.FOUND, d, SearchStats(nodes=11, routes=4, max_depth=3,
+                                     seconds=0.25, order=(2, 0, 1))
     )
     f2 = outcome_from_json(_wire(outcome_to_json(found)))
     assert f2.status is Status.FOUND
@@ -93,6 +94,11 @@ def test_outcome_round_trip_with_and_without_certificate():
     u2 = outcome_from_json(_wire(outcome_to_json(unsat)))
     assert u2.status is Status.EXHAUSTED_UNSAT
     assert u2.certificate is None
+
+
+def test_outcome_without_an_order_still_loads():
+    doc = {"status": "ExhaustedUnsat", "stats": {"nodes": 5}}
+    assert outcome_from_json(doc).stats == SearchStats(nodes=5)
 
 
 # ------------------------------------------------------------- rejections
@@ -156,6 +162,9 @@ def test_outcome_bad_status():
     ("x", "/"),
     ({"status": "Found", "stats": {"nodes": "abc"}}, "/stats/nodes"),
     ({"status": "Found", "stats": []}, "/stats"),
+    ({"status": "Found", "stats": {"order": "0 1"}}, "/stats/order"),
+    ({"status": "Found", "stats": {"order": [0, -1]}}, "/stats/order/1"),
+    ({"status": "Found", "stats": {"order": [0, True]}}, "/stats/order/1"),
 ])
 def test_outcome_shape_faults_carry_pointers(doc, pointer):
     with pytest.raises(InputError) as err:

@@ -1,7 +1,9 @@
 """Existence search and brute oracle: statuses, certificates, budgets."""
 
 import gc
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from minkplanar.drawings import (crossing_profile, face_orbit, is_min_k_planar,
                                  is_simple, mirror, validate)
 from minkplanar.errors import InputError
 from minkplanar.graphs import AnchoredGraph, Graph
+from minkplanar.jsonio import drawing_to_json
 from minkplanar.oracle import brute_oracle
 from minkplanar.sampling import random_anchored_graph
 from minkplanar.search import (Budget, SearchOutcome, Status, _assemble,
@@ -132,6 +135,21 @@ def test_seconds_budget_reported_as_exceeded():
     assert out.status is Status.BUDGET_EXCEEDED
 
 
+@pytest.mark.parametrize("nodes, seconds", [
+    (-5, None), (2.5, None), (True, None), ("10", None),
+    (None, -1.0), (None, float("nan")), (None, float("inf")), (None, "1"),
+])
+def test_bad_budgets_are_input_errors(nodes, seconds):
+    with pytest.raises(InputError):
+        Budget(nodes=nodes, seconds=seconds)
+
+
+def test_zero_budgets_are_allowed():
+    assert Budget(nodes=0, seconds=0).nodes == 0
+    out = search_anchored(interleaved_pair(), 1, budget=Budget(nodes=0))
+    assert out.status is Status.BUDGET_EXCEEDED and out.stats.nodes == 1
+
+
 def test_generous_budget_does_not_change_status():
     ag = interleaved_pair()
     out = search_anchored(ag, k=1, require_simple=True,
@@ -148,14 +166,95 @@ def test_status_and_stats_deterministic():
            (b.stats.nodes, b.stats.routes, b.stats.max_depth)
 
 
+# ----------------------------------------------------------- pinned traversal
+
+
+def _octagon_diameters():
+    g = Graph(tuple(range(8)), ((0, 4), (1, 5), (2, 6), (3, 7)))
+    return AnchoredGraph(g, tuple(range(8)))
+
+
+def _hanging_path():
+    # the path 0 - 8 - 7 - 6 - 5 hangs into one face, so the last edge
+    # (5, 8) can end at either of two corners of vertex 8 in that face,
+    # and the face walk meets them against the rotation order
+    g = Graph(tuple(range(9)), ((0, 8), (6, 7), (7, 8), (5, 6), (5, 8)))
+    return AnchoredGraph(g, (0, 1, 2, 3, 4))
+
+
+def _g2():
+    return build_G2().anchored_graph
+
+
+def _gk3():
+    return build_Gk(3).anchored_graph
+
+
+def _gk4():
+    return build_Gk(4).anchored_graph
+
+
+def _trace(ag, k, simple):
+    out = search_anchored(ag, k, require_simple=simple)
+    cert = None
+    if out.certificate is not None:
+        doc = json.dumps(drawing_to_json(out.certificate), sort_keys=True)
+        cert = hashlib.sha256(doc.encode()).hexdigest()
+    return (out.status.value, out.stats.nodes, out.stats.routes,
+            out.stats.max_depth, cert)
+
+
+_PINNED = [
+    (_g2, 2, True, ("ExhaustedUnsat", 101, 16, 10, None)),
+    (_g2, 3, True,
+     ("Found", 52, 14, 11, "f502488439b541a701089d162afce240"
+                           "ac864a72fd6fa1ab4d507fd73f953ee2")),
+    (_g2, 2, False,
+     ("Found", 290, 28, 11, "b542550a2499b73c7aeb903b8cf19d28"
+                            "268b706ec51da8c7224b9036d07c0bc7")),
+    (_gk3, 3, True, ("ExhaustedUnsat", 271, 21, 13, None)),
+    (_gk4, 4, True, ("ExhaustedUnsat", 459, 26, 16, None)),
+    (_octagon_diameters, 2, True, ("ExhaustedUnsat", 15, 4, 3, None)),
+    (_octagon_diameters, 1, True, ("ExhaustedUnsat", 6, 2, 2, None)),
+    (_octagon_diameters, 3, False,
+     ("Found", 10, 4, 4, "756767a1e5fe6c9f5c7b5e0f520fa143"
+                         "df6fa06db313ce2c146c0377f7f63500")),
+    (_hanging_path, 0, False,
+     ("Found", 5, 5, 5, "6a3246821a383471fe16b714eef76dad"
+                        "ad6f51f14d3da6fa460103eea381d3ad")),
+]
+_RANDOM_SETTINGS = ((0, False), (1, False), (1, True), (2, False), (2, True),
+                    (3, False))
+_RANDOM_DIGEST = ("d9fb648ee2755ca894a391e686255c20"
+                  "498b886f7bf60956644414b9ed0dbcbe")
+
+
+def test_traversal_is_pinned():
+    """The exact walk of the search: status, nodes, routes, max_depth and
+    the sha256 of each certificate's ``drawing_to_json``.
+
+    Speed work on the search must leave all of these unchanged.  A change
+    to the cuts or to the insertion order (ROADMAP item 1) changes the walk
+    by design: it must update these pins and say so in CHANGES.md.
+    """
+    for build, k, simple, want in _PINNED:
+        assert _trace(build(), k, simple) == want, (build.__name__, k, simple)
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for i in range(200):
+        ag = random_anchored_graph(rng, n_edges=5)
+        k, simple = _RANDOM_SETTINGS[i % len(_RANDOM_SETTINGS)]
+        digest.update(repr(_trace(ag, k, simple)).encode())
+    assert digest.hexdigest() == _RANDOM_DIGEST
+
+
 # ------------------------------------------------------------------ octagon
 
 
 def test_octagon_diameters_agree_with_oracle():
     # the four diameters of an octagon: every pair interleaves, and every
     # rotation of the boundary maps the instance onto itself
-    g4 = Graph(tuple(range(8)), ((0, 4), (1, 5), (2, 6), (3, 7)))
-    ag4 = AnchoredGraph(g4, tuple(range(8)))
+    ag4 = _octagon_diameters()
     for k, simple, expected in [(2, True, Status.EXHAUSTED_UNSAT),
                                 (1, True, Status.EXHAUSTED_UNSAT),
                                 (3, False, Status.FOUND)]:
@@ -216,6 +315,7 @@ def test_rejects_bad_parameters():
 def test_insertion_order_most_interleaving_first():
     b = build_G2()
     order = insertion_order(b.anchored_graph)
+    assert search_anchored(b.anchored_graph, 2, True).stats.order == order
     assert order[0] == b.edge("a1a2")
     assert set(order) == set(range(11))
     # the two interior-endpoint edges go last
@@ -305,18 +405,35 @@ def _rings_hold(arr):
             and all(arr.ring_prev[arr.ring_next[d]] == d for d in range(n)))
 
 
+def _counts_hold(arr):
+    # the count state agrees with the crossings in place, the pair counts
+    # under both ordered keys
+    m = len(arr.edge_counts)
+    edges, pairs, partners = [0] * m, {}, [set() for _ in range(m)]
+    for g, e in arr.crossing_edges.values():
+        for x, y in ((g, e), (e, g)):
+            edges[x] += 1
+            pairs[x * m + y] = pairs.get(x * m + y, 0) + 1
+            partners[x].add(y)
+    return (edges, pairs, partners) == (arr.edge_counts, arr.pair_counts,
+                                        arr.partners)
+
+
 def _state(arr):
     return (list(arr.arc_owner), list(arr.dart_tail), list(arr.ring_next),
             list(arr.ring_prev), dict(arr.ring_start), dict(arr.crossing_edges),
-            +arr.pair_counts, +arr.edge_counts)
+            dict(arr.pair_counts), list(arr.edge_counts),
+            [set(p) for p in arr.partners])
 
 
 def test_arrangement_undo_restores_state_exactly():
     # chords plus a pendant path a - x - c through an interior vertex x:
     # the route of (x, c) starts before the dart of (a, x) at x, whose
-    # twin lies in the same face, so crossing it moves the cursor's dart
+    # twin lies in the same face, so crossing it moves the cursor's dart.
+    # (a, x) goes in first, so chords cross it while x is alone in its
+    # ring and the split hands x's only dart to a new arc
     rng = random.Random(77)
-    twin_crossings = complete = 0
+    twin_crossings = lone_crossings = complete = 0
     for _ in range(40):
         chords = random_anchored_graph(rng, n_edges=3)
         n = len(chords.anchors)
@@ -326,7 +443,8 @@ def test_arrangement_undo_restores_state_exactly():
         arr = Arrangement(ag)
         pristine = _state(arr)
         commits = 0
-        for e in insertion_order(ag):
+        first = g.m - 2
+        for e in (first, *(x for x in insertion_order(ag) if x != first)):
             u, v = g.edges[e]
             if u not in arr.ring_start:
                 u, v = v, u
@@ -342,9 +460,10 @@ def test_arrangement_undo_restores_state_exactly():
                 if cursor.dart ^ 1 in opts and rng.random() < 0.5:
                     dart = cursor.dart ^ 1
                 twin_crossings += dart == cursor.dart ^ 1
+                lone_crossings += arr.ring_next[dart ^ 1] == dart ^ 1
                 cursor = arr.commit_cross(e, cursor, dart)
                 commits += 1
-                assert _rings_hold(arr)
+                assert _rings_hold(arr) and _counts_hold(arr)
             oset = set(face_orbit(arr.ring_next, cursor.dart))
             if v in arr.ring_start:
                 lands = [d for d in arr.corners(v) if d in oset]
@@ -360,8 +479,9 @@ def test_arrangement_undo_restores_state_exactly():
             complete += 1
         for _ in range(commits):
             arr.undo()
+            assert _counts_hold(arr)
         assert _state(arr) == pristine
-    assert twin_crossings and complete
+    assert twin_crossings and lone_crossings and complete
 
 
 def test_search_leaves_nothing_to_the_cyclic_collector():
