@@ -260,7 +260,7 @@ def cmd_search(args, rep: RunReport) -> int:
     ):
         raise MinkplanarError("search produced an unverifiable certificate")
     _emit(outcome_to_json(outcome), args.out)
-    rep.stats.update(asdict(outcome.stats))
+    rep.stats["search"] = asdict(outcome.stats)
     rep.outcome = outcome.status.value
     return _STATUS_EXIT[outcome.status]
 
@@ -353,7 +353,7 @@ def _finish_lemma3(name: str, b, k: int, checks: list[tuple[str, bool]],
     drawing of the bundle's graph.  A budget stop exits 2."""
     outcome = search_anchored(b.anchored_graph, k, require_simple=True,
                               budget=_budget(args))
-    rep.stats.update(asdict(outcome.stats))
+    rep.stats["search"] = asdict(outcome.stats)
     extra["search"] = outcome.status.value
     if outcome.status is Status.BUDGET_EXCEEDED:
         _finish_repro(name, checks, args, rep, extra)
@@ -477,7 +477,7 @@ def _repro_prop2_simplify(args, rep: RunReport) -> int:
 
 def _repro_open_question(args, rep: RunReport) -> int:
     outcome = explore_open_question(budget=_budget(args))
-    rep.stats.update(asdict(outcome.stats))
+    rep.stats["search"] = asdict(outcome.stats)
     rep.outcome = outcome.status.value
     doc: dict[str, Any] = {
         "pipeline": "open-question",

@@ -13,9 +13,13 @@ must sit on a common circle, listed clockwise, and every route must stay
 inside the closed disk.
 
 Candidate pairs come from sorting and sweeping bounding boxes: each route
-piece and each vertex gets a box grown by 32 TOL, and boxes are paired
-with those that start inside their x-range and meet their y-range,
-expanded a slice at a time to bound memory.
+piece and each vertex gets a box grown by 32 TOL.  The boxes are cut into
+y-strips at quantiles of their lower edges, and in each strip a box pairs
+with those that start inside its x-range and meet its y-range, expanded a
+slice at a time to bound memory.  Pieces that end at one vertex are not
+paired by the sweep: two straight pieces from one point meet again only
+when they are collinear, so sorting the pieces by angle around the vertex
+finds the nearly parallel pairs, and only those are classified.
 """
 
 from __future__ import annotations
@@ -119,17 +123,50 @@ def _segment_intersection(a: Point, b: Point, c: Point, d: Point, tol: float):
 
 # pairs expanded per slice of the sweep; bounds the sweep's memory
 _SWEEP_SLICE = 1 << 21
+# boxes per y-strip of the sweep; an input with no more boxes is one strip
+_SWEEP_STRIP = 1 << 11
 
 
-def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
+                       tags: np.ndarray | None = None) -> np.ndarray:
     """Index pairs of overlapping closed boxes, two rows with row 0 < row 1.
 
-    Each box of the (n, 2) corner arrays, in order of left edge, pairs with
-    the boxes whose left edge lies in its x-range (a binary search on its
-    right edge) and whose y-range meets its own.  Pairs are expanded about
-    ``_SWEEP_SLICE`` at a time, so memory follows the pairs that overlap.
+    The (n, 2) corner arrays are cut into y-strips of about
+    ``_SWEEP_STRIP`` boxes at quantiles of the lower y edges.  A box joins
+    every strip its y-range meets, and a pair is reported only in the strip
+    that holds the higher of the two lower edges.  In each strip every box,
+    in order of left edge, pairs with the boxes whose left edge lies in its
+    x-range (a binary search on its right edge) and whose y-range meets its
+    own.  Pairs are expanded about ``_SWEEP_SLICE`` at a time, so memory
+    follows the pairs that overlap.  With ``tags``, a (2, n) integer
+    array, two boxes that share a tag are not paired.
     """
-    order = np.argsort(lo[:, 0], kind="stable")
+    n = lo.shape[0]
+    strips = -(-n // _SWEEP_STRIP)
+    if strips <= 1:
+        order = np.argsort(lo[:, 0], kind="stable")
+        return _sweep(order, None, lo, hi, tags)
+    cuts = np.sort(lo[:, 1])[n * np.arange(1, strips) // strips]
+    first = np.searchsorted(cuts, lo[:, 1], side="right")
+    span = np.searchsorted(cuts, hi[:, 1], side="right") - first + 1
+    # every (strip, box) membership, by strip and then by left edge
+    byx = np.argsort(lo[:, 0], kind="stable")
+    span = span[byx]
+    member = np.repeat(byx, span)
+    strip = np.repeat(first[byx] - np.cumsum(span) + span, span)
+    strip += np.arange(member.size)
+    by_strip = np.argsort(strip, kind="stable")
+    member = member[by_strip]
+    bounds = np.searchsorted(strip[by_strip], np.arange(strips + 1))
+    return np.concatenate([
+        _sweep(order, first[order] == s, lo, hi, tags)
+        for s, order in enumerate(np.split(member, bounds[1:-1]))
+    ], axis=1)
+
+
+def _sweep(order, home, lo, hi, tags) -> np.ndarray:
+    """``_overlapping_boxes`` within one strip: the boxes ``order``, sorted
+    by left edge, pair where one of them is ``home`` (all when None)."""
     ylo, yhi = lo[order, 1], hi[order, 1]
     stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
     count = stop - np.arange(order.size) - 1
@@ -145,7 +182,14 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         b = np.repeat(np.arange(start + 1, end + 1) - (np.cumsum(c) - c), c)
         b += np.arange(b.size)
         keep = (ylo[b] <= yhi[a]) & (ylo[a] <= yhi[b])
-        pairs.append(np.sort(order[np.stack((a[keep], b[keep]))], axis=0))
+        if home is not None:
+            keep &= home[a] | home[b]
+        i, j = order[a[keep]], order[b[keep]]
+        if tags is not None:
+            i0, i1, j0, j1 = tags[0, i], tags[1, i], tags[0, j], tags[1, j]
+            apart = (i0 != j0) & (i0 != j1) & (i1 != j0) & (i1 != j1)
+            i, j = i[apart], j[apart]
+        pairs.append(np.sort(np.stack((i, j)), axis=0))
         start = end
     return np.concatenate(pairs, axis=1)
 
@@ -237,50 +281,99 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                         f"route of edge {e} leaves the boundary disk"
                     )
 
+    def direction_at(e: int, s: float, outgoing: bool) -> float:
+        """Angle of the curve of e at arclength s, looking forward or back."""
+        acc = prefix[e]
+        r = routes[e]
+        if outgoing:
+            j = 0
+            while j < len(acc) - 2 and acc[j + 1] <= s + TOL:
+                j += 1
+            dx = r[j + 1][0] - r[j][0]
+            dy = r[j + 1][1] - r[j][1]
+        else:
+            j = len(acc) - 2
+            while j > 0 and acc[j] >= s - TOL:
+                j -= 1
+            dx = r[j][0] - r[j + 1][0]
+            dy = r[j][1] - r[j + 1][1]
+        return math.atan2(dy, dx)
+
     # flatten every polyline piece into parallel arrays, with the prefix
-    # arclengths that order crossings along a route
+    # arclengths that order crossings along a route.  Each piece is tagged
+    # with its start and end point: a vertex row, or a private id for a
+    # bend.  A vertex end whose angle the rotation read-off takes from a
+    # further piece (a terminal piece at most TOL long) gets a private id.
+    vert_pos = scene.positions
+    vids = sorted(vert_pos)
+    vrow = {v: i for i, v in enumerate(vids)}
+    nv = len(vids)
     prefix: dict[int, list[float]] = {}
+    leave: list[float] = []
+    arrive: list[float] = []
+    ends_at: dict[int, list[tuple[float, int]]] = collections.defaultdict(list)
     seg_edge: list[int] = []
-    seg_idx: list[int] = []
     seg_a: list[Point] = []
     seg_b: list[Point] = []
+    seg_pref: list[float] = []
+    tag_a: list[int] = []
+    tag_b: list[int] = []
+    longest = 0.0
     for e in range(g.m):
         r = routes[e]
+        u, v = g.edges[e]
+        p0 = len(seg_edge)
         acc = [0.0]
         for i in range(len(r) - 1):
-            acc.append(acc[-1] + _dist(r[i], r[i + 1]))
+            step = _dist(r[i], r[i + 1])
+            if step > longest:
+                longest = step
+            acc.append(acc[-1] + step)
             seg_edge.append(e)
-            seg_idx.append(i)
             seg_a.append(r[i])
             seg_b.append(r[i + 1])
+            seg_pref.append(acc[i])
         prefix[e] = acc
+        leave.append(direction_at(e, 0.0, True))
+        arrive.append(direction_at(e, acc[-1], False))
+        last = len(seg_edge) - 1
+        tag_a.extend(range(nv + p0 + e, nv + last + e + 1))
+        tag_b.extend(range(nv + p0 + e + 1, nv + last + e + 2))
+        if acc[1] > TOL:
+            tag_a[p0] = vrow[u]
+            ends_at[vrow[u]].append((leave[e], p0))
+        if acc[-2] < acc[-1] - TOL:
+            tag_b[last] = vrow[v]
+            ends_at[vrow[v]].append((arrive[e], last))
     nseg = len(seg_edge)
 
     crossings_raw: list[tuple[int, int, float, float, Point]] = []
-    vert_pos = scene.positions
     if nseg:
         SE = np.asarray(seg_edge, dtype=np.int64)
-        SI = np.asarray(seg_idx, dtype=np.int64)
         SA = np.asarray(seg_a, dtype=float)
         SB = np.asarray(seg_b, dtype=float)
-        SPREF = np.concatenate([prefix[e][:-1] for e in range(g.m)])
+        SPREF = np.asarray(seg_pref, dtype=float)
         SLEN = np.hypot(SB[:, 0] - SA[:, 0], SB[:, 1] - SA[:, 1])
         if np.any(SLEN == 0.0):
             raise GeometryError("zero length segment in a route")
 
-        vids = np.array(sorted(vert_pos), dtype=np.int64)
-        vrow = {int(v): i for i, v in enumerate(vids)}
-        pos_arr = np.array([vert_pos[int(v)] for v in vids], dtype=float)
+        pos_arr = np.array([vert_pos[v] for v in vids], dtype=float)
+        vids = np.array(vids, dtype=np.int64)
         end_u = np.array([vrow[u] for (u, _) in g.edges], dtype=np.int64)
         end_v = np.array([vrow[v] for (_, v) in g.edges], dtype=np.int64)
 
         # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
-        # so that any two within 64 TOL of each other pair up; sorted keys
-        # make the first fault found independent of the sweep's order
+        # so that any two within 64 TOL of each other pair up, except pieces
+        # that share an end point (consecutive pieces of one curve, or
+        # pieces ending at one vertex) and a vertex with the pieces that end
+        # there; sorted keys make the first fault found independent of the
+        # sweep's order
         grow = 32.0 * TOL
+        rows = list(range(nv))
         first, second = _overlapping_boxes(
             np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
             np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
+            np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
         )
         at_vertex = (first < nseg) & (second >= nseg)
         qv, qs = np.divmod(np.sort(
@@ -310,14 +403,36 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                     f"vertex {int(vids[qv[b]])}"
                 )
 
-        # piece pairs; consecutive pieces of one curve share a joint and
-        # are skipped
+        # piece pairs, with the pairs of pieces that end at one vertex put
+        # back where they are nearly parallel.  Two straight pieces from one
+        # point meet again only if they are collinear.  The classification
+        # below agrees, away from parallel: for pieces at an angle D (modulo
+        # pi) its u and v are exactly 0 or 1 when either piece starts at the
+        # vertex, and when both end there their error, times a piece length
+        # of at most L, is below about 12 * 2**-53 * L / sin D.  That is
+        # under TOL for L <= 10 and D >= 1e-4 (near D = 1e-7 it is not); the
+        # window widens with longer pieces.  Outside it the pair touches at
+        # the vertex, which is allowed.
+        window = 1e-4 * max(1.0, longest / 10.0)
+        near = set()
+        for ends in ends_at.values():
+            if len(ends) < 2:
+                continue
+            ends = sorted([(ang % math.pi, p) for ang, p in ends])
+            if ends[0][0] <= window:
+                ends += [(ang + math.pi, p) for ang, p in ends if ang <= window]
+            for i, (ang, p) in enumerate(ends):
+                j = i + 1
+                while j < len(ends) and ends[j][0] - ang <= window:
+                    q = ends[j][1]
+                    if p != q:
+                        near.add(min(p, q) * nseg + max(p, q))
+                    j += 1
         pieces = second < nseg
-        plo, phi = np.divmod(np.sort(
-            first[pieces] * np.int64(nseg) + second[pieces]), nseg)
-        joint = (SE[plo] == SE[phi]) & (np.abs(SI[plo] - SI[phi]) == 1)
-        plo = plo[~joint]
-        phi = phi[~joint]
+        keys = first[pieces] * np.int64(nseg) + second[pieces]
+        if near:
+            keys = np.concatenate((keys, np.array(sorted(near), dtype=np.int64)))
+        plo, phi = np.divmod(np.sort(keys), nseg)
 
         rx = SB[plo, 0] - SA[plo, 0]
         ry = SB[plo, 1] - SA[plo, 1]
@@ -478,31 +593,12 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
             where_on_edge[(e, x)] = s
 
     # rotations from local directions
-    def direction_at(e: int, s: float, outgoing: bool) -> float:
-        """Angle of the curve of e at arclength s, looking forward or back."""
-        acc = prefix[e]
-        r = routes[e]
-        if outgoing:
-            j = 0
-            while j < len(acc) - 2 and acc[j + 1] <= s + TOL:
-                j += 1
-            dx = r[j + 1][0] - r[j][0]
-            dy = r[j + 1][1] - r[j][1]
-        else:
-            j = len(acc) - 2
-            while j > 0 and acc[j] >= s - TOL:
-                j -= 1
-            dx = r[j][0] - r[j + 1][0]
-            dy = r[j][1] - r[j + 1][1]
-        return math.atan2(dy, dx)
-
     incident: dict[int, list[tuple[float, ArcRef]]] = collections.defaultdict(list)
     for e in range(g.m):
         u, v = g.edges[e]
-        total = prefix[e][-1]
         chain = chains[e]
-        incident[u].append((direction_at(e, 0.0, True), (e, 0)))
-        incident[v].append((direction_at(e, total, False), (e, len(chain) - 2)))
+        incident[u].append((leave[e], (e, 0)))
+        incident[v].append((arrive[e], (e, len(chain) - 2)))
         for pos in range(1, len(chain) - 1):
             x = chain[pos]
             s = where_on_edge[(e, x)]

@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 import time
 
-import networkx as nx
-
 from .errors import InputError
 from .graphs import AnchoredGraph
 from .search import SearchOutcome, SearchStats, Status
@@ -96,6 +94,10 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
 
 
 def _realizable(ag: AnchoredGraph, pairs, counts, stats: SearchStats) -> bool:
+    # networkx only serves this planarity test; importing it here keeps it
+    # out of every ``import minkplanar``
+    import networkx as nx
+
     g = ag.graph
     node_seq = (max(g.vertices) + 1) if g.vertices else 0
     slots: dict[int, list] = {e: [] for e in range(g.m)}

@@ -135,7 +135,7 @@ def test_search_report_records_the_insertion_order(fig1, capsys):
     code, _, err = run(capsys, "search", "--graph", graph, "--k", "2",
                        "--simple")
     assert code == 1
-    order = _report_of(err)["stats"]["order"]
+    order = _report_of(err)["stats"]["search"]["order"]
     assert order == list(insertion_order(build_G2().anchored_graph))
 
 
@@ -230,6 +230,16 @@ def test_repro_lemma3_g2_confirms(capsys):
     assert "offender-is-a1a2-b1a2" in names
 
 
+def test_repro_report_times_the_whole_command(capsys):
+    # the search's own stats sit under their own key, so the command's
+    # seconds cover the drawing checks and the JSON as well
+    code, _, err = run(capsys, "repro", "lemma3-g2")
+    assert code == 0
+    stats = _report_of(err)["stats"]
+    assert stats["search"]["nodes"] > 0
+    assert stats["seconds"] >= stats["search"]["seconds"]
+
+
 def test_repro_lemma3_gk_confirms(capsys):
     for k in (3, 4):
         code, out, err = run(capsys, "repro", "lemma3-gk", "--k", str(k))
@@ -240,7 +250,7 @@ def test_repro_lemma3_gk_confirms(capsys):
         assert {"check": "no-adjacent-pair-crosses", "ok": True} in checks
         assert {"check": f"no-simple-anchored-min-{k}", "ok": True} in checks
         assert doc["search"] == "ExhaustedUnsat"
-        assert _report_of(err)["stats"]["nodes"] > 0
+        assert _report_of(err)["stats"]["search"]["nodes"] > 0
 
 
 def test_repro_lemma3_gk_budget_stop_exits_two(capsys):

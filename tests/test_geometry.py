@@ -1,5 +1,7 @@
 """Scene conversion tests: coordinates in, combinatorial drawings out."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -15,6 +17,7 @@ from minkplanar.geometry import (
     scene_to_drawing,
 )
 from minkplanar.drawings import crossing_profile, drawings_equal, validate
+from minkplanar.jsonio import drawing_to_json
 
 from test_drawings import crossing_chords, double_crossing
 
@@ -218,19 +221,98 @@ def test_random_chord_diagrams_match_interleaving_count():
 def test_box_sweep_finds_every_overlapping_pair(monkeypatch, per_slice):
     monkeypatch.setattr(geometry, "_SWEEP_SLICE", per_slice)
     rng = random.Random(per_slice)
-    for _ in range(20):
-        n = rng.randrange(1, 40)
-        # coarse integer corners, so boxes often share edges and corners
-        lo = [(rng.randrange(10), rng.randrange(10)) for _ in range(n)]
-        hi = [(x + rng.randrange(4), y + rng.randrange(4)) for x, y in lo]
-        want = sorted(
-            (i, j) for i in range(n) for j in range(i + 1, n)
-            if lo[i][0] <= hi[j][0] and lo[j][0] <= hi[i][0]
-            and lo[i][1] <= hi[j][1] and lo[j][1] <= hi[i][1]
-        )
-        got = _overlapping_boxes(np.array(lo, dtype=float),
-                                 np.array(hi, dtype=float))
-        assert sorted(zip(got[0].tolist(), got[1].tolist())) == want
+    # one strip, and inputs cut into several y-strips
+    for per_strip in (1 << 11, 7, 1):
+        monkeypatch.setattr(geometry, "_SWEEP_STRIP", per_strip)
+        for _ in range(20):
+            n = rng.randrange(1, 40)
+            # coarse integer corners, so boxes often share edges and corners
+            lo = [(rng.randrange(10), rng.randrange(10)) for _ in range(n)]
+            hi = [(x + rng.randrange(4), y + rng.randrange(4)) for x, y in lo]
+            tags = [(rng.randrange(30), rng.randrange(30)) for _ in range(n)]
+            overlap = [
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if lo[i][0] <= hi[j][0] and lo[j][0] <= hi[i][0]
+                and lo[i][1] <= hi[j][1] and lo[j][1] <= hi[i][1]
+            ]
+            lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
+            got = _overlapping_boxes(lo_a, hi_a)
+            assert sorted(zip(got[0].tolist(), got[1].tolist())) == overlap
+            # boxes that share a tag are not paired
+            got = _overlapping_boxes(lo_a, hi_a, np.array(tags).T)
+            assert sorted(zip(got[0].tolist(), got[1].tolist())) == [
+                (i, j) for i, j in overlap if not set(tags[i]) & set(tags[j])]
+
+
+# ------------------------------------------------ pieces at a shared vertex
+
+
+@pytest.mark.parametrize("leaving", [True, False])
+def test_collinear_edges_at_a_vertex_run_along_a_shared_segment(leaving):
+    # both edges leave vertex 0 along the x-axis (or both arrive there)
+    g = Graph((0, 1, 2), ((0, 1), (0, 2)) if leaving else ((1, 0), (2, 0)))
+    pos = {0: (0.0, 0.0), 1: (2.0, 0.0), 2: (1.0, 1.0)}
+    routes = {0: (pos[0], pos[1]), 1: (pos[0], (1.0, 0.0), pos[2])}
+    if not leaving:
+        routes = {e: r[::-1] for e, r in routes.items()}
+    with pytest.raises(GeometryError,
+                       match="edges 0 and 1 run along a shared segment"):
+        scene_to_drawing(Scene(g, pos, routes))
+
+
+def test_straight_parallel_edges_run_along_a_shared_segment():
+    g = Graph((0, 1), ((0, 1), (0, 1)), simple=False)
+    pos = {0: (0.0, 0.0), 1: (1.0, 2.0)}
+    routes = {0: (pos[0], pos[1]), 1: (pos[0], pos[1])}
+    with pytest.raises(GeometryError,
+                       match="edges 0 and 1 run along a shared segment"):
+        scene_to_drawing(Scene(g, pos, routes))
+
+
+@pytest.mark.parametrize("angle", [1.5e-4, math.pi - 1.5e-4, 1e-6])
+def test_pieces_at_a_shallow_angle_at_their_vertex_are_accepted(angle):
+    # the first two angles lie just outside the window of nearly parallel
+    # pairs, the last inside it; each pair only touches at vertex 0, the
+    # two edges arriving there and leaving it
+    g = Graph((0, 1, 2), ((1, 0), (0, 2)))
+    pos = {0: (0.5, 0.5), 1: (10.5, 0.5),
+           2: (0.5 + math.cos(angle), 0.5 + math.sin(angle))}
+    routes = {0: (pos[1], pos[0]), 1: (pos[0], pos[2])}
+    d, pts = scene_to_drawing(Scene(g, pos, routes))
+    assert d.crossings == () and pts == {}
+    assert set(d.rotation[0]) == {(0, 0), (1, 0)}
+
+
+def _fan(spokes: int) -> Scene:
+    """A hub with ``spokes`` straight spokes to the unit circle, two of
+    them nearly parallel, and one chord across the first quarter."""
+    angles = [360.0 * i / spokes for i in range(spokes)]
+    angles[1] = angles[0] + 1e-5
+    pos = {0: (0.0, 0.0)}
+    pos.update({i + 1: on_circle(1.0 - 0.001 * (i % 3), a)
+                for i, a in enumerate(angles)})
+    edges = [(0, i + 1) for i in range(spokes)]
+    edges.append((spokes // 4 + 1, 3))
+    routes = {e: (pos[u], pos[v]) for e, (u, v) in enumerate(edges)}
+    return Scene(Graph(tuple(pos), tuple(edges)), pos, routes)
+
+
+def test_a_200_spoke_fan_converts_as_before():
+    d, pts = scene_to_drawing(_fan(200))
+    # the chord crosses the spokes strictly between its ends, each once
+    assert sorted(c.edges for c in d.crossings) == [
+        (e, 200) for e in range(3, 50)]
+    hub = d.rotation[0]
+    assert sorted(hub) == [(e, 0) for e in range(200)]
+    # clockwise from spoke 0, which is nearly parallel to spoke 1
+    assert hub[hub.index((0, 0)) - 1] == (1, 0)
+    doc = json.dumps(drawing_to_json(d), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == _FAN_DIGEST
+
+
+# drawing_to_json's digest, recorded while the converter still classified
+# every pair of spokes
+_FAN_DIGEST = "69ff2fc6b8b0d9568f2ae940d450fef5bdce7f6daf8a98137a0c1417a06946b8"
 
 
 def _oracle(scene, tol):

@@ -6,20 +6,24 @@ imports bind are looked up among the names the module reads;
 re-exports.  Every function, method and class must be read by name (an
 ``ast.Name`` or ``ast.Attribute``) somewhere in the package or the demos
 outside its own body, or be exported in ``__all__``.  A method counts as
-read only through an attribute, and an attribute read on ``self``, ``cls``
-or a package class by name counts only for that class and its bases.
-Dunders are exempt, and so is ``_Parser.error``, which argparse calls.
-Every attribute a package class stores on ``self`` is read somewhere in
-the package or the demos.  The runtime dependencies in ``pyproject.toml``
-are exactly the third-party packages the package imports, and every
-function the benchmark's tracer wraps still exists under the name it
-looks up.
+read only through an attribute, and an attribute read on ``self``, ``cls``,
+a package class by name or a name that only holds instances of one counts
+only for that class and its bases.  Dunders are exempt, and so is
+``_Parser.error``, which argparse calls.  Every attribute a package class
+stores on ``self`` is read somewhere in the package or the demos: on that
+class, a base or subclass of it, or on something of unknown class.  The
+runtime dependencies in ``pyproject.toml`` are exactly the third-party
+packages the package imports, and every function the benchmark's tracer
+wraps still exists under the name it looks up.  Importing the CLI does not
+import networkx.
 """
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -48,32 +52,75 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _class_named(node, classes: set[str]) -> str | None:
+    """The one package class an annotation or ``K(...)`` call names."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    named |= {n.value for n in ast.walk(node)
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    named &= classes
+    return named.pop() if len(named) == 1 else None
+
+
+def _typed_names(func: ast.AST, classes: set[str]) -> dict[str, str | None]:
+    """The names ``func`` binds, each with the package class whose
+    instances it only ever holds, or None: a parameter annotated with the
+    class that is never rebound, or a local whose every binding is
+    ``name = K(...)``."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    typed = {a.arg: a.annotation and _class_named(a.annotation, classes)
+             for a in params + [a for a in (args.vararg, args.kwarg) if a]}
+    made = {id(n.targets[0]): _class_named(n.value, classes)
+            for n in ast.walk(func)
+            if isinstance(n, ast.Assign) and len(n.targets) == 1
+            and isinstance(n.value, ast.Call)}
+    for n in ast.walk(func):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            cls = made.get(id(n))
+            if n.id in typed and typed[n.id] != cls:
+                cls = None
+            typed[n.id] = cls
+    return typed
+
+
 def _reads(tree: ast.AST, classes: set[str]):
     """Each name read in ``tree`` as ``(name, outer, owner)``.
 
     ``outer`` holds the ids of the definitions around the read.  ``owner``
-    is "" for a bare name, the class for an attribute read on ``self`` or
-    ``cls`` inside a class or on a package class by name, and None for any
-    other attribute read.
+    is "" for a bare name, and for an attribute read the class of what it
+    is read on, where that is known: ``self`` or ``cls`` inside a class, a
+    package class by name, or a name that only holds instances of one
+    (``_typed_names``).  It is None for any other attribute read.  Loading
+    ``x.a`` only to store into an item of it or delete one (``x.a[k] = v``,
+    ``del x.a[k]``) is no read.
     """
-    stack = [(tree, (), None)]
+    written = {id(n.value) for n in ast.walk(tree)
+               if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)}
+    stack = [(tree, (), None, {})]
     while stack:
-        node, outer, inside = stack.pop()
+        node, outer, inside, typed = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, outer, ""
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and id(node) not in written):
             owner = None
             if isinstance(node.value, ast.Name):
                 if node.value.id in ("self", "cls"):
                     owner = inside
                 elif node.value.id in classes:
                     owner = node.value.id
+                else:
+                    owner = typed.get(node.value.id)
             yield node.attr, outer, owner
         if isinstance(node, DEFINITIONS):
             outer = outer + (id(node),)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            typed = {**typed, **_typed_names(node, classes)}
         if isinstance(node, ast.ClassDef):
             inside = node.name
-        stack.extend((child, outer, inside)
+        stack.extend((child, outer, inside, typed)
                      for child in ast.iter_child_nodes(node))
 
 
@@ -119,7 +166,7 @@ def _unused_definitions(modules: dict[str, str], readers: dict[str, str],
     """Definitions in ``modules`` that no module and no reader reads.
 
     Any definition counts as read by an attribute read of its name on
-    anything but ``self``, ``cls`` or a package class.  A method also
+    something whose class ``_reads`` cannot tell.  A method also
     counts as read by one on its own class, a subclass of it, or
     ``self``/``cls`` inside either; anything else by its bare name.
     """
@@ -198,29 +245,32 @@ def _unread_attributes(modules: dict[str, str],
                        readers: dict[str, str]) -> list[str]:
     """Attributes stored on ``self`` in ``modules`` that nothing reads.
 
-    A read is an attribute load of the name on anything, in ``modules``
-    or ``readers``; loading ``self.x`` only to store into an item of it
-    or delete one (``self.x[k] = v``, ``del self.x[k]``) is no read.
+    A read is an attribute load of the name, in ``modules`` or
+    ``readers``, on something whose class ``_reads`` cannot tell, or on the
+    storing class, a base or a subclass of it.
     """
     trees = {name: ast.parse(src) for name, src in {**readers, **modules}.items()}
-    read = set()
+    lineage = _lineage(trees[m] for m in modules)
+    owners: dict[str, set[str | None]] = {}
     for tree in trees.values():
-        written = {id(n.value) for n in ast.walk(tree)
-                   if isinstance(n, ast.Subscript)
-                   and not isinstance(n.ctx, ast.Load)}
-        read.update(n.attr for n in ast.walk(tree)
-                    if isinstance(n, ast.Attribute)
-                    and isinstance(n.ctx, ast.Load) and id(n) not in written)
+        for name, _, owner in _reads(tree, set(lineage)):
+            if owner != "":
+                owners.setdefault(name, set()).add(owner)
     unread = set()
     for module in modules:
         for cls in ast.walk(trees[module]):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for n in ast.walk(cls):
-                if (isinstance(n, ast.Attribute)
+                if not (isinstance(n, ast.Attribute)
                         and isinstance(n.ctx, ast.Store)
                         and isinstance(n.value, ast.Name)
-                        and n.value.id == "self" and n.attr not in read):
+                        and n.value.id == "self"):
+                    continue
+                seen = owners.get(n.attr, set())
+                if None not in seen and not any(
+                        cls.name in lineage.get(o, ()) or o in lineage[cls.name]
+                        for o in seen):
                     unread.add(f"{module}: {cls.name}.{n.attr}")
     return sorted(unread)
 
@@ -237,6 +287,35 @@ def test_checker_sees_an_unread_attribute():
     reader = "print(C().shown)\n"
     assert _unread_attributes({"m.py": module}, {"demo.py": reader}) == [
         "m.py: C.deleted", "m.py: C.stored", "m.py: C.unread"]
+
+
+def test_checker_resolves_whose_attribute_is_read():
+    # D's own self.graph, an annotated d.graph and a made e.graph are reads
+    # of D.graph; none of them masks C.graph.  B.size is read through its
+    # subclass, E.base through an instance of E, and F.seen on an object
+    # whose class is unknown
+    module = ("class C:\n"
+              "    def __init__(self, g):\n"
+              "        self.graph = g\n"
+              "class D:\n"
+              "    def __init__(self, g):\n"
+              "        self.graph = g\n"
+              "    def go(self):\n"
+              "        return self.graph\n"
+              "class B:\n"
+              "    def __init__(self):\n"
+              "        self.size = 0\n"
+              "class E(B):\n"
+              "    def __init__(self):\n"
+              "        self.base = self.size\n"
+              "class F:\n"
+              "    def __init__(self):\n"
+              "        self.seen = 1\n")
+    reader = ("def f(d: D, x):\n"
+              "    e = D(1)\n"
+              "    return d.graph, e.graph, E().base, x.seen\n")
+    assert _unread_attributes({"m.py": module}, {"demo.py": reader}) == [
+        "m.py: C.graph"]
 
 
 def test_every_stored_attribute_is_read():
@@ -305,3 +384,17 @@ def test_traced_benchmark_targets_resolve(monkeypatch):
     layers = importlib.import_module("layers")
     assert layers.TARGETS
     assert _unresolved(layers.TARGETS) == []
+
+
+def test_networkx_is_not_imported_with_the_cli():
+    # only the brute oracle's planarity test needs networkx, and it costs
+    # a tenth of a second of every start-up
+    src = str(PACKAGE.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, minkplanar.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["False"]

@@ -225,13 +225,39 @@ audit_layout(d, tutte_layout(d))
 """
 
 
-def test_composed_g2_audit_at_t3_fits_in_two_gib():
+def _run_limited(script: str, **env_extra: str) -> subprocess.CompletedProcess:
+    """Runs ``script`` in a fresh interpreter that imports this checkout."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    run = subprocess.run([sys.executable, "-c", _AUDIT_T3], env=env,
-                         capture_output=True, text=True, timeout=300)
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               **env_extra)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_composed_g2_audit_at_t3_fits_in_two_gib():
+    run = _run_limited(_AUDIT_T3)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+_COMPOSE_T6 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+from minkplanar.constructions import build_G2
+from minkplanar.frames import build_frame, compose
+b = build_G2()
+compose(build_frame(b.anchored_graph, 2, 6), b)
+"""
+
+
+def test_composed_g2_at_the_default_t_fits_in_600_mib():
+    # t = 2k+2 = 6 is the paper's default; the converter used to hold
+    # every pair of pieces that end at the hub, which took the frame build
+    # past this limit.  One thread per native pool, since each pool thread
+    # reserves address space of its own
+    run = _run_limited(_COMPOSE_T6, OMP_NUM_THREADS="1",
+                       OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     assert run.returncode == 0, run.stderr[-2000:]
