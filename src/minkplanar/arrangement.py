@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import InputError
 from .graphs import AnchoredGraph
 
 BOUNDARY = -1
@@ -55,8 +54,6 @@ class Arrangement:
     def __init__(self, anchored: AnchoredGraph):
         g = anchored.graph
         anchors = anchored.anchors
-        if len(anchors) < 2:
-            raise InputError("routing needs at least two anchors")
         b = len(anchors)
         self.anchor_set = set(anchors)
         self.arc_owner: list[int] = [BOUNDARY] * b

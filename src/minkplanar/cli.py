@@ -29,9 +29,8 @@ from dataclasses import asdict
 from typing import Any, Optional
 
 from . import __version__
-from .constructions import build_G2, build_Gk
+from .constructions import build_G2, build_Gk, g2_claims, gk_claims
 from .drawings import (
-    adjacent_crossing_pairs,
     crossing_profile,
     is_k_planar,
     is_min_k_planar,
@@ -39,7 +38,13 @@ from .drawings import (
     validate,
 )
 from .errors import InputError, MinkplanarError
-from .frames import build_frame, compose, separation_property_check
+from .frames import (
+    build_frame,
+    compose,
+    composition_claims,
+    frame_claims,
+    separation_property_check,
+)
 from .graphs import AnchoredGraph
 from .jsonio import (
     RunReport,
@@ -118,11 +123,16 @@ def _emit(doc: Any, out: Optional[str]) -> None:
         print(text)
 
 
-def _write_pack(prefix: str, graph_doc: dict, drawing_doc: dict,
-                provenance: dict, rep: RunReport) -> None:
-    """gen, frame and compose all produce the same three files."""
+def _write_pack(prefix: Optional[str], graph, drawing, provenance: dict,
+                rep: RunReport) -> None:
+    """gen, frame and compose print the drawing JSON, or with --out write
+    the same three files: graph, drawing and provenance."""
+    ddoc = drawing_to_json(drawing)
+    if not prefix:
+        _emit(ddoc, None)
+        return
     written = []
-    for tag, doc in (("graph", graph_doc), ("drawing", drawing_doc),
+    for tag, doc in (("graph", graph_to_json(graph)), ("drawing", ddoc),
                      ("provenance", provenance)):
         path = f"{prefix}.{tag}.json"
         _emit(doc, path)
@@ -154,13 +164,12 @@ def cmd_gen(args, rep: RunReport) -> int:
     rep.parameters.update({"family": args.family, "k": k})
     bundle = _source_bundle(k) if args.family == "gk" else build_G2()
 
-    prof = crossing_profile(bundle.drawing)
     g = bundle.anchored_graph
     rep.stats.update({
         "vertices": g.graph.n,
         "edges": g.graph.m,
         "anchors": len(g.anchors),
-        "crossings": prof.total,
+        "crossings": len(bundle.drawing.crossings),
     })
     provenance = {
         "family": args.family,
@@ -169,11 +178,7 @@ def cmd_gen(args, rep: RunReport) -> int:
         "claimed_simple": bundle.claimed_simple,
         "claimed_adjacency_free": bundle.claimed_adjacency_free,
     }
-    ddoc = drawing_to_json(bundle.drawing)
-    if args.out:
-        _write_pack(args.out, graph_to_json(g), ddoc, provenance, rep)
-    else:
-        _emit(ddoc, None)
+    _write_pack(args.out, g, bundle.drawing, provenance, rep)
     rep.outcome = "ok"
     return 0
 
@@ -270,19 +275,13 @@ def cmd_frame(args, rep: RunReport) -> int:
     fr = build_frame(g, args.k, t=args.t)
     p = fr.params
     rep.parameters.update({"k": args.k, "t": p.t})
-    prof = crossing_profile(fr.drawing)
     rep.stats.update({
         "vertices": fr.graph.n,
         "edges": fr.graph.m,
-        "crossings": prof.total,
+        "crossings": len(fr.drawing.crossings),
     })
-    provenance = dict(p._asdict())
-    ddoc = drawing_to_json(fr.drawing)
-    if args.out:
-        gdoc = graph_to_json(AnchoredGraph(fr.graph, fr.anchors))
-        _write_pack(args.out, gdoc, ddoc, provenance, rep)
-    else:
-        _emit(ddoc, None)
+    _write_pack(args.out, AnchoredGraph(fr.graph, fr.anchors), fr.drawing,
+                dict(p._asdict()), rep)
     rep.outcome = "ok"
     return 0
 
@@ -293,20 +292,15 @@ def cmd_compose(args, rep: RunReport) -> int:
     comp = compose(fr, src)
     p = fr.params
     rep.parameters.update({"k": args.k, "t": p.t})
-    prof = crossing_profile(comp)
     rep.stats.update({
         "vertices": comp.graph.n,
         "edges": comp.graph.m,
-        "crossings": prof.total,
+        "crossings": len(comp.crossings),
     })
     provenance = dict(p._asdict())
     provenance["source_family"] = "g2" if args.k == 2 else f"gk{args.k}"
     provenance["source_min_k"] = src.claimed_min_k
-    ddoc = drawing_to_json(comp)
-    if args.out:
-        _write_pack(args.out, graph_to_json(comp.graph), ddoc, provenance, rep)
-    else:
-        _emit(ddoc, None)
+    _write_pack(args.out, comp.graph, comp, provenance, rep)
     rep.outcome = "ok"
     return 0
 
@@ -366,32 +360,14 @@ def _finish_lemma3(name: str, b, k: int, checks: list[tuple[str, bool]],
 
 def _repro_lemma3_g2(args, rep: RunReport) -> int:
     b = build_G2()
-    checks = [("drawing-valid", validate(b.drawing) == [])]
-    checks.append(("min-2-planar", is_min_k_planar(b.drawing, 2).ok))
-    simple = is_simple(b.drawing)
-    checks.append(("not-simple", not simple))
-    want = {b.edge("a1a2"), b.edge("b1a2")}
-    checks.append(
-        ("offender-is-a1a2-b1a2", (not simple) and set(simple.witness[0]) == want)
-    )
-    return _finish_lemma3("lemma3-g2", b, 2, checks, args, rep, {})
+    return _finish_lemma3("lemma3-g2", b, 2, list(g2_claims(b)), args, rep, {})
 
 
 def _repro_lemma3_gk(args, rep: RunReport) -> int:
     k = args.k if args.k is not None else 4
     b = build_Gk(k)
-    names = b.edge_names
-    m1 = sum(1 for n in names if n.startswith("m1_"))
-    m2 = sum(1 for n in names if n.startswith("m2_"))
-    m3 = sum(1 for n in names if n.startswith("m3_")) + ("b1b2" in names)
-    checks = [("drawing-valid", validate(b.drawing) == [])]
-    checks.append((f"min-{b.claimed_min_k}-planar",
-                   is_min_k_planar(b.drawing, b.claimed_min_k).ok))
-    checks.append(("side-matchings-k-plus-1", m1 == k + 1 and m2 == k + 1))
-    checks.append(("top-matching-k", m3 == k))
-    checks.append(("no-adjacent-pair-crosses",
-                   adjacent_crossing_pairs(b.drawing) == []))
-    return _finish_lemma3("lemma3-gk", b, k, checks, args, rep, {"k": k})
+    return _finish_lemma3("lemma3-gk", b, k, list(gk_claims(b, k)), args, rep,
+                          {"k": k})
 
 
 def _repro_lemma5_frame(args, rep: RunReport) -> int:
@@ -402,20 +378,9 @@ def _repro_lemma5_frame(args, rep: RunReport) -> int:
         g = build_G2().anchored_graph
     fr = build_frame(g, k, t=args.t)
     p = fr.params
-    prof = crossing_profile(fr.drawing)
-    checks = [("drawing-valid", validate(fr.drawing) == [])]
-    checks.append(("anchored", fr.drawing.anchored))
-    checks.append(("simple", is_simple(fr.drawing).ok))
-    checks.append(("min-1-planar", is_min_k_planar(fr.drawing, 1).ok))
+    checks = list(frame_claims(fr))
     checks.append(("web-separates-wheel", separation_property_check(fr)))
-    checks.append(
-        ("each-wheel-edge-crossed-t-times",
-         all(prof.per_edge[e] == p.t for e in fr.core_edges))
-    )
-    checks.append(("vertex-count", fr.graph.n == 1 + 3 * p.d + p.a + 9 * p.d * p.t))
-    checks.append(("edge-count", fr.graph.m == 3 * p.d + 18 * p.d * p.t))
-    checks.append(("crossing-count", prof.total == 3 * p.d * p.t))
-    rep.stats.update({"crossings": prof.total, "d": p.d})
+    rep.stats.update({"crossings": len(fr.drawing.crossings), "d": p.d})
     return _finish_repro("lemma5-frame", checks, args, rep,
                          {"params": dict(p._asdict())})
 
@@ -426,20 +391,10 @@ def _repro_thm1_compose(args, rep: RunReport) -> int:
     mk = src.claimed_min_k
     fr = build_frame(src.anchored_graph, mk, t=args.t)
     comp = compose(fr, src)
-    prof = crossing_profile(comp)
-    heavy = set(prof.heavy_edges(mk))
-    clash = [
-        p for p in prof.per_pair if p[0] in heavy and p[1] in heavy
-    ]
-    checks = [("drawing-valid", validate(comp) == [])]
-    checks.append((f"min-{mk}-planar", is_min_k_planar(comp, mk).ok))
-    checks.append(("no-heavy-heavy-crossing", clash == []))
-    checks.append(
-        ("crossings-additive",
-         prof.total
-         == len(fr.drawing.crossings) + len(src.drawing.crossings))
-    )
-    rep.stats.update({"crossings": prof.total, "heavy_edges": len(heavy)})
+    checks = list(composition_claims(comp, fr, src))
+    heavy = crossing_profile(comp).heavy_edges(mk)
+    rep.stats.update({"crossings": len(comp.crossings),
+                      "heavy_edges": len(heavy)})
     return _finish_repro("thm1-compose", checks, args, rep,
                          {"k": k, "source_min_k": mk,
                           "params": dict(fr.params._asdict())})

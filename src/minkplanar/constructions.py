@@ -2,15 +2,16 @@
 
 Each generator lays out an explicit scene (vertex coordinates plus one
 polyline route per edge), converts it into a combinatorial drawing, and
-re-checks the properties the construction is supposed to have.  A failed
-check raises instead of returning, so a bundle in hand is already
-certified.  All coordinates are fixed tables, making the output
-deterministic byte for byte.
+checks the construction's list of named claims on it.  A false claim
+raises instead of returning, so a bundle in hand is already certified;
+the ``repro`` pipelines print the same lists.  All coordinates are fixed
+tables, making the output deterministic byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .drawings import (
     Drawing,
@@ -18,6 +19,7 @@ from .drawings import (
     crossing_profile,
     is_min_k_planar,
     is_simple,
+    validate,
 )
 from .errors import InputError, MinkplanarError
 from .geometry import Point, Scene, on_circle, scene_to_drawing
@@ -26,9 +28,16 @@ from .graphs import AnchoredGraph, EdgeClassMap, Graph, t_amplify
 DISK_RADIUS = 2.1
 
 
-def _require(cond: bool, what: str) -> None:
-    if not cond:
-        raise MinkplanarError("construction self-check failed: " + what)
+# A construction's claims: (name, holds) pairs, produced lazily so that a
+# builder stops at the first false one.
+Claims = Iterator[tuple[str, bool]]
+
+
+def certify(what: str, claims: Claims) -> None:
+    """Raise on the first false claim of a construction's list."""
+    for name, holds in claims:
+        if not holds:
+            raise MinkplanarError(f"{what} self-check failed: not {name}")
 
 
 # ------------------------------------------------------------------ bundles
@@ -54,7 +63,6 @@ class CounterexampleBundle:
     edge_names: dict[str, int]
     positions: dict[int, Point]
     crossing_points: dict[int, Point]
-    radius: float = DISK_RADIUS
 
     def edge(self, name: str) -> int:
         return self.edge_names[name]
@@ -112,14 +120,6 @@ def _disk_bundle(
     graph = Graph(tuple(range(len(vertex_names))), tuple(edges))
     scene = Scene(graph, positions, routes, anchors=anchors, radius=DISK_RADIUS)
     drawing, crossing_points = scene_to_drawing(scene)
-
-    min_k = is_min_k_planar(drawing, claimed_min_k)
-    _require(min_k, f"drawing is not min-{claimed_min_k}-planar ({min_k.witness})")
-    _require(is_simple(drawing).ok == claimed_simple,
-             "simplicity differs from the claim")
-    adj = adjacent_crossing_pairs(drawing)
-    _require((not adj) == claimed_adjacency_free, "adjacent-crossing claim failed")
-
     return CounterexampleBundle(
         anchored_graph=AnchoredGraph(graph, anchors),
         drawing=drawing,
@@ -131,6 +131,18 @@ def _disk_bundle(
         positions=positions,
         crossing_points=crossing_points,
     )
+
+
+def _disk_claims(b: CounterexampleBundle) -> Claims:
+    """What every disk bundle claims about its drawing."""
+    d, mk = b.drawing, b.claimed_min_k
+    yield "drawing-valid", validate(d) == []
+    yield f"min-{mk}-planar", is_min_k_planar(d, mk).ok
+    yield ("simple" if b.claimed_simple else "not-simple",
+           is_simple(d).ok == b.claimed_simple)
+    yield ("no-adjacent-pair-crosses" if b.claimed_adjacency_free
+           else "some-adjacent-pair-crosses",
+           (not adjacent_crossing_pairs(d)) == b.claimed_adjacency_free)
 
 
 def _chord_angles(k: int) -> list[float]:
@@ -220,21 +232,26 @@ def build_G2() -> CounterexampleBundle:
         claimed_simple=False,
         claimed_adjacency_free=False,
     )
-
-    # frozen shape of this construction
-    g = bundle.anchored_graph
-    _require(g.graph.n == 20 and g.graph.m == 11, "vertex/edge count off")
-    _require(len(g.anchors) == 19, "anchor count off")
-    prof = crossing_profile(bundle.drawing)
-    _require(prof.total == 10, "crossing total off")
-    _require(prof.per_edge[bundle.edge("a1a2")] == 5, "a1a2 count off")
-    _require(prof.per_edge[bundle.edge("c1c2")] == 4, "c1c2 count off")
-    simple = is_simple(bundle.drawing)
-    pair = (bundle.edge("a1a2"), bundle.edge("b1a2"))
-    _require(not simple and simple.witness[0] == pair, "simplicity witness off")
-    _require(not is_min_k_planar(bundle.drawing, 1),
-             "drawing should not be min-1-planar")
+    certify("G2", g2_claims(bundle))
     return bundle
+
+
+def g2_claims(b: CounterexampleBundle) -> Claims:
+    """Lemma 3's claims on G2: the disk claims, the frozen shape, and the
+    adjacent pair (a1a2, b1a2) as the first offence against simplicity."""
+    yield from _disk_claims(b)
+    g = b.anchored_graph
+    yield "vertex-count", g.graph.n == 20
+    yield "edge-count", g.graph.m == 11
+    yield "anchor-count", len(g.anchors) == 19
+    prof = crossing_profile(b.drawing)
+    yield "crossing-count", prof.total == 10
+    yield "a1a2-crossed-5-times", prof.per_edge[b.edge("a1a2")] == 5
+    yield "c1c2-crossed-4-times", prof.per_edge[b.edge("c1c2")] == 4
+    simple = is_simple(b.drawing)
+    yield ("offender-is-a1a2-b1a2", not simple
+           and simple.witness[0] == (b.edge("a1a2"), b.edge("b1a2")))
+    yield "not-min-1-planar", not is_min_k_planar(b.drawing, 1)
 
 
 # ----------------------------------------------------------- k>=3 family
@@ -290,17 +307,29 @@ def build_Gk(k: int) -> CounterexampleBundle:
         claimed_simple=False,
         claimed_adjacency_free=True,
     )
-
-    g = bundle.anchored_graph
-    _require(g.graph.n == 6 * k + 9, "vertex count off")
-    _require(g.graph.m == 3 * k + 5, "edge count off")
-    _require(len(g.anchors) == 6 * k + 8, "anchor count off")
-    prof = crossing_profile(bundle.drawing)
-    _require(prof.total == 5 * k + 1, "crossing total off")
-    _require(prof.per_edge[bundle.edge("a1a2")] == 3 * k, "a1a2 count off")
-    _require(prof.per_edge[bundle.edge("c1c2")] == 2 * k, "c1c2 count off")
-    _require(prof.per_edge[bundle.edge("b1b2")] == 3, "b1b2 count off")
+    certify("Gk", gk_claims(bundle, k))
     return bundle
+
+
+def gk_claims(b: CounterexampleBundle, k: int) -> Claims:
+    """Lemma 3's claims on Gk: the disk claims, k+1 chords in each side
+    matching and k in the top one, and the frozen counts."""
+    yield from _disk_claims(b)
+    g = b.anchored_graph
+    yield "vertex-count", g.graph.n == 6 * k + 9
+    yield "edge-count", g.graph.m == 3 * k + 5
+    yield "anchor-count", len(g.anchors) == 6 * k + 8
+    names = b.edge_names
+    yield ("side-matchings-k-plus-1",
+           all(sum(n.startswith(side) for n in names) == k + 1
+               for side in ("m1_", "m2_")))
+    yield ("top-matching-k",
+           sum(n.startswith("m3_") for n in names) + ("b1b2" in names) == k)
+    prof = crossing_profile(b.drawing)
+    yield "crossing-count", prof.total == 5 * k + 1
+    yield "a1a2-crossed-3k-times", prof.per_edge[b.edge("a1a2")] == 3 * k
+    yield "c1c2-crossed-2k-times", prof.per_edge[b.edge("c1c2")] == 2 * k
+    yield "b1b2-crossed-3-times", prof.per_edge[b.edge("b1b2")] == 3
 
 
 # ------------------------------------------------------- crossing gadget
@@ -352,21 +381,7 @@ def build_biclique_gadget(k: int, m: int) -> BicliqueGadget:
 
     scene = Scene(amplified, positions, routes)
     drawing, crossing_points = scene_to_drawing(scene)
-
-    prof = crossing_profile(drawing)
-    _require(prof.total == m * m, "gadget must have exactly m*m crossings")
-    lane_halves = [d.halves for d in classes.by_edge[0]]
-    col_halves = [d.halves for d in classes.by_edge[1]]
-    for ha in lane_halves:
-        for hb in col_halves:
-            n = sum(
-                prof.per_pair.get((min(a, b), max(a, b)), 0)
-                for a in ha
-                for b in hb
-            )
-            _require(n == 1, "each copy pair must cross exactly once")
-    _require(is_min_k_planar(drawing, k).ok == (m <= k), "gadget min-k verdict off")
-    return BicliqueGadget(
+    gadget = BicliqueGadget(
         graph=amplified,
         classes=classes,
         drawing=drawing,
@@ -375,3 +390,22 @@ def build_biclique_gadget(k: int, m: int) -> BicliqueGadget:
         k=k,
         m=m,
     )
+    certify("gadget", _gadget_claims(gadget))
+    return gadget
+
+
+def _gadget_claims(gadget: BicliqueGadget) -> Claims:
+    """Every lane copy crosses every column copy once, m*m crossings in
+    all, so the drawing is min-k-planar exactly when m <= k."""
+    k, m = gadget.k, gadget.m
+    prof = crossing_profile(gadget.drawing)
+    yield "crossing-count", prof.total == m * m
+    by_edge = gadget.classes.by_edge
+    yield "each-copy-pair-crosses-once", all(
+        sum(prof.per_pair.get((min(a, b), max(a, b)), 0)
+            for a in lane.halves for b in col.halves) == 1
+        for lane in by_edge[0]
+        for col in by_edge[1]
+    )
+    yield (f"min-{k}-planar" if m <= k else f"not-min-{k}-planar",
+           is_min_k_planar(gadget.drawing, k).ok == (m <= k))

@@ -399,30 +399,23 @@ def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
 
 
 def restrict(
-    d: Drawing,
-    keep_edges: Iterable[int],
-    keep_vertices: Iterable[int] | None = None,
+    d: Drawing, keep_edges: Iterable[int]
 ) -> tuple[Drawing, dict[int, int]]:
     """Sub-drawing induced by a set of edges.
 
     Kept chains lose the crossing nodes whose other edge was dropped; the
-    adjacent arcs merge and rotations are rewritten accordingly.  Vertices
-    default to the endpoints of kept edges; pass ``keep_vertices`` to retain
-    more.  The result keeps its boundary only when every anchor survives.
-    Both the input and the result are validated.  Returns the new drawing
-    and the old-edge -> new-edge id mapping.
+    adjacent arcs merge and rotations are rewritten accordingly.  The
+    vertices are the endpoints of kept edges, and the result keeps its
+    boundary only when every anchor is one of them.  Both the input and
+    the result are validated.  Returns the new drawing and the old-edge ->
+    new-edge id mapping.
     """
     d.require_valid()
     keep = sorted(set(keep_edges))
     for e in keep:
         if not 0 <= e < d.graph.m:
             raise InputError(f"unknown edge id {e}")
-    vkeep = set() if keep_vertices is None else set(keep_vertices)
-    for v in vkeep:
-        if v not in set(d.graph.vertices):
-            raise InputError(f"unknown vertex id {v}")
-    for e in keep:
-        vkeep.update(d.graph.edges[e])
+    vkeep = {v for e in keep for v in d.graph.edges[e]}
 
     new_vertices = tuple(v for v in d.graph.vertices if v in vkeep)
     edge_map = {e: i for i, e in enumerate(keep)}

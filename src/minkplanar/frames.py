@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from .constructions import Claims, CounterexampleBundle, certify
 from .drawings import (
     Crossing,
     Drawing,
@@ -34,8 +35,9 @@ from .drawings import (
     is_min_k_planar,
     is_simple,
     restrict,
+    validate,
 )
-from .errors import InputError, MinkplanarError
+from .errors import InputError
 from .graphs import (
     AnchoredGraph,
     EdgeClassMap,
@@ -62,11 +64,6 @@ _R_LANE_HI = 3.12
 
 _DIP_SPAN = 0.10     # radial depth of a nested stack of ring chord dips
 _DIP_OFF = 0.05      # ring chord dips sit this far past the spoke ray (steps)
-
-
-def _ensure(cond: bool, what: str) -> None:
-    if not cond:
-        raise MinkplanarError("frame self-check failed: " + what)
 
 
 # ------------------------------------------------------------ the bundle
@@ -102,7 +99,6 @@ class FrameBundle:
     skeleton: Graph
     positions: dict[int, Point]
     crossing_points: dict[int, Point]
-    radius: float = FRAME_RADIUS
 
 
 # --------------------------------------------------- skeleton edge plan
@@ -304,9 +300,8 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
     The rim length is d = a * (2*k*ell + 2*k + 1) where a counts the
     anchors and ell is the largest finite anchor distance in g.  Each of
     the 9d web edges is amplified into t doubles (default 2k+2); the
-    3d wheel edges are kept single.  The returned drawing is checked to
-    be anchored, simple and min-1-planar, with every wheel edge crossed
-    exactly t times and every double-edge half at most once.
+    3d wheel edges are kept single.  The returned bundle is certified
+    against ``frame_claims``.
     """
     if k < 1:
         raise InputError("frame needs k >= 1")
@@ -317,8 +312,6 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
     if not g.graph.simple:
         raise InputError("frame construction expects a simple source graph")
     a = len(g.anchors)
-    if a < 2:
-        raise InputError("frame needs at least two anchors")
 
     ell = max_finite_anchor_distance(g)
     q = 2 * k * ell + 2 * k + 1
@@ -329,22 +322,9 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
     amplified, classes = t_amplify(
         skeleton, t, amplify_edges=range(3 * d, 12 * d), keep_edges=core
     )
-    _ensure(all(classes.kept_edge_map[e] == e for e in core),
-            "kept wheel edges changed ids")
-
     scene = _frame_scene(amplified, classes, anchors, a, q, t)
     drawing, xpts = scene_to_drawing(scene)
-
-    prof = crossing_profile(drawing)
-    _ensure(prof.total == 3 * d * t, "crossing total is off")
-    _ensure(all(prof.per_edge.get(e, 0) == t for e in core),
-            "a wheel edge missed its t crossings")
-    _ensure(all(prof.per_edge.get(h, 0) <= 1 for h in classes.half_ids()),
-            "a double-edge half picked up two crossings")
-    _ensure(is_simple(drawing), "bundled drawing is not simple")
-    _ensure(is_min_k_planar(drawing, 1), "bundled drawing is not min-1-planar")
-
-    return FrameBundle(
+    fr = FrameBundle(
         source=g,
         graph=amplified,
         anchors=anchors,
@@ -356,6 +336,31 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
         positions=dict(scene.positions),
         crossing_points=xpts,
     )
+    certify("frame", frame_claims(fr))
+    return fr
+
+
+def frame_claims(fr: FrameBundle) -> Claims:
+    """Lemma 5's claims on a frame: its size, every wheel edge crossed
+    exactly t times and every double-edge half at most once, and a drawing
+    that is anchored, simple and min-1-planar.  Separation is checked
+    apart, by ``separation_property_check``."""
+    p = fr.params
+    core = fr.core_edges
+    yield ("kept-wheel-edge-ids",
+           all(fr.classes.kept_edge_map[e] == e for e in core))
+    yield "drawing-valid", validate(fr.drawing) == []
+    yield "anchored", fr.drawing.anchored
+    yield "vertex-count", fr.graph.n == 1 + 3 * p.d + p.a + 9 * p.d * p.t
+    yield "edge-count", fr.graph.m == 3 * p.d + 18 * p.d * p.t
+    prof = crossing_profile(fr.drawing)
+    yield "crossing-count", prof.total == 3 * p.d * p.t
+    yield ("each-wheel-edge-crossed-t-times",
+           all(prof.per_edge[e] == p.t for e in core))
+    yield ("each-half-crossed-at-most-once",
+           all(prof.per_edge[h] <= 1 for h in fr.classes.half_ids()))
+    yield "simple", is_simple(fr.drawing).ok
+    yield "min-1-planar", is_min_k_planar(fr.drawing, 1).ok
 
 
 # ------------------------------------------------------------ separation
@@ -399,14 +404,14 @@ def separation_property_check(frame: FrameBundle) -> bool:
 # ------------------------------------------------------------- composing
 
 
-def compose(frame: FrameBundle, bundle) -> Drawing:
+def compose(frame: FrameBundle, bundle: CounterexampleBundle) -> Drawing:
     """Glue a certified disk drawing into the frame, identifying anchors.
 
     The frame must have been built for the bundle's anchored graph.  The
     glued drawing occupies the region outside the frame's anchor circle,
     so it enters mirrored: its rotations reverse.  Crossings of the two
-    parts stay disjoint, and the result is validated and checked to be
-    min-k-planar for the bundle's claimed k before it is returned.
+    parts stay disjoint; the result is certified against
+    ``composition_claims`` before it is returned.
     """
     if bundle.anchored_graph != frame.source:
         raise InputError("frame was not built for this anchored graph")
@@ -461,12 +466,16 @@ def compose(frame: FrameBundle, bundle) -> Drawing:
         rotation[fa] = tuple(mine) + theirs
 
     out = Drawing(graph, crossings, chains, rotation, anchors=None)
-    out.require_valid()
-    _ensure(
-        len(out.crossings)
-        == len(frame.drawing.crossings) + len(gd.crossings),
-        "composition changed the crossing count",
-    )
-    _ensure(is_min_k_planar(out, bundle.claimed_min_k),
-            f"composition lost min-{bundle.claimed_min_k}-planarity")
+    certify("composition", composition_claims(out, frame, bundle))
     return out
+
+
+def composition_claims(out: Drawing, frame: FrameBundle,
+                       bundle: CounterexampleBundle) -> Claims:
+    """Theorem 1's claims on a composed drawing: valid, min-k-planar for
+    the bundle's claimed k, and no crossing gained or lost in the glue."""
+    mk = bundle.claimed_min_k
+    yield "drawing-valid", validate(out) == []
+    yield f"min-{mk}-planar", is_min_k_planar(out, mk).ok
+    yield ("crossings-additive", len(out.crossings)
+           == len(frame.drawing.crossings) + len(bundle.drawing.crossings))

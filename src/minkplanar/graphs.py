@@ -131,7 +131,8 @@ class AnchoredGraph:
     """A graph with a distinguished clockwise-ordered anchor sequence.
 
     The anchor tuple fixes the cyclic order in which those vertices must
-    appear on the boundary circle of any anchored drawing.
+    appear on the boundary circle of any anchored drawing.  There are at
+    least two anchors, so the boundary has arcs to route along.
     """
 
     graph: Graph
@@ -139,6 +140,9 @@ class AnchoredGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchors", tuple(int(a) for a in self.anchors))
+        if len(self.anchors) < 2:
+            raise InputError(
+                "/anchors: an anchored graph needs at least two anchors")
         if len(set(self.anchors)) != len(self.anchors):
             raise InputError("/anchors: anchors must be distinct")
         for i, a in enumerate(self.anchors):

@@ -45,8 +45,6 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
         raise InputError(
             f"the brute oracle refuses instances with more than "
             f"{MAX_ORACLE_EDGES} edges")
-    if len(ag.anchors) < 2:
-        raise InputError("routing needs at least two anchors")
     anchor_pos = {a: i for i, a in enumerate(ag.anchors)}
     if any(len(c) > 1 and not ag.anchor_set.intersection(c)
            for c in g.components()):

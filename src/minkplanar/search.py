@@ -213,8 +213,7 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     is returned; ExhaustedUnsat when the whole tree was walked without a
     drawing (see the module docstring for when that answer can be wrong);
     or BudgetExceeded when the budget stopped the walk first.  Raises
-    InputError for a negative k, fewer than two anchors, or a component
-    with edges but no anchor.
+    InputError for a negative k or a component with edges but no anchor.
     """
     if k < 0:
         raise InputError("k must be non-negative")

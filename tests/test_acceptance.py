@@ -173,7 +173,6 @@ def test_criterion_08_composed_drawings_keep_min_k(capsys):
     assert doc["confirmed"] is True
     names = {c["check"] for c in doc["checks"]}
     assert "min-2-planar" in names
-    assert "no-heavy-heavy-crossing" in names
 
     code = cli(["repro", "thm1-compose", "--k", "4", "--t", "3"])
     out = capsys.readouterr().out

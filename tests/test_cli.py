@@ -14,8 +14,11 @@ import pytest
 
 from minkplanar import cli
 from minkplanar.cli import main
-from minkplanar.constructions import build_G2
+from minkplanar.constructions import build_G2, build_Gk, gk_claims
 from minkplanar.errors import InputError, MinkplanarError
+from minkplanar.frames import build_frame, frame_claims
+from minkplanar.graphs import AnchoredGraph, Graph
+from minkplanar.jsonio import graph_from_json, graph_to_json
 from minkplanar.search import insertion_order
 
 
@@ -272,6 +275,28 @@ def test_repro_lemma5_frame_confirms(capsys):
     assert doc["params"]["d"] == 171
 
 
+def test_repro_checks_list_every_claim_of_the_construction(tmp_path, capsys):
+    # the pipeline reports the construction's own claims first, then the
+    # checks the construction does not make
+    code, out, _ = run(capsys, "repro", "lemma3-gk", "--k", "3")
+    assert code == 0
+    names = [c["check"] for c in json.loads(out)["checks"]]
+    claims = [name for name, _ in gk_claims(build_Gk(3), 3)]
+    assert names == claims + ["no-simple-anchored-min-3"]
+
+    source = AnchoredGraph(
+        Graph(tuple(range(4)), ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3))),
+        (0, 2, 3))
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(graph_to_json(source)))
+    code, out, _ = run(capsys, "repro", "lemma5-frame", "--graph", str(path),
+                       "--k", "1", "--t", "1")
+    assert code == 0
+    names = [c["check"] for c in json.loads(out)["checks"]]
+    claims = [name for name, _ in frame_claims(build_frame(source, 1, 1))]
+    assert names == claims + ["web-separates-wheel"]
+
+
 def test_repro_thm1_compose_confirms(capsys):
     code, out, _ = run(capsys, "repro", "thm1-compose", "--k", "2", "--t", "1")
     assert code == 0
@@ -309,6 +334,17 @@ def test_unknown_subcommand_prints_usage_and_exits_three(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 3
     assert "usage:" in err
+
+
+def test_one_anchor_graph_is_input_error(tmp_path, capsys):
+    doc = {"vertices": [0, 1], "edges": [[0, 1]], "anchors": [0]}
+    with pytest.raises(InputError, match=r"^/anchors: "):
+        graph_from_json(doc)
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "search", "--graph", str(path), "--k", "1")
+    assert code == 3
+    assert _report_of(err)["outcome"].startswith("input-error: /anchors: ")
 
 
 def test_missing_file_and_malformed_graph(tmp_path, capsys):

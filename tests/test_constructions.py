@@ -7,6 +7,7 @@ the generators, then confirmed once and frozen.
 
 import pytest
 
+from minkplanar import constructions
 from minkplanar.constructions import build_G2, build_Gk, build_biclique_gadget
 from minkplanar.drawings import (
     adjacent_crossing_pairs,
@@ -17,7 +18,7 @@ from minkplanar.drawings import (
     is_simple,
     validate,
 )
-from minkplanar.errors import InputError
+from minkplanar.errors import InputError, MinkplanarError
 
 
 def _pair_names(bundle):
@@ -101,6 +102,22 @@ def test_g2_heavy_edges():
 
 def test_g2_deterministic():
     assert drawings_equal(build_G2().drawing, build_G2().drawing)
+
+
+def test_bundle_self_checks_can_fail(monkeypatch):
+    # point the min-k check at a gadget whose 4 copies per class cross 4
+    # times each, which is min-k-planar for no k below 4: both families
+    # must refuse their claimed min-k
+    real = constructions.is_min_k_planar
+    heavy = build_biclique_gadget(1, 4).drawing
+    monkeypatch.setattr(constructions, "is_min_k_planar",
+                        lambda d, *args, **kw: real(heavy, *args, **kw))
+    with pytest.raises(MinkplanarError,
+                       match="G2 self-check failed: not min-2-planar"):
+        build_G2()
+    with pytest.raises(MinkplanarError,
+                       match="Gk self-check failed: not min-3-planar"):
+        build_Gk(3)
 
 
 # ---------------------------------------------------------- k>=3 bundles

@@ -383,11 +383,13 @@ def test_restrict_drops_crossing_and_merges_arcs():
 
 
 def test_restrict_keeps_boundary_when_anchors_survive():
-    d = crossing_chords()
-    out, _ = restrict(d, [0], keep_vertices=[1, 3])
-    assert out.anchors == (0, 1, 2, 3)
+    # dropping edge 2 of the triangle keeps every anchor as an endpoint
+    out, emap = restrict(anchored_triangle(), [0, 1])
+    assert emap == {0: 0, 1: 1}
+    assert out.anchors == (0, 1, 2)
     assert validate(out) == []
-    assert out.rotation[1] == ()
+    assert out.rotation[0] == ((0, 0),)
+    assert out.rotation[2] == ((1, 0),)
 
 
 def test_restrict_renumbers_middle_crossings():
@@ -406,8 +408,6 @@ def test_restrict_renumbers_middle_crossings():
 def test_restrict_rejects_unknown_ids():
     with pytest.raises(InputError):
         restrict(crossing_chords(), [0, 9])
-    with pytest.raises(InputError):
-        restrict(crossing_chords(), [0], keep_vertices=[42])
 
 
 # ----------------------------------------------------- equality and mirror

@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 
 from minkplanar import frames
-from minkplanar.constructions import build_G2
+from minkplanar.constructions import build_G2, build_biclique_gadget
 from minkplanar.drawings import (
     crossing_profile,
     drawings_equal,
@@ -161,6 +161,20 @@ def test_compose_with_g2():
     assert is_min_k_planar(out, 2) == (True, None)
 
 
+def test_compose_self_checks_can_fail(monkeypatch):
+    # point the min-k check at a gadget whose 3 copies per class cross 3
+    # times each, and the composition must refuse to be min-2-planar
+    b = build_G2()
+    fr = build_frame(b.anchored_graph, 2, 1)
+    real = frames.is_min_k_planar
+    heavy = build_biclique_gadget(2, 3).drawing
+    monkeypatch.setattr(frames, "is_min_k_planar",
+                        lambda d, *args, **kw: real(heavy, *args, **kw))
+    with pytest.raises(MinkplanarError, match="composition self-check "
+                                              "failed: not min-2-planar"):
+        compose(fr, b)
+
+
 def test_compose_rejects_foreign_bundle():
     fr = build_frame(_toy_source(), 1, 1)
     with pytest.raises(InputError):
@@ -175,8 +189,8 @@ def test_build_frame_rejects_bad_input():
         build_frame(_toy_source(), 0)
     with pytest.raises(InputError):
         build_frame(_toy_source(), 1, 0)
-    lone = AnchoredGraph(Graph(frozenset([0, 1]), ((0, 1),)), (0,))
     with pytest.raises(InputError):
+        lone = AnchoredGraph(Graph(frozenset([0, 1]), ((0, 1),)), (0,))
         build_frame(lone, 1)
     multi = Graph(frozenset([0, 1]), ((0, 1), (0, 1)), simple=False)
     with pytest.raises(InputError):

@@ -304,8 +304,8 @@ def test_rejects_bad_parameters():
         search_anchored(ag, k=-1)
     with pytest.raises(InputError):
         brute_oracle(ag, -1)
-    lone = AnchoredGraph(Graph((0, 1), ((0, 1),)), (0,))
     with pytest.raises(InputError):
+        lone = AnchoredGraph(Graph((0, 1), ((0, 1),)), (0,))
         search_anchored(lone, k=1)
     big = Graph(tuple(range(12)), tuple((2 * i, 2 * i + 1) for i in range(6)))
     with pytest.raises(InputError):
