@@ -162,7 +162,7 @@ def cmd_gen(args, rep: RunReport) -> int:
         raise InputError("gen gk needs --k")
     k = 2 if args.family == "g2" else args.k
     rep.parameters.update({"family": args.family, "k": k})
-    bundle = _source_bundle(k) if args.family == "gk" else build_G2()
+    bundle = build_Gk(k) if args.family == "gk" else build_G2()
 
     g = bundle.anchored_graph
     rep.stats.update({
@@ -402,8 +402,9 @@ def _repro_thm1_compose(args, rep: RunReport) -> int:
 
 def _repro_prop2_simplify(args, rep: RunReport) -> int:
     count = args.count if args.count is not None else 200
+    if count < 1:
+        raise InputError("prop2-simplify needs --count >= 1")
     rng = random.Random(args.seed if args.seed is not None else 0)
-    produced = 0
     clean = True
     monotone = True
     for _ in range(count):
@@ -420,14 +421,13 @@ def _repro_prop2_simplify(args, rep: RunReport) -> int:
             and is_min_k_planar(s, 1).ok
             and s.graph == d.graph
         )
-        produced += 1
     checks = [
         ("outputs-valid-simple-min-1", clean),
         ("violating-pairs-strictly-decrease", monotone),
     ]
-    rep.stats.update({"drawings": produced})
+    rep.stats.update({"drawings": count})
     return _finish_repro("prop2-simplify", checks, args, rep,
-                         {"drawings": produced})
+                         {"drawings": count})
 
 
 def _repro_open_question(args, rep: RunReport) -> int:

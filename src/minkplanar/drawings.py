@@ -322,6 +322,9 @@ class CrossingProfile:
         return sum(self.per_pair.values())
 
     def heavy_edges(self, k: int) -> tuple[int, ...]:
+        """The edges with more than k crossings; InputError for k < 0."""
+        if k < 0:
+            raise InputError("k must be non-negative")
         return tuple(sorted(e for e, c in self.per_edge.items() if c > k))
 
 
@@ -389,8 +392,9 @@ def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
     ``check`` has no effect; it stays for existing callers.
     """
     prof = crossing_profile(d)
+    heavy = set(prof.heavy_edges(k))
     for (e1, e2) in sorted(prof.per_pair):
-        if prof.per_edge[e1] > k and prof.per_edge[e2] > k:
+        if e1 in heavy and e2 in heavy:
             return Verdict(False, (e1, e2))
     return Verdict(True)
 

@@ -12,14 +12,20 @@ that silently means something else.  For an anchored scene the anchors
 must sit on a common circle, listed clockwise, and every route must stay
 inside the closed disk.
 
-Candidate pairs come from sorting and sweeping bounding boxes: each route
-piece and each vertex gets a box grown by 32 TOL.  The boxes are cut into
-y-strips at quantiles of their lower edges, and in each strip a box pairs
-with those that start inside its x-range and meet its y-range, expanded a
-slice at a time to bound memory.  Pieces that end at one vertex are not
-paired by the sweep: two straight pieces from one point meet again only
-when they are collinear, so sorting the pieces by angle around the vertex
-finds the nearly parallel pairs, and only those are classified.
+Candidate pairs come from one sort and sweep of bounding boxes: each
+route piece and each vertex gets a box grown by 32 TOL.  The boxes are
+cut into y-strips at quantiles of their lower edges, and in each strip a
+box pairs with those that start inside its x-range and meet its y-range,
+expanded a slice at a time to bound memory.  Pieces that end at one
+vertex are not paired by the sweep: two straight pieces from one point
+meet again only when they are collinear, so sorting the pieces by angle
+around the vertex finds the nearly parallel pairs, and only those are
+classified.  Each crossing is then one array record (its two pieces,
+their edges, the arclength along each and the point) that its checks,
+id, chain positions and rotation are read from; the rotation uses the
+directions of its own two pieces.  Its vertex clearance is tested only
+against the vertices that end both edges: near any other vertex one of
+the pieces passes through it, which the sweep has already rejected.
 """
 
 from __future__ import annotations
@@ -128,7 +134,7 @@ _SWEEP_STRIP = 1 << 11
 
 
 def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
-                       tags: np.ndarray | None = None) -> np.ndarray:
+                       tags: np.ndarray) -> np.ndarray:
     """Index pairs of overlapping closed boxes, two rows with row 0 < row 1.
 
     The (n, 2) corner arrays are cut into y-strips of about
@@ -138,8 +144,8 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
     in order of left edge, pairs with the boxes whose left edge lies in its
     x-range (a binary search on its right edge) and whose y-range meets its
     own.  Pairs are expanded about ``_SWEEP_SLICE`` at a time, so memory
-    follows the pairs that overlap.  With ``tags``, a (2, n) integer
-    array, two boxes that share a tag are not paired.
+    follows the pairs that overlap.  Two boxes that share a tag, a column
+    of the (2, n) integer array ``tags``, are not paired.
     """
     n = lo.shape[0]
     strips = -(-n // _SWEEP_STRIP)
@@ -185,10 +191,9 @@ def _sweep(order, home, lo, hi, tags) -> np.ndarray:
         if home is not None:
             keep &= home[a] | home[b]
         i, j = order[a[keep]], order[b[keep]]
-        if tags is not None:
-            i0, i1, j0, j1 = tags[0, i], tags[1, i], tags[0, j], tags[1, j]
-            apart = (i0 != j0) & (i0 != j1) & (i1 != j0) & (i1 != j1)
-            i, j = i[apart], j[apart]
+        i0, i1, j0, j1 = tags[0, i], tags[1, i], tags[0, j], tags[1, j]
+        apart = (i0 != j0) & (i0 != j1) & (i1 != j0) & (i1 != j1)
+        i, j = i[apart], j[apart]
         pairs.append(np.sort(np.stack((i, j)), axis=0))
         start = end
     return np.concatenate(pairs, axis=1)
@@ -281,34 +286,17 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                         f"route of edge {e} leaves the boundary disk"
                     )
 
-    def direction_at(e: int, s: float, outgoing: bool) -> float:
-        """Angle of the curve of e at arclength s, looking forward or back."""
-        acc = prefix[e]
-        r = routes[e]
-        if outgoing:
-            j = 0
-            while j < len(acc) - 2 and acc[j + 1] <= s + TOL:
-                j += 1
-            dx = r[j + 1][0] - r[j][0]
-            dy = r[j + 1][1] - r[j][1]
-        else:
-            j = len(acc) - 2
-            while j > 0 and acc[j] >= s - TOL:
-                j -= 1
-            dx = r[j][0] - r[j + 1][0]
-            dy = r[j][1] - r[j + 1][1]
-        return math.atan2(dy, dx)
-
     # flatten every polyline piece into parallel arrays, with the prefix
-    # arclengths that order crossings along a route.  Each piece is tagged
-    # with its start and end point: a vertex row, or a private id for a
-    # bend.  A vertex end whose angle the rotation read-off takes from a
-    # further piece (a terminal piece at most TOL long) gets a private id.
+    # arclengths that order crossings along a route.  A vertex end takes
+    # its rotation angle from the first (last) piece that reaches more
+    # than TOL along the route.  Each piece is tagged with its start and
+    # end point: a vertex row, or a private id for a bend.  A vertex end
+    # whose angle comes from a further piece (a terminal piece at most TOL
+    # long) gets a private id.
     vert_pos = scene.positions
     vids = sorted(vert_pos)
     vrow = {v: i for i, v in enumerate(vids)}
     nv = len(vids)
-    prefix: dict[int, list[float]] = {}
     leave: list[float] = []
     arrive: list[float] = []
     ends_at: dict[int, list[tuple[float, int]]] = collections.defaultdict(list)
@@ -333,9 +321,14 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
             seg_a.append(r[i])
             seg_b.append(r[i + 1])
             seg_pref.append(acc[i])
-        prefix[e] = acc
-        leave.append(direction_at(e, 0.0, True))
-        arrive.append(direction_at(e, acc[-1], False))
+        j = 0
+        while j < len(acc) - 2 and acc[j + 1] <= TOL:
+            j += 1
+        leave.append(math.atan2(r[j + 1][1] - r[j][1], r[j + 1][0] - r[j][0]))
+        j = len(acc) - 2
+        while j > 0 and acc[j] >= acc[-1] - TOL:
+            j -= 1
+        arrive.append(math.atan2(r[j][1] - r[j + 1][1], r[j][0] - r[j + 1][0]))
         last = len(seg_edge) - 1
         tag_a.extend(range(nv + p0 + e, nv + last + e + 1))
         tag_b.extend(range(nv + p0 + e + 1, nv + last + e + 2))
@@ -347,266 +340,267 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
             ends_at[vrow[v]].append((arrive[e], last))
     nseg = len(seg_edge)
 
-    crossings_raw: list[tuple[int, int, float, float, Point]] = []
-    if nseg:
-        SE = np.asarray(seg_edge, dtype=np.int64)
-        SA = np.asarray(seg_a, dtype=float)
-        SB = np.asarray(seg_b, dtype=float)
-        SPREF = np.asarray(seg_pref, dtype=float)
-        SLEN = np.hypot(SB[:, 0] - SA[:, 0], SB[:, 1] - SA[:, 1])
-        if np.any(SLEN == 0.0):
-            raise GeometryError("zero length segment in a route")
+    SE = np.asarray(seg_edge, dtype=np.int64)
+    SA = np.array(seg_a, dtype=float).reshape(-1, 2)
+    SB = np.array(seg_b, dtype=float).reshape(-1, 2)
+    SPREF = np.asarray(seg_pref, dtype=float)
+    SLEN = np.hypot(SB[:, 0] - SA[:, 0], SB[:, 1] - SA[:, 1])
+    if np.any(SLEN == 0.0):
+        raise GeometryError("zero length segment in a route")
 
-        pos_arr = np.array([vert_pos[v] for v in vids], dtype=float)
-        vids = np.array(vids, dtype=np.int64)
-        end_u = np.array([vrow[u] for (u, _) in g.edges], dtype=np.int64)
-        end_v = np.array([vrow[v] for (_, v) in g.edges], dtype=np.int64)
+    pos_arr = np.array([vert_pos[v] for v in vids], dtype=float).reshape(-1, 2)
+    vids = np.array(vids, dtype=np.int64)
+    edge_ends = np.array([(vrow[u], vrow[v]) for u, v in g.edges],
+                         dtype=np.int64).reshape(-1, 2)
 
-        # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
-        # so that any two within 64 TOL of each other pair up, except pieces
-        # that share an end point (consecutive pieces of one curve, or
-        # pieces ending at one vertex) and a vertex with the pieces that end
-        # there; sorted keys make the first fault found independent of the
-        # sweep's order
-        grow = 32.0 * TOL
-        rows = list(range(nv))
-        first, second = _overlapping_boxes(
-            np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
-            np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
-            np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
+    def near_shared_vertex(pair, xy):
+        """Rows, in order, whose point ``xy[row]`` lies within 16 TOL of a
+        vertex that ends both edges ``pair[:, row]``, with that vertex."""
+        ends = edge_ends[pair]
+        row, i, _ = np.nonzero(ends[0, :, :, None] == ends[1, :, None, :])
+        if not row.size:
+            return row, row
+        v = ends[0, row, i]
+        near = np.hypot(*(xy[row] - pos_arr[v]).T) <= 16.0 * TOL
+        return row[near], v[near]
+
+    # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
+    # so that any two within 64 TOL of each other pair up, except pieces
+    # that share an end point (consecutive pieces of one curve, or pieces
+    # ending at one vertex) and a vertex with the pieces that end there;
+    # sorted keys make the first fault found independent of the sweep's
+    # order
+    grow = 32.0 * TOL
+    rows = list(range(nv))
+    first, second = _overlapping_boxes(
+        np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
+        np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
+        np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
+    )
+    at_vertex = (first < nseg) & (second >= nseg)
+    qv, qs = np.divmod(np.sort(
+        (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]), nseg)
+
+    # no route may pass through a vertex other than its own endpoints
+    outside = (edge_ends[SE[qs], 0] != qv) & (edge_ends[SE[qs], 1] != qv)
+    qv = qv[outside]
+    qs = qs[outside]
+    if qv.size:
+        px = pos_arr[qv, 0]
+        py = pos_arr[qv, 1]
+        dx = SB[qs, 0] - SA[qs, 0]
+        dy = SB[qs, 1] - SA[qs, 1]
+        tt = (
+            (px - SA[qs, 0]) * dx + (py - SA[qs, 1]) * dy
+        ) / (SLEN[qs] * SLEN[qs])
+        tt = np.clip(tt, 0.0, 1.0)
+        gap = np.hypot(
+            px - SA[qs, 0] - tt * dx, py - SA[qs, 1] - tt * dy
         )
-        at_vertex = (first < nseg) & (second >= nseg)
-        qv, qs = np.divmod(np.sort(
-            (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]), nseg)
-
-        # no route may pass through a vertex other than its own endpoints
-        outside = (end_u[SE[qs]] != qv) & (end_v[SE[qs]] != qv)
-        qv = qv[outside]
-        qs = qs[outside]
-        if qv.size:
-            px = pos_arr[qv, 0]
-            py = pos_arr[qv, 1]
-            dx = SB[qs, 0] - SA[qs, 0]
-            dy = SB[qs, 1] - SA[qs, 1]
-            tt = (
-                (px - SA[qs, 0]) * dx + (py - SA[qs, 1]) * dy
-            ) / (SLEN[qs] * SLEN[qs])
-            tt = np.clip(tt, 0.0, 1.0)
-            gap = np.hypot(
-                px - SA[qs, 0] - tt * dx, py - SA[qs, 1] - tt * dy
-            )
-            hit_at = np.flatnonzero(gap <= 16.0 * TOL)
-            if hit_at.size:
-                b = int(hit_at[0])
-                raise GeometryError(
-                    f"route of edge {int(SE[qs[b]])} passes through "
-                    f"vertex {int(vids[qv[b]])}"
-                )
-
-        # piece pairs, with the pairs of pieces that end at one vertex put
-        # back where they are nearly parallel.  Two straight pieces from one
-        # point meet again only if they are collinear.  The classification
-        # below agrees, away from parallel: for pieces at an angle D (modulo
-        # pi) its u and v are exactly 0 or 1 when either piece starts at the
-        # vertex, and when both end there their error, times a piece length
-        # of at most L, is below about 12 * 2**-53 * L / sin D.  That is
-        # under TOL for L <= 10 and D >= 1e-4 (near D = 1e-7 it is not); the
-        # window widens with longer pieces.  Outside it the pair touches at
-        # the vertex, which is allowed.
-        window = 1e-4 * max(1.0, longest / 10.0)
-        near = set()
-        for ends in ends_at.values():
-            if len(ends) < 2:
-                continue
-            ends = sorted([(ang % math.pi, p) for ang, p in ends])
-            if ends[0][0] <= window:
-                ends += [(ang + math.pi, p) for ang, p in ends if ang <= window]
-            for i, (ang, p) in enumerate(ends):
-                j = i + 1
-                while j < len(ends) and ends[j][0] - ang <= window:
-                    q = ends[j][1]
-                    if p != q:
-                        near.add(min(p, q) * nseg + max(p, q))
-                    j += 1
-        pieces = second < nseg
-        keys = first[pieces] * np.int64(nseg) + second[pieces]
-        if near:
-            keys = np.concatenate((keys, np.array(sorted(near), dtype=np.int64)))
-        plo, phi = np.divmod(np.sort(keys), nseg)
-
-        rx = SB[plo, 0] - SA[plo, 0]
-        ry = SB[plo, 1] - SA[plo, 1]
-        sx = SB[phi, 0] - SA[phi, 0]
-        sy = SB[phi, 1] - SA[phi, 1]
-        acx = SA[phi, 0] - SA[plo, 0]
-        acy = SA[phi, 1] - SA[plo, 1]
-        denom = rx * sy - ry * sx
-        len_r = SLEN[plo]
-        len_s = SLEN[phi]
-        par = np.abs(denom) <= TOL * len_r * len_s
-        on_line = np.abs(acx * ry - acy * rx) <= TOL * len_r
-
-        # parallel collinear pairs are rare; classify them one at a time
-        for j in np.flatnonzero(par & on_line):
-            a1 = int(SE[plo[j]])
-            a2 = int(SE[phi[j]])
-            hit = _segment_intersection(
-                (float(SA[plo[j], 0]), float(SA[plo[j], 1])),
-                (float(SB[plo[j], 0]), float(SB[plo[j], 1])),
-                (float(SA[phi[j], 0]), float(SA[phi[j], 1])),
-                (float(SB[phi[j], 0]), float(SB[phi[j], 1])),
-                TOL,
-            )
-            if hit is None:
-                continue
-            if hit[0] == "overlap":
-                raise GeometryError(
-                    f"edges {a1} and {a2} run along a shared segment"
-                )
-            if a1 == a2:
-                raise GeometryError(f"edge {a1} crosses itself")
-            if hit[0] == "touch":
-                pt = hit[1]
-                shared = set(g.edges[a1]) & set(g.edges[a2])
-                if any(_dist(pt, vert_pos[v]) <= 16.0 * TOL for v in shared):
-                    continue
-                raise GeometryError(
-                    f"edges {a1} and {a2} touch without crossing near {pt}"
-                )
-            _, pt, u_c, v_c = hit
-            crossings_raw.append(
-                (
-                    a1,
-                    a2,
-                    float(SPREF[plo[j]] + u_c * len_r[j]),
-                    float(SPREF[phi[j]] + v_c * len_s[j]),
-                    pt,
-                )
-            )
-
-        act = np.flatnonzero(~par)
-        uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
-        vv = (acx[act] * ry[act] - acy[act] * rx[act]) / denom[act]
-        eu = TOL / len_r[act]
-        ev = TOL / len_s[act]
-        inside = (uu >= -eu) & (uu <= 1.0 + eu) & (vv >= -ev) & (vv <= 1.0 + ev)
-        crossed = (
-            inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
-        )
-        touched = inside & ~crossed
-
-        selfi = np.flatnonzero(inside & (SE[plo[act]] == SE[phi[act]]))
-        if selfi.size:
+        hit_at = np.flatnonzero(gap <= 16.0 * TOL)
+        if hit_at.size:
+            b = int(hit_at[0])
             raise GeometryError(
-                f"edge {int(SE[plo[act[selfi[0]]]])} crosses itself"
+                f"route of edge {int(SE[qs[b]])} passes through "
+                f"vertex {int(vids[qv[b]])}"
             )
 
-        ti = act[touched]
-        if ti.size:
-            tpx = SA[plo[ti], 0] + uu[touched] * rx[ti]
-            tpy = SA[plo[ti], 1] + uu[touched] * ry[ti]
-            ok = np.zeros(ti.size, dtype=bool)
-            for c1 in (end_u[SE[plo[ti]]], end_v[SE[plo[ti]]]):
-                for c2 in (end_u[SE[phi[ti]]], end_v[SE[phi[ti]]]):
-                    ok |= (c1 == c2) & (
-                        np.hypot(tpx - pos_arr[c1, 0], tpy - pos_arr[c1, 1])
-                        <= 16.0 * TOL
-                    )
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                b = int(bad[0])
-                pt = (float(tpx[b]), float(tpy[b]))
-                raise GeometryError(
-                    f"edges {int(SE[plo[ti[b]]])} and {int(SE[phi[ti[b]]])} "
-                    f"touch without crossing near {pt}"
-                )
+    # piece pairs, with the pairs of pieces that end at one vertex put
+    # back where they are nearly parallel.  Two straight pieces from one
+    # point meet again only if they are collinear.  The classification
+    # below agrees, away from parallel: for pieces at an angle D (modulo
+    # pi) its u and v are exactly 0 or 1 when either piece starts at the
+    # vertex, and when both end there their error, times a piece length
+    # of at most L, is below about 12 * 2**-53 * L / sin D.  That is
+    # under TOL for L <= 10 and D >= 1e-4 (near D = 1e-7 it is not); the
+    # window widens with longer pieces.  Outside it the pair touches at
+    # the vertex, which is allowed.
+    window = 1e-4 * max(1.0, longest / 10.0)
+    near = set()
+    for ends in ends_at.values():
+        if len(ends) < 2:
+            continue
+        ends = sorted([(ang % math.pi, p) for ang, p in ends])
+        if ends[0][0] <= window:
+            ends += [(ang + math.pi, p) for ang, p in ends if ang <= window]
+        for i, (ang, p) in enumerate(ends):
+            j = i + 1
+            while j < len(ends) and ends[j][0] - ang <= window:
+                q = ends[j][1]
+                if p != q:
+                    near.add(min(p, q) * nseg + max(p, q))
+                j += 1
+    pieces = second < nseg
+    keys = first[pieces] * np.int64(nseg) + second[pieces]
+    if near:
+        keys = np.concatenate((keys, np.array(sorted(near), dtype=np.int64)))
+    plo, phi = np.divmod(np.sort(keys), nseg)
 
-        ci = act[crossed]
-        if ci.size:
-            cu = uu[crossed]
-            cw = vv[crossed]
-            cpx = SA[plo[ci], 0] + cu * rx[ci]
-            cpy = SA[plo[ci], 1] + cu * ry[ci]
-            s1s = SPREF[plo[ci]] + cu * len_r[ci]
-            s2s = SPREF[phi[ci]] + cw * len_s[ci]
-            e1s = SE[plo[ci]]
-            e2s = SE[phi[ci]]
-            for j in range(ci.size):
-                crossings_raw.append(
-                    (
-                        int(e1s[j]),
-                        int(e2s[j]),
-                        float(s1s[j]),
-                        float(s2s[j]),
-                        (float(cpx[j]), float(cpy[j])),
-                    )
-                )
+    rx = SB[plo, 0] - SA[plo, 0]
+    ry = SB[plo, 1] - SA[plo, 1]
+    sx = SB[phi, 0] - SA[phi, 0]
+    sy = SB[phi, 1] - SA[phi, 1]
+    acx = SA[phi, 0] - SA[plo, 0]
+    acy = SA[phi, 1] - SA[plo, 1]
+    denom = rx * sy - ry * sx
+    len_r = SLEN[plo]
+    len_s = SLEN[phi]
+    par = np.abs(denom) <= TOL * len_r * len_s
+    on_line = np.abs(acx * ry - acy * rx) <= TOL * len_r
 
-        if crossings_raw:
-            # each crossing as a point against vertex boxes grown by 16 TOL
-            xy = np.array([rec[4] for rec in crossings_raw], dtype=float)
-            nv, near = len(vids), 16.0 * TOL
-            v, c = _overlapping_boxes(np.concatenate((pos_arr - near, xy)),
-                                      np.concatenate((pos_arr + near, xy)))
-            mixed = (v < nv) & (c >= nv)
-            v, c = v[mixed], c[mixed] - nv
-            hit = np.hypot(*(xy[c] - pos_arr[v]).T) <= near
-            if np.any(hit):
-                c, v = min(zip(c[hit].tolist(), v[hit].tolist()))
-                rec = crossings_raw[c]
-                raise GeometryError(
-                    f"edges {rec[0]} and {rec[1]} cross too close to "
-                    f"vertex {int(vids[v])}"
-                )
+    # each crossing is found as a pair of pieces (lower piece first) and
+    # the parameter of the point along each; parallel collinear pairs are
+    # rare, so classify them one at a time
+    line_rows: list[int] = []
+    line_uv: list[tuple[float, float]] = []
+    for j in np.flatnonzero(par & on_line):
+        a1 = int(SE[plo[j]])
+        a2 = int(SE[phi[j]])
+        hit = _segment_intersection(
+            (float(SA[plo[j], 0]), float(SA[plo[j], 1])),
+            (float(SB[plo[j], 0]), float(SB[plo[j], 1])),
+            (float(SA[phi[j], 0]), float(SA[phi[j], 1])),
+            (float(SB[phi[j], 0]), float(SB[phi[j], 1])),
+            TOL,
+        )
+        if hit is None:
+            continue
+        if hit[0] == "overlap":
+            raise GeometryError(
+                f"edges {a1} and {a2} run along a shared segment"
+            )
+        if a1 == a2:
+            raise GeometryError(f"edge {a1} crosses itself")
+        if hit[0] == "touch":
+            pt = hit[1]
+            shared = set(g.edges[a1]) & set(g.edges[a2])
+            if any(_dist(pt, vert_pos[v]) <= 16.0 * TOL for v in shared):
+                continue
+            raise GeometryError(
+                f"edges {a1} and {a2} touch without crossing near {pt}"
+            )
+        line_rows.append(j)
+        line_uv.append(hit[2:])
 
-    # deterministic ids: sort by (smaller edge, position along it)
-    def sort_key(rec):
-        e1, e2, s1, s2, _ = rec
-        return (e1, s1, e2, s2) if e1 < e2 else (e2, s2, e1, s1)
+    act = np.flatnonzero(~par)
+    uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
+    vv = (acx[act] * ry[act] - acy[act] * rx[act]) / denom[act]
+    eu = TOL / len_r[act]
+    ev = TOL / len_s[act]
+    inside = (uu >= -eu) & (uu <= 1.0 + eu) & (vv >= -ev) & (vv <= 1.0 + ev)
+    crossed = (
+        inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
+    )
+    touched = inside & ~crossed
 
-    crossings_raw.sort(key=sort_key)
-    next_id = max(g.vertices, default=-1) + 1
-    xid_points: dict[int, Point] = {}
+    selfi = np.flatnonzero(inside & (SE[plo[act]] == SE[phi[act]]))
+    if selfi.size:
+        raise GeometryError(
+            f"edge {int(SE[plo[act[selfi[0]]]])} crosses itself"
+        )
+
+    ti = act[touched]
+    if ti.size:
+        tpx = SA[plo[ti], 0] + uu[touched] * rx[ti]
+        tpy = SA[plo[ti], 1] + uu[touched] * ry[ti]
+        ok = np.zeros(ti.size, dtype=bool)
+        ok[near_shared_vertex(SE[np.array((plo[ti], phi[ti]))],
+                              np.stack((tpx, tpy), axis=1))[0]] = True
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            b = int(bad[0])
+            pt = (float(tpx[b]), float(tpy[b]))
+            raise GeometryError(
+                f"edges {int(SE[plo[ti[b]]])} and {int(SE[phi[ti[b]]])} "
+                f"touch without crossing near {pt}"
+            )
+
+    # one record per crossing, collinear ones first: its lower and higher
+    # piece (xp), their edges (xe; pieces are numbered by edge, so the
+    # lower edge is first), the arclength along each edge (xs) and the
+    # point (xy)
+    hits = np.concatenate((np.array(line_rows, dtype=np.int64), act[crossed]))
     crossings: list[Crossing] = []
-    along: dict[int, list[tuple[float, int]]] = collections.defaultdict(list)
-    for (e1, e2, s1, s2, pt) in crossings_raw:
-        xid = next_id
-        next_id += 1
-        lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
-        crossings.append(Crossing(xid, (lo, hi)))
-        xid_points[xid] = pt
-        along[e1].append((s1, xid))
-        along[e2].append((s2, xid))
+    xid_points: dict[int, Point] = {}
+    chains = {e: (u, v) for e, (u, v) in enumerate(g.edges)}
+    rotation: dict[int, tuple[ArcRef, ...]] = {}
+    if hits.size:
+        xp = np.array((plo[hits], phi[hits]))
+        xu = np.concatenate((np.array(line_uv, dtype=float).reshape(-1, 2).T,
+                             (uu[crossed], vv[crossed])), axis=1)
+        xe = SE[xp]
+        xs = SPREF[xp] + xu * SLEN[xp]
+        tail, head = SA[xp], SB[xp]
+        xy = tail[0] + xu[0, :, None] * (head[0] - tail[0])
 
-    chains: dict[int, tuple[int, ...]] = {}
-    where_on_edge: dict[tuple[int, int], float] = {}
-    for e in range(g.m):
-        u, v = g.edges[e]
-        mids = sorted(along.get(e, []))
-        for (sa, xa), (sb, xb) in zip(mids, mids[1:]):
-            if sb - sa <= 16.0 * TOL:
-                raise GeometryError(
-                    f"crossings {xa} and {xb} are too close on edge {e}"
-                )
-        chains[e] = (u,) + tuple(x for _, x in mids) + (v,)
-        for s, x in mids:
-            where_on_edge[(e, x)] = s
+        # no crossing within 16 TOL of a vertex.  Only the vertices that
+        # end both edges need a test: a crossing lies on both pieces, so
+        # near any other vertex one of them passes through it, which
+        # raised above
+        row, v = near_shared_vertex(xe, xy)
+        if row.size:
+            c = row[0]
+            raise GeometryError(
+                f"edges {xe[0, c]} and {xe[1, c]} cross too close to "
+                f"vertex {vids[v[row == c].min()]}"
+            )
 
-    # rotations from local directions
+        # deterministic ids: sort by (lower edge, position along it,
+        # higher edge, position along it)
+        order = np.lexsort((xs[1], xe[1], xs[0], xe[0]))
+        xe, xs, xy = xe[:, order], xs[:, order], xy[order]
+        tail, head = tail[:, order], head[:, order]
+        ids = max(g.vertices, default=-1) + 1 + np.arange(order.size)
+        id_list = ids.tolist()
+        crossings = [Crossing(x, (e1, e2))
+                     for x, e1, e2 in zip(id_list, *xe.tolist())]
+        xid_points = dict(zip(id_list, map(tuple, xy.tolist())))
+
+        # each crossing once on each of its edges, in order along the edge
+        on_edge = xe.ravel()
+        at = xs.ravel()
+        xid = np.concatenate((ids, ids))
+        by = np.lexsort((xid, at, on_edge))
+        on_edge, at, xid = on_edge[by], at[by], xid[by]
+        tight = (on_edge[1:] == on_edge[:-1]) & (at[1:] - at[:-1] <= 16.0 * TOL)
+        if tight.any():
+            i = tight.argmax()
+            raise GeometryError(
+                f"crossings {xid[i]} and {xid[i + 1]} are too close on edge "
+                f"{on_edge[i]}"
+            )
+        start = np.searchsorted(on_edge, np.arange(g.m + 1))
+        cut, seq = start.tolist(), xid.tolist()
+        chains = {e: (u, *seq[cut[e]:cut[e + 1]], v)
+                  for e, (u, v) in enumerate(g.edges)}
+
+        # rotations at crossings from their own two pieces, which each
+        # crossing lies strictly inside.  Rows of ``way``: into the
+        # crossing along the lower and the higher piece, then out along
+        # each.  ``spot`` is each end's position in its chain.
+        spot = np.empty_like(by)
+        spot[by] = np.arange(1, by.size + 1) - start[on_edge]
+        way = np.concatenate((tail - head, head - tail))
+        dirs = np.arctan2(way[..., 1], way[..., 0])
+        turn = np.argsort(-dirs, axis=0)
+        col = np.arange(order.size)
+        dirs = dirs[turn, col]
+        flat = dirs[:-1] - dirs[1:] < 1e-12
+        if flat.any():
+            raise GeometryError(
+                f"tangential curves at node {ids[flat.any(axis=0).argmax()]}")
+        side = turn & 1
+        arm = xe[side, col].T.tolist()
+        arc = (spot.reshape(2, -1)[side, col] - 1 + (turn >> 1)).T.tolist()
+        rotation = {x: tuple(zip(a, i)) for x, a, i in zip(id_list, arm, arc)}
+
+    # rotations at vertices from the end angles
     incident: dict[int, list[tuple[float, ArcRef]]] = collections.defaultdict(list)
-    for e in range(g.m):
-        u, v = g.edges[e]
-        chain = chains[e]
+    for e, (u, v) in enumerate(g.edges):
         incident[u].append((leave[e], (e, 0)))
-        incident[v].append((arrive[e], (e, len(chain) - 2)))
-        for pos in range(1, len(chain) - 1):
-            x = chain[pos]
-            s = where_on_edge[(e, x)]
-            incident[x].append((direction_at(e, s, False), (e, pos - 1)))
-            incident[x].append((direction_at(e, s, True), (e, pos)))
+        incident[v].append((arrive[e], (e, len(chains[e]) - 2)))
 
     anchor_set = set(scene.anchors or ())
-    rotation: dict[int, tuple[ArcRef, ...]] = {}
     for node, ends in incident.items():
         if node in anchor_set:
             continue

@@ -296,10 +296,7 @@ def to_svg(d: Drawing, layout: Layout, k: int | None = None) -> str:
     def pix(p: Point) -> tuple[float, float]:
         return (half + scale * p[0], half - scale * p[1])
 
-    heavy: set[int] = set()
-    if k is not None and d.graph.m:
-        prof = crossing_profile(d)
-        heavy = {e for e in range(d.graph.m) if prof.per_edge[e] > k}
+    heavy = set() if k is None else set(crossing_profile(d).heavy_edges(k))
 
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')

@@ -67,9 +67,12 @@ def test_gen_stdout_is_drawing_json(capsys):
 
 
 def test_gen_gk_without_k_is_input_error(capsys):
-    code, _, err = run(capsys, "gen", "gk")
-    assert code == 3
-    assert "needs --k" in err
+    # G2 is the k = 2 member and has its own generator; --help says k >= 3
+    for argv, message in (((), "needs --k"), (("--k", "2"), "at least 3")):
+        code, out, err = run(capsys, "gen", "gk", *argv)
+        assert code == 3
+        assert out == ""
+        assert message in err
 
 
 # ------------------------------------------------------- validate, profile
@@ -87,6 +90,24 @@ def test_validate_exit_codes_match_the_figure(fig1, capsys):
     verdict = json.loads(out)
     assert verdict["simple"]["holds"] is False
     assert verdict["simple"]["witness"]["reason"]
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("validate", "--min-k"), ("validate", "--k"), ("profile", "--k"),
+    ("render", "--k"), ("search", "--k"),
+])
+def test_a_negative_k_exits_three(fig1, tmp_path, capsys, cmd, flag):
+    if cmd == "search":
+        argv = ["--graph", str(fig1) + ".graph.json"]
+    else:
+        argv = ["--drawing", str(fig1) + ".drawing.json"]
+    if cmd == "render":
+        argv += ["--svg", str(tmp_path / "out.svg")]
+    code, out, err = run(capsys, cmd, *argv, flag, "-1")
+    assert code == 3
+    assert out == ""
+    assert "k must be non-negative" in err
+    assert _report_of(err)["outcome"].startswith("input-error")
 
 
 @pytest.mark.parametrize("category", ["alternation", "euler"])
@@ -310,6 +331,15 @@ def test_repro_prop2_simplify_confirms(capsys):
     doc = json.loads(out)
     assert doc["confirmed"] is True
     assert doc["drawings"] == 25
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_repro_prop2_simplify_needs_a_drawing(capsys, count):
+    # confirming Proposition 2 on no drawing at all would be vacuous
+    code, out, err = run(capsys, "repro", "prop2-simplify", "--count", count)
+    assert code == 3
+    assert out == ""
+    assert "--count >= 1" in err
 
 
 def test_repro_open_question_reports_an_answer(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from minkplanar.errors import GeometryError
+from minkplanar.errors import GeometryError, MinkplanarError
 from minkplanar.graphs import Graph
 from minkplanar import geometry
 from minkplanar.geometry import (
@@ -98,16 +98,20 @@ def test_rejects_touch_without_crossing():
 
 def test_rejects_route_through_vertex():
     g = Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3)))
-    # an isolated vertex on edge 1, then one 1e-8 (under 16 tol) beside it
-    for offset in (0.0, 1e-8):
-        pos = {
-            0: (0.0, 0.0), 1: (4.0, 0.0),
-            2: (1.0, 1.0), 3: (3.0, 1.0),
-            4: (2.0, 1.0 + offset),
-        }
+    base = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (1.0, 1.0), 3: (3.0, 1.0)}
+    # an isolated vertex on edge 1, then one 1e-8 (under 16 tol) beside it;
+    # last, edge 1 crosses edge 0 and ends 1e-8 past it, so edge 0 passes
+    # through a vertex that ends only one of the two crossing edges
+    for moved, edge, vertex in (
+        ({4: (2.0, 1.0)}, 1, 4),
+        ({4: (2.0, 1.0 + 1e-8)}, 1, 4),
+        ({2: (2.0, 1.0), 3: (2.0, -1e-8), 4: (5.0, 5.0)}, 0, 3),
+    ):
+        pos = {**base, **moved}
         routes = {0: (pos[0], pos[1]), 1: (pos[2], pos[3])}
-        with pytest.raises(GeometryError,
-                           match="route of edge 1 passes through vertex 4"):
+        with pytest.raises(
+                GeometryError,
+                match=f"route of edge {edge} passes through vertex {vertex}"):
             scene_to_drawing(Scene(g, pos, routes))
 
 
@@ -236,7 +240,7 @@ def test_box_sweep_finds_every_overlapping_pair(monkeypatch, per_slice):
                 and lo[i][1] <= hi[j][1] and lo[j][1] <= hi[i][1]
             ]
             lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
-            got = _overlapping_boxes(lo_a, hi_a)
+            got = _overlapping_boxes(lo_a, hi_a, np.arange(2 * n).reshape(2, n))
             assert sorted(zip(got[0].tolist(), got[1].tolist())) == overlap
             # boxes that share a tag are not paired
             got = _overlapping_boxes(lo_a, hi_a, np.array(tags).T)
@@ -313,6 +317,107 @@ def test_a_200_spoke_fan_converts_as_before():
 # drawing_to_json's digest, recorded while the converter still classified
 # every pair of spokes
 _FAN_DIGEST = "69ff2fc6b8b0d9568f2ae940d450fef5bdce7f6daf8a98137a0c1417a06946b8"
+
+
+# ------------------------------------------------ pinned outcomes of a corpus
+
+_CORPUS_KINDS = ("plain",) * 3 + (
+    "vertex on route", "bend on route", "vertex near crossing",
+    "end near crossing", "bend near crossing", "crossing near shared vertex")
+# distances of a placed vertex or bend from its target: on it, inside and
+# around the 16 TOL clearances, and well clear
+_CORPUS_OFFSETS = (0.0, 1e-9, 4e-9, 1.2e-8, 1.6e-8, 2e-8, 5e-8, 1e-6, 1e-3)
+
+
+def _nudge(rng, p):
+    r = rng.choice(_CORPUS_OFFSETS)
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    return (p[0] + r * math.cos(a), p[1] + r * math.sin(a))
+
+
+def _corpus_scene(rng, kind):
+    """4-6 vertices near the unit circle and 0-2 inside, 2-5 edges with 0-2
+    bends, anchored or free; then ``kind`` puts a vertex or a bend on or
+    near a route or a crossing, or adds an edge that turns back across
+    another edge close to the vertex they share."""
+    anchored = kind != "crossing near shared vertex" and rng.random() < 0.7
+    n = rng.randint(4, 6)
+    pos = {i: on_circle(1.0, 90.0 - 360.0 * i / n + rng.uniform(-10.0, 10.0))
+           for i in range(n)}
+    for v in range(n, n + rng.randint(0, 2)):
+        pos[v] = on_circle(0.8 * rng.random() ** 0.5, rng.uniform(0.0, 360.0))
+    pairs = [(u, v) for u in pos for v in pos if u < v]
+    edges = rng.sample(pairs, rng.randint(2, 5))
+    routes = []
+    for u, v in edges:
+        bends = [on_circle(0.9 * rng.random() ** 0.5, rng.uniform(0.0, 360.0))
+                 for _ in range(rng.randint(0, 2))]
+        routes.append([pos[u], *bends, pos[v]])
+    crossings = [
+        (e, f, hit[1])
+        for e in range(len(edges)) for f in range(e + 1, len(edges))
+        for a, b in zip(routes[e], routes[e][1:])
+        for c, d in zip(routes[f], routes[f][1:])
+        if (hit := _segment_intersection(a, b, c, d, 1e-9)) and hit[0] == "cross"
+    ]
+    e = rng.randrange(len(edges))
+    f = rng.randrange(len(edges))
+    on_f = _point_on(routes[f], rng.randrange(len(routes[f]) - 1),
+                     rng.uniform(0.1, 0.9))
+    if kind == "vertex on route":
+        pos[len(pos)] = _nudge(rng, on_f)
+    elif kind == "bend on route" and e != f:
+        routes[e].insert(rng.randint(1, len(routes[e]) - 1), _nudge(rng, on_f))
+    elif kind == "vertex near crossing" and crossings:
+        pos[len(pos)] = _nudge(rng, rng.choice(crossings)[2])
+    elif kind == "end near crossing" and crossings:
+        w = len(pos)
+        pos[w] = _nudge(rng, rng.choice(crossings)[2])
+        x = rng.randrange(w)
+        edges.append((x, w))
+        routes.append([pos[x], pos[w]])
+    elif kind == "bend near crossing" and crossings:
+        e1, e2, p = rng.choice(crossings)
+        if e not in (e1, e2):
+            routes[e].insert(rng.randint(1, len(routes[e]) - 1), _nudge(rng, p))
+    elif kind == "crossing near shared vertex":
+        v = edges[e][0]
+        (vx, vy), q = routes[e][0], routes[e][1]
+        ln = math.dist((vx, vy), q)
+        ux, uy = (q[0] - vx) / ln, (q[1] - vy) / ln
+        d = min(rng.choice(_CORPUS_OFFSETS[1:]), 0.5 * ln)
+        px, py = vx + d * ux, vy + d * uy
+        w = len(pos)
+        pos[w] = on_circle(0.9 * rng.random() ** 0.5, rng.uniform(0.0, 360.0))
+        edges.append((v, w))
+        routes.append([pos[v], (px - 0.05 * uy, py + 0.05 * ux),
+                       (px + 0.05 * uy, py - 0.05 * ux), pos[w]])
+    g = Graph(tuple(pos), tuple(edges))
+    return Scene(g, pos, {e: tuple(r) for e, r in enumerate(routes)},
+                 anchors=tuple(range(n)) if anchored else None,
+                 radius=1.0 if anchored else None)
+
+
+def _outcome(scene):
+    """The drawing JSON and the crossing points, or the error."""
+    try:
+        d, pts = scene_to_drawing(scene)
+    except MinkplanarError as err:
+        return f"{type(err).__name__}: {err}"
+    return json.dumps([drawing_to_json(d), sorted(pts.items())], sort_keys=True)
+
+
+def test_a_seeded_corpus_converts_as_before():
+    rng = random.Random(13)
+    outcomes = "\n".join(
+        _outcome(_corpus_scene(rng, _CORPUS_KINDS[i % len(_CORPUS_KINDS)]))
+        for i in range(600))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == _CORPUS_DIGEST
+
+
+# the digest of the 600 outcomes, recorded before the converter kept each
+# crossing as one array record
+_CORPUS_DIGEST = "7f00edf84dd276e1ad3983aadaa406e644a5b3e32fcbe36f46029b24ade78b0a"
 
 
 def _oracle(scene, tol):

@@ -185,6 +185,9 @@ def test_svg_of_empty_drawing_is_just_the_disk():
     assert svg.startswith("<?xml")
     assert "<circle" in svg
     assert "<polyline" not in svg
+    # no edge is heavy, and the converter redraws a scene with no routes
+    assert to_svg(d, lay, k=2) == svg
+    audit_layout(d, lay)
 
 
 def test_svg_needs_full_coordinates():
