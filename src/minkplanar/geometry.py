@@ -20,12 +20,14 @@ expanded a slice at a time to bound memory.  Pieces that end at one
 vertex are not paired by the sweep: two straight pieces from one point
 meet again only when they are collinear, so sorting the pieces by angle
 around the vertex finds the nearly parallel pairs, and only those are
-classified.  Each crossing is then one array record (its two pieces,
-their edges, the arclength along each and the point) that its checks,
-id, chain positions and rotation are read from; the rotation uses the
-directions of its own two pieces.  Its vertex clearance is tested only
-against the vertices that end both edges: near any other vertex one of
-the pieces passes through it, which the sweep has already rejected.
+classified.  The candidates are classified in sorted chunks of
+``_CLASSIFY_CHUNK`` pairs, and only the crossings are kept.  Each
+crossing is then one array record (its two pieces, their edges, the
+arclength along each and the point) that its checks, id, chain positions
+and rotation are read from; the rotation uses the directions of its own
+two pieces.  Its vertex clearance is tested only against the vertices
+that end both edges: near any other vertex one of the pieces passes
+through it, which the sweep has already rejected.
 """
 
 from __future__ import annotations
@@ -127,8 +129,12 @@ def _segment_intersection(a: Point, b: Point, c: Point, d: Point, tol: float):
 
 # ------------------------------------------------------------- conversion
 
-# pairs expanded per slice of the sweep; bounds the sweep's memory
+# pairs expanded per slice of the sweep; bounds the sweep's working
+# memory, while its output keeps 16 bytes per candidate pair
 _SWEEP_SLICE = 1 << 21
+# sorted candidate pairs classified per chunk; bounds the memory of the
+# classification, which keeps only the crossings it finds
+_CLASSIFY_CHUNK = 1 << 16
 # boxes per y-strip of the sweep; an input with no more boxes is one strip
 _SWEEP_STRIP = 1 << 11
 
@@ -199,6 +205,12 @@ def _sweep(order, home, lo, hi, tags) -> np.ndarray:
     return np.concatenate(pairs, axis=1)
 
 
+def _side_by_side(parts: list[np.ndarray]) -> np.ndarray:
+    """The 2-row arrays ``parts`` joined along their rows; one part is
+    returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 def _clean_route(route):
     pts = [route[0]]
     for p in route[1:]:
@@ -251,6 +263,10 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     Returns the drawing and a map from crossing node id to coordinates.
     The drawing is validated before it is returned, which catches
     conversion bugs on top of the geometry checks.
+
+    Memory follows the candidate pairs only through the sweep's output
+    and one sorted int64 key per pair; the classification holds one
+    chunk of pairs at a time and then the crossings found.
     """
     g = scene.graph
     radius = _check_scene(scene)
@@ -431,103 +447,122 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                     near.add(min(p, q) * nseg + max(p, q))
                 j += 1
     pieces = second < nseg
-    keys = first[pieces] * np.int64(nseg) + second[pieces]
+    keys = first[pieces]
+    keys *= nseg
+    keys += second[pieces]
+    del first, second, pieces, at_vertex
     if near:
         keys = np.concatenate((keys, np.array(sorted(near), dtype=np.int64)))
-    plo, phi = np.divmod(np.sort(keys), nseg)
+    keys.sort()
 
-    rx = SB[plo, 0] - SA[plo, 0]
-    ry = SB[plo, 1] - SA[plo, 1]
-    sx = SB[phi, 0] - SA[phi, 0]
-    sy = SB[phi, 1] - SA[phi, 1]
-    acx = SA[phi, 0] - SA[plo, 0]
-    acy = SA[phi, 1] - SA[plo, 1]
-    denom = rx * sy - ry * sx
-    len_r = SLEN[plo]
-    len_s = SLEN[phi]
-    par = np.abs(denom) <= TOL * len_r * len_s
-    on_line = np.abs(acx * ry - acy * rx) <= TOL * len_r
+    # classify the sorted pairs a chunk at a time and keep only the
+    # crossings, each as its lower and higher piece and the parameter of
+    # the point along each.  Faults come out as if the whole list were
+    # classified at once: the rare parallel collinear pairs are classified
+    # one at a time and raise at once, and the first self-crossing and the
+    # first touch away from a shared vertex are raised after the last
+    # chunk, the self-crossing first
+    line_p: list[tuple[int, int]] = []
+    line_u: list[tuple[float, float]] = []
+    cross_p: list[np.ndarray] = []
+    cross_u: list[np.ndarray] = []
+    crosses_itself = touch = None
+    for at in range(0, keys.size, _CLASSIFY_CHUNK):
+        plo, phi = np.divmod(keys[at:at + _CLASSIFY_CHUNK], nseg)
+        rx = SB[plo, 0] - SA[plo, 0]
+        ry = SB[plo, 1] - SA[plo, 1]
+        sx = SB[phi, 0] - SA[phi, 0]
+        sy = SB[phi, 1] - SA[phi, 1]
+        acx = SA[phi, 0] - SA[plo, 0]
+        acy = SA[phi, 1] - SA[plo, 1]
+        denom = rx * sy - ry * sx
+        len_r = SLEN[plo]
+        len_s = SLEN[phi]
+        par = np.abs(denom) <= TOL * len_r * len_s
+        on_line = np.abs(acx * ry - acy * rx) <= TOL * len_r
 
-    # each crossing is found as a pair of pieces (lower piece first) and
-    # the parameter of the point along each; parallel collinear pairs are
-    # rare, so classify them one at a time
-    line_rows: list[int] = []
-    line_uv: list[tuple[float, float]] = []
-    for j in np.flatnonzero(par & on_line):
-        a1 = int(SE[plo[j]])
-        a2 = int(SE[phi[j]])
-        hit = _segment_intersection(
-            (float(SA[plo[j], 0]), float(SA[plo[j], 1])),
-            (float(SB[plo[j], 0]), float(SB[plo[j], 1])),
-            (float(SA[phi[j], 0]), float(SA[phi[j], 1])),
-            (float(SB[phi[j], 0]), float(SB[phi[j], 1])),
-            TOL,
-        )
-        if hit is None:
-            continue
-        if hit[0] == "overlap":
-            raise GeometryError(
-                f"edges {a1} and {a2} run along a shared segment"
+        for j in np.flatnonzero(par & on_line):
+            a1 = int(SE[plo[j]])
+            a2 = int(SE[phi[j]])
+            hit = _segment_intersection(
+                (float(SA[plo[j], 0]), float(SA[plo[j], 1])),
+                (float(SB[plo[j], 0]), float(SB[plo[j], 1])),
+                (float(SA[phi[j], 0]), float(SA[phi[j], 1])),
+                (float(SB[phi[j], 0]), float(SB[phi[j], 1])),
+                TOL,
             )
-        if a1 == a2:
-            raise GeometryError(f"edge {a1} crosses itself")
-        if hit[0] == "touch":
-            pt = hit[1]
-            shared = set(g.edges[a1]) & set(g.edges[a2])
-            if any(_dist(pt, vert_pos[v]) <= 16.0 * TOL for v in shared):
+            if hit is None:
                 continue
-            raise GeometryError(
-                f"edges {a1} and {a2} touch without crossing near {pt}"
-            )
-        line_rows.append(j)
-        line_uv.append(hit[2:])
+            if hit[0] == "overlap":
+                raise GeometryError(
+                    f"edges {a1} and {a2} run along a shared segment"
+                )
+            if a1 == a2:
+                raise GeometryError(f"edge {a1} crosses itself")
+            if hit[0] == "touch":
+                pt = hit[1]
+                shared = set(g.edges[a1]) & set(g.edges[a2])
+                if any(_dist(pt, vert_pos[v]) <= 16.0 * TOL for v in shared):
+                    continue
+                raise GeometryError(
+                    f"edges {a1} and {a2} touch without crossing near {pt}"
+                )
+            line_p.append((int(plo[j]), int(phi[j])))
+            line_u.append(hit[2:])
 
-    act = np.flatnonzero(~par)
-    uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
-    vv = (acx[act] * ry[act] - acy[act] * rx[act]) / denom[act]
-    eu = TOL / len_r[act]
-    ev = TOL / len_s[act]
-    inside = (uu >= -eu) & (uu <= 1.0 + eu) & (vv >= -ev) & (vv <= 1.0 + ev)
-    crossed = (
-        inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
-    )
-    touched = inside & ~crossed
-
-    selfi = np.flatnonzero(inside & (SE[plo[act]] == SE[phi[act]]))
-    if selfi.size:
-        raise GeometryError(
-            f"edge {int(SE[plo[act[selfi[0]]]])} crosses itself"
+        act = np.flatnonzero(~par)
+        uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
+        vv = (acx[act] * ry[act] - acy[act] * rx[act]) / denom[act]
+        eu = TOL / len_r[act]
+        ev = TOL / len_s[act]
+        inside = (uu >= -eu) & (uu <= 1.0 + eu) & (vv >= -ev) & (vv <= 1.0 + ev)
+        crossed = (
+            inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
         )
 
-    ti = act[touched]
-    if ti.size:
-        tpx = SA[plo[ti], 0] + uu[touched] * rx[ti]
-        tpy = SA[plo[ti], 1] + uu[touched] * ry[ti]
-        ok = np.zeros(ti.size, dtype=bool)
-        ok[near_shared_vertex(SE[np.array((plo[ti], phi[ti]))],
-                              np.stack((tpx, tpy), axis=1))[0]] = True
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            b = int(bad[0])
-            pt = (float(tpx[b]), float(tpy[b]))
-            raise GeometryError(
-                f"edges {int(SE[plo[ti[b]]])} and {int(SE[phi[ti[b]]])} "
-                f"touch without crossing near {pt}"
-            )
+        if crosses_itself is None:
+            selfi = np.flatnonzero(inside & (SE[plo[act]] == SE[phi[act]]))
+            if selfi.size:
+                crosses_itself = int(SE[plo[act[selfi[0]]]])
+        touched = inside & ~crossed
+        ti = act[touched]
+        if ti.size and crosses_itself is None and touch is None:
+            tpx = SA[plo[ti], 0] + uu[touched] * rx[ti]
+            tpy = SA[plo[ti], 1] + uu[touched] * ry[ti]
+            ok = np.zeros(ti.size, dtype=bool)
+            ok[near_shared_vertex(SE[np.array((plo[ti], phi[ti]))],
+                                  np.stack((tpx, tpy), axis=1))[0]] = True
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                b = int(bad[0])
+                pt = (float(tpx[b]), float(tpy[b]))
+                touch = (f"edges {int(SE[plo[ti[b]]])} and "
+                         f"{int(SE[phi[ti[b]]])} touch without crossing "
+                         f"near {pt}")
+
+        hits = act[crossed]
+        if hits.size:
+            cross_p.append(np.array((plo[hits], phi[hits])))
+            cross_u.append(np.array((uu[crossed], vv[crossed])))
+    if crosses_itself is not None:
+        raise GeometryError(f"edge {crosses_itself} crosses itself")
+    if touch is not None:
+        raise GeometryError(touch)
 
     # one record per crossing, collinear ones first: its lower and higher
     # piece (xp), their edges (xe; pieces are numbered by edge, so the
     # lower edge is first), the arclength along each edge (xs) and the
     # point (xy)
-    hits = np.concatenate((np.array(line_rows, dtype=np.int64), act[crossed]))
+    if line_p:
+        cross_p.insert(0, np.array(line_p, dtype=np.int64).T)
+        cross_u.insert(0, np.array(line_u, dtype=float).T)
     crossings: list[Crossing] = []
     xid_points: dict[int, Point] = {}
     chains = {e: (u, v) for e, (u, v) in enumerate(g.edges)}
     rotation: dict[int, tuple[ArcRef, ...]] = {}
-    if hits.size:
-        xp = np.array((plo[hits], phi[hits]))
-        xu = np.concatenate((np.array(line_uv, dtype=float).reshape(-1, 2).T,
-                             (uu[crossed], vv[crossed])), axis=1)
+    if cross_p:
+        xp = _side_by_side(cross_p)
+        xu = _side_by_side(cross_u)
         xe = SE[xp]
         xs = SPREF[xp] + xu * SLEN[xp]
         tail, head = SA[xp], SB[xp]

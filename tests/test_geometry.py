@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ def test_rejects_self_crossing_route():
     route = (pos[0], (2.0, 1.0), (1.0, 1.0), (2.5, -1.0), pos[1])
     with pytest.raises(GeometryError, match="edge 0 crosses itself"):
         scene_to_drawing(Scene(g, pos, {0: route}))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_a_self_crossing_is_reported_before_an_earlier_touch(monkeypatch,
+                                                              chunk):
+    # edge 1 touches edge 0 at its bend (2, 0); edge 2 crosses itself at
+    # (1, 4).  The touch's pairs sort first, so with small chunks they are
+    # classified a chunk before the self-crossing, which still wins
+    monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", chunk)
+    g = Graph(tuple(range(6)), ((0, 1), (2, 3), (4, 5)))
+    pos = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (1.0, 1.0), 3: (3.0, 1.0),
+           4: (0.0, 3.0), 5: (0.0, 5.0)}
+    routes = {0: (pos[0], pos[1]), 1: (pos[2], (2.0, 0.0), pos[3]),
+              2: (pos[4], (2.0, 5.0), (2.0, 3.0), pos[5])}
+    with pytest.raises(GeometryError, match="edge 2 crosses itself"):
+        scene_to_drawing(Scene(g, pos, routes))
+    # without edge 2 the touch is reported
+    g = Graph(tuple(range(6)), g.edges[:2])
+    del routes[2]
+    with pytest.raises(GeometryError, match="edges 0 and 1 touch"):
+        scene_to_drawing(Scene(g, pos, routes))
 
 
 def test_rejects_route_doubling_back():
@@ -407,12 +429,22 @@ def _outcome(scene):
     return json.dumps([drawing_to_json(d), sorted(pts.items())], sort_keys=True)
 
 
-def test_a_seeded_corpus_converts_as_before():
+def _corpus_digest():
     rng = random.Random(13)
     outcomes = "\n".join(
         _outcome(_corpus_scene(rng, _CORPUS_KINDS[i % len(_CORPUS_KINDS)]))
         for i in range(600))
-    assert hashlib.sha256(outcomes.encode()).hexdigest() == _CORPUS_DIGEST
+    return hashlib.sha256(outcomes.encode()).hexdigest()
+
+
+def test_a_seeded_corpus_converts_as_before():
+    assert _corpus_digest() == _CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_the_corpus_converts_as_before_in_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", chunk)
+    assert _corpus_digest() == _CORPUS_DIGEST
 
 
 # the digest of the 600 outcomes, recorded before the converter kept each
@@ -513,6 +545,18 @@ def anchored_scenes(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(anchored_scenes())
 def test_converter_agrees_with_all_pairs_oracle(scene):
+    _agrees_with_oracle(scene)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scene=anchored_scenes())
+def test_converter_in_small_chunks_agrees_with_the_oracle(chunk, scene):
+    with mock.patch.object(geometry, "_CLASSIFY_CHUNK", chunk):
+        _agrees_with_oracle(scene)
+
+
+def _agrees_with_oracle(scene):
     want = _oracle(scene, 1e-9)
     assume(want == _oracle(scene, 1e-6))  # not within 1e-6 of a degeneracy
     try:

@@ -246,21 +246,34 @@ def test_composed_g2_audit_at_t3_fits_in_two_gib():
     assert run.returncode == 0, run.stderr[-2000:]
 
 
-_COMPOSE_T6 = """
+_COMPOSE_AT_DEFAULT_T = """
 import resource
-resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
-from minkplanar.constructions import build_G2
+resource.setrlimit(resource.RLIMIT_AS, ({mib} << 20, {mib} << 20))
+from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.frames import build_frame, compose
-b = build_G2()
-compose(build_frame(b.anchored_graph, 2, 6), b)
+b = {bundle}
+compose(build_frame(b.anchored_graph, {k}, {t}), b)
 """
 
+# one thread per native pool, since each pool thread reserves address
+# space of its own
+_ONE_THREAD = dict(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
 
-def test_composed_g2_at_the_default_t_fits_in_600_mib():
+
+def test_composed_g2_at_the_default_t_fits_in_400_mib():
     # t = 2k+2 = 6 is the paper's default; the converter used to hold
-    # every pair of pieces that end at the hub, which took the frame build
-    # past this limit.  One thread per native pool, since each pool thread
-    # reserves address space of its own
-    run = _run_limited(_COMPOSE_T6, OMP_NUM_THREADS="1",
-                       OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # every pair of pieces that end at the hub, and then every candidate
+    # pair's classification arrays at once, which took the frame build
+    # past this limit
+    run = _run_limited(_COMPOSE_AT_DEFAULT_T.format(
+        mib=400, bundle="build_G2()", k=2, t=6), **_ONE_THREAD)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_composed_gk3_at_the_default_t_fits_in_one_gib():
+    # t = 2k+2 = 8: the frame scene has 7.66 M candidate pairs, which fit
+    # only because the converter classifies them a chunk at a time
+    run = _run_limited(_COMPOSE_AT_DEFAULT_T.format(
+        mib=1024, bundle="build_Gk(3)", k=3, t=8), **_ONE_THREAD)
     assert run.returncode == 0, run.stderr[-2000:]
