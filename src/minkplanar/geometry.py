@@ -322,6 +322,10 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     seg_pref: list[float] = []
     tag_a: list[int] = []
     tag_b: list[int] = []
+    # per edge, the last piece of its start and the first of its end: a
+    # terminal piece at most TOL long and the piece after (before) it
+    lead: list[int] = []
+    trail: list[int] = []
     longest = 0.0
     for e in range(g.m):
         r = routes[e]
@@ -341,10 +345,12 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         while j < len(acc) - 2 and acc[j + 1] <= TOL:
             j += 1
         leave.append(math.atan2(r[j + 1][1] - r[j][1], r[j + 1][0] - r[j][0]))
+        lead.append(p0 + j)
         j = len(acc) - 2
         while j > 0 and acc[j] >= acc[-1] - TOL:
             j -= 1
         arrive.append(math.atan2(r[j][1] - r[j + 1][1], r[j][0] - r[j + 1][0]))
+        trail.append(p0 + j)
         last = len(seg_edge) - 1
         tag_a.extend(range(nv + p0 + e, nv + last + e + 1))
         tag_b.extend(range(nv + p0 + e + 1, nv + last + e + 2))
@@ -397,11 +403,14 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     qv, qs = np.divmod(np.sort(
         (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]), nseg)
 
-    # no route may pass through a vertex other than its own endpoints
-    outside = (edge_ends[SE[qs], 0] != qv) & (edge_ends[SE[qs], 1] != qv)
-    qv = qv[outside]
-    qs = qs[outside]
+    # no route may pass through a vertex, not even one of its own
+    # endpoints away from the pieces of that end
     if qv.size:
+        qe = SE[qs]
+        outside = ~(((edge_ends[qe, 0] == qv) & (qs <= np.array(lead)[qe]))
+                    | ((edge_ends[qe, 1] == qv) & (qs >= np.array(trail)[qe])))
+        qv = qv[outside]
+        qs = qs[outside]
         px = pos_arr[qv, 0]
         py = pos_arr[qv, 1]
         dx = SB[qs, 0] - SA[qs, 0]

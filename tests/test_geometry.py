@@ -117,13 +117,50 @@ def test_rejects_route_through_vertex():
 
 
 def test_rejects_crossing_near_vertex():
-    # both edges leave vertex 0, so neither passes through it; edge 1 comes
-    # back and crosses edge 0 a hair's breadth (1e-8) from the vertex
+    # both edges leave vertex 0.  Edge 1's route starts 1.5e-9 below the
+    # vertex and is snapped onto it, which leaves a first piece 5e-10
+    # long; its second piece then crosses edge 0 5e-9 from the vertex
+    g = Graph((0, 1, 2), ((0, 1), (0, 2)))
+    pos = {0: (2.0, 0.0), 1: (4.0, 0.0), 2: (12.0, -1.0 + 5e-10)}
+    routes = {0: (pos[0], pos[1]),
+              1: ((2.0, -1.5e-9), (2.0, 5e-10), pos[2])}
+    with pytest.raises(GeometryError, match="edges 0 and 1 cross too close to vertex 0"):
+        scene_to_drawing(Scene(g, pos, routes))
+    # a terminal piece at most TOL long is part of its end: away from edge
+    # 0, the second piece passes as close to the vertex and is accepted
+    pos[2] = (12.0, 1.0 + 5e-10)
+    routes[1] = routes[1][:2] + (pos[2],)
+    d, _ = scene_to_drawing(Scene(g, pos, routes))
+    assert d.crossings == ()
+
+
+def test_rejects_route_back_at_its_own_end_vertex():
+    # edge 1 leaves vertex 0, comes back and crosses edge 0 a hair's
+    # breadth (1e-8) from the vertex: its third piece passes through it
     g = Graph((0, 1, 2), ((0, 1), (0, 2)))
     pos = {0: (2.0, 0.0), 1: (4.0, 0.0), 2: (4.0 + 2e-8, -2.0)}
     routes = {0: (pos[0], pos[1]), 1: (pos[0], (0.0, 1.0), (0.0, 2.0), pos[2])}
-    with pytest.raises(GeometryError, match="edges 0 and 1 cross too close to vertex 0"):
+    with pytest.raises(GeometryError,
+                       match="route of edge 1 passes through vertex 0"):
         scene_to_drawing(Scene(g, pos, routes))
+    # alone, the route only touches its own vertex
+    g = Graph((0, 2), ((0, 2),))
+    with pytest.raises(GeometryError,
+                       match="route of edge 0 passes through vertex 0"):
+        scene_to_drawing(Scene(g, pos, {0: routes[1]}))
+
+
+def test_the_corpus_scene_whose_route_returns_to_its_vertex_is_rejected():
+    # scene 575 of the pinned corpus: edge 5 leaves vertex 0, and its
+    # middle piece crosses back over edge 2 within 16 TOL of the vertex.
+    # Its crossings there read as touches at a shared vertex, and the
+    # drawing failed validation instead
+    rng = random.Random(13)
+    for i in range(576):
+        scene = _corpus_scene(rng, _CORPUS_KINDS[i % len(_CORPUS_KINDS)])
+    with pytest.raises(GeometryError,
+                       match="route of edge 5 passes through vertex 0"):
+        scene_to_drawing(scene)
 
 
 def test_rejects_self_crossing_route():
@@ -447,9 +484,9 @@ def test_the_corpus_converts_as_before_in_small_chunks(monkeypatch, chunk):
     assert _corpus_digest() == _CORPUS_DIGEST
 
 
-# the digest of the 600 outcomes, recorded before the converter kept each
-# crossing as one array record
-_CORPUS_DIGEST = "7f00edf84dd276e1ad3983aadaa406e644a5b3e32fcbe36f46029b24ade78b0a"
+# the digest of the 600 outcomes, recorded once a route's middle piece
+# near its own end vertex was rejected as passing through it
+_CORPUS_DIGEST = "1a300602ea9dc3829e3b6a2c3b654fdbfcc8ec13ee301364649d05030ffaffdd"
 
 
 def _oracle(scene, tol):
