@@ -366,7 +366,10 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     SA = np.array(seg_a, dtype=float).reshape(-1, 2)
     SB = np.array(seg_b, dtype=float).reshape(-1, 2)
     SPREF = np.asarray(seg_pref, dtype=float)
-    SLEN = np.hypot(SB[:, 0] - SA[:, 0], SB[:, 1] - SA[:, 1])
+    # columns of piece starts and directions, gathered once per chunk below
+    AX, AY = SA.T
+    DX, DY = (SB - SA).T
+    SLEN = np.hypot(DX, DY)
     if np.any(SLEN == 0.0):
         raise GeometryError("zero length segment in a route")
 
@@ -478,12 +481,12 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     crosses_itself = touch = None
     for at in range(0, keys.size, _CLASSIFY_CHUNK):
         plo, phi = np.divmod(keys[at:at + _CLASSIFY_CHUNK], nseg)
-        rx = SB[plo, 0] - SA[plo, 0]
-        ry = SB[plo, 1] - SA[plo, 1]
-        sx = SB[phi, 0] - SA[phi, 0]
-        sy = SB[phi, 1] - SA[phi, 1]
-        acx = SA[phi, 0] - SA[plo, 0]
-        acy = SA[phi, 1] - SA[plo, 1]
+        rx = DX[plo]
+        ry = DY[plo]
+        sx = DX[phi]
+        sy = DY[phi]
+        acx = AX[phi] - AX[plo]
+        acy = AY[phi] - AY[plo]
         denom = rx * sy - ry * sx
         len_r = SLEN[plo]
         len_s = SLEN[phi]
@@ -536,8 +539,8 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         touched = inside & ~crossed
         ti = act[touched]
         if ti.size and crosses_itself is None and touch is None:
-            tpx = SA[plo[ti], 0] + uu[touched] * rx[ti]
-            tpy = SA[plo[ti], 1] + uu[touched] * ry[ti]
+            tpx = AX[plo[ti]] + uu[touched] * rx[ti]
+            tpy = AY[plo[ti]] + uu[touched] * ry[ti]
             ok = np.zeros(ti.size, dtype=bool)
             ok[near_shared_vertex(SE[np.array((plo[ti], phi[ti]))],
                                   np.stack((tpx, tpy), axis=1))[0]] = True
