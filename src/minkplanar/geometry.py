@@ -322,8 +322,9 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     seg_pref: list[float] = []
     tag_a: list[int] = []
     tag_b: list[int] = []
-    # per edge, the last piece of its start and the first of its end: a
-    # terminal piece at most TOL long and the piece after (before) it
+    # per edge, the last piece that belongs to its start and the first
+    # that belongs to its end: the terminal piece, and after (before) a
+    # terminal piece at most TOL long the next one too
     lead: list[int] = []
     trail: list[int] = []
     longest = 0.0

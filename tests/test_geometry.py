@@ -143,7 +143,7 @@ def test_rejects_route_back_at_its_own_end_vertex():
     with pytest.raises(GeometryError,
                        match="route of edge 1 passes through vertex 0"):
         scene_to_drawing(Scene(g, pos, routes))
-    # alone, the route only touches its own vertex
+    # alone, meeting no other edge, the route still passes through it
     g = Graph((0, 2), ((0, 2),))
     with pytest.raises(GeometryError,
                        match="route of edge 0 passes through vertex 0"):
