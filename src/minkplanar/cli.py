@@ -50,6 +50,7 @@ from .jsonio import (
     RunReport,
     drawing_from_json,
     drawing_to_json,
+    dumps,
     graph_from_json,
     graph_to_json,
     outcome_to_json,
@@ -114,7 +115,7 @@ def _load_anchored(path: str, rep: RunReport, why: str) -> AnchoredGraph:
 
 
 def _emit(doc: Any, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    text = dumps(doc)
     if out:
         # one write: json.dump would make one per token
         with open(out, "w", encoding="utf-8") as fh:

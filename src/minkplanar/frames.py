@@ -448,10 +448,11 @@ def compose(frame: FrameBundle, bundle: CounterexampleBundle) -> Drawing:
         chains[off + e] = tuple(nmap[n] for n in ch)
 
     ganchors = set(bundle.anchored_graph.anchors)
+    fanchors = set(frame.anchors)
     rotation = {
         n: refs
         for n, refs in frame.drawing.rotation.items()
-        if n not in set(frame.anchors)
+        if n not in fanchors
     }
     for n, refs in gd.rotation.items():
         if n in ganchors:

@@ -403,13 +403,17 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
         np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
     )
-    at_vertex = (first < nseg) & (second >= nseg)
-    qv, qs = np.divmod(np.sort(
-        (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]), nseg)
 
-    # no route may pass through a vertex, not even one of its own
-    # endpoints away from the pieces of that end
-    if qv.size:
+    def through_vertex(first, second):
+        """Raises if a piece passes within 16 TOL of a vertex: of any
+        vertex but its edge's ends, and of an end too unless the piece
+        lies at that end."""
+        at_vertex = (first < nseg) & (second >= nseg)
+        qv, qs = np.divmod(np.sort(
+            (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]),
+            nseg)
+        if not qv.size:
+            return
         qe = SE[qs]
         outside = ~(((edge_ends[qe, 0] == qv) & (qs <= np.array(lead)[qe]))
                     | ((edge_ends[qe, 1] == qv) & (qs >= np.array(trail)[qe])))
@@ -433,6 +437,10 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                 f"route of edge {int(SE[qs[b]])} passes through "
                 f"vertex {int(vids[qv[b]])}"
             )
+
+    # a helper, so that its arrays over the vertex-piece pairs are freed
+    # before the piece keys are built
+    through_vertex(first, second)
 
     # piece pairs, with the pairs of pieces that end at one vertex put
     # back where they are nearly parallel.  Two straight pieces from one
@@ -463,7 +471,7 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     keys = first[pieces]
     keys *= nseg
     keys += second[pieces]
-    del first, second, pieces, at_vertex
+    del first, second, pieces
     if near:
         keys = np.concatenate((keys, np.array(sorted(near), dtype=np.int64)))
     keys.sort()

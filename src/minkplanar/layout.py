@@ -15,6 +15,10 @@ stray intersections, and the same cyclic arc order around every node.
 
 ``to_svg`` writes a deterministic standalone SVG.  Crossing nodes are
 bend points of their two curves, not dots.
+
+scipy serves only the sparse solve of ``tutte_layout``, so it is imported
+on the first solve and not with the package: a command that draws no
+layout starts without it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import cg, spsolve
 
 from .drawings import Drawing, crossing_profile
 from .errors import GeometryError, LayoutError
@@ -32,6 +34,18 @@ from .geometry import Point, Scene, scene_to_drawing
 from .graphs import Graph, components
 
 _DIRECT_SOLVE_LIMIT = 50_000
+
+
+def spsolve(mat, rhs):
+    """scipy's sparse direct solve of ``mat @ x = rhs``."""
+    from scipy.sparse.linalg import spsolve as solve
+    return solve(mat, rhs)
+
+
+def cg(mat, rhs, **kw):
+    """scipy's conjugate gradient solve of ``mat @ x = rhs``."""
+    from scipy.sparse.linalg import cg as solve
+    return solve(mat, rhs, **kw)
 
 
 @dataclass(frozen=True)
@@ -151,6 +165,7 @@ def tutte_layout(d: Drawing) -> Layout:
                     rows.append(i)
                     cols.append(index[w])
                     vals.append(-1.0)
+        from scipy.sparse import csr_matrix
         mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
         if n <= _DIRECT_SOLVE_LIMIT:
             # one factorisation serves both coordinate columns

@@ -1,6 +1,7 @@
 """Scene conversion tests: coordinates in, combinatorial drawings out."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -495,9 +496,19 @@ def _oracle(scene, tol):
     g, pos = scene.graph, scene.positions
     segs = [(e, i, r[i], r[i + 1])
             for e, r in scene.routes.items() for i in range(len(r) - 1)]
+    # a piece may reach its edge's end vertex only if it lies at that
+    # end: it starts (ends) within tol along the route from the vertex,
+    # as the converter's lead (trail) pieces do
+    spared = {}
+    for e, r in scene.routes.items():
+        u, w = g.edges[e]
+        along = [0.0, *itertools.accumulate(map(math.dist, r, r[1:]))]
+        for i in range(len(r) - 1):
+            spared[e, i] = ({u} if along[i] <= tol else set()) | (
+                {w} if along[i + 1] >= along[-1] - tol else set())
     for v, p in pos.items():
-        for e, _, a, b in segs:
-            if v not in g.edges[e]:
+        for e, i, a, b in segs:
+            if v not in spared[e, i]:
                 t = ((p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
                      ) / math.dist(a, b) ** 2
                 t = min(1.0, max(0.0, t))
@@ -541,8 +552,9 @@ def _point_on(route, i, t):
 @st.composite
 def anchored_scenes(draw):
     """Anchored scenes with interior vertices, chords and 0-3 bends, some
-    with a vertex placed on a route, a bend placed on another route, or a
-    route that runs past its end vertex and back."""
+    with a vertex placed on a route, a bend placed on another route, a
+    route that runs past its end vertex and back, or an edge to a new
+    vertex whose middle piece passes through or within 16 TOL of it."""
     unit = st.floats(0.0, 1.0)
     angles = sorted(draw(st.lists(st.integers(0, 359), min_size=3,
                                   max_size=6, unique=True)), reverse=True)
@@ -558,7 +570,8 @@ def anchored_scenes(draw):
         bends = [on_circle(0.9 * draw(unit) ** 0.5, 360.0 * draw(unit))
                  for _ in range(draw(st.integers(0, 3)))]
         routes[e] = (pos[u], *bends, pos[v])
-    fault = draw(st.sampled_from(("none", "none", "vertex", "bend", "back")))
+    fault = draw(st.sampled_from(("none", "none", "vertex", "bend", "back",
+                                  "own")))
     e = draw(st.integers(0, len(edges) - 1))
     f = draw(st.integers(0, len(edges) - 1))
     i = draw(st.integers(0, len(routes[f]) - 2))
@@ -573,6 +586,28 @@ def anchored_scenes(draw):
         s = draw(st.floats(0.05, 0.5))
         routes[e] = routes[e][:-1] + ((bx + s * (bx - ax), by + s * (by - ay)),
                                       (bx, by))
+    elif fault == "own":
+        # a new interior vertex w and an edge between w and anchor 0
+        # whose route comes from the anchor's side to c, passes w within
+        # 16 TOL along c-d, and turns back to w from the other side
+        w = len(pos)
+        pos[w] = (wx, wy) = on_circle(0.8 * draw(unit) ** 0.5,
+                                      360.0 * draw(unit))
+        a = math.atan2(pos[0][1] - wy, pos[0][0] - wx) + math.radians(
+            draw(st.integers(10, 40)) * draw(st.sampled_from((-1, 1))))
+        off = draw(st.sampled_from((0.0, 5e-9, 1e-8)))
+        h = draw(st.floats(0.05, 0.1))
+        nx, ny = math.cos(a), math.sin(a)
+        c = (wx - off * ny + h * nx, wy + off * nx + h * ny)
+        d = (wx - off * ny - h * nx, wy + off * nx - h * ny)
+        far = (wx + h * ny, wy - h * nx)
+        route = (pos[0], c, d, far, pos[w])
+        if draw(st.booleans()):
+            edges.append((0, w))
+        else:
+            edges.append((w, 0))
+            route = route[::-1]
+        routes[len(edges) - 1] = route
     assume(all(math.dist(a, b) > 1e-3
                for r in routes.values() for a, b in zip(r, r[1:])))
     g = Graph(tuple(pos), tuple(edges))

@@ -14,8 +14,8 @@ stores on ``self`` is read somewhere in the package or the demos: on that
 class, a base or subclass of it, or on something of unknown class.  The
 runtime dependencies in ``pyproject.toml`` are exactly the third-party
 packages the package imports, and every function the benchmark's tracer
-wraps still exists under the name it looks up.  Importing the CLI does not
-import networkx.
+wraps still exists under the name it looks up.  Importing the CLI imports
+neither networkx nor scipy.
 """
 
 import ast
@@ -387,14 +387,16 @@ def test_traced_benchmark_targets_resolve(monkeypatch):
 
 
 def test_networkx_is_not_imported_with_the_cli():
-    # only the brute oracle's planarity test needs networkx, and it costs
-    # a tenth of a second of every start-up
+    # only the brute oracle's planarity test needs networkx, and only the
+    # Tutte solve needs scipy; each costs a tenth of a second or more of
+    # every start-up
     src = str(PACKAGE.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     run = subprocess.run(
         [sys.executable, "-c",
-         "import sys, minkplanar.cli; print('networkx' in sys.modules)"],
+         "import sys, minkplanar.cli; "
+         "print('networkx' in sys.modules, 'scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.split() == ["False", "False"]

@@ -1,6 +1,8 @@
 """Serialization round trips and the pointered rejection paths."""
 
+import collections
 import copy
+import enum
 import json
 import os
 import pathlib
@@ -17,8 +19,11 @@ from minkplanar.frames import build_frame, compose
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.jsonio import (
     RunReport,
+    _drawing_ok,
+    _graph_ok,
     drawing_from_json,
     drawing_to_json,
+    dumps,
     graph_from_json,
     graph_to_json,
     outcome_from_json,
@@ -99,6 +104,77 @@ def test_outcome_round_trip_with_and_without_certificate():
 def test_outcome_without_an_order_still_loads():
     doc = {"status": "ExhaustedUnsat", "stats": {"nodes": 5}}
     assert outcome_from_json(doc).stats == SearchStats(nodes=5)
+
+
+# ---------------------------------------------------------------- writing
+
+
+def _stdlib(doc):
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers(), inner)),
+    max_leaves=60)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_dumps_writes_what_json_dumps_writes(doc):
+    # unbounded ints, -0.0, NaN and inf, non-ASCII text, bools beside
+    # ints, tuples, empty containers and integer keys all come up
+    assert dumps(doc) == _stdlib(doc)
+
+
+_Pair = collections.namedtuple("_Pair", "u v")
+_One = enum.IntEnum("_One", "ONE")
+
+
+def test_dumps_writes_edge_values_and_keys_as_json_dumps_does():
+    docs = [
+        [], {}, (), [[], {}, ()], 0, -0.0, "é\u2028\ud800",
+        [True, 1, False, 0, None, 1.0, -(2 ** 70), float("nan"),
+         float("inf"), -float("inf")],
+        {1.5: 0, 2: 1}, {True: []}, {None: {}}, {False: 0},
+        {"b": (1, (2,)), "a": [{}]},
+        {"x": Status.FOUND.value, "n": [[1, 2], [3, 4], [5, 6]]},
+        # subclasses take the kind of their JSON base
+        [_Pair(1, 2), _One.ONE, {"k": _Pair(_One.ONE, "x")}],
+    ]
+    for doc in docs:
+        assert dumps(doc) == _stdlib(doc)
+    for bad in ({1: 0, "a": 1}, [object()], {(1,): 0}):
+        with pytest.raises(TypeError):
+            _stdlib(bad)
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+
+def test_dumps_writes_a_search_outcome_and_its_order_tuple():
+    # asdict leaves SearchStats.order a tuple, beside the certificate's lists
+    found = SearchOutcome(
+        Status.FOUND, build_G2().drawing,
+        SearchStats(nodes=11, routes=4, max_depth=3, seconds=0.25,
+                    order=(2, 0, 1)))
+    doc = outcome_to_json(found)
+    assert doc["stats"]["order"] == (2, 0, 1)
+    assert dumps(doc) == _stdlib(doc)
+    unsat = outcome_to_json(SearchOutcome(Status.EXHAUSTED_UNSAT, None,
+                                          SearchStats(nodes=5)))
+    assert dumps(unsat) == _stdlib(unsat)
+
+
+def test_dumps_writes_a_composed_drawing_as_json_dumps_does():
+    src = build_G2()
+    doc = drawing_to_json(compose(build_frame(src.anchored_graph, 2, t=1),
+                                  src))
+    assert dumps(doc) == _stdlib(doc)
+    assert _drawing_ok(_wire(doc))
 
 
 # ------------------------------------------------------------- rejections
@@ -271,6 +347,8 @@ def mutated_documents(draw):
 def test_mutated_documents_raise_pointered_input_errors(case):
     name, doc = case
     read = graph_from_json if name == "graph" else drawing_from_json
+    # the one-pass check must turn every such document over to the walk
+    assert not (_graph_ok if name == "graph" else _drawing_ok)(doc)
     with pytest.raises(InputError) as err:
         read(doc)
     assert str(err.value).startswith("/")
