@@ -49,10 +49,9 @@ from .graphs import AnchoredGraph
 from .jsonio import (
     RunReport,
     drawing_from_json,
-    drawing_to_json,
-    dumps,
+    drawing_text,
     graph_from_json,
-    graph_to_json,
+    graph_text,
     outcome_to_json,
 )
 from .layout import audit_layout, to_svg, tutte_layout
@@ -114,8 +113,7 @@ def _load_anchored(path: str, rep: RunReport, why: str) -> AnchoredGraph:
     return g
 
 
-def _emit(doc: Any, out: Optional[str]) -> None:
-    text = dumps(doc)
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         # one write: json.dump would make one per token
         with open(out, "w", encoding="utf-8") as fh:
@@ -124,20 +122,22 @@ def _emit(doc: Any, out: Optional[str]) -> None:
         print(text)
 
 
+def _emit(doc: Any, out: Optional[str]) -> None:
+    _write(json.dumps(doc, indent=1, sort_keys=True), out)
+
+
 def _write_pack(prefix: Optional[str], graph, drawing, provenance: dict,
                 rep: RunReport) -> None:
     """gen, frame and compose print the drawing JSON, or with --out write
     the same three files: graph, drawing and provenance."""
-    ddoc = drawing_to_json(drawing)
     if not prefix:
-        _emit(ddoc, None)
+        _write(drawing_text(drawing), None)
         return
-    written = []
-    for tag, doc in (("graph", graph_to_json(graph)), ("drawing", ddoc),
-                     ("provenance", provenance)):
-        path = f"{prefix}.{tag}.json"
-        _emit(doc, path)
-        written.append(path)
+    written = [f"{prefix}.{tag}.json"
+               for tag in ("graph", "drawing", "provenance")]
+    _write(graph_text(graph), written[0])
+    _write(drawing_text(drawing), written[1])
+    _emit(provenance, written[2])
     rep.stats["written"] = written
 
 
@@ -240,7 +240,7 @@ def cmd_simplify(args, rep: RunReport) -> int:
     trace: list = []
     before = len(d.crossings)
     out = simplify_min1(d, trace=trace)
-    _emit(drawing_to_json(out), args.out)
+    _write(drawing_text(out), args.out)
     rep.stats.update({
         "crossings_before": before,
         "crossings_after": len(out.crossings),

@@ -85,7 +85,7 @@ class FrameBundle:
 
     ``core_edges`` are the ids of the kept wheel edges (rim, hub spokes,
     anchor spokes); ``classes`` maps each web edge of the unamplified
-    ``skeleton`` to its t double edges in ``graph``.  ``positions`` and
+    skeleton graph to its t double edges in ``graph``.  ``positions`` and
     ``crossing_points`` hold the scene coordinates behind the drawing.
     """
 
@@ -96,7 +96,6 @@ class FrameBundle:
     core_edges: tuple[int, ...]
     classes: EdgeClassMap
     params: FrameParams
-    skeleton: Graph
     positions: dict[int, Point]
     crossing_points: dict[int, Point]
 
@@ -332,7 +331,6 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
         core_edges=core,
         classes=classes,
         params=FrameParams(a, k, ell, d, t),
-        skeleton=skeleton,
         positions=dict(scene.positions),
         crossing_points=xpts,
     )

@@ -8,6 +8,7 @@ the exit code contract: 0 ok/Found, 1 property-failed/Unsat, 2 budget,
 import gc
 import json
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from minkplanar.constructions import build_G2, build_Gk, gk_claims
 from minkplanar.errors import InputError, MinkplanarError
 from minkplanar.frames import build_frame, frame_claims
 from minkplanar.graphs import AnchoredGraph, Graph
-from minkplanar.jsonio import graph_from_json, graph_to_json
+from minkplanar.jsonio import (
+    drawing_from_json,
+    drawing_to_json,
+    graph_from_json,
+    graph_to_json,
+)
+from minkplanar.sampling import random_min1_drawing
 from minkplanar.search import insertion_order
 
 
@@ -239,6 +246,57 @@ def test_render_audit_flag(fig1, tmp_path, capsys):
                      "--svg", str(svg), "--audit")
     assert code == 0
     assert svg.exists()
+
+
+# ----------------------------------------------------------- written JSON
+
+
+def _is_json_dumps_text(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+def test_every_written_json_file_is_json_dumps_text(tmp_path, capsys):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    min1 = inputs / "min1.drawing.json"
+    min1.write_text(json.dumps(drawing_to_json(
+        random_min1_drawing(random.Random(3)))))
+    crossing_pair = inputs / "pair.graph.json"
+    crossing_pair.write_text(json.dumps(
+        {"vertices": [0, 1, 2, 3], "edges": [[0, 2], [1, 3]],
+         "anchors": [0, 1, 2, 3]}))
+    g2 = out / "g2"
+    runs = [
+        ("gen", "g2", "--out", str(g2)),
+        ("gen", "gk", "--k", "4", "--out", str(out / "gk4")),
+        ("frame", "--graph", f"{g2}.graph.json", "--k", "2", "--t", "2",
+         "--out", str(out / "frame")),
+        ("compose", "--t", "1", "--out", str(out / "composed")),
+        ("simplify", "--drawing", str(min1), "--out", str(out / "simple.json")),
+        ("search", "--graph", str(crossing_pair), "--k", "1",
+         "--out", str(out / "search.json")),
+        # G2 is min-2 but not simple, so this verdict exits 1
+        ("validate", "--drawing", f"{g2}.drawing.json", "--min-k", "2",
+         "--simple", "--out", str(out / "verdict.json")),
+        ("profile", "--drawing", f"{g2}.drawing.json", "--k", "2",
+         "--out", str(out / "profile.json")),
+        ("repro", "lemma5-frame", "--t", "1", "--out", str(out / "repro.json")),
+    ]
+    for argv in runs:
+        code, _, err = run(capsys, *argv)
+        assert code == (1 if argv[0] == "validate" else 0), err
+    written = sorted(out.iterdir())
+    assert len(written) == 4 * 3 + 5
+    for path in written:
+        assert _is_json_dumps_text(path.read_text()), path.name
+    assert json.loads((out / "search.json").read_text())["certificate"]
+    drawing_from_json(json.loads((out / "simple.json").read_text()))
+
+    code, text, _ = run(capsys, "gen", "g2")
+    assert code == 0
+    assert _is_json_dumps_text(text)
+    assert text == (out / "g2.drawing.json").read_text()
 
 
 # ------------------------------------------------------------------ repro

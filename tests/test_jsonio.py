@@ -1,8 +1,7 @@
 """Serialization round trips and the pointered rejection paths."""
 
-import collections
 import copy
-import enum
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,24 +11,28 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkplanar.constructions import build_G2, build_Gk
-from minkplanar.drawings import drawings_equal, validate
-from minkplanar.errors import InputError
+from minkplanar.constructions import build_biclique_gadget, build_G2, build_Gk
+from minkplanar.drawings import Drawing, drawings_equal, validate
+from minkplanar.errors import InputError, MinkplanarError
 from minkplanar.frames import build_frame, compose
+from minkplanar.geometry import scene_to_drawing
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.jsonio import (
     RunReport,
     _drawing_ok,
     _graph_ok,
     drawing_from_json,
+    drawing_text,
     drawing_to_json,
-    dumps,
     graph_from_json,
+    graph_text,
     graph_to_json,
     outcome_from_json,
     outcome_to_json,
 )
 from minkplanar.search import SearchOutcome, SearchStats, Status
+
+from test_geometry import anchored_scenes
 
 
 def _wire(doc):
@@ -113,67 +116,62 @@ def _stdlib(doc):
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-            | st.text())
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
-                   | st.dictionaries(st.text(), inner)
-                   | st.dictionaries(st.integers(), inner)),
-    max_leaves=60)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(anchored_scenes(), st.booleans(), st.booleans())
+def test_writers_write_converted_scenes_as_json_dumps_does(scene, anchored,
+                                                           multigraph):
+    if not anchored:
+        scene = dataclasses.replace(scene, anchors=None, radius=None)
+    try:
+        d, _ = scene_to_drawing(scene)
+    except MinkplanarError:
+        return  # about half the scenes are drawn to be rejected
+    assert drawing_text(d) == _stdlib(drawing_to_json(d))
+    g = Graph(d.graph.vertices, d.graph.edges, simple=not multigraph)
+    g = AnchoredGraph(g, scene.anchors) if anchored else g
+    assert graph_text(g) == _stdlib(graph_to_json(g))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_VALUES)
-def test_dumps_writes_what_json_dumps_writes(doc):
-    # unbounded ints, -0.0, NaN and inf, non-ASCII text, bools beside
-    # ints, tuples, empty containers and integer keys all come up
-    assert dumps(doc) == _stdlib(doc)
+def _fixtures():
+    src = build_G2()
+    fr = build_frame(src.anchored_graph, 2, t=2)
+    comp = compose(build_frame(src.anchored_graph, 2, t=1), src)
+    empty = Drawing(Graph((), ()), (), {}, {})
+    lone = Drawing(Graph((7,), ()), (), {}, {7: ()})
+    gk3, gadget = build_Gk(3), build_biclique_gadget(2, 4)
+    read = drawing_from_json(_wire(drawing_to_json(gk3.drawing)))
+    return {
+        "g2": (src.drawing, src.anchored_graph),
+        "gk3": (gk3.drawing, gk3.anchored_graph),
+        "gadget": (gadget.drawing, gadget.graph),
+        "frame-t2": (fr.drawing, AnchoredGraph(fr.graph, fr.anchors)),
+        "composed-t1": (comp, comp.graph),
+        "empty": (empty, empty.graph),
+        "isolated-vertex": (lone, lone.graph),
+        "read-back": (read, read.graph),
+    }
 
 
-_Pair = collections.namedtuple("_Pair", "u v")
-_One = enum.IntEnum("_One", "ONE")
-
-
-def test_dumps_writes_edge_values_and_keys_as_json_dumps_does():
-    docs = [
-        [], {}, (), [[], {}, ()], 0, -0.0, "é\u2028\ud800",
-        [True, 1, False, 0, None, 1.0, -(2 ** 70), float("nan"),
-         float("inf"), -float("inf")],
-        {1.5: 0, 2: 1}, {True: []}, {None: {}}, {False: 0},
-        {"b": (1, (2,)), "a": [{}]},
-        {"x": Status.FOUND.value, "n": [[1, 2], [3, 4], [5, 6]]},
-        # subclasses take the kind of their JSON base
-        [_Pair(1, 2), _One.ONE, {"k": _Pair(_One.ONE, "x")}],
-    ]
-    for doc in docs:
-        assert dumps(doc) == _stdlib(doc)
-    for bad in ({1: 0, "a": 1}, [object()], {(1,): 0}):
-        with pytest.raises(TypeError):
-            _stdlib(bad)
-        with pytest.raises(TypeError):
-            dumps(bad)
-
-
-def test_dumps_writes_a_search_outcome_and_its_order_tuple():
-    # asdict leaves SearchStats.order a tuple, beside the certificate's lists
-    found = SearchOutcome(
-        Status.FOUND, build_G2().drawing,
-        SearchStats(nodes=11, routes=4, max_depth=3, seconds=0.25,
-                    order=(2, 0, 1)))
-    doc = outcome_to_json(found)
-    assert doc["stats"]["order"] == (2, 0, 1)
-    assert dumps(doc) == _stdlib(doc)
-    unsat = outcome_to_json(SearchOutcome(Status.EXHAUSTED_UNSAT, None,
-                                          SearchStats(nodes=5)))
-    assert dumps(unsat) == _stdlib(unsat)
+def test_writers_write_the_fixtures_as_json_dumps_does():
+    fixtures = _fixtures()
+    assert not fixtures["composed-t1"][1].simple
+    assert fixtures["gadget"][0].anchors is None
+    # more than ten edges, so "10" sorts before "9" among the keys
+    assert all(d.graph.m > 10 for name, (d, _) in fixtures.items()
+               if name not in ("empty", "isolated-vertex"))
+    for name, (d, g) in fixtures.items():
+        assert drawing_text(d) == _stdlib(drawing_to_json(d)), name
+        assert graph_text(g) == _stdlib(graph_to_json(g)), name
+    assert drawing_text(fixtures["empty"][0]) == _stdlib(
+        {"chains": {}, "crossings": [], "graph": {"edges": [], "vertices": []},
+         "rotation": {}})
 
 
 def test_dumps_writes_a_composed_drawing_as_json_dumps_does():
     src = build_G2()
-    doc = drawing_to_json(compose(build_frame(src.anchored_graph, 2, t=1),
-                                  src))
-    assert dumps(doc) == _stdlib(doc)
+    comp = compose(build_frame(src.anchored_graph, 2, t=1), src)
+    doc = drawing_to_json(comp)
+    assert drawing_text(comp) == _stdlib(doc)
     assert _drawing_ok(_wire(doc))
 
 
@@ -280,6 +278,27 @@ def test_pointers_escape_slash_and_tilde():
     doc = _wire(drawing_to_json(build_G2().drawing))
     doc["crossings"][0]["a~b/c"] = 0
     with pytest.raises(InputError, match=r"^/crossings/0/a~0b~1c: unexpected"):
+        drawing_from_json(doc)
+
+
+@pytest.mark.parametrize("name", ["chains", "rotation"])
+def test_python_built_documents_with_int_keys_raise_pointered_errors(name):
+    # JSON text has only string keys, but a document built in Python for
+    # the API may have int keys
+    doc = drawing_to_json(build_G2().drawing)
+    doc[name] = {int(key): value for key, value in doc[name].items()}
+    with pytest.raises(InputError, match=rf"^/{name}/0: key is not a decimal id"):
+        drawing_from_json(doc)
+
+
+def test_python_built_documents_with_tuple_edges_raise_pointered_errors():
+    doc = graph_to_json(build_G2().anchored_graph)
+    doc["edges"] = [tuple(edge) for edge in doc["edges"]]
+    with pytest.raises(InputError, match=r"^/edges/0: expected a list"):
+        graph_from_json(doc)
+    doc = drawing_to_json(build_G2().drawing)
+    doc["graph"]["edges"] = [tuple(edge) for edge in doc["graph"]["edges"]]
+    with pytest.raises(InputError, match=r"^/graph/edges/0: expected a list"):
         drawing_from_json(doc)
 
 
