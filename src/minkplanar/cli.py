@@ -13,7 +13,15 @@ a search stopped on budget, 3 for unusable input or bad usage.
 Every invocation emits exactly one JSON run report on stderr, or to the
 file named by --report.  The report carries the command name, sha256
 digests of the input files, the effective parameters, an outcome string,
-timing and size stats, and the tool version.
+timing and size stats, and the tool version.  A usage error's report,
+outcome ``usage-error: <message>``, goes to stderr: --report is unread.
+
+Each command, ``gen`` family and ``repro`` pipeline takes only the options
+it reads: --report, --out (but for render), and its own.  The pipelines'
+own, defaults in brackets: lemma3-g2 and open-question --budget-nodes,
+--budget-secs; lemma3-gk --k [4] and the budget; lemma5-frame --k [2],
+--t [2k+2], --graph [G2]; thm1-compose --k [2], --t [2k+2]; prop2-simplify
+--seed [0], --count [200].  Reports record them as used, with ``pipeline``.
 """
 
 from __future__ import annotations
@@ -74,8 +82,12 @@ _STATUS_EXIT = {
 # --------------------------------------------------------------- plumbing
 
 
+class _UsageError(Exception):
+    """A command line argparse refused; ``main`` reports it and exits 3."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage problems exit 3 instead of 2.
+    """argparse, but usage problems go to ``main``, which exits 3, not 2.
 
     Exit code 2 is reserved for searches that hit their budget, so the
     stock argparse convention would collide with it.
@@ -84,7 +96,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(3)
+        raise _UsageError(message)
 
 
 def _read_json(path: str, rep: RunReport) -> Any:
@@ -102,10 +114,6 @@ def _read_json(path: str, rep: RunReport) -> Any:
         raise InputError(f"{path} is not JSON: {err}")
 
 
-def _load_drawing(path: str, rep: RunReport):
-    return drawing_from_json(_read_json(path, rep))
-
-
 def _load_anchored(path: str, rep: RunReport, why: str) -> AnchoredGraph:
     g = graph_from_json(_read_json(path, rep))
     if not isinstance(g, AnchoredGraph):
@@ -113,13 +121,14 @@ def _load_anchored(path: str, rep: RunReport, why: str) -> AnchoredGraph:
     return g
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(text: str, out: Optional[str], stream=None) -> None:
+    """``text`` to the file ``out``, or else to ``stream`` (stdout)."""
     if out:
         # one write: json.dump would make one per token
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, file=stream)
 
 
 def _emit(doc: Any, out: Optional[str]) -> None:
@@ -141,12 +150,12 @@ def _write_pack(prefix: Optional[str], graph, drawing, provenance: dict,
     rep.stats["written"] = written
 
 
-def _budget(args) -> Optional[Budget]:
-    nodes = getattr(args, "budget_nodes", None)
-    secs = getattr(args, "budget_secs", None)
-    if nodes is None and secs is None:
-        return None
-    return Budget(nodes=nodes, seconds=secs)
+def _budget(args, rep: RunReport) -> Optional[Budget]:
+    """The budget options, recorded once valid: no report holds NaN."""
+    nodes, secs = args.budget_nodes, args.budget_secs
+    budget = None if nodes is None and secs is None else Budget(nodes, secs)
+    rep.parameters.update({"budget_nodes": nodes, "budget_secs": secs})
+    return budget
 
 
 def _source_bundle(k: int):
@@ -159,11 +168,8 @@ def _source_bundle(k: int):
 
 
 def cmd_gen(args, rep: RunReport) -> int:
-    if args.family == "gk" and args.k is None:
-        raise InputError("gen gk needs --k")
-    k = 2 if args.family == "g2" else args.k
-    rep.parameters.update({"family": args.family, "k": k})
-    bundle = build_Gk(k) if args.family == "gk" else build_G2()
+    rep.parameters.update({"family": args.family, "k": args.k})  # g2: 2
+    bundle = build_Gk(args.k) if args.family == "gk" else build_G2()
 
     g = bundle.anchored_graph
     rep.stats.update({
@@ -174,7 +180,7 @@ def cmd_gen(args, rep: RunReport) -> int:
     })
     provenance = {
         "family": args.family,
-        "k": k,
+        "k": args.k,
         "claimed_min_k": bundle.claimed_min_k,
         "claimed_simple": bundle.claimed_simple,
         "claimed_adjacency_free": bundle.claimed_adjacency_free,
@@ -185,7 +191,7 @@ def cmd_gen(args, rep: RunReport) -> int:
 
 
 def cmd_validate(args, rep: RunReport) -> int:
-    d = _load_drawing(args.drawing, rep)
+    d = drawing_from_json(_read_json(args.drawing, rep))
     rep.parameters.update({
         "min_k": args.min_k, "k": args.k, "simple": args.simple,
     })
@@ -217,7 +223,7 @@ def cmd_validate(args, rep: RunReport) -> int:
 
 
 def cmd_profile(args, rep: RunReport) -> int:
-    d = _load_drawing(args.drawing, rep)
+    d = drawing_from_json(_read_json(args.drawing, rep))
     rep.parameters.update({"k": args.k})
     prof = crossing_profile(d)
     doc: dict[str, Any] = {
@@ -236,7 +242,7 @@ def cmd_profile(args, rep: RunReport) -> int:
 
 
 def cmd_simplify(args, rep: RunReport) -> int:
-    d = _load_drawing(args.drawing, rep)
+    d = drawing_from_json(_read_json(args.drawing, rep))
     trace: list = []
     before = len(d.crossings)
     out = simplify_min1(d, trace=trace)
@@ -251,14 +257,9 @@ def cmd_simplify(args, rep: RunReport) -> int:
 
 
 def cmd_search(args, rep: RunReport) -> int:
-    budget = _budget(args)  # a bad budget fails before it reaches the report
+    budget = _budget(args, rep)
     g = _load_anchored(args.graph, rep, "the anchored search")
-    rep.parameters.update({
-        "k": args.k,
-        "simple": args.simple,
-        "budget_nodes": args.budget_nodes,
-        "budget_secs": args.budget_secs,
-    })
+    rep.parameters.update({"k": args.k, "simple": args.simple})
     outcome = search_anchored(g, args.k, require_simple=args.simple,
                               budget=budget)
     if outcome.status is Status.FOUND and not verify_certificate(
@@ -307,7 +308,7 @@ def cmd_compose(args, rep: RunReport) -> int:
 
 
 def cmd_render(args, rep: RunReport) -> int:
-    d = _load_drawing(args.drawing, rep)
+    d = drawing_from_json(_read_json(args.drawing, rep))
     rep.parameters.update({"k": args.k, "audit": args.audit})
     layout = tutte_layout(d)
     if args.audit:
@@ -327,11 +328,11 @@ def cmd_render(args, rep: RunReport) -> int:
 # ---------------------------------------------------------- repro suite
 
 
-def _finish_repro(name: str, checks: list[tuple[str, bool]], args,
-                  rep: RunReport, extra: Optional[dict] = None) -> int:
+def _finish_repro(checks: list[tuple[str, bool]], args, rep: RunReport,
+                  extra: Optional[dict] = None) -> int:
     confirmed = all(ok for _, ok in checks)
     doc: dict[str, Any] = {
-        "pipeline": name,
+        "pipeline": args.pipeline,
         "checks": [{"check": c, "ok": ok} for c, ok in checks],
         "confirmed": confirmed,
     }
@@ -342,70 +343,80 @@ def _finish_repro(name: str, checks: list[tuple[str, bool]], args,
     return 0 if confirmed else 1
 
 
-def _finish_lemma3(name: str, b, k: int, checks: list[tuple[str, bool]],
-                   args, rep: RunReport, extra: dict) -> int:
+def _finish_lemma3(b, k: int, checks: list[tuple[str, bool]],
+                   budget: Optional[Budget], args, rep: RunReport,
+                   extra: dict) -> int:
     """Lemma 3's negative claim: the search finds no simple anchored min-k
     drawing of the bundle's graph.  A budget stop exits 2."""
     outcome = search_anchored(b.anchored_graph, k, require_simple=True,
-                              budget=_budget(args))
+                              budget=budget)
     rep.stats["search"] = asdict(outcome.stats)
     extra["search"] = outcome.status.value
     if outcome.status is Status.BUDGET_EXCEEDED:
-        _finish_repro(name, checks, args, rep, extra)
+        _finish_repro(checks, args, rep, extra)
         rep.outcome = outcome.status.value  # the claim went unchecked
         return 2
     checks.append((f"no-simple-anchored-min-{k}",
                    outcome.status is Status.EXHAUSTED_UNSAT))
-    return _finish_repro(name, checks, args, rep, extra)
+    return _finish_repro(checks, args, rep, extra)
 
 
 def _repro_lemma3_g2(args, rep: RunReport) -> int:
+    budget = _budget(args, rep)
+    rep.parameters["pipeline"] = args.pipeline
     b = build_G2()
-    return _finish_lemma3("lemma3-g2", b, 2, list(g2_claims(b)), args, rep, {})
+    return _finish_lemma3(b, 2, list(g2_claims(b)), budget, args, rep, {})
 
 
 def _repro_lemma3_gk(args, rep: RunReport) -> int:
-    k = args.k if args.k is not None else 4
+    budget = _budget(args, rep)
+    k = args.k
+    rep.parameters.update({"pipeline": args.pipeline, "k": k})
     b = build_Gk(k)
-    return _finish_lemma3("lemma3-gk", b, k, list(gk_claims(b, k)), args, rep,
+    return _finish_lemma3(b, k, list(gk_claims(b, k)), budget, args, rep,
                           {"k": k})
 
 
 def _repro_lemma5_frame(args, rep: RunReport) -> int:
-    k = args.k if args.k is not None else 2
+    rep.parameters.update({"pipeline": args.pipeline, "k": args.k,
+                           "graph": args.graph})
     if args.graph:
         g = _load_anchored(args.graph, rep, "the frame builder")
     else:
         g = build_G2().anchored_graph
-    fr = build_frame(g, k, t=args.t)
+    fr = build_frame(g, args.k, t=args.t)
     p = fr.params
+    rep.parameters["t"] = p.t  # build_frame defaults it to 2k+2
     checks = list(frame_claims(fr))
     checks.append(("web-separates-wheel", separation_property_check(fr)))
     rep.stats.update({"crossings": len(fr.drawing.crossings), "d": p.d})
-    return _finish_repro("lemma5-frame", checks, args, rep,
-                         {"params": dict(p._asdict())})
+    return _finish_repro(checks, args, rep, {"params": dict(p._asdict())})
 
 
 def _repro_thm1_compose(args, rep: RunReport) -> int:
-    k = args.k if args.k is not None else 2
+    k = args.k
+    rep.parameters.update({"pipeline": args.pipeline, "k": k})
     src = _source_bundle(k)
     mk = src.claimed_min_k
     fr = build_frame(src.anchored_graph, mk, t=args.t)
+    rep.parameters["t"] = fr.params.t
     comp = compose(fr, src)
     checks = list(composition_claims(comp, fr, src))
     heavy = crossing_profile(comp).heavy_edges(mk)
     rep.stats.update({"crossings": len(comp.crossings),
                       "heavy_edges": len(heavy)})
-    return _finish_repro("thm1-compose", checks, args, rep,
+    return _finish_repro(checks, args, rep,
                          {"k": k, "source_min_k": mk,
                           "params": dict(fr.params._asdict())})
 
 
 def _repro_prop2_simplify(args, rep: RunReport) -> int:
-    count = args.count if args.count is not None else 200
+    count = args.count
+    rep.parameters.update({"pipeline": args.pipeline, "seed": args.seed,
+                           "count": count})
     if count < 1:
         raise InputError("prop2-simplify needs --count >= 1")
-    rng = random.Random(args.seed if args.seed is not None else 0)
+    rng = random.Random(args.seed)
     clean = True
     monotone = True
     for _ in range(count):
@@ -427,16 +438,17 @@ def _repro_prop2_simplify(args, rep: RunReport) -> int:
         ("violating-pairs-strictly-decrease", monotone),
     ]
     rep.stats.update({"drawings": count})
-    return _finish_repro("prop2-simplify", checks, args, rep,
-                         {"drawings": count})
+    return _finish_repro(checks, args, rep, {"drawings": count})
 
 
 def _repro_open_question(args, rep: RunReport) -> int:
-    outcome = explore_open_question(budget=_budget(args))
+    budget = _budget(args, rep)
+    rep.parameters["pipeline"] = args.pipeline
+    outcome = explore_open_question(budget=budget)
     rep.stats["search"] = asdict(outcome.stats)
     rep.outcome = outcome.status.value
     doc: dict[str, Any] = {
-        "pipeline": "open-question",
+        "pipeline": args.pipeline,
         "question": "does the 20-vertex counterexample admit a simple "
                     "anchored drawing at k = 3",
         "outcome": outcome_to_json(outcome),
@@ -455,27 +467,13 @@ def _repro_open_question(args, rep: RunReport) -> int:
     return _STATUS_EXIT[outcome.status]
 
 
-_REPROS = {
-    "lemma3-g2": _repro_lemma3_g2,
-    "lemma3-gk": _repro_lemma3_gk,
-    "lemma5-frame": _repro_lemma5_frame,
-    "thm1-compose": _repro_thm1_compose,
-    "prop2-simplify": _repro_prop2_simplify,
-    "open-question": _repro_open_question,
-}
-
-
-def cmd_repro(args, rep: RunReport) -> int:
-    _budget(args)  # a bad budget fails before it reaches the report
-    rep.parameters.update({
-        "pipeline": args.pipeline, "k": args.k, "t": args.t,
-        "seed": args.seed, "count": args.count,
-        "budget_nodes": args.budget_nodes, "budget_secs": args.budget_secs,
-    })
-    return _REPROS[args.pipeline](args, rep)
-
-
 # ------------------------------------------------------------ the parser
+
+
+def _leaf(subs, name: str, fn, parents: list, help: str) -> _Parser:
+    sp = subs.add_parser(name, parents=parents, help=help)
+    sp.set_defaults(fn=fn)
+    return sp
 
 
 def _build_parser() -> _Parser:
@@ -486,103 +484,119 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
 
-    common = _Parser(add_help=False)
-    common.add_argument("--report", metavar="FILE",
+    # the options leaves share; --out and --report sit on the leaves only,
+    # since a sub-parser's default overwrites what its parent parsed
+    report = _Parser(add_help=False)
+    report.add_argument("--report", metavar="FILE",
                         help="write the run report here instead of stderr")
+    common = _Parser(add_help=False, parents=[report])
     common.add_argument("--out", metavar="PATH",
                         help="output file, or file prefix for commands "
                              "that write a graph/drawing/provenance pack")
+    budgeted = _Parser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget-nodes", type=int, metavar="N")
+    budgeted.add_argument("--budget-secs", type=float, metavar="S")
 
-    sub = p.add_subparsers(dest="cmd", metavar="command", parser_class=_Parser)
-    sub.required = True
+    sub = p.add_subparsers(dest="cmd", metavar="command", parser_class=_Parser,
+                           required=True)
 
-    sp = sub.add_parser("gen", parents=[common],
-                        help="emit a bundled counterexample drawing")
-    sp.add_argument("family", choices=["g2", "gk"])
-    sp.add_argument("--k", type=int, help="family parameter (gk only, >= 3)")
-    sp.set_defaults(fn=cmd_gen)
+    sp = sub.add_parser("gen", help="emit a bundled counterexample drawing")
+    family = sp.add_subparsers(dest="family", parser_class=_Parser,
+                               required=True)
+    _leaf(family, "g2", cmd_gen, [common],
+          "the 20-vertex counterexample (k = 2)").set_defaults(k=2)
+    sp = _leaf(family, "gk", cmd_gen, [common], "the parametric counterexample")
+    sp.add_argument("--k", type=int, required=True, help="at least 3")
 
-    sp = sub.add_parser("validate", parents=[common],
-                        help="check properties of a drawing file")
+    sp = _leaf(sub, "validate", cmd_validate, [common],
+               "check properties of a drawing file")
     sp.add_argument("--drawing", required=True, metavar="FILE")
     sp.add_argument("--min-k", dest="min_k", type=int, metavar="K")
     sp.add_argument("--k", type=int, metavar="K",
                     help="check the per-edge crossing cap")
     sp.add_argument("--simple", action="store_true")
-    sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("profile", parents=[common],
-                        help="per-edge and per-pair crossing counts")
+    sp = _leaf(sub, "profile", cmd_profile, [common],
+               "per-edge and per-pair crossing counts")
     sp.add_argument("--drawing", required=True, metavar="FILE")
     sp.add_argument("--k", type=int, metavar="K",
                     help="also list edges with more than K crossings")
-    sp.set_defaults(fn=cmd_profile)
 
-    sp = sub.add_parser("simplify", parents=[common],
-                        help="remove crossings between dependent edge pairs")
+    sp = _leaf(sub, "simplify", cmd_simplify, [common],
+               "remove crossings between dependent edge pairs")
     sp.add_argument("--drawing", required=True, metavar="FILE")
-    sp.set_defaults(fn=cmd_simplify)
 
-    sp = sub.add_parser("search", parents=[common],
-                        help="decide anchored drawing existence")
+    sp = _leaf(sub, "search", cmd_search, [budgeted],
+               "decide anchored drawing existence")
     sp.add_argument("--graph", required=True, metavar="FILE")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--simple", action="store_true",
                     help="restrict to simple drawings")
-    sp.add_argument("--budget-nodes", type=int, metavar="N")
-    sp.add_argument("--budget-secs", type=float, metavar="S")
-    sp.set_defaults(fn=cmd_search)
 
-    sp = sub.add_parser("frame", parents=[common],
-                        help="build the caged-wheel frame for a graph")
+    sp = _leaf(sub, "frame", cmd_frame, [common],
+               "build the caged-wheel frame for a graph")
     sp.add_argument("--graph", required=True, metavar="FILE",
                     help="anchored graph JSON")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--t", type=int, help="amplification copies per web "
                                           "class (default 2k+2)")
-    sp.set_defaults(fn=cmd_frame)
 
-    sp = sub.add_parser("compose", parents=[common],
-                        help="glue a bundled counterexample into its frame")
+    sp = _leaf(sub, "compose", cmd_compose, [common],
+               "glue a bundled counterexample into its frame")
     sp.add_argument("--k", type=int, default=2,
                     help="source family: 2 for the 20-vertex graph, "
                          ">= 3 for the parametric one")
     sp.add_argument("--t", type=int)
-    sp.set_defaults(fn=cmd_compose)
 
-    sp = sub.add_parser("render", parents=[common],
-                        help="draw a drawing file to SVG")
+    sp = _leaf(sub, "render", cmd_render, [report],
+               "draw a drawing file to SVG")
     sp.add_argument("--drawing", required=True, metavar="FILE")
     sp.add_argument("--svg", required=True, metavar="FILE")
     sp.add_argument("--k", type=int, metavar="K",
                     help="highlight edges with more than K crossings")
     sp.add_argument("--audit", action="store_true",
                     help="re-derive the drawing from the coordinates first")
-    sp.set_defaults(fn=cmd_render)
 
-    sp = sub.add_parser("repro", parents=[common],
-                        help="run a canned reproduction pipeline")
-    sp.add_argument("pipeline", choices=sorted(_REPROS))
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--graph", metavar="FILE",
-                    help="alternate source graph for lemma5-frame")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--count", type=int,
-                    help="sample size for prop2-simplify")
-    sp.add_argument("--budget-nodes", type=int, metavar="N")
-    sp.add_argument("--budget-secs", type=float, metavar="S")
-    sp.set_defaults(fn=cmd_repro)
+    sp = sub.add_parser("repro", help="run a canned reproduction pipeline")
+    pipeline = sp.add_subparsers(dest="pipeline", parser_class=_Parser,
+                                 required=True)
+    _leaf(pipeline, "lemma3-g2", _repro_lemma3_g2, [budgeted],
+          "Lemma 3 on the 20-vertex counterexample")
+    sp = _leaf(pipeline, "lemma3-gk", _repro_lemma3_gk, [budgeted],
+               "Lemma 3 on the parametric counterexample")
+    sp.add_argument("--k", type=int, default=4)
+    sp = _leaf(pipeline, "lemma5-frame", _repro_lemma5_frame, [common],
+               "Lemma 5's frame of G2 or of --graph")
+    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--t", type=int, help="default 2k+2")
+    sp.add_argument("--graph", metavar="FILE", help="anchored source graph")
+    sp = _leaf(pipeline, "thm1-compose", _repro_thm1_compose, [common],
+               "Theorem 1's composition")
+    sp.add_argument("--k", type=int, default=2, help="as for compose")
+    sp.add_argument("--t", type=int, help="default 2k+2")
+    sp = _leaf(pipeline, "prop2-simplify", _repro_prop2_simplify, [common],
+               "Proposition 2's simplifier on sampled min-1 drawings")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--count", type=int, default=200, help="at least 1")
+    _leaf(pipeline, "open-question", _repro_open_question, [budgeted],
+          "is there a simple anchored min-3 drawing of G2")
 
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as ex:  # --help and --version
         return int(ex.code or 0)
+    except _UsageError as err:
+        # the first word names the command: the top level has no option
+        # but --help and --version
+        words = sys.argv[1:] if argv is None else argv
+        rep = RunReport(command=words[0] if words else "",
+                        outcome=f"usage-error: {err}", version=__version__)
+        print(json.dumps(rep.to_json(), sort_keys=True), file=sys.stderr)
+        return 3
 
     rep = RunReport(command=args.cmd, version=__version__)
     t0 = time.perf_counter()
@@ -607,14 +621,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if was_enabled:
             gc.enable()
     rep.stats.setdefault("seconds", round(time.perf_counter() - t0, 3))
-
-    text = json.dumps(rep.to_json(), sort_keys=True)
-    report_to = getattr(args, "report", None)
-    if report_to:
-        with open(report_to, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text, file=sys.stderr)
+    _write(json.dumps(rep.to_json(), sort_keys=True), args.report, sys.stderr)
     return code
 
 

@@ -49,9 +49,7 @@ class CounterexampleBundle:
 
     ``vertex_names`` and ``edge_names`` map human-readable labels (``a1``,
     ``c1c2``, ``m1_0``, ...) to the numeric ids used in the graph, so
-    callers never depend on the id assignment.  ``positions`` and
-    ``crossing_points`` hold the scene coordinates the drawing was derived
-    from; renderers may reuse them.
+    callers never depend on the id assignment.
     """
 
     anchored_graph: AnchoredGraph
@@ -61,8 +59,6 @@ class CounterexampleBundle:
     claimed_adjacency_free: bool
     vertex_names: dict[str, int]
     edge_names: dict[str, int]
-    positions: dict[int, Point]
-    crossing_points: dict[int, Point]
 
     def edge(self, name: str) -> int:
         return self.edge_names[name]
@@ -75,8 +71,6 @@ class BicliqueGadget:
     graph: Graph
     classes: EdgeClassMap
     drawing: Drawing
-    positions: dict[int, Point]
-    crossing_points: dict[int, Point]
     k: int
     m: int
 
@@ -119,7 +113,7 @@ def _disk_bundle(
 
     graph = Graph(tuple(range(len(vertex_names))), tuple(edges))
     scene = Scene(graph, positions, routes, anchors=anchors, radius=DISK_RADIUS)
-    drawing, crossing_points = scene_to_drawing(scene)
+    drawing, _ = scene_to_drawing(scene)
     return CounterexampleBundle(
         anchored_graph=AnchoredGraph(graph, anchors),
         drawing=drawing,
@@ -128,8 +122,6 @@ def _disk_bundle(
         claimed_adjacency_free=claimed_adjacency_free,
         vertex_names=vertex_names,
         edge_names=edge_names,
-        positions=positions,
-        crossing_points=crossing_points,
     )
 
 
@@ -380,13 +372,11 @@ def build_biclique_gadget(k: int, m: int) -> BicliqueGadget:
         routes[dbl.halves[1]] = (mid, (cols[j], -1.6), positions[3])
 
     scene = Scene(amplified, positions, routes)
-    drawing, crossing_points = scene_to_drawing(scene)
+    drawing, _ = scene_to_drawing(scene)
     gadget = BicliqueGadget(
         graph=amplified,
         classes=classes,
         drawing=drawing,
-        positions=positions,
-        crossing_points=crossing_points,
         k=k,
         m=m,
     )

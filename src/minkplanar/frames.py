@@ -85,8 +85,7 @@ class FrameBundle:
 
     ``core_edges`` are the ids of the kept wheel edges (rim, hub spokes,
     anchor spokes); ``classes`` maps each web edge of the unamplified
-    skeleton graph to its t double edges in ``graph``.  ``positions`` and
-    ``crossing_points`` hold the scene coordinates behind the drawing.
+    skeleton graph to its t double edges in ``graph``.
     """
 
     source: AnchoredGraph
@@ -96,8 +95,6 @@ class FrameBundle:
     core_edges: tuple[int, ...]
     classes: EdgeClassMap
     params: FrameParams
-    positions: dict[int, Point]
-    crossing_points: dict[int, Point]
 
 
 # --------------------------------------------------- skeleton edge plan
@@ -322,7 +319,7 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
         skeleton, t, amplify_edges=range(3 * d, 12 * d), keep_edges=core
     )
     scene = _frame_scene(amplified, classes, anchors, a, q, t)
-    drawing, xpts = scene_to_drawing(scene)
+    drawing, _ = scene_to_drawing(scene)
     fr = FrameBundle(
         source=g,
         graph=amplified,
@@ -331,8 +328,6 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
         core_edges=core,
         classes=classes,
         params=FrameParams(a, k, ell, d, t),
-        positions=dict(scene.positions),
-        crossing_points=xpts,
     )
     certify("frame", frame_claims(fr))
     return fr

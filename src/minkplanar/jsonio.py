@@ -74,16 +74,23 @@ def _list(obj: Any, where: str, n: int | None = None) -> list:
     return obj
 
 
-def _is_id(v: Any) -> bool:
+# past 2**53 - 1, JSON implementations disagree on an integer's value
+# (RFC 8259, section 6); past 2**63 - 1, numpy's int64 overflows
+_MAX_ID = 2**53 - 1
+
+
+def _id(v: Any, where: str) -> None:
     # type(), not isinstance: a bool is not an id
-    return type(v) is int and v >= 0
+    if type(v) is not int or v < 0:
+        _fail(where, "expected a non-negative integer")
+    if v > _MAX_ID:
+        _fail(where, "expected an integer at most 2**53 - 1")
 
 
 def _ids(obj: Any, where: str, n: int | None = None) -> None:
-    """Checks that ``obj`` is a list of non-negative integers."""
+    """Checks that ``obj`` is a list of ids."""
     for i, v in enumerate(_list(obj, where, n)):
-        if not _is_id(v):
-            _fail(f"{where}/{i}", "expected a non-negative integer")
+        _id(v, f"{where}/{i}")
 
 
 def _by_id(obj: Any, where: str) -> dict:
@@ -113,7 +120,7 @@ _CROSSING_KEYS = frozenset(("id", "edges"))
 
 def _ids_ok(obj: Any) -> bool:
     return (type(obj) is list and set(map(type, obj)) <= {int}
-            and min(obj, default=0) >= 0)
+            and min(obj, default=0) >= 0 and max(obj, default=0) <= _MAX_ID)
 
 
 def _id_lists_ok(obj: Any, n: int | None = None) -> bool:
@@ -181,8 +188,7 @@ def _check_drawing(obj: Any, where: str) -> None:
     for i, x in enumerate(_list(obj["crossings"], f"{where}/crossings")):
         at = f"{where}/crossings/{i}"
         _object(x, at, ("id", "edges"), closed=True)
-        if not _is_id(x["id"]):
-            _fail(f"{at}/id", "expected a non-negative integer")
+        _id(x["id"], f"{at}/id")
         _ids(x["edges"], f"{at}/edges", 2)
     for key, chain in _by_id(obj["chains"], f"{where}/chains").items():
         _ids(chain, f"{where}/chains/{key}")

@@ -16,15 +16,16 @@ from .geometry import Scene, on_circle, scene_to_drawing
 from .graphs import AnchoredGraph, Graph
 
 RADIUS = 3.0
+MAX_ANCHORS = 8  # random_anchored_graph's vertex cap, unless edges need more
+ATTEMPTS = 400  # scenes random_min1_drawing draws before it gives up
 
 
-def random_anchored_graph(rng: random.Random, n_edges: int = 5,
-                          max_anchors: int = 8) -> AnchoredGraph:
+def random_anchored_graph(rng: random.Random, n_edges: int = 5) -> AnchoredGraph:
     """Random chord system: every vertex an anchor, edges distinct pairs."""
     lo = 4
     while lo * (lo - 1) // 2 < n_edges:
         lo += 1
-    n = rng.randint(lo, max(lo, max_anchors))
+    n = rng.randint(lo, max(lo, MAX_ANCHORS))
     pairs = rng.sample(list(itertools.combinations(range(n), 2)), n_edges)
     g = Graph(tuple(range(n)), tuple(sorted(pairs)))
     return AnchoredGraph(g, tuple(range(n)))
@@ -49,9 +50,9 @@ def _random_scene(rng: random.Random) -> Scene:
     return Scene(g, positions, routes, anchors=tuple(range(n)), radius=RADIUS)
 
 
-def random_min1_drawing(rng: random.Random, attempts: int = 400) -> Drawing:
+def random_min1_drawing(rng: random.Random) -> Drawing:
     """Rejection-sample a valid anchored min-1-planar drawing."""
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         scene = _random_scene(rng)
         try:
             d, _ = scene_to_drawing(scene)
@@ -59,4 +60,4 @@ def random_min1_drawing(rng: random.Random, attempts: int = 400) -> Drawing:
             continue
         if is_min_k_planar(d, 1):
             return d
-    raise MinkplanarError("could not sample a min-1 drawing; widen attempts")
+    raise MinkplanarError(f"no min-1 drawing in {ATTEMPTS} sampled scenes")

@@ -94,31 +94,31 @@ def swap_at(d: Drawing, e: int, f: int, y: int) -> Drawing:
 
     endmap: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}
 
-    def register(j, old, new, ends):
+    def register(old, new, ends):
         for node in ends:
             endmap[(node, old)] = new
 
     for j in range(Le - 1):
         old = ref(e, Le, rev_e, j)
         if j <= i_e - 2:
-            register(j, old, ref(f, Lnf, rev_f, j), (ce[j], ce[j + 1]))
+            register(old, ref(f, Lnf, rev_f, j), (ce[j], ce[j + 1]))
         elif j == i_e - 1:
-            register(j, old, ref(f, Lnf, rev_f, i_e - 1), (ce[j],))
+            register(old, ref(f, Lnf, rev_f, i_e - 1), (ce[j],))
         elif j == i_e:
-            register(j, old, ref(e, Lne, rev_e, i_f - 1), (ce[j + 1],))
+            register(old, ref(e, Lne, rev_e, i_f - 1), (ce[j + 1],))
         else:
-            register(j, old, ref(e, Lne, rev_e, i_f + j - i_e - 1),
+            register(old, ref(e, Lne, rev_e, i_f + j - i_e - 1),
                      (ce[j], ce[j + 1]))
     for j in range(Lf - 1):
         old = ref(f, Lf, rev_f, j)
         if j <= i_f - 2:
-            register(j, old, ref(e, Lne, rev_e, j), (cf[j], cf[j + 1]))
+            register(old, ref(e, Lne, rev_e, j), (cf[j], cf[j + 1]))
         elif j == i_f - 1:
-            register(j, old, ref(e, Lne, rev_e, i_f - 1), (cf[j],))
+            register(old, ref(e, Lne, rev_e, i_f - 1), (cf[j],))
         elif j == i_f:
-            register(j, old, ref(f, Lnf, rev_f, i_e - 1), (cf[j + 1],))
+            register(old, ref(f, Lnf, rev_f, i_e - 1), (cf[j + 1],))
         else:
-            register(j, old, ref(f, Lnf, rev_f, i_e + j - i_f - 1),
+            register(old, ref(f, Lnf, rev_f, i_e + j - i_f - 1),
                      (cf[j], cf[j + 1]))
 
     chains = dict(d.chains)

@@ -9,6 +9,7 @@ import gc
 import json
 import pathlib
 import random
+import shlex
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_gen_stdout_is_drawing_json(capsys):
 
 def test_gen_gk_without_k_is_input_error(capsys):
     # G2 is the k = 2 member and has its own generator; --help says k >= 3
-    for argv, message in (((), "needs --k"), (("--k", "2"), "at least 3")):
+    for argv, message in (((), "required: --k"), (("--k", "2"), "at least 3")):
         code, out, err = run(capsys, "gen", "gk", *argv)
         assert code == 3
         assert out == ""
@@ -248,6 +249,25 @@ def test_render_audit_flag(fig1, tmp_path, capsys):
     assert svg.exists()
 
 
+@pytest.mark.parametrize("new_id, want", [(2**53 - 1, 0), (2**63, 3)])
+def test_render_audit_takes_ids_up_to_two_to_the_53(fig1, tmp_path, capsys,
+                                                    new_id, want):
+    # an id past int64 would overflow the audit's numpy arrays
+    doc = json.loads(pathlib.Path(str(fig1) + ".drawing.json").read_text())
+    old_id = doc["crossings"][-1]["id"]
+    doc["crossings"][-1]["id"] = new_id
+    doc["rotation"][str(new_id)] = doc["rotation"].pop(str(old_id))
+    for chain in doc["chains"].values():
+        chain[:] = [new_id if x == old_id else x for x in chain]
+    path = tmp_path / "big.drawing.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "render", "--drawing", str(path),
+                       "--svg", str(tmp_path / "big.svg"), "--audit")
+    assert code == want
+    if want:
+        assert _report_of(err)["outcome"].startswith("input-error: /crossings/")
+
+
 # ----------------------------------------------------------- written JSON
 
 
@@ -400,6 +420,15 @@ def test_repro_prop2_simplify_needs_a_drawing(capsys, count):
     assert "--count >= 1" in err
 
 
+def test_repro_lemma3_gk_records_the_k_it_checks(capsys):
+    code, out, err = run(capsys, "repro", "lemma3-gk", "--budget-nodes", "1")
+    assert code == 2
+    assert json.loads(out)["k"] == 4
+    assert _report_of(err)["parameters"] == {
+        "pipeline": "lemma3-gk", "k": 4,
+        "budget_nodes": 1, "budget_secs": None}
+
+
 def test_repro_open_question_reports_an_answer(capsys):
     code, out, _ = run(capsys, "repro", "open-question")
     assert code == 0
@@ -415,6 +444,96 @@ def test_repro_budget_exhaustion_exits_two(capsys):
     assert json.loads(out)["answer"] == "undecided within budget"
 
 
+# ---------------------------------------------- each command's own options
+
+# every option some pipeline reads, with a value for it
+_REPRO_OPTIONS = {"--k": "3", "--t": "1", "--graph": "g.json", "--seed": "1",
+                  "--count": "5", "--budget-nodes": "5", "--budget-secs": "1"}
+
+# what each pipeline reads, with an invocation that shows the value used,
+# kept fast by the options after it; each key of the report's parameters
+# is the option's dest
+_READ = {
+    "lemma3-g2": {"--budget-nodes": ["5"], "--budget-secs": ["0"]},
+    "lemma3-gk": {"--k": ["3", "--budget-nodes", "1"],
+                  "--budget-nodes": ["1"],
+                  "--budget-secs": ["0", "--budget-nodes", "100"]},
+    "lemma5-frame": {"--k": ["1", "--graph", "TOY", "--t", "1"],
+                     "--t": ["1"], "--graph": ["TOY", "--k", "1", "--t", "1"]},
+    "thm1-compose": {"--k": ["3", "--t", "1"], "--t": ["1"]},
+    "prop2-simplify": {"--seed": ["3", "--count", "2"], "--count": ["2"]},
+    "open-question": {"--budget-nodes": ["3"], "--budget-secs": ["0"]},
+}
+
+
+def _foreign():
+    for pipeline, read in _READ.items():
+        for opt, value in _REPRO_OPTIONS.items():
+            if opt not in read:
+                yield ["repro", pipeline, opt, value]
+    yield ["gen", "g2", "--k", "7"]
+    yield ["render", "--drawing", "d.json", "--svg", "d.svg", "--out", "x"]
+
+
+@pytest.mark.parametrize("argv", list(_foreign()), ids=" ".join)
+def test_an_option_a_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                            argv):
+    report = tmp_path / "run.json"
+    code, out, err = run(capsys, *argv, "--report", str(report))
+    assert code == 3
+    assert out == ""
+    assert "usage:" in err
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    rep = _report_of(err)
+    assert rep["command"] == argv[0]
+    assert rep["outcome"] == (
+        f"usage-error: unrecognized arguments: {argv[-2]} {argv[-1]}")
+    # the report goes to stderr: --report was never read
+    assert not report.exists()
+
+
+def test_thirty_foreign_options_are_refused():
+    assert len(list(_foreign())) == 30
+    assert sum(map(len, _READ.values())) == 14
+
+
+@pytest.mark.parametrize("pipeline, opt", [
+    (pipeline, opt) for pipeline, read in _READ.items() for opt in read])
+def test_a_pipeline_records_each_option_it_reads(tmp_path, capsys,
+                                                 pipeline, opt):
+    toy = tmp_path / "toy.json"
+    toy.write_text(json.dumps(graph_to_json(AnchoredGraph(
+        Graph(tuple(range(4)), ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3))),
+        (0, 2, 3)))))
+    argv = [str(toy) if a == "TOY" else a for a in _READ[pipeline][opt]]
+    code, out, err = run(capsys, "repro", pipeline, opt, *argv)
+    assert code in (0, 2), err
+    params = _report_of(err)["parameters"]
+    assert params["pipeline"] == pipeline == json.loads(out)["pipeline"]
+    dest = opt[2:].replace("-", "_")
+    value = argv[0]
+    assert str(params[dest]) in (value, f"{value}.0")
+    # the report names the options the pipeline reads, and no other
+    assert set(params) == {"pipeline"} | {o[2:].replace("-", "_")
+                                          for o in _READ[pipeline]}
+
+
+def _readme_command_lines():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("minkplanar ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    pipelines = {words[2] for words in lines if words[1] == "repro"}
+    assert pipelines == set(_READ)
+    for words in lines:
+        cli._build_parser().parse_args(words[1:])
+
+
 # ------------------------------------------------------------ error paths
 
 
@@ -422,6 +541,27 @@ def test_unknown_subcommand_prints_usage_and_exits_three(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 3
     assert "usage:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["search", "--k", "2"], "the following arguments are required: --graph"),
+    (["repro", "lemma3-g2", "--count", "5"],
+     "unrecognized arguments: --count 5"),
+    (["repro", "lemma3-gk", "--k", "x"],
+     "argument --k: invalid int value: 'x'"),
+], ids=["unknown-command", "missing-option", "foreign-option", "bad-value"])
+def test_a_usage_error_ends_stderr_with_a_run_report(tmp_path, capsys, argv,
+                                                     message):
+    report = tmp_path / "run.json"
+    code, out, err = run(capsys, *argv, "--report", str(report))
+    assert code == 3
+    assert out == ""
+    assert f"error: {message}" in err
+    rep = _report_of(err)
+    assert rep["command"] == argv[0]
+    assert rep["outcome"].startswith(f"usage-error: {message}")
+    assert not report.exists()
 
 
 def test_one_anchor_graph_is_input_error(tmp_path, capsys):

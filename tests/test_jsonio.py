@@ -270,6 +270,28 @@ def test_shape_walk_rejects_what_looks_like_an_id():
         drawing_from_json(doc)
 
 
+def test_ids_past_two_to_the_53_are_rejected_with_a_pointer():
+    # past 2**53 - 1 JSON implementations disagree on an integer's value
+    top = 2**53 - 1
+    g = graph_from_json({"vertices": [0, top], "edges": [[0, top]],
+                         "anchors": [top, 0]})
+    assert g.graph.edges == ((0, top),)
+    for doc, pointer in (
+        ({"vertices": [0, top + 1], "edges": []}, "/vertices/1"),
+        ({"vertices": [0, 1], "edges": [[0, 2**63]]}, "/edges/0/1"),
+        ({"vertices": [0, 1], "edges": [], "anchors": [0, 2**64]},
+         "/anchors/1"),
+    ):
+        with pytest.raises(InputError,
+                           match=rf"^{pointer}: expected an integer at most"):
+            graph_from_json(doc)
+    doc = _wire(drawing_to_json(build_G2().drawing))
+    doc["crossings"][-1]["id"] = 2**63
+    with pytest.raises(InputError, match=r"^/crossings/\d+/id: expected an "
+                                         r"integer at most 2\*\*53 - 1$"):
+        drawing_from_json(doc)
+
+
 def test_pointers_escape_slash_and_tilde():
     doc = _wire(drawing_to_json(build_G2().drawing))
     doc["chains"]["1/2"] = doc["chains"].pop("1")
