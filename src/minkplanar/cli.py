@@ -15,6 +15,8 @@ file named by --report.  The report carries the command name, sha256
 digests of the input files, the effective parameters, an outcome string,
 timing and size stats, and the tool version.  A usage error's report,
 outcome ``usage-error: <message>``, goes to stderr: --report is unread.
+An output file that cannot be written is unusable input, exit 3; when it
+is the --report file, the error and then the report go to stderr.
 
 Each command, ``gen`` family and ``repro`` pipeline takes only the options
 it reads: --report, --out (but for render), and its own.  The pipelines'
@@ -121,14 +123,19 @@ def _load_anchored(path: str, rep: RunReport, why: str) -> AnchoredGraph:
     return g
 
 
-def _write(text: str, out: Optional[str], stream=None) -> None:
-    """``text`` to the file ``out``, or else to ``stream`` (stdout)."""
+def _write(text: str, out: Optional[str], stream=None,
+           end: str = "\n") -> None:
+    """``text`` and ``end`` to the file ``out``, or else to ``stream``
+    (stdout)."""
     if out:
-        # one write: json.dump would make one per token
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            # one write: json.dump would make one per token
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + end)
+        except OSError as err:
+            raise InputError(f"cannot write {out}: {err.strerror or err}")
     else:
-        print(text, file=stream)
+        print(text, file=stream, end=end)
 
 
 def _emit(doc: Any, out: Optional[str]) -> None:
@@ -314,8 +321,7 @@ def cmd_render(args, rep: RunReport) -> int:
     if args.audit:
         audit_layout(d, layout)
     svg = to_svg(d, layout, k=args.k)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(svg, args.svg, end="")
     rep.stats.update({
         "nodes": len(layout.coordinates),
         "residual": layout.residual,
@@ -621,7 +627,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if was_enabled:
             gc.enable()
     rep.stats.setdefault("seconds", round(time.perf_counter() - t0, 3))
-    _write(json.dumps(rep.to_json(), sort_keys=True), args.report, sys.stderr)
+    report = json.dumps(rep.to_json(), sort_keys=True)
+    try:
+        _write(report, args.report, sys.stderr)
+    except InputError as err:
+        print(f"minkplanar: error: {err}", file=sys.stderr)
+        print(report, file=sys.stderr)
+        return 3
     return code
 
 

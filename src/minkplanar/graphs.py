@@ -1,10 +1,12 @@
 """Graphs, anchored graphs, the double-edge amplification transform, and
 the package's one breadth-first walk, ``components``.
 
-Vertices and edges are opaque non-negative integers.  Edge ids are simply
+Vertices and edges are opaque non-negative integers.  Vertex ids are
+checked, not coerced: ints, or numpy integers made ints, from 0 to
+``MAX_ID``; never bools, floats or strings.  Edge ids are simply
 positions in the edge tuple, so identical inputs always produce identical
-ids.  Loops are never allowed; parallel edges are allowed only when a graph
-is built with ``simple=False``.
+ids.  Loops are never allowed; parallel edges are allowed only when a
+graph is built with ``simple=False``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import chain
+from operator import index
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -45,6 +49,44 @@ def components(nodes: Iterable, neighbors: Callable[..., Iterable]) -> list[dict
     return out
 
 
+# --------------------------------------------------------------------- ids
+
+# past 2**53 - 1, JSON implementations disagree on an integer's value
+# (RFC 8259, section 6); past 2**63 - 1, numpy's int64 overflows
+MAX_ID = 2**53 - 1
+
+
+def _id(v: Any, where: str) -> int:
+    """``v`` as an id: an integer, numpy's too but not a bool, from 0 to
+    MAX_ID."""
+    try:
+        i = -1 if type(v) is bool else index(v)
+    except TypeError:
+        i = -1
+    if i < 0:
+        raise InputError(f"{where}: expected a non-negative integer")
+    if i > MAX_ID:
+        raise InputError(f"{where}: expected an integer at most 2**53 - 1")
+    return i
+
+
+def _ids(values: Iterable[Any], where: str, per: int = 1) -> tuple[int, ...]:
+    """``values`` as ids, checked all at once and, if that fails, one by
+    one.  The k-th value is named ``where/(k // per)``, so with
+    ``per = 2`` an edge end names its edge."""
+    values = tuple(values)
+    types = set(map(type, values))
+    try:
+        # index() turns numpy's integers into ints; ints are kept as given
+        ids = values if types <= {int} else tuple(map(index, values))
+        if bool not in types and (not ids or 0 <= min(ids)
+                                  and max(ids) <= MAX_ID):
+            return ids
+    except TypeError:
+        pass
+    return tuple(_id(v, f"{where}/{k // per}") for k, v in enumerate(values))
+
+
 # ------------------------------------------------------------------ graphs
 
 
@@ -62,15 +104,19 @@ class Graph:
     simple: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
+        object.__setattr__(self, "vertices", _ids(self.vertices, "/vertices"))
+        edges = tuple(map(tuple, self.edges))
+        if not set(map(len, edges)) <= {2}:
+            i = next(i for i, e in enumerate(edges) if len(e) != 2)
+            raise InputError(f"/edges/{i}: expected 2 endpoints")
+        given = tuple(chain.from_iterable(edges))
+        ends = _ids(given, "/edges", 2)
+        if ends is not given:  # some end was not an int
+            edges = tuple(zip(ends[::2], ends[1::2]))
+        object.__setattr__(self, "edges", edges)
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise InputError("/vertices: duplicate vertex id")
-        if any(v < 0 for v in self.vertices):
-            raise InputError("/vertices: vertex ids must be non-negative")
         pairs = set()
         for i, (u, v) in enumerate(self.edges):
             if u == v:
@@ -139,7 +185,7 @@ class AnchoredGraph:
     anchors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "anchors", tuple(int(a) for a in self.anchors))
+        object.__setattr__(self, "anchors", _ids(self.anchors, "/anchors"))
         if len(self.anchors) < 2:
             raise InputError(
                 "/anchors: an anchored graph needs at least two anchors")

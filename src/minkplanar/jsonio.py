@@ -10,9 +10,13 @@ flag across a round trip even when no parallels happen to be present.
 A document of the wrong shape, or one that the graph and drawing checks
 reject, raises InputError whose message starts with a JSON pointer to the
 first offending spot, so CLI users can find it without a stack trace.
-The shape of a graph or drawing is checked one nesting level at a time
-with builtins that run in C; only a document that fails is walked item by
-item to find the pointer.
+The shape of a graph or drawing is checked one nesting level at a time,
+in the order the document's fields are read.  Each level's helper tests
+the whole level with builtins that run in C, and walks the level's items
+one by one, to find the pointer, only when that test fails.  So each
+shape rule is stated once, and the first fault is named the same way
+whatever else is wrong.  Graph and AnchoredGraph check ids' type and
+range again for API callers, with the same bound.
 
 Every document is written as ``json.dumps(doc, indent=1, sort_keys=True)``
 writes it.  Drawing and graph files, nearly all the bytes the CLI writes,
@@ -24,14 +28,15 @@ its other, small documents to ``json.dumps`` itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import eq, itemgetter
-from typing import Any, Callable, Iterable, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 from .drawings import Crossing, Drawing, validate
 from .errors import InputError
-from .graphs import AnchoredGraph, Graph
+from .graphs import MAX_ID, AnchoredGraph, Graph
 from .search import SearchOutcome, SearchStats, Status
 
 
@@ -44,9 +49,11 @@ def _child(where: str, key: Any) -> str:
     return f"{where}/{str(key).replace('~', '~0').replace('/', '~1')}"
 
 
-# ------------------------------------------------------------ shape walk
+# ------------------------------------------------------------ shape check
 # JSON types, arity and the form of ids and keys only: Graph,
-# AnchoredGraph and validate check everything else.
+# AnchoredGraph and validate check everything else.  Each helper checks
+# its whole level at once with builtins that run in C, and walks its
+# items, to name the first fault, only when that check fails.
 
 
 def _object(obj: Any, where: str, required: tuple[str, ...] = (),
@@ -74,67 +81,52 @@ def _list(obj: Any, where: str, n: int | None = None) -> list:
     return obj
 
 
-# past 2**53 - 1, JSON implementations disagree on an integer's value
-# (RFC 8259, section 6); past 2**63 - 1, numpy's int64 overflows
-_MAX_ID = 2**53 - 1
-
-
 def _id(v: Any, where: str) -> None:
     # type(), not isinstance: a bool is not an id
     if type(v) is not int or v < 0:
         _fail(where, "expected a non-negative integer")
-    if v > _MAX_ID:
+    if v > MAX_ID:
         _fail(where, "expected an integer at most 2**53 - 1")
 
 
-def _ids(obj: Any, where: str, n: int | None = None) -> None:
-    """Checks that ``obj`` is a list of ids."""
-    for i, v in enumerate(_list(obj, where, n)):
-        _id(v, f"{where}/{i}")
+def _items(where: str) -> Iterator[str]:
+    """The pointers to the items of the list at ``where``."""
+    return (f"{where}/{i}" for i in count())
 
 
-def _by_id(obj: Any, where: str) -> dict:
-    """``obj`` as a JSON object keyed by decimal ids."""
-    for key in _object(obj, where):
-        # A document built in Python may have int keys, which JSON text
-        # cannot.  isdecimal, not isdigit: "²".isdigit() holds but
-        # int("²") fails.  The round trip rules out "01" beside "1", and
-        # numerals too long for int().
-        try:
-            ok = (type(key) is str and key.isascii() and key.isdecimal()
-                  and str(int(key)) == key)
-        except ValueError:
-            ok = False
-        if not ok:
-            _fail(_child(where, key), "key is not a decimal id")
-    return obj
+def _ids(obj: Any, where: str, n: int | None = None,
+         names: Iterable[str] | None = None) -> None:
+    """Checks that ``obj`` is a list of ids, of ``n`` items if ``n`` is
+    given.  ``names`` are its items' pointers if not ``_items(where)``."""
+    if (type(obj) is list and (n is None or len(obj) == n)
+            and set(map(type, obj)) <= {int}
+            and min(obj, default=0) >= 0 and max(obj, default=0) <= MAX_ID):
+        return
+    for v, at in zip(_list(obj, where, n), names or _items(where)):
+        _id(v, at)
 
 
-# The same checks, each over a whole nesting level at once.  A document
-# they pass, the walk passes; one they fail, the walk is run on to find
-# the first fault.
-
-_DRAWING_KEYS = ("graph", "crossings", "chains", "rotation")
-_CROSSING_KEYS = frozenset(("id", "edges"))
-
-
-def _ids_ok(obj: Any) -> bool:
-    return (type(obj) is list and set(map(type, obj)) <= {int}
-            and min(obj, default=0) >= 0 and max(obj, default=0) <= _MAX_ID)
-
-
-def _id_lists_ok(obj: Any, n: int | None = None) -> bool:
-    """Whether ``obj`` is a list of id lists, each of ``n`` items if
-    ``n`` is given."""
-    return (type(obj) is list and set(map(type, obj)) <= {list}
-            and (n is None or set(map(len, obj)) <= {n})
-            and _ids_ok(list(chain.from_iterable(obj))))
+def _id_lists(obj: Any, where: str, n: int | None = None,
+              names: Iterable[str] | None = None) -> None:
+    """Checks that ``obj`` is a list of id lists, each of ``n`` items if
+    ``n`` is given.  ``names`` are its items' pointers if not
+    ``_items(where)``."""
+    names = names or _items(where)
+    if (type(obj) is list and set(map(type, obj)) <= {list}
+            and (n is None or set(map(len, obj)) <= {n})):
+        # only ids can be at fault, met in the walk's order
+        _ids(list(chain.from_iterable(obj)), where, names=(
+            f"{at}/{j}" for at, ids in zip(names, obj)
+            for j in range(len(ids))))
+    else:
+        for ids, at in zip(_list(obj, where), names):
+            _ids(ids, at, n)
 
 
-def _by_id_ok(obj: Any) -> bool:
-    if type(obj) is not dict:
-        return False
-    keys = list(obj)
+def _decimal_ids(keys: list) -> bool:
+    # A document built in Python may have int keys, which JSON text
+    # cannot.  isdecimal, not isdigit: "²".isdigit() holds but int("²")
+    # fails.  The round trip rules out "01" beside "1".
     try:
         return (set(map(type, keys)) <= {str}
                 and all(map(str.isascii, keys))
@@ -144,57 +136,62 @@ def _by_id_ok(obj: Any) -> bool:
         return False
 
 
-def _graph_ok(obj: Any) -> bool:
-    return (type(obj) is dict and "vertices" in obj and "edges" in obj
-            and _ids_ok(obj["vertices"]) and _id_lists_ok(obj["edges"], 2)
-            and ("anchors" not in obj or _ids_ok(obj["anchors"]))
-            and type(obj.get("multigraph", False)) is bool)
+def _by_id(obj: Any, where: str) -> dict:
+    """``obj`` as a JSON object keyed by decimal ids."""
+    if not _decimal_ids(list(_object(obj, where))):
+        for key in obj:
+            if not _decimal_ids([key]):
+                _fail(_child(where, key), "key is not a decimal id")
+    return obj
 
 
-def _drawing_ok(obj: Any) -> bool:
-    if not (type(obj) is dict and all(map(obj.__contains__, _DRAWING_KEYS))
-            and _graph_ok(obj["graph"])):
-        return False
-    xs, chains, rotation = obj["crossings"], obj["chains"], obj["rotation"]
-    return (type(xs) is list and set(map(type, xs)) <= {dict}
-            and all(map(eq, map(dict.keys, xs), repeat(_CROSSING_KEYS)))
-            and _ids_ok(list(map(itemgetter("id"), xs)))
-            and _id_lists_ok(list(map(itemgetter("edges"), xs)), 2)
-            and _by_id_ok(chains) and _id_lists_ok(list(chains.values()))
-            and _by_id_ok(rotation)
-            and set(map(type, rotation.values())) <= {list}
-            and _id_lists_ok(list(chain.from_iterable(rotation.values())), 2)
-            and ("outer_face" not in obj or _ids_ok(obj["outer_face"])))
+_DRAWING_KEYS = ("graph", "crossings", "chains", "rotation")
+_CROSSING_KEYS = frozenset(("id", "edges"))
+
+
+def _crossings(obj: Any, where: str) -> None:
+    """Checks that ``obj`` is a list of ``{"id": id, "edges": [id, id]}``."""
+    if (type(obj) is list and set(map(type, obj)) <= {dict}
+            and all(map(eq, map(dict.keys, obj), repeat(_CROSSING_KEYS)))):
+        try:
+            _ids(list(map(itemgetter("id"), obj)), where)
+            return _id_lists(list(map(itemgetter("edges"), obj)), where, 2)
+        except InputError:
+            pass  # a later id may come before an earlier edge pair
+    for i, x in enumerate(_list(obj, where)):
+        at = f"{where}/{i}"
+        _object(x, at, ("id", "edges"), closed=True)
+        _id(x["id"], f"{at}/id")
+        _ids(x["edges"], f"{at}/edges", 2)
 
 
 def _check_graph(obj: Any, where: str) -> None:
-    if _graph_ok(obj):
-        return
     _object(obj, where, ("vertices", "edges"))
     _ids(obj["vertices"], f"{where}/vertices")
-    for i, edge in enumerate(_list(obj["edges"], f"{where}/edges")):
-        _ids(edge, f"{where}/edges/{i}", 2)
+    _id_lists(obj["edges"], f"{where}/edges", 2)
     if "anchors" in obj:
         _ids(obj["anchors"], f"{where}/anchors")
-    if "multigraph" in obj and type(obj["multigraph"]) is not bool:
+    if type(obj.get("multigraph", False)) is not bool:
         _fail(f"{where}/multigraph", "expected true or false")
 
 
 def _check_drawing(obj: Any, where: str) -> None:
-    if _drawing_ok(obj):
-        return
     _object(obj, where, _DRAWING_KEYS)
     _check_graph(obj["graph"], f"{where}/graph")
-    for i, x in enumerate(_list(obj["crossings"], f"{where}/crossings")):
-        at = f"{where}/crossings/{i}"
-        _object(x, at, ("id", "edges"), closed=True)
-        _id(x["id"], f"{at}/id")
-        _ids(x["edges"], f"{at}/edges", 2)
-    for key, chain in _by_id(obj["chains"], f"{where}/chains").items():
-        _ids(chain, f"{where}/chains/{key}")
-    for key, refs in _by_id(obj["rotation"], f"{where}/rotation").items():
-        for j, ref in enumerate(_list(refs, f"{where}/rotation/{key}")):
-            _ids(ref, f"{where}/rotation/{key}/{j}", 2)
+    _crossings(obj["crossings"], f"{where}/crossings")
+    at = f"{where}/chains"
+    chains = _by_id(obj["chains"], at)
+    _id_lists(list(chains.values()), at, None, (f"{at}/{e}" for e in chains))
+    at = f"{where}/rotation"
+    rotation = _by_id(obj["rotation"], at)
+    names = (f"{at}/{v}" for v in rotation)
+    if set(map(type, rotation.values())) <= {list}:
+        _id_lists(list(chain.from_iterable(rotation.values())), at, 2, (
+            f"{name}/{j}" for name, refs in zip(names, rotation.values())
+            for j in range(len(refs))))
+    else:
+        for refs, name in zip(rotation.values(), names):
+            _id_lists(refs, name, 2)
     if "outer_face" in obj:
         _ids(obj["outer_face"], f"{where}/outer_face")
 
@@ -302,12 +299,9 @@ def _graph(obj: dict, where: str) -> Graph | AnchoredGraph:
     """The graph of a shape-checked document at pointer ``where``, which
     prefixes the pointers of ``Graph`` and ``AnchoredGraph`` faults."""
     try:
-        g = Graph(
-            tuple(obj["vertices"]),
-            tuple((u, v) for (u, v) in obj["edges"]),
-            simple=not obj.get("multigraph", False),
-        )
-        return AnchoredGraph(g, tuple(obj["anchors"])) if "anchors" in obj else g
+        g = Graph(obj["vertices"], obj["edges"],
+                  simple=not obj.get("multigraph", False))
+        return AnchoredGraph(g, obj["anchors"]) if "anchors" in obj else g
     except InputError as err:
         raise InputError(f"{where}{err}") from None
 
@@ -390,8 +384,10 @@ def outcome_from_json(obj: Any) -> SearchOutcome:
     st = _object(obj.get("stats", {}), "/stats")
     for key, kinds in (("nodes", (int,)), ("routes", (int,)),
                        ("max_depth", (int,)), ("seconds", (int, float))):
-        if key in st and (type(st[key]) not in kinds or st[key] < 0):
-            _fail(f"/stats/{key}", "expected a non-negative number")
+        # json.loads reads NaN and Infinity, and NaN < 0 is false
+        if key in st and (type(st[key]) not in kinds
+                          or not 0 <= st[key] < math.inf):
+            _fail(f"/stats/{key}", "expected a finite non-negative number")
     _ids(st.get("order", []), "/stats/order")
     stats = SearchStats(
         nodes=st.get("nodes", 0),

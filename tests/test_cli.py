@@ -268,6 +268,28 @@ def test_render_audit_takes_ids_up_to_two_to_the_53(fig1, tmp_path, capsys,
         assert _report_of(err)["outcome"].startswith("input-error: /crossings/")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "g2", "--out", "{absent}/x"],
+    ["render", "--drawing", "{drawing}", "--svg", "{absent}/x.svg"],
+    ["gen", "g2", "--out", "{tmp}/ok", "--report", "{absent}/run.json"],
+], ids=["out", "svg", "report"])
+def test_an_unwritable_output_path_exits_three_with_a_report(fig1, tmp_path,
+                                                             capsys, argv):
+    absent = tmp_path / "absent"
+    argv = [a.format(absent=absent, tmp=tmp_path,
+                     drawing=f"{fig1}.drawing.json") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "Traceback" not in err
+    assert f"error: cannot write {absent}/" in err
+    rep = _report_of(err)
+    assert rep["command"] == argv[0]
+    if "--report" not in argv:
+        assert rep["outcome"].startswith(
+            f"input-error: cannot write {absent}/")
+    assert not absent.exists()
+
+
 # ----------------------------------------------------------- written JSON
 
 

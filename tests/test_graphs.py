@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from minkplanar.errors import InputError
@@ -75,6 +76,43 @@ def test_graph_errors_carry_pointers():
         Graph((0, 1), ((0, 1), (1, 1)))
     with pytest.raises(InputError, match=r"^/anchors/1: anchor 7"):
         AnchoredGraph(triangle(), (0, 7))
+
+
+_NOT_AN_ID = "expected a non-negative integer"
+_TOO_LARGE = r"expected an integer at most 2\*\*53 - 1"
+
+
+@pytest.mark.parametrize("build, pointer, message", [
+    (lambda: Graph((0, 1.7, 2), ((0, 1.7), (1.7, 2))), "/vertices/1",
+     _NOT_AN_ID),
+    (lambda: Graph(("0", "1"), (("0", "1"),)), "/vertices/0", _NOT_AN_ID),
+    (lambda: Graph((0, 1, 1.2), ((0, 1),)), "/vertices/2", _NOT_AN_ID),
+    (lambda: Graph((0, True), ()), "/vertices/1", _NOT_AN_ID),
+    (lambda: Graph((-1, 0), ((0, -1),)), "/vertices/0", _NOT_AN_ID),
+    (lambda: Graph((0, 2**63), ((0, 2**63),)), "/vertices/1", _TOO_LARGE),
+    (lambda: Graph((0, 1), ((0, 1), (1, 0.0))), "/edges/1", _NOT_AN_ID),
+    (lambda: Graph((0, 1), ((0, 1), (1, 2**53))), "/edges/1", _TOO_LARGE),
+    (lambda: Graph((0, 1, 2), ((0, 1), (0, 1, 2))), "/edges/1",
+     "expected 2 endpoints"),
+    (lambda: AnchoredGraph(triangle(), (0, 2.9)), "/anchors/1", _NOT_AN_ID),
+    (lambda: AnchoredGraph(triangle(), (False, 2)), "/anchors/0",
+     _NOT_AN_ID),
+], ids=["float", "str", "float-beside-its-floor", "bool", "negative",
+        "past-int64", "float-end", "past-2**53-end", "three-ends",
+        "float-anchor", "bool-anchor"])
+def test_ids_are_checked_not_coerced(build, pointer, message):
+    with pytest.raises(InputError, match=rf"^{pointer}: {message}$"):
+        build()
+
+
+def test_numpy_integer_ids_become_ints():
+    top = 2**53 - 1
+    g = Graph(np.array([0, 1, top]), np.array([[0, 1], [1, top]]))
+    ag = AnchoredGraph(g, np.array([top, 0]))
+    assert g == Graph((0, 1, top), ((0, 1), (1, top)))
+    assert ag.anchors == (top, 0)
+    ids = (*g.vertices, *g.edges[0], *g.edges[1], *ag.anchors)
+    assert {type(v) for v in ids} == {int}
 
 
 def test_anchored_graph_checks():

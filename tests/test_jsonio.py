@@ -19,8 +19,6 @@ from minkplanar.geometry import scene_to_drawing
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.jsonio import (
     RunReport,
-    _drawing_ok,
-    _graph_ok,
     drawing_from_json,
     drawing_text,
     drawing_to_json,
@@ -172,7 +170,7 @@ def test_dumps_writes_a_composed_drawing_as_json_dumps_does():
     comp = compose(build_frame(src.anchored_graph, 2, t=1), src)
     doc = drawing_to_json(comp)
     assert drawing_text(comp) == _stdlib(doc)
-    assert _drawing_ok(_wire(doc))
+    assert drawings_equal(drawing_from_json(_wire(doc)), comp)
 
 
 # ------------------------------------------------------------- rejections
@@ -244,6 +242,16 @@ def test_outcome_shape_faults_carry_pointers(doc, pointer):
     with pytest.raises(InputError) as err:
         outcome_from_json(doc)
     assert str(err.value).startswith(f"{pointer}: ")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_outcome_seconds_must_be_finite(literal):
+    # json.loads reads these literals, which JSON itself does not have
+    doc = json.loads('{"status": "ExhaustedUnsat", "stats": {"seconds": %s}}'
+                     % literal)
+    with pytest.raises(InputError,
+                       match=r"^/stats/seconds: expected a finite"):
+        outcome_from_json(doc)
 
 
 def test_certificate_faults_point_into_the_certificate():
@@ -332,67 +340,80 @@ _NOT_JSON_IDS = ("x", True, False, 1.0, 2.5, -1, None, [[0]])
 
 
 def _bases():
+    # as files hold them: keys in string order, so "10" comes before "2"
+    # and a key is not its position
     b = build_G2()
-    return {"graph": _wire(graph_to_json(b.anchored_graph)),
-            "drawing": _wire(drawing_to_json(b.drawing))}
+    multigraph = json.loads(drawing_text(b.drawing))
+    multigraph["graph"]["multigraph"] = True
+    return {"graph": json.loads(graph_text(b.anchored_graph)),
+            "drawing": json.loads(drawing_text(b.drawing)),
+            "multigraph": multigraph}
 
 
 _BASES = _bases()
 
 
 def _slots(doc):
-    """Every (container, key) pair in ``doc``, depth first."""
-    todo, out = [doc], []
+    """Every (container, key, pointer) triple in ``doc``, depth first."""
+    todo, out = [(doc, "")], []
     while todo:
-        node = todo.pop()
+        node, where = todo.pop()
         keys = node if isinstance(node, dict) else range(len(node))
         for key in list(keys):
-            out.append((node, key))
+            out.append((node, key, f"{where}/{key}"))
             if isinstance(node[key], (dict, list)):
-                todo.append(node[key])
+                todo.append((node[key], f"{where}/{key}"))
     return out
 
 
 @st.composite
 def mutated_documents(draw):
-    """The G2 graph or drawing document with one fault: a required key
-    dropped, a value replaced by a non-id, an extra key on a crossing, or
-    a chain or rotation key that is not a decimal id."""
+    """A G2 graph or drawing document with one fault, and the pointer to
+    the slot that holds it: a required key dropped (its container), a
+    value replaced by a non-id (the value), an extra key on a crossing or
+    a chain or rotation key that is not a decimal id (the new key)."""
     name = draw(st.sampled_from(sorted(_BASES)))
     doc = copy.deepcopy(_BASES[name])
-    kinds = ["drop", "swap"] + (["extra", "key"] if name == "drawing" else [])
+    kinds = ["drop", "swap"] + (["extra", "key"] if name != "graph" else [])
     kind = draw(st.sampled_from(kinds))
     slots = _slots(doc)
     if kind == "drop":
-        node, key = draw(st.sampled_from(
-            [(n, k) for n, k in slots if isinstance(n, dict) and k in _REQUIRED]))
+        node, key, at = draw(st.sampled_from([
+            s for s in slots if isinstance(s[0], dict) and s[1] in _REQUIRED]))
         del node[key]
-    elif kind == "swap":
-        value = draw(st.sampled_from(_NOT_JSON_IDS))
+        return name, doc, at.rsplit("/", 1)[0]
+    if kind == "swap":
         if draw(st.integers(0, len(slots))) == 0:
-            return name, value  # the whole document
-        node, key = draw(st.sampled_from(slots))
-        node[key] = value
-    elif kind == "extra":
-        x = draw(st.sampled_from(doc["crossings"]))
-        x[draw(st.sampled_from(("label", "ID", "")))] = 0
-    else:
-        node = doc[draw(st.sampled_from(("chains", "rotation")))]
-        key = draw(st.sampled_from(sorted(node)))
-        node[draw(st.sampled_from(("²", "-1", "01", " 1", "1.0")))] = node.pop(key)
-    return name, doc
+            return name, draw(st.sampled_from(_NOT_JSON_IDS)), ""
+        node, key, at = draw(st.sampled_from(slots))
+        # a bool is a valid multigraph marker
+        node[key] = draw(st.sampled_from(
+            [v for v in _NOT_JSON_IDS
+             if not (key == "multigraph" and type(v) is bool)]))
+        return name, doc, at
+    if kind == "extra":
+        i = draw(st.integers(0, len(doc["crossings"]) - 1))
+        extra = draw(st.sampled_from(("label", "ID", "")))
+        doc["crossings"][i][extra] = 0
+        return name, doc, f"/crossings/{i}/{extra}"
+    which = draw(st.sampled_from(("chains", "rotation")))
+    key = draw(st.sampled_from(sorted(doc[which])))
+    new = draw(st.sampled_from(("²", "-1", "01", " 1", "1.0")))
+    doc[which][new] = doc[which].pop(key)
+    return name, doc, f"/{which}/{new}"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mutated_documents())
 def test_mutated_documents_raise_pointered_input_errors(case):
-    name, doc = case
+    name, doc, slot = case
     read = graph_from_json if name == "graph" else drawing_from_json
-    # the one-pass check must turn every such document over to the walk
-    assert not (_graph_ok if name == "graph" else _drawing_ok)(doc)
     with pytest.raises(InputError) as err:
         read(doc)
-    assert str(err.value).startswith("/")
+    pointer = str(err.value).split(": ", 1)[0]
+    # the fault is named where it was put, or inside it
+    assert pointer == (slot or "/") or (
+        slot and pointer.startswith(slot + "/")), (pointer, slot)
 
 
 def test_cli_rejects_a_mutated_drawing_without_a_traceback(tmp_path):
