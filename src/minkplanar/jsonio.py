@@ -29,6 +29,7 @@ its other, small documents to ``json.dumps`` itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, repeat
 from operator import eq, itemgetter
@@ -126,14 +127,18 @@ def _id_lists(obj: Any, where: str, n: int | None = None,
 def _decimal_ids(keys: list) -> bool:
     # A document built in Python may have int keys, which JSON text
     # cannot.  isdecimal, not isdigit: "²".isdigit() holds but int("²")
-    # fails.  The round trip rules out "01" beside "1".
-    try:
-        return (set(map(type, keys)) <= {str}
-                and all(map(str.isascii, keys))
-                and all(map(str.isdecimal, keys))
-                and list(map(str, map(int, keys))) == keys)
-    except ValueError:  # a numeral too long for int()
-        return False
+    # fails.  Only "0" itself may start with "0" ("01" would name id 1),
+    # and no numeral may be longer than int() reads.
+    limit = _int_digits()
+    return (set(map(type, keys)) <= {str}
+            and all(map(str.isascii, keys))
+            and all(map(str.isdecimal, keys))
+            and list(map(itemgetter(0), keys)).count("0") == keys.count("0")
+            and not (limit and max(map(len, keys), default=0) > limit))
+
+
+# int()'s limit on the digits of a numeral; 0 is none, as before 3.10.7
+_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _by_id(obj: Any, where: str) -> dict:

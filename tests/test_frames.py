@@ -6,13 +6,14 @@ core edge per copy so 3dt in all) and were confirmed once against the
 built drawings before freezing.
 """
 
+import functools
 from dataclasses import replace
 
 import networkx as nx
 import pytest
 
 from minkplanar import frames
-from minkplanar.constructions import build_G2, build_biclique_gadget
+from minkplanar.constructions import build_G2, build_Gk, build_biclique_gadget
 from minkplanar.drawings import (
     crossing_profile,
     drawings_equal,
@@ -28,7 +29,9 @@ from minkplanar.frames import (
     compose,
     separation_property_check,
 )
+from minkplanar.geometry import scene_to_drawing
 from minkplanar.graphs import AnchoredGraph, Graph
+from minkplanar.jsonio import drawing_text
 from minkplanar.obstructions import extract_planar_amplification
 
 
@@ -144,6 +147,65 @@ def test_g2_frame_frozen():
     fr = build_frame(build_G2().anchored_graph, 2, 2)
     assert fr.params == FrameParams(a=19, k=2, ell=1, d=171, t=2)
     assert len(fr.drawing.crossings) == 1026
+
+
+# --------------------------------------------------------- amplification
+
+
+@functools.lru_cache(maxsize=1)
+def _built_and_converted(family: int, t: int):
+    # the frame as built (its t = 1 drawing amplified) and the converter's
+    # drawing of the full frame scene at t, which judges it; G2 at t = 3
+    # comes last below and is kept for the nesting test
+    src = (build_G2() if family == 2 else build_Gk(family)).anchored_graph
+    fr = build_frame(src, family, t)
+    p = fr.params
+    scene = frames._frame_scene(fr.graph, fr.classes, fr.anchors,
+                                p.a, p.d // p.a, t)
+    return fr, scene_to_drawing(scene)[0]
+
+
+@pytest.mark.parametrize("family, t", [(2, 2), (2, 6), (3, 2), (2, 3)])
+def test_amplified_frame_is_the_converters_drawing(family, t):
+    fr, converted = _built_and_converted(family, t)
+    got, want = drawing_text(fr.drawing), drawing_text(converted)
+    if got != want:  # name the first difference; a full diff takes minutes
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"differs at character {i}: {got[i - 60:i + 60]!r} "
+                    f"against {want[i - 60:i + 60]!r}")
+    # the same dict order too, which faces and layouts iterate in
+    assert list(fr.drawing.rotation) == list(converted.rotation)
+    assert list(fr.drawing.chains) == list(converted.chains)
+
+
+def _web_crossed(d, owner, wheel):
+    """Per wheel edge, the (web class, copy) of each half it crosses, in
+    order along it."""
+    by_id = d.crossing_by_id()
+    return {w: [owner[by_id[x].edges[1]][:2] for x in d.chains[w][1:-1]]
+            for w in wheel}
+
+
+def test_frame_copies_nest_along_every_wheel_edge():
+    # what the amplification rests on: drawn at t, each wheel edge crosses
+    # the web classes it crosses at t = 1, in the same order, each as a
+    # run of its t copies in increasing or decreasing copy order
+    t = 3
+    one = build_frame(build_G2().anchored_graph, 2, 1)
+    built, converted = _built_and_converted(2, t)
+    at_one = _web_crossed(one.drawing, one.classes.half_owner, one.core_edges)
+    orders = set()
+    for d in (built.drawing, converted):
+        for w, seen in _web_crossed(d, built.classes.half_owner,
+                                    built.core_edges).items():
+            assert [s for s, _ in seen] == [s for s, _ in at_one[w]
+                                            for _ in range(t)]
+            for i in range(0, len(seen), t):
+                run = [c for _, c in seen[i:i + t]]
+                assert run in (list(range(t)), list(range(t))[::-1])
+                orders.add(run[0])
+    assert orders == {0, t - 1}
 
 
 # ----------------------------------------------------------- composition

@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minkplanar import jsonio
 from minkplanar.constructions import build_biclique_gadget, build_G2, build_Gk
 from minkplanar.drawings import Drawing, drawings_equal, validate
 from minkplanar.errors import InputError, MinkplanarError
@@ -311,6 +312,24 @@ def test_pointers_escape_slash_and_tilde():
         drawing_from_json(doc)
 
 
+# one digit past the 4,300 that int() reads by default
+_OVERLONG = "9" * 4301
+
+
+@pytest.mark.parametrize("key", ["01", "00", _OVERLONG])
+def test_keys_with_a_leading_zero_or_too_many_digits_are_not_ids(key):
+    doc = _wire(drawing_to_json(build_G2().drawing))
+    doc["chains"][key] = doc["chains"].pop("1")
+    with pytest.raises(InputError, match=rf"^/chains/{key}: key is not a "):
+        drawing_from_json(doc)
+
+
+def test_zero_is_a_decimal_id():
+    assert jsonio._decimal_ids(["0"])
+    assert jsonio._decimal_ids(["10", "0", "9" * 4300])
+    assert not jsonio._decimal_ids(["0", "01"])
+
+
 @pytest.mark.parametrize("name", ["chains", "rotation"])
 def test_python_built_documents_with_int_keys_raise_pointered_errors(name):
     # JSON text has only string keys, but a document built in Python for
@@ -398,7 +417,8 @@ def mutated_documents(draw):
         return name, doc, f"/crossings/{i}/{extra}"
     which = draw(st.sampled_from(("chains", "rotation")))
     key = draw(st.sampled_from(sorted(doc[which])))
-    new = draw(st.sampled_from(("²", "-1", "01", " 1", "1.0")))
+    new = draw(st.sampled_from(("²", "-1", "01", "00", " 1", "1.0",
+                                _OVERLONG)))
     doc[which][new] = doc[which].pop(key)
     return name, doc, f"/{which}/{new}"
 

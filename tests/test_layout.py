@@ -272,8 +272,17 @@ def test_composed_g2_at_the_default_t_fits_in_400_mib():
 
 
 def test_composed_gk3_at_the_default_t_fits_in_one_gib():
-    # t = 2k+2 = 8: the frame scene has 7.66 M candidate pairs, which fit
-    # only because the converter classifies them a chunk at a time
+    # t = 2k+2 = 8: the frame scene has 7.66 M candidate pairs, but the
+    # build converts only the t = 1 scene and amplifies its drawing
     run = _run_limited(_COMPOSE_AT_DEFAULT_T.format(
         mib=1024, bundle="build_Gk(3)", k=3, t=8), **_ONE_THREAD)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_composed_gk4_at_the_default_t_fits_in_512_mib():
+    # t = 2k+2 = 10, 99,552 frame edges; with the t = 1 drawing amplified
+    # the run peaks near 0.3 GB of address space, against 1.2 GB when the
+    # whole frame scene went through the converter
+    run = _run_limited(_COMPOSE_AT_DEFAULT_T.format(
+        mib=512, bundle="build_Gk(4)", k=4, t=10), **_ONE_THREAD)
     assert run.returncode == 0, run.stderr[-2000:]
