@@ -27,9 +27,20 @@ rotation, so their orbit is exactly the forward darts by construction.
 The existence search's ``arrangement.Arrangement`` keeps its darts in the
 same numbering and traces its faces with the same ``face_orbit``.
 
+``validate`` checks a drawing a level at a time: anchors, crossings,
+chains and the crossings on them, rotations, alternation at crossings,
+and Euler's formula.  Each level is tested as a whole with builtins that
+run in C over lists of the whole drawing (``map``, ``zip``, ``set``,
+``chain.from_iterable``), and only a level that fails that test is walked
+item by item, to word the report as it always has been worded.  The
+rotation level is the dart map itself: ``PlanarizationMap`` turns every
+rotation entry into a dart, from the same concatenated chain lists it
+builds its arcs from, and says whether those darts match the chains.
+
 Each drawing object is validated once: ``validate`` keeps its report on
-the object and ``Drawing.planarization`` keeps the one dart map, so every
-predicate can call ``require_valid`` and only the first call costs.
+the object and ``Drawing.planarization`` keeps the one dart map, which
+validation builds, so every predicate can call ``require_valid`` and only
+the first call costs.
 """
 
 from __future__ import annotations
@@ -37,12 +48,18 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate, chain, compress, repeat
+from operator import add, attrgetter, contains, eq, itemgetter, lt, ne, sub
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
-from .graphs import Graph, components
+from .graphs import Graph
 
 ArcRef = tuple[int, int]
+
+_ID, _EDGES = attrgetter("id"), attrgetter("edges")
+_FIRST, _SECOND, _ENDS = itemgetter(0), itemgetter(1), itemgetter(0, -1)
+_BUT_LAST, _BUT_FIRST = itemgetter(slice(-1)), itemgetter(slice(1, None))
 
 
 @dataclass(frozen=True)
@@ -112,35 +129,56 @@ def face_orbit(nxt: list[int], start: int) -> list[int]:
 class PlanarizationMap:
     """Compiled dart structure of a drawing, used for face tracing.
 
-    The drawing's chains and rotations must agree; ``validate`` checks
-    that before it builds a map.
+    It is built from the drawing's concatenated lists: the arcs' tails are
+    the chains without their last node and the heads the chains without
+    their first, and a rotation entry ``(e, i)`` at ``node`` is the dart
+    ``2a + (arc_tail[a] != node)`` of arc ``a = first_arc[e] + i``.
+    ``agrees`` tells whether those darts hit every edge dart exactly once,
+    each at its own tail.  That is ``validate``'s rotation level, so
+    validation builds the drawing's one map, once the chains are valid;
+    ``_next`` is meaningful only when the map agrees.
     """
 
     def __init__(self, d: Drawing):
-        anchors = d.anchors or ()
-        b = len(anchors)
-        tails, heads = list(anchors), list(anchors[1:] + anchors[:1])
-        self.first_arc: list[int] = []
-        for e in range(d.graph.m):
-            chain = d.chains[e]
-            self.first_arc.append(len(tails))
-            tails += chain[:-1]
-            heads += chain[1:]
-        self.arc_tail, self.arc_head = tails, heads
-        self._tail = [node for arc in zip(tails, heads) for node in arc]
-
-        # next clockwise dart around each node, boundary darts spliced in
-        # at the anchors
-        self._next = [0] * len(self._tail)
-        anchor_at = {a: i for i, a in enumerate(anchors)}
-        for node in set(d.rotation).union(anchors):
-            arcs = [self.first_arc[e] + i for e, i in d.rotation.get(node, ())]
-            darts = [2 * a + (tails[a] != node) for a in arcs]
-            i = anchor_at.get(node)
-            if i is not None:
-                darts = [2 * i, *darts, 2 * ((i - 1) % b) + 1]
-            for x, y in zip(darts, darts[1:] + darts[:1]):
-                self._next[x] = y
+        anchors, rot, m = d.anchors or (), d.rotation, d.graph.m
+        b, chains = len(anchors), list(map(d.chains.__getitem__, range(m)))
+        segs = list(map(sub, map(len, chains), repeat(1)))
+        first = self.first_arc = list(accumulate(segs, initial=b))[:m]
+        tails = [*anchors, *chain.from_iterable(map(_BUT_LAST, chains))]
+        heads = [*anchors[1:], *anchors[:1],
+                 *chain.from_iterable(map(_BUT_FIRST, chains))]
+        self.arc_tail, self.arc_head, self._tail = tails, heads, tails + heads
+        self._tail[0::2], self._tail[1::2] = tails, heads
+        nxt = self._next = [0] * len(self._tail)
+        lens = list(map(len, rot.values()))
+        refs = list(chain.from_iterable(rot.values()))
+        at = list(chain.from_iterable(map(repeat, rot, lens)))
+        es, ii = (list(map(_FIRST, refs)), list(map(_SECOND, refs))) if (
+            set(map(len, refs)) <= {2}) else ([], [])
+        self.agrees = len(es) == len(refs) and (not es or (
+            0 <= min(es) and 0 <= min(ii) and max(es) < m
+            and all(map(lt, ii, map(segs.__getitem__, es)))))
+        if not self.agrees:
+            return
+        arcs = list(map(add, map(first.__getitem__, es), ii))
+        darts = list(map(add, map(add, arcs, arcs),
+                         map(ne, map(tails.__getitem__, arcs), at)))
+        self.agrees = (set(map(type, refs)) <= {tuple}
+                       and len(set(darts)) == len(darts) == len(nxt) - 2 * b
+                       and list(map(self._tail.__getitem__, darts)) == at)
+        # next clockwise: each node's darts make a cycle in the listed order
+        # (deque(.., 0) runs the setitem calls), into which each anchor's
+        # boundary darts are spliced: 2k, its entries, then 2k - 1 (mod 2b)
+        put, get = nxt.__setitem__, darts.__getitem__
+        ends = list(compress(accumulate(lens), lens))
+        nodes = list(compress(rot, lens))
+        leads = list(map(get, map(sub, ends, compress(lens, lens))))
+        back = [2 * b - 1, *range(1, 2 * b - 1, 2)][:b]
+        collections.deque(map(put, darts, darts[1:] + darts[:1]), 0)
+        collections.deque(map(put, map(get, map(sub, ends, repeat(1))), map(
+            dict(zip(anchors, back)).get, nodes, leads)), 0)
+        nxt[0:2 * b:2] = map(dict(zip(nodes, leads)).get, anchors, back)
+        nxt[1:2 * b:2] = [*range(2, 2 * b, 2), 0][:b]
 
     def tail(self, dart: int) -> int:
         return self._tail[dart]
@@ -169,7 +207,12 @@ class PlanarizationMap:
 def validate(d: Drawing) -> list[str]:
     """Well-formedness report; an empty list means the drawing is valid.
 
-    The checks run once per drawing object, which keeps the report.
+    The checks run once per drawing object, which keeps the report.  They
+    go a level at a time: anchors, crossings, chains and inner nodes (with
+    crossing labels), rotations, alternation and Euler's formula.  Each
+    level tests all its items at once with builtins that run in C, and
+    walks them one by one, to word the report, only when that test fails.
+    A level with a fault ends the report where it always has.
     """
     report = vars(d).get("_problems")
     if report is None:
@@ -178,135 +221,134 @@ def validate(d: Drawing) -> list[str]:
 
 
 def _find_problems(d: Drawing) -> list[str]:
-    problems: list[str] = []
-    g = d.graph
-    vset = set(g.vertices)
+    g, vset, xs = d.graph, set(d.graph.vertices), d.crossings
+    xids, pairs = list(map(_ID, xs)), list(map(_EDGES, xs))
+    ends = list(chain.from_iterable(pairs))
+    problems = _anchor_problems(d.anchors, vset) if d.anchored else []
+    problems += _crossing_problems(xs, g.m, vset, xids, pairs, ends)
+    if d.chains.keys() != set(range(g.m)):
+        return problems + ["chain: chains must cover exactly the edge ids"]
+    chains = list(map(d.chains.__getitem__, range(g.m)))
+    # chains run between their edges' ends, and the crossings' labels fill
+    # every inner slot, so each inner node is a crossing met once per chain
+    if problems or not (
+            all(chains) and all(map(eq, map(_ENDS, chains), g.edges))
+            and sum(map(len, chains)) == 2 * g.m + len(ends)
+            and all(map(contains, map(chains.__getitem__, ends),
+                        chain.from_iterable(zip(xids, xids))))):
+        problems += _chain_walk(g, vset, set(xids), chains)
+        if problems:
+            return problems
+        problems = _label_walk(xs, chains)
+    problems += _rotation_problems(d, vset.union(xids), chains)
+    if not problems:
+        problems = _alternation_problems(d.rotation, xids)
+    return problems or _euler_problems(d, xids, ends)
 
-    # anchors
-    if d.anchored:
-        if len(d.anchors) < 2:
-            problems.append("boundary: an anchored drawing needs >= 2 anchors")
-        if len(set(d.anchors)) != len(d.anchors):
-            problems.append("boundary: repeated anchor")
-        for a in d.anchors:
-            if a not in vset:
-                problems.append(f"boundary: anchor {a} is not a vertex")
 
-    # crossings
-    xids = [x.id for x in d.crossings]
-    if len(set(xids)) != len(xids):
-        problems.append("crossing: duplicate crossing id")
-    clash = set(xids) & vset
-    if clash:
-        problems.append(f"crossing: ids {sorted(clash)} collide with vertices")
-    by_id = {}
-    for x in d.crossings:
-        by_id[x.id] = x
-        e1, e2 = x.edges
-        if e1 == e2 or not (0 <= e1 < g.m) or not (0 <= e2 < g.m):
-            problems.append(f"crossing: node {x.id} has a bad edge pair {x.edges}")
+def _anchor_problems(anchors: tuple[int, ...], vset: set) -> list[str]:
+    out = []
+    if len(anchors) < 2:
+        out.append("boundary: an anchored drawing needs >= 2 anchors")
+    if len(set(anchors)) != len(anchors):
+        out.append("boundary: repeated anchor")
+    return out + [f"boundary: anchor {a} is not a vertex"
+                  for a in anchors if a not in vset]
 
-    # chains
-    if sorted(d.chains) != list(range(g.m)):
-        problems.append("chain: chains must cover exactly the edge ids")
-        return problems
-    seen_at: dict[int, list[int]] = collections.defaultdict(list)
-    for e in range(g.m):
-        chain = d.chains[e]
-        u, v = g.edges[e]
-        if len(chain) < 2 or chain[0] != u or chain[-1] != v:
-            problems.append(
-                f"chain: edge {e} must run from {u} to {v}; got {chain}"
-            )
+
+def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
+                       xids: list, pairs: list, ends: list) -> list[str]:
+    out = ["crossing: duplicate crossing id"] * (len(set(xids)) != len(xids))
+    clash = sorted(vset.intersection(xids))
+    out += [f"crossing: ids {clash} collide with vertices"] * bool(clash)
+    if (set(map(len, pairs)) <= {2} and all(map(range(m).__contains__, ends))
+            and not any(map(eq, ends[0::2], ends[1::2]))):
+        return out
+    return out + [
+        f"crossing: node {x.id} has a bad edge pair {x.edges}" for x in xs
+        if len(x.edges) != 2 or x.edges[0] == x.edges[1]
+        or not 0 <= min(x.edges) <= max(x.edges) < m]
+
+
+def _chain_walk(g: Graph, vset: set, xset: set, chains: list) -> list[str]:
+    out = []
+    for e, (ch, (u, v)) in enumerate(zip(chains, g.edges)):
+        if len(ch) < 2 or ch[0] != u or ch[-1] != v:
+            out.append(f"chain: edge {e} must run from {u} to {v}; got {ch}")
             continue
-        inner = chain[1:-1]
+        inner = ch[1:-1]
         if len(set(inner)) != len(inner):
-            problems.append(f"chain: edge {e} visits a crossing twice")
-        for node in inner:
-            if node in vset:
-                problems.append(
-                    f"chain: edge {e} passes through vertex {node} mid-curve"
-                )
-            elif node not in by_id:
-                problems.append(f"chain: edge {e} visits undeclared node {node}")
-            else:
-                seen_at[node].append(e)
-    if problems:
-        return problems
+            out.append(f"chain: edge {e} visits a crossing twice")
+        out += [f"chain: edge {e} passes through vertex {x} mid-curve"
+                if x in vset else f"chain: edge {e} visits undeclared node {x}"
+                for x in inner if x in vset or x not in xset]
+    return out
 
-    for x in d.crossings:
-        if sorted(seen_at.get(x.id, [])) != sorted(x.edges):
-            problems.append(
-                f"crossing: node {x.id} labelled {x.edges} but lies on chains "
-                f"{sorted(seen_at.get(x.id, []))}"
-            )
 
-    # rotations: each node lists exactly the arc ends its chains imply;
-    # those come out sorted, as edges and segments are taken in order
-    all_nodes = vset | set(xids)
-    expect: dict[int, list[ArcRef]] = {node: [] for node in all_nodes}
-    for e in range(g.m):
-        chain = d.chains[e]
-        for i, (a, b) in enumerate(zip(chain, chain[1:])):
-            ref = (e, i)
-            expect[a].append(ref)
-            expect[b].append(ref)
-    for node in sorted(set(d.rotation) - all_nodes):
-        problems.append(f"rotation: unknown node {node}")
-    for node in sorted(all_nodes):
-        want = expect[node]
-        got = sorted(d.rotation.get(node, ()))
-        if want != got:
-            problems.append(
-                f"rotation: node {node} lists {got} but its chains "
-                f"imply {want}"
-            )
-    if problems:
-        return problems
+def _label_walk(xs: tuple[Crossing, ...], chains: list) -> list[str]:
+    on = collections.defaultdict(list)
+    for e, ch in enumerate(chains):
+        for node in ch[1:-1]:
+            on[node].append(e)
+    return [f"crossing: node {x.id} labelled {x.edges} but lies on chains "
+            f"{on[x.id]}" for x in xs if on[x.id] != sorted(x.edges)]
 
-    # strict alternation: the checks above leave each crossing exactly
-    # two ends of each of its two chains
-    for x in d.crossings:
-        owners = [e for e, _ in d.rotation[x.id]]
-        if owners[0] == owners[1] or owners[1] == owners[2]:
-            problems.append(
-                f"alternation: edges do not alternate at crossing {x.id}"
-            )
 
-    if problems:
-        return problems
+def _rotation_problems(d: Drawing, nodes: set, chains: list) -> list[str]:
+    # the dart map tests the whole level (PlanarizationMap.agrees)
+    if d.planarization.agrees and d.rotation.keys() <= nodes:
+        return []
+    want: dict[int, list[ArcRef]] = {node: [] for node in nodes}
+    for e, ch in enumerate(chains):
+        for i, arc in enumerate(zip(ch, ch[1:])):
+            for node in arc:
+                want[node].append((e, i))
+    got = {node: sorted(d.rotation.get(node, ())) for node in nodes}
+    return [f"rotation: unknown node {node}"
+            for node in sorted(d.rotation.keys() - nodes)] + [
+        f"rotation: node {node} lists {got[node]} but its chains imply "
+        f"{want[node]}" for node in sorted(nodes) if got[node] != want[node]]
 
-    # face structure
-    pm = d.planarization
-    adj: dict[int, list[int]] = {node: [] for node in sorted(d.nodes())}
-    for a, b in zip(pm.arc_tail, pm.arc_head):
-        adj[a].append(b)
-        adj[b].append(a)
-    comp = {
-        node: c
-        for c, nodes in enumerate(components(adj, adj.__getitem__))
-        for node in nodes
-    }
-    n_comp = max(comp.values()) + 1 if comp else 0
-    v_cnt = [0] * n_comp
-    e_cnt = [0] * n_comp
-    f_cnt = [0] * n_comp
-    for c in comp.values():
-        v_cnt[c] += 1
-    for a in pm.arc_tail:
-        e_cnt[comp[a]] += 1
-    for orbit in pm.faces:
-        f_cnt[comp[pm.tail(orbit[0])]] += 1
-    for c in range(n_comp):
-        if e_cnt[c] == 0:
-            f_cnt[c] += 1
-        if v_cnt[c] - e_cnt[c] + f_cnt[c] != 2:
-            problems.append(
-                "euler: component has V-E+F = "
-                f"{v_cnt[c] - e_cnt[c] + f_cnt[c]}, expected 2"
-            )
-            break
-    return problems
+
+def _alternation_problems(rot: dict, xids: list) -> list[str]:
+    # after the rotation level a crossing lists two ends of each of its
+    # edges, which alternate when its first and third ends share an edge
+    owner = list(map(_FIRST, chain.from_iterable(map(rot.__getitem__, xids))))
+    return [f"alternation: edges do not alternate at crossing {x}"
+            for x in compress(xids, map(ne, owner[0::4], owner[2::4]))]
+
+
+def _euler_problems(d: Drawing, xids: list, ends: list) -> list[str]:
+    # components by union-find over the vertices: the anchors start as
+    # one, an edge joins its ends, a crossing the first ends of its edges
+    g, pm, anchors = d.graph, d.planarization, d.anchors or ()
+    root = dict(zip(g.vertices, g.vertices))
+    root.update(dict.fromkeys(anchors, *anchors[:1]))
+    n_comp = len(root) - len(anchors[1:])
+    first = list(map(_FIRST, map(g.edges.__getitem__, ends)))
+    for u, v in chain(g.edges, zip(first[0::2], first[1::2])):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        root[u] = v
+        n_comp -= u != v
+    # V - E + F is 2 - 2 genus per component, 1 for a node on no arc (no
+    # dart traces its face): the sum, lone nodes twice, is 2C iff all are 2
+    nodes = len(root) + len(xids)
+    lone = nodes - len(set(pm._tail))
+    if nodes - len(pm.arc_tail) + len(pm.faces) + lone == 2 * n_comp:
+        return []
+    for v in root:
+        while root[root[v]] != root[v]:
+            root[v] = root[root[v]]
+    comp = {**root, **dict(zip(xids, map(root.__getitem__, first[0::2])))}
+    chi = collections.Counter(comp.values())
+    chi.subtract(map(comp.__getitem__, pm.arc_tail))
+    chi.update(comp[pm.tail(orbit[0])] for orbit in pm.faces)
+    return [f"euler: component has V-E+F = {chi[c]}, expected 2"
+            for c in dict.fromkeys(map(comp.__getitem__, sorted(comp)))
+            if chi[c] not in (1, 2)][:1]
 
 
 # ------------------------------------------------------------- predicates

@@ -4,13 +4,17 @@ The fixtures are small drawings whose rotations were worked out by placing
 coordinates on paper; comments describe the picture each one encodes.
 """
 
+import functools
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.errors import InputError
-from minkplanar.frames import build_frame
+from minkplanar.frames import build_frame, compose
 from minkplanar.graphs import Graph
 from minkplanar.drawings import (
     Crossing,
@@ -240,6 +244,185 @@ def test_dart_map_invariants(build):
             assert pm.tail(x ^ 1) == pm.tail(y)
     assert pm.faces[0] == tuple(range(0, 2 * b, 2))
     assert len(d.nodes()) - n_arcs + len(pm.faces) == 2
+
+
+def test_a_rotation_entry_that_is_not_a_tuple_is_reported():
+    d = crossing_chords()
+    bad = replace(d, rotation={**d.rotation, 0: ([0, 0],)})
+    assert validate(bad) == [
+        "rotation: node 0 lists [[0, 0]] but its chains imply [(0, 0)]"]
+
+
+def test_chain_keys_that_are_not_all_ints_are_reported():
+    d = crossing_chords()
+    bad = replace(d, chains={"0": d.chains[0], 1: d.chains[1]})
+    assert validate(bad) == ["chain: chains must cover exactly the edge ids"]
+
+
+def test_a_crossing_edge_list_that_is_not_a_pair_is_reported():
+    d = comb()
+    bad = replace(d, crossings=(Crossing(6, (0, 1)), Crossing(7, (0, 2, 2))))
+    assert validate(bad) == ["crossing: node 7 has a bad edge pair (0, 2, 2)"]
+
+
+# ------------------------------------------------- the dart map, pinned
+
+
+@functools.lru_cache(maxsize=None)
+def _built(name):
+    """The drawings the dart map and the mutation corpus start from."""
+    if name == "g2":
+        return build_G2().drawing
+    if name == "gk4":
+        return build_Gk(4).drawing
+    kind, t = name.rsplit("-t", 1)
+    g2 = build_G2()
+    frame = build_frame(g2.anchored_graph, 2, int(t))
+    return frame.drawing if kind == "frame" else compose(frame, g2)
+
+
+# sha256 of repr((first_arc, arc_tail, arc_head, _next, faces)), recorded
+# before the dart map was built from the concatenated chain lists
+_DART_MAP_DIGESTS = {
+    "g2":
+        "d45eb0c2a997d4d719db16bc73ae945b46d6ddb23eadb82f07c1c1449d53b137",
+    "gk4":
+        "b79b11e52e5f13e987a12e01fc7903cab78f9be364749cff65f8394f674bb674",
+    "frame-t1":
+        "894d98e442ef3a5f83633571c1b9b026483fa0ef806e57264dc78ee690babfbf",
+    "frame-t3":
+        "cc91388eb893652dff5522d8f86c209e6462f1bfff5e335aa41045a8da9e6c2e",
+    "composed-t1":
+        "c046bd9fa14b0e3e45345d137bc68a5bcf9f1027a74a45d4bbaaa5928a8fbf65",
+    "composed-t3":
+        "37fcca554686db9f9d027e9256a7bca7aa5ca662bc89327c28a2e092da93bebf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DART_MAP_DIGESTS))
+def test_dart_map_is_pinned(name):
+    d = _built(name)
+    assert validate(d) == []
+    pm = d.planarization
+    state = (pm.first_arc, pm.arc_tail, pm.arc_head, pm._next, pm.faces)
+    digest = hashlib.sha256(repr(state).encode()).hexdigest()
+    assert digest == _DART_MAP_DIGESTS[name]
+
+
+# ---------------------------------------------- mutated-drawing corpus
+
+# the two small bases come three times as often: they meet every level's
+# test as the frame ones do, at a hundredth of the cost
+_CORPUS_BASES = ("g2", "gk4") * 3 + ("frame-t1", "composed-t1")
+_FAULTS = (
+    "chain reversed", "chain node dropped", "chain node inserted",
+    "vertex mid-chain", "crossing relabelled", "bad edge pair",
+    "duplicate crossing id", "crossing id is a vertex", "ref dropped",
+    "ref added", "ref moved", "unknown rotation node", "alternation swap",
+    "mirror swap", "repeated anchor", "unknown anchor",
+)
+
+
+@st.composite
+def mutated_drawings(draw):
+    """One of the corpus bases with one fault of a named family."""
+
+    # One draw of eight bytes seeds every choice.  Hypothesis mixes the
+    # integer literals of the modules loaded so far into its integer draws
+    # (and bytes literals, of which the package has none, into its bytes
+    # draws), so integer draws would make the corpus depend on which tests
+    # ran first; and one draw is much cheaper than forty.
+    pick = random.Random(draw(st.binary(min_size=8, max_size=8))).choice
+
+    name, fault = pick(_CORPUS_BASES), pick(_FAULTS)
+    d = _built(name)
+    g, m = d.graph, d.graph.m
+    chains, rot, xs = dict(d.chains), dict(d.rotation), list(d.crossings)
+    anchors, fresh = d.anchors, max(d.nodes()) + 1
+    e = pick(range(m))
+    ch = list(chains[e])
+    i = pick(range(len(xs)))
+    x = xs[i]
+    node = pick(sorted(v for v in rot if rot[v]))
+    refs = list(rot[node])
+    k = pick(range(len(refs)))
+    if fault == "chain reversed":
+        ch.reverse()
+    elif fault == "chain node dropped":
+        del ch[pick(range(len(ch)))]
+    elif fault == "chain node inserted":
+        ch.insert(pick(range(len(ch) + 1)), pick(d.nodes() + (fresh,)))
+    elif fault == "vertex mid-chain":
+        ch.insert(pick(range(1, len(ch))), pick(g.vertices))
+    elif fault == "crossing relabelled":
+        other = pick([f for f in range(m) if f not in x.edges])
+        xs[i] = Crossing(x.id, (x.edges[pick((0, 1))], other))
+    elif fault == "bad edge pair":
+        xs[i] = Crossing(x.id, pick([(e, e), (e, m), (-1, e), (m + 5, -2)]))
+    elif fault == "duplicate crossing id":
+        xs[i] = Crossing(pick(xs[:i] + xs[i + 1:]).id, x.edges)
+    elif fault == "crossing id is a vertex":
+        xs[i] = Crossing(pick(g.vertices), x.edges)
+    elif fault == "ref dropped":
+        del refs[k]
+    elif fault == "ref added":
+        other = pick(sorted(rot))
+        refs.insert(k, pick(
+            list(rot[other]) + [(m, 0), (e, len(ch) - 1), (e, -1), (-1, 0)]))
+    elif fault == "ref moved":
+        other = pick(sorted(set(rot) - {node}))
+        moved = list(rot[other])
+        moved.insert(pick(range(len(moved) + 1)), refs.pop(k))
+        rot[other] = tuple(moved)
+    elif fault == "unknown rotation node":
+        rot[fresh] = pick([(), tuple(refs[:1])])
+    elif fault in ("alternation swap", "mirror swap"):
+        # around a crossing, neighbours swapped break the alternation and
+        # opposite ends swapped mirror it
+        node, refs = x.id, list(rot[x.id])
+        j, step = pick(range(4)), 1 if fault == "alternation swap" else 2
+        refs[j], refs[(j + step) % 4] = refs[(j + step) % 4], refs[j]
+    elif fault == "repeated anchor":
+        base = anchors or g.vertices[:3]
+        anchors = base + (pick(base),)
+    else:
+        anchors = (anchors or g.vertices[:3]) + (fresh,)
+    if fault.startswith(("chain", "vertex")):
+        chains[e] = tuple(ch)
+    if fault.startswith(("ref", "alternation", "mirror")):
+        rot[node] = tuple(refs)
+    return name, fault, Drawing(g, tuple(xs), chains, rot, anchors)
+
+
+def _corpus_reports():
+    reports = []
+
+    @settings(max_examples=2000, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(mutated_drawings())
+    def collect(case):
+        name, fault, d = case
+        reports.append(f"{name} / {fault}: {validate(d)}")
+
+    collect()
+    return reports
+
+
+# sha256 of the reports' lines, recorded before validation went a level
+# at a time
+_CORPUS_DIGEST = (
+    "8e48ad5fe31700f126f865452effcab2c8876c28d46e0d0807a02208df812921")
+
+
+def test_mutated_drawings_are_reported_as_before():
+    reports = _corpus_reports()
+    assert len(reports) == 2000
+    # every fault family is met, and every fault is found
+    met = {r.split(": ", 1)[0].split(" / ")[1] for r in reports}
+    assert met == set(_FAULTS)
+    assert not any(r.endswith(": []") for r in reports)
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == _CORPUS_DIGEST
 
 
 def test_validate_catches_wrong_chain_direction():
