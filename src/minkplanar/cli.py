@@ -36,6 +36,7 @@ import random
 import sys
 import time
 from dataclasses import asdict
+from functools import cache
 from typing import Any, Optional
 
 from . import __version__
@@ -476,39 +477,17 @@ def _repro_open_question(args, rep: RunReport) -> int:
 # ------------------------------------------------------------ the parser
 
 
-class _Path:
-    """Builds only the sub-parsers on the path a command line names.
-
-    Every command, family and pipeline is still listed with its help, so
-    ``--help`` and invalid-choice errors read as with the whole tree, but
-    only the ones the words name get a parser with options.  The top
-    level, ``gen`` and ``repro`` take no option with a value, so the
-    first and second words not starting with ``-`` are the ones argparse
-    dispatches on.
-    """
-
-    def __init__(self, words: list[str]):
-        self.named = [w for w in words if not w.startswith("-")][:2]
-
-    def add(self, subs, level: int, name: str, help: str,
-            parents: list = ()) -> Optional[_Parser]:
-        """Lists ``name``; returns its parser if the words name it."""
-        if self.named[level:level + 1] != [name]:
-            subs.add_parser(name, help=help, add_help=False)
-            return None
-        return subs.add_parser(name, parents=list(parents), help=help)
-
-    def leaf(self, subs, level: int, name: str, fn, parents: list,
-             help: str) -> Optional[_Parser]:
-        sp = self.add(subs, level, name, help, parents)
-        if sp is not None:
-            sp.set_defaults(fn=fn)
-        return sp
+def _leaf(subs, name: str, fn, parents: list, help: str) -> _Parser:
+    # the leaf names its function, which ``main`` looks up when it runs:
+    # the parser outlives any later rebinding of the module's names
+    sp = subs.add_parser(name, parents=parents, help=help)
+    sp.set_defaults(fn=fn.__name__)
+    return sp
 
 
-def _build_parser(words: list[str]) -> _Parser:
-    """The parser for the command line ``words``, built along its path."""
-    on = _Path(words)
+@cache
+def _parser() -> _Parser:
+    """The whole parser tree, built once per process on first use."""
     p = _Parser(
         prog="minkplanar",
         description="build, check, search, and draw min-k-planar drawings",
@@ -532,107 +511,86 @@ def _build_parser(words: list[str]) -> _Parser:
     sub = p.add_subparsers(dest="cmd", metavar="command", parser_class=_Parser,
                            required=True)
 
-    sp = on.add(sub, 0, "gen", "emit a bundled counterexample drawing")
-    if sp:
-        family = sp.add_subparsers(dest="family", parser_class=_Parser,
-                                   required=True)
-        sp = on.leaf(family, 1, "g2", cmd_gen, [common],
-                     "the 20-vertex counterexample (k = 2)")
-        if sp:
-            sp.set_defaults(k=2)
-        sp = on.leaf(family, 1, "gk", cmd_gen, [common],
-                     "the parametric counterexample")
-        if sp:
-            sp.add_argument("--k", type=int, required=True, help="at least 3")
+    sp = sub.add_parser("gen", help="emit a bundled counterexample drawing")
+    family = sp.add_subparsers(dest="family", parser_class=_Parser,
+                               required=True)
+    _leaf(family, "g2", cmd_gen, [common],
+          "the 20-vertex counterexample (k = 2)").set_defaults(k=2)
+    sp = _leaf(family, "gk", cmd_gen, [common], "the parametric counterexample")
+    sp.add_argument("--k", type=int, required=True, help="at least 3")
 
-    sp = on.leaf(sub, 0, "validate", cmd_validate, [common],
-                 "check properties of a drawing file")
-    if sp:
-        sp.add_argument("--drawing", required=True, metavar="FILE")
-        sp.add_argument("--min-k", dest="min_k", type=int, metavar="K")
-        sp.add_argument("--k", type=int, metavar="K",
-                        help="check the per-edge crossing cap")
-        sp.add_argument("--simple", action="store_true")
+    sp = _leaf(sub, "validate", cmd_validate, [common],
+               "check properties of a drawing file")
+    sp.add_argument("--drawing", required=True, metavar="FILE")
+    sp.add_argument("--min-k", dest="min_k", type=int, metavar="K")
+    sp.add_argument("--k", type=int, metavar="K",
+                    help="check the per-edge crossing cap")
+    sp.add_argument("--simple", action="store_true")
 
-    sp = on.leaf(sub, 0, "profile", cmd_profile, [common],
-                 "per-edge and per-pair crossing counts")
-    if sp:
-        sp.add_argument("--drawing", required=True, metavar="FILE")
-        sp.add_argument("--k", type=int, metavar="K",
-                        help="also list edges with more than K crossings")
+    sp = _leaf(sub, "profile", cmd_profile, [common],
+               "per-edge and per-pair crossing counts")
+    sp.add_argument("--drawing", required=True, metavar="FILE")
+    sp.add_argument("--k", type=int, metavar="K",
+                    help="also list edges with more than K crossings")
 
-    sp = on.leaf(sub, 0, "simplify", cmd_simplify, [common],
-                 "remove crossings between dependent edge pairs")
-    if sp:
-        sp.add_argument("--drawing", required=True, metavar="FILE")
+    sp = _leaf(sub, "simplify", cmd_simplify, [common],
+               "remove crossings between dependent edge pairs")
+    sp.add_argument("--drawing", required=True, metavar="FILE")
 
-    sp = on.leaf(sub, 0, "search", cmd_search, [budgeted],
-                 "decide anchored drawing existence")
-    if sp:
-        sp.add_argument("--graph", required=True, metavar="FILE")
-        sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--simple", action="store_true",
-                        help="restrict to simple drawings")
+    sp = _leaf(sub, "search", cmd_search, [budgeted],
+               "decide anchored drawing existence")
+    sp.add_argument("--graph", required=True, metavar="FILE")
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--simple", action="store_true",
+                    help="restrict to simple drawings")
 
-    sp = on.leaf(sub, 0, "frame", cmd_frame, [common],
-                 "build the caged-wheel frame for a graph")
-    if sp:
-        sp.add_argument("--graph", required=True, metavar="FILE",
-                        help="anchored graph JSON")
-        sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--t", type=int, help="amplification copies per web "
-                                              "class (default 2k+2)")
+    sp = _leaf(sub, "frame", cmd_frame, [common],
+               "build the caged-wheel frame for a graph")
+    sp.add_argument("--graph", required=True, metavar="FILE",
+                    help="anchored graph JSON")
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--t", type=int, help="amplification copies per web "
+                                          "class (default 2k+2)")
 
-    sp = on.leaf(sub, 0, "compose", cmd_compose, [common],
-                 "glue a bundled counterexample into its frame")
-    if sp:
-        sp.add_argument("--k", type=int, default=2,
-                        help="source family: 2 for the 20-vertex graph, "
-                             ">= 3 for the parametric one")
-        sp.add_argument("--t", type=int)
+    sp = _leaf(sub, "compose", cmd_compose, [common],
+               "glue a bundled counterexample into its frame")
+    sp.add_argument("--k", type=int, default=2,
+                    help="source family: 2 for the 20-vertex graph, "
+                         ">= 3 for the parametric one")
+    sp.add_argument("--t", type=int)
 
-    sp = on.leaf(sub, 0, "render", cmd_render, [report],
-                 "draw a drawing file to SVG")
-    if sp:
-        sp.add_argument("--drawing", required=True, metavar="FILE")
-        sp.add_argument("--svg", required=True, metavar="FILE")
-        sp.add_argument("--k", type=int, metavar="K",
-                        help="highlight edges with more than K crossings")
-        sp.add_argument("--audit", action="store_true",
-                        help="re-derive the drawing from the coordinates "
-                             "first")
+    sp = _leaf(sub, "render", cmd_render, [report],
+               "draw a drawing file to SVG")
+    sp.add_argument("--drawing", required=True, metavar="FILE")
+    sp.add_argument("--svg", required=True, metavar="FILE")
+    sp.add_argument("--k", type=int, metavar="K",
+                    help="highlight edges with more than K crossings")
+    sp.add_argument("--audit", action="store_true",
+                    help="re-derive the drawing from the coordinates first")
 
-    sp = on.add(sub, 0, "repro", "run a canned reproduction pipeline")
-    if sp:
-        pipeline = sp.add_subparsers(dest="pipeline", parser_class=_Parser,
-                                     required=True)
-        on.leaf(pipeline, 1, "lemma3-g2", _repro_lemma3_g2, [budgeted],
-                "Lemma 3 on the 20-vertex counterexample")
-        sp = on.leaf(pipeline, 1, "lemma3-gk", _repro_lemma3_gk, [budgeted],
-                     "Lemma 3 on the parametric counterexample")
-        if sp:
-            sp.add_argument("--k", type=int, default=4)
-        sp = on.leaf(pipeline, 1, "lemma5-frame", _repro_lemma5_frame,
-                     [common], "Lemma 5's frame of G2 or of --graph")
-        if sp:
-            sp.add_argument("--k", type=int, default=2)
-            sp.add_argument("--t", type=int, help="default 2k+2")
-            sp.add_argument("--graph", metavar="FILE",
-                            help="anchored source graph")
-        sp = on.leaf(pipeline, 1, "thm1-compose", _repro_thm1_compose,
-                     [common], "Theorem 1's composition")
-        if sp:
-            sp.add_argument("--k", type=int, default=2, help="as for compose")
-            sp.add_argument("--t", type=int, help="default 2k+2")
-        sp = on.leaf(pipeline, 1, "prop2-simplify", _repro_prop2_simplify,
-                     [common],
-                     "Proposition 2's simplifier on sampled min-1 drawings")
-        if sp:
-            sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--count", type=int, default=200,
-                            help="at least 1")
-        on.leaf(pipeline, 1, "open-question", _repro_open_question,
-                [budgeted], "is there a simple anchored min-3 drawing of G2")
+    sp = sub.add_parser("repro", help="run a canned reproduction pipeline")
+    pipeline = sp.add_subparsers(dest="pipeline", parser_class=_Parser,
+                                 required=True)
+    _leaf(pipeline, "lemma3-g2", _repro_lemma3_g2, [budgeted],
+          "Lemma 3 on the 20-vertex counterexample")
+    sp = _leaf(pipeline, "lemma3-gk", _repro_lemma3_gk, [budgeted],
+               "Lemma 3 on the parametric counterexample")
+    sp.add_argument("--k", type=int, default=4)
+    sp = _leaf(pipeline, "lemma5-frame", _repro_lemma5_frame, [common],
+               "Lemma 5's frame of G2 or of --graph")
+    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--t", type=int, help="default 2k+2")
+    sp.add_argument("--graph", metavar="FILE", help="anchored source graph")
+    sp = _leaf(pipeline, "thm1-compose", _repro_thm1_compose, [common],
+               "Theorem 1's composition")
+    sp.add_argument("--k", type=int, default=2, help="as for compose")
+    sp.add_argument("--t", type=int, help="default 2k+2")
+    sp = _leaf(pipeline, "prop2-simplify", _repro_prop2_simplify, [common],
+               "Proposition 2's simplifier on sampled min-1 drawings")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--count", type=int, default=200, help="at least 1")
+    _leaf(pipeline, "open-question", _repro_open_question, [budgeted],
+          "is there a simple anchored min-3 drawing of G2")
 
     return p
 
@@ -640,7 +598,7 @@ def _build_parser(words: list[str]) -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     words = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(words).parse_args(words)
+        args = _parser().parse_args(words)
     except SystemExit as ex:  # --help and --version
         return int(ex.code or 0)
     except _UsageError as err:
@@ -656,12 +614,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     # The cyclic collector is paused while the command runs: its drawings
     # of up to ~10^5 arcs are small tuples, lists and dicts that hold no
     # reference cycles, yet each full collection re-walks all of them.
-    # The few cycles a command leaves (the parser, the search's closures)
-    # wait for the collector's first run after it is back on.
+    # The few cycles a command leaves (the search's closures) wait for
+    # the collector's first run after it is back on.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        code = args.fn(args, rep)
+        code = globals()[args.fn](args, rep)
     except InputError as err:
         print(f"minkplanar: error: {err}", file=sys.stderr)
         rep.outcome = f"input-error: {err}"

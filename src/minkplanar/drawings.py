@@ -93,9 +93,6 @@ class Drawing:
     def crossing_by_id(self) -> dict[int, Crossing]:
         return {x.id: x for x in self.crossings}
 
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(self.graph.vertices) + self.crossing_ids()
-
     def require_valid(self) -> None:
         problems = validate(self)
         if problems:
@@ -136,7 +133,8 @@ class PlanarizationMap:
     ``agrees`` tells whether those darts hit every edge dart exactly once,
     each at its own tail.  That is ``validate``'s rotation level, so
     validation builds the drawing's one map, once the chains are valid;
-    ``_next`` is meaningful only when the map agrees.
+    ``_next`` is meaningful only when the map agrees, and ``faces``
+    refuses to trace it when it is not a permutation.
     """
 
     def __init__(self, d: Drawing):
@@ -155,7 +153,7 @@ class PlanarizationMap:
         at = list(chain.from_iterable(map(repeat, rot, lens)))
         es, ii = (list(map(_FIRST, refs)), list(map(_SECOND, refs))) if (
             set(map(len, refs)) <= {2}) else ([], [])
-        self.agrees = len(es) == len(refs) and (not es or (
+        self.agrees = self._permutes = len(es) == len(refs) and (not es or (
             0 <= min(es) and 0 <= min(ii) and max(es) < m
             and all(map(lt, ii, map(segs.__getitem__, es)))))
         if not self.agrees:
@@ -163,8 +161,11 @@ class PlanarizationMap:
         arcs = list(map(add, map(first.__getitem__, es), ii))
         darts = list(map(add, map(add, arcs, arcs),
                          map(ne, map(tails.__getitem__, arcs), at)))
-        self.agrees = (set(map(type, refs)) <= {tuple}
-                       and len(set(darts)) == len(darts) == len(nxt) - 2 * b
+        # every edge dart listed once and no anchor twice: ``_next`` is
+        # then a permutation, so every face orbit closes
+        once = len(set(darts)) == len(darts) == len(nxt) - 2 * b
+        self._permutes = once and len(set(anchors)) == b
+        self.agrees = (set(map(type, refs)) <= {tuple} and once
                        and list(map(self._tail.__getitem__, darts)) == at)
         # next clockwise: each node's darts make a cycle in the listed order
         # (deque(.., 0) runs the setitem calls), into which each anchor's
@@ -188,8 +189,13 @@ class PlanarizationMap:
         """Every face as its dart orbit, traced once and kept.
 
         Orbits come in the order of their least dart and start there, so
-        an anchored drawing's forward boundary darts lead.
+        an anchored drawing's forward boundary darts lead.  Raises
+        ``InputError`` when the rotation does not list every edge dart
+        exactly once or an anchor repeats, since the orbits need not close.
         """
+        if not self._permutes:
+            raise InputError("faces cannot be traced: the rotation must list "
+                             "every arc end once, and no anchor may repeat")
         seen = bytearray(len(self._next))
         out = []
         for start in range(len(self._next)):

@@ -1,12 +1,16 @@
 """Counting obstruction and planar sub-amplification extraction.
 
 Both operations look at a drawing of an amplified graph through its
-``EdgeClassMap``.  The obstruction detector searches for two bundles of
-double edges, drawn from two different original edges, that cross bundle
-against bundle; once both bundles reach size 2k+1 a counting argument
-rules out min-k-planarity, and the detector double-checks that verdict
-before handing the witness back.  The extractor goes the other way and
-tries to salvage a crossing-free sub-amplification.
+``EdgeClassMap``, and both read it through one map, built once per call
+from the drawing's crossing pairs and the class map's half owners: each
+double edge maps to the set of double edges that cross one of its halves,
+and a double is in its own set when its two halves cross each other.  The
+obstruction detector searches for two bundles of double edges, drawn from
+two different original edges, that cross bundle against bundle; once both
+bundles reach size 2k+1 a counting argument rules out min-k-planarity,
+and the detector double-checks that verdict before handing the witness
+back.  The extractor goes the other way and tries to salvage a
+crossing-free sub-amplification.
 """
 
 from __future__ import annotations
@@ -21,18 +25,19 @@ from .graphs import DoubleEdge, EdgeClassMap
 # --------------------------------------------------------------- helpers
 
 
-def _doubles_cross(crossed: set[tuple[int, int]], da: DoubleEdge, db: DoubleEdge) -> bool:
-    """True when any half of one double edge crosses any half of the other."""
-    for a in da.halves:
-        for b in db.halves:
-            if (min(a, b), max(a, b)) in crossed:
-                return True
-    return False
-
-
-def _double_self_clean(crossed: set[tuple[int, int]], de: DoubleEdge) -> bool:
-    a, b = de.halves
-    return (min(a, b), max(a, b)) not in crossed
+def _crossing_doubles(d: Drawing,
+                      classes: EdgeClassMap) -> dict[DoubleEdge, set[DoubleEdge]]:
+    """Each double edge -> the double edges crossing one of its halves;
+    validates ``d`` through ``crossing_profile``."""
+    double = {h: classes.by_edge[e][c]
+              for h, (e, c, _) in classes.half_owner.items()}
+    out: dict[DoubleEdge, set[DoubleEdge]] = {
+        de: set() for _, _, de in classes.double_edges()}
+    for a, b in crossing_profile(d).per_pair:
+        if a in double and b in double:
+            out[double[a]].add(double[b])
+            out[double[b]].add(double[a])
+    return out
 
 
 # ---------------------------------------------------- counting obstruction
@@ -57,25 +62,29 @@ def biclique_obstruction(
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    crossed = set(crossing_profile(d).per_pair)
+    crosses = _crossing_doubles(d, classes)
+    owner = classes.half_owner
     need = 2 * k + 1
-    class_ids = sorted(classes.by_edge)
-    for e, f in itertools.combinations(class_ids, 2):
-        side_e, side_f = classes.by_edge[e], classes.by_edge[f]
-        if len(side_e) < need or len(side_f) < need:
+    for e in sorted(classes.by_edge):
+        side_e = classes.by_edge[e]
+        if len(side_e) < need:
             continue
-        for picked in itertools.combinations(side_e, need):
-            common = tuple(
-                db for db in side_f
-                if all(_doubles_cross(crossed, da, db) for da in picked)
-            )
-            if len(common) >= need:
-                if is_min_k_planar(d, k):
-                    raise MinkplanarError(
-                        "obstruction witness found in a drawing that still "
-                        "verifies as min-{}-planar".format(k)
-                    )
-                return picked, common
+        # only a class that some double of e crosses can share a biclique
+        met = {owner[db.halves[0]][0] for da in side_e for db in crosses[da]}
+        for f in sorted(f for f in met if f > e):
+            side_f = classes.by_edge[f]
+            if len(side_f) < need:
+                continue
+            for picked in itertools.combinations(side_e, need):
+                common = tuple(db for db in side_f
+                               if all(db in crosses[da] for da in picked))
+                if len(common) >= need:
+                    if is_min_k_planar(d, k):
+                        raise MinkplanarError(
+                            "obstruction witness found in a drawing that "
+                            "still verifies as min-{}-planar".format(k)
+                        )
+                    return picked, common
     return None
 
 
@@ -108,12 +117,12 @@ def extract_planar_amplification(
     t = classes.t
     if w > t:
         raise InputError(f"cannot pick {w} copies out of {t}")
-    crossed = set(crossing_profile(d).per_pair)
+    crosses = _crossing_doubles(d, classes)
 
     class_ids = sorted(classes.by_edge)
     candidates: list[list[DoubleEdge]] = []
     for e in class_ids:
-        pool = [de for de in classes.by_edge[e] if _double_self_clean(crossed, de)]
+        pool = [de for de in classes.by_edge[e] if de not in crosses[de]]
         if len(pool) < w:
             return None
         candidates.append(pool)
@@ -121,18 +130,7 @@ def extract_planar_amplification(
     order = sorted(range(len(class_ids)), key=lambda i: len(candidates[i]))
 
     chosen: dict[int, tuple[DoubleEdge, ...]] = {}
-    flat: list[DoubleEdge] = []
-
-    def compatible(group: tuple[DoubleEdge, ...]) -> bool:
-        for i, da in enumerate(group):
-            for db in group[i + 1:]:
-                if _doubles_cross(crossed, da, db):
-                    return False
-            for db in flat:
-                if _doubles_cross(crossed, da, db):
-                    return False
-        return True
-
+    taken: set[DoubleEdge] = set()
     # explicit stack: a frame's worth of recursion per class would blow
     # the interpreter limit on big amplifications (hundreds of classes)
     pending: list = [None] * len(order)
@@ -140,22 +138,19 @@ def extract_planar_amplification(
     while 0 <= pos < len(order):
         if pending[pos] is None:
             pending[pos] = itertools.combinations(candidates[order[pos]], w)
-        e = class_ids[order[pos]]
         for group in pending[pos]:
-            if not compatible(group):
+            if any(crosses[de] & taken or crosses[de].intersection(group)
+                   for de in group):
                 continue
-            chosen[e] = group
-            flat.extend(group)
+            chosen[class_ids[order[pos]]] = group
+            taken.update(group)
             pos += 1
             break
         else:
             pending[pos] = None
             pos -= 1
             if pos >= 0:
-                prev = class_ids[order[pos]]
-                if w:
-                    del flat[len(flat) - w:]
-                del chosen[prev]
+                taken.difference_update(chosen.pop(class_ids[order[pos]]))
     if pos < 0:
         return None
 

@@ -553,7 +553,7 @@ def test_readme_command_lines_parse():
     pipelines = {words[2] for words in lines if words[1] == "repro"}
     assert pipelines == set(_READ)
     for words in lines:
-        cli._build_parser(words[1:]).parse_args(words[1:])
+        cli._parser().parse_args(words[1:])
 
 
 # ------------------------------------------------------------ error paths

@@ -243,7 +243,7 @@ def test_dart_map_invariants(build):
         for x, y in zip(orbit, orbit[1:] + orbit[:1]):
             assert pm.tail(x ^ 1) == pm.tail(y)
     assert pm.faces[0] == tuple(range(0, 2 * b, 2))
-    assert len(d.nodes()) - n_arcs + len(pm.faces) == 2
+    assert d.graph.n + len(d.crossings) - n_arcs + len(pm.faces) == 2
 
 
 def test_a_rotation_entry_that_is_not_a_tuple_is_reported():
@@ -338,7 +338,8 @@ def mutated_drawings(draw):
     d = _built(name)
     g, m = d.graph, d.graph.m
     chains, rot, xs = dict(d.chains), dict(d.rotation), list(d.crossings)
-    anchors, fresh = d.anchors, max(d.nodes()) + 1
+    nodes = g.vertices + d.crossing_ids()
+    anchors, fresh = d.anchors, max(nodes) + 1
     e = pick(range(m))
     ch = list(chains[e])
     i = pick(range(len(xs)))
@@ -351,7 +352,7 @@ def mutated_drawings(draw):
     elif fault == "chain node dropped":
         del ch[pick(range(len(ch)))]
     elif fault == "chain node inserted":
-        ch.insert(pick(range(len(ch) + 1)), pick(d.nodes() + (fresh,)))
+        ch.insert(pick(range(len(ch) + 1)), pick(nodes + (fresh,)))
     elif fault == "vertex mid-chain":
         ch.insert(pick(range(1, len(ch))), pick(g.vertices))
     elif fault == "crossing relabelled":

@@ -5,11 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from minkplanar.constructions import build_G2
-from minkplanar.drawings import Drawing, PlanarizationMap
+from minkplanar.drawings import Drawing, PlanarizationMap, validate
 from minkplanar import layout
 from minkplanar.errors import GeometryError, LayoutError
 from minkplanar.frames import build_frame
@@ -286,3 +287,44 @@ def test_composed_gk4_at_the_default_t_fits_in_512_mib():
     run = _run_limited(_COMPOSE_AT_DEFAULT_T.format(
         mib=512, bundle="build_Gk(4)", k=4, t=10), **_ONE_THREAD)
     assert run.returncode == 0, run.stderr[-2000:]
+
+
+_FACES_OF_BROKEN_MAPS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from dataclasses import replace
+from minkplanar.constructions import build_G2
+from minkplanar.errors import InputError
+d = build_G2().drawing
+for bad in (replace(d, rotation={**d.rotation, 19: d.rotation[19][:1]}),
+            replace(d, anchors=d.anchors[:1] * 2 + d.anchors[2:])):
+    try:
+        bad.planarization.faces
+    except InputError as err:
+        print(err)
+"""
+
+
+def test_faces_of_a_map_that_is_no_permutation_raise():
+    # a rotation that drops an arc end, or a repeated anchor, leaves some
+    # dart without a predecessor in the next-dart map: tracing its face
+    # would grow one orbit until memory runs out, hence the limit
+    run = _run_limited(_FACES_OF_BROKEN_MAPS, **_ONE_THREAD)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.count("faces cannot be traced") == 2
+
+
+class _Ref(tuple):
+    """An arc reference that is a tuple, but not of type ``tuple``."""
+
+
+def test_rotation_entries_may_be_tuple_subclasses():
+    d = build_G2().drawing
+    sub = replace(d, rotation={node: tuple(map(_Ref, refs))
+                               for node, refs in d.rotation.items()})
+    # the fast rotation test asks for plain tuples; the walk accepts these
+    assert not sub.planarization.agrees
+    assert validate(sub) == []
+    lay = tutte_layout(sub)
+    audit_layout(sub, lay)
+    assert to_svg(sub, lay) == to_svg(d, tutte_layout(d))

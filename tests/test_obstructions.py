@@ -6,12 +6,14 @@ the backtracking lost or invented a solution.
 """
 
 import itertools
+import time
 
 import pytest
 
-from minkplanar.constructions import build_biclique_gadget
+from minkplanar.constructions import build_biclique_gadget, build_G2
 from minkplanar.drawings import crossing_profile, is_min_k_planar
 from minkplanar.errors import InputError
+from minkplanar.frames import build_frame
 from minkplanar.geometry import Scene, scene_to_drawing
 from minkplanar.graphs import Graph, t_amplify
 from minkplanar.obstructions import biclique_obstruction, extract_planar_amplification
@@ -90,6 +92,28 @@ def _same_class_conflict():
         a0.halves[1]: (pos[a0.midpoint], pos[1]),
         a1.halves[0]: (pos[0], (-1.0, 0.2), pos[a1.midpoint]),
         a1.halves[1]: (pos[a1.midpoint], (1.0, 0.2), pos[1]),
+    }
+    d, _ = scene_to_drawing(Scene(amp, pos, routes))
+    return d, classes
+
+
+def _self_crossing_double():
+    """One edge doubled: copy 0's first half bends over its second half and
+    crosses it once, copy 1 runs clean below."""
+    base = Graph((0, 1), ((0, 1),))
+    amp, classes = t_amplify(base, 2)
+    a0, a1 = classes.by_edge[0]
+    pos = {
+        0: (-3.0, 0.0),
+        1: (3.0, 0.0),
+        a0.midpoint: (0.0, 1.0),
+        a1.midpoint: (0.0, -1.0),
+    }
+    routes = {
+        a0.halves[0]: (pos[0], (2.0, 1.5), pos[a0.midpoint]),
+        a0.halves[1]: (pos[a0.midpoint], pos[1]),
+        a1.halves[0]: (pos[0], pos[a1.midpoint]),
+        a1.halves[1]: (pos[a1.midpoint], pos[1]),
     }
     d, _ = scene_to_drawing(Scene(amp, pos, routes))
     return d, classes
@@ -178,7 +202,8 @@ def test_extract_matches_brute_oracle():
         g = build_biclique_gadget(2, m)
         for w in range(m + 1):
             cases.append((g.drawing, g.classes, w))
-    for maker in (_clean_amplification, _kept_edge_crossings, _same_class_conflict):
+    for maker in (_clean_amplification, _kept_edge_crossings, _same_class_conflict,
+                  _self_crossing_double):
         d, classes = maker()
         for w in range(classes.t + 1):
             cases.append((d, classes, w))
@@ -195,4 +220,32 @@ def test_extract_matches_brute_oracle():
             for a, b in itertools.combinations(halves, 2):
                 assert (min(a, b), max(a, b)) not in crossed
         checked += 1
-    assert checked >= 12
+    assert checked >= 15
+
+
+def test_extract_never_chooses_a_double_whose_halves_cross():
+    d, classes = _self_crossing_double()
+    a0, a1 = classes.by_edge[0]
+    assert set(crossing_profile(d).per_pair) == {tuple(sorted(a0.halves))}
+    assert extract_planar_amplification(d, classes, 1).chosen == {0: (a1,)}
+    assert extract_planar_amplification(d, classes, 2) is None
+    assert biclique_obstruction(d, 0, classes) is None
+
+
+# ------------------------------------------ the G2 frame at the default t
+
+
+def test_g2_frame_at_the_default_t_extracts_every_double_in_seconds():
+    # t = 2k+2 = 6 and 1,539 web classes: testing doubles pair by pair,
+    # or the obstruction's classes pair by pair, takes minutes here
+    fr = build_frame(build_G2().anchored_graph, 2)
+    assert fr.params.t == 6
+    t0 = time.perf_counter()
+    res = extract_planar_amplification(fr.drawing, fr.classes, 6)
+    t1 = time.perf_counter()
+    assert biclique_obstruction(fr.drawing, 2, fr.classes) is None
+    t2 = time.perf_counter()
+    assert res is not None
+    assert res.chosen == dict(sorted(fr.classes.by_edge.items()))
+    assert t1 - t0 < 3.0
+    assert t2 - t1 < 3.0
