@@ -41,6 +41,13 @@ Each drawing object is validated once: ``validate`` keeps its report on
 the object and ``Drawing.planarization`` keeps the one dart map, which
 validation builds, so every predicate can call ``require_valid`` and only
 the first call costs.
+
+Chain surgery, the cutting and splicing of chains by ``restrict`` and
+``simplify.swap_at``, renames arc ends in one place, ``splice_chains``.
+Each new chain comes as its node visits along old curves, every visit
+with the old ends by which the curve reaches and leaves the node; a new
+arc replaces the old ends at its two visits, so the arcs at a node that
+no visit lists merge into one.
 """
 
 from __future__ import annotations
@@ -48,12 +55,12 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import add, attrgetter, contains, eq, itemgetter, lt, ne, sub
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _ids
 
 ArcRef = tuple[int, int]
 
@@ -450,6 +457,27 @@ def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
 # ------------------------------------------------------------ restriction
 
 
+def splice_chains(
+    walks: Iterable[tuple[int, list[tuple[int, ArcRef, ArcRef]]]]
+) -> tuple[dict[int, tuple[int, ...]], dict[tuple[int, ArcRef], ArcRef]]:
+    """New chains from walks along old curves, and the arc-end renaming.
+
+    ``walks`` pairs each new edge id with its visits in chain order, each
+    ``(node, reach, leave)`` with the old ends by which the curve reaches
+    and leaves the node (the first ``reach`` and last ``leave`` are not
+    read).  New arc i of edge e joins visits i and i+1, and the map sends
+    the ``leave`` end of the one and the ``reach`` end of the other to it.
+    A generator of walks keeps one walk alive at a time, which spares the
+    cyclic collector on big drawings.
+    """
+    chains, ends = {}, {}
+    for e, walk in walks:
+        chains[e] = tuple(map(_FIRST, walk))
+        for i, ((a, _, leave), (b, reach, _)) in enumerate(pairwise(walk)):
+            ends[a, leave] = ends[b, reach] = (e, i)
+    return chains, ends
+
+
 def restrict(
     d: Drawing, keep_edges: Iterable[int]
 ) -> tuple[Drawing, dict[int, int]]:
@@ -458,64 +486,39 @@ def restrict(
     Kept chains lose the crossing nodes whose other edge was dropped; the
     adjacent arcs merge and rotations are rewritten accordingly.  The
     vertices are the endpoints of kept edges, and the result keeps its
-    boundary only when every anchor is one of them.  Both the input and
-    the result are validated.  Returns the new drawing and the old-edge ->
-    new-edge id mapping.
+    boundary only when every anchor is one of them.  Edge ids are checked
+    as ``Graph`` checks vertex ids, and must be in range.  Both the input
+    and the result are validated.  Returns the new drawing and the
+    old-edge -> new-edge id mapping.
     """
     d.require_valid()
-    keep = sorted(set(keep_edges))
-    for e in keep:
-        if not 0 <= e < d.graph.m:
-            raise InputError(f"unknown edge id {e}")
-    vkeep = {v for e in keep for v in d.graph.edges[e]}
-
-    new_vertices = tuple(v for v in d.graph.vertices if v in vkeep)
+    keep = sorted(set(_ids(keep_edges, "keep_edges")))
+    if keep and keep[-1] >= d.graph.m:
+        raise InputError(f"unknown edge id {keep[-1]}")
     edge_map = {e: i for i, e in enumerate(keep)}
     new_edges = tuple(d.graph.edges[e] for e in keep)
+    vkeep = set(chain.from_iterable(new_edges))
+    new_vertices = tuple(v for v in d.graph.vertices if v in vkeep)
     new_graph = Graph(new_vertices, new_edges, simple=d.graph.simple)
 
-    keep_set = set(keep)
-    surviving = {
-        x.id: x for x in d.crossings
-        if x.edges[0] in keep_set and x.edges[1] in keep_set
-    }
-
-    new_chains: dict[int, tuple[int, ...]] = {}
-    token_map: dict[tuple[int, ArcRef], ArcRef] = {}
-    for e in keep:
-        old_chain = d.chains[e]
-        last = len(old_chain) - 1
-        kept_pos = [
-            p for p, node in enumerate(old_chain)
-            if p in (0, last) or node in surviving
-        ]
-        new_chain = tuple(old_chain[p] for p in kept_pos)
-        ne = edge_map[e]
-        new_chains[ne] = new_chain
-        for q, p in enumerate(kept_pos):
-            node = old_chain[p]
-            if p > 0:
-                token_map[(node, (e, p - 1))] = (ne, q - 1)
-            if p < last:
-                token_map[(node, (e, p))] = (ne, q)
-
-    new_rotation: dict[int, tuple[ArcRef, ...]] = {}
-    for node in list(new_vertices) + sorted(surviving):
-        refs = d.rotation.get(node, ())
-        mapped = []
-        for ref in refs:
-            key = (node, ref)
-            if key in token_map:
-                mapped.append(token_map[key])
-        new_rotation[node] = tuple(mapped)
+    surviving = sorted((x for x in d.crossings if x.edges[0] in edge_map
+                        and x.edges[1] in edge_map), key=_ID)
+    nodes = [*new_vertices, *map(_ID, surviving)]
+    kept = set(nodes)
+    new_chains, ends = splice_chains(
+        (i, [(node, (e, p - 1), (e, p))
+             for p, node in enumerate(d.chains[e]) if node in kept])
+        for i, e in enumerate(keep))
+    # a node's ends on dropped edges have no new name and fall out
+    new_rotation = {node: tuple(filter(None, map(ends.get, zip(
+        repeat(node), d.rotation[node])))) for node in nodes}
 
     anchors = None
     if d.anchored and all(a in vkeep for a in d.anchors):
         anchors = d.anchors
     new_crossings = tuple(
         Crossing(x.id, (edge_map[x.edges[0]], edge_map[x.edges[1]]))
-        for x in sorted(surviving.values(), key=lambda x: x.id)
-    )
+        for x in surviving)
     out = Drawing(new_graph, new_crossings, new_chains, new_rotation, anchors)
     out.require_valid()
     return out, edge_map

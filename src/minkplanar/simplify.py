@@ -10,14 +10,17 @@ migrate to the other edge, everything else stays put.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .drawings import (
     Crossing,
     Drawing,
     adjacent_crossing_pairs,
-    crossing_profile,
     is_min_k_planar,
+    splice_chains,
 )
 from .errors import InputError, MinkplanarError
+from .graphs import _id
 
 # --------------------------------------------------------- violating pairs
 
@@ -38,24 +41,20 @@ def violating_pairs(d: Drawing) -> list[tuple[int, int]]:
 # -------------------------------------------------------------- the swap
 
 
-def _oriented(chain, from_node: int) -> tuple[list[int], bool]:
-    if chain[0] == from_node:
-        return list(chain), False
-    return list(reversed(chain)), True
-
-
 def swap_at(d: Drawing, e: int, f: int, y: int) -> Drawing:
     """Exchange the x-to-y sub-curves of e and f and delete crossing y.
 
     x is the vertex the two edges share.  The operation is symmetric in e
-    and f.  Raises when the edges are not adjacent, when y is not one of
-    their crossings, or when they cross a second time on opposite sides of
-    x (the swapped curve would then cross itself, which the planarization
-    cannot express).
+    and f.  Ids are checked as ``Graph`` checks vertex ids.  Raises when
+    the edges are not adjacent, when y is not one of their crossings, or
+    when they cross a second time on opposite sides of x (the swapped
+    curve would then cross itself, which the planarization cannot
+    express).
     """
     d.require_valid()
     g = d.graph
-    if e == f or not (0 <= e < g.m) or not (0 <= f < g.m):
+    e, f, y = _id(e, "e"), _id(f, "f"), _id(y, "y")
+    if e == f or e >= g.m or f >= g.m:
         raise InputError("swap needs two distinct edge ids")
     shared = set(g.edges[e]) & set(g.edges[f])
     if len(shared) != 1:
@@ -65,10 +64,17 @@ def swap_at(d: Drawing, e: int, f: int, y: int) -> Drawing:
     if at_y is None or sorted(at_y.edges) != sorted((e, f)):
         raise InputError(f"node {y} is not a crossing of edges {e} and {f}")
 
-    ce, rev_e = _oriented(d.chains[e], x)
-    cf, rev_f = _oriented(d.chains[f], x)
-    i_e = ce.index(y)
-    i_f = cf.index(y)
+    def turn(walk, edge):
+        # reversed unless edge's chain starts at x: this turns a walk in
+        # stored order to run from x, and a walk from x to stored order
+        if d.chains[edge][0] == x:
+            return walk
+        return [(node, leave, reach) for node, reach, leave in walk[::-1]]
+
+    we, wf = (turn([(node, (h, p - 1), (h, p))
+                    for p, node in enumerate(d.chains[h])], h) for h in (e, f))
+    ce, cf = [node for node, _, _ in we], [node for node, _, _ in wf]
+    i_e, i_f = ce.index(y), cf.index(y)
     moved_e = set(ce[1:i_e])  # x-side crossings of e; they end up on f
     moved_f = set(cf[1:i_f])
 
@@ -80,50 +86,11 @@ def swap_at(d: Drawing, e: int, f: int, y: int) -> Drawing:
                     "vertex; the swap would self-intersect"
                 )
 
-    new_e = cf[:i_f] + ce[i_e + 1:]
-    new_f = ce[:i_e] + cf[i_f + 1:]
-    Le, Lf = len(ce), len(cf)
-    Lne, Lnf = len(new_e), len(new_f)
-
-    # Arc-end renaming.  Oriented arc j of an edge joins list positions j
-    # and j+1; stored indices count from the edge tuple's first endpoint,
-    # hence the reversal arithmetic.  The two arcs meeting at y merge with
-    # their continuation on the other edge.
-    def ref(edge, length, reverse, j):
-        return (edge, j if not reverse else length - 2 - j)
-
-    endmap: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}
-
-    def register(old, new, ends):
-        for node in ends:
-            endmap[(node, old)] = new
-
-    for j in range(Le - 1):
-        old = ref(e, Le, rev_e, j)
-        if j <= i_e - 2:
-            register(old, ref(f, Lnf, rev_f, j), (ce[j], ce[j + 1]))
-        elif j == i_e - 1:
-            register(old, ref(f, Lnf, rev_f, i_e - 1), (ce[j],))
-        elif j == i_e:
-            register(old, ref(e, Lne, rev_e, i_f - 1), (ce[j + 1],))
-        else:
-            register(old, ref(e, Lne, rev_e, i_f + j - i_e - 1),
-                     (ce[j], ce[j + 1]))
-    for j in range(Lf - 1):
-        old = ref(f, Lf, rev_f, j)
-        if j <= i_f - 2:
-            register(old, ref(e, Lne, rev_e, j), (cf[j], cf[j + 1]))
-        elif j == i_f - 1:
-            register(old, ref(e, Lne, rev_e, i_f - 1), (cf[j],))
-        elif j == i_f:
-            register(old, ref(f, Lnf, rev_f, i_e - 1), (cf[j + 1],))
-        else:
-            register(old, ref(f, Lnf, rev_f, i_e + j - i_f - 1),
-                     (cf[j], cf[j + 1]))
-
-    chains = dict(d.chains)
-    chains[e] = tuple(new_e) if not rev_e else tuple(reversed(new_e))
-    chains[f] = tuple(new_f) if not rev_f else tuple(reversed(new_f))
+    # each edge runs along the other from x to just before y, then on along
+    # itself from just after y: the two arcs that met at y become one
+    chains, ends = splice_chains(((e, turn(wf[:i_f] + we[i_e + 1:], e)),
+                                  (f, turn(we[:i_e] + wf[i_f + 1:], f))))
+    chains = {**d.chains, **chains}
 
     def owner(edge, node):
         if edge == e and node in moved_e:
@@ -141,11 +108,9 @@ def swap_at(d: Drawing, e: int, f: int, y: int) -> Drawing:
             c = Crossing(c.id, (min(pair), max(pair)))
         crossings.append(c)
 
-    rotation = {}
-    for node, refs in d.rotation.items():
-        if node == y:
-            continue
-        rotation[node] = tuple(endmap.get((node, r), r) for r in refs)
+    # ends of other edges keep their names
+    rotation = {node: tuple(map(ends.get, zip(repeat(node), refs), refs))
+                for node, refs in d.rotation.items() if node != y}
 
     out = Drawing(g, tuple(crossings), chains, rotation, d.anchors)
     out.require_valid()
@@ -177,7 +142,7 @@ def simplify_min1(d: Drawing, check: bool = True,
     ``check`` has no effect; it stays for existing callers.
     """
     pairs = violating_pairs(d)
-    budget = crossing_profile(d).total + 1
+    budget = len(d.crossings) + 1
     steps = 0
     while pairs:
         if trace is not None:

@@ -9,6 +9,7 @@ import hashlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -592,6 +593,21 @@ def test_restrict_renumbers_middle_crossings():
 def test_restrict_rejects_unknown_ids():
     with pytest.raises(InputError):
         restrict(crossing_chords(), [0, 9])
+
+
+@pytest.mark.parametrize("ids", [[True], [0, False], [1.0], [-1], ["0"],
+                                 [2**53]], ids=repr)
+def test_restrict_checks_edge_ids_as_graph_does(ids):
+    # a bool is no id, though True == 1; nor is a float or a string
+    with pytest.raises(InputError, match="^keep_edges/"):
+        restrict(build_G2().drawing, ids)
+
+
+def test_restrict_takes_numpy_integer_ids_as_ints():
+    out, emap = restrict(build_G2().drawing, [np.int64(3), np.uint8(0)])
+    assert emap == {0: 0, 3: 1}
+    assert set(map(type, emap)) == {int}
+    assert drawings_equal(out, restrict(build_G2().drawing, [0, 3])[0])
 
 
 # ----------------------------------------------------- equality and mirror

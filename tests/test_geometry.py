@@ -550,28 +550,34 @@ def _point_on(route, i, t):
 
 
 @st.composite
-def anchored_scenes(draw):
+def anchored_scenes(draw, interior=(0, 3), bent=(0, 3), spokes=False,
+                    faults=("none", "none", "vertex", "bend", "back", "own")):
     """Anchored scenes with interior vertices, chords and 0-3 bends, some
     with a vertex placed on a route, a bend placed on another route, a
     route that runs past its end vertex and back, or an edge to a new
-    vertex whose middle piece passes through or within 16 TOL of it."""
+    vertex whose middle piece passes through or within 16 TOL of it.
+
+    ``interior`` and ``bent`` bound the number of interior vertices and
+    of bends per route, ``spokes`` gives every edge an interior end (the
+    "own" fault's edge aside), and ``faults`` is what the fault is drawn
+    from, "none" meaning no fault."""
     unit = st.floats(0.0, 1.0)
     angles = sorted(draw(st.lists(st.integers(0, 359), min_size=3,
                                   max_size=6, unique=True)), reverse=True)
     na = len(angles)
     pos = {i: on_circle(1.0, a) for i, a in enumerate(angles)}
-    for v in range(na, na + draw(st.integers(0, 3))):
+    for v in range(na, na + draw(st.integers(*interior))):
         pos[v] = on_circle(0.8 * draw(unit) ** 0.5, 360.0 * draw(unit))
-    pairs = [(u, v) for u in pos for v in pos if u < v]
+    pairs = [(u, v) for u in pos for v in pos if u < v and (
+        v >= na or not spokes)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=6,
                           unique=True))
     routes = {}
     for e, (u, v) in enumerate(edges):
         bends = [on_circle(0.9 * draw(unit) ** 0.5, 360.0 * draw(unit))
-                 for _ in range(draw(st.integers(0, 3)))]
+                 for _ in range(draw(st.integers(*bent)))]
         routes[e] = (pos[u], *bends, pos[v])
-    fault = draw(st.sampled_from(("none", "none", "vertex", "bend", "back",
-                                  "own")))
+    fault = draw(st.sampled_from(faults))
     e = draw(st.integers(0, len(edges) - 1))
     f = draw(st.integers(0, len(edges) - 1))
     i = draw(st.integers(0, len(routes[f]) - 2))

@@ -10,8 +10,10 @@ pair with g, so the pair count holds at one for a round before dropping.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from minkplanar.constructions import build_G2
 from minkplanar.drawings import (
     crossing_profile,
     drawings_equal,
@@ -154,6 +156,24 @@ def test_swap_rejects_bad_calls():
         swap_at(d, 0, 2, y)  # adjacent but y belongs to (0, 1)
     with pytest.raises(InputError):
         swap_at(d, 1, 1, y)
+
+
+@pytest.mark.parametrize("change", [
+    (0, 0.0), (1, True), (1, 1.0), (2, True), (2, "y"), (0, -1)], ids=repr)
+def test_swap_checks_ids_as_graph_does(change):
+    # G2's one violating pair, with one of its three ids made no id
+    d = build_G2().drawing
+    args = [0, 3, 23]
+    assert validate(swap_at(d, *args)) == []
+    args[change[0]] = change[1]
+    with pytest.raises(InputError, match=f"^{'efy'[change[0]]}: expected"):
+        swap_at(d, *args)
+
+
+def test_swap_takes_numpy_integer_ids():
+    d = build_G2().drawing
+    assert drawings_equal(swap_at(d, np.int64(0), np.uint8(3), np.int32(23)),
+                          swap_at(d, 0, 3, 23))
 
 
 def test_swap_profile_bookkeeping_fuzzed():
