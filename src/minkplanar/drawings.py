@@ -382,6 +382,17 @@ class CrossingProfile:
             raise InputError("k must be non-negative")
         return tuple(sorted(e for e, c in self.per_edge.items() if c > k))
 
+    def heavy_pair(self, k: int) -> tuple[int, int] | None:
+        """The first crossing pair of edges that both have more than k
+        crossings, or None."""
+        heavy = set(self.heavy_edges(k))
+        return next((p for p in sorted(self.per_pair) if heavy.issuperset(p)),
+                    None)
+
+    def adjacent_pairs(self, g: Graph) -> list[tuple[int, int]]:
+        """The crossing pairs of edges that share a vertex of ``g``."""
+        return [p for p in sorted(self.per_pair) if g.adjacent_edges(*p)]
+
 
 def crossing_profile(d: Drawing) -> CrossingProfile:
     """Per-edge and per-pair crossing counts; the drawing is validated."""
@@ -427,8 +438,7 @@ def is_simple(d: Drawing, check: bool = True) -> Verdict:
 
 
 def adjacent_crossing_pairs(d: Drawing) -> list[tuple[int, int]]:
-    prof = crossing_profile(d)
-    return [p for p in sorted(prof.per_pair) if d.graph.adjacent_edges(*p)]
+    return crossing_profile(d).adjacent_pairs(d.graph)
 
 
 def is_k_planar(d: Drawing, k: int) -> Verdict:
@@ -446,12 +456,8 @@ def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
     The witness is the first pair of heavy edges that cross each other.
     ``check`` has no effect; it stays for existing callers.
     """
-    prof = crossing_profile(d)
-    heavy = set(prof.heavy_edges(k))
-    for (e1, e2) in sorted(prof.per_pair):
-        if e1 in heavy and e2 in heavy:
-            return Verdict(False, (e1, e2))
-    return Verdict(True)
+    pair = crossing_profile(d).heavy_pair(k)
+    return Verdict(True) if pair is None else Verdict(False, pair)
 
 
 # ------------------------------------------------------------ restriction

@@ -16,15 +16,17 @@ stray intersections, and the same cyclic arc order around every node.
 ``to_svg`` writes a deterministic standalone SVG.  Crossing nodes are
 bend points of their two curves, not dots.
 
-scipy serves only the sparse solve of ``tutte_layout``, so it is imported
-on the first solve and not with the package: a command that draws no
-layout starts without it.
+The barycentric system is a graph Laplacian, symmetric positive
+definite once the boundary is pinned, so ``cg`` solves it with numpy
+alone: a conjugate gradient with a Jacobi preconditioner.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,19 +35,46 @@ from .errors import GeometryError, LayoutError
 from .geometry import Point, Scene, scene_to_drawing
 from .graphs import Graph, components
 
-_DIRECT_SOLVE_LIMIT = 50_000
+
+def cg(diag: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+       rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A @ x = rhs`` for both columns of the (n, 2) ``rhs`` at once.
+
+    A, symmetric positive definite, has ``diag`` on its diagonal and -1 at
+    each ``(rows[i], cols[i])``.  Jacobi-preconditioned conjugate gradient
+    on the columns stacked into one vector, so that one gather and one
+    bincount apply A to both; each stops at a relative residual of 1e-13.
+    Raises LayoutError when A shows itself not positive definite (a NaN
+    included) and when the iterations run out.
+    """
+    n = diag.shape[0]
+    src, dst = np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n))
+    dot = functools.partial(np.einsum, "ij,ij->i")
+    r = np.array(rhs.T, dtype=float, order="C")
+    x, z = np.zeros_like(r), r / diag
+    p, rz, rr = z.copy(), dot(r, z), dot(r, r)
+    goal = 1e-26 * rr
+    for _ in range(2 * n + 100):
+        active = ~(rr <= goal)
+        if not active.any():
+            return x.T
+        ap = diag * p
+        ap -= np.bincount(src, p.ravel()[dst], 2 * n).reshape(2, n)
+        pap = dot(p, ap)
+        if not (pap[active] > 0).all():
+            raise LayoutError("singular barycentric system")
+        alpha = np.divide(rz, pap, out=np.zeros(2), where=active)[:, None]
+        x += alpha * p
+        r -= alpha * ap
+        np.divide(r, diag, out=z)
+        rz, old, rr = dot(r, z), rz, dot(r, r)
+        p *= np.divide(rz, old, out=np.zeros(2), where=active)[:, None]
+        p += z
+    raise LayoutError("iterative solve did not converge")
 
 
-def spsolve(mat, rhs):
-    """scipy's sparse direct solve of ``mat @ x = rhs``."""
-    from scipy.sparse.linalg import spsolve as solve
-    return solve(mat, rhs)
-
-
-def cg(mat, rhs, **kw):
-    """scipy's conjugate gradient solve of ``mat @ x = rhs``."""
-    from scipy.sparse.linalg import cg as solve
-    return solve(mat, rhs, **kw)
+# bench/layers.py also traces this name; a distinct object counts a solve once
+spsolve = functools.partial(cg)
 
 
 @dataclass(frozen=True)
@@ -113,12 +142,9 @@ def tutte_layout(d: Drawing) -> Layout:
 
     # adjacency of the augmented graph: planarization arcs (boundary arcs
     # of an anchored drawing included) plus one apex per big face
+    ends = list(zip(pm.arc_tail, pm.arc_head))
     adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b in zip(pm.arc_tail, pm.arc_head):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    apex = max(nodes) + 1 if nodes else 0
+    apex = max(nodes) + 1
     # the pinned face itself stays hollow, in either orientation
     hollow = {_least_rotation(walk), _least_rotation(walk[::-1])}
     for face_walk in walks:
@@ -128,10 +154,11 @@ def tutte_layout(d: Drawing) -> Layout:
         ):
             continue
         adj[apex] = []
-        for v in face_walk:
-            adj[apex].append(v)
-            adj[v].append(apex)
+        ends += zip(repeat(apex), face_walk)
         apex += 1
+    for a, b in ends:
+        adj[a].append(b)
+        adj[b].append(a)
 
     free = [v for v in adj if v not in pinned]
     if any(not adj[v] for v in free):
@@ -144,53 +171,26 @@ def tutte_layout(d: Drawing) -> Layout:
             "planarization has a component detached from the boundary"
         )
 
-    index = {v: i for i, v in enumerate(free)}
+    # system rows: the free nodes, then the pinned ones, whose coordinates
+    # are known; one (row, col) entry per adjacency, both ways round
     n = len(free)
+    index = dict(zip(free + walk, range(n + len(walk))))
+    ij = np.fromiter(map(index.__getitem__, chain.from_iterable(ends)),
+                     np.intp, 2 * len(ends)).reshape(-1, 2)
+    row, col = np.concatenate((ij, ij[:, ::-1])).T
+    row, col = row[row < n], col[row < n]
+    diag = np.bincount(row, minlength=n).astype(float)
+    xy = np.concatenate((np.zeros((n, 2)), [pinned[v] for v in walk]))
+    inner = col < n
+    sums = [np.bincount(row[~inner], xy[col[~inner], c], n) for c in (0, 1)]
+    xy[:n] = cg(diag, row[inner], col[inner], np.stack(sums, 1))
+    sums = [np.bincount(row, xy[col, c], n) for c in (0, 1)]
+    off = xy[:n] - np.stack(sums, 1) / diag[:, None]
+    residual = float(np.hypot(off[:, 0], off[:, 1]).max(initial=0.0))
+    # the apexes come last in ``free`` and are left out
     coords: dict[int, Point] = dict(pinned)
-    if n:
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.zeros((n, 2))
-        for v in free:
-            i = index[v]
-            rows.append(i)
-            cols.append(i)
-            vals.append(float(len(adj[v])))
-            for w in adj[v]:
-                if w in pinned:
-                    rhs[i, 0] += pinned[w][0]
-                    rhs[i, 1] += pinned[w][1]
-                else:
-                    rows.append(i)
-                    cols.append(index[w])
-                    vals.append(-1.0)
-        from scipy.sparse import csr_matrix
-        mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        if n <= _DIRECT_SOLVE_LIMIT:
-            # one factorisation serves both coordinate columns
-            xs, ys = spsolve(mat, rhs).T
-        else:
-            xs, ok_x = cg(mat, rhs[:, 0], rtol=1e-12)
-            ys, ok_y = cg(mat, rhs[:, 1], rtol=1e-12)
-            if ok_x != 0 or ok_y != 0:
-                raise LayoutError("iterative solve did not converge")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise LayoutError("singular barycentric system")
-        for v in free:
-            coords[v] = (float(xs[index[v]]), float(ys[index[v]]))
-
-    residual = 0.0
-    for v in free:
-        ax = sum(coords[w][0] for w in adj[v]) / len(adj[v])
-        ay = sum(coords[w][1] for w in adj[v]) / len(adj[v])
-        residual = max(
-            residual, math.hypot(coords[v][0] - ax, coords[v][1] - ay)
-        )
-
-    node_set = set(nodes)
-    final = {v: p for v, p in coords.items() if v in node_set}
-    return Layout(final, tuple(walk), residual)
+    coords.update(zip(free[:len(nodes) - len(walk)], zip(*xy.T.tolist())))
+    return Layout(coords, tuple(walk), residual)
 
 
 # ------------------------------------------------------------------ audit

@@ -15,8 +15,7 @@ from itertools import repeat
 from .drawings import (
     Crossing,
     Drawing,
-    adjacent_crossing_pairs,
-    is_min_k_planar,
+    crossing_profile,
     splice_chains,
 )
 from .errors import InputError, MinkplanarError
@@ -31,11 +30,11 @@ def violating_pairs(d: Drawing) -> list[tuple[int, int]]:
     Only defined on min-1-planar drawings; there a pair can never cross
     twice, so each listed pair meets in exactly one crossing node.
     """
-    verdict = is_min_k_planar(d, 1)
-    if not verdict:
-        raise InputError(
-            f"drawing is not min-1-planar (heavy pair {verdict.witness})")
-    return adjacent_crossing_pairs(d)
+    prof = crossing_profile(d)
+    pair = prof.heavy_pair(1)
+    if pair is not None:
+        raise InputError(f"drawing is not min-1-planar (heavy pair {pair})")
+    return prof.adjacent_pairs(d.graph)
 
 
 # -------------------------------------------------------------- the swap

@@ -14,8 +14,9 @@ stores on ``self`` is read somewhere in the package or the demos: on that
 class, a base or subclass of it, or on something of unknown class.  The
 runtime dependencies in ``pyproject.toml`` are exactly the third-party
 packages the package imports, and every function the benchmark's tracer
-wraps still exists under the name it looks up.  Importing the CLI imports
-neither networkx nor scipy.
+wraps still exists under the name it looks up, and a traced solve is
+counted once.  Importing the CLI imports neither networkx nor scipy, and
+the frame pipeline's commands run with scipy unimportable.
 """
 
 import ast
@@ -386,17 +387,61 @@ def test_traced_benchmark_targets_resolve(monkeypatch):
     assert _unresolved(layers.TARGETS) == []
 
 
-def test_networkx_is_not_imported_with_the_cli():
-    # only the brute oracle's planarity test needs networkx, and only the
-    # Tutte solve needs scipy; each costs a tenth of a second or more of
-    # every start-up
+def test_traced_solve_counts_each_unknown_once(monkeypatch):
+    # layers.TARGETS wraps the Tutte solver under two names, so they must
+    # not be one object: one solve is one layout.solve span, and its
+    # layout.solve.unknowns are the free nodes plus one apex per face with
+    # more than three sides, the pinned anchor face aside
+    from minkplanar.constructions import build_G2
+    from minkplanar.layout import tutte_layout
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("spans").Tracer()
+    d = build_G2().drawing
+    with tracer.installed(layers.TARGETS):
+        tutte_layout(d)
+    assert [s[0] for s in tracer.spans].count("layout.solve") == 1
+    nodes = len(d.graph.vertices) + len(d.crossings)
+    apexes = sum(len(f) > 3 for f in d.planarization.faces) - 1
+    assert tracer.counts[("timed", "layout.solve.unknowns")] == (
+        nodes - len(d.anchors) + apexes)
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(PACKAGE.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    run = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, minkplanar.cli; "
-         "print('networkx' in sys.modules, 'scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from minkplanar.cli import main
+w = sys.argv[1]
+for argv in (["gen", "g2", "--out", w + "/g2"],
+             ["compose", "--t", "1", "--out", w + "/t1"],
+             ["validate", "--drawing", w + "/t1.drawing.json", "--min-k", "2",
+              "--out", w + "/t1.verdict.json"],
+             ["render", "--drawing", w + "/t1.drawing.json",
+              "--svg", w + "/t1.svg", "--k", "2", "--audit"]):
+    code = main(argv + ["--report", w + "/report.json"])
+    assert code == 0, (argv, code, open(w + "/report.json").read())
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    run = _run_python(_WITHOUT_SCIPY, str(tmp_path))
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert (tmp_path / "t1.svg").read_text().startswith("<?xml")
+
+
+def test_networkx_is_not_imported_with_the_cli():
+    # only the brute oracle's planarity test needs networkx, at a tenth of
+    # a second or more of every start-up; scipy is needed by nothing, and
+    # must not come in through a dependency either
+    run = _run_python("import sys, minkplanar.cli; "
+                      "print('networkx' in sys.modules, 'scipy' in sys.modules)")
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.split() == ["False", "False"]

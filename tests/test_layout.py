@@ -7,9 +7,10 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from minkplanar.constructions import build_G2
+from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.drawings import Drawing, PlanarizationMap, validate
 from minkplanar import layout
 from minkplanar.errors import GeometryError, LayoutError
@@ -101,6 +102,62 @@ def test_isolated_node_is_singular():
     d = Drawing(g, (), {}, {0: ()}, None)
     with pytest.raises(LayoutError):
         tutte_layout(d)
+
+
+def _solver_calls(monkeypatch, d: Drawing) -> list[tuple]:
+    """The arguments of each ``layout.cg`` call that ``tutte_layout(d)``
+    makes."""
+    calls, solve = [], layout.cg
+    monkeypatch.setattr(layout, "cg",
+                        lambda *args: calls.append(args) or solve(*args))
+    tutte_layout(d)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("build", [build_G2, lambda: build_Gk(3)])
+def test_cg_agrees_with_a_dense_solve(monkeypatch, build):
+    [(diag, rows, cols, rhs)] = _solver_calls(monkeypatch, build().drawing)
+    dense = np.diag(diag)
+    np.subtract.at(dense, (rows, cols), 1.0)
+    assert np.array_equal(dense, dense.T)
+    got = layout.cg(diag, rows, cols, rhs)
+    assert np.abs(got - np.linalg.solve(dense, rhs)).max() < 1e-12
+
+
+def test_cg_returns_zeros_at_once_for_a_zero_right_hand_side(monkeypatch):
+    [(diag, rows, cols, rhs)] = _solver_calls(monkeypatch, build_G2().drawing)
+    monkeypatch.setattr(np, "bincount", None)  # no product with A is taken
+    got = layout.cg(diag, rows, cols, np.zeros_like(rhs))
+    assert got.shape == rhs.shape and not got.any()
+
+
+@pytest.mark.parametrize("diag, rhs", [
+    ([1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]]),          # indefinite
+    ([2.0, 3.0], [[1.0, float("nan")], [1.0, 1.0]]),  # a NaN
+])
+def test_cg_refuses_a_system_that_is_not_positive_definite(diag, rhs):
+    no = np.array([], dtype=np.intp)
+    with pytest.raises(LayoutError, match="singular barycentric system"):
+        layout.cg(np.array(diag), no, no, np.array(rhs))
+
+
+def test_cg_raises_when_its_iterations_run_out(monkeypatch):
+    [args] = _solver_calls(monkeypatch, build_G2().drawing)
+    monkeypatch.setattr(layout, "range", lambda n: iter([0]), raising=False)
+    with pytest.raises(LayoutError, match="did not converge"):
+        layout.cg(*args)
+
+
+def test_solver_sees_one_unknown_per_free_node(monkeypatch):
+    # bench/layers.py records args[0].shape[0] as layout.solve.unknowns:
+    # the free nodes of the planarization plus one apex per face with
+    # more than three sides, the pinned anchor face aside
+    d = build_G2().drawing
+    [(diag, *_)] = _solver_calls(monkeypatch, d)
+    nodes = len(d.graph.vertices) + len(d.crossings)
+    apexes = sum(len(f) > 3 for f in d.planarization.faces) - 1
+    assert diag.shape == (nodes - len(d.anchors) + apexes,)
 
 
 # ----------------------------------------------------------------- audit

@@ -24,6 +24,7 @@ from minkplanar.drawings import (
 from minkplanar.errors import InputError
 from minkplanar.geometry import Scene, on_circle, scene_to_drawing
 from minkplanar.graphs import Graph
+from minkplanar import simplify
 from minkplanar.sampling import random_min1_drawing
 from minkplanar.simplify import simplify_min1, swap_at, violating_pairs
 
@@ -106,6 +107,19 @@ def test_violating_pairs_empty_on_simple():
 def test_violating_pairs_rejects_heavy_input():
     with pytest.raises(InputError):
         violating_pairs(_double_cross())
+
+
+def test_violating_pairs_builds_one_profile(monkeypatch):
+    profiles = []
+    monkeypatch.setattr(simplify, "crossing_profile",
+                        lambda d: profiles.append(d) or crossing_profile(d))
+    assert violating_pairs(_lens()) == [(0, 1)]
+    d = _double_cross()
+    heavy = is_min_k_planar(d, 1).witness
+    with pytest.raises(InputError) as err:
+        violating_pairs(d)
+    assert str(err.value) == f"drawing is not min-1-planar (heavy pair {heavy})"
+    assert len(profiles) == 2
 
 
 def test_violating_pairs_matches_naive_scan():
