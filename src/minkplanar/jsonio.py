@@ -388,7 +388,8 @@ def outcome_from_json(obj: Any) -> SearchOutcome:
         _fail("/status", "unknown search status")
     st = _object(obj.get("stats", {}), "/stats")
     for key, kinds in (("nodes", (int,)), ("routes", (int,)),
-                       ("max_depth", (int,)), ("seconds", (int, float))):
+                       ("max_depth", (int,)), ("pair_cap", (int,)),
+                       ("seconds", (int, float))):
         # json.loads reads NaN and Infinity, and NaN < 0 is false
         if key in st and (type(st[key]) not in kinds
                           or not 0 <= st[key] < math.inf):
@@ -400,6 +401,7 @@ def outcome_from_json(obj: Any) -> SearchOutcome:
         max_depth=st.get("max_depth", 0),
         seconds=float(st.get("seconds", 0.0)),
         order=tuple(st.get("order", ())),
+        pair_cap=st.get("pair_cap", 0),
     )
     cert = obj.get("certificate")
     return SearchOutcome(

@@ -71,7 +71,7 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
         choices.append(allowed)
 
     patterns = sorted(itertools.product(*choices), key=sum)
-    stats = SearchStats()
+    stats = SearchStats(pair_cap=cap)
     t0 = time.perf_counter()
     for counts in patterns:
         per_edge = [0] * g.m

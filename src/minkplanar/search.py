@@ -28,7 +28,10 @@ list of crossings per edge, a dict of crossings per pair keyed by
 ``e * m + f`` and kept under both orders, so a candidate costs one
 integer sum and one lookup, and per edge the set of edges it has
 crossed.  Each edge's adjacency (the edges a simple drawing bars it from
-crossing) is computed once per search.
+crossing) is computed once per search.  Every cut, the min-k one
+included, is decided from these counts before a crossing is committed:
+a crossing raises only its own pair's counts, so the state after it is
+known in advance and no crossing is built only to be undone.
 
 Statuses are Found, ExhaustedUnsat, and BudgetExceeded.  A budget stop is
 always reported as such; ExhaustedUnsat is only returned when the whole
@@ -80,13 +83,16 @@ class Budget:
 @dataclass
 class SearchStats:
     """What a search did.  ``order`` is the edge insertion order it used;
-    the brute oracle leaves it empty."""
+    the brute oracle leaves it empty.  ``pair_cap`` is the most crossings
+    the search let one pair of edges have (see the module docstring); 0
+    when the producer did not say."""
 
     nodes: int = 0
     routes: int = 0
     max_depth: int = 0
     seconds: float = 0.0
     order: tuple[int, ...] = ()
+    pair_cap: int = 0
 
 
 @dataclass
@@ -236,9 +242,8 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     pairs, partners = arr.pair_counts, arr.partners
     commit_cross, commit_finish = arr.commit_cross, arr.commit_finish
     undo, corners = arr.undo, arr.corners
-    k1 = k + 1
 
-    stats = SearchStats(order=order)
+    stats = SearchStats(order=order, pair_cap=cap)
     t0 = time.perf_counter()
     nodes = 0
     # nodes never reaches 0, so a search without a node cap never stops on it
@@ -246,9 +251,12 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     timed = budget is not None and budget.seconds is not None
 
     def mink_dead(e: int, f: int) -> bool:
-        # a pair of crossing edges that both exceed k can never recover
+        # whether crossing e with f would take an edge at k to k + 1 while
+        # it already crosses another edge above k: a pair of crossing
+        # edges that both exceed k can never recover.  Asked before the
+        # commit, which changes no count read here but those of e and f.
         for x, other in ((e, f), (f, e)):
-            if counts[x] == k1:
+            if counts[x] == k:
                 for h in partners[x]:
                     if h != other and counts[h] > k:
                         return True
@@ -295,10 +303,9 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
                 continue
             if heavy and counts[own] >= k:
                 continue  # the new crossing would make both exceed k
-            ncur = commit_cross(e, cursor, dart)
-            # mink_dead can only fire on an edge at exactly k + 1
-            if counts[e] != k1 and counts[own] != k1 or not mink_dead(e, own):
-                extend(e, idx, target, ncur)
+            if (counts[e] == k or counts[own] == k) and mink_dead(e, own):
+                continue
+            extend(e, idx, target, commit_cross(e, cursor, dart))
             undo()
 
     def route(idx: int) -> None:

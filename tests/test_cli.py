@@ -171,6 +171,15 @@ def test_search_report_records_the_insertion_order(fig1, capsys):
     assert order == list(insertion_order(build_G2().anchored_graph))
 
 
+def test_search_report_carries_the_pair_cap(fig1, capsys):
+    # a simple query lets a pair cross once, any other twice
+    graph = str(fig1) + ".graph.json"
+    for flags, cap in (((), 2), (("--simple",), 1)):
+        _, _, err = run(capsys, "search", "--graph", graph, "--k", "2",
+                        *flags)
+        assert _report_of(err)["stats"]["search"]["pair_cap"] == cap
+
+
 def _no_constant(token):
     raise AssertionError(f"{token} is not JSON")
 

@@ -90,7 +90,8 @@ def test_outcome_round_trip_with_and_without_certificate():
     d = build_G2().drawing
     found = SearchOutcome(
         Status.FOUND, d, SearchStats(nodes=11, routes=4, max_depth=3,
-                                     seconds=0.25, order=(2, 0, 1))
+                                     seconds=0.25, order=(2, 0, 1),
+                                     pair_cap=2)
     )
     f2 = outcome_from_json(_wire(outcome_to_json(found)))
     assert f2.status is Status.FOUND
@@ -238,6 +239,10 @@ def test_outcome_bad_status():
     ({"status": "Found", "stats": {"order": "0 1"}}, "/stats/order"),
     ({"status": "Found", "stats": {"order": [0, -1]}}, "/stats/order/1"),
     ({"status": "Found", "stats": {"order": [0, True]}}, "/stats/order/1"),
+    ({"status": "Found", "stats": {"pair_cap": -1}}, "/stats/pair_cap"),
+    ({"status": "Found", "stats": {"pair_cap": 1.5}}, "/stats/pair_cap"),
+    ({"status": "Found", "stats": {"pair_cap": "2"}}, "/stats/pair_cap"),
+    ({"status": "Found", "stats": {"pair_cap": True}}, "/stats/pair_cap"),
 ])
 def test_outcome_shape_faults_carry_pointers(doc, pointer):
     with pytest.raises(InputError) as err:

@@ -248,6 +248,31 @@ def test_traversal_is_pinned():
     assert digest.hexdigest() == _RANDOM_DIGEST
 
 
+def test_min_k_cut_is_decided_before_the_crossing_is_built(monkeypatch):
+    # every cut is decided before commit_cross, so each committed crossing
+    # is explored as a node of its own (262 commits for 290 nodes here);
+    # a crossing built and then cut would push the count past the nodes
+    commits = 0
+    real = Arrangement.commit_cross
+
+    def counted(self, *args):
+        nonlocal commits
+        commits += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Arrangement, "commit_cross", counted)
+    out = search_anchored(build_G2().anchored_graph, 2, require_simple=False)
+    assert out.status is Status.FOUND
+    assert 0 < commits <= out.stats.nodes
+
+
+def test_stats_carry_the_pair_cap():
+    ag = interleaved_pair()
+    for simple, cap in ((True, 1), (False, 2)):
+        assert search_anchored(ag, 1, simple).stats.pair_cap == cap
+        assert brute_oracle(ag, 1, simple).stats.pair_cap == cap
+
+
 # ------------------------------------------------------------------ octagon
 
 
