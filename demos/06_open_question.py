@@ -13,20 +13,20 @@ from minkplanar import (
     build_G2,
     build_Gk,
     crossing_profile,
-    explore_open_question,
     is_min_k_planar,
     is_simple,
     search_anchored,
     verify_certificate,
 )
 
-out = explore_open_question()
+g2 = build_G2().anchored_graph
+out = search_anchored(g2, k=3, require_simple=True)
 print("simple anchored drawing of the 20-vertex instance at k = 3:",
       out.status.value)
 
 if out.status is Status.FOUND:
     d = out.certificate
-    assert verify_certificate(out, build_G2().anchored_graph, 3, True)
+    assert verify_certificate(out, g2, 3, True)
     prof = crossing_profile(d)
     print("  certificate re-verified; it uses", prof.total, "crossings")
     print("  max crossings on one edge:", max(prof.per_edge.values()))

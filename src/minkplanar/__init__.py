@@ -8,7 +8,6 @@ from .drawings import (
     Drawing,
     Verdict,
     crossing_profile,
-    drawings_equal,
     is_k_planar,
     is_min_k_planar,
     is_simple,
@@ -16,7 +15,7 @@ from .drawings import (
     restrict,
     validate,
 )
-from .constructions import build_G2, build_Gk, build_biclique_gadget
+from .constructions import build_G2, build_Gk
 from .frames import (
     FrameBundle,
     FrameParams,
@@ -47,7 +46,6 @@ from .search import (
     SearchOutcome,
     SearchStats,
     Status,
-    explore_open_question,
     search_anchored,
     verify_certificate,
 )
@@ -81,14 +79,11 @@ __all__ = [
     "brute_oracle",
     "build_G2",
     "build_Gk",
-    "build_biclique_gadget",
     "build_frame",
     "compose",
     "crossing_profile",
     "drawing_from_json",
     "drawing_to_json",
-    "drawings_equal",
-    "explore_open_question",
     "extract_planar_amplification",
     "graph_from_json",
     "graph_to_json",

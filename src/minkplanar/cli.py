@@ -70,7 +70,6 @@ from .sampling import random_min1_drawing
 from .search import (
     Budget,
     Status,
-    explore_open_question,
     search_anchored,
     verify_certificate,
 )
@@ -451,7 +450,8 @@ def _repro_prop2_simplify(args, rep: RunReport) -> int:
 def _repro_open_question(args, rep: RunReport) -> int:
     budget = _budget(args, rep)
     rep.parameters["pipeline"] = args.pipeline
-    outcome = explore_open_question(budget=budget)
+    g = build_G2().anchored_graph
+    outcome = search_anchored(g, 3, require_simple=True, budget=budget)
     rep.stats["search"] = asdict(outcome.stats)
     rep.outcome = outcome.status.value
     doc: dict[str, Any] = {
@@ -461,7 +461,6 @@ def _repro_open_question(args, rep: RunReport) -> int:
         "outcome": outcome_to_json(outcome),
     }
     if outcome.status is Status.FOUND:
-        g = build_G2().anchored_graph
         if not verify_certificate(outcome, g, 3, True):
             raise MinkplanarError("open-question certificate failed checks")
         doc["answer"] = "yes"

@@ -530,36 +530,7 @@ def restrict(
     return out, edge_map
 
 
-# ----------------------------------------------------- equality and mirror
-
-
-def canonical(d: Drawing) -> Drawing:
-    """Normal form: interior rotations rotated to start at their least entry.
-
-    Anchor rotations are linear (anchored) so they are left alone; for an
-    unanchored drawing every rotation is cyclic and gets normalised.
-    """
-    fixed = set(d.anchors or ())
-    rot = {}
-    for node, refs in d.rotation.items():
-        if node in fixed or not refs:
-            rot[node] = tuple(refs)
-            continue
-        k = min(range(len(refs)), key=lambda i: refs[i])
-        rot[node] = tuple(refs[k:] + refs[:k])
-    crossings = tuple(sorted(d.crossings, key=lambda x: x.id))
-    return replace(d, rotation=rot, crossings=crossings)
-
-
-def drawings_equal(d1: Drawing, d2: Drawing) -> bool:
-    a, b = canonical(d1), canonical(d2)
-    return (
-        a.graph == b.graph
-        and a.anchors == b.anchors
-        and a.crossings == b.crossings
-        and a.chains == b.chains
-        and a.rotation == b.rotation
-    )
+# ----------------------------------------------------------------- mirror
 
 
 def mirror(d: Drawing) -> Drawing:

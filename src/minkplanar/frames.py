@@ -47,6 +47,7 @@ from .drawings import (
     crossing_profile,
     is_min_k_planar,
     is_simple,
+    mirror,
     restrict,
     validate,
 )
@@ -492,12 +493,11 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
     skeleton, anchors = _skeleton(a, q)
     core = tuple(range(3 * d))
     web = range(3 * d, 12 * d)
-    graph, classes = t_amplify(skeleton, 1, amplify_edges=web, keep_edges=core)
+    graph, classes = t_amplify(skeleton, 1, amplify_edges=web)
     drawing, _ = scene_to_drawing(_frame_scene(graph, classes, anchors, a, q, 1))
     if t > 1:
         one = classes
-        graph, classes = t_amplify(
-            skeleton, t, amplify_edges=web, keep_edges=core)
+        graph, classes = t_amplify(skeleton, t, amplify_edges=web)
         drawing = _amplify(drawing, one, classes,
                            _frame_scene(graph, classes, anchors, a, q, t))
     fr = FrameBundle(
@@ -582,14 +582,14 @@ def compose(frame: FrameBundle, bundle: CounterexampleBundle) -> Drawing:
 
     The frame must have been built for the bundle's anchored graph.  The
     glued drawing occupies the region outside the frame's anchor circle,
-    so it enters mirrored: its rotations reverse.  Crossings of the two
-    parts stay disjoint; the result is certified against
+    so it enters as its ``mirror``: its rotations reverse.  Crossings of
+    the two parts stay disjoint; the result is certified against
     ``composition_claims`` before it is returned.
     """
     if bundle.anchored_graph != frame.source:
         raise InputError("frame was not built for this anchored graph")
 
-    gd = bundle.drawing
+    gd = mirror(bundle.drawing)
     G = bundle.anchored_graph.graph
     off = frame.graph.m
 
@@ -630,13 +630,11 @@ def compose(frame: FrameBundle, bundle: CounterexampleBundle) -> Drawing:
     for n, refs in gd.rotation.items():
         if n in ganchors:
             continue
-        rotation[nmap[n]] = tuple((e + off, s) for (e, s) in reversed(refs))
+        rotation[nmap[n]] = tuple((e + off, s) for (e, s) in refs)
     for i, ga in enumerate(bundle.anchored_graph.anchors):
         fa = frame.anchors[i]
         mine = frame.drawing.rotation.get(fa, ())
-        theirs = tuple(
-            (e + off, s) for (e, s) in reversed(gd.rotation.get(ga, ()))
-        )
+        theirs = tuple((e + off, s) for (e, s) in gd.rotation.get(ga, ()))
         rotation[fa] = tuple(mine) + theirs
 
     out = Drawing(graph, crossings, chains, rotation, anchors=None)

@@ -250,15 +250,15 @@ class EdgeClassMap:
         return tuple(sorted(self.half_owner))
 
 
-def t_amplify(g: Graph, t: int, amplify_edges: Iterable[int] | None = None,
-              keep_edges: Iterable[int] | None = None) -> tuple[Graph, EdgeClassMap]:
+def t_amplify(g: Graph, t: int, amplify_edges: Iterable[int] | None = None
+              ) -> tuple[Graph, EdgeClassMap]:
     """Replace each selected edge of ``g`` by ``t`` internally disjoint paths.
 
     Every selected edge (u, v) is removed and replaced by t length-two paths
-    u - m_i - v through fresh midpoint vertices.  Edges listed in
-    ``keep_edges`` are carried over untouched and keep their relative order
-    at the front of the new edge tuple.  By default every edge is amplified
-    and nothing is kept.
+    u - m_i - v through fresh midpoint vertices.  Every other edge is kept
+    untouched, and the kept edges come first in the new edge tuple, in id
+    order.  By default every edge is amplified.  Edge ids are checked as
+    ``Graph`` checks vertex ids, and must be in range.
 
     Returns the new graph together with an EdgeClassMap describing the
     replacement double edges.  Ids are assigned deterministically: midpoints
@@ -267,15 +267,13 @@ def t_amplify(g: Graph, t: int, amplify_edges: Iterable[int] | None = None,
     """
     if t < 1:
         raise InputError("amplification needs t >= 1")
-    amp = sorted(set(range(g.m)) if amplify_edges is None else set(amplify_edges))
-    keep = sorted(set() if keep_edges is None else set(keep_edges))
-    for e in amp + keep:
-        if not 0 <= e < g.m:
-            raise InputError(f"unknown edge id {e}")
-    if set(amp) & set(keep):
-        raise InputError("an edge cannot be both amplified and kept")
-    if set(amp) | set(keep) != set(range(g.m)):
-        raise InputError("every edge must be either amplified or kept")
+    if amplify_edges is None:
+        amp = list(range(g.m))
+    else:
+        amp = sorted(set(_ids(amplify_edges, "amplify_edges")))
+    if amp and amp[-1] >= g.m:
+        raise InputError(f"unknown edge id {amp[-1]}")
+    keep = sorted(set(range(g.m)).difference(amp))
 
     next_vertex = max(g.vertices, default=-1) + 1
     vertices = list(g.vertices)

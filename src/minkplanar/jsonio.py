@@ -16,7 +16,7 @@ the whole level with builtins that run in C, and walks the level's items
 one by one, to find the pointer, only when that test fails.  So each
 shape rule is stated once, and the first fault is named the same way
 whatever else is wrong.  Graph and AnchoredGraph check ids' type and
-range again for API callers, with the same bound.
+range again for API callers, by the same rule (``graphs._id``).
 
 Every document is written as ``json.dumps(doc, indent=1, sort_keys=True)``
 writes it.  Drawing and graph files, nearly all the bytes the CLI writes,
@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 from .drawings import Crossing, Drawing, validate
 from .errors import InputError
-from .graphs import MAX_ID, AnchoredGraph, Graph
+from .graphs import MAX_ID, AnchoredGraph, Graph, _id
 from .search import SearchOutcome, SearchStats, Status
 
 
@@ -80,14 +80,6 @@ def _list(obj: Any, where: str, n: int | None = None) -> list:
     if n is not None and len(obj) != n:
         _fail(where, f"expected {n} items, got {len(obj)}")
     return obj
-
-
-def _id(v: Any, where: str) -> None:
-    # type(), not isinstance: a bool is not an id
-    if type(v) is not int or v < 0:
-        _fail(where, "expected a non-negative integer")
-    if v > MAX_ID:
-        _fail(where, "expected an integer at most 2**53 - 1")
 
 
 def _items(where: str) -> Iterator[str]:

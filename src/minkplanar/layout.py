@@ -249,8 +249,8 @@ def audit_layout(d: Drawing, layout: Layout) -> None:
     # same cyclic (for anchors: linear) arc order around every node
     anchor_set = set(d.anchors or ())
     for node in pg.vertices:
-        got = tuple(n_boundary + e for e, _ in redrawn.rotation.get(node, ()))
-        want = tuple(pm.first_arc[e] + i for e, i in d.rotation.get(node, ()))
+        got = [n_boundary + e for e, _ in redrawn.rotation.get(node, ())]
+        want = [pm.first_arc[e] + i for e, i in d.rotation.get(node, ())]
         if len(got) != len(want):
             raise LayoutError(f"arc count mismatch at node {node}")
         if not got:
@@ -259,11 +259,9 @@ def audit_layout(d: Drawing, layout: Layout) -> None:
             if got != want:
                 raise LayoutError(f"arc order differs at anchor {node}")
             continue
-        doubled = want + want
-        for shift in range(len(want)):
-            if doubled[shift : shift + len(got)] == got:
-                break
-        else:
+        # a node's arc ends are distinct, so equal least rotations are the
+        # same cyclic order
+        if _least_rotation(got) != _least_rotation(want):
             raise LayoutError(f"arc order differs at node {node}")
 
 

@@ -337,12 +337,3 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         extend = route = None
     stats.seconds = time.perf_counter() - t0
     return SearchOutcome(status=status, certificate=certificate, stats=stats)
-
-
-def explore_open_question(budget: Optional[Budget] = None) -> SearchOutcome:
-    """Probe whether the 20-vertex counterexample admits a simple anchored
-    drawing one level up, at k = 3.  The answer is reported, never assumed."""
-    from .constructions import build_G2
-
-    return search_anchored(build_G2().anchored_graph, k=3,
-                           require_simple=True, budget=budget)

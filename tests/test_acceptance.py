@@ -14,7 +14,7 @@ import time
 import networkx as nx
 
 from minkplanar.cli import main as cli
-from minkplanar.constructions import build_G2, build_Gk, build_biclique_gadget
+from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.drawings import (
     adjacent_crossing_pairs,
     crossing_profile,
@@ -32,6 +32,7 @@ from minkplanar.sampling import random_anchored_graph, random_min1_drawing
 from minkplanar.search import search_anchored
 from minkplanar.simplify import simplify_min1
 
+from gadgets import build_biclique_gadget
 from test_obstructions import brute_selection
 from test_search import family_up_to_rotation
 

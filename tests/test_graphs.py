@@ -156,7 +156,7 @@ def test_amplify_triangle():
 
 def test_amplify_keeps_selected_edges_in_front():
     g = k4()
-    amp, cmap = t_amplify(g, 2, amplify_edges=[0, 2, 4], keep_edges=[1, 3, 5])
+    amp, cmap = t_amplify(g, 2, amplify_edges=[0, 2, 4])
     assert cmap.kept_edge_map == {1: 0, 3: 1, 5: 2}
     assert amp.edges[0] == g.edges[1]
     assert amp.edges[1] == g.edges[3]
@@ -172,12 +172,13 @@ def test_amplify_partition_validation():
     g = triangle()
     with pytest.raises(InputError):
         t_amplify(g, 0)
-    with pytest.raises(InputError):
-        t_amplify(g, 2, amplify_edges=[0, 1], keep_edges=[1, 2])
-    with pytest.raises(InputError):
-        t_amplify(g, 2, amplify_edges=[0], keep_edges=[2])
-    with pytest.raises(InputError):
-        t_amplify(g, 2, amplify_edges=[0, 1, 7], keep_edges=[2])
+    with pytest.raises(InputError, match="^unknown edge id 7$"):
+        t_amplify(g, 2, amplify_edges=[0, 1, 7])
+    # a bool is no id, though True == 1; nor is a float
+    with pytest.raises(InputError, match="^amplify_edges/0: "):
+        t_amplify(g, 2, amplify_edges=[True, 0, 2])
+    with pytest.raises(InputError, match="^amplify_edges/0: "):
+        t_amplify(g, 2, amplify_edges=[0.0, 1, 2])
 
 
 def test_amplify_preserves_planarity_status():

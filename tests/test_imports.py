@@ -17,6 +17,12 @@ packages the package imports, and every function the benchmark's tracer
 wraps still exists under the name it looks up, and a traced solve is
 counted once.  Importing the CLI imports neither networkx nor scipy, and
 the frame pipeline's commands run with scipy unimportable.
+
+Every name in ``minkplanar.__all__`` is read, outside its own definition,
+somewhere in the package's modules (``__init__.py`` aside), the demos or
+the benchmark's code, its self-tests aside.  A name that only tests read
+is on ``EXPORTED_FOR_TESTS``, and README names each of them with the
+reason it stays.
 """
 
 import ast
@@ -34,8 +40,11 @@ import minkplanar
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "minkplanar"
 DEMOS = ROOT / "demos"
+BENCH = ROOT / "bench"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 CALLED_BY_LIBRARIES = {"_Parser.error"}
+# exported names that only tests read; README says why each stays
+EXPORTED_FOR_TESTS = {"outcome_from_json"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -240,6 +249,50 @@ def test_every_definition_is_used():
                for p in sorted(DEMOS.glob("*.py"))}
     assert modules and readers
     assert _unused_definitions(modules, readers, set(minkplanar.__all__)) == []
+
+
+def _unread_exports(exported: set[str], sources: dict[str, str]) -> list[str]:
+    """Names in ``exported`` that no source reads outside their own
+    definition.
+
+    A read is a bare name or an attribute load of the name, whatever it
+    is read on.  A name that no source defines by ``def`` or ``class``
+    has no own definition to be read from.
+    """
+    trees = [ast.parse(src) for src in sources.values()]
+    defined: dict[str, set[int]] = {}
+    for tree in trees:
+        for _, node, _ in _definitions(tree):
+            defined.setdefault(node.name, set()).add(id(node))
+    read = {name for tree in trees for name, outer, _ in _reads(tree, set())
+            if not defined.get(name, set()) & set(outer)}
+    return sorted(exported - read)
+
+
+def test_checker_sees_an_unread_export():
+    module = ("def used():\n    pass\n"
+              "def unread():\n    pass\n"
+              "def recursive():\n    recursive()\n"
+              "class C:\n    def method(self):\n        return C\n")
+    reader = "import m\nm.used()\n"
+    assert _unread_exports({"used", "unread", "recursive", "C"},
+                           {"m.py": module, "demo.py": reader}) == [
+        "C", "recursive", "unread"]
+
+
+def test_every_export_is_read_outside_the_tests():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for p in [*sorted(PACKAGE.glob("*.py")), *sorted(DEMOS.glob("*.py")),
+                  *sorted(BENCH.glob("*.py"))]
+        if p.name != "__init__.py" and not p.name.startswith("test_")}
+    unread = _unread_exports(set(minkplanar.__all__), sources)
+    assert sorted(set(unread) - EXPORTED_FOR_TESTS) == []
+    # the allowlist holds only names that still need it
+    assert sorted(EXPORTED_FOR_TESTS - set(unread)) == []
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [n for n in sorted(EXPORTED_FOR_TESTS)
+            if f"`{n}`" not in readme] == []
 
 
 def _unread_attributes(modules: dict[str, str],

@@ -15,6 +15,7 @@ from minkplanar.drawings import Drawing, PlanarizationMap, validate
 from minkplanar import layout
 from minkplanar.errors import GeometryError, LayoutError
 from minkplanar.frames import build_frame
+from minkplanar.geometry import Scene, scene_to_drawing
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.layout import (
     Layout,
@@ -182,11 +183,19 @@ def test_audit_rejects_escaped_node():
 
 
 def test_audit_rejects_mirrored_picture():
-    d = build_G2().drawing
-    lay = tutte_layout(d)
-    flipped = {v: (-x, y) for v, (x, y) in lay.coordinates.items()}
-    with pytest.raises(LayoutError):
-        audit_layout(d, Layout(flipped, lay.boundary, lay.residual))
+    # unanchored, the mirror image passes every check but the cyclic arc
+    # order at a node: here a corner of the crossed square, with three arcs
+    g = Graph(frozenset(range(4)),
+              ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)))
+    pos = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)}
+    square, _ = scene_to_drawing(Scene(g, pos, {
+        e: (pos[u], pos[v]) for e, (u, v) in enumerate(g.edges)}))
+    for d, message in ((build_G2().drawing, None),
+                       (square, "^arc order differs at node ")):
+        lay = tutte_layout(d)
+        flipped = {v: (-x, y) for v, (x, y) in lay.coordinates.items()}
+        with pytest.raises(LayoutError, match=message):
+            audit_layout(d, Layout(flipped, lay.boundary, lay.residual))
 
 
 def test_audit_names_stray_arcs_by_their_refs():

@@ -10,13 +10,15 @@ import time
 
 import pytest
 
-from minkplanar.constructions import build_biclique_gadget, build_G2
+from minkplanar.constructions import build_G2
 from minkplanar.drawings import crossing_profile, is_min_k_planar
 from minkplanar.errors import InputError
 from minkplanar.frames import build_frame
 from minkplanar.geometry import Scene, scene_to_drawing
 from minkplanar.graphs import Graph, t_amplify
 from minkplanar.obstructions import biclique_obstruction, extract_planar_amplification
+
+from gadgets import build_biclique_gadget
 
 
 # ------------------------------------------------------ oracle and fixtures
@@ -60,7 +62,7 @@ def _clean_amplification():
 def _kept_edge_crossings():
     """One class doubled, the other kept; the kept edge stabs both copies."""
     base = Graph((0, 1, 2, 3), ((0, 1), (2, 3)))
-    amp, classes = t_amplify(base, 2, amplify_edges=[0], keep_edges=[1])
+    amp, classes = t_amplify(base, 2, amplify_edges=[0])
     pos = {0: (-3.0, 0.0), 1: (3.0, 0.0), 2: (0.5, 3.0), 3: (0.5, -3.0)}
     a0, a1 = classes.by_edge[0]
     pos[a0.midpoint] = (0.0, 0.8)

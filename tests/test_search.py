@@ -18,8 +18,8 @@ from minkplanar.jsonio import drawing_to_json
 from minkplanar.oracle import brute_oracle
 from minkplanar.sampling import random_anchored_graph
 from minkplanar.search import (Budget, SearchOutcome, Status, _assemble,
-                               explore_open_question, insertion_order,
-                               search_anchored, verify_certificate)
+                               insertion_order, search_anchored,
+                               verify_certificate)
 
 
 def interleaved_pair():
@@ -351,18 +351,21 @@ def test_insertion_order_most_interleaving_first():
 
 
 def test_open_question_tiny_budget_exceeds():
-    out = explore_open_question(Budget(nodes=5))
+    out = search_anchored(build_G2().anchored_graph, 3, require_simple=True,
+                          budget=Budget(nodes=5))
     assert out.status is Status.BUDGET_EXCEEDED
 
 
 def test_open_question_reports_consistently():
     # the outcome is reported, never presumed; whatever comes back must
     # at least be internally coherent
-    out = explore_open_question(Budget(seconds=60.0))
+    g = build_G2().anchored_graph
+    out = search_anchored(g, 3, require_simple=True,
+                          budget=Budget(seconds=60.0))
     assert out.status in (Status.FOUND, Status.EXHAUSTED_UNSAT,
                           Status.BUDGET_EXCEEDED)
     if out.status is Status.FOUND:
-        assert verify_certificate(out, build_G2().anchored_graph, 3, True)
+        assert verify_certificate(out, g, 3, True)
 
 
 # ---------------------------------------------------------------- agreement
