@@ -25,7 +25,7 @@ from minkplanar import (
 from minkplanar.drawings import restrict
 
 src = build_G2()
-frame = build_frame(src.anchored_graph, k=2, t=2)
+frame = build_frame(src.anchored_graph, k=2)  # t = 2k + 2, the paper's default
 p = frame.params
 
 print("frame parameters")

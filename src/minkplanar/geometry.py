@@ -15,19 +15,23 @@ inside the closed disk.
 Candidate pairs come from one sort and sweep of bounding boxes: each
 route piece and each vertex gets a box grown by 32 TOL.  The boxes are
 cut into y-strips at quantiles of their lower edges, and in each strip a
-box pairs with those that start inside its x-range and meet its y-range,
-expanded a slice at a time to bound memory.  Pieces that end at one
-vertex are not paired by the sweep: two straight pieces from one point
-meet again only when they are collinear, so sorting the pieces by angle
-around the vertex finds the nearly parallel pairs, and only those are
-classified.  The candidates are classified in sorted chunks of
-``_CLASSIFY_CHUNK`` pairs, and only the crossings are kept.  Each
-crossing is then one array record (its two pieces, their edges, the
-arclength along each and the point) that its checks, id, chain positions
-and rotation are read from; the rotation uses the directions of its own
-two pieces.  Its vertex clearance is tested only against the vertices
-that end both edges: near any other vertex one of the pieces passes
-through it, which the sweep has already rejected.
+box pairs with those that start inside its x-range and meet its y-range.
+The sweep makes its pairs a slice of at most ``_SWEEP_SLICE`` at a time
+(more only when one box has more), and each slice is classified before
+the next is made, so one constant bounds the memory of the whole pass
+and only the crossings found are kept.  Pieces that end at one vertex are not paired by the sweep: two
+straight pieces from one point meet again only when they are collinear,
+so sorting the pieces by angle around the vertex finds the nearly
+parallel pairs, and only those are classified, as one last batch.  A
+fault is reported by one rule, whatever the order of the slices: the
+least by kind (a piece through a vertex, a collinear fault, a
+self-crossing, a touch) and then by the pair's two indices.  Each crossing is
+then one array record (its two pieces, their edges, the arclength along
+each and the point) that its checks, id, chain positions and rotation are
+read from; the rotation uses the directions of its own two pieces.  Its
+vertex clearance is tested only against the vertices that end both
+edges: near any other vertex one of the pieces passes through it, which
+the sweep has already rejected.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -129,19 +134,17 @@ def _segment_intersection(a: Point, b: Point, c: Point, d: Point, tol: float):
 
 # ------------------------------------------------------------- conversion
 
-# pairs expanded per slice of the sweep; bounds the sweep's working
-# memory, while its output keeps 16 bytes per candidate pair
-_SWEEP_SLICE = 1 << 21
-# sorted candidate pairs classified per chunk; bounds the memory of the
-# classification, which keeps only the crossings it finds
-_CLASSIFY_CHUNK = 1 << 16
+# pairs expanded per slice of the sweep, each slice classified before the
+# next is made; bounds the working memory of the whole conversion
+_SWEEP_SLICE = 1 << 16
 # boxes per y-strip of the sweep; an input with no more boxes is one strip
 _SWEEP_STRIP = 1 << 11
 
 
 def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
-                       tags: np.ndarray) -> np.ndarray:
-    """Index pairs of overlapping closed boxes, two rows with row 0 < row 1.
+                       tags: np.ndarray) -> Iterator[np.ndarray]:
+    """Index pairs of overlapping closed boxes, two rows with row 0 < row 1,
+    yielded a slice at a time.
 
     The (n, 2) corner arrays are cut into y-strips of about
     ``_SWEEP_STRIP`` boxes at quantiles of the lower y edges.  A box joins
@@ -149,15 +152,17 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
     that holds the higher of the two lower edges.  In each strip every box,
     in order of left edge, pairs with the boxes whose left edge lies in its
     x-range (a binary search on its right edge) and whose y-range meets its
-    own.  Pairs are expanded about ``_SWEEP_SLICE`` at a time, so memory
-    follows the pairs that overlap.  Two boxes that share a tag, a column
-    of the (2, n) integer array ``tags``, are not paired.
+    own.  A slice holds the pairs of consecutive boxes, at most
+    ``_SWEEP_SLICE`` unless one box alone has more, so memory follows the
+    slice.  Two boxes that share a tag, a column of the (2, n) integer
+    array ``tags``, are not paired.
     """
     n = lo.shape[0]
     strips = -(-n // _SWEEP_STRIP)
     if strips <= 1:
         order = np.argsort(lo[:, 0], kind="stable")
-        return _sweep(order, None, lo, hi, tags)
+        yield from _sweep(order, None, lo, hi, tags)
+        return
     cuts = np.sort(lo[:, 1])[n * np.arange(1, strips) // strips]
     first = np.searchsorted(cuts, lo[:, 1], side="right")
     span = np.searchsorted(cuts, hi[:, 1], side="right") - first + 1
@@ -170,20 +175,17 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
     by_strip = np.argsort(strip, kind="stable")
     member = member[by_strip]
     bounds = np.searchsorted(strip[by_strip], np.arange(strips + 1))
-    return np.concatenate([
-        _sweep(order, first[order] == s, lo, hi, tags)
-        for s, order in enumerate(np.split(member, bounds[1:-1]))
-    ], axis=1)
+    for s, order in enumerate(np.split(member, bounds[1:-1])):
+        yield from _sweep(order, first[order] == s, lo, hi, tags)
 
 
-def _sweep(order, home, lo, hi, tags) -> np.ndarray:
+def _sweep(order, home, lo, hi, tags) -> Iterator[np.ndarray]:
     """``_overlapping_boxes`` within one strip: the boxes ``order``, sorted
     by left edge, pair where one of them is ``home`` (all when None)."""
     ylo, yhi = lo[order, 1], hi[order, 1]
     stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
     count = stop - np.arange(order.size) - 1
     ends = np.cumsum(count)
-    pairs = [np.zeros((2, 0), dtype=np.int64)]
     start = 0
     while start < order.size:
         end = max(start + 1, int(np.searchsorted(
@@ -200,9 +202,8 @@ def _sweep(order, home, lo, hi, tags) -> np.ndarray:
         i0, i1, j0, j1 = tags[0, i], tags[1, i], tags[0, j], tags[1, j]
         apart = (i0 != j0) & (i0 != j1) & (i1 != j0) & (i1 != j1)
         i, j = i[apart], j[apart]
-        pairs.append(np.sort(np.stack((i, j)), axis=0))
+        yield np.sort(np.stack((i, j)), axis=0)
         start = end
-    return np.concatenate(pairs, axis=1)
 
 
 def _side_by_side(parts: list[np.ndarray]) -> np.ndarray:
@@ -264,9 +265,9 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     The drawing is validated before it is returned, which catches
     conversion bugs on top of the geometry checks.
 
-    Memory follows the candidate pairs only through the sweep's output
-    and one sorted int64 key per pair; the classification holds one
-    chunk of pairs at a time and then the crossings found.
+    Memory does not follow the candidate pairs: each slice of the sweep
+    is classified as it is made, so one slice is held at a time, and
+    then the crossings found.
     """
     g = scene.graph
     radius = _check_scene(scene)
@@ -390,33 +391,22 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         near = np.hypot(*(xy[row] - pos_arr[v]).T) <= 16.0 * TOL
         return row[near], v[near]
 
-    # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
-    # so that any two within 64 TOL of each other pair up, except pieces
-    # that share an end point (consecutive pieces of one curve, or pieces
-    # ending at one vertex) and a vertex with the pieces that end there;
-    # sorted keys make the first fault found independent of the sweep's
-    # order
-    grow = 32.0 * TOL
-    rows = list(range(nv))
-    first, second = _overlapping_boxes(
-        np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
-        np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
-        np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
-    )
+    # the faults found, as (rule, key, message), and the least is raised
+    # after the last batch, whatever the order of the batches: a piece
+    # through a vertex (0, keyed vertex * nseg + piece), then a collinear
+    # fault (1), a self-crossing (2) and a touch away from a shared vertex
+    # (3), each keyed lower * nseg + higher piece
+    faults: list[tuple[int, int, str]] = []
+    lead = np.array(lead)
+    trail = np.array(trail)
 
-    def through_vertex(first, second):
-        """Raises if a piece passes within 16 TOL of a vertex: of any
-        vertex but its edge's ends, and of an end too unless the piece
-        lies at that end."""
-        at_vertex = (first < nseg) & (second >= nseg)
-        qv, qs = np.divmod(np.sort(
-            (second[at_vertex] - nseg) * np.int64(nseg) + first[at_vertex]),
-            nseg)
-        if not qv.size:
-            return
+    def through_vertex(qs, qv):
+        """Records a fault if a piece ``qs`` passes within 16 TOL of a
+        vertex row ``qv``: of any vertex but its edge's ends, and of an
+        end too unless the piece lies at that end."""
         qe = SE[qs]
-        outside = ~(((edge_ends[qe, 0] == qv) & (qs <= np.array(lead)[qe]))
-                    | ((edge_ends[qe, 1] == qv) & (qs >= np.array(trail)[qe])))
+        outside = ~(((edge_ends[qe, 0] == qv) & (qs <= lead[qe]))
+                    | ((edge_ends[qe, 1] == qv) & (qs >= trail[qe])))
         qv = qv[outside]
         qs = qs[outside]
         px = pos_arr[qv, 0]
@@ -432,64 +422,19 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         )
         hit_at = np.flatnonzero(gap <= 16.0 * TOL)
         if hit_at.size:
-            b = int(hit_at[0])
-            raise GeometryError(
-                f"route of edge {int(SE[qs[b]])} passes through "
-                f"vertex {int(vids[qv[b]])}"
-            )
+            b = hit_at[np.argmin(qv[hit_at] * nseg + qs[hit_at])]
+            faults.append((0, int(qv[b] * nseg + qs[b]), f"route of edge "
+                           f"{SE[qs[b]]} passes through vertex {vids[qv[b]]}"))
 
-    # a helper, so that its arrays over the vertex-piece pairs are freed
-    # before the piece keys are built
-    through_vertex(first, second)
-
-    # piece pairs, with the pairs of pieces that end at one vertex put
-    # back where they are nearly parallel.  Two straight pieces from one
-    # point meet again only if they are collinear.  The classification
-    # below agrees, away from parallel: for pieces at an angle D (modulo
-    # pi) its u and v are exactly 0 or 1 when either piece starts at the
-    # vertex, and when both end there their error, times a piece length
-    # of at most L, is below about 12 * 2**-53 * L / sin D.  That is
-    # under TOL for L <= 10 and D >= 1e-4 (near D = 1e-7 it is not); the
-    # window widens with longer pieces.  Outside it the pair touches at
-    # the vertex, which is allowed.
-    window = 1e-4 * max(1.0, longest / 10.0)
-    near = set()
-    for ends in ends_at.values():
-        if len(ends) < 2:
-            continue
-        ends = sorted([(ang % math.pi, p) for ang, p in ends])
-        if ends[0][0] <= window:
-            ends += [(ang + math.pi, p) for ang, p in ends if ang <= window]
-        for i, (ang, p) in enumerate(ends):
-            j = i + 1
-            while j < len(ends) and ends[j][0] - ang <= window:
-                q = ends[j][1]
-                if p != q:
-                    near.add(min(p, q) * nseg + max(p, q))
-                j += 1
-    pieces = second < nseg
-    keys = first[pieces]
-    keys *= nseg
-    keys += second[pieces]
-    del first, second, pieces
-    if near:
-        keys = np.concatenate((keys, np.array(sorted(near), dtype=np.int64)))
-    keys.sort()
-
-    # classify the sorted pairs a chunk at a time and keep only the
-    # crossings, each as its lower and higher piece and the parameter of
-    # the point along each.  Faults come out as if the whole list were
-    # classified at once: the rare parallel collinear pairs are classified
-    # one at a time and raise at once, and the first self-crossing and the
-    # first touch away from a shared vertex are raised after the last
-    # chunk, the self-crossing first
+    # classify piece pairs and keep only the crossings, each as its lower
+    # and higher piece and the parameter of the point along each.  The
+    # rare parallel collinear pairs are classified one at a time
     line_p: list[tuple[int, int]] = []
     line_u: list[tuple[float, float]] = []
     cross_p: list[np.ndarray] = []
     cross_u: list[np.ndarray] = []
-    crosses_itself = touch = None
-    for at in range(0, keys.size, _CLASSIFY_CHUNK):
-        plo, phi = np.divmod(keys[at:at + _CLASSIFY_CHUNK], nseg)
+
+    def classify(plo, phi):
         rx = DX[plo]
         ry = DY[plo]
         sx = DX[phi]
@@ -514,22 +459,22 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
             )
             if hit is None:
                 continue
+            key = int(plo[j] * nseg + phi[j])
             if hit[0] == "overlap":
-                raise GeometryError(
-                    f"edges {a1} and {a2} run along a shared segment"
-                )
-            if a1 == a2:
-                raise GeometryError(f"edge {a1} crosses itself")
-            if hit[0] == "touch":
+                faults.append((1, key, f"edges {a1} and {a2} run along a "
+                               "shared segment"))
+            elif a1 == a2:
+                faults.append((1, key, f"edge {a1} crosses itself"))
+            elif hit[0] == "touch":
                 pt = hit[1]
                 shared = set(g.edges[a1]) & set(g.edges[a2])
-                if any(_dist(pt, vert_pos[v]) <= 16.0 * TOL for v in shared):
-                    continue
-                raise GeometryError(
-                    f"edges {a1} and {a2} touch without crossing near {pt}"
-                )
-            line_p.append((int(plo[j]), int(phi[j])))
-            line_u.append(hit[2:])
+                if not any(_dist(pt, vert_pos[v]) <= 16.0 * TOL
+                           for v in shared):
+                    faults.append((1, key, f"edges {a1} and {a2} touch "
+                                   f"without crossing near {pt}"))
+            else:
+                line_p.append((int(plo[j]), int(phi[j])))
+                line_u.append(hit[2:])
 
         act = np.flatnonzero(~par)
         uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
@@ -541,13 +486,14 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
             inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
         )
 
-        if crosses_itself is None:
-            selfi = np.flatnonzero(inside & (SE[plo[act]] == SE[phi[act]]))
-            if selfi.size:
-                crosses_itself = int(SE[plo[act[selfi[0]]]])
+        selfi = act[inside & (SE[plo[act]] == SE[phi[act]])]
+        if selfi.size:
+            b = selfi[np.argmin(plo[selfi] * nseg + phi[selfi])]
+            faults.append((2, int(plo[b] * nseg + phi[b]),
+                           f"edge {SE[plo[b]]} crosses itself"))
         touched = inside & ~crossed
         ti = act[touched]
-        if ti.size and crosses_itself is None and touch is None:
+        if ti.size:
             tpx = AX[plo[ti]] + uu[touched] * rx[ti]
             tpy = AY[plo[ti]] + uu[touched] * ry[ti]
             ok = np.zeros(ti.size, dtype=bool)
@@ -555,20 +501,65 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                                   np.stack((tpx, tpy), axis=1))[0]] = True
             bad = np.flatnonzero(~ok)
             if bad.size:
-                b = int(bad[0])
+                b = bad[np.argmin(plo[ti[bad]] * nseg + phi[ti[bad]])]
+                lo, hi = plo[ti[b]], phi[ti[b]]
                 pt = (float(tpx[b]), float(tpy[b]))
-                touch = (f"edges {int(SE[plo[ti[b]]])} and "
-                         f"{int(SE[phi[ti[b]]])} touch without crossing "
-                         f"near {pt}")
+                faults.append((3, int(lo * nseg + hi), f"edges {SE[lo]} and "
+                               f"{SE[hi]} touch without crossing near {pt}"))
 
         hits = act[crossed]
         if hits.size:
             cross_p.append(np.array((plo[hits], phi[hits])))
             cross_u.append(np.array((uu[crossed], vv[crossed])))
-    if crosses_itself is not None:
-        raise GeometryError(f"edge {crosses_itself} crosses itself")
-    if touch is not None:
-        raise GeometryError(touch)
+
+    # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
+    # so that any two within 64 TOL of each other pair up, except pieces
+    # that share an end point (consecutive pieces of one curve, or pieces
+    # ending at one vertex) and a vertex with the pieces that end there.
+    # A batch with no pairs is skipped, as its checks would cost as much
+    # as a small one's
+    grow = 32.0 * TOL
+    rows = list(range(nv))
+    for first, second in _overlapping_boxes(
+        np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
+        np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
+        np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
+    ):
+        pieces = second < nseg
+        at_vertex = ~pieces & (first < nseg)
+        if at_vertex.any():
+            through_vertex(first[at_vertex], second[at_vertex] - nseg)
+        if pieces.any():
+            classify(first[pieces], second[pieces])
+
+    # the pairs of pieces that end at one vertex, where they are nearly
+    # parallel.  Two straight pieces from one point meet again only if
+    # they are collinear.  The classification agrees, away from parallel:
+    # for pieces at an angle D (modulo pi) its u and v are exactly 0 or 1
+    # when either piece starts at the vertex, and when both end there
+    # their error, times a piece length of at most L, is below about
+    # 12 * 2**-53 * L / sin D.  That is under TOL for L <= 10 and
+    # D >= 1e-4 (near D = 1e-7 it is not); the window widens with longer
+    # pieces.  Outside it the pair touches at the vertex, which is allowed.
+    window = 1e-4 * max(1.0, longest / 10.0)
+    near = set()
+    for ends in ends_at.values():
+        if len(ends) < 2:
+            continue
+        ends = sorted([(ang % math.pi, p) for ang, p in ends])
+        if ends[0][0] <= window:
+            ends += [(ang + math.pi, p) for ang, p in ends if ang <= window]
+        for i, (ang, p) in enumerate(ends):
+            j = i + 1
+            while j < len(ends) and ends[j][0] - ang <= window:
+                q = ends[j][1]
+                if p != q:
+                    near.add((min(p, q), max(p, q)))
+                j += 1
+    if near:
+        classify(*np.array(list(near), dtype=np.int64).T)
+    if faults:
+        raise GeometryError(min(faults)[2])
 
     # one record per crossing, collinear ones first: its lower and higher
     # piece (xp), their edges (xe; pieces are numbered by edge, so the
@@ -592,10 +583,12 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         # no crossing within 16 TOL of a vertex.  Only the vertices that
         # end both edges need a test: a crossing lies on both pieces, so
         # near any other vertex one of them passes through it, which
-        # raised above
+        # raised above.  Of several, the collinear ones come first and then
+        # the least key, as for the faults above
         row, v = near_shared_vertex(xe, xy)
         if row.size:
-            c = row[0]
+            c = row[np.lexsort((xp[0, row] * nseg + xp[1, row],
+                                row >= len(line_p)))[0]]
             raise GeometryError(
                 f"edges {xe[0, c]} and {xe[1, c]} cross too close to "
                 f"vertex {vids[v[row == c].min()]}"

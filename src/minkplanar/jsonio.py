@@ -15,8 +15,9 @@ in the order the document's fields are read.  Each level's helper tests
 the whole level with builtins that run in C, and walks the level's items
 one by one, to find the pointer, only when that test fails.  So each
 shape rule is stated once, and the first fault is named the same way
-whatever else is wrong.  Graph and AnchoredGraph check ids' type and
-range again for API callers, by the same rule (``graphs._id``).
+whatever else is wrong.  An id in a document must be an int, as JSON
+text gives; Graph and AnchoredGraph also take numpy's integers from API
+callers.  Both bound ids by one rule (``graphs._id``).
 
 Every document is written as ``json.dumps(doc, indent=1, sort_keys=True)``
 writes it.  Drawing and graph files, nearly all the bytes the CLI writes,
@@ -82,6 +83,14 @@ def _list(obj: Any, where: str, n: int | None = None) -> list:
     return obj
 
 
+def _json_id(v: Any, where: str) -> None:
+    # type(), not isinstance: a bool is not an id, and a numpy integer,
+    # which graphs._id takes, could not be written back as JSON
+    if type(v) is not int:
+        _fail(where, "expected a non-negative integer")
+    _id(v, where)
+
+
 def _items(where: str) -> Iterator[str]:
     """The pointers to the items of the list at ``where``."""
     return (f"{where}/{i}" for i in count())
@@ -96,7 +105,7 @@ def _ids(obj: Any, where: str, n: int | None = None,
             and min(obj, default=0) >= 0 and max(obj, default=0) <= MAX_ID):
         return
     for v, at in zip(_list(obj, where, n), names or _items(where)):
-        _id(v, at)
+        _json_id(v, at)
 
 
 def _id_lists(obj: Any, where: str, n: int | None = None,
@@ -158,7 +167,7 @@ def _crossings(obj: Any, where: str) -> None:
     for i, x in enumerate(_list(obj, where)):
         at = f"{where}/{i}"
         _object(x, at, ("id", "edges"), closed=True)
-        _id(x["id"], f"{at}/id")
+        _json_id(x["id"], f"{at}/id")
         _ids(x["edges"], f"{at}/edges", 2)
 
 

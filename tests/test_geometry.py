@@ -133,6 +133,16 @@ def test_rejects_crossing_near_vertex():
     routes[1] = routes[1][:2] + (pos[2],)
     d, _ = scene_to_drawing(Scene(g, pos, routes))
     assert d.crossings == ()
+    # two such crossings: the one of the lower pieces is reported, though
+    # the sweep meets the other, 20 to its left, first
+    g = Graph(tuple(range(6)), ((0, 1), (0, 2), (3, 4), (3, 5)))
+    pos = {0: (22.0, 0.0), 1: (24.0, 0.0), 2: (32.0, -1.0 + 5e-10),
+           3: (2.0, 0.0), 4: (4.0, 0.0), 5: (12.0, -1.0 + 5e-10)}
+    routes = {0: (pos[0], pos[1]), 1: ((22.0, -1.5e-9), (22.0, 5e-10), pos[2]),
+              2: (pos[3], pos[4]), 3: ((2.0, -1.5e-9), (2.0, 5e-10), pos[5])}
+    with pytest.raises(GeometryError,
+                       match="edges 0 and 1 cross too close to vertex 0"):
+        scene_to_drawing(Scene(g, pos, routes))
 
 
 def test_rejects_route_back_at_its_own_end_vertex():
@@ -172,13 +182,14 @@ def test_rejects_self_crossing_route():
         scene_to_drawing(Scene(g, pos, {0: route}))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+@pytest.mark.parametrize("per_slice", [1, 7, 1 << 16])
 def test_a_self_crossing_is_reported_before_an_earlier_touch(monkeypatch,
-                                                              chunk):
+                                                              per_slice):
     # edge 1 touches edge 0 at its bend (2, 0); edge 2 crosses itself at
-    # (1, 4).  The touch's pairs sort first, so with small chunks they are
-    # classified a chunk before the self-crossing, which still wins
-    monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", chunk)
+    # (1, 4).  The touch's pair comes from the box of edge 0, which has the
+    # least left edge, so with small slices it is classified a slice
+    # before the self-crossing, which still wins
+    monkeypatch.setattr(geometry, "_SWEEP_SLICE", per_slice)
     g = Graph(tuple(range(6)), ((0, 1), (2, 3), (4, 5)))
     pos = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (1.0, 1.0), 3: (3.0, 1.0),
            4: (0.0, 3.0), 5: (0.0, 5.0)}
@@ -190,6 +201,28 @@ def test_a_self_crossing_is_reported_before_an_earlier_touch(monkeypatch,
     g = Graph(tuple(range(6)), g.edges[:2])
     del routes[2]
     with pytest.raises(GeometryError, match="edges 0 and 1 touch"):
+        scene_to_drawing(Scene(g, pos, routes))
+
+    # edge 1 runs along edge 0 over [0.5, 1.5], a pair from the left box of
+    # edge 0; edge 2 passes through the lone vertex 6 further right, a
+    # pair of a later slice, which still wins
+    g = Graph(tuple(range(7)), ((0, 1), (2, 3), (4, 5)))
+    pos = {0: (0.0, 0.0), 1: (2.0, 0.0), 2: (1.0, -1.0), 3: (1.0, 1.0),
+           4: (5.0, 1.0), 5: (5.0, -1.0), 6: (5.0, 0.0)}
+    overlap = (pos[2], (0.5, 0.0), (1.5, 0.0), pos[3])
+    routes = {0: (pos[0], pos[1]), 1: overlap, 2: (pos[4], pos[5])}
+    with pytest.raises(GeometryError,
+                       match="route of edge 2 passes through vertex 6"):
+        scene_to_drawing(Scene(g, pos, routes))
+    # edge 2 crosses itself on the left and edges 0 and 1 overlap on the
+    # right, in a later slice: the overlap wins
+    pos = {0: (5.0, 0.0), 1: (7.0, 0.0), 2: (6.0, -1.0), 3: (6.0, 1.0),
+           4: (0.0, 3.0), 5: (0.0, 5.0), 6: (9.0, 9.0)}
+    overlap = (pos[2], (5.5, 0.0), (6.5, 0.0), pos[3])
+    routes = {0: (pos[0], pos[1]), 1: overlap,
+              2: (pos[4], (2.0, 5.0), (2.0, 3.0), pos[5])}
+    with pytest.raises(GeometryError,
+                       match="edges 0 and 1 run along a shared segment"):
         scene_to_drawing(Scene(g, pos, routes))
 
 
@@ -300,12 +333,23 @@ def test_box_sweep_finds_every_overlapping_pair(monkeypatch, per_slice):
                 and lo[i][1] <= hi[j][1] and lo[j][1] <= hi[i][1]
             ]
             lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
-            got = _overlapping_boxes(lo_a, hi_a, np.arange(2 * n).reshape(2, n))
+            got = _joined_slices(lo_a, hi_a, np.arange(2 * n).reshape(2, n))
             assert sorted(zip(got[0].tolist(), got[1].tolist())) == overlap
             # boxes that share a tag are not paired
-            got = _overlapping_boxes(lo_a, hi_a, np.array(tags).T)
+            got = _joined_slices(lo_a, hi_a, np.array(tags).T)
             assert sorted(zip(got[0].tolist(), got[1].tolist())) == [
                 (i, j) for i, j in overlap if not set(tags[i]) & set(tags[j])]
+
+
+def _joined_slices(lo, hi, tags):
+    """The pairs of ``_overlapping_boxes``, its slices joined, checking
+    that a slice holds at most ``_SWEEP_SLICE`` pairs unless they are the
+    pairs of a single box."""
+    slices = list(_overlapping_boxes(lo, hi, tags))
+    for pairs in slices:
+        assert pairs.shape[1] <= geometry._SWEEP_SLICE or set.intersection(
+            *({i, j} for i, j in pairs.T.tolist()))
+    return np.concatenate(slices, axis=1)
 
 
 # ------------------------------------------------ pieces at a shared vertex
@@ -479,9 +523,10 @@ def test_a_seeded_corpus_converts_as_before():
     assert _corpus_digest() == _CORPUS_DIGEST
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_the_corpus_converts_as_before_in_small_chunks(monkeypatch, chunk):
-    monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", chunk)
+@pytest.mark.parametrize("per_slice", [1, 7])
+def test_the_corpus_converts_as_before_in_small_chunks(monkeypatch,
+                                                       per_slice):
+    monkeypatch.setattr(geometry, "_SWEEP_SLICE", per_slice)
     assert _corpus_digest() == _CORPUS_DIGEST
 
 
@@ -626,11 +671,11 @@ def test_converter_agrees_with_all_pairs_oracle(scene):
     _agrees_with_oracle(scene)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("per_slice", [1, 7])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scene=anchored_scenes())
-def test_converter_in_small_chunks_agrees_with_the_oracle(chunk, scene):
-    with mock.patch.object(geometry, "_CLASSIFY_CHUNK", chunk):
+def test_converter_in_small_chunks_agrees_with_the_oracle(per_slice, scene):
+    with mock.patch.object(geometry, "_SWEEP_SLICE", per_slice):
         _agrees_with_oracle(scene)
 
 

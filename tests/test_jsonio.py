@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -361,7 +362,7 @@ def test_python_built_documents_with_tuple_edges_raise_pointered_errors():
 
 _REQUIRED = {"vertices", "edges", "graph", "crossings", "chains", "rotation",
              "id"}
-_NOT_JSON_IDS = ("x", True, False, 1.0, 2.5, -1, None, [[0]])
+_NOT_JSON_IDS = ("x", True, False, 1.0, 2.5, -1, None, [[0]], np.int64(1))
 
 
 def _bases():
@@ -440,6 +441,22 @@ def test_mutated_documents_raise_pointered_input_errors(case):
     # the fault is named where it was put, or inside it
     assert pointer == (slot or "/") or (
         slot and pointer.startswith(slot + "/")), (pointer, slot)
+
+
+@pytest.mark.parametrize("pointer", ["/crossings/0/id", "/graph/vertices/0"])
+def test_a_numpy_integer_is_not_a_json_id(pointer):
+    # Graph takes numpy's integers from API callers, but a drawing read
+    # with one could not be written back as JSON
+    doc = copy.deepcopy(_BASES["drawing"])
+    *path, last = [int(k) if k.isdigit() else k
+                   for k in pointer.split("/")[1:]]
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = np.int64(node[last])
+    with pytest.raises(InputError,
+                       match=f"^{pointer}: expected a non-negative integer$"):
+        drawing_from_json(doc)
 
 
 def test_cli_rejects_a_mutated_drawing_without_a_traceback(tmp_path):
