@@ -12,6 +12,18 @@ that silently means something else.  For an anchored scene the anchors
 must sit on a common circle, listed clockwise, and every route must stay
 inside the closed disk.
 
+The conversion is a sequence of array passes.  The vertex positions and
+all route points are read into one (n, 2) array, the points of each edge
+a run of it, and checked to be finite.  Cleaning drops every point
+within TOL of the last point kept before it on its route; a point within
+TOL of the one before it starts such a run of dropped points, and only
+those runs are walked point by point.  Each edge then has two tips, its
+first and last point kept, which must lie within 1e-6 of its end
+vertices and are moved onto them.  The route checks, the pieces between
+consecutive points (with their directions, lengths and tags), each tip's
+angle and the nearly parallel pairs at a vertex are each computed for all
+edges at once.
+
 Candidate pairs come from one sort and sweep of bounding boxes: each
 route piece and each vertex gets a box grown by 32 TOL.  The boxes are
 cut into y-strips at quantiles of their lower edges, and in each strip a
@@ -19,26 +31,30 @@ box pairs with those that start inside its x-range and meet its y-range.
 The sweep makes its pairs a slice of at most ``_SWEEP_SLICE`` at a time
 (more only when one box has more), and each slice is classified before
 the next is made, so one constant bounds the memory of the whole pass
-and only the crossings found are kept.  Pieces that end at one vertex are not paired by the sweep: two
-straight pieces from one point meet again only when they are collinear,
-so sorting the pieces by angle around the vertex finds the nearly
-parallel pairs, and only those are classified, as one last batch.  A
-fault is reported by one rule, whatever the order of the slices: the
-least by kind (a piece through a vertex, a collinear fault, a
-self-crossing, a touch) and then by the pair's two indices.  Each crossing is
-then one array record (its two pieces, their edges, the arclength along
-each and the point) that its checks, id, chain positions and rotation are
-read from; the rotation uses the directions of its own two pieces.  Its
-vertex clearance is tested only against the vertices that end both
-edges: near any other vertex one of the pieces passes through it, which
-the sweep has already rejected.
+and only the crossings found are kept.  Pieces that end at one vertex
+are not paired by the sweep: two straight pieces from one point meet
+again only when they are collinear, so sorting the pieces by angle around
+the vertex finds the nearly parallel pairs, and only those are
+classified, as one last batch.  A pair of parallel pieces on one line
+overlaps, touches or misses, by where the ends of one project onto the
+other; only a pair at an angle can cross.  A fault is reported by one
+rule, whatever the order of the slices: the least by kind (a piece
+through a vertex, a collinear fault, a self-crossing, a touch) and then
+by the pair's two indices.  Each crossing is then one array record (its
+two pieces, their edges, the arclength along each and the point) that
+its checks, id, chain positions and rotation are read from; the rotation
+uses the directions of its own two pieces.  Its vertex clearance is
+tested only against the vertices that end both edges: near any other
+vertex one of the pieces passes through it, which the sweep has already
+rejected.  The rotations at vertices and anchors are one sort of all
+tips by node and angle.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -59,10 +75,6 @@ def on_circle(radius: float, degrees: float) -> Point:
     return (radius * math.cos(a), radius * math.sin(a))
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 @dataclass
 class Scene:
     """Coordinates for a drawing of ``graph``.
@@ -78,58 +90,6 @@ class Scene:
     routes: dict[int, tuple[Point, ...]]
     anchors: tuple[int, ...] | None = None
     radius: float | None = None
-
-
-# --------------------------------------------------- low level primitives
-
-
-def _segment_intersection(a: Point, b: Point, c: Point, d: Point, tol: float):
-    """Classified intersection of segments ab and cd.
-
-    Returns one of
-      None                      disjoint,
-      ('cross', point, s, t)    transversal interior crossing,
-      ('touch', point)          meeting at or near segment ends,
-      ('overlap', None)         collinear with a shared stretch.
-    """
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    dx, dy = d
-    r = (bx - ax, by - ay)
-    s = (dx - cx, dy - cy)
-    denom = r[0] * s[1] - r[1] * s[0]
-    acx, acy = cx - ax, cy - ay
-    len_r = math.hypot(*r)
-    len_s = math.hypot(*s)
-    if len_r == 0.0 or len_s == 0.0:
-        raise GeometryError("zero length segment in a route")
-    if abs(denom) <= tol * len_r * len_s:
-        # parallel; collinear only if c is on the line of ab
-        if abs(acx * r[1] - acy * r[0]) > tol * len_r:
-            return None
-        # collinear: measure overlap of projections
-        t0 = (acx * r[0] + acy * r[1]) / (len_r * len_r)
-        t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / (len_r * len_r)
-        lo, hi = min(t0, t1), max(t0, t1)
-        eps = tol / len_r
-        if hi < -eps or lo > 1 + eps:
-            return None
-        if min(hi, 1.0) - max(lo, 0.0) <= eps:
-            # touching at a single shared point
-            t = (max(lo, 0.0) + min(hi, 1.0)) / 2.0
-            return ("touch", (ax + t * r[0], ay + t * r[1]))
-        return ("overlap", None)
-    u = (acx * s[1] - acy * s[0]) / denom
-    v = (acx * r[1] - acy * r[0]) / denom
-    eu = tol / len_r
-    ev = tol / len_s
-    if u < -eu or u > 1 + eu or v < -ev or v > 1 + ev:
-        return None
-    pt = (ax + u * r[0], ay + u * r[1])
-    if eu < u < 1 - eu and ev < v < 1 - ev:
-        return ("cross", pt, u, v)
-    return ("touch", pt)
 
 
 # ------------------------------------------------------------- conversion
@@ -160,7 +120,7 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
     n = lo.shape[0]
     strips = -(-n // _SWEEP_STRIP)
     if strips <= 1:
-        order = np.argsort(lo[:, 0], kind="stable")
+        order = lo[:, 0].argsort(kind="stable")
         yield from _sweep(order, None, lo, hi, tags)
         return
     cuts = np.sort(lo[:, 1])[n * np.arange(1, strips) // strips]
@@ -182,28 +142,31 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
 def _sweep(order, home, lo, hi, tags) -> Iterator[np.ndarray]:
     """``_overlapping_boxes`` within one strip: the boxes ``order``, sorted
     by left edge, pair where one of them is ``home`` (all when None)."""
-    ylo, yhi = lo[order, 1], hi[order, 1]
-    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    count = stop - np.arange(order.size) - 1
-    ends = np.cumsum(count)
+    xlo, ylo = lo.T[:, order]
+    xhi, yhi = hi.T[:, order]
+    start_tag, end_tag = tags
+    count = xlo.searchsorted(xhi, side="right") - np.arange(1, order.size + 1)
+    ends = count.cumsum()
     start = 0
     while start < order.size:
-        end = max(start + 1, int(np.searchsorted(
-            ends, ends[start] - count[start] + _SWEEP_SLICE, side="right")))
+        end = max(start + 1, int(ends.searchsorted(
+            ends[start] - count[start] + _SWEEP_SLICE, side="right")))
         c = count[start:end]
-        # sorted box a pairs with the sorted boxes a+1 .. stop[a]-1
-        a = np.repeat(np.arange(start, end), c)
-        b = np.repeat(np.arange(start + 1, end + 1) - (np.cumsum(c) - c), c)
+        # sorted box a pairs with the sorted boxes a+1 .. a+count[a]
+        a = np.arange(start, end).repeat(c)
+        b = (np.arange(start + 1, end + 1) - (c.cumsum() - c)).repeat(c)
         b += np.arange(b.size)
         keep = (ylo[b] <= yhi[a]) & (ylo[a] <= yhi[b])
         if home is not None:
             keep &= home[a] | home[b]
         i, j = order[a[keep]], order[b[keep]]
-        i0, i1, j0, j1 = tags[0, i], tags[1, i], tags[0, j], tags[1, j]
+        i0, i1, j0, j1 = start_tag[i], end_tag[i], start_tag[j], end_tag[j]
         apart = (i0 != j0) & (i0 != j1) & (i1 != j0) & (i1 != j1)
         i, j = i[apart], j[apart]
-        yield np.sort(np.stack((i, j)), axis=0)
+        yield np.array((np.minimum(i, j), np.maximum(i, j)))
         start = end
+
+
 
 
 def _side_by_side(parts: list[np.ndarray]) -> np.ndarray:
@@ -212,50 +175,63 @@ def _side_by_side(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _clean_route(route):
-    pts = [route[0]]
-    for p in route[1:]:
-        if _dist(p, pts[-1]) > TOL:
-            pts.append(p)
-    return pts
-
-
-def _check_scene(scene: Scene) -> float | None:
+def _check_scene(scene: Scene) -> list[int]:
+    """The ids of the scene's positions, in order, once every vertex has
+    one and the routes cover the edges."""
     g = scene.graph
     for v in g.vertices:
         if v not in scene.positions:
             raise InputError(f"no position for vertex {v}")
     if sorted(scene.routes) != list(range(g.m)):
         raise InputError("routes must cover exactly the edge ids")
-    radius = None
-    if scene.anchors is not None:
-        anchors = scene.anchors
-        if len(anchors) < 2:
-            raise InputError("an anchored scene needs >= 2 anchors")
-        radius = scene.radius
-        if radius is None:
-            radius = _dist(scene.positions[anchors[0]], (0.0, 0.0))
-        for a in anchors:
-            off = abs(_dist(scene.positions[a], (0.0, 0.0)) - radius)
-            if off > 1e-6 * max(1.0, radius):
-                raise GeometryError(
-                    f"anchor {a} does not sit on the boundary circle"
-                )
-        angles = [
-            math.degrees(math.atan2(*reversed(scene.positions[a])))
-            for a in anchors
-        ]
-        total = 0.0
-        for i in range(len(anchors)):
-            step = (angles[i] - angles[(i + 1) % len(anchors)]) % 360.0
-            if step <= 0.0 or step >= 360.0:
-                raise GeometryError("coincident anchors on the circle")
-            total += step
-        if abs(total - 360.0) > 1e-6:
+    return sorted(scene.positions)
+
+
+def _check_anchors(scene: Scene) -> float | None:
+    """The radius of an anchored scene's disk, once its anchors sit on
+    the circle in clockwise order; None for a scene without anchors."""
+    if scene.anchors is None:
+        return None
+    anchors, pos = scene.anchors, scene.positions
+    if len(anchors) < 2:
+        raise InputError("an anchored scene needs >= 2 anchors")
+    radius = scene.radius
+    if radius is None:
+        radius = math.hypot(*pos[anchors[0]])
+    slack = 1e-6 * max(1.0, radius)
+    for a in anchors:
+        if abs(math.hypot(*pos[a]) - radius) > slack:
             raise GeometryError(
-                "anchors are not listed in clockwise circular order"
+                f"anchor {a} does not sit on the boundary circle"
             )
+    angles = [math.degrees(math.atan2(pos[a][1], pos[a][0])) for a in anchors]
+    total = 0.0
+    for i in range(len(anchors)):
+        step = (angles[i] - angles[(i + 1) % len(anchors)]) % 360.0
+        if step <= 0.0 or step >= 360.0:
+            raise GeometryError("coincident anchors on the circle")
+        total += step
+    if abs(total - 360.0) > 1e-6:
+        raise GeometryError(
+            "anchors are not listed in clockwise circular order"
+        )
     return radius
+
+
+def _not_finite(xy: np.ndarray) -> int:
+    """The first row of ``xy`` with a coordinate that is not finite, or -1.
+    A finite sum clears them all; a sum that overflows is looked into."""
+    if math.isfinite(xy.sum()):
+        return -1
+    bad = (~np.isfinite(xy).all(axis=1)).nonzero()[0]
+    return int(bad[0]) if bad.size else -1
+
+
+def _starts(rows: np.ndarray) -> list[int]:
+    """Where each run of equal values in ``rows`` starts, then the size of
+    ``rows``."""
+    return [0][:rows.size] + ((rows[1:] != rows[:-1]).nonzero()[0]
+                              + 1).tolist() + [rows.size]
 
 
 def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
@@ -265,130 +241,169 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     The drawing is validated before it is returned, which catches
     conversion bugs on top of the geometry checks.
 
+    Each route is cleaned first: a point within TOL of the last point
+    kept before it on the route is dropped (not merely one within TOL of
+    its predecessor), and the first and last points kept are moved onto
+    the edge's end vertices, which they must lie within 1e-6 of.  An
+    empty route collapses.  A fault is reported for the first edge that
+    has one, and of its faults the first of: fewer than two points kept,
+    the start off its vertex, the end off its vertex, a piece that runs
+    straight back along the one before.  Then, for an anchored scene,
+    the first edge that leaves the disk; then the faults between pieces,
+    the crossings' own checks, and last the rotations at vertices (in
+    order of first appearance on the edges) and at anchors (in anchor
+    order).  A position or route point that is not finite is rejected,
+    by name, before any of these and before the anchors are checked.
+    An end takes its angle from its terminal piece, or from the next
+    piece when moving the end onto its vertex left the terminal piece at
+    most TOL long.
+
     Memory does not follow the candidate pairs: each slice of the sweep
     is classified as it is made, so one slice is held at a time, and
     then the crossings found.
     """
     g = scene.graph
-    radius = _check_scene(scene)
+    vids = _check_scene(scene)
+    nv, m = len(vids), g.m
+    # every route point, each route a run of them.  An empty route is
+    # read as its start vertex alone, which collapses below
+    routes = list(map(scene.routes.__getitem__, range(m)))
+    size = np.fromiter(map(len, routes), np.int64, m)
+    if not all(map(len, routes)):
+        for e in (size == 0).nonzero()[0].tolist():
+            routes[e] = (scene.positions[g.edges[e][0]],)
+        size = np.fromiter(map(len, routes), np.int64, m)
+    # the positions and then the route points, all finite
+    xy = np.fromiter(chain.from_iterable(chain(
+        map(scene.positions.__getitem__, vids), *routes)), float).reshape(
+            nv + int(size.sum()), 2)
+    i = _not_finite(xy)
+    if i >= 0 and i < nv:
+        raise GeometryError(f"vertex {vids[i]} has a non-finite position "
+                            f"{scene.positions[vids[i]]}")
+    if i >= 0:
+        e = int(size.cumsum().searchsorted(i - nv, side="right"))
+        raise GeometryError(f"route of edge {e} has a non-finite point "
+                            f"{routes[e][i - nv - size[:e].sum()]}")
+    radius = _check_anchors(scene)
+    pos_arr, pts = xy[:nv], xy[nv:]
+    vids = np.array(vids, dtype=np.int64)
+    # the tips of the edges: tip 2e is edge e's start and tip 2e + 1 its
+    # end, each at a vertex row
+    tip_v = vids.searchsorted(np.fromiter(
+        chain.from_iterable(g.edges), np.int64, 2 * m))
+    edge_ends = tip_v.reshape(-1, 2)
 
-    routes: dict[int, list[Point]] = {}
-    for e in range(g.m):
+    # cleaning.  A point more than TOL from the point before it is kept
+    # when that one is; a point within TOL of it starts a run of dropped
+    # points, each measured against the last point kept, up to the end
+    # of the route
+    pt_edge = np.arange(m).repeat(size)
+    step = pts[1:] - pts[:-1]
+    drop: list[int] = []
+    for i in (np.hypot(step[:, 0], step[:, 1]) <= TOL).nonzero()[0].tolist():
+        i += 1
+        if drop and i <= drop[-1] + 1 or pt_edge[i] != pt_edge[i - 1]:
+            continue
+        held = pts[i - 1].tolist()
+        stop = size[:pt_edge[i] + 1].sum()
+        drop.append(i)
+        i += 1
+        while i < stop and math.dist(pts[i].tolist(), held) <= TOL:
+            drop.append(i)
+            i += 1
+    kept_n = size
+    if drop:
+        pts = np.delete(pts, drop, axis=0)
+        pt_edge = np.delete(pt_edge, drop)
+        kept_n = np.bincount(pt_edge, minlength=m)
+    # each tip's point: its edge's first or last point kept
+    tip = (kept_n.cumsum() - 1).repeat(2)
+    tip[0::2] -= kept_n - 1
+
+    # each tip within 1e-6 of its vertex, then moved onto it
+    at_tip = pos_arr[tip_v]
+    off = pts[tip] - at_tip
+    off = np.hypot(off[:, 0], off[:, 1]) > 1e-6
+    pts[tip] = at_tip
+
+    # the pieces, numbered by edge and along it, each with its edge (SE),
+    # start (SA), end (SB), direction (D) and length (SLEN)
+    body = (pt_edge[1:] == pt_edge[:-1]).nonzero()[0]
+    nxt = body + 1
+    SE = pt_edge[body]
+    SA = pts[body]
+    SB = pts[nxt]
+    D = SB - SA
+    SLEN = np.hypot(D[:, 0], D[:, 1])
+    # consecutive pieces are never paired as candidates below, so no
+    # piece may run straight back along the one before it here: the dot
+    # and cross products of each piece's direction with the next one's
+    dot = D[:-1] * D[1:]
+    cross = D[:-1] * D[1:, ::-1]
+    back = SE[1:][(dot[:, 0] + dot[:, 1] < 0.0) & (SE[1:] == SE[:-1]) & (
+        np.abs(cross[:, 0] - cross[:, 1]) <= TOL * SLEN[:-1] * SLEN[1:])]
+    if back.size or off.any() or kept_n.min(initial=2) < 2:
+        collapsed = kept_n < 2
+        bad = collapsed | off[0::2] | off[1::2]
+        bad[back] = True
+        e = int(bad.argmax())
         u, v = g.edges[e]
-        r = _clean_route(scene.routes[e])
-        if len(r) < 2:
-            raise GeometryError(f"route of edge {e} collapses to a point")
-        if _dist(r[0], scene.positions[u]) > 1e-6:
-            raise GeometryError(f"route of edge {e} does not start at vertex {u}")
-        if _dist(r[-1], scene.positions[v]) > 1e-6:
-            raise GeometryError(f"route of edge {e} does not end at vertex {v}")
-        r[0] = scene.positions[u]
-        r[-1] = scene.positions[v]
-        # consecutive pieces are never paired as candidates below, so no
-        # piece may run straight back along the one before it here
-        for (ax, ay), (bx, by), (cx, cy) in zip(r, r[1:], r[2:]):
-            px, py, qx, qy = bx - ax, by - ay, cx - bx, cy - by
-            if px * qx + py * qy < 0.0 and abs(px * qy - py * qx) <= (
-                TOL * math.hypot(px, py) * math.hypot(qx, qy)
-            ):
-                raise GeometryError(f"route of edge {e} doubles back on itself")
-        routes[e] = r
+        fault = next(what for hit, what in (
+            (collapsed[e], "collapses to a point"),
+            (off[2 * e], f"does not start at vertex {u}"),
+            (off[2 * e + 1], f"does not end at vertex {v}"),
+            (True, "doubles back on itself")) if hit)
+        raise GeometryError(f"route of edge {e} {fault}")
 
     if radius is not None:
-        for e, r in routes.items():
-            for i, p in enumerate(r):
-                limit = radius + 1e-9 if i in (0, len(r) - 1) else radius - TOL
-                if _dist(p, (0.0, 0.0)) > limit:
-                    raise GeometryError(
-                        f"route of edge {e} leaves the boundary disk"
-                    )
-
-    # flatten every polyline piece into parallel arrays, with the prefix
-    # arclengths that order crossings along a route.  A vertex end takes
-    # its rotation angle from the first (last) piece that reaches more
-    # than TOL along the route.  Each piece is tagged with its start and
-    # end point: a vertex row, or a private id for a bend.  A vertex end
-    # whose angle comes from a further piece (a terminal piece at most TOL
-    # long) gets a private id.
-    vert_pos = scene.positions
-    vids = sorted(vert_pos)
-    vrow = {v: i for i, v in enumerate(vids)}
-    nv = len(vids)
-    leave: list[float] = []
-    arrive: list[float] = []
-    ends_at: dict[int, list[tuple[float, int]]] = collections.defaultdict(list)
-    seg_edge: list[int] = []
-    seg_a: list[Point] = []
-    seg_b: list[Point] = []
-    seg_pref: list[float] = []
-    tag_a: list[int] = []
-    tag_b: list[int] = []
-    # per edge, the last piece that belongs to its start and the first
-    # that belongs to its end: the terminal piece, and after (before) a
-    # terminal piece at most TOL long the next one too
-    lead: list[int] = []
-    trail: list[int] = []
-    longest = 0.0
-    for e in range(g.m):
-        r = routes[e]
-        u, v = g.edges[e]
-        p0 = len(seg_edge)
-        acc = [0.0]
-        for i in range(len(r) - 1):
-            step = _dist(r[i], r[i + 1])
-            if step > longest:
-                longest = step
-            acc.append(acc[-1] + step)
-            seg_edge.append(e)
-            seg_a.append(r[i])
-            seg_b.append(r[i + 1])
-            seg_pref.append(acc[i])
-        j = 0
-        while j < len(acc) - 2 and acc[j + 1] <= TOL:
-            j += 1
-        leave.append(math.atan2(r[j + 1][1] - r[j][1], r[j + 1][0] - r[j][0]))
-        lead.append(p0 + j)
-        j = len(acc) - 2
-        while j > 0 and acc[j] >= acc[-1] - TOL:
-            j -= 1
-        arrive.append(math.atan2(r[j][1] - r[j + 1][1], r[j][0] - r[j + 1][0]))
-        trail.append(p0 + j)
-        last = len(seg_edge) - 1
-        tag_a.extend(range(nv + p0 + e, nv + last + e + 1))
-        tag_b.extend(range(nv + p0 + e + 1, nv + last + e + 2))
-        if acc[1] > TOL:
-            tag_a[p0] = vrow[u]
-            ends_at[vrow[u]].append((leave[e], p0))
-        if acc[-2] < acc[-1] - TOL:
-            tag_b[last] = vrow[v]
-            ends_at[vrow[v]].append((arrive[e], last))
-    nseg = len(seg_edge)
-
-    SE = np.asarray(seg_edge, dtype=np.int64)
-    SA = np.array(seg_a, dtype=float).reshape(-1, 2)
-    SB = np.array(seg_b, dtype=float).reshape(-1, 2)
-    SPREF = np.asarray(seg_pref, dtype=float)
-    # columns of piece starts and directions, gathered once per chunk below
-    AX, AY = SA.T
-    DX, DY = (SB - SA).T
-    SLEN = np.hypot(DX, DY)
-    if np.any(SLEN == 0.0):
+        limit = np.empty(len(pts))
+        limit.fill(radius - TOL)
+        limit[tip] = radius + 1e-9
+        out = (np.hypot(pts[:, 0], pts[:, 1]) > limit).nonzero()[0]
+        if out.size:
+            raise GeometryError(
+                f"route of edge {pt_edge[out[0]]} leaves the boundary disk")
+    if not SLEN.all():
         raise GeometryError("zero length segment in a route")
 
-    pos_arr = np.array([vert_pos[v] for v in vids], dtype=float).reshape(-1, 2)
-    vids = np.array(vids, dtype=np.int64)
-    edge_ends = np.array([(vrow[u], vrow[v]) for u, v in g.edges],
-                         dtype=np.int64).reshape(-1, 2)
+    # per tip, its own (terminal) piece, and the piece it takes its angle
+    # from: its own, or the next one along the route when its own is at
+    # most TOL long.  Only a terminal piece can be that short, once its
+    # end is moved onto the vertex: cleaning keeps no two consecutive
+    # points within TOL.  A tip's own piece is tagged with the vertex
+    # only if it is longer; every other piece end is tagged with its
+    # point, a private id
+    nseg = len(SE)
+    tip_p = tip - (np.arange(1, 2 * m + 1) >> 1)
+    reach = SLEN[tip_p] > TOL
+    short = ~reach & (kept_n > 2).repeat(2)
+    lead = tip_p[0::2] + short[0::2]
+    trail = tip_p[1::2] - short[1::2]
+    # out of the vertex along that piece: its start to its end, or back
+    # from its end to its start (as SA - SB, not -(SB - SA), which would
+    # turn +pi into -pi for a piece along the x-axis)
+    way = np.empty((2 * m, 2))
+    way[0::2] = D[lead]
+    way[1::2] = SA[trail] - SB[trail]
+    angle = np.arctan2(way[:, 1], way[:, 0])
+    ends = reach.nonzero()[0]
+    tags = np.empty((2, nseg + nv), dtype=np.int64)
+    tags[0, :nseg] = body + nv
+    tags[1, :nseg] = nxt + nv
+    tags[:, nseg:] = np.arange(nv)
+    tags[ends & 1, tip_p[ends]] = tip_v[ends]
 
     def near_shared_vertex(pair, xy):
         """Rows, in order, whose point ``xy[row]`` lies within 16 TOL of a
         vertex that ends both edges ``pair[:, row]``, with that vertex."""
-        ends = edge_ends[pair]
-        row, i, _ = np.nonzero(ends[0, :, :, None] == ends[1, :, None, :])
+        one, two = edge_ends[pair]
+        row, i, _ = (one[:, :, None] == two[:, None, :]).nonzero()
         if not row.size:
             return row, row
-        v = ends[0, row, i]
-        near = np.hypot(*(xy[row] - pos_arr[v]).T) <= 16.0 * TOL
+        v = one[row, i]
+        gap = xy[row] - pos_arr[v]
+        near = (np.hypot(gap[:, 0], gap[:, 1]) <= 16.0 * TOL).nonzero()[0]
         return row[near], v[near]
 
     # the faults found, as (rule, key, message), and the least is raised
@@ -397,120 +412,120 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     # fault (1), a self-crossing (2) and a touch away from a shared vertex
     # (3), each keyed lower * nseg + higher piece
     faults: list[tuple[int, int, str]] = []
-    lead = np.array(lead)
-    trail = np.array(trail)
 
     def through_vertex(qs, qv):
         """Records a fault if a piece ``qs`` passes within 16 TOL of a
         vertex row ``qv``: of any vertex but its edge's ends, and of an
         end too unless the piece lies at that end."""
+        # the vertex from the piece's start, and its foot on the piece
+        rel = pos_arr[qv] - SA[qs]
+        way = D[qs]
+        tt = (rel[:, 0] * way[:, 0] + rel[:, 1] * way[:, 1]) / (
+            SLEN[qs] * SLEN[qs])
+        tt = np.minimum(np.maximum(tt, 0.0), 1.0)
+        gap = rel - tt[:, None] * way
+        near = (np.hypot(gap[:, 0], gap[:, 1]) <= 16.0 * TOL).nonzero()[0]
+        qs, qv = qs[near], qv[near]
         qe = SE[qs]
-        outside = ~(((edge_ends[qe, 0] == qv) & (qs <= lead[qe]))
-                    | ((edge_ends[qe, 1] == qv) & (qs >= trail[qe])))
-        qv = qv[outside]
-        qs = qs[outside]
-        px = pos_arr[qv, 0]
-        py = pos_arr[qv, 1]
-        dx = SB[qs, 0] - SA[qs, 0]
-        dy = SB[qs, 1] - SA[qs, 1]
-        tt = (
-            (px - SA[qs, 0]) * dx + (py - SA[qs, 1]) * dy
-        ) / (SLEN[qs] * SLEN[qs])
-        tt = np.clip(tt, 0.0, 1.0)
-        gap = np.hypot(
-            px - SA[qs, 0] - tt * dx, py - SA[qs, 1] - tt * dy
-        )
-        hit_at = np.flatnonzero(gap <= 16.0 * TOL)
+        ends = edge_ends[qe]
+        hit_at = (~(((ends[:, 0] == qv) & (qs <= lead[qe]))
+                    | ((ends[:, 1] == qv) & (qs >= trail[qe])))).nonzero()[0]
         if hit_at.size:
             b = hit_at[np.argmin(qv[hit_at] * nseg + qs[hit_at])]
             faults.append((0, int(qv[b] * nseg + qs[b]), f"route of edge "
                            f"{SE[qs[b]]} passes through vertex {vids[qv[b]]}"))
 
     # classify piece pairs and keep only the crossings, each as its lower
-    # and higher piece and the parameter of the point along each.  The
-    # rare parallel collinear pairs are classified one at a time
-    line_p: list[tuple[int, int]] = []
-    line_u: list[tuple[float, float]] = []
+    # and higher piece and the parameter of the point along each
     cross_p: list[np.ndarray] = []
     cross_u: list[np.ndarray] = []
 
-    def classify(plo, phi):
-        rx = DX[plo]
-        ry = DY[plo]
-        sx = DX[phi]
-        sy = DY[phi]
-        acx = AX[phi] - AX[plo]
-        acy = AY[phi] - AY[plo]
-        denom = rx * sy - ry * sx
-        len_r = SLEN[plo]
-        len_s = SLEN[phi]
-        par = np.abs(denom) <= TOL * len_r * len_s
-        on_line = np.abs(acx * ry - acy * rx) <= TOL * len_r
+    def classify(pair):
+        """Classifies the piece pairs, the columns of ``pair``: lower piece
+        over higher piece."""
+        way = D[pair]
+        r, s = way[0], way[1]
+        ac = SA[pair]
+        ac = ac[1] - ac[0]
+        lens = SLEN[pair]
+        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+        par = np.abs(denom) <= TOL * lens[0] * lens[1]
 
-        for j in np.flatnonzero(par & on_line):
-            a1 = int(SE[plo[j]])
-            a2 = int(SE[phi[j]])
-            hit = _segment_intersection(
-                (float(SA[plo[j], 0]), float(SA[plo[j], 1])),
-                (float(SB[plo[j], 0]), float(SB[plo[j], 1])),
-                (float(SA[phi[j], 0]), float(SA[phi[j], 1])),
-                (float(SB[phi[j], 0]), float(SB[phi[j], 1])),
-                TOL,
-            )
-            if hit is None:
-                continue
-            key = int(plo[j] * nseg + phi[j])
-            if hit[0] == "overlap":
-                faults.append((1, key, f"edges {a1} and {a2} run along a "
-                               "shared segment"))
-            elif a1 == a2:
-                faults.append((1, key, f"edge {a1} crosses itself"))
-            elif hit[0] == "touch":
-                pt = hit[1]
-                shared = set(g.edges[a1]) & set(g.edges[a2])
-                if not any(_dist(pt, vert_pos[v]) <= 16.0 * TOL
-                           for v in shared):
-                    faults.append((1, key, f"edges {a1} and {a2} touch "
-                                   f"without crossing near {pt}"))
-            else:
-                line_p.append((int(plo[j]), int(phi[j])))
-                line_u.append(hit[2:])
-
-        act = np.flatnonzero(~par)
-        uu = (acx[act] * sy[act] - acy[act] * sx[act]) / denom[act]
-        vv = (acx[act] * ry[act] - acy[act] * rx[act]) / denom[act]
-        eu = TOL / len_r[act]
-        ev = TOL / len_s[act]
-        inside = (uu >= -eu) & (uu <= 1.0 + eu) & (vv >= -ev) & (vv <= 1.0 + ev)
-        crossed = (
-            inside & (uu > eu) & (uu < 1.0 - eu) & (vv > ev) & (vv < 1.0 - ev)
-        )
-
-        selfi = act[inside & (SE[plo[act]] == SE[phi[act]])]
-        if selfi.size:
-            b = selfi[np.argmin(plo[selfi] * nseg + phi[selfi])]
-            faults.append((2, int(plo[b] * nseg + phi[b]),
-                           f"edge {SE[plo[b]]} crosses itself"))
-        touched = inside & ~crossed
-        ti = act[touched]
-        if ti.size:
-            tpx = AX[plo[ti]] + uu[touched] * rx[ti]
-            tpy = AY[plo[ti]] + uu[touched] * ry[ti]
-            ok = np.zeros(ti.size, dtype=bool)
-            ok[near_shared_vertex(SE[np.array((plo[ti], phi[ti]))],
-                                  np.stack((tpx, tpy), axis=1))[0]] = True
-            bad = np.flatnonzero(~ok)
+        # parallel pieces on one line: the higher one's ends project to
+        # t0 and t1 along the lower one, and the two overlap, touch at a
+        # point or miss by how far [t0, t1] reaches into [0, 1]
+        col = par.nonzero()[0]
+        if col.size:
+            col = col[np.abs(ac[col, 0] * r[col, 1] - ac[col, 1] * r[col, 0])
+                      <= TOL * lens[0, col]]
+        if col.size:
+            lo, hi = pair[:, col]
+            rx, ry = r[col].T
+            rr = lens[0, col] * lens[0, col]
+            t0 = (ac[col, 0] * rx + ac[col, 1] * ry) / rr
+            t1 = t0 + (s[col, 0] * rx + s[col, 1] * ry) / rr
+            t_lo = np.where(t1 < t0, t1, t0)
+            t_hi = np.where(t1 > t0, t1, t0)
+            eps = TOL / lens[0, col]
+            meet = (t_hi >= -eps) & (t_lo <= 1 + eps)
+            a = np.where(0.0 > t_lo, 0.0, t_lo)
+            b = np.where(1.0 < t_hi, 1.0, t_hi)
+            touch = meet & (b - a <= eps)
+            t = (a + b) / 2.0
+            tx = SA[lo, 0] + t * rx
+            ty = SA[lo, 1] + t * ry
+            ok = np.zeros(col.size, dtype=bool)
+            ok[near_shared_vertex(SE[pair[:, col]],
+                                  np.stack((tx, ty), axis=1))[0]] = True
+            same = SE[lo] == SE[hi]
+            bad = (meet & ~(touch & ~same & ok)).nonzero()[0]
             if bad.size:
-                b = bad[np.argmin(plo[ti[bad]] * nseg + phi[ti[bad]])]
-                lo, hi = plo[ti[b]], phi[ti[b]]
-                pt = (float(tpx[b]), float(tpy[b]))
+                c = bad[np.argmin(lo[bad] * nseg + hi[bad])]
+                a1, a2 = SE[lo[c]], SE[hi[c]]
+                if not touch[c]:
+                    what = f"edges {a1} and {a2} run along a shared segment"
+                elif same[c]:
+                    what = f"edge {a1} crosses itself"
+                else:
+                    what = (f"edges {a1} and {a2} touch without crossing "
+                            f"near {(float(tx[c]), float(ty[c]))}")
+                faults.append((1, int(lo[c] * nseg + hi[c]), what))
+
+        # pieces at an angle: the parameters u along the lower piece and v
+        # along the higher (rows of uv), from the cross products of ac
+        # with the higher and the lower direction
+        apart = ~par
+        uv = np.divide(ac[:, 0] * way[::-1, :, 1] - ac[:, 1] * way[::-1, :, 0],
+                       denom, out=np.zeros((2, denom.size)), where=apart)
+        eps = TOL / lens
+        inside = (uv >= -eps) & (uv <= 1.0 + eps)
+        inside = apart & inside[0] & inside[1]
+        crossed = (uv > eps) & (uv < 1.0 - eps)
+        crossed = crossed[0] & crossed[1]
+
+        edge = SE[pair]
+        selfi = (inside & (edge[0] == edge[1])).nonzero()[0]
+        if selfi.size:
+            b = selfi[np.argmin(pair[0, selfi] * nseg + pair[1, selfi])]
+            faults.append((2, int(pair[0, b] * nseg + pair[1, b]),
+                           f"edge {edge[0, b]} crosses itself"))
+        ti = (inside & ~crossed).nonzero()[0]
+        if ti.size:
+            tp = SA[pair[0, ti]] + uv[0, ti, None] * r[ti]
+            ok = np.zeros(ti.size, dtype=bool)
+            ok[near_shared_vertex(edge[:, ti], tp)[0]] = True
+            bad = ti[~ok]
+            if bad.size:
+                b = np.argmin(pair[0, bad] * nseg + pair[1, bad])
+                lo, hi = pair[:, bad[b]]
+                pt = (float(tp[~ok][b, 0]), float(tp[~ok][b, 1]))
                 faults.append((3, int(lo * nseg + hi), f"edges {SE[lo]} and "
                                f"{SE[hi]} touch without crossing near {pt}"))
 
-        hits = act[crossed]
+        hits = crossed.nonzero()[0]
         if hits.size:
-            cross_p.append(np.array((plo[hits], phi[hits])))
-            cross_u.append(np.array((uu[crossed], vv[crossed])))
+            cross_p.append(pair[:, hits])
+            cross_u.append(uv[:, hits])
 
     # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
     # so that any two within 64 TOL of each other pair up, except pieces
@@ -519,18 +534,18 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     # A batch with no pairs is skipped, as its checks would cost as much
     # as a small one's
     grow = 32.0 * TOL
-    rows = list(range(nv))
-    for first, second in _overlapping_boxes(
+    for pair in _overlapping_boxes(
         np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
         np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
-        np.array((tag_a + rows, tag_b + rows), dtype=np.int64),
+        tags,
     ):
-        pieces = second < nseg
-        at_vertex = ~pieces & (first < nseg)
-        if at_vertex.any():
-            through_vertex(first[at_vertex], second[at_vertex] - nseg)
-        if pieces.any():
-            classify(first[pieces], second[pieces])
+        pieces = pair[1] < nseg
+        at_vertex = (~pieces & (pair[0] < nseg)).nonzero()[0]
+        if at_vertex.size:
+            through_vertex(pair[0, at_vertex], pair[1, at_vertex] - nseg)
+        pieces = pieces.nonzero()[0]
+        if pieces.size:
+            classify(pair[:, pieces])
 
     # the pairs of pieces that end at one vertex, where they are nearly
     # parallel.  Two straight pieces from one point meet again only if
@@ -541,64 +556,86 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     # 12 * 2**-53 * L / sin D.  That is under TOL for L <= 10 and
     # D >= 1e-4 (near D = 1e-7 it is not); the window widens with longer
     # pieces.  Outside it the pair touches at the vertex, which is allowed.
-    window = 1e-4 * max(1.0, longest / 10.0)
-    near = set()
-    for ends in ends_at.values():
-        if len(ends) < 2:
-            continue
-        ends = sorted([(ang % math.pi, p) for ang, p in ends])
-        if ends[0][0] <= window:
-            ends += [(ang + math.pi, p) for ang, p in ends if ang <= window]
-        for i, (ang, p) in enumerate(ends):
-            j = i + 1
-            while j < len(ends) and ends[j][0] - ang <= window:
-                q = ends[j][1]
-                if p != q:
-                    near.add((min(p, q), max(p, q)))
-                j += 1
+    # The tips that reach beyond TOL are sorted by vertex and angle
+    # modulo pi, and those within the window of 0 follow their vertex's
+    # tips again, past pi, so that the window wraps around; a pair is a
+    # tip and one after it at the same vertex, at most the window further
+    # on.  The order of two tips at one angle changes no pair
+    window = 1e-4 * max(1.0, SLEN.max(initial=0.0) / 10.0)
+    turn = angle[ends] % math.pi
+    wrap = turn <= window
+    if wrap.any():
+        ends = np.concatenate((ends, ends[wrap]))
+        turn = np.concatenate((turn, turn[wrap] + math.pi))
+    by = np.lexsort((turn, tip_v[ends]))
+    turn, ends = turn[by], ends[by]
+    end_v = tip_v[ends]
+    i = ((end_v[1:] == end_v[:-1])
+         & (turn[1:] - turn[:-1] <= window)).nonzero()[0]
+    near = []
+    step = 1
+    while i.size:
+        near.append((i, i + step))
+        step += 1
+        i = i[i + step < ends.size]
+        i = i[(end_v[i + step] == end_v[i])
+              & (turn[i + step] - turn[i] <= window)]
     if near:
-        classify(*np.array(list(near), dtype=np.int64).T)
+        one, two = (tip_p[ends[np.concatenate(x)]] for x in zip(*near))
+        lo, hi = np.minimum(one, two), np.maximum(one, two)
+        key = np.unique((lo * nseg + hi)[lo != hi])
+        classify(np.stack((key // nseg, key % nseg)))
     if faults:
         raise GeometryError(min(faults)[2])
 
-    # one record per crossing, collinear ones first: its lower and higher
-    # piece (xp), their edges (xe; pieces are numbered by edge, so the
-    # lower edge is first), the arclength along each edge (xs) and the
-    # point (xy)
-    if line_p:
-        cross_p.insert(0, np.array(line_p, dtype=np.int64).T)
-        cross_u.insert(0, np.array(line_u, dtype=float).T)
+    # one record per crossing: its lower and higher piece (xp), their
+    # edges (xe; pieces are numbered by edge, so the lower edge is
+    # first), the arclength along each edge (xs) and the point (xy)
     crossings: list[Crossing] = []
     xid_points: dict[int, Point] = {}
-    chains = {e: (u, v) for e, (u, v) in enumerate(g.edges)}
+    chains = dict(enumerate(g.edges))
     rotation: dict[int, tuple[ArcRef, ...]] = {}
+    on_each = np.zeros(m, dtype=np.int64)
     if cross_p:
         xp = _side_by_side(cross_p)
         xu = _side_by_side(cross_u)
         xe = SE[xp]
+        # the prefix arclengths along each edge, summed in order along
+        # it: the edges with as many pieces are the rows of one array
+        points = kept_n[SE]
+        by = points.argsort(kind="stable")
+        points = points[by]
+        run = SLEN[by]
+        cut = _starts(points)
+        for a, b in zip(cut, cut[1:]):
+            if points[a] > 2:
+                run[a:b] = run[a:b].reshape(-1, points[a] - 1).cumsum(
+                    axis=1).ravel()
+        SPREF = np.empty(nseg)
+        SPREF[by[1:]] = run[:-1]
+        SPREF[tip_p[0::2]] = 0.0
         xs = SPREF[xp] + xu * SLEN[xp]
+
+        # deterministic ids: sort by (lower edge, position along it,
+        # higher edge, position along it)
+        order = np.lexsort((xs[1], xe[1], xs[0], xe[0]))
+        xp, xu, xe, xs = xp[:, order], xu[:, order], xe[:, order], xs[:, order]
         tail, head = SA[xp], SB[xp]
         xy = tail[0] + xu[0, :, None] * (head[0] - tail[0])
 
         # no crossing within 16 TOL of a vertex.  Only the vertices that
         # end both edges need a test: a crossing lies on both pieces, so
         # near any other vertex one of them passes through it, which
-        # raised above.  Of several, the collinear ones come first and then
-        # the least key, as for the faults above
+        # raised above.  Of several, the least key is reported, as for
+        # the faults above
         row, v = near_shared_vertex(xe, xy)
         if row.size:
-            c = row[np.lexsort((xp[0, row] * nseg + xp[1, row],
-                                row >= len(line_p)))[0]]
+            c = row[np.argmin(xp[0, row] * nseg + xp[1, row])]
             raise GeometryError(
                 f"edges {xe[0, c]} and {xe[1, c]} cross too close to "
                 f"vertex {vids[v[row == c].min()]}"
             )
 
-        # deterministic ids: sort by (lower edge, position along it,
-        # higher edge, position along it)
-        order = np.lexsort((xs[1], xe[1], xs[0], xe[0]))
-        xe, xs, xy = xe[:, order], xs[:, order], xy[order]
-        tail, head = tail[:, order], head[:, order]
         ids = max(g.vertices, default=-1) + 1 + np.arange(order.size)
         id_list = ids.tolist()
         crossings = [Crossing(x, (e1, e2))
@@ -618,10 +655,12 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                 f"crossings {xid[i]} and {xid[i + 1]} are too close on edge "
                 f"{on_edge[i]}"
             )
-        start = np.searchsorted(on_edge, np.arange(g.m + 1))
+        start = on_edge.searchsorted(np.arange(g.m + 1))
+        on_each = start[1:] - start[:-1]
         cut, seq = start.tolist(), xid.tolist()
-        chains = {e: (u, *seq[cut[e]:cut[e + 1]], v)
-                  for e, (u, v) in enumerate(g.edges)}
+        for e in on_each.nonzero()[0].tolist():
+            u, v = g.edges[e]
+            chains[e] = (u, *seq[cut[e]:cut[e + 1]], v)
 
         # rotations at crossings from their own two pieces, which each
         # crossing lies strictly inside.  Rows of ``way``: into the
@@ -631,7 +670,7 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         spot[by] = np.arange(1, by.size + 1) - start[on_edge]
         way = np.concatenate((tail - head, head - tail))
         dirs = np.arctan2(way[..., 1], way[..., 0])
-        turn = np.argsort(-dirs, axis=0)
+        turn = (-dirs).argsort(axis=0)
         col = np.arange(order.size)
         dirs = dirs[turn, col]
         flat = dirs[:-1] - dirs[1:] < 1e-12
@@ -643,41 +682,59 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         arc = (spot.reshape(2, -1)[side, col] - 1 + (turn >> 1)).T.tolist()
         rotation = {x: tuple(zip(a, i)) for x, a, i in zip(id_list, arm, arc)}
 
-    # rotations at vertices from the end angles
-    incident: dict[int, list[tuple[float, ArcRef]]] = collections.defaultdict(list)
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append((leave[e], (e, 0)))
-        incident[v].append((arrive[e], (e, len(chains[e]) - 2)))
+    # rotations at vertices and anchors, one sort of all tips by node:
+    # the anchors first, in order, then the other vertices by row.  At a
+    # vertex, clockwise is by falling angle; at an anchor it is by the
+    # clockwise turn from the circle's tangent there, and no tip may point
+    # along or out of the circle.  Ties go in tip order, which at an
+    # anchor is ArcRef order, as no edge has both tips at one vertex
+    arc = np.zeros(2 * m, dtype=np.int64)
+    arc[1::2] = on_each
+    anchors = scene.anchors or ()
+    na = len(anchors)
+    tip_node = tip_v + na
+    key = -angle
+    leave = np.zeros(0, dtype=bool)
+    if anchors:
+        arow = vids.searchsorted(anchors)
+        slot = np.empty(nv, dtype=np.int64)
+        slot.fill(-1)
+        slot[arow] = np.arange(na)
+        which = slot[tip_v]
+        on = (which >= 0).nonzero()[0]
+        tip_node[on] = which = which[on]
+        t_cw = np.arctan2(pos_arr[arow, 1], pos_arr[arow, 0]) - math.pi / 2.0
+        key[on] = off = (t_cw[which] - angle[on]) % (2.0 * math.pi)
+        leave = (off < 1e-12) | (off > math.pi - 1e-12)
+    by = np.lexsort((key, tip_node))
+    node, key = tip_node[by], key[by]
+    tight = node[1:][(node[1:] == node[:-1]) & (key[1:] - key[:-1] < 1e-12)]
+    if tight.size or leave.any():
+        # vertices in order of first appearance, then anchors in order,
+        # an anchor's tips leaving the disk before its tangential ones
+        tight = set(tight.tolist())
+        for r in dict.fromkeys(tip_v.tolist()):
+            if r + na in tight:
+                raise GeometryError(f"tangential curves at node {vids[r]}")
+        out = which[leave].tolist()
+        a = min({*tight, *out})
+        if a in out:
+            raise GeometryError(
+                f"curve leaves the disk at anchor {anchors[a]}")
+        raise GeometryError(f"tangential curves at anchor {anchors[a]}")
 
-    anchor_set = set(scene.anchors or ())
-    for node, ends in incident.items():
-        if node in anchor_set:
-            continue
-        ends.sort(key=lambda t: -t[0])
-        for (a1, _), (a2, _) in zip(ends, ends[1:]):
-            if a1 - a2 < 1e-12:
-                raise GeometryError(f"tangential curves at node {node}")
-        rotation[node] = tuple(ref for _, ref in ends)
-
-    if scene.anchors is not None:
-        for a in scene.anchors:
-            pos = scene.positions[a]
-            theta = math.atan2(pos[1], pos[0])
-            t_cw = theta - math.pi / 2.0
-            keyed = []
-            for ang, ref in incident.get(a, []):
-                off = (t_cw - ang) % (2.0 * math.pi)
-                if off < 1e-12 or off > math.pi - 1e-12:
-                    raise GeometryError(
-                        f"curve leaves the disk at anchor {a}"
-                    )
-                keyed.append((off, ref))
-            keyed.sort()
-            for (o1, _), (o2, _) in zip(keyed, keyed[1:]):
-                if o2 - o1 < 1e-12:
-                    raise GeometryError(f"tangential curves at anchor {a}")
-            rotation[a] = tuple(ref for _, ref in keyed)
-
+    refs = list(zip((by >> 1).tolist(), arc[by].tolist()))
+    cut = node.searchsorted(np.arange(na + 1)).tolist()
+    if cut[-1] < node.size:
+        # the vertices' lists, kept in order of first appearance
+        at = cut[-1]
+        runs = [at + i for i in _starts(node[at:])]
+        around = {v: tuple(refs[a:b]) for v, a, b in zip(
+            vids[node[runs[:-1]] - na].tolist(), runs, runs[1:])}
+        free = vids[tip_node[tip_node >= na] - na].tolist()
+        rotation.update((v, around[v]) for v in dict.fromkeys(free))
+    rotation.update((a, tuple(refs[cut[i]:cut[i + 1]]))
+                    for i, a in enumerate(anchors))
     for v in g.vertices:
         rotation.setdefault(v, ())
 

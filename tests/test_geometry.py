@@ -15,8 +15,7 @@ from minkplanar.errors import GeometryError, MinkplanarError
 from minkplanar.graphs import Graph
 from minkplanar import geometry
 from minkplanar.geometry import (
-    Scene, _overlapping_boxes, _segment_intersection, on_circle,
-    scene_to_drawing,
+    Scene, _overlapping_boxes, on_circle, scene_to_drawing,
 )
 from minkplanar.drawings import crossing_profile, validate
 from minkplanar.jsonio import drawing_text, drawing_to_json
@@ -79,6 +78,16 @@ def test_conversion_is_deterministic():
 
 def line_graph():
     return Graph((0, 1, 2, 3), ((0, 1), (2, 3)))
+
+
+def test_an_end_arriving_at_angle_pi_starts_its_vertex_rotation():
+    # edge 0 arrives at vertex 0 from the left along the x-axis, so its end
+    # points at angle +pi (not -pi), the largest, and is listed first
+    g = Graph((0, 1, 2, 3), ((1, 0), (0, 2), (0, 3)))
+    pos = {0: (0.0, 0.0), 1: (-1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, -1.0)}
+    routes = {e: (pos[u], pos[v]) for e, (u, v) in enumerate(g.edges)}
+    d, _ = scene_to_drawing(Scene(g, pos, routes))
+    assert d.rotation[0] == ((0, 0), (1, 0), (2, 0))
 
 
 def test_rejects_overlapping_segments():
@@ -238,6 +247,34 @@ def test_rejects_route_doubling_back():
     scene_to_drawing(Scene(g, pos, {0: (pos[0], (0.5, 0.0), pos[1])}))
 
 
+def test_an_empty_route_collapses_to_a_point():
+    g = Graph((0, 1), ((0, 1),))
+    pos = {0: (0.0, 0.0), 1: (1.0, 0.0)}
+    with pytest.raises(GeometryError,
+                       match="route of edge 0 collapses to a point"):
+        scene_to_drawing(Scene(g, pos, {0: ()}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_bend_is_rejected(bad):
+    # edge 1, a vertical chord, would cross edge 0 at its bend
+    g = line_graph()
+    pos = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 1.0), 3: (0.5, -1.0)}
+    routes = {0: (pos[0], (0.5, bad), pos[1]), 1: (pos[2], pos[3])}
+    with pytest.raises(GeometryError, match=(
+            rf"route of edge 0 has a non-finite point \(0\.5, -?{bad}\)")):
+        scene_to_drawing(Scene(g, pos, routes))
+
+
+def test_a_non_finite_vertex_position_is_rejected():
+    g = line_graph()
+    pos = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (math.nan, 1.0), 3: (0.5, -1.0)}
+    routes = {0: (pos[0], pos[1]), 1: (pos[2], pos[3])}
+    with pytest.raises(GeometryError,
+                       match=r"vertex 2 has a non-finite position \(nan, 1\.0\)"):
+        scene_to_drawing(Scene(g, pos, routes))
+
+
 def test_rejects_anchor_off_circle():
     g = Graph((0, 1), ((0, 1),))
     pos = {0: on_circle(1.0, 90.0), 1: (0.5, 0.0)}
@@ -377,6 +414,22 @@ def test_straight_parallel_edges_run_along_a_shared_segment():
         scene_to_drawing(Scene(g, pos, routes))
 
 
+def test_edges_either_side_of_angle_zero_run_along_a_shared_segment():
+    # edges 0 and 1 leave vertex 0 at +1e-10 and -1e-10 rad, angles that
+    # fall at either end of [0, pi) once taken modulo pi.  The window of
+    # nearly parallel pairs wraps around to pair them.  Unpaired, only
+    # edge 1's bend at distance 1, 1e-10 from edge 0, would be seen, as a
+    # touch
+    g = Graph((0, 1, 2), ((0, 1), (0, 2)))
+    pos = {0: (0.0, 0.0), 1: (2.0 * math.cos(1e-10), 2.0 * math.sin(1e-10)),
+           2: (1.0, -1.0)}
+    routes = {0: (pos[0], pos[1]),
+              1: (pos[0], (math.cos(-1e-10), math.sin(-1e-10)), pos[2])}
+    with pytest.raises(GeometryError,
+                       match="edges 0 and 1 run along a shared segment"):
+        scene_to_drawing(Scene(g, pos, routes))
+
+
 @pytest.mark.parametrize("angle", [1.5e-4, math.pi - 1.5e-4, 1e-6])
 def test_pieces_at_a_shallow_angle_at_their_vertex_are_accepted(angle):
     # the first two angles lie just outside the window of nearly parallel
@@ -421,6 +474,60 @@ def test_a_200_spoke_fan_converts_as_before():
 # drawing_to_json's digest, recorded while the converter still classified
 # every pair of spokes
 _FAN_DIGEST = "69ff2fc6b8b0d9568f2ae940d450fef5bdce7f6daf8a98137a0c1417a06946b8"
+
+
+# ---------------------------------------- one segment pair, as a scalar
+
+
+def _segment_intersection(a, b, c, d, tol):
+    """Classified intersection of segments ab and cd, one pair at a time:
+    the corpus's and the oracle's own judge, apart from the converter.
+
+    Returns one of
+      None                      disjoint,
+      ('cross', point, s, t)    transversal interior crossing,
+      ('touch', point)          meeting at or near segment ends,
+      ('overlap', None)         collinear with a shared stretch.
+    """
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    dx, dy = d
+    r = (bx - ax, by - ay)
+    s = (dx - cx, dy - cy)
+    denom = r[0] * s[1] - r[1] * s[0]
+    acx, acy = cx - ax, cy - ay
+    len_r = math.hypot(*r)
+    len_s = math.hypot(*s)
+    if len_r == 0.0 or len_s == 0.0:
+        raise GeometryError("zero length segment in a route")
+    if abs(denom) <= tol * len_r * len_s:
+        # parallel; collinear only if c is on the line of ab
+        if abs(acx * r[1] - acy * r[0]) > tol * len_r:
+            return None
+        # collinear: measure overlap of projections
+        t0 = (acx * r[0] + acy * r[1]) / (len_r * len_r)
+        t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / (len_r * len_r)
+        lo, hi = min(t0, t1), max(t0, t1)
+        eps = tol / len_r
+        if hi < -eps or lo > 1 + eps:
+            return None
+        if min(hi, 1.0) - max(lo, 0.0) <= eps:
+            # touching at a single shared point
+            t = (max(lo, 0.0) + min(hi, 1.0)) / 2.0
+            return ("touch", (ax + t * r[0], ay + t * r[1]))
+        return ("overlap", None)
+    u = (acx * s[1] - acy * s[0]) / denom
+    v = (acx * r[1] - acy * r[0]) / denom
+    eu = tol / len_r
+    ev = tol / len_s
+    if u < -eu or u > 1 + eu or v < -ev or v > 1 + ev:
+        return None
+    pt = (ax + u * r[0], ay + u * r[1])
+    if eu < u < 1 - eu and ev < v < 1 - ev:
+        return ("cross", pt, u, v)
+    return ("touch", pt)
+
 
 
 # ------------------------------------------------ pinned outcomes of a corpus
@@ -533,6 +640,179 @@ def test_the_corpus_converts_as_before_in_small_chunks(monkeypatch,
 # the digest of the 600 outcomes, recorded once a route's middle piece
 # near its own end vertex was rejected as passing through it
 _CORPUS_DIGEST = "1a300602ea9dc3829e3b6a2c3b654fdbfcc8ec13ee301364649d05030ffaffdd"
+
+
+# ------------------------------------------ pinned outcomes of route faults
+
+_ROUTE_KINDS = ("bend run", "end off", "short end", "double back",
+                "outside disk", "anchor off", "tangent at vertex",
+                "tangent at anchor", "several")
+
+
+def _unit(rng):
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    return math.cos(a), math.sin(a)
+
+
+def _toward(p, q):
+    d = math.dist(p, q)
+    return (q[0] - p[0]) / d, (q[1] - p[1]) / d
+
+
+def _turn(d, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return c * d[0] - s * d[1], s * d[0] + c * d[1]
+
+
+def _at(p, d, length):
+    return p[0] + length * d[0], p[1] + length * d[1]
+
+
+def _move_vertex(scene, w, p):
+    """Puts vertex ``w`` at ``p`` and the route ends there with it."""
+    old = scene.positions[w]
+    scene.positions[w] = p
+    for e, (a, b) in enumerate(scene.graph.edges):
+        r = scene.routes[e]
+        if a == w and r[0] == old:
+            r[0] = p
+        if b == w and r[-1] == old:
+            r[-1] = p
+
+
+def _route_fault(rng, scene, kind, e):
+    """Puts a route-level fault of ``kind``, or a near miss of one, on edge
+    ``e`` of ``scene``, whose routes are lists, in place."""
+    g, pos, r = scene.graph, scene.positions, scene.routes[e]
+    u, v = g.edges[e]
+    end = rng.choice((0, -1))
+    if kind == "bend run":
+        # bends each within about TOL of the one before, drifting further
+        # from the first; in the middle of a piece or running into an end
+        if rng.random() < 0.3:
+            run = [_at(r[end], _unit(rng), rng.choice((5e-10, 2e-9, 5e-7)))]
+        else:
+            i = rng.randrange(len(r) - 1)
+            run = [_point_on(r, i, rng.uniform(0.1, 0.9))]
+            end = i + 1
+        for _ in range(rng.randint(1, 4)):
+            run.append(_at(run[-1], _unit(rng), rng.choice(
+                (3e-10, 7e-10, 9.9e-10, 1.01e-9, 2e-9, 1e-6))))
+        if end == -1:
+            r[-1:-1] = run[::-1]
+        elif end == 0:
+            r[1:1] = run
+        else:
+            r[end:end] = run
+    elif kind == "end off":
+        if rng.random() < 0.15:
+            # all but the start within about TOL of it
+            r[1:] = [_at(r[0], _unit(rng), rng.choice((5e-10, 1e-9, 2e-9)))]
+        r[end] = _at(r[end], _unit(rng), rng.choice(
+            (1e-9, 1.5e-9, 5e-7, 1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9), 2e-6)))
+    elif kind == "short end":
+        # the end moved back off its vertex and a bend on it or at most
+        # about TOL beyond it, along the route or across it, so that snapping the end
+        # leaves a terminal piece that short
+        p, nxt = r[end], r[1] if end == 0 else r[-2]
+        d = _toward(p, nxt) if rng.random() < 0.6 else _unit(rng)
+        r[end] = _at(p, d, -rng.choice((0.0, 5e-10, 1.5e-9, 5e-7)))
+        bend = _at(p, d, rng.choice((0.0, 3e-10, 9e-10, 1.1e-9, 2e-9)))
+        r.insert(1 if end == 0 else len(r) - 1, bend)
+    elif kind == "double back":
+        i = rng.randrange(1, len(r))
+        a, b = r[i - 1], r[i]
+        d = _toward(b, a)
+        ln = math.dist(a, b)
+        c = _at(_at(b, d, rng.choice((0.3, 1.0, 1.5)) * ln), _turn(d, math.pi / 2),
+                rng.choice((0.0, 3e-10, 3e-9, 1e-3)) * ln)
+        r[i + 1:i + 1] = [c] if i < len(r) - 1 else [c, b]
+    elif kind == "outside disk":
+        rad = rng.choice((1.0 - 2e-9, 1.0 - 1e-9, 1.0 - 5e-10, 1.0,
+                          1.0 + 5e-10, 1.0 + 2e-9, 1.2))
+        inner = [w for w in pos if scene.anchors and w not in scene.anchors]
+        if inner and rng.random() < 0.4:
+            w = rng.choice(inner)
+            _move_vertex(scene, w, on_circle(rad, math.degrees(
+                math.atan2(pos[w][1], pos[w][0]))))
+        else:
+            r.insert(rng.randint(1, len(r) - 1),
+                     on_circle(rad, rng.uniform(0.0, 360.0)))
+    elif kind == "anchor off":
+        w = rng.choice(scene.anchors or (u,))
+        f = 1.0 + rng.choice((5e-7, 1e-6 * (1 - 1e-6), 1e-6 * (1 + 1e-6),
+                              3e-6)) * rng.choice((-1, 1))
+        p = (pos[w][0] * f, pos[w][1] * f)
+        if rng.random() < 0.5:
+            _move_vertex(scene, w, p)
+        else:
+            pos[w] = p
+    elif kind == "tangent at vertex":
+        # another edge f at an end x of e leaves x along e's first piece
+        # there, or turned from it by a tiny angle
+        x = g.edges[e][end]
+        others = [f for f in range(g.m) if f != e and x in g.edges[f]]
+        if not others:
+            return
+        f = rng.choice(others)
+        d = _toward(r[end], r[1] if end == 0 else r[-2])
+        d = _turn(d, rng.choice((0.0, 1e-13, 1e-11, 5e-5, 2e-4, math.pi)))
+        s = scene.routes[f]
+        bend = _at(pos[x], d, rng.uniform(0.05, 0.3))
+        if g.edges[f][0] == x:
+            s.insert(1, bend)
+        else:
+            s.insert(len(s) - 1, bend)
+    elif kind == "tangent at anchor":
+        # e leaves an anchor, moved up to 5e-7 inward, along the circle's
+        # tangent, turned in or out by a tiny angle
+        ends = [i for i, x in ((0, u), (-1, v))
+                if scene.anchors and x in scene.anchors]
+        if not ends:
+            return
+        end = rng.choice(ends)
+        x = g.edges[e][end]
+        _move_vertex(scene, x, _at(pos[x], _toward(pos[x], (0.0, 0.0)),
+                                   rng.choice((0.0, 2e-7, 5e-7))))
+        tangent = _turn(_toward((0.0, 0.0), pos[x]), -math.pi / 2)
+        d = _turn(tangent, rng.choice((0.0, math.pi)) + rng.choice(
+            (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-6, -1e-4, 1e-2)))
+        bend = _at(pos[x], d, rng.choice((1e-4, 1e-2)))
+        r.insert(1 if end == 0 else len(r) - 1, bend)
+
+
+def _route_scene(rng, kind):
+    """A plain corpus scene with route faults: one of ``kind``, or for
+    "several" two or three of the other kinds on different edges."""
+    base = _corpus_scene(rng, "plain")
+    scene = Scene(base.graph, dict(base.positions),
+                  {e: list(r) for e, r in base.routes.items()},
+                  base.anchors, base.radius)
+    edges = list(range(scene.graph.m))
+    rng.shuffle(edges)
+    kinds = ([rng.choice(_ROUTE_KINDS[:-1]) for _ in range(rng.randint(2, 3))]
+             if kind == "several" else [kind])
+    for k, e in zip(kinds, edges):
+        _route_fault(rng, scene, k, e)
+    scene.routes = {e: tuple(r) for e, r in scene.routes.items()}
+    return scene
+
+
+def _route_corpus_digest():
+    rng = random.Random(29)
+    outcomes = "\n".join(
+        _outcome(_route_scene(rng, _ROUTE_KINDS[i % len(_ROUTE_KINDS)]))
+        for i in range(900))
+    return hashlib.sha256(outcomes.encode()).hexdigest()
+
+
+def test_a_corpus_of_route_faults_converts_as_before():
+    assert _route_corpus_digest() == _ROUTE_DIGEST
+
+
+# the digest of the 900 outcomes, recorded while routes were cleaned,
+# checked and cut into pieces one point at a time
+_ROUTE_DIGEST = "16531049ac188e33961977b11552b78a285ec562b32f30ebf43da6aa18ce9da6"
 
 
 def _oracle(scene, tol):
