@@ -16,13 +16,12 @@ with t large the wheel edges are pinned: any rerouted wheel edge would
 still have to pierce the web cycle that separates its endpoints.
 
 Only the frame at t = 1 goes through ``scene_to_drawing``.  The t
-copies of a double are drawn as nested parallel curves, so the drawing
-at t is read off the one at t = 1: each half's arc becomes a block of t
-arcs in every rotation and each crossing of a wheel edge a run of t
-crossings.  The scene at t is consulted only for directions: the side
-copy 0 runs on, and the angles by which the converter would start each
-rotation, so the result is the converter's drawing of that scene, id
-for id.
+copies of a double are drawn as nested parallel curves, so the crossings
+and chains at t are read off the drawing at t = 1: each crossing of a
+wheel edge becomes a run of t crossings.  The scene at t gives the side
+copy 0 runs on, and every rotation is read off the scene's angles by the
+converter's own rule, so the result is the converter's drawing of that
+scene, id for id.
 
 ``compose`` then glues a certified disk drawing of the source graph
 into the outer region of the frame drawing, identifying anchors, which
@@ -34,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .constructions import Claims, CounterexampleBundle, certify
 from .drawings import (
-    ArcRef,
     Crossing,
     Drawing,
     crossing_profile,
@@ -56,10 +54,17 @@ from .graphs import (
     AnchoredGraph,
     EdgeClassMap,
     Graph,
+    _id,
     max_finite_anchor_distance,
     t_amplify,
 )
-from .geometry import Point, Scene, on_circle, scene_to_drawing
+from .geometry import (
+    Point,
+    Scene,
+    _rotations,
+    on_circle,
+    scene_to_drawing,
+)
 
 FRAME_RADIUS = 3.2
 
@@ -307,14 +312,11 @@ def _frame_scene(
 # first end side by side, cross the same wheel edges and arrive side by
 # side, and nothing lies between two neighbours.  So the drawing at t is
 # the drawing at t = 1 with every double replaced by its copies: each
-# half's arc in a rotation becomes a block of t arcs, and each crossing
-# of a wheel edge with a half becomes a run of t crossings.  Which way
-# the copies run follows from the side copy 0 is on: if it leaves the
-# first end left of copy 1, the block there lists the copies in
-# increasing order clockwise (decreasing at the far end), and a wheel
-# edge that passes the half from its left meets the copies in increasing
-# order.  The scene at t is read for that side, and for what the
-# converter settles by angle alone: the arc each rotation starts from.
+# crossing of a wheel edge with a half becomes a run of t crossings.
+# Which way a run goes follows from the side copy 0 is on: if it leaves
+# the first end left of copy 1, a wheel edge that passes the half from
+# its left meets the copies in increasing order.  The scene at t is read
+# for that side, and for the directions every rotation is sorted by.
 
 
 def _amplify(drawing: Drawing, one: EdgeClassMap, classes: EdgeClassMap,
@@ -322,17 +324,16 @@ def _amplify(drawing: Drawing, one: EdgeClassMap, classes: EdgeClassMap,
     """The frame drawing at t, amplified from ``drawing`` at t = 1.
 
     ``one`` and ``classes`` are the class maps at t = 1 and at t, and
-    ``scene`` is the frame scene at t.  Ids, chains and the first entry
-    of every rotation come out as ``scene_to_drawing(scene)`` gives them:
-    crossings are numbered by wheel edge and then along it, and each
-    rotation starts from its arc end of largest angle.
+    ``scene`` is the frame scene at t.  Crossings and chains come out as
+    ``scene_to_drawing(scene)`` gives them, crossings numbered by wheel
+    edge and then along it, and every rotation is read off the scene's
+    angles by the converter's own rule (``geometry._rotations``).
     """
     t = classes.t
     graph, routes = scene.graph, scene.routes
-    chains1, rot1, ends1 = drawing.chains, drawing.rotation, drawing.graph.edges
+    chains1, rot1 = drawing.chains, drawing.rotation
     kept = {one.kept_edge_map[s]: e for s, e in classes.kept_edge_map.items()}
     copies: dict[int, list[int]] = {}  # half at t = 1 -> its copies
-    mids: dict[int, list[int]] = {}    # midpoint at t = 1 -> its copies
     left: dict[int, bool] = {}         # half at t = 1 -> copy 0 is left
     for s, (de,) in one.by_edge.items():
         mine = classes.by_edge[s]
@@ -342,15 +343,13 @@ def _amplify(drawing: Drawing, one: EdgeClassMap, classes: EdgeClassMap,
         for i in (0, 1):
             copies[de.halves[i]] = [c.halves[i] for c in mine]
             left[de.halves[i]] = ccw
-        mids[de.midpoint] = [c.midpoint for c in mine]
 
     # crossing x of wheel edge w and half h becomes a run of t crossings;
     # w passes h from its right when h's in-arm follows w's clockwise
     chains: dict[int, tuple[int, ...]] = {}
     crossings: list[Crossing] = []
     runs: dict[int, list[int]] = {}  # crossing at t = 1 -> its copies' ids
-    arms = []  # per crossing: its arc ends [w in, h in, w out, h out], and
-    #            their clockwise order from w's in-arm
+    spot: list[tuple[int, int]] = []  # per crossing, its place in both chains
     xid = max(graph.vertices) + 1
     for w1 in sorted(kept, key=kept.get):
         w = kept[w1]
@@ -361,91 +360,52 @@ def _amplify(drawing: Drawing, one: EdgeClassMap, classes: EdgeClassMap,
             h, s = r[(r.index((w1, p)) + 1) % 4]
             ph = chains1[h].index(x)
             from_right = s == ph - 1
-            cycle = (0, 1, 2, 3) if from_right else (0, 3, 2, 1)
             run = runs[x] = [0] * t
             for c in range(t) if left[h] != from_right else range(t - 1, -1, -1):
-                hc = copies[h][c]
-                at = xid - first
                 run[c] = xid
-                crossings.append(Crossing(xid, (w, hc)))
-                arms.append((((w, at), (hc, ph - 1), (w, at + 1), (hc, ph)),
-                             cycle))
+                crossings.append(Crossing(xid, (w, copies[h][c])))
+                spot.append((xid - first + 1, ph))
                 xid += 1
         chains[w] = (u, *range(first, xid), v)
     for h, cs in copies.items():
-        u, *xs, v = chains1[h]
-        ends_by_copy = (mids.get(u) or repeat(u), *map(runs.get, xs),
-                        mids.get(v) or repeat(v))
-        chains.update(zip(cs, zip(*ends_by_copy)))
+        u, v = zip(*map(graph.edges.__getitem__, cs))
+        chains.update(zip(cs, zip(u, *map(runs.get, chains1[h][1:-1]), v)))
     chains = {e: chains[e] for e in range(graph.m)}
 
-    rotation: dict[int, tuple[ArcRef, ...]] = {}
-    top = _crossing_arms(routes, [x.edges for x in crossings]).argmax(axis=1)
-    for x, (refs, cycle), i in zip(crossings, arms, top.tolist()):
-        i = cycle.index(i)
-        rotation[x.id] = tuple(refs[a] for a in cycle[i:] + cycle[:i])
-
-    # vertex rotations: blocks of copies, started where the converter
-    # starts them, at the arc end of largest angle
-    leave, arrive = [], []
-    for e in range(graph.m):
-        r = routes[e]
-        leave.append(math.atan2(r[1][1] - r[0][1], r[1][0] - r[0][0]))
-        arrive.append(math.atan2(r[-2][1] - r[-1][1], r[-2][0] - r[-1][0]))
-    anchors = drawing.anchors or ()
-    vertex_rotation: dict[int, tuple[ArcRef, ...]] = {}
-    for v in drawing.graph.vertices:
-        if v in mids:
-            (e1, s1), (e2, s2) = rot1[v]
-            a1 = leave if ends1[e1][0] == v else arrive
-            a2 = leave if ends1[e2][0] == v else arrive
-            for m, f1, f2 in zip(mids[v], copies[e1], copies[e2]):
-                vertex_rotation[m] = (((f1, s1), (f2, s2)) if a1[f1] > a2[f2]
-                                      else ((f2, s2), (f1, s1)))
-            continue
-        refs, angle = [], []
-        for e, s in rot1[v]:
-            at = leave if ends1[e][0] == v else arrive
-            if e in kept:
-                f = kept[e]
-                refs.append((f, 0 if s == 0 else len(chains[f]) - 2))
-                angle.append(at[f])
-            else:
-                cs = copies[e] if left[e] == (at is leave) else copies[e][::-1]
-                refs.extend(zip(cs, repeat(s)))
-                angle.extend(map(at.__getitem__, cs))
-        i = 0 if v in anchors or not refs else angle.index(max(angle))
-        vertex_rotation[v] = tuple(refs[i:] + refs[:i])
-
-    # in the converter's order: crossings, other vertices as the edges
-    # first reach them, anchors, isolated vertices
-    reached = dict.fromkeys(chain.from_iterable(graph.edges))
-    for v in anchors:
-        reached.pop(v, None)
-    for nodes in (reached, anchors):
-        rotation.update(zip(nodes, map(vertex_rotation.__getitem__, nodes)))
-    for v in graph.vertices:
-        rotation.setdefault(v, ())
-    return Drawing(graph, tuple(crossings), chains, rotation, drawing.anchors)
+    # every route point, route e the rows start[e] to start[e + 1] - 1,
+    # and each tip's way out of its vertex along its terminal piece
+    lines = list(map(routes.__getitem__, range(graph.m)))
+    start = np.zeros(graph.m + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lines), np.int64, graph.m), out=start[1:])
+    points = np.fromiter(chain.from_iterable(chain.from_iterable(lines)),
+                         float, 2 * int(start[-1])).reshape(-1, 2)
+    u, v = start[:-1], start[1:] - 1
+    way = np.stack((points[u + 1] - points[u], points[v - 1] - points[v]),
+                   axis=1).reshape(-1, 2)
+    ids = np.arange(xid - len(crossings), xid)
+    xe = np.array([x.edges for x in crossings], dtype=np.int64).T
+    tail, head = _crossing_arms(points, start, xe)
+    anchors = scene.anchors
+    rotation = _rotations(
+        graph, anchors, np.array([scene.positions[a] for a in anchors]),
+        np.arctan2(way[:, 1], way[:, 0]), ids, xe,
+        np.array(spot, dtype=np.int64).T, tail, head)
+    return Drawing(graph, tuple(crossings), chains, rotation, anchors)
 
 
-def _crossing_arms(routes: dict[int, tuple[Point, ...]],
-                   pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Angles of the four arms where each pair's routes cross once: back
-    along the first route's piece, back along the second's, then on along
-    each, measured as ``scene_to_drawing`` measures them."""
-    used = list(dict.fromkeys(chain.from_iterable(pairs)))
-    points = np.array(list(chain.from_iterable(map(routes.get, used))), float)
-    size = np.fromiter((len(routes[e]) for e in used), np.int64, len(used))
-    start = dict(zip(used, (np.cumsum(size) - size).tolist()))
-    pieces = dict(zip(used, (size - 1).tolist()))
+def _crossing_arms(points: np.ndarray, start: np.ndarray,
+                   pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces where the two routes of each column of ``pairs`` cross,
+    which they must do once: their tails and their heads, each of shape
+    (2, pairs, 2) with the first route's piece in row 0.  Route e is the
+    rows ``start[e]`` to ``start[e + 1] - 1`` of ``points``."""
+    first, second = pairs
+    ne = start[first + 1] - start[first] - 1
+    nf = start[second + 1] - start[second] - 1
     # every piece of the first route against every piece of the second
-    ne = np.fromiter((pieces[e] for e, _ in pairs), np.int64, len(pairs))
-    nf = np.fromiter((pieces[f] for _, f in pairs), np.int64, len(pairs))
-    row = np.repeat(np.arange(len(pairs)), ne * nf)
+    row = np.repeat(np.arange(first.size), ne * nf)
     i = np.arange(row.size) - np.repeat(np.cumsum(ne * nf) - ne * nf, ne * nf)
-    se = np.fromiter((start[e] for e, _ in pairs), np.int64, len(pairs))[row]
-    sf = np.fromiter((start[f] for _, f in pairs), np.int64, len(pairs))[row]
+    se, sf = start[first][row], start[second][row]
     one = points[np.stack((se, se + 1)) + i // nf[row]]
     two = points[np.stack((sf, sf + 1)) + i % nf[row]]
 
@@ -455,12 +415,10 @@ def _crossing_arms(routes: dict[int, tuple[Point, ...]],
         return turn[0] * turn[1] < 0.0
 
     hit = apart(one, two) & apart(two, one)
-    if not np.array_equal(row[hit], np.arange(len(pairs))):
+    if not np.array_equal(row[hit], np.arange(first.size)):
         raise GeometryError("frame scene does not cross where its drawing does")
-    tail = np.stack((one[0, hit], two[0, hit]))
-    head = np.stack((one[1, hit], two[1, hit]))
-    way = np.concatenate((tail - head, head - tail))
-    return np.arctan2(way[..., 1], way[..., 0]).T
+    return (np.stack((one[0, hit], two[0, hit])),
+            np.stack((one[1, hit], two[1, hit])))
 
 
 # ------------------------------------------------------------ the build
@@ -473,13 +431,14 @@ def build_frame(g: AnchoredGraph, k: int, t: int | None = None) -> FrameBundle:
     anchors and ell is the largest finite anchor distance in g.  Each of
     the 9d web edges is amplified into t doubles (default 2k+2); the
     3d wheel edges are kept single.  The frame scene is converted at
-    t = 1 and its drawing amplified to t (see ``_amplify``); the
-    returned bundle is certified against ``frame_claims``.
+    t = 1, and its crossings and chains amplified to t with every
+    rotation read off the scene at t (see ``_amplify``); the returned
+    bundle is certified against ``frame_claims``.
     """
+    k = _id(k, "k")
     if k < 1:
         raise InputError("frame needs k >= 1")
-    if t is None:
-        t = 2 * k + 2
+    t = 2 * k + 2 if t is None else _id(t, "t")
     if t < 1:
         raise InputError("frame needs t >= 1")
     if not g.graph.simple:

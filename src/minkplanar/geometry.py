@@ -42,25 +42,26 @@ rule, whatever the order of the slices: the least by kind (a piece
 through a vertex, a collinear fault, a self-crossing, a touch) and then
 by the pair's two indices.  Each crossing is then one array record (its
 two pieces, their edges, the arclength along each and the point) that
-its checks, id, chain positions and rotation are read from; the rotation
-uses the directions of its own two pieces.  Its vertex clearance is
-tested only against the vertices that end both edges: near any other
+its checks, id and chain positions are read from.  Its vertex clearance
+is tested only against the vertices that end both edges: near any other
 vertex one of the pieces passes through it, which the sweep has already
-rejected.  The rotations at vertices and anchors are one sort of all
-tips by node and angle.
+rejected.  Every rotation is read off by one sort of all curve ends by
+node and angle (``_rotations``): the four arms of each crossing, along
+its own two pieces, and the two tips of each edge.  The amplified frames
+of ``frames`` take their rotations from the same function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .graphs import Graph
+from .graphs import Graph, _ids
 from .drawings import ArcRef, Crossing, Drawing
 
 Point = tuple[float, float]
@@ -187,14 +188,18 @@ def _check_scene(scene: Scene) -> list[int]:
     return sorted(scene.positions)
 
 
-def _check_anchors(scene: Scene) -> float | None:
-    """The radius of an anchored scene's disk, once its anchors sit on
-    the circle in clockwise order; None for a scene without anchors."""
+def _check_anchors(scene: Scene) -> tuple[tuple[int, ...], float | None]:
+    """The anchors of the scene as ids and the radius of its disk, once
+    each anchor has a position and they sit on the circle in clockwise
+    order; () and None for a scene without anchors."""
     if scene.anchors is None:
-        return None
-    anchors, pos = scene.anchors, scene.positions
+        return (), None
+    anchors, pos = _ids(scene.anchors, "anchors"), scene.positions
     if len(anchors) < 2:
         raise InputError("an anchored scene needs >= 2 anchors")
+    for a in anchors:
+        if a not in pos:
+            raise InputError(f"no position for anchor {a}")
     radius = scene.radius
     if radius is None:
         radius = math.hypot(*pos[anchors[0]])
@@ -215,7 +220,7 @@ def _check_anchors(scene: Scene) -> float | None:
         raise GeometryError(
             "anchors are not listed in clockwise circular order"
         )
-    return radius
+    return anchors, radius
 
 
 def _not_finite(xy: np.ndarray) -> int:
@@ -232,6 +237,77 @@ def _starts(rows: np.ndarray) -> list[int]:
     ``rows``."""
     return [0][:rows.size] + ((rows[1:] != rows[:-1]).nonzero()[0]
                               + 1).tolist() + [rows.size]
+
+
+def _rotations(g: Graph, anchors: tuple[int, ...], anchor_xy: np.ndarray,
+               tip_angle: np.ndarray, ids: np.ndarray, xe: np.ndarray,
+               spot: np.ndarray, tail: np.ndarray, head: np.ndarray
+               ) -> dict[int, tuple[ArcRef, ...]]:
+    """The clockwise rotation at every node, read off the directions of
+    the curve ends there by one sort.
+
+    The ends are each edge e's tips, 2e out of its first vertex at angle
+    ``tip_angle[2e]`` and 2e + 1 out of its second, and the arms of each
+    crossing ``ids[i]`` of the edges ``xe[:, i]`` (lower first), which
+    lies at ``spot[:, i]`` in their chains and inside their pieces from
+    ``tail[:, i]`` to ``head[:, i]``: back along each piece, then on.  A
+    vertex or crossing lists its ends by falling angle, an anchor (at
+    ``anchor_xy``) by clockwise turn from the circle's tangent.  Ends of
+    one node within 1e-12 are tangential, and no end may point along or
+    out of the circle at an anchor.  Nodes, and faults, go in the
+    converter's order: crossings as given, other vertices as the edges
+    first reach them, anchors (leaving the disk before tangential), then
+    isolated vertices.
+    """
+    m, nx = g.m, ids.size
+    # the ends: the crossings' arms, a row of each kind, then the tips
+    tip_ids = list(chain.from_iterable(g.edges))
+    tips = np.fromiter(tip_ids, np.int64, 2 * m)
+    node = np.concatenate((ids, ids, ids, ids, tips))
+    edge = np.concatenate((xe, xe, np.arange(2 * m) >> 1), axis=None)
+    # the arcs: into a crossing and out of it, out of an edge's first
+    # vertex and into its second, which follows all its crossings
+    arc = np.concatenate((spot - 1, spot, np.bincount(
+        xe.ravel() * 2 + 1, minlength=2 * m)), axis=None)
+    way = np.concatenate((tail - head, head - tail)).reshape(-1, 2)
+    key = -np.concatenate((np.arctan2(way[:, 1], way[:, 0]), tip_angle))
+    out = ids[:0]
+    if anchors:
+        slot = np.fromiter(map(dict(zip(anchors, range(len(anchors)))).get,
+                               tip_ids, repeat(-1)), np.int64, 2 * m)
+        tip = (slot >= 0).nonzero()[0]
+        slot = slot[tip]
+        t_cw = np.arctan2(anchor_xy[:, 1], anchor_xy[:, 0]) - math.pi / 2.0
+        key[4 * nx:][tip] = turn = (t_cw[slot] - tip_angle[tip]) % (
+            2.0 * math.pi)
+        out = slot[(turn < 1e-12) | (turn > math.pi - 1e-12)]
+    by = np.lexsort((key, node))
+    node, key = node[by], key[by]
+    tight = node[1:][(node[1:] == node[:-1]) & (key[1:] - key[:-1] < 1e-12)]
+
+    # the nodes in order: crossings, vertices as the tips reach them, and
+    # anchors and isolated vertices once the faults have been looked for
+    rotation = dict.fromkeys(chain(ids.tolist(), tip_ids), ())
+    for a in anchors:
+        rotation.pop(a, None)
+    if tight.size or out.size:
+        tight, out = set(tight.tolist()), set(out.tolist())
+        for v in rotation:
+            if v in tight:
+                raise GeometryError(f"tangential curves at node {v}")
+        for i, a in enumerate(anchors):
+            if i in out:
+                raise GeometryError(f"curve leaves the disk at anchor {a}")
+            if a in tight:
+                raise GeometryError(f"tangential curves at anchor {a}")
+    rotation.update(zip(chain(anchors, g.vertices), repeat(())))
+    # each edge id one int object, however many ends name it
+    refs = list(zip(map(list(range(m)).__getitem__, edge[by].tolist()),
+                    arc[by].tolist()))
+    cut = _starts(node)
+    rotation.update(zip(node[cut[:-1]].tolist(), map(tuple, map(
+        refs.__getitem__, map(slice, cut, cut[1:])))))
+    return rotation
 
 
 def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
@@ -252,8 +328,11 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     the first edge that leaves the disk; then the faults between pieces,
     the crossings' own checks, and last the rotations at vertices (in
     order of first appearance on the edges) and at anchors (in anchor
-    order).  A position or route point that is not finite is rejected,
-    by name, before any of these and before the anchors are checked.
+    order).  No two arms of a crossing can be tangential: pieces that
+    close to parallel are classified as parallel.  A position or route
+    point that is not finite is rejected, by name, before any of these
+    and before the anchors, which must be ids with positions, are
+    checked.
     An end takes its angle from its terminal piece, or from the next
     piece when moving the end onto its vertex left the terminal piece at
     most TOL long.
@@ -285,7 +364,7 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         e = int(size.cumsum().searchsorted(i - nv, side="right"))
         raise GeometryError(f"route of edge {e} has a non-finite point "
                             f"{routes[e][i - nv - size[:e].sum()]}")
-    radius = _check_anchors(scene)
+    anchors, radius = _check_anchors(scene)
     pos_arr, pts = xy[:nv], xy[nv:]
     vids = np.array(vids, dtype=np.int64)
     # the tips of the edges: tip 2e is edge e's start and tip 2e + 1 its
@@ -594,8 +673,6 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     crossings: list[Crossing] = []
     xid_points: dict[int, Point] = {}
     chains = dict(enumerate(g.edges))
-    rotation: dict[int, tuple[ArcRef, ...]] = {}
-    on_each = np.zeros(m, dtype=np.int64)
     if cross_p:
         xp = _side_by_side(cross_p)
         xu = _side_by_side(cross_u)
@@ -656,88 +733,22 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
                 f"{on_edge[i]}"
             )
         start = on_edge.searchsorted(np.arange(g.m + 1))
-        on_each = start[1:] - start[:-1]
         cut, seq = start.tolist(), xid.tolist()
-        for e in on_each.nonzero()[0].tolist():
+        for e in (start[1:] > start[:-1]).nonzero()[0].tolist():
             u, v = g.edges[e]
             chains[e] = (u, *seq[cut[e]:cut[e + 1]], v)
 
-        # rotations at crossings from their own two pieces, which each
-        # crossing lies strictly inside.  Rows of ``way``: into the
-        # crossing along the lower and the higher piece, then out along
-        # each.  ``spot`` is each end's position in its chain.
+        # each crossing's position in the chain of each of its edges
         spot = np.empty_like(by)
         spot[by] = np.arange(1, by.size + 1) - start[on_edge]
-        way = np.concatenate((tail - head, head - tail))
-        dirs = np.arctan2(way[..., 1], way[..., 0])
-        turn = (-dirs).argsort(axis=0)
-        col = np.arange(order.size)
-        dirs = dirs[turn, col]
-        flat = dirs[:-1] - dirs[1:] < 1e-12
-        if flat.any():
-            raise GeometryError(
-                f"tangential curves at node {ids[flat.any(axis=0).argmax()]}")
-        side = turn & 1
-        arm = xe[side, col].T.tolist()
-        arc = (spot.reshape(2, -1)[side, col] - 1 + (turn >> 1)).T.tolist()
-        rotation = {x: tuple(zip(a, i)) for x, a, i in zip(id_list, arm, arc)}
+        spot = spot.reshape(2, -1)
+    else:
+        ids = np.zeros(0, dtype=np.int64)
+        xe = spot = ids.reshape(2, 0)
+        tail = head = np.zeros((2, 0, 2))
 
-    # rotations at vertices and anchors, one sort of all tips by node:
-    # the anchors first, in order, then the other vertices by row.  At a
-    # vertex, clockwise is by falling angle; at an anchor it is by the
-    # clockwise turn from the circle's tangent there, and no tip may point
-    # along or out of the circle.  Ties go in tip order, which at an
-    # anchor is ArcRef order, as no edge has both tips at one vertex
-    arc = np.zeros(2 * m, dtype=np.int64)
-    arc[1::2] = on_each
-    anchors = scene.anchors or ()
-    na = len(anchors)
-    tip_node = tip_v + na
-    key = -angle
-    leave = np.zeros(0, dtype=bool)
-    if anchors:
-        arow = vids.searchsorted(anchors)
-        slot = np.empty(nv, dtype=np.int64)
-        slot.fill(-1)
-        slot[arow] = np.arange(na)
-        which = slot[tip_v]
-        on = (which >= 0).nonzero()[0]
-        tip_node[on] = which = which[on]
-        t_cw = np.arctan2(pos_arr[arow, 1], pos_arr[arow, 0]) - math.pi / 2.0
-        key[on] = off = (t_cw[which] - angle[on]) % (2.0 * math.pi)
-        leave = (off < 1e-12) | (off > math.pi - 1e-12)
-    by = np.lexsort((key, tip_node))
-    node, key = tip_node[by], key[by]
-    tight = node[1:][(node[1:] == node[:-1]) & (key[1:] - key[:-1] < 1e-12)]
-    if tight.size or leave.any():
-        # vertices in order of first appearance, then anchors in order,
-        # an anchor's tips leaving the disk before its tangential ones
-        tight = set(tight.tolist())
-        for r in dict.fromkeys(tip_v.tolist()):
-            if r + na in tight:
-                raise GeometryError(f"tangential curves at node {vids[r]}")
-        out = which[leave].tolist()
-        a = min({*tight, *out})
-        if a in out:
-            raise GeometryError(
-                f"curve leaves the disk at anchor {anchors[a]}")
-        raise GeometryError(f"tangential curves at anchor {anchors[a]}")
-
-    refs = list(zip((by >> 1).tolist(), arc[by].tolist()))
-    cut = node.searchsorted(np.arange(na + 1)).tolist()
-    if cut[-1] < node.size:
-        # the vertices' lists, kept in order of first appearance
-        at = cut[-1]
-        runs = [at + i for i in _starts(node[at:])]
-        around = {v: tuple(refs[a:b]) for v, a, b in zip(
-            vids[node[runs[:-1]] - na].tolist(), runs, runs[1:])}
-        free = vids[tip_node[tip_node >= na] - na].tolist()
-        rotation.update((v, around[v]) for v in dict.fromkeys(free))
-    rotation.update((a, tuple(refs[cut[i]:cut[i + 1]]))
-                    for i, a in enumerate(anchors))
-    for v in g.vertices:
-        rotation.setdefault(v, ())
-
-    drawing = Drawing(g, tuple(crossings), chains, rotation, scene.anchors)
+    rotation = _rotations(g, anchors, pos_arr[vids.searchsorted(anchors)],
+                          angle, ids, xe, spot, tail, head)
+    drawing = Drawing(g, tuple(crossings), chains, rotation, anchors or None)
     drawing.require_valid()
     return drawing, xid_points

@@ -265,6 +265,7 @@ def t_amplify(g: Graph, t: int, amplify_edges: Iterable[int] | None = None
     count up from max(vertex id) + 1 in edge-id order, and new half edges are
     appended in (edge, copy) order after the kept edges.
     """
+    t = _id(t, "t")
     if t < 1:
         raise InputError("amplification needs t >= 1")
     if amplify_edges is None:

@@ -51,7 +51,7 @@ from .arrangement import BOUNDARY, Arrangement, Cursor
 from .drawings import (Crossing, Drawing, face_orbit, is_min_k_planar,
                        is_simple, validate)
 from .errors import InputError
-from .graphs import AnchoredGraph
+from .graphs import AnchoredGraph, _id
 
 class Status(enum.Enum):
     FOUND = "Found"
@@ -219,10 +219,12 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     is returned; ExhaustedUnsat when the whole tree was walked without a
     drawing (see the module docstring for when that answer can be wrong);
     or BudgetExceeded when the budget stopped the walk first.  Raises
-    InputError for a negative k or a component with edges but no anchor.
+    InputError for a k that is no non-negative integer or a component
+    with edges but no anchor.
     """
-    if k < 0:
+    if type(k) is int and k < 0:
         raise InputError("k must be non-negative")
+    k = _id(k, "k")
     order = insertion_order(ag)
     g = ag.graph
     m = g.m

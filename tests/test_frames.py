@@ -7,6 +7,7 @@ built drawings before freezing.
 """
 
 import functools
+import hashlib
 from dataclasses import replace
 
 import networkx as nx
@@ -207,6 +208,34 @@ def test_frame_copies_nest_along_every_wheel_edge():
                 assert run in (list(range(t)), list(range(t))[::-1])
                 orders.add(run[0])
     assert orders == {0, t - 1}
+
+
+def test_a_frame_with_swapped_crossing_arms_fails_its_self_check(
+        monkeypatch):
+    # every rotation of the amplified frame is read off the scene's
+    # directions, so a wrong direction must reach the certified claims:
+    # here the two edges through each crossing trade pieces, which
+    # mirrors every crossing's rotation and breaks Euler's formula
+    real = frames._crossing_arms
+
+    def swapped(*args):
+        tail, head = real(*args)
+        return tail[::-1], head[::-1]
+
+    monkeypatch.setattr(frames, "_crossing_arms", swapped)
+    with pytest.raises(MinkplanarError,
+                       match="frame self-check failed: not drawing-valid"):
+        build_frame(build_G2().anchored_graph, 2, 2)
+
+
+def test_the_gk3_frame_at_its_default_t_is_pinned():
+    # the digest of the Gk(3) frame at t = 2k + 2 = 8, larger than any the
+    # converter judges above, recorded while its rotations were rebuilt
+    # from the drawing at t = 1
+    fr = build_frame(build_Gk(3).anchored_graph, 3, 8)
+    text = drawing_text(fr.drawing)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "055e64ff23b5f7b67d28725f9a226e69ffeb0151d8211f6a7888ace16c8397ee")
 
 
 # ----------------------------------------------------------- composition

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from minkplanar.errors import GeometryError, MinkplanarError
+from minkplanar.errors import GeometryError, InputError, MinkplanarError
 from minkplanar.graphs import Graph
 from minkplanar import geometry
 from minkplanar.geometry import (
@@ -281,6 +281,85 @@ def test_rejects_anchor_off_circle():
     with pytest.raises(GeometryError,
                        match="anchor 1 does not sit on the boundary circle"):
         scene_to_drawing(Scene(g, pos, {0: (pos[0], pos[1])}, anchors=(0, 1)))
+
+
+@pytest.mark.parametrize("anchors, message", [
+    ((0, True), "anchors/1: expected a non-negative integer"),
+    ((0, 1.0), "anchors/1: expected a non-negative integer"),
+    ((0, 99), "no position for anchor 99"),
+])
+def test_rejects_anchors_that_are_no_ids_or_have_no_position(anchors,
+                                                             message):
+    # True and 1.0 look up vertex 1's position like 1 does, and would
+    # reach the drawing, and its JSON, as they are
+    g = Graph((0, 1), ((0, 1),))
+    pos = {0: on_circle(1.0, 90.0), 1: on_circle(1.0, -90.0)}
+    scene = Scene(g, pos, {0: (pos[0], pos[1])}, anchors=anchors)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        scene_to_drawing(scene)
+
+
+def test_the_drawing_carries_the_checked_anchor_ids():
+    g = Graph((0, 1), ((0, 1),))
+    pos = {0: on_circle(1.0, 90.0), 1: on_circle(1.0, -90.0)}
+    d, _ = scene_to_drawing(Scene(g, pos, {0: (pos[0], pos[1])},
+                                  anchors=(np.int64(0), np.int64(1))))
+    assert [type(a) for a in d.anchors] == [int, int]
+    assert json.loads(drawing_text(d))["outer_face"] == [0, 1]
+
+
+_ARMS = ((1.0, 0.0), (0.0, 1.0))
+
+
+def _read_off(tip_way, arms=_ARMS):
+    """``geometry._rotations`` on edges 0-1, 1-3 and 2-0 of the vertices 0
+    to 3 and the isolated 9, their tips leaving along ``tip_way``,
+    anchors 1 (at the top of the unit circle) and 2 (at the bottom), and
+    one crossing 10 of edges 0 and 2 whose pieces run along the two
+    ``arms``."""
+    g = Graph((0, 1, 2, 3, 9), ((0, 1), (1, 3), (2, 0)))
+    x, y = np.array(tip_way, dtype=float).T
+    head = np.array(arms, dtype=float)[:, None]
+    return geometry._rotations(
+        g, (1, 2), np.array([(0.0, 1.0), (0.0, -1.0)]), np.arctan2(y, x),
+        np.array([10]), np.array([[0], [2]]), np.array([[1], [1]]),
+        0.0 - head, head)
+
+
+# out of 0 along edge 0, into 1; out of 1 along edge 1, into 3; out of 2
+# along edge 2, into 0: both anchors' ends point into the disk
+_TIPS = [(1, 0), (0, -1), (-1, -1), (1, 1), (0, 1), (-1, 0)]
+
+
+def test_every_rotation_is_read_off_in_the_converters_order():
+    rot = _read_off(_TIPS)
+    # crossings, then vertices as the edges first reach them, anchors in
+    # order and isolated vertices; each by falling angle, an anchor's by
+    # its turn from the tangent, clockwise from the top
+    assert list(rot) == [10, 0, 3, 1, 2, 9]
+    assert rot[10] == ((0, 0), (2, 1), (0, 1), (2, 0))
+    assert rot[0] == ((2, 1), (0, 0))
+    assert rot[1] == ((0, 1), (1, 0))
+    assert rot[2] == ((2, 0),) and rot[3] == ((1, 0),) and rot[9] == ()
+
+
+@pytest.mark.parametrize("change, arms, message", [
+    # a crossing before a vertex, a vertex before any anchor, the first
+    # anchor with a fault, and at one anchor an end leaving the disk
+    # before a tangential one
+    ({0: (1, 1), 5: (1, 1)}, ((1.0, 0.0), (2.0, 0.0)),
+     "tangential curves at node 10"),
+    ({0: (1, 1), 5: (1, 1), 4: (0, -1)}, _ARMS,
+     "tangential curves at node 0"),
+    ({1: (-1, -1), 4: (0, -1)}, _ARMS, "tangential curves at anchor 1"),
+    ({1: (0, 1), 2: (0, 2), 4: (0, -1)}, _ARMS,
+     "curve leaves the disk at anchor 1"),
+    ({4: (1, 0)}, _ARMS, "curve leaves the disk at anchor 2"),
+])
+def test_read_off_faults_go_in_the_converters_order(change, arms, message):
+    tips = [change.get(i, way) for i, way in enumerate(_TIPS)]
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        _read_off(tips, arms)
 
 
 def test_rejects_counterclockwise_anchor_listing():

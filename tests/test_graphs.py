@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minkplanar.errors import InputError
+from minkplanar.frames import build_frame
 from minkplanar.graphs import (
     AnchoredGraph,
     Graph,
@@ -13,6 +14,8 @@ from minkplanar.graphs import (
     max_finite_anchor_distance,
     t_amplify,
 )
+from minkplanar.oracle import brute_oracle
+from minkplanar.search import search_anchored
 
 
 def triangle():
@@ -103,6 +106,26 @@ _TOO_LARGE = r"expected an integer at most 2\*\*53 - 1"
 def test_ids_are_checked_not_coerced(build, pointer, message):
     with pytest.raises(InputError, match=rf"^{pointer}: {message}$"):
         build()
+
+
+def _path() -> AnchoredGraph:
+    return AnchoredGraph(Graph((0, 1, 2), ((0, 1), (1, 2))), (0, 2))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: build_frame(_path(), True, 1), "k"),
+    (lambda: build_frame(_path(), 1, 2.0), "t"),
+    (lambda: t_amplify(triangle(), 1.5), "t"),
+    (lambda: t_amplify(triangle(), True), "t"),
+    (lambda: search_anchored(_path(), 1.5), "k"),
+    (lambda: search_anchored(_path(), True), "k"),
+    (lambda: brute_oracle(_path(), 1.5), "k"),
+    (lambda: brute_oracle(_path(), True), "k"),
+], ids=["frame-bool-k", "frame-float-t", "amplify-float-t", "amplify-bool-t",
+        "search-float-k", "search-bool-k", "oracle-float-k", "oracle-bool-k"])
+def test_integer_parameters_are_checked_not_coerced(call, name):
+    with pytest.raises(InputError, match=rf"^{name}: {_NOT_AN_ID}$"):
+        call()
 
 
 def test_numpy_integer_ids_become_ints():

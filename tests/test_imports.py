@@ -11,11 +11,14 @@ a package class by name or a name that only holds instances of one counts
 only for that class and its bases.  Dunders are exempt, and so is
 ``_Parser.error``, which argparse calls.  Every attribute a package class
 stores on ``self`` is read somewhere in the package or the demos: on that
-class, a base or subclass of it, or on something of unknown class.  The
-runtime dependencies in ``pyproject.toml`` are exactly the third-party
-packages the package imports, and every function the benchmark's tracer
-wraps still exists under the name it looks up, and a traced solve is
-counted once.  Importing the CLI imports neither networkx nor scipy, and
+class, a base or subclass of it, or on something of unknown class.  So
+is every annotated field of a package dataclass or NamedTuple, read by
+the demos or the benchmark's code too, unless its class is serialized
+whole by ``asdict`` or ``_asdict``; ``UNREAD_FIELDS`` names the few that
+stay unread, each with its reason.  The runtime dependencies in
+``pyproject.toml`` are exactly the third-party packages the package
+imports, and every function the benchmark's tracer wraps still exists
+under the name it looks up, and a traced solve is counted once.  Importing the CLI imports neither networkx nor scipy, and
 the frame pipeline's commands run with scipy unimportable.
 
 Every name in ``minkplanar.__all__`` is read, outside its own definition,
@@ -297,12 +300,28 @@ def test_every_export_is_read_outside_the_tests():
 
 def _unread_attributes(modules: dict[str, str],
                        readers: dict[str, str]) -> list[str]:
-    """Attributes stored on ``self`` in ``modules`` that nothing reads.
+    """Attributes stored on ``self`` in ``modules`` that nothing reads,
+    in ``modules`` or ``readers``, by the rule of ``_attribute_reads``."""
+    trees, lineage, read = _attribute_reads(modules, readers)
+    unread = set()
+    for module in modules:
+        for cls in ast.walk(trees[module]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for n in ast.walk(cls):
+                if (isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self" and not read(cls.name, n.attr)):
+                    unread.add(f"{module}: {cls.name}.{n.attr}")
+    return sorted(unread)
 
-    A read is an attribute load of the name, in ``modules`` or
-    ``readers``, on something whose class ``_reads`` cannot tell, or on the
-    storing class, a base or a subclass of it.
-    """
+
+def _attribute_reads(modules: dict[str, str], readers: dict[str, str]):
+    """The parsed sources, the lineage of the classes in ``modules`` and
+    a test of whether an attribute of a class is read: an attribute load
+    of its name on something whose class ``_reads`` cannot tell, or on
+    the class, a base or a subclass of it."""
     trees = {name: ast.parse(src) for name, src in {**readers, **modules}.items()}
     lineage = _lineage(trees[m] for m in modules)
     owners: dict[str, set[str | None]] = {}
@@ -310,23 +329,12 @@ def _unread_attributes(modules: dict[str, str],
         for name, _, owner in _reads(tree, set(lineage)):
             if owner != "":
                 owners.setdefault(name, set()).add(owner)
-    unread = set()
-    for module in modules:
-        for cls in ast.walk(trees[module]):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for n in ast.walk(cls):
-                if not (isinstance(n, ast.Attribute)
-                        and isinstance(n.ctx, ast.Store)
-                        and isinstance(n.value, ast.Name)
-                        and n.value.id == "self"):
-                    continue
-                seen = owners.get(n.attr, set())
-                if None not in seen and not any(
-                        cls.name in lineage.get(o, ()) or o in lineage[cls.name]
-                        for o in seen):
-                    unread.add(f"{module}: {cls.name}.{n.attr}")
-    return sorted(unread)
+
+    def read(cls: str, name: str) -> bool:
+        seen = owners.get(name, set())
+        return None in seen or any(
+            cls in lineage.get(o, ()) or o in lineage[cls] for o in seen)
+    return trees, lineage, read
 
 
 def test_checker_sees_an_unread_attribute():
@@ -378,6 +386,132 @@ def test_every_stored_attribute_is_read():
     readers = {f"demos/{p.name}": p.read_text(encoding="utf-8")
                for p in sorted(DEMOS.glob("*.py"))}
     assert _unread_attributes(modules, readers) == []
+
+
+# annotated fields that nothing outside the tests reads, each with why it
+# stays; the next unread field fails
+UNREAD_FIELDS = {
+    "constructions.py: CounterexampleBundle.vertex_names":
+        "the paper's vertex labels, for a reader of a bundle",
+    "layout.py: Layout.boundary":
+        "the nodes pinned to the circle, which the layout tests check",
+    "obstructions.py: PlanarExtraction.chosen":
+        "the copies kept per class, which the acceptance tests check",
+    "obstructions.py: PlanarExtraction.edge_map":
+        "old to new edge ids of the extraction, as restrict returns them",
+}
+
+
+def _serialized_whole(trees, classes: set[str]) -> set[str]:
+    """Package classes an object of which is handed whole to ``asdict``
+    or ``._asdict()``.  The object is ``self``, an attribute whose name
+    some class field annotates with one class, or a local bound once to
+    either."""
+    annotated: dict[str, set[str]] = {}
+    for tree in trees:
+        for cls, name, ann in _fields(tree):
+            if (kind := _class_named(ann, classes)) is not None:
+                annotated.setdefault(name, set()).add(kind)
+
+    def kinds(node, cls, bound) -> set[str]:
+        if isinstance(node, ast.Name) and node.id == "self" and cls:
+            return {cls}
+        if isinstance(node, ast.Attribute):
+            return annotated.get(node.attr, set())
+        if isinstance(node, ast.Name) and node.id in bound:
+            return kinds(bound.pop(node.id), cls, bound)
+        return set()
+
+    whole: set[str] = set()
+    for tree in trees:
+        for _, func, holder in _definitions(tree):
+            if isinstance(func, ast.ClassDef):
+                continue
+            bound = {n.targets[0].id: n.value for n in ast.walk(func)
+                     if isinstance(n, ast.Assign) and len(n.targets) == 1
+                     and isinstance(n.targets[0], ast.Name)}
+            for call in ast.walk(func):
+                f = getattr(call, "func", None)
+                if isinstance(f, ast.Attribute) and f.attr == "_asdict":
+                    arg = f.value
+                elif (getattr(f, "id", getattr(f, "attr", None)) == "asdict"
+                      and call.args):
+                    arg = call.args[0]
+                else:
+                    continue
+                whole |= kinds(arg, holder, dict(bound))
+    return whole
+
+
+def _fields(tree: ast.AST):
+    """Each annotated field of a dataclass or NamedTuple class in
+    ``tree``, as (class, name, annotation)."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d
+                 for d in cls.decorator_list] + cls.bases
+        if not {getattr(m, "id", getattr(m, "attr", None))
+                for m in marks} & {"dataclass", "NamedTuple"}:
+            continue
+        for n in cls.body:
+            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name):
+                yield cls, n.target.id, n.annotation
+
+
+def _unread_fields(modules: dict[str, str],
+                   readers: dict[str, str]) -> list[str]:
+    """Annotated fields of the dataclasses and NamedTuples in ``modules``
+    that nothing reads, in ``modules`` or ``readers``, by the rule of
+    ``_attribute_reads``.  Every field of a class that is serialized whole
+    (``_serialized_whole``) counts as read."""
+    trees, lineage, read = _attribute_reads(modules, readers)
+    whole = _serialized_whole(trees.values(), set(lineage))
+    return sorted(f"{module}: {cls.name}.{name}" for module in modules
+                  for cls, name, _ in _fields(trees[module])
+                  if cls.name not in whole and not read(cls.name, name))
+
+
+def test_checker_sees_an_unread_field():
+    module = ("from dataclasses import asdict, dataclass\n"
+              "from typing import NamedTuple\n"
+              "@dataclass(frozen=True)\n"
+              "class C:\n"
+              "    read: int\n"
+              "    unread: int\n"
+              "class T(NamedTuple):\n"
+              "    shown: int\n"
+              "    hidden: int\n"
+              "@dataclass\n"
+              "class Stats:\n"
+              "    n: int\n"
+              "class Params(NamedTuple):\n"
+              "    k: int\n"
+              "@dataclass\n"
+              "class Report:\n"
+              "    stats: Stats\n"
+              "    params: Params\n"
+              "    def to_json(self):\n"
+              "        return asdict(self)\n"
+              "class Plain:\n"
+              "    x: int\n"
+              "def f(c: C, r: Report):\n"
+              "    p = r.params\n"
+              "    return c.read, asdict(r.stats), p._asdict()\n")
+    # Report is serialized by its to_json, Stats and Params through its
+    # fields, Plain has no fields, and T.hidden read on a C does not count
+    reader = "def g(t: T, c: C):\n    return t.shown, c.hidden\n"
+    assert _unread_fields({"m.py": module}, {"demo.py": reader}) == [
+        "m.py: C.unread", "m.py: T.hidden"]
+
+
+def test_every_field_is_read_outside_the_tests():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in [*DEMOS.glob("*.py"), *BENCH.glob("*.py")]
+               if not p.name.startswith("test_")}
+    assert _unread_fields(modules, readers) == sorted(UNREAD_FIELDS)
 
 
 def _third_party_imports(source: str) -> set[str]:
