@@ -11,12 +11,20 @@ come first, arc i running from anchor i to anchor i+1, and arc a has the
 darts 2a, leaving its tail, and 2a+1, leaving its head, so a dart's twin
 is d ^ 1.  The darts leaving a node form a clockwise ring, kept in the
 flat lists ``ring_next`` and ``ring_prev``, and the face to the left of a
-dart is traced by ``drawings.face_orbit`` ("next clockwise after the
-twin"), the same walk the map uses.  An anchor's ring holds its two
+dart is traced by following "next clockwise after the twin", the walk of
+``drawings.face_orbit`` that the map uses.  An anchor's ring holds its two
 boundary darts, so face tracing needs no special cases; the corner just
 before the forward boundary dart is the outside of the disk and is never
 a legal one.  A split leaves the crossed dart where it is and hands the
 far end to a new arc of the same orientation, so no arc is re-oriented.
+
+The head of a partial curve is a cursor, the plain pair ``(dart,
+banned)``: ``dart`` is the dart just clockwise of the corner the curve
+has reached, among those leaving the head's node, so the curve's next
+face is the one left of ``dart``; ``banned`` holds the two arc pieces
+flanking the crossing just made, which the search does not cross again
+right away (that would make an empty lens).  ``commit_cross`` returns the
+cursor past its crossing; a curve starts from ``(corner, ())``.
 
 The search prunes on counts the arrangement keeps as flat integer state:
 ``edge_counts[e]`` is the number of crossings on edge e, ``partners[e]``
@@ -30,24 +38,14 @@ Commits and undos splice the rings inline.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .graphs import AnchoredGraph
 
 BOUNDARY = -1
 
-
-class Cursor(NamedTuple):
-    """Position of the head of a partial curve: a corner of the arrangement.
-
-    ``dart`` is the dart just clockwise of the corner, among those leaving
-    the head's node.  ``banned`` holds the two arc pieces flanking a
-    crossing; crossing them again right away would create an empty lens,
-    so the search skips them.
-    """
-
-    dart: int
-    banned: tuple[int, ...]
+# a cursor is the plain pair (dart, banned), see the module docstring
+Cursor = tuple[int, tuple[int, ...]]
 
 
 class Arrangement:
@@ -102,7 +100,7 @@ class Arrangement:
         the cursor's face; returns the cursor just past the crossing."""
         owner, tail = self.arc_owner, self.dart_tail
         nxt, prv = self.ring_next, self.ring_prev
-        cd = cursor.dart
+        cd = cursor[0]
         alpha = dart >> 1
         g = owner[alpha]
         far = dart ^ 1
@@ -151,14 +149,14 @@ class Arrangement:
         counts = self.edge_counts
         counts[g] += 1
         counts[e] += 1
-        return Cursor(far, (beta, alpha))
+        return far, (beta, alpha)
 
     def commit_finish(self, e: int, cursor: Cursor, v: int,
                       corner: Optional[int]) -> None:
         """Attach the last segment of e to v before the dart ``corner``;
         ``corner`` None places v afresh."""
         nxt, prv = self.ring_next, self.ring_prev
-        cd = cursor.dart
+        cd = cursor[0]
         s = len(self.arc_owner)
         self.arc_owner.append(e)
         self.dart_tail += (self.dart_tail[cd], v)

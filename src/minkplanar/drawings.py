@@ -25,7 +25,7 @@ the face to the left of the forward boundary darts is the region outside
 the disk; the map splices those darts at the two ends of each anchor's
 rotation, so their orbit is exactly the forward darts by construction.
 The existence search's ``arrangement.Arrangement`` keeps its darts in the
-same numbering and traces its faces with the same ``face_orbit``.
+same numbering, and the search walks its faces by the same rule.
 
 ``validate`` checks a drawing a level at a time: anchors, crossings,
 chains and the crossings on them, rotations, alternation at crossings,
@@ -60,7 +60,7 @@ from operator import add, attrgetter, contains, eq, itemgetter, lt, ne, sub
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
-from .graphs import Graph, _ids
+from .graphs import Graph, _ids, _k
 
 ArcRef = tuple[int, int]
 
@@ -377,9 +377,9 @@ class CrossingProfile:
         return sum(self.per_pair.values())
 
     def heavy_edges(self, k: int) -> tuple[int, ...]:
-        """The edges with more than k crossings; InputError for k < 0."""
-        if k < 0:
-            raise InputError("k must be non-negative")
+        """The edges with more than k crossings; InputError for a k that
+        is no non-negative integer."""
+        k = _k(k)
         return tuple(sorted(e for e, c in self.per_edge.items() if c > k))
 
     def heavy_pair(self, k: int) -> tuple[int, int] | None:
@@ -444,7 +444,8 @@ def adjacent_crossing_pairs(d: Drawing) -> list[tuple[int, int]]:
 def is_k_planar(d: Drawing, k: int) -> Verdict:
     """No edge carries more than k crossings.
 
-    The witness is the first edge with more than k crossings.
+    The witness is the first edge with more than k crossings.  Raises
+    InputError for a k that is no non-negative integer.
     """
     heavy = crossing_profile(d).heavy_edges(k)
     return Verdict(False, heavy[0]) if heavy else Verdict(True)
@@ -454,7 +455,8 @@ def is_min_k_planar(d: Drawing, k: int, check: bool = True) -> Verdict:
     """Every crossing pair has a side with at most k crossings.
 
     The witness is the first pair of heavy edges that cross each other.
-    ``check`` has no effect; it stays for existing callers.
+    Raises InputError for a k that is no non-negative integer.  ``check``
+    has no effect; it stays for existing callers.
     """
     pair = crossing_profile(d).heavy_pair(k)
     return Verdict(True) if pair is None else Verdict(False, pair)

@@ -70,6 +70,13 @@ def _id(v: Any, where: str) -> int:
     return i
 
 
+def _k(k: Any) -> int:
+    """``k`` as a crossing bound: a non-negative integer, checked as an id."""
+    if type(k) is int and k < 0:
+        raise InputError("k must be non-negative")
+    return _id(k, "k")
+
+
 def _ids(values: Iterable[Any], where: str, per: int = 1) -> tuple[int, ...]:
     """``values`` as ids, checked all at once and, if that fails, one by
     one.  The k-th value is named ``where/(k // per)``, so with

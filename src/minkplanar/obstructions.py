@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .drawings import Drawing, crossing_profile, is_min_k_planar, restrict
 from .errors import InputError, MinkplanarError
-from .graphs import DoubleEdge, EdgeClassMap
+from .graphs import DoubleEdge, EdgeClassMap, _id, _k
 
 # --------------------------------------------------------------- helpers
 
@@ -58,10 +58,10 @@ def biclique_obstruction(
     returns.  Exhaustive over (2k+1)-subsets of each class, which is fine
     for the small multiplicities the gadgets use.
 
-    Returns (D_1, D_2) or None when the rule does not fire.
+    Returns (D_1, D_2) or None when the rule does not fire.  Raises
+    InputError for a k that is no non-negative integer.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
+    k = _k(k)
     crosses = _crossing_doubles(d, classes)
     owner = classes.half_owner
     need = 2 * k + 1
@@ -110,10 +110,10 @@ def extract_planar_amplification(
     such selection exists in this drawing.  Chosen double edges must be
     crossing-free internally (their two halves), within a class and across
     classes; crossings with kept (non-amplified) edges are allowed and
-    survive into the restricted drawing.
+    survive into the restricted drawing.  Raises InputError for a w that
+    is no non-negative integer or exceeds the amplification ``classes.t``.
     """
-    if w < 0:
-        raise InputError("w must be non-negative")
+    w = _id(w, "w")
     t = classes.t
     if w > t:
         raise InputError(f"cannot pick {w} copies out of {t}")

@@ -23,7 +23,7 @@ import itertools
 import time
 
 from .errors import InputError
-from .graphs import AnchoredGraph, _id
+from .graphs import AnchoredGraph, _k
 from .search import SearchOutcome, SearchStats, Status
 
 MAX_ORACLE_EDGES = 5
@@ -38,9 +38,7 @@ def _interleaved(anchor_pos: dict, e_ends, f_ends) -> bool:
 def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
         -> SearchOutcome:
     """Same statuses as search_anchored, by exhaustive pattern testing."""
-    if type(k) is int and k < 0:
-        raise InputError("k must be non-negative")
-    k = _id(k, "k")
+    k = _k(k)
     g = ag.graph
     if g.m > MAX_ORACLE_EDGES:
         raise InputError(

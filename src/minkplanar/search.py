@@ -6,9 +6,8 @@ step.  Enumerating crossings against live arc pieces (rather than walks
 in a frozen dual) keeps the face structure exact when a curve revisits a
 face, so every planarization gets generated exactly once up to the lens
 reductions noted below.  The arrangement numbers darts as
-``drawings.PlanarizationMap`` does and traces faces with the same
-``drawings.face_orbit``; edge chains are only walked off the finished
-arrangement, for the certificate.
+``drawings.PlanarizationMap`` does; edge chains are only walked off the
+finished arrangement, for the certificate.
 
 Two route shapes are deliberately skipped: re-crossing an arc piece next
 to the crossing just made (an empty lens), and any pair of edges
@@ -23,15 +22,23 @@ although its bundled drawing is a witness).  Simple queries are not
 affected: a pair crosses at most once there, so the pair cap already
 forbids every route the lens cut skips.
 
-The pruning reads the arrangement's count state, all flat integers: a
-list of crossings per edge, a dict of crossings per pair keyed by
-``e * m + f`` and kept under both orders, so a candidate costs one
-integer sum and one lookup, and per edge the set of edges it has
-crossed.  Each edge's adjacency (the edges a simple drawing bars it from
-crossing) is computed once per search.  Every cut, the min-k one
-included, is decided from these counts before a crossing is committed:
-a crossing raises only its own pair's counts, so the state after it is
-known in advance and no crossing is built only to be undone.
+A search node is a cursor, the corner the partial curve has reached
+(see ``arrangement``), and it walks the cursor's face once, by the rule
+of ``drawings.face_orbit`` written out inline.  That one walk collects
+both lists the node needs: the darts leaving the target, which are the
+corners where the curve can end, and the darts the curve may cross.
+Every cut is decided in the walk, from the arrangement's count state,
+all flat integers: crossings per edge, crossings per pair in a dict
+keyed by ``e * m + f`` under both orders, and per edge the set of edges
+it crosses.  A candidate costs one set lookup for the owners its edge
+never crosses (the boundary, the edge itself and, in a simple drawing,
+the edges sharing an endpoint with it, computed once per search), one
+dict lookup for the pair cap, and count reads for the min-k cut: no
+crossing between two edges that would both exceed k, and none on an
+edge at k that already crosses an edge above k.  Children run only
+after the walk.  Each child's undo restores the counts exactly, so the
+lists read on entry are the ones a check before each child would give,
+and no crossing is built only to be undone.
 
 Statuses are Found, ExhaustedUnsat, and BudgetExceeded.  A budget stop is
 always reported as such; ExhaustedUnsat is only returned when the whole
@@ -48,10 +55,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arrangement import BOUNDARY, Arrangement, Cursor
-from .drawings import (Crossing, Drawing, face_orbit, is_min_k_planar,
-                       is_simple, validate)
+from .drawings import Crossing, Drawing, is_min_k_planar, is_simple, validate
 from .errors import InputError
-from .graphs import AnchoredGraph, _id
+from .graphs import AnchoredGraph, _k
 
 class Status(enum.Enum):
     FOUND = "Found"
@@ -222,23 +228,21 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     InputError for a k that is no non-negative integer or a component
     with edges but no anchor.
     """
-    if type(k) is int and k < 0:
-        raise InputError("k must be non-negative")
-    k = _id(k, "k")
+    k = _k(k)
     order = insertion_order(ag)
     g = ag.graph
     m = g.m
     arr = Arrangement(ag)
     cap = 1 if require_simple else 2
-    # per edge, the edges it may not cross: in a simple drawing, those
-    # sharing an endpoint with it (itself included)
-    barred: list[set[int]] = [set() for _ in range(m)]
+    # per edge, the arc owners its curve never crosses: the boundary, the
+    # edge itself and, in a simple drawing, every edge sharing an endpoint
+    skips = [{BOUNDARY, e} for e in range(m)]
     if require_simple:
         at: dict[int, set[int]] = {v: set() for v in g.vertices}
         for e, (u, v) in enumerate(g.edges):
             at[u].add(e)
             at[v].add(e)
-        barred = [at[u] | at[v] for u, v in g.edges]
+        skips = [{BOUNDARY} | at[u] | at[v] for u, v in g.edges]
     owner, tail, nxt = arr.arc_owner, arr.dart_tail, arr.ring_next
     starts, counts = arr.ring_start, arr.edge_counts
     pairs, partners = arr.pair_counts, arr.partners
@@ -252,16 +256,13 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     stop_at = budget.nodes + 1 if budget and budget.nodes is not None else 0
     timed = budget is not None and budget.seconds is not None
 
-    def mink_dead(e: int, f: int) -> bool:
-        # whether crossing e with f would take an edge at k to k + 1 while
-        # it already crosses another edge above k: a pair of crossing
-        # edges that both exceed k can never recover.  Asked before the
-        # commit, which changes no count read here but those of e and f.
-        for x, other in ((e, f), (f, e)):
-            if counts[x] == k:
-                for h in partners[x]:
-                    if h != other and counts[h] > k:
-                        return True
+    def saturated(x: int) -> bool:
+        # whether x, at k, already crosses an edge above k: one more
+        # crossing on x makes a crossing pair that both exceed k, and such
+        # a pair never recovers
+        for h in partners[x]:
+            if counts[h] > k:
+                return True
         return False
 
     def after_route(idx: int) -> None:
@@ -277,12 +278,37 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
                 timed and not nodes & 63
                 and time.perf_counter() - t0 > budget.seconds):
             raise _Stop
-        orbit = face_orbit(nxt, cursor.dart)
+        # one walk around the cursor's face collects the darts leaving the
+        # target (the corners the curve can land in) and the darts it may
+        # cross.  Both read the counts on entry, which every child's undo
+        # restores, so deciding them before any child runs changes nothing
+        start, banned = cursor
+        skip = skips[e]
+        row = e * m
+        ce = counts[e]
+        heavy = ce >= k
+        shut = ce == k and saturated(e)
+        lands, crosses = [], []
+        dart = start
+        while True:
+            if tail[dart] == target:
+                lands.append(dart)
+            arc = dart >> 1
+            own = owner[arc]
+            if not (shut or own in skip or arc in banned
+                    or pairs.get(row + own, 0) >= cap):
+                co = counts[own]
+                # at k or above, own may not meet a heavy e (both would
+                # exceed k) and, at k, may not be saturated
+                if co < k or not (heavy or co == k and saturated(own)):
+                    crosses.append(dart)
+            dart = nxt[dart ^ 1]
+            if dart == start:
+                break
         if target in starts:
             # the face is never the outside, so its darts leaving the
             # target are the legal corners there; the face walk can meet
             # several out of rotation order, the order they are tried in
-            lands = [d for d in orbit if tail[d] == target]
             if len(lands) > 1:
                 lands = [c for c in corners(target) if c in lands]
             for corner in lands:
@@ -293,20 +319,7 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
             commit_finish(e, cursor, target, None)
             after_route(idx)
             undo()
-        banned = cursor.banned
-        skip = barred[e]
-        row = e * m
-        heavy = counts[e] >= k
-        for dart in orbit:
-            arc = dart >> 1
-            own = owner[arc]
-            if (own == BOUNDARY or own == e or arc in banned
-                    or own in skip or pairs.get(row + own, 0) >= cap):
-                continue
-            if heavy and counts[own] >= k:
-                continue  # the new crossing would make both exceed k
-            if (counts[e] == k or counts[own] == k) and mink_dead(e, own):
-                continue
+        for dart in crosses:
             extend(e, idx, target, commit_cross(e, cursor, dart))
             undo()
 
@@ -318,7 +331,7 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         if u not in starts:  # a vertex is placed once it has a ring
             u, v = v, u
         for corner in corners(u):
-            extend(e, idx, v, Cursor(corner, ()))
+            extend(e, idx, v, (corner, ()))
 
     status = Status.EXHAUSTED_UNSAT
     certificate = None

@@ -521,6 +521,16 @@ def test_k_planarity_thresholds():
     assert ok and witness is None
 
 
+@pytest.mark.parametrize("k", [1.5, True, -1, "2", None, 2 ** 53])
+def test_k_planarity_rejects_a_k_that_is_no_count(k):
+    d = double_crossing()
+    for predicate in (is_k_planar, is_min_k_planar):
+        with pytest.raises(InputError):
+            predicate(d, k)
+    # numpy's integers are counts like any other
+    assert is_min_k_planar(d, np.int64(1)) == is_min_k_planar(d, 1)
+
+
 def test_verdicts_are_truthful():
     # a failing verdict is falsy, not a tuple that happens to hold False
     d = double_crossing()

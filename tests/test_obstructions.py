@@ -155,6 +155,15 @@ def test_obstruction_silent_on_clean_drawing():
         biclique_obstruction(d, -1, classes)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_obstruction_and_extraction_reject_a_bound_that_is_no_count(bad):
+    d, classes = _clean_amplification()
+    with pytest.raises(InputError):
+        biclique_obstruction(d, bad, classes)
+    with pytest.raises(InputError):
+        extract_planar_amplification(d, classes, bad)
+
+
 # ------------------------------------------------------- planar extraction
 
 

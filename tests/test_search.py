@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from minkplanar.arrangement import BOUNDARY, Arrangement, Cursor
+from minkplanar.arrangement import BOUNDARY, Arrangement
 from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.drawings import (crossing_profile, face_orbit, is_min_k_planar,
                                  is_simple, mirror, validate)
@@ -214,6 +214,9 @@ _PINNED = [
                             "268b706ec51da8c7224b9036d07c0bc7")),
     (_gk3, 3, True, ("ExhaustedUnsat", 271, 21, 13, None)),
     (_gk4, 4, True, ("ExhaustedUnsat", 459, 26, 16, None)),
+    # item 1's known-wrong answers: the deep min-k and pair-cap branches
+    (_gk3, 3, False, ("ExhaustedUnsat", 1775, 70, 13, None)),
+    (_gk4, 4, False, ("ExhaustedUnsat", 22262, 380, 16, None)),
     (_octagon_diameters, 2, True, ("ExhaustedUnsat", 15, 4, 3, None)),
     (_octagon_diameters, 1, True, ("ExhaustedUnsat", 6, 2, 2, None)),
     (_octagon_diameters, 3, False,
@@ -476,23 +479,23 @@ def test_arrangement_undo_restores_state_exactly():
             u, v = g.edges[e]
             if u not in arr.ring_start:
                 u, v = v, u
-            cursor = Cursor(rng.choice(arr.corners(u)), ())
+            cursor = (rng.choice(arr.corners(u)), ())
             for _ in range(rng.randint(0, 3)):
-                orbit = face_orbit(arr.ring_next, cursor.dart)
+                orbit = face_orbit(arr.ring_next, cursor[0])
                 opts = [d for d in orbit
                         if arr.arc_owner[d >> 1] not in (BOUNDARY, e)
-                        and d >> 1 not in cursor.banned]
+                        and d >> 1 not in cursor[1]]
                 if not opts:
                     break
                 dart = rng.choice(opts)
-                if cursor.dart ^ 1 in opts and rng.random() < 0.5:
-                    dart = cursor.dart ^ 1
-                twin_crossings += dart == cursor.dart ^ 1
+                if cursor[0] ^ 1 in opts and rng.random() < 0.5:
+                    dart = cursor[0] ^ 1
+                twin_crossings += dart == cursor[0] ^ 1
                 lone_crossings += arr.ring_next[dart ^ 1] == dart ^ 1
                 cursor = arr.commit_cross(e, cursor, dart)
                 commits += 1
                 assert _rings_hold(arr) and _counts_hold(arr)
-            oset = set(face_orbit(arr.ring_next, cursor.dart))
+            oset = set(face_orbit(arr.ring_next, cursor[0]))
             if v in arr.ring_start:
                 lands = [d for d in arr.corners(v) if d in oset]
                 if not lands:
