@@ -1,54 +1,46 @@
 """From coordinates to combinatorics.
 
-A Scene holds vertex positions and one polyline route per edge.  The
-conversion finds all pairwise route crossings, orders them along each
-curve, reads off clockwise rotations from segment directions and returns
-the resulting Drawing together with the crossing coordinates.
+A Scene holds vertex positions and one polyline route per edge, and
+``scene_to_drawing`` returns the Drawing it depicts with the crossing
+coordinates.  Routes must be in general position: transversal crossings
+only, no three curves through a point, no curve through a vertex, no
+overlapping segments.  Violations raise GeometryError rather than
+producing a drawing that silently means something else.  For an
+anchored scene the anchors must sit on a common circle, listed
+clockwise, and every route must stay inside the closed disk.  The
+conversion is a pipeline of array passes, one function per phase.
 
-Routes must be in general position: transversal crossings only, no three
-curves through a point, no curve through a vertex, no overlapping
-segments.  Violations raise GeometryError rather than producing a drawing
-that silently means something else.  For an anchored scene the anchors
-must sit on a common circle, listed clockwise, and every route must stay
-inside the closed disk.
+``_route_arrays`` reads the positions and all route points into one
+(n, 2) array, checks them finite, cleans and checks every route, and
+returns the ``_Routes`` record the later phases read: each edge's two
+tips, moved onto its end vertices, and their angles, and the pieces
+between consecutive points with their edges, directions, lengths and
+box tags.
 
-The conversion is a sequence of array passes.  The vertex positions and
-all route points are read into one (n, 2) array, the points of each edge
-a run of it, and checked to be finite.  Cleaning drops every point
-within TOL of the last point kept before it on its route; a point within
-TOL of the one before it starts such a run of dropped points, and only
-those runs are walked point by point.  Each edge then has two tips, its
-first and last point kept, which must lie within 1e-6 of its end
-vertices and are moved onto them.  The route checks, the pieces between
-consecutive points (with their directions, lengths and tags), each tip's
-angle and the nearly parallel pairs at a vertex are each computed for all
-edges at once.
+``_candidate_pairs`` yields the pairs to classify a slice at a time.
+One sort and sweep (``_overlapping_boxes``) pairs the boxes of all
+pieces and vertices, grown by 32 TOL, at most ``_SWEEP_SLICE`` pairs a
+slice.  Pieces that end at one vertex meet again only when collinear,
+so they are not paired there: sorting the tips by angle finds their
+nearly parallel pairs, the last slice.
 
-Candidate pairs come from one sort and sweep of bounding boxes: each
-route piece and each vertex gets a box grown by 32 TOL.  The boxes are
-cut into y-strips at quantiles of their lower edges, and in each strip a
-box pairs with those that start inside its x-range and meet its y-range.
-The sweep makes its pairs a slice of at most ``_SWEEP_SLICE`` at a time
-(more only when one box has more), and each slice is classified before
-the next is made, so one constant bounds the memory of the whole pass
-and only the crossings found are kept.  Pieces that end at one vertex
-are not paired by the sweep: two straight pieces from one point meet
-again only when they are collinear, so sorting the pieces by angle around
-the vertex finds the nearly parallel pairs, and only those are
-classified, as one last batch.  A pair of parallel pieces on one line
-overlaps, touches or misses, by where the ends of one project onto the
-other; only a pair at an angle can cross.  A fault is reported by one
-rule, whatever the order of the slices: the least by kind (a piece
-through a vertex, a collinear fault, a self-crossing, a touch) and then
-by the pair's two indices.  Each crossing is then one array record (its
-two pieces, their edges, the arclength along each and the point) that
-its checks, id and chain positions are read from.  Its vertex clearance
-is tested only against the vertices that end both edges: near any other
-vertex one of the pieces passes through it, which the sweep has already
-rejected.  Every rotation is read off by one sort of all curve ends by
-node and angle (``_rotations``): the four arms of each crossing, along
-its own two pieces, and the two tips of each edge.  The amplified frames
-of ``frames`` take their rotations from the same function.
+``_through_vertex`` (a piece near a vertex) and ``_classify`` (two
+pieces: parallel ones overlap, touch or miss, only those at an angle
+cross) judge each slice before the next is made, so one constant bounds
+the memory of the pass.  Each returns its least fault, ``_classify``
+also its crossings, and the least fault of all is raised, whatever the
+order of the slices.
+
+``_crossing_records`` keeps each crossing as one array record (its two
+pieces, their edges, the arclength along each and the point) and gives
+it its id and chain positions.  Its vertex clearance is tested only
+against the vertices that end both edges: near any other, one piece
+passes through it, which classification has rejected.
+
+``_rotations`` reads every rotation off by one sort of all curve ends by
+node and angle: the four arms of each crossing, along its two pieces,
+and the two tips of each edge.  The amplified frames of ``frames`` take
+their rotations from the same function.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,6 +57,7 @@ from .graphs import Graph, _ids
 from .drawings import ArcRef, Crossing, Drawing
 
 Point = tuple[float, float]
+_Fault = tuple[int, int, str]  # (rule, key, message), see scene_to_drawing
 
 # the converter's tolerance: points this close count as one, and the
 # candidate boxes and vertex clearances are multiples of it
@@ -105,19 +98,16 @@ _SWEEP_STRIP = 1 << 11
 def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray,
                        tags: np.ndarray) -> Iterator[np.ndarray]:
     """Index pairs of overlapping closed boxes, two rows with row 0 < row 1,
-    yielded a slice at a time.
-
-    The (n, 2) corner arrays are cut into y-strips of about
-    ``_SWEEP_STRIP`` boxes at quantiles of the lower y edges.  A box joins
-    every strip its y-range meets, and a pair is reported only in the strip
-    that holds the higher of the two lower edges.  In each strip every box,
-    in order of left edge, pairs with the boxes whose left edge lies in its
-    x-range (a binary search on its right edge) and whose y-range meets its
-    own.  A slice holds the pairs of consecutive boxes, at most
-    ``_SWEEP_SLICE`` unless one box alone has more, so memory follows the
-    slice.  Two boxes that share a tag, a column of the (2, n) integer
-    array ``tags``, are not paired.
-    """
+    yielded a slice at a time.  The (n, 2) corner arrays are cut into
+    y-strips of about ``_SWEEP_STRIP`` boxes at quantiles of the lower y
+    edges.  A box joins every strip its y-range meets, and a pair is
+    reported only in the strip that holds the higher of the two lower
+    edges.  In each strip every box, in order of left edge, pairs with the
+    boxes whose left edge lies in its x-range (a binary search on its
+    right edge) and whose y-range meets its own.  A slice holds the pairs
+    of consecutive boxes, at most ``_SWEEP_SLICE`` unless one box alone
+    has more.  Two boxes that share a tag, a column of the (2, n) integer
+    array ``tags``, are not paired."""
     n = lo.shape[0]
     strips = -(-n // _SWEEP_STRIP)
     if strips <= 1:
@@ -168,26 +158,6 @@ def _sweep(order, home, lo, hi, tags) -> Iterator[np.ndarray]:
         start = end
 
 
-
-
-def _side_by_side(parts: list[np.ndarray]) -> np.ndarray:
-    """The 2-row arrays ``parts`` joined along their rows; one part is
-    returned as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _check_scene(scene: Scene) -> list[int]:
-    """The ids of the scene's positions, in order, once every vertex has
-    one and the routes cover the edges."""
-    g = scene.graph
-    for v in g.vertices:
-        if v not in scene.positions:
-            raise InputError(f"no position for vertex {v}")
-    if sorted(scene.routes) != list(range(g.m)):
-        raise InputError("routes must cover exactly the edge ids")
-    return sorted(scene.positions)
-
-
 def _check_anchors(scene: Scene) -> tuple[tuple[int, ...], float | None]:
     """The anchors of the scene as ids and the radius of its disk, once
     each anchor has a position and they sit on the circle in clockwise
@@ -206,9 +176,8 @@ def _check_anchors(scene: Scene) -> tuple[tuple[int, ...], float | None]:
     slack = 1e-6 * max(1.0, radius)
     for a in anchors:
         if abs(math.hypot(*pos[a]) - radius) > slack:
-            raise GeometryError(
-                f"anchor {a} does not sit on the boundary circle"
-            )
+            raise GeometryError(f"anchor {a} does not sit on the boundary "
+                                "circle")
     angles = [math.degrees(math.atan2(pos[a][1], pos[a][0])) for a in anchors]
     total = 0.0
     for i in range(len(anchors)):
@@ -217,9 +186,8 @@ def _check_anchors(scene: Scene) -> tuple[tuple[int, ...], float | None]:
             raise GeometryError("coincident anchors on the circle")
         total += step
     if abs(total - 360.0) > 1e-6:
-        raise GeometryError(
-            "anchors are not listed in clockwise circular order"
-        )
+        raise GeometryError("anchors are not listed in clockwise circular "
+                            "order")
     return anchors, radius
 
 
@@ -310,39 +278,40 @@ def _rotations(g: Graph, anchors: tuple[int, ...], anchor_xy: np.ndarray,
     return rotation
 
 
-def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
-    """Builds the combinatorial drawing a scene depicts.
+class _Routes(NamedTuple):
+    """A scene's cleaned routes as arrays: vertex row i is ``vids[i]``, tip
+    2e is edge e's start and 2e + 1 its end; pieces go by edge, in order."""
 
-    Returns the drawing and a map from crossing node id to coordinates.
-    The drawing is validated before it is returned, which catches
-    conversion bugs on top of the geometry checks.
+    graph: Graph
+    anchors: tuple[int, ...]
+    vids: np.ndarray       # the vertex ids, sorted
+    pos: np.ndarray        # (nv, 2) their positions
+    tip_v: np.ndarray      # each tip's vertex row
+    edge_ends: np.ndarray  # (m, 2) the same by edge
+    kept: np.ndarray       # the points kept of each edge's route
+    edge: np.ndarray       # each piece's edge
+    tail: np.ndarray       # (nseg, 2) each piece's start
+    head: np.ndarray       # (nseg, 2) and end
+    way: np.ndarray        # (nseg, 2) head - tail
+    length: np.ndarray     # each piece's length
+    tip_p: np.ndarray      # each tip's own (terminal) piece
+    lead: np.ndarray       # each edge's piece its start's angle is from
+    trail: np.ndarray      # and its end's
+    angle: np.ndarray      # each tip's angle out of its vertex
+    reach: np.ndarray      # the tips whose own piece is longer than TOL
+    tags: np.ndarray       # (2, nseg + nv) the sweep's box tags
 
-    Each route is cleaned first: a point within TOL of the last point
-    kept before it on the route is dropped (not merely one within TOL of
-    its predecessor), and the first and last points kept are moved onto
-    the edge's end vertices, which they must lie within 1e-6 of.  An
-    empty route collapses.  A fault is reported for the first edge that
-    has one, and of its faults the first of: fewer than two points kept,
-    the start off its vertex, the end off its vertex, a piece that runs
-    straight back along the one before.  Then, for an anchored scene,
-    the first edge that leaves the disk; then the faults between pieces,
-    the crossings' own checks, and last the rotations at vertices (in
-    order of first appearance on the edges) and at anchors (in anchor
-    order).  No two arms of a crossing can be tangential: pieces that
-    close to parallel are classified as parallel.  A position or route
-    point that is not finite is rejected, by name, before any of these
-    and before the anchors, which must be ids with positions, are
-    checked.
-    An end takes its angle from its terminal piece, or from the next
-    piece when moving the end onto its vertex left the terminal piece at
-    most TOL long.
 
-    Memory does not follow the candidate pairs: each slice of the sweep
-    is classified as it is made, so one slice is held at a time, and
-    then the crossings found.
-    """
+def _route_arrays(scene: Scene) -> _Routes:
+    """The route arrays of ``scene``, once every point is finite, the
+    anchors are checked and every route is clean and in place."""
     g = scene.graph
-    vids = _check_scene(scene)
+    for v in g.vertices:
+        if v not in scene.positions:
+            raise InputError(f"no position for vertex {v}")
+    if sorted(scene.routes) != list(range(g.m)):
+        raise InputError("routes must cover exactly the edge ids")
+    vids = sorted(scene.positions)
     nv, m = len(vids), g.m
     # every route point, each route a run of them.  An empty route is
     # read as its start vertex alone, which collapses below
@@ -365,13 +334,10 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         raise GeometryError(f"route of edge {e} has a non-finite point "
                             f"{routes[e][i - nv - size[:e].sum()]}")
     anchors, radius = _check_anchors(scene)
-    pos_arr, pts = xy[:nv], xy[nv:]
+    pos, pts = xy[:nv], xy[nv:]
     vids = np.array(vids, dtype=np.int64)
-    # the tips of the edges: tip 2e is edge e's start and tip 2e + 1 its
-    # end, each at a vertex row
     tip_v = vids.searchsorted(np.fromiter(
         chain.from_iterable(g.edges), np.int64, 2 * m))
-    edge_ends = tip_v.reshape(-1, 2)
 
     # cleaning.  A point more than TOL from the point before it is kept
     # when that one is; a point within TOL of it starts a run of dropped
@@ -391,39 +357,37 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         while i < stop and math.dist(pts[i].tolist(), held) <= TOL:
             drop.append(i)
             i += 1
-    kept_n = size
+    kept = size
     if drop:
         pts = np.delete(pts, drop, axis=0)
         pt_edge = np.delete(pt_edge, drop)
-        kept_n = np.bincount(pt_edge, minlength=m)
+        kept = np.bincount(pt_edge, minlength=m)
     # each tip's point: its edge's first or last point kept
-    tip = (kept_n.cumsum() - 1).repeat(2)
-    tip[0::2] -= kept_n - 1
+    tip = (kept.cumsum() - 1).repeat(2)
+    tip[0::2] -= kept - 1
 
     # each tip within 1e-6 of its vertex, then moved onto it
-    at_tip = pos_arr[tip_v]
+    at_tip = pos[tip_v]
     off = pts[tip] - at_tip
     off = np.hypot(off[:, 0], off[:, 1]) > 1e-6
     pts[tip] = at_tip
 
-    # the pieces, numbered by edge and along it, each with its edge (SE),
-    # start (SA), end (SB), direction (D) and length (SLEN)
+    # the pieces between consecutive points of one route
     body = (pt_edge[1:] == pt_edge[:-1]).nonzero()[0]
     nxt = body + 1
-    SE = pt_edge[body]
-    SA = pts[body]
-    SB = pts[nxt]
-    D = SB - SA
-    SLEN = np.hypot(D[:, 0], D[:, 1])
-    # consecutive pieces are never paired as candidates below, so no
-    # piece may run straight back along the one before it here: the dot
-    # and cross products of each piece's direction with the next one's
-    dot = D[:-1] * D[1:]
-    cross = D[:-1] * D[1:, ::-1]
-    back = SE[1:][(dot[:, 0] + dot[:, 1] < 0.0) & (SE[1:] == SE[:-1]) & (
-        np.abs(cross[:, 0] - cross[:, 1]) <= TOL * SLEN[:-1] * SLEN[1:])]
-    if back.size or off.any() or kept_n.min(initial=2) < 2:
-        collapsed = kept_n < 2
+    edge = pt_edge[body]
+    tail, head = pts[body], pts[nxt]
+    way = head - tail
+    length = np.hypot(way[:, 0], way[:, 1])
+    # consecutive pieces are never paired as candidates, so no piece may
+    # run straight back along the one before it here: the dot and cross
+    # products of each piece's direction with the next one's
+    dot = way[:-1] * way[1:]
+    cross = way[:-1] * way[1:, ::-1]
+    back = edge[1:][(dot[:, 0] + dot[:, 1] < 0.0) & (edge[1:] == edge[:-1]) & (
+        np.abs(cross[:, 0] - cross[:, 1]) <= TOL * length[:-1] * length[1:])]
+    if back.size or off.any() or kept.min(initial=2) < 2:
+        collapsed = kept < 2
         bad = collapsed | off[0::2] | off[1::2]
         bad[back] = True
         e = int(bad.argmax())
@@ -443,7 +407,7 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         if out.size:
             raise GeometryError(
                 f"route of edge {pt_edge[out[0]]} leaves the boundary disk")
-    if not SLEN.all():
+    if not length.all():
         raise GeometryError("zero length segment in a route")
 
     # per tip, its own (terminal) piece, and the piece it takes its angle
@@ -453,202 +417,64 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     # points within TOL.  A tip's own piece is tagged with the vertex
     # only if it is longer; every other piece end is tagged with its
     # point, a private id
-    nseg = len(SE)
+    nseg = len(edge)
     tip_p = tip - (np.arange(1, 2 * m + 1) >> 1)
-    reach = SLEN[tip_p] > TOL
-    short = ~reach & (kept_n > 2).repeat(2)
+    reach = length[tip_p] > TOL
+    short = ~reach & (kept > 2).repeat(2)
     lead = tip_p[0::2] + short[0::2]
     trail = tip_p[1::2] - short[1::2]
     # out of the vertex along that piece: its start to its end, or back
-    # from its end to its start (as SA - SB, not -(SB - SA), which would
-    # turn +pi into -pi for a piece along the x-axis)
-    way = np.empty((2 * m, 2))
-    way[0::2] = D[lead]
-    way[1::2] = SA[trail] - SB[trail]
-    angle = np.arctan2(way[:, 1], way[:, 0])
-    ends = reach.nonzero()[0]
+    # from its end to its start (as tail - head, not -(head - tail),
+    # which would turn +pi into -pi for a piece along the x-axis)
+    tip_way = np.empty((2 * m, 2))
+    tip_way[0::2] = way[lead]
+    tip_way[1::2] = tail[trail] - head[trail]
+    reach = reach.nonzero()[0]
     tags = np.empty((2, nseg + nv), dtype=np.int64)
     tags[0, :nseg] = body + nv
     tags[1, :nseg] = nxt + nv
     tags[:, nseg:] = np.arange(nv)
-    tags[ends & 1, tip_p[ends]] = tip_v[ends]
+    tags[reach & 1, tip_p[reach]] = tip_v[reach]
+    return _Routes(g, anchors, vids, pos, tip_v, tip_v.reshape(-1, 2), kept,
+                   edge, tail, head, way, length, tip_p, lead, trail,
+                   np.arctan2(tip_way[:, 1], tip_way[:, 0]), reach, tags)
 
-    def near_shared_vertex(pair, xy):
-        """Rows, in order, whose point ``xy[row]`` lies within 16 TOL of a
-        vertex that ends both edges ``pair[:, row]``, with that vertex."""
-        one, two = edge_ends[pair]
-        row, i, _ = (one[:, :, None] == two[:, None, :]).nonzero()
-        if not row.size:
-            return row, row
-        v = one[row, i]
-        gap = xy[row] - pos_arr[v]
-        near = (np.hypot(gap[:, 0], gap[:, 1]) <= 16.0 * TOL).nonzero()[0]
-        return row[near], v[near]
 
-    # the faults found, as (rule, key, message), and the least is raised
-    # after the last batch, whatever the order of the batches: a piece
-    # through a vertex (0, keyed vertex * nseg + piece), then a collinear
-    # fault (1), a self-crossing (2) and a touch away from a shared vertex
-    # (3), each keyed lower * nseg + higher piece
-    faults: list[tuple[int, int, str]] = []
-
-    def through_vertex(qs, qv):
-        """Records a fault if a piece ``qs`` passes within 16 TOL of a
-        vertex row ``qv``: of any vertex but its edge's ends, and of an
-        end too unless the piece lies at that end."""
-        # the vertex from the piece's start, and its foot on the piece
-        rel = pos_arr[qv] - SA[qs]
-        way = D[qs]
-        tt = (rel[:, 0] * way[:, 0] + rel[:, 1] * way[:, 1]) / (
-            SLEN[qs] * SLEN[qs])
-        tt = np.minimum(np.maximum(tt, 0.0), 1.0)
-        gap = rel - tt[:, None] * way
-        near = (np.hypot(gap[:, 0], gap[:, 1]) <= 16.0 * TOL).nonzero()[0]
-        qs, qv = qs[near], qv[near]
-        qe = SE[qs]
-        ends = edge_ends[qe]
-        hit_at = (~(((ends[:, 0] == qv) & (qs <= lead[qe]))
-                    | ((ends[:, 1] == qv) & (qs >= trail[qe])))).nonzero()[0]
-        if hit_at.size:
-            b = hit_at[np.argmin(qv[hit_at] * nseg + qs[hit_at])]
-            faults.append((0, int(qv[b] * nseg + qs[b]), f"route of edge "
-                           f"{SE[qs[b]]} passes through vertex {vids[qv[b]]}"))
-
-    # classify piece pairs and keep only the crossings, each as its lower
-    # and higher piece and the parameter of the point along each
-    cross_p: list[np.ndarray] = []
-    cross_u: list[np.ndarray] = []
-
-    def classify(pair):
-        """Classifies the piece pairs, the columns of ``pair``: lower piece
-        over higher piece."""
-        way = D[pair]
-        r, s = way[0], way[1]
-        ac = SA[pair]
-        ac = ac[1] - ac[0]
-        lens = SLEN[pair]
-        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-        par = np.abs(denom) <= TOL * lens[0] * lens[1]
-
-        # parallel pieces on one line: the higher one's ends project to
-        # t0 and t1 along the lower one, and the two overlap, touch at a
-        # point or miss by how far [t0, t1] reaches into [0, 1]
-        col = par.nonzero()[0]
-        if col.size:
-            col = col[np.abs(ac[col, 0] * r[col, 1] - ac[col, 1] * r[col, 0])
-                      <= TOL * lens[0, col]]
-        if col.size:
-            lo, hi = pair[:, col]
-            rx, ry = r[col].T
-            rr = lens[0, col] * lens[0, col]
-            t0 = (ac[col, 0] * rx + ac[col, 1] * ry) / rr
-            t1 = t0 + (s[col, 0] * rx + s[col, 1] * ry) / rr
-            t_lo = np.where(t1 < t0, t1, t0)
-            t_hi = np.where(t1 > t0, t1, t0)
-            eps = TOL / lens[0, col]
-            meet = (t_hi >= -eps) & (t_lo <= 1 + eps)
-            a = np.where(0.0 > t_lo, 0.0, t_lo)
-            b = np.where(1.0 < t_hi, 1.0, t_hi)
-            touch = meet & (b - a <= eps)
-            t = (a + b) / 2.0
-            tx = SA[lo, 0] + t * rx
-            ty = SA[lo, 1] + t * ry
-            ok = np.zeros(col.size, dtype=bool)
-            ok[near_shared_vertex(SE[pair[:, col]],
-                                  np.stack((tx, ty), axis=1))[0]] = True
-            same = SE[lo] == SE[hi]
-            bad = (meet & ~(touch & ~same & ok)).nonzero()[0]
-            if bad.size:
-                c = bad[np.argmin(lo[bad] * nseg + hi[bad])]
-                a1, a2 = SE[lo[c]], SE[hi[c]]
-                if not touch[c]:
-                    what = f"edges {a1} and {a2} run along a shared segment"
-                elif same[c]:
-                    what = f"edge {a1} crosses itself"
-                else:
-                    what = (f"edges {a1} and {a2} touch without crossing "
-                            f"near {(float(tx[c]), float(ty[c]))}")
-                faults.append((1, int(lo[c] * nseg + hi[c]), what))
-
-        # pieces at an angle: the parameters u along the lower piece and v
-        # along the higher (rows of uv), from the cross products of ac
-        # with the higher and the lower direction
-        apart = ~par
-        uv = np.divide(ac[:, 0] * way[::-1, :, 1] - ac[:, 1] * way[::-1, :, 0],
-                       denom, out=np.zeros((2, denom.size)), where=apart)
-        eps = TOL / lens
-        inside = (uv >= -eps) & (uv <= 1.0 + eps)
-        inside = apart & inside[0] & inside[1]
-        crossed = (uv > eps) & (uv < 1.0 - eps)
-        crossed = crossed[0] & crossed[1]
-
-        edge = SE[pair]
-        selfi = (inside & (edge[0] == edge[1])).nonzero()[0]
-        if selfi.size:
-            b = selfi[np.argmin(pair[0, selfi] * nseg + pair[1, selfi])]
-            faults.append((2, int(pair[0, b] * nseg + pair[1, b]),
-                           f"edge {edge[0, b]} crosses itself"))
-        ti = (inside & ~crossed).nonzero()[0]
-        if ti.size:
-            tp = SA[pair[0, ti]] + uv[0, ti, None] * r[ti]
-            ok = np.zeros(ti.size, dtype=bool)
-            ok[near_shared_vertex(edge[:, ti], tp)[0]] = True
-            bad = ti[~ok]
-            if bad.size:
-                b = np.argmin(pair[0, bad] * nseg + pair[1, bad])
-                lo, hi = pair[:, bad[b]]
-                pt = (float(tp[~ok][b, 0]), float(tp[~ok][b, 1]))
-                faults.append((3, int(lo * nseg + hi), f"edges {SE[lo]} and "
-                               f"{SE[hi]} touch without crossing near {pt}"))
-
-        hits = crossed.nonzero()[0]
-        if hits.size:
-            cross_p.append(pair[:, hits])
-            cross_u.append(uv[:, hits])
-
-    # candidates: the boxes of all pieces and vertices, grown by 32 TOL,
-    # so that any two within 64 TOL of each other pair up, except pieces
-    # that share an end point (consecutive pieces of one curve, or pieces
-    # ending at one vertex) and a vertex with the pieces that end there.
-    # A batch with no pairs is skipped, as its checks would cost as much
-    # as a small one's
+def _candidate_pairs(r: _Routes) -> Iterator[np.ndarray]:
+    """The pairs to classify, lower over higher, a (2, n) slice at a time:
+    the sweep's, a vertex row v as nseg + v, then the nearly parallel
+    pairs of pieces that end at one vertex, if there are any."""
+    # the boxes, grown by 32 TOL, so that any two within 64 TOL of each
+    # other pair up, except pieces that share an end point (consecutive
+    # pieces of one curve, or pieces ending at one vertex) and a vertex
+    # with the pieces that end there
     grow = 32.0 * TOL
-    for pair in _overlapping_boxes(
-        np.concatenate((np.minimum(SA, SB), pos_arr)) - grow,
-        np.concatenate((np.maximum(SA, SB), pos_arr)) + grow,
-        tags,
-    ):
-        pieces = pair[1] < nseg
-        at_vertex = (~pieces & (pair[0] < nseg)).nonzero()[0]
-        if at_vertex.size:
-            through_vertex(pair[0, at_vertex], pair[1, at_vertex] - nseg)
-        pieces = pieces.nonzero()[0]
-        if pieces.size:
-            classify(pair[:, pieces])
+    yield from _overlapping_boxes(
+        np.concatenate((np.minimum(r.tail, r.head), r.pos)) - grow,
+        np.concatenate((np.maximum(r.tail, r.head), r.pos)) + grow,
+        r.tags,
+    )
 
     # the pairs of pieces that end at one vertex, where they are nearly
-    # parallel.  Two straight pieces from one point meet again only if
-    # they are collinear.  The classification agrees, away from parallel:
-    # for pieces at an angle D (modulo pi) its u and v are exactly 0 or 1
-    # when either piece starts at the vertex, and when both end there
-    # their error, times a piece length of at most L, is below about
-    # 12 * 2**-53 * L / sin D.  That is under TOL for L <= 10 and
-    # D >= 1e-4 (near D = 1e-7 it is not); the window widens with longer
-    # pieces.  Outside it the pair touches at the vertex, which is allowed.
-    # The tips that reach beyond TOL are sorted by vertex and angle
-    # modulo pi, and those within the window of 0 follow their vertex's
-    # tips again, past pi, so that the window wraps around; a pair is a
-    # tip and one after it at the same vertex, at most the window further
-    # on.  The order of two tips at one angle changes no pair
-    window = 1e-4 * max(1.0, SLEN.max(initial=0.0) / 10.0)
-    turn = angle[ends] % math.pi
+    # parallel.  Away from parallel the classification agrees that they
+    # only touch there: for pieces at an angle D (modulo pi) its u and v
+    # are exactly 0 or 1 when either piece starts at the vertex, and when
+    # both end there their error, times a piece length of at most L, is
+    # about 12 * 2**-53 * L / sin D, under TOL for L <= 10 and D >= 1e-4;
+    # the window widens with longer pieces.  The tips that reach beyond
+    # TOL are sorted by vertex and angle modulo pi, those within the
+    # window of 0 again past pi, and a pair is a tip and one after it at
+    # the same vertex, at most the window further on
+    nseg, ends = r.edge.size, r.reach
+    window = 1e-4 * max(1.0, r.length.max(initial=0.0) / 10.0)
+    turn = r.angle[ends] % math.pi
     wrap = turn <= window
     if wrap.any():
         ends = np.concatenate((ends, ends[wrap]))
         turn = np.concatenate((turn, turn[wrap] + math.pi))
-    by = np.lexsort((turn, tip_v[ends]))
+    by = np.lexsort((turn, r.tip_v[ends]))
     turn, ends = turn[by], ends[by]
-    end_v = tip_v[ends]
+    end_v = r.tip_v[ends]
     i = ((end_v[1:] == end_v[:-1])
          & (turn[1:] - turn[:-1] <= window)).nonzero()[0]
     near = []
@@ -660,95 +486,268 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
         i = i[(end_v[i + step] == end_v[i])
               & (turn[i + step] - turn[i] <= window)]
     if near:
-        one, two = (tip_p[ends[np.concatenate(x)]] for x in zip(*near))
+        one, two = (r.tip_p[ends[np.concatenate(x)]] for x in zip(*near))
         lo, hi = np.minimum(one, two), np.maximum(one, two)
         key = np.unique((lo * nseg + hi)[lo != hi])
-        classify(np.stack((key // nseg, key % nseg)))
-    if faults:
-        raise GeometryError(min(faults)[2])
+        yield np.stack((key // nseg, key % nseg))
 
-    # one record per crossing: its lower and higher piece (xp), their
-    # edges (xe; pieces are numbered by edge, so the lower edge is
-    # first), the arclength along each edge (xs) and the point (xy)
-    crossings: list[Crossing] = []
-    xid_points: dict[int, Point] = {}
+
+def _least(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           nseg: int) -> tuple[int, int]:
+    """The row among ``rows`` whose key ``lo[row] * nseg + hi[row]`` is
+    least, and that key: of the faults of one rule, the one reported."""
+    key = lo[rows] * nseg + hi[rows]
+    return rows[key.argmin()], int(key.min())
+
+
+def _near_shared_vertex(r: _Routes, edges: np.ndarray,
+                        xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows, in order, whose point ``xy[row]`` lies within 16 TOL of a
+    vertex that ends both edges ``edges[:, row]``, with that vertex."""
+    one, two = r.edge_ends[edges]
+    row, i, _ = (one[:, :, None] == two[:, None, :]).nonzero()
+    if not row.size:
+        return row, row
+    v = one[row, i]
+    gap = xy[row] - r.pos[v]
+    near = (np.hypot(gap[:, 0], gap[:, 1]) <= 16.0 * TOL).nonzero()[0]
+    return row[near], v[near]
+
+
+def _through_vertex(r: _Routes, qs: np.ndarray,
+                    qv: np.ndarray) -> _Fault | None:
+    """The least fault of a piece ``qs`` that passes within 16 TOL of a
+    vertex row ``qv``: of any vertex but its edge's ends, and of an end
+    too unless the piece lies at that end; None if none does."""
+    # the vertex from the piece's start, and its foot on the piece
+    rel = r.pos[qv] - r.tail[qs]
+    way = r.way[qs]
+    length = r.length[qs]
+    tt = (rel[:, 0] * way[:, 0] + rel[:, 1] * way[:, 1]) / (length * length)
+    tt = np.minimum(np.maximum(tt, 0.0), 1.0)
+    gap = rel - tt[:, None] * way
+    near = (np.hypot(gap[:, 0], gap[:, 1]) <= 16.0 * TOL).nonzero()[0]
+    qs, qv = qs[near], qv[near]
+    qe = r.edge[qs]
+    ends = r.edge_ends[qe]
+    hit = (~(((ends[:, 0] == qv) & (qs <= r.lead[qe]))
+             | ((ends[:, 1] == qv) & (qs >= r.trail[qe])))).nonzero()[0]
+    if not hit.size:
+        return None
+    b, key = _least(hit, qv, qs, r.edge.size)
+    return 0, key, (f"route of edge {qe[b]} passes through vertex "
+                    f"{r.vids[qv[b]]}")
+
+
+def _classify(r: _Routes, pair: np.ndarray) -> tuple[
+        _Fault | None, list[tuple[np.ndarray, np.ndarray]]]:
+    """Classifies the piece pairs, the columns of ``pair`` (lower piece
+    over higher): their least fault or None, and without one their
+    crossings, as the columns that cross and the parameters of each
+    crossing along the lower and the higher piece (none: [])."""
+    nseg = r.edge.size
+    way = r.way[pair]
+    dr, ds = way
+    ac = r.tail[pair]
+    ac = ac[1] - ac[0]
+    lens = r.length[pair]
+    denom = dr[:, 0] * ds[:, 1] - dr[:, 1] * ds[:, 0]
+    par = np.abs(denom) <= TOL * lens[0] * lens[1]
+
+    # parallel pieces on one line: the higher one's ends project to t0 and
+    # t1 along the lower one, and the two overlap, touch at a point or
+    # miss by how far [t0, t1] reaches into [0, 1]
+    col = par.nonzero()[0]
+    if col.size:
+        col = col[np.abs(ac[col, 0] * dr[col, 1] - ac[col, 1] * dr[col, 0])
+                  <= TOL * lens[0, col]]
+    if col.size:
+        lo, hi = pair[:, col]
+        rx, ry = dr[col].T
+        rr = lens[0, col] * lens[0, col]
+        t0 = (ac[col, 0] * rx + ac[col, 1] * ry) / rr
+        t1 = t0 + (ds[col, 0] * rx + ds[col, 1] * ry) / rr
+        t_lo = np.where(t1 < t0, t1, t0)
+        t_hi = np.where(t1 > t0, t1, t0)
+        eps = TOL / lens[0, col]
+        meet = (t_hi >= -eps) & (t_lo <= 1 + eps)
+        a = np.where(0.0 > t_lo, 0.0, t_lo)
+        b = np.where(1.0 < t_hi, 1.0, t_hi)
+        touch = meet & (b - a <= eps)
+        t = (a + b) / 2.0
+        tx = r.tail[lo, 0] + t * rx
+        ty = r.tail[lo, 1] + t * ry
+        ok = np.zeros(col.size, dtype=bool)
+        ok[_near_shared_vertex(r, r.edge[pair[:, col]],
+                               np.stack((tx, ty), axis=1))[0]] = True
+        same = r.edge[lo] == r.edge[hi]
+        bad = (meet & ~(touch & ~same & ok)).nonzero()[0]
+        if bad.size:
+            c, key = _least(bad, lo, hi, nseg)
+            a1, a2 = r.edge[lo[c]], r.edge[hi[c]]
+            if not touch[c]:
+                what = f"edges {a1} and {a2} run along a shared segment"
+            elif same[c]:
+                what = f"edge {a1} crosses itself"
+            else:
+                what = (f"edges {a1} and {a2} touch without crossing "
+                        f"near {(float(tx[c]), float(ty[c]))}")
+            return (1, key, what), []
+
+    # pieces at an angle: the parameters u along the lower piece and v
+    # along the higher (rows of uv), from the cross products of ac with
+    # the higher and the lower direction
+    apart = ~par
+    uv = np.divide(ac[:, 0] * way[::-1, :, 1] - ac[:, 1] * way[::-1, :, 0],
+                   denom, out=np.zeros((2, denom.size)), where=apart)
+    eps = TOL / lens
+    inside = (uv >= -eps) & (uv <= 1.0 + eps)
+    inside = apart & inside[0] & inside[1]
+    crossed = (uv > eps) & (uv < 1.0 - eps)
+    crossed = crossed[0] & crossed[1]
+
+    edge = r.edge[pair]
+    selfi = (inside & (edge[0] == edge[1])).nonzero()[0]
+    if selfi.size:
+        b, key = _least(selfi, pair[0], pair[1], nseg)
+        return (2, key, f"edge {edge[0, b]} crosses itself"), []
+    ti = (inside & ~crossed).nonzero()[0]
+    if ti.size:
+        tp = r.tail[pair[0, ti]] + uv[0, ti, None] * dr[ti]
+        ok = np.zeros(ti.size, dtype=bool)
+        ok[_near_shared_vertex(r, edge[:, ti], tp)[0]] = True
+        if not ok.all():
+            lo, hi = pair[:, ti]
+            b, key = _least((~ok).nonzero()[0], lo, hi, nseg)
+            return (3, key, f"edges {r.edge[lo[b]]} and {r.edge[hi[b]]} "
+                    f"touch without crossing near "
+                    f"{(float(tp[b, 0]), float(tp[b, 1]))}"), []
+
+    hits = crossed.nonzero()[0]
+    return None, [(pair[:, hits], uv[:, hits])] if hits.size else []
+
+
+def _crossing_records(r: _Routes,
+                      found: list[tuple[np.ndarray, np.ndarray]]):
+    """The crossings, chains and crossing points of the drawing, then the
+    ids, edges, chain places and pieces (tails, heads) that ``_rotations``
+    reads, of the crossings ``found`` by ``_classify``.  No crossing may
+    lie within 16 TOL of a vertex, nor two within 16 TOL of each other
+    along one edge."""
+    g, nseg = r.graph, r.edge.size
     chains = dict(enumerate(g.edges))
-    if cross_p:
-        xp = _side_by_side(cross_p)
-        xu = _side_by_side(cross_u)
-        xe = SE[xp]
-        # the prefix arclengths along each edge, summed in order along
-        # it: the edges with as many pieces are the rows of one array
-        points = kept_n[SE]
-        by = points.argsort(kind="stable")
-        points = points[by]
-        run = SLEN[by]
-        cut = _starts(points)
-        for a, b in zip(cut, cut[1:]):
-            if points[a] > 2:
-                run[a:b] = run[a:b].reshape(-1, points[a] - 1).cumsum(
-                    axis=1).ravel()
-        SPREF = np.empty(nseg)
-        SPREF[by[1:]] = run[:-1]
-        SPREF[tip_p[0::2]] = 0.0
-        xs = SPREF[xp] + xu * SLEN[xp]
-
-        # deterministic ids: sort by (lower edge, position along it,
-        # higher edge, position along it)
-        order = np.lexsort((xs[1], xe[1], xs[0], xe[0]))
-        xp, xu, xe, xs = xp[:, order], xu[:, order], xe[:, order], xs[:, order]
-        tail, head = SA[xp], SB[xp]
-        xy = tail[0] + xu[0, :, None] * (head[0] - tail[0])
-
-        # no crossing within 16 TOL of a vertex.  Only the vertices that
-        # end both edges need a test: a crossing lies on both pieces, so
-        # near any other vertex one of them passes through it, which
-        # raised above.  Of several, the least key is reported, as for
-        # the faults above
-        row, v = near_shared_vertex(xe, xy)
-        if row.size:
-            c = row[np.argmin(xp[0, row] * nseg + xp[1, row])]
-            raise GeometryError(
-                f"edges {xe[0, c]} and {xe[1, c]} cross too close to "
-                f"vertex {vids[v[row == c].min()]}"
-            )
-
-        ids = max(g.vertices, default=-1) + 1 + np.arange(order.size)
-        id_list = ids.tolist()
-        crossings = [Crossing(x, (e1, e2))
-                     for x, e1, e2 in zip(id_list, *xe.tolist())]
-        xid_points = dict(zip(id_list, map(tuple, xy.tolist())))
-
-        # each crossing once on each of its edges, in order along the edge
-        on_edge = xe.ravel()
-        at = xs.ravel()
-        xid = np.concatenate((ids, ids))
-        by = np.lexsort((xid, at, on_edge))
-        on_edge, at, xid = on_edge[by], at[by], xid[by]
-        tight = (on_edge[1:] == on_edge[:-1]) & (at[1:] - at[:-1] <= 16.0 * TOL)
-        if tight.any():
-            i = tight.argmax()
-            raise GeometryError(
-                f"crossings {xid[i]} and {xid[i + 1]} are too close on edge "
-                f"{on_edge[i]}"
-            )
-        start = on_edge.searchsorted(np.arange(g.m + 1))
-        cut, seq = start.tolist(), xid.tolist()
-        for e in (start[1:] > start[:-1]).nonzero()[0].tolist():
-            u, v = g.edges[e]
-            chains[e] = (u, *seq[cut[e]:cut[e + 1]], v)
-
-        # each crossing's position in the chain of each of its edges
-        spot = np.empty_like(by)
-        spot[by] = np.arange(1, by.size + 1) - start[on_edge]
-        spot = spot.reshape(2, -1)
-    else:
+    if not found:
         ids = np.zeros(0, dtype=np.int64)
-        xe = spot = ids.reshape(2, 0)
-        tail = head = np.zeros((2, 0, 2))
+        pairs, ends = ids.reshape(2, 0), np.zeros((2, 0, 2))
+        return (), chains, {}, ids, pairs, pairs, ends, ends
+    # one record per crossing: its lower and higher piece (xp), their
+    # edges (xe; pieces are numbered by edge, so the lower edge is first),
+    # the arclength along each edge (xs) and the point (xy)
+    xp, xu = found[0] if len(found) == 1 else (
+        np.concatenate(x, axis=1) for x in zip(*found))
+    xe = r.edge[xp]
+    # the prefix arclengths along each edge, summed in order along it:
+    # the edges with as many pieces are the rows of one array
+    points = r.kept[r.edge]
+    by = points.argsort(kind="stable")
+    points = points[by]
+    run = r.length[by]
+    cut = _starts(points)
+    for a, b in zip(cut, cut[1:]):
+        if points[a] > 2:
+            run[a:b] = run[a:b].reshape(-1, points[a] - 1).cumsum(
+                axis=1).ravel()
+    before = np.empty(nseg)
+    before[by[1:]] = run[:-1]
+    before[r.tip_p[0::2]] = 0.0
+    xs = before[xp] + xu * r.length[xp]
 
-    rotation = _rotations(g, anchors, pos_arr[vids.searchsorted(anchors)],
-                          angle, ids, xe, spot, tail, head)
-    drawing = Drawing(g, tuple(crossings), chains, rotation, anchors or None)
+    # deterministic ids: sort by (lower edge, position along it, higher
+    # edge, position along it)
+    order = np.lexsort((xs[1], xe[1], xs[0], xe[0]))
+    xp, xu, xe, xs = xp[:, order], xu[:, order], xe[:, order], xs[:, order]
+    tail, head = r.tail[xp], r.head[xp]
+    xy = tail[0] + xu[0, :, None] * (head[0] - tail[0])
+
+    # no crossing within 16 TOL of a vertex.  Only the vertices that end
+    # both edges need a test: a crossing lies on both pieces, so near any
+    # other vertex one of them passes through it, which is a fault of
+    # the classification.  Of several, the least key is reported
+    row, v = _near_shared_vertex(r, xe, xy)
+    if row.size:
+        c, _ = _least(row, xp[0], xp[1], nseg)
+        raise GeometryError(f"edges {xe[0, c]} and {xe[1, c]} cross too "
+                            f"close to vertex {r.vids[v[row == c].min()]}")
+
+    ids = max(g.vertices, default=-1) + 1 + np.arange(order.size)
+    id_list = ids.tolist()
+    crossings = tuple(map(Crossing, id_list, zip(*xe.tolist())))
+
+    # each crossing once on each of its edges, in order along the edge
+    on_edge, at = xe.ravel(), xs.ravel()
+    xid = np.concatenate((ids, ids))
+    by = np.lexsort((xid, at, on_edge))
+    on_edge, at, xid = on_edge[by], at[by], xid[by]
+    tight = (on_edge[1:] == on_edge[:-1]) & (at[1:] - at[:-1] <= 16.0 * TOL)
+    if tight.any():
+        i = tight.argmax()
+        raise GeometryError(f"crossings {xid[i]} and {xid[i + 1]} are too "
+                            f"close on edge {on_edge[i]}")
+    start = on_edge.searchsorted(np.arange(g.m + 1))
+    cut, seq = start.tolist(), xid.tolist()
+    for e in (start[1:] > start[:-1]).nonzero()[0].tolist():
+        u, v = g.edges[e]
+        chains[e] = (u, *seq[cut[e]:cut[e + 1]], v)
+
+    # each crossing's position in the chain of each of its edges
+    spot = np.empty_like(by)
+    spot[by] = np.arange(1, by.size + 1) - start[on_edge]
+    return (crossings, chains, dict(zip(id_list, map(tuple, xy.tolist()))),
+            ids, xe, spot.reshape(2, -1), tail, head)
+
+
+def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
+    """The combinatorial drawing a scene depicts, and a map from crossing
+    node id to coordinates.  The drawing is validated, which catches
+    conversion bugs on top of the geometry checks.
+
+    A point within TOL of the last point kept before it on its route is
+    dropped, and the first and last points kept, which must lie within
+    1e-6 of the edge's end vertices, are moved onto them.  The faults, in
+    order: a position or route point that is not finite, by name; the
+    anchors, which must be ids with positions; of the first edge that has
+    one, the first of: fewer than two points kept (an empty route), the
+    start off its vertex, the end off its vertex, a piece that runs
+    straight back along the one before; for an anchored scene, the first
+    edge that leaves the disk; the least fault between pieces and
+    vertices, by rule (a piece through a vertex, a collinear fault, a
+    self-crossing, a touch away from a shared vertex) and then by the
+    pair; the crossings' own checks; last the rotations at vertices (in
+    order of first appearance on the edges) and at anchors (in anchor
+    order).
+    """
+    r = _route_arrays(scene)
+    nseg = r.edge.size
+    least, found = None, []
+    for pair in _candidate_pairs(r):
+        pieces = pair[1] < nseg
+        at_vertex = (~pieces & (pair[0] < nseg)).nonzero()[0]
+        pieces = pieces.nonzero()[0]
+        faults = [least]
+        if at_vertex.size:
+            faults.append(_through_vertex(
+                r, pair[0, at_vertex], pair[1, at_vertex] - nseg))
+        if pieces.size:
+            fault, hits = _classify(r, pair[:, pieces])
+            faults.append(fault)
+            found += hits
+        least = min(filter(None, faults), default=None)
+    if least:
+        raise GeometryError(least[2])
+    crossings, chains, points, *arms = _crossing_records(r, found)
+    rotation = _rotations(r.graph, r.anchors,
+                          r.pos[r.vids.searchsorted(r.anchors)], r.angle,
+                          *arms)
+    drawing = Drawing(r.graph, crossings, chains, rotation, r.anchors or None)
     drawing.require_valid()
-    return drawing, xid_points
+    return drawing, points

@@ -165,10 +165,19 @@ def insertion_order(ag: AnchoredGraph) -> tuple[int, ...]:
 def _assemble(arr: Arrangement, ag: AnchoredGraph) -> Drawing:
     """The drawing of a finished arrangement, chains walked off its rings."""
     g = ag.graph
-    nxt, tail = arr.ring_next, arr.dart_tail
+    nxt, tail, owner = arr.ring_next, arr.dart_tail, arr.arc_owner
+    # each edge's first dart: the one dart leaving its first vertex on an
+    # arc the edge owns.  It need not be on the edge's lowest arc:
+    # crossing dart 2a + 1 moves the tail of arc a to the crossing
+    start = [u for u, _ in g.edges]
+    first = [0] * g.m
+    for dart, u in enumerate(tail):
+        e = owner[dart >> 1]
+        if e != BOUNDARY and u == start[e]:
+            first[e] = dart
     chains, refs = {}, {}
     for e, (u, _) in enumerate(g.edges):
-        dart = next(x for x in arr.ring(u) if arr.arc_owner[x >> 1] == e)
+        dart = first[e]
         chain = [u]
         while True:
             refs[dart >> 1] = (e, len(chain) - 1)

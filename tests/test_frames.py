@@ -228,6 +228,25 @@ def test_a_frame_with_swapped_crossing_arms_fails_its_self_check(
         build_frame(build_G2().anchored_graph, 2, 2)
 
 
+def test_a_frame_scene_that_misses_a_crossing_fails_its_self_check(
+        monkeypatch):
+    # the crossings at t are copied from the drawing at t = 1, so a scene
+    # at t that does not draw one of them must be refused: here hub spoke
+    # 0 is drawn along spoke 1, away from the inner ring halves it crosses
+    real = frames._frame_scene
+
+    def moved(graph, classes, anchors, a, q, t):
+        scene = real(graph, classes, anchors, a, q, t)
+        if t > 1:
+            scene.routes[a * q] = scene.routes[a * q + 1]
+        return scene
+
+    monkeypatch.setattr(frames, "_frame_scene", moved)
+    with pytest.raises(MinkplanarError, match="frame scene does not cross "
+                       "where its drawing does"):
+        build_frame(build_G2().anchored_graph, 2, 2)
+
+
 def test_the_gk3_frame_at_its_default_t_is_pinned():
     # the digest of the Gk(3) frame at t = 2k + 2 = 8, larger than any the
     # converter judges above, recorded while its rotations were rebuilt
