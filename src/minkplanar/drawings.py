@@ -17,25 +17,25 @@ arc towards the next anchor and ending just before the one from the
 previous anchor.
 
 Faces are traced by ``PlanarizationMap``, which numbers the arcs (the
-boundary arcs first, then each edge's segments in edge order) and gives
-arc a the darts 2a and 2a+1, one leaving each end.  With clockwise
-rotations the face to the left of a dart is traced by following "next
+boundary arcs first, arc i from anchor i to anchor i+1, then segment i of
+edge e as arc ``first_arc[e] + i``) and gives arc a the darts 2a, leaving
+its tail, and 2a+1, leaving its head; d ^ 1 is the twin of d.  With
+clockwise rotations the face left of a dart is traced by following "next
 clockwise after the twin" (``face_orbit``).  For a valid anchored drawing
-the face to the left of the forward boundary darts is the region outside
-the disk; the map splices those darts at the two ends of each anchor's
+the face left of the forward boundary darts is the region outside the
+disk; the map splices those darts at the two ends of each anchor's
 rotation, so their orbit is exactly the forward darts by construction.
 The existence search's ``arrangement.Arrangement`` keeps its darts in the
 same numbering, and the search walks its faces by the same rule.
 
 ``validate`` checks a drawing a level at a time: anchors, crossings,
 chains and the crossings on them, rotations, alternation at crossings,
-and Euler's formula.  Each level is tested as a whole with builtins that
-run in C over lists of the whole drawing (``map``, ``zip``, ``set``,
-``chain.from_iterable``), and only a level that fails that test is walked
-item by item, to word the report as it always has been worded.  The
-rotation level is the dart map itself: ``PlanarizationMap`` turns every
-rotation entry into a dart, from the same concatenated chain lists it
-builds its arcs from, and says whether those darts match the chains.
+and Euler's formula.  Each level tests all its items in as few passes as
+it can, and only a level that fails that test is walked item by item, to
+word the report as it always has been worded.  The rotation level is the
+dart map itself: ``PlanarizationMap`` makes one loop over the chains for
+its arcs and one over the rotation, which turns every entry into a dart,
+links each node's ring and says whether those darts match the chains.
 
 Each drawing object is validated once: ``validate`` keeps its report on
 the object and ``Drawing.planarization`` keeps the one dart map, which
@@ -55,8 +55,8 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain, compress, pairwise, repeat
-from operator import add, attrgetter, contains, eq, itemgetter, lt, ne, sub
+from itertools import chain, compress, pairwise, repeat
+from operator import attrgetter, contains, eq, itemgetter, ne
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
@@ -65,8 +65,7 @@ from .graphs import Graph, _ids, _k
 ArcRef = tuple[int, int]
 
 _ID, _EDGES = attrgetter("id"), attrgetter("edges")
-_FIRST, _SECOND, _ENDS = itemgetter(0), itemgetter(1), itemgetter(0, -1)
-_BUT_LAST, _BUT_FIRST = itemgetter(slice(-1)), itemgetter(slice(1, None))
+_FIRST, _ENDS = itemgetter(0), itemgetter(0, -1)
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,6 @@ class Drawing:
 
 
 # ----------------------------------------------------------- the dart map
-#
-# Arcs are integers.  With b anchors, arcs 0 .. b-1 are the boundary arcs,
-# arc i running from anchor i to anchor i+1; each edge's chain arcs follow
-# in edge order, segment i of edge e being arc ``first_arc[e] + i``.  Dart
-# 2a leaves arc a's tail and dart 2a+1 its head, so a dart's twin is d ^ 1.
 
 
 def face_orbit(nxt: list[int], start: int) -> list[int]:
@@ -133,60 +127,63 @@ def face_orbit(nxt: list[int], start: int) -> list[int]:
 class PlanarizationMap:
     """Compiled dart structure of a drawing, used for face tracing.
 
-    It is built from the drawing's concatenated lists: the arcs' tails are
-    the chains without their last node and the heads the chains without
-    their first, and a rotation entry ``(e, i)`` at ``node`` is the dart
-    ``2a + (arc_tail[a] != node)`` of arc ``a = first_arc[e] + i``.
-    ``agrees`` tells whether those darts hit every edge dart exactly once,
-    each at its own tail.  That is ``validate``'s rotation level, so
-    validation builds the drawing's one map, once the chains are valid;
-    ``_next`` is meaningful only when the map agrees, and ``faces``
-    refuses to trace it when it is not a permutation.
+    One loop over the chains lays out the arcs, and one over the rotation
+    turns each entry ``(e, i)`` at a node into the dart of arc
+    ``first_arc[e] + i`` that leaves it, next after the node's previous
+    entry.  ``agrees`` tells whether those darts, from tuples of integer
+    ids, hit every edge dart once, each at its own tail: ``validate``'s
+    rotation level, which builds the drawing's one map once the chains
+    are valid.  ``_next`` is meaningful only when the map agrees, and
+    ``faces`` refuses to trace it when it is not a permutation.
     """
 
     def __init__(self, d: Drawing):
-        anchors, rot, m = d.anchors or (), d.rotation, d.graph.m
-        b, chains = len(anchors), list(map(d.chains.__getitem__, range(m)))
-        segs = list(map(sub, map(len, chains), repeat(1)))
-        first = self.first_arc = list(accumulate(segs, initial=b))[:m]
-        tails = [*anchors, *chain.from_iterable(map(_BUT_LAST, chains))]
-        heads = [*anchors[1:], *anchors[:1],
-                 *chain.from_iterable(map(_BUT_FIRST, chains))]
-        self.arc_tail, self.arc_head, self._tail = tails, heads, tails + heads
-        self._tail[0::2], self._tail[1::2] = tails, heads
-        nxt = self._next = [0] * len(self._tail)
-        lens = list(map(len, rot.values()))
-        refs = list(chain.from_iterable(rot.values()))
-        at = list(chain.from_iterable(map(repeat, rot, lens)))
-        es, ii = (list(map(_FIRST, refs)), list(map(_SECOND, refs))) if (
-            set(map(len, refs)) <= {2}) else ([], [])
-        self.agrees = self._permutes = len(es) == len(refs) and (not es or (
-            0 <= min(es) and 0 <= min(ii) and max(es) < m
-            and all(map(lt, ii, map(segs.__getitem__, es)))))
-        if not self.agrees:
+        anchors, m, rot = d.anchors or (), d.graph.m, d.rotation
+        b, first, segs = len(anchors), [], []
+        tails, heads = [*anchors], [*anchors[1:], *anchors[:1]]
+        for ch in map(d.chains.__getitem__, range(m)):
+            first.append(len(tails))
+            segs.append(len(ch) - 1)
+            tails += ch[:-1]
+            heads += ch[1:]
+        self.first_arc, self.arc_tail, self.arc_head = first, tails, heads
+        tail = self._tail = tails + heads
+        tail[0::2], tail[1::2] = tails, heads
+        # boundary dart 2k + 1 is followed by 2k + 2, and the last dart of
+        # anchor k's rotation by 2k - 1 (mod 2b), as is 2k when it is empty;
+        # slot ``lead`` past the darts takes each rotation's first dart
+        back, lead = [2 * b - 1, *range(1, 2 * b - 1, 2)][:b], len(tail)
+        nxt = self._next = [-1] * lead + [0]
+        nxt[0:2 * b:2], nxt[1:2 * b:2] = back, [*range(2, 2 * b, 2), 0][:b]
+        pos = {a: k for k, a in enumerate(anchors)}
+        self.agrees = self._permutes = False
+        typed = at_ends = True
+        try:
+            for node, refs in rot.items():
+                last = lead
+                for ref in refs:
+                    e, i = ref
+                    if type(e) is bool or type(i) is bool or not (
+                            0 <= e < m and 0 <= i < segs[e]):
+                        return
+                    typed = typed and type(ref) is tuple
+                    dart = 2 * (first[e] + i)  # it leaves its arc's tail
+                    if tail[dart] != node:
+                        dart += 1
+                        at_ends = at_ends and tail[dart] == node
+                    nxt[last] = last = dart
+                nxt[last] = nxt[lead]
+                k = pos.get(node)
+                if k is not None and last != lead:
+                    nxt[2 * k], nxt[last] = nxt[last], back[k]
+        except (TypeError, ValueError):  # no pair, or a float id
             return
-        arcs = list(map(add, map(first.__getitem__, es), ii))
-        darts = list(map(add, map(add, arcs, arcs),
-                         map(ne, map(tails.__getitem__, arcs), at)))
-        # every edge dart listed once and no anchor twice: ``_next`` is
-        # then a permutation, so every face orbit closes
-        once = len(set(darts)) == len(darts) == len(nxt) - 2 * b
-        self._permutes = once and len(set(anchors)) == b
-        self.agrees = (set(map(type, refs)) <= {tuple} and once
-                       and list(map(self._tail.__getitem__, darts)) == at)
-        # next clockwise: each node's darts make a cycle in the listed order
-        # (deque(.., 0) runs the setitem calls), into which each anchor's
-        # boundary darts are spliced: 2k, its entries, then 2k - 1 (mod 2b)
-        put, get = nxt.__setitem__, darts.__getitem__
-        ends = list(compress(accumulate(lens), lens))
-        nodes = list(compress(rot, lens))
-        leads = list(map(get, map(sub, ends, compress(lens, lens))))
-        back = [2 * b - 1, *range(1, 2 * b - 1, 2)][:b]
-        collections.deque(map(put, darts, darts[1:] + darts[:1]), 0)
-        collections.deque(map(put, map(get, map(sub, ends, repeat(1))), map(
-            dict(zip(anchors, back)).get, nodes, leads)), 0)
-        nxt[0:2 * b:2] = map(dict(zip(nodes, leads)).get, anchors, back)
-        nxt[1:2 * b:2] = [*range(2, 2 * b, 2), 0][:b]
+        # every listed dart has a successor: with as many entries as edge
+        # darts, each is listed once and ``_next`` is a permutation
+        del nxt[lead]
+        once = -1 not in nxt and sum(map(len, rot.values())) == lead - 2 * b
+        self._permutes = once and len(pos) == b
+        self.agrees = typed and once and at_ends
 
     def tail(self, dart: int) -> int:
         return self._tail[dart]
@@ -221,11 +218,8 @@ def validate(d: Drawing) -> list[str]:
     """Well-formedness report; an empty list means the drawing is valid.
 
     The checks run once per drawing object, which keeps the report.  They
-    go a level at a time: anchors, crossings, chains and inner nodes (with
-    crossing labels), rotations, alternation and Euler's formula.  Each
-    level tests all its items at once with builtins that run in C, and
-    walks them one by one, to word the report, only when that test fails.
-    A level with a fault ends the report where it always has.
+    go a level at a time, as the module docstring says, and a level with a
+    fault ends the report where it always has.
     """
     report = vars(d).get("_problems")
     if report is None:
@@ -260,11 +254,9 @@ def _find_problems(d: Drawing) -> list[str]:
 
 
 def _anchor_problems(anchors: tuple[int, ...], vset: set) -> list[str]:
-    out = []
-    if len(anchors) < 2:
-        out.append("boundary: an anchored drawing needs >= 2 anchors")
-    if len(set(anchors)) != len(anchors):
-        out.append("boundary: repeated anchor")
+    out = ["boundary: an anchored drawing needs >= 2 anchors"] * (
+        len(anchors) < 2)
+    out += ["boundary: repeated anchor"] * (len(set(anchors)) != len(anchors))
     return out + [f"boundary: anchor {a} is not a vertex"
                   for a in anchors if a not in vset]
 
@@ -274,13 +266,19 @@ def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
     out = ["crossing: duplicate crossing id"] * (len(set(xids)) != len(xids))
     clash = sorted(vset.intersection(xids))
     out += [f"crossing: ids {clash} collide with vertices"] * bool(clash)
-    if (set(map(len, pairs)) <= {2} and all(map(range(m).__contains__, ends))
+    if (set(map(len, pairs)) <= {2} and set(map(type, ends)) <= {int}
+            and all(map(range(m).__contains__, ends))
             and not any(map(eq, ends[0::2], ends[1::2]))):
         return out
     return out + [
         f"crossing: node {x.id} has a bad edge pair {x.edges}" for x in xs
         if len(x.edges) != 2 or x.edges[0] == x.edges[1]
-        or not 0 <= min(x.edges) <= max(x.edges) < m]
+        or not all(_integer(e) and 0 <= e < m for e in x.edges)]
+
+
+def _integer(v: Any) -> bool:
+    # an integer as ``graphs._id`` reads ids: numpy's too, but not a bool
+    return type(v) is not bool and hasattr(type(v), "__index__")
 
 
 def _chain_walk(g: Graph, vset: set, xset: set, chains: list) -> list[str]:
@@ -317,10 +315,14 @@ def _rotation_problems(d: Drawing, nodes: set, chains: list) -> list[str]:
             for node in arc:
                 want[node].append((e, i))
     got = {node: sorted(d.rotation.get(node, ())) for node in nodes}
+    # a float or bool id equals the integer the chains imply
+    odd = {node for node in nodes for r in got[node]
+           if isinstance(r, tuple) and not all(map(_integer, r))}
     return [f"rotation: unknown node {node}"
             for node in sorted(d.rotation.keys() - nodes)] + [
         f"rotation: node {node} lists {got[node]} but its chains imply "
-        f"{want[node]}" for node in sorted(nodes) if got[node] != want[node]]
+        f"{want[node]}" for node in sorted(nodes)
+        if got[node] != want[node] or node in odd]
 
 
 def _alternation_problems(rot: dict, xids: list) -> list[str]:
@@ -332,12 +334,18 @@ def _alternation_problems(rot: dict, xids: list) -> list[str]:
 
 
 def _euler_problems(d: Drawing, xids: list, ends: list) -> list[str]:
+    g, pm, anchors = d.graph, d.planarization, d.anchors or ()
+    # V - E + F is 2 - 2 genus per component, 1 for a node on no arc (no
+    # dart leaves it): the sum, such nodes twice, is 2C iff all are 2
+    nodes = len(g.vertices) + len(xids)
+    twice = 2 * nodes - len(set(pm._tail)) - len(pm.arc_tail) + len(pm.faces)
     # components by union-find over the vertices: the anchors start as
     # one, an edge joins its ends, a crossing the first ends of its edges
-    g, pm, anchors = d.graph, d.planarization, d.anchors or ()
+    n_comp = len(g.vertices) - len(anchors[1:])
+    if n_comp < 2 and twice == 2 * n_comp:  # nothing to join
+        return []
     root = dict(zip(g.vertices, g.vertices))
     root.update(dict.fromkeys(anchors, *anchors[:1]))
-    n_comp = len(root) - len(anchors[1:])
     first = list(map(_FIRST, map(g.edges.__getitem__, ends)))
     for u, v in chain(g.edges, zip(first[0::2], first[1::2])):
         while root[u] != u:
@@ -346,11 +354,7 @@ def _euler_problems(d: Drawing, xids: list, ends: list) -> list[str]:
             root[v] = v = root[root[v]]
         root[u] = v
         n_comp -= u != v
-    # V - E + F is 2 - 2 genus per component, 1 for a node on no arc (no
-    # dart traces its face): the sum, lone nodes twice, is 2C iff all are 2
-    nodes = len(root) + len(xids)
-    lone = nodes - len(set(pm._tail))
-    if nodes - len(pm.arc_tail) + len(pm.faces) + lone == 2 * n_comp:
+    if twice == 2 * n_comp:
         return []
     for v in root:
         while root[root[v]] != root[v]:
@@ -521,9 +525,7 @@ def restrict(
     new_rotation = {node: tuple(filter(None, map(ends.get, zip(
         repeat(node), d.rotation[node])))) for node in nodes}
 
-    anchors = None
-    if d.anchored and all(a in vkeep for a in d.anchors):
-        anchors = d.anchors
+    anchors = d.anchors if d.anchored and vkeep.issuperset(d.anchors) else None
     new_crossings = tuple(
         Crossing(x.id, (edge_map[x.edges[0]], edge_map[x.edges[1]]))
         for x in surviving)
@@ -541,8 +543,6 @@ def mirror(d: Drawing) -> Drawing:
     Rotations reverse; for an anchored drawing the clockwise anchor order
     reverses as well (reflection turns the disk over).
     """
-    anchors = None
-    if d.anchored:
-        anchors = (d.anchors[0],) + tuple(reversed(d.anchors[1:]))
+    anchors = d.anchors and (d.anchors[0], *d.anchors[:0:-1])
     rot = {node: tuple(reversed(refs)) for node, refs in d.rotation.items()}
     return replace(d, rotation=rot, anchors=anchors)

@@ -4,10 +4,13 @@ The fixtures are small drawings whose rotations were worked out by placing
 coordinates on paper; comments describe the picture each one encodes.
 """
 
+import collections
 import functools
 import hashlib
 import random
 from dataclasses import replace
+from itertools import accumulate, chain, combinations, compress, repeat
+from operator import add, itemgetter, lt, ne, sub
 
 import numpy as np
 import pytest
@@ -16,11 +19,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from minkplanar.constructions import build_G2, build_Gk
 from minkplanar.errors import InputError
 from minkplanar.frames import build_frame, compose
-from minkplanar.graphs import Graph
+from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.jsonio import drawing_text
 from minkplanar.drawings import (
     Crossing,
     Drawing,
+    PlanarizationMap,
     adjacent_crossing_pairs,
     crossing_profile,
     is_k_planar,
@@ -30,6 +34,7 @@ from minkplanar.drawings import (
     restrict,
     validate,
 )
+from minkplanar.search import search_anchored
 
 
 def anchored_triangle():
@@ -120,12 +125,56 @@ def comb():
     )
 
 
+def search_certificate():
+    """The second Found certificate of the search benchmark's seed-1 random
+    batch: K4 less one edge, all four vertices anchors, edge 2 crossing
+    edges 0 and 1."""
+    g = Graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+    return Drawing(
+        g,
+        crossings=(Crossing(4, (0, 2)), Crossing(5, (1, 2))),
+        chains={0: (0, 4, 1), 1: (0, 5, 2), 2: (0, 4, 5, 3), 3: (1, 2),
+                4: (2, 3)},
+        rotation={
+            0: ((2, 0), (0, 0), (1, 0)),
+            1: ((3, 0), (0, 1)),
+            2: ((4, 0), (1, 1), (3, 0)),
+            3: ((2, 2), (4, 0)),
+            4: ((2, 0), (0, 1), (2, 1), (0, 0)),
+            5: ((2, 1), (1, 1), (2, 2), (1, 0)),
+        },
+        anchors=(0, 1, 2, 3),
+    )
+
+
+def scene_drawing():
+    """The first seed-1 scene of the scenes benchmark that converts with a
+    crossing: two chords into anchor 2 cross once, anchors 3 and 4 are
+    bare."""
+    g = Graph((0, 1, 2, 3, 4), ((0, 2), (1, 2)))
+    return Drawing(
+        g,
+        crossings=(Crossing(5, (0, 1)),),
+        chains={0: (0, 5, 2), 1: (1, 5, 2)},
+        rotation={
+            5: ((0, 0), (1, 0), (0, 1), (1, 1)),
+            0: ((0, 0),),
+            1: ((1, 0),),
+            2: ((1, 1), (0, 1)),
+            3: (),
+            4: (),
+        },
+        anchors=(0, 1, 2, 3, 4),
+    )
+
+
 # ------------------------------------------------------------- validation
 
 
 def test_valid_fixtures_pass():
     for d in (anchored_triangle(), crossing_chords(), double_crossing(),
-              adjacent_cross(), comb()):
+              adjacent_cross(), comb(), search_certificate(),
+              scene_drawing()):
         assert validate(d) == []
 
 
@@ -265,6 +314,37 @@ def test_a_crossing_edge_list_that_is_not_a_pair_is_reported():
     assert validate(bad) == ["crossing: node 7 has a bad edge pair (0, 2, 2)"]
 
 
+@pytest.mark.parametrize("pair", [(0.0, 5.0), (False, 5), (0, 5.0)])
+def test_a_crossing_edge_id_that_is_no_integer_is_reported(pair):
+    d = build_G2().drawing
+    bad = replace(d, crossings=tuple(
+        Crossing(20, pair) if x.id == 20 else x for x in d.crossings))
+    assert validate(bad) == [f"crossing: node 20 has a bad edge pair {pair}"]
+
+
+@pytest.mark.parametrize("node, i, ref", [
+    (19, 1, (1.0, 4)), (19, 1, (True, 4)), (19, 1, (1, 4.0)),
+    (7, 0, (4, True))])
+def test_a_rotation_id_that_is_no_integer_is_reported(node, i, ref):
+    # a float or bool equals the int it stands in for, so only its type
+    # tells it apart
+    d = build_G2().drawing
+    refs = list(d.rotation[node])
+    want, refs[i] = sorted(refs), ref
+    bad = replace(d, rotation={**d.rotation, node: tuple(refs)})
+    assert validate(bad) == [f"rotation: node {node} lists {sorted(refs)} "
+                             f"but its chains imply {want}"]
+
+
+def test_numpy_integer_ids_are_valid():
+    d = build_G2().drawing
+    one, four, five = np.int64(1), np.int8(4), np.int64(5)
+    assert validate(replace(
+        d, crossings=tuple(Crossing(20, (np.int64(0), five)) if x.id == 20
+                           else x for x in d.crossings),
+        rotation={**d.rotation, 19: ((2, 0), (one, four))})) == []
+
+
 # ------------------------------------------------- the dart map, pinned
 
 
@@ -273,6 +353,10 @@ def _built(name):
     """The drawings the dart map and the mutation corpus start from."""
     if name == "g2":
         return build_G2().drawing
+    if name == "search-seed1":
+        return search_certificate()
+    if name == "scene-seed1":
+        return scene_drawing()
     if name == "gk4":
         return build_Gk(4).drawing
     kind, t = name.rsplit("-t", 1)
@@ -296,6 +380,12 @@ _DART_MAP_DIGESTS = {
         "c046bd9fa14b0e3e45345d137bc68a5bcf9f1027a74a45d4bbaaa5928a8fbf65",
     "composed-t3":
         "37fcca554686db9f9d027e9256a7bca7aa5ca662bc89327c28a2e092da93bebf",
+    # recorded before the dart map became one loop over the chains and one
+    # over the rotation
+    "search-seed1":
+        "43478754922d04d74e320546b5b304688d81c90de88222f4a3777de786d0ae4f",
+    "scene-seed1":
+        "97ace1f28a33d5b50e75bdcc91322b4d2789248322a4e6ad87530f2368d6f521",
 }
 
 
@@ -393,6 +483,108 @@ def mutated_drawings(draw):
     if fault.startswith(("ref", "alternation", "mirror")):
         rot[node] = tuple(refs)
     return name, fault, Drawing(g, tuple(xs), chains, rot, anchors)
+
+
+# ------------------------------------------- the dart map, as it was built
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+_BUT_LAST, _BUT_FIRST = itemgetter(slice(-1)), itemgetter(slice(1, None))
+
+
+class _ReferenceMap:
+    """``PlanarizationMap``'s fields as the map built them from builtins
+    over the drawing's concatenated lists, before it became one loop over
+    the chains and one over the rotation."""
+
+    def __init__(self, d):
+        anchors, rot, m = d.anchors or (), d.rotation, d.graph.m
+        b, chains = len(anchors), list(map(d.chains.__getitem__, range(m)))
+        segs = list(map(sub, map(len, chains), repeat(1)))
+        first = self.first_arc = list(accumulate(segs, initial=b))[:m]
+        tails = [*anchors, *chain.from_iterable(map(_BUT_LAST, chains))]
+        heads = [*anchors[1:], *anchors[:1],
+                 *chain.from_iterable(map(_BUT_FIRST, chains))]
+        self.arc_tail, self.arc_head, self._tail = tails, heads, tails + heads
+        self._tail[0::2], self._tail[1::2] = tails, heads
+        nxt = self._next = [0] * len(self._tail)
+        lens = list(map(len, rot.values()))
+        refs = list(chain.from_iterable(rot.values()))
+        at = list(chain.from_iterable(map(repeat, rot, lens)))
+        es, ii = (list(map(_FIRST, refs)), list(map(_SECOND, refs))) if (
+            set(map(len, refs)) <= {2}) else ([], [])
+        self.agrees = self._permutes = len(es) == len(refs) and (not es or (
+            0 <= min(es) and 0 <= min(ii) and max(es) < m
+            and all(map(lt, ii, map(segs.__getitem__, es)))))
+        if not self.agrees:
+            return
+        arcs = list(map(add, map(first.__getitem__, es), ii))
+        darts = list(map(add, map(add, arcs, arcs),
+                         map(ne, map(tails.__getitem__, arcs), at)))
+        once = len(set(darts)) == len(darts) == len(nxt) - 2 * b
+        self._permutes = once and len(set(anchors)) == b
+        self.agrees = (set(map(type, refs)) <= {tuple} and once
+                       and list(map(self._tail.__getitem__, darts)) == at)
+        put, get = nxt.__setitem__, darts.__getitem__
+        ends = list(compress(accumulate(lens), lens))
+        nodes = list(compress(rot, lens))
+        leads = list(map(get, map(sub, ends, compress(lens, lens))))
+        back = [2 * b - 1, *range(1, 2 * b - 1, 2)][:b]
+        collections.deque(map(put, darts, darts[1:] + darts[:1]), 0)
+        collections.deque(map(put, map(get, map(sub, ends, repeat(1))), map(
+            dict(zip(anchors, back)).get, nodes, leads)), 0)
+        nxt[0:2 * b:2] = map(dict(zip(nodes, leads)).get, anchors, back)
+        nxt[1:2 * b:2] = [*range(2, 2 * b, 2), 0][:b]
+
+
+def _map_fields(pm):
+    """The fields that must not drift; ``_next`` means something only
+    when it is a permutation."""
+    return (pm.first_arc, pm.arc_tail, pm.arc_head, pm._tail, pm.agrees,
+            pm._permutes, pm._next if pm._permutes else None)
+
+
+def _search_certificates(seed=1, count=1000):
+    """The Found certificates of the search benchmark's random batch, by
+    its law: 5 distinct chords on 4 to 8 anchors, under one of six
+    (k, simple) settings."""
+    rng = random.Random(seed)
+    settings = ((0, False), (1, False), (1, True), (2, False), (2, True),
+                (3, False))
+    for _ in range(count):
+        k, simple = rng.choice(settings)
+        n = rng.randint(4, 8)
+        pairs = rng.sample(list(combinations(range(n), 2)), 5)
+        ag = AnchoredGraph(Graph(tuple(range(n)), tuple(sorted(pairs))),
+                           tuple(range(n)))
+        certificate = search_anchored(ag, k, require_simple=simple).certificate
+        if certificate is not None:
+            yield certificate
+
+
+def test_dart_map_matches_the_reference_on_certificates():
+    drawings = [*_search_certificates(), search_certificate(),
+                scene_drawing(), *map(_built, ("g2", "gk4", "frame-t1"))]
+    assert len(drawings) > 700
+    for d in drawings:
+        assert _map_fields(PlanarizationMap(d)) == _map_fields(
+            _ReferenceMap(d))
+
+
+def test_dart_map_matches_the_reference_on_mutated_drawings():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(mutated_drawings())
+    def compare(case):
+        name, fault, d = case
+        pm = PlanarizationMap(d)
+        assert _map_fields(pm) == _map_fields(_ReferenceMap(d)), (name, fault)
+        seen[pm.agrees, pm._permutes] += 1
+
+    compare()
+    # faulty maps of both kinds are met, and some that are permutations
+    assert seen[False, False] and seen[False, True] and seen[True, True]
 
 
 def _corpus_reports():
