@@ -26,14 +26,19 @@ flanking the crossing just made, which the search does not cross again
 right away (that would make an empty lens).  ``commit_cross`` returns the
 cursor past its crossing; a curve starts from ``(corner, ())``.
 
-The search prunes on counts the arrangement keeps as flat integer state:
-``edge_counts[e]`` is the number of crossings on edge e, ``partners[e]``
-the set of edges e crosses, and ``pair_counts`` maps the pair key
-``e * m + f`` to the crossings of e with f.  The pair key is symmetric:
-each crossing updates both ``e * m + f`` and ``f * m + e``, so a lookup
-needs no ordering of the two edges, and a pair's keys exist only while
-it crosses, so the dict grows with the crossings made, not with m².
-Commits and undos splice the rings inline.
+The search prunes on flat integer state: ``edge_counts[e]`` counts the
+crossings on edge e, ``partners[e]`` lists the edge met at each of them,
+and ``pair_counts``, m * m ints, holds the crossings of e with f at both
+``e * m + f`` and ``f * m + e``.  Crossing i, the pair ``crossed[i]``, is
+node ``first_crossing + i``, past every vertex id.
+
+Commits and undos are last in, first out, and resize no list of darts:
+the lists keep spare slots past the ``arcs`` arcs in use, which start at
+what a drawing without crossings needs (the boundary and one arc per
+edge) and double when full.  A commit writes every field of the slots it
+takes, an undo lowers ``arcs`` and relinks, and nothing reads a slot
+past ``arcs``.  A crossing appends to ``crossed`` and ``partners``, and
+its undo pops them.
 """
 
 from __future__ import annotations
@@ -49,30 +54,44 @@ Cursor = tuple[int, tuple[int, ...]]
 
 
 class Arrangement:
+    __slots__ = ("anchor_set", "arcs", "arc_owner", "dart_tail", "ring_next",
+                 "ring_prev", "ring_start", "first_crossing", "crossed", "m",
+                 "edge_counts", "pair_counts", "partners")
+
     def __init__(self, anchored: AnchoredGraph):
         g = anchored.graph
         anchors = anchored.anchors
         b = len(anchors)
         self.anchor_set = set(anchors)
-        self.arc_owner: list[int] = [BOUNDARY] * b
-        self.dart_tail: list[int] = [
-            x for i, a in enumerate(anchors) for x in (a, anchors[(i + 1) % b])]
+        cap = b + g.m  # the boundary and one arc per edge, see the docstring
+        self.arcs = b
+        self.arc_owner: list[int] = [BOUNDARY] * cap
+        self.dart_tail: list[int] = [0] * (2 * cap)
+        self.ring_next: list[int] = [0] * (2 * cap)
+        self.ring_prev: list[int] = [0] * (2 * cap)
+        self.ring_start: dict[int, int] = {}
+        tail, nxt, prv = self.dart_tail, self.ring_next, self.ring_prev
         # clockwise at anchor i: the forward boundary dart, then the
         # backward one; a node's ring start is where its rotation begins
-        self.ring_next: list[int] = [0] * (2 * b)
-        self.ring_prev: list[int] = [0] * (2 * b)
-        self.ring_start: dict[int, int] = {}
         for i, a in enumerate(anchors):
             fwd, back = 2 * i, 2 * ((i - 1) % b) + 1
-            self.ring_next[fwd] = self.ring_prev[fwd] = back
-            self.ring_next[back] = self.ring_prev[back] = fwd
+            tail[fwd] = tail[back] = a
+            nxt[fwd] = prv[fwd] = back
+            nxt[back] = prv[back] = fwd
             self.ring_start[a] = fwd
-        self.crossing_edges: dict[int, tuple[int, int]] = {}
-        self.m = g.m  # pair keys are e * m + f, see the module docstring
+        self.first_crossing = (max(g.vertices) + 1) if g.vertices else 0
+        self.crossed: list[tuple[int, int]] = []
+        self.m = g.m  # pair slots are e * m + f, see the module docstring
         self.edge_counts: list[int] = [0] * g.m
-        self.pair_counts: dict[int, int] = {}
-        self.partners: list[set[int]] = [set() for _ in range(g.m)]
-        self._node_seq = (max(g.vertices) + 1) if g.vertices else 0
+        self.pair_counts: list[int] = [0] * (g.m * g.m)
+        self.partners: list[list[int]] = [[] for _ in range(g.m)]
+
+    def _grow(self) -> None:
+        # double the slots in place: the search holds these very lists
+        n = len(self.arc_owner)
+        self.arc_owner += [BOUNDARY] * n
+        for darts in (self.dart_tail, self.ring_next, self.ring_prev):
+            darts += [0] * (2 * n)
 
     # ------------------------------------------------------------ rings
 
@@ -98,6 +117,10 @@ class Arrangement:
     def commit_cross(self, e: int, cursor: Cursor, dart: int) -> Cursor:
         """Extend the curve of e across the arc of ``dart``, which lies in
         the cursor's face; returns the cursor just past the crossing."""
+        beta = self.arcs
+        self.arcs = beta + 2
+        if beta + 2 > len(self.arc_owner):
+            self._grow()
         owner, tail = self.arc_owner, self.dart_tail
         nxt, prv = self.ring_next, self.ring_prev
         cd = cursor[0]
@@ -105,19 +128,17 @@ class Arrangement:
         g = owner[alpha]
         far = dart ^ 1
         b = tail[far]
-        q = self._node_seq
-        self._node_seq = q + 1
-        # beta takes over alpha's far end: dart bq leaves q, bb leaves b
-        beta = len(owner)
+        crossed = self.crossed
+        q = self.first_crossing + len(crossed)
+        crossed.append((g, e))
+        # beta takes over alpha's far end: dart bq leaves q, bb leaves b;
+        # the curve's new segment beta + 1 runs from its head to q
         bq = 2 * beta + (dart & 1)
         bb = bq ^ 1
-        sp = 2 * beta + 2
-        sq = sp + 1
-        owner += (g, e)
-        tail += (q, b) if bq < bb else (b, q)
-        tail += (tail[cd], q)
-        nxt += (0, 0, 0, 0)
-        prv += (0, 0, 0, 0)
+        sp, sq = 2 * beta + 2, 2 * beta + 3
+        owner[beta:beta + 2] = g, e
+        tail[bq] = tail[sq] = q
+        tail[bb], tail[sp] = b, tail[cd]
         # insert before splitting: if the cursor sits before the far end,
         # the new segment then stays before beta's dart that takes its place
         before = prv[cd]
@@ -138,14 +159,11 @@ class Arrangement:
         nxt[sq], nxt[bq], nxt[far] = bq, far, sq
         prv[bq], prv[far], prv[sq] = sq, bq, far
         self.ring_start[q] = sq
-        self.crossing_edges[q] = (g, e)
-        m = self.m
-        pairs = self.pair_counts
-        c = pairs.get(g * m + e, 0) + 1
-        pairs[g * m + e] = pairs[e * m + g] = c
-        if c == 1:
-            self.partners[g].add(e)
-            self.partners[e].add(g)
+        m, pairs = self.m, self.pair_counts
+        pairs[g * m + e] += 1
+        pairs[e * m + g] += 1
+        self.partners[g].append(e)
+        self.partners[e].append(g)
         counts = self.edge_counts
         counts[g] += 1
         counts[e] += 1
@@ -155,17 +173,18 @@ class Arrangement:
                       corner: Optional[int]) -> None:
         """Attach the last segment of e to v before the dart ``corner``;
         ``corner`` None places v afresh."""
-        nxt, prv = self.ring_next, self.ring_prev
+        s = self.arcs
+        self.arcs = s + 1
+        if s == len(self.arc_owner):
+            self._grow()
+        nxt, prv, tail = self.ring_next, self.ring_prev, self.dart_tail
         cd = cursor[0]
-        s = len(self.arc_owner)
-        self.arc_owner.append(e)
-        self.dart_tail += (self.dart_tail[cd], v)
+        self.arc_owner[s] = e
         sp, sv = 2 * s, 2 * s + 1
+        tail[sp], tail[sv] = tail[cd], v
         before = prv[cd]
-        nxt[before] = sp
-        nxt += (cd, 0)
-        prv += (before, 0)
-        prv[cd] = sp
+        nxt[before] = prv[cd] = sp
+        prv[sp], nxt[sp] = before, cd
         if corner is None:
             nxt[sv] = prv[sv] = sv
             self.ring_start[v] = sv
@@ -176,14 +195,13 @@ class Arrangement:
 
     def undo(self) -> None:
         """Takes back the latest commit still in place."""
-        owner, tail = self.arc_owner, self.dart_tail
-        nxt, prv = self.ring_next, self.ring_prev
-        s = len(owner) - 1
+        tail, nxt, prv = self.dart_tail, self.ring_next, self.ring_prev
+        s = self.arcs - 1
         sp, sv = 2 * s, 2 * s + 1
         end = tail[sv]
         before, after = prv[sp], nxt[sp]
         nxt[before], prv[after] = after, before
-        if end in self.crossing_edges:
+        if end >= self.first_crossing:
             # clockwise at the crossing: the curve's end, beta, the far end
             bq = nxt[sv]
             far = nxt[bq]
@@ -199,29 +217,20 @@ class Arrangement:
             if starts[b] == bb:
                 starts[b] = far
             del starts[end]
-            g, e = self.crossing_edges.pop(end)
-            self._node_seq = end
-            m = self.m
-            pairs = self.pair_counts
-            c = pairs[g * m + e] - 1
-            if c:
-                pairs[g * m + e] = pairs[e * m + g] = c
-            else:
-                del pairs[g * m + e], pairs[e * m + g]
-                self.partners[g].discard(e)
-                self.partners[e].discard(g)
+            g, e = self.crossed.pop()
+            m, pairs = self.m, self.pair_counts
+            pairs[g * m + e] -= 1
+            pairs[e * m + g] -= 1
+            self.partners[g].pop()
+            self.partners[e].pop()
             counts = self.edge_counts
             counts[g] -= 1
             counts[e] -= 1
-            arcs = 2
+            self.arcs = s - 1
         else:
             if nxt[sv] == sv:
                 del self.ring_start[end]
             else:
                 before, after = prv[sv], nxt[sv]
                 nxt[before], prv[after] = after, before
-            arcs = 1
-        del owner[-arcs:]
-        del tail[-2 * arcs:]
-        del nxt[-2 * arcs:]
-        del prv[-2 * arcs:]
+            self.arcs = s

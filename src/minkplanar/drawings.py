@@ -60,7 +60,7 @@ from operator import attrgetter, contains, eq, itemgetter, ne
 from typing import Any, Iterable, NamedTuple
 
 from .errors import InputError
-from .graphs import Graph, _ids, _k
+from .graphs import MAX_ID, Graph, _ids, _k
 
 ArcRef = tuple[int, int]
 
@@ -230,7 +230,10 @@ def validate(d: Drawing) -> list[str]:
 def _find_problems(d: Drawing) -> list[str]:
     g, vset, xs = d.graph, set(d.graph.vertices), d.crossings
     xids, pairs = list(map(_ID, xs)), list(map(_EDGES, xs))
-    ends = list(chain.from_iterable(pairs))
+    try:
+        ends = list(chain.from_iterable(pairs))
+    except TypeError:  # a pair that is no sequence: the crossing level says
+        ends = None
     problems = _anchor_problems(d.anchors, vset) if d.anchored else []
     problems += _crossing_problems(xs, g.m, vset, xids, pairs, ends)
     if d.chains.keys() != set(range(g.m)):
@@ -262,18 +265,32 @@ def _anchor_problems(anchors: tuple[int, ...], vset: set) -> list[str]:
 
 
 def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
-                       xids: list, pairs: list, ends: list) -> list[str]:
+                       xids: list, pairs: list,
+                       ends: list | None) -> list[str]:
     out = ["crossing: duplicate crossing id"] * (len(set(xids)) != len(xids))
     clash = sorted(vset.intersection(xids))
     out += [f"crossing: ids {clash} collide with vertices"] * bool(clash)
-    if (set(map(len, pairs)) <= {2} and set(map(type, ends)) <= {int}
+    # ids follow graphs._id: a float or bool equals the int it stands in for
+    if ends is not None and (
+            set(map(type, xids)) <= {int} and set(map(type, ends)) <= {int}
+            and 0 <= min(xids, default=0) and max(xids, default=0) <= MAX_ID
+            and set(map(len, pairs)) <= {2}
             and all(map(range(m).__contains__, ends))
             and not any(map(eq, ends[0::2], ends[1::2]))):
         return out
-    return out + [
-        f"crossing: node {x.id} has a bad edge pair {x.edges}" for x in xs
-        if len(x.edges) != 2 or x.edges[0] == x.edges[1]
-        or not all(_integer(e) and 0 <= e < m for e in x.edges)]
+    out += [f"crossing: node {x.id!r} has a bad id" for x in xs
+            if not (_integer(x.id) and 0 <= x.id <= MAX_ID)]
+    return out + [f"crossing: node {x.id} has a bad edge pair {x.edges}"
+                  for x in xs if not _edge_pair(x.edges, m)]
+
+
+def _edge_pair(edges: Any, m: int) -> bool:
+    # two distinct edge ids, whatever ``edges`` is
+    try:
+        e, f = edges
+    except (TypeError, ValueError):
+        return False
+    return e != f and all(_integer(x) and 0 <= x < m for x in (e, f))
 
 
 def _integer(v: Any) -> bool:
@@ -314,7 +331,7 @@ def _rotation_problems(d: Drawing, nodes: set, chains: list) -> list[str]:
         for i, arc in enumerate(zip(ch, ch[1:])):
             for node in arc:
                 want[node].append((e, i))
-    got = {node: sorted(d.rotation.get(node, ())) for node in nodes}
+    got = {node: _sorted(d.rotation.get(node, ())) for node in nodes}
     # a float or bool id equals the integer the chains imply
     odd = {node for node in nodes for r in got[node]
            if isinstance(r, tuple) and not all(map(_integer, r))}
@@ -323,6 +340,15 @@ def _rotation_problems(d: Drawing, nodes: set, chains: list) -> list[str]:
         f"rotation: node {node} lists {got[node]} but its chains imply "
         f"{want[node]}" for node in sorted(nodes)
         if got[node] != want[node] or node in odd]
+
+
+def _sorted(refs: Iterable) -> list:
+    # entries that do not compare, such as a list beside a tuple, can
+    # match no chain, so they are reported as listed
+    try:
+        return sorted(refs)
+    except TypeError:
+        return list(refs)
 
 
 def _alternation_problems(rot: dict, xids: list) -> list[str]:

@@ -28,14 +28,14 @@ of ``drawings.face_orbit`` written out inline.  That one walk collects
 both lists the node needs: the darts leaving the target, which are the
 corners where the curve can end, and the darts the curve may cross.
 Every cut is decided in the walk, from the arrangement's count state,
-all flat integers: crossings per edge, crossings per pair in a dict
-keyed by ``e * m + f`` under both orders, and per edge the set of edges
-it crosses.  A candidate costs one set lookup for the owners its edge
-never crosses (the boundary, the edge itself and, in a simple drawing,
-the edges sharing an endpoint with it, computed once per search), one
-dict lookup for the pair cap, and count reads for the min-k cut: no
-crossing between two edges that would both exceed k, and none on an
-edge at k that already crosses an edge above k.  Children run only
+all flat integers: crossings per edge, crossings per pair in one list of
+m * m slots at ``e * m + f`` under both orders, and per edge the edge
+met at each of its crossings.  A candidate costs one set lookup for the
+owners its edge never crosses (the boundary, the edge itself and, in a
+simple drawing, the edges sharing an endpoint with it, computed once per
+search), one list read for the pair cap, and count reads for the min-k
+cut: no crossing between two edges that would both exceed k, and none on
+an edge at k that already crosses an edge above k.  Children run only
 after the walk.  Each child's undo restores the counts exactly, so the
 lists read on entry are the ones a check before each child would give,
 and no crossing is built only to be undone.
@@ -171,7 +171,7 @@ def _assemble(arr: Arrangement, ag: AnchoredGraph) -> Drawing:
     # crossing dart 2a + 1 moves the tail of arc a to the crossing
     start = [u for u, _ in g.edges]
     first = [0] * g.m
-    for dart, u in enumerate(tail):
+    for dart, u in enumerate(tail[:2 * arr.arcs]):
         e = owner[dart >> 1]
         if e != BOUNDARY and u == start[e]:
             first[e] = dart
@@ -183,7 +183,7 @@ def _assemble(arr: Arrangement, ag: AnchoredGraph) -> Drawing:
             refs[dart >> 1] = (e, len(chain) - 1)
             node = tail[dart ^ 1]
             chain.append(node)
-            if node not in arr.crossing_edges:
+            if node < arr.first_crossing:
                 break
             dart = nxt[nxt[dart ^ 1]]
         chains[e] = tuple(chain)
@@ -194,8 +194,7 @@ def _assemble(arr: Arrangement, ag: AnchoredGraph) -> Drawing:
             darts = darts[1:-1]
         rotation[v] = tuple(refs[x >> 1] for x in darts)
     crossings = []
-    for q in sorted(arr.crossing_edges):
-        pair = arr.crossing_edges[q]
+    for q, pair in enumerate(arr.crossed, arr.first_crossing):
         crossings.append(Crossing(q, (min(pair), max(pair))))
         rotation[q] = tuple(refs[x >> 1] for x in arr.ring(q))
     return Drawing(graph=g, crossings=tuple(crossings), chains=chains,
@@ -304,8 +303,10 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
                 lands.append(dart)
             arc = dart >> 1
             own = owner[arc]
+            # every skip holds the boundary, so the pair read that
+            # follows never meets its owner id -1
             if not (shut or own in skip or arc in banned
-                    or pairs.get(row + own, 0) >= cap):
+                    or pairs[row + own] >= cap):
                 co = counts[own]
                 # at k or above, own may not meet a heavy e (both would
                 # exceed k) and, at k, may not be saturated

@@ -314,12 +314,30 @@ def test_a_crossing_edge_list_that_is_not_a_pair_is_reported():
     assert validate(bad) == ["crossing: node 7 has a bad edge pair (0, 2, 2)"]
 
 
-@pytest.mark.parametrize("pair", [(0.0, 5.0), (False, 5), (0, 5.0)])
+@pytest.mark.parametrize("pair", [(0.0, 5.0), (False, 5), (0, 5.0), 5])
 def test_a_crossing_edge_id_that_is_no_integer_is_reported(pair):
     d = build_G2().drawing
     bad = replace(d, crossings=tuple(
         Crossing(20, pair) if x.id == 20 else x for x in d.crossings))
     assert validate(bad) == [f"crossing: node 20 has a bad edge pair {pair}"]
+
+
+def test_a_crossing_id_that_is_no_integer_is_reported():
+    # 20.0 equals the node 20 that the chains and the rotation name, so
+    # only its type tells it apart
+    d = build_G2().drawing
+    bad = replace(d, crossings=tuple(
+        Crossing(20.0, (0, 5)) if x.id == 20 else x for x in d.crossings))
+    assert validate(bad) == ["crossing: node 20.0 has a bad id"]
+
+
+@pytest.mark.parametrize("refs", [([2, 0], (1, 4)), (2, (1, 4))])
+def test_rotation_entries_that_do_not_compare_are_reported(refs):
+    d = build_G2().drawing
+    want = sorted(d.rotation[19])
+    bad = replace(d, rotation={**d.rotation, 19: refs})
+    assert validate(bad) == [f"rotation: node 19 lists {list(refs)} "
+                             f"but its chains imply {want}"]
 
 
 @pytest.mark.parametrize("node, i, ref", [

@@ -417,9 +417,10 @@ def test_engines_agree_on_random_instances():
 
 
 def _rings_hold(arr):
-    # every ring is a cycle of its own node's darts and every dart is in
-    # one, walked with a bound so that a broken ring fails and ends
-    n = len(arr.dart_tail)
+    # every ring is a cycle of its own node's darts and every live dart is
+    # in one, walked with a bound so that a broken ring fails and ends;
+    # the slots past the live arcs are spare and never read
+    n = 2 * arr.arcs
     seen = []
     for node, start in arr.ring_start.items():
         dart = start
@@ -437,24 +438,33 @@ def _rings_hold(arr):
 
 
 def _counts_hold(arr):
-    # the count state agrees with the crossings in place, the pair counts
-    # under both ordered keys
-    m = len(arr.edge_counts)
-    edges, pairs, partners = [0] * m, {}, [set() for _ in range(m)]
-    for g, e in arr.crossing_edges.values():
+    # the count state agrees with the crossings in place, recomputed from
+    # the crossing nodes' rings: the log names each crossing's edge pair,
+    # the pair counts sit under both ordered slots, and the partners agree
+    # as multisets, one entry per crossing
+    m, first = len(arr.edge_counts), arr.first_crossing
+    edges, pairs, partners = [0] * m, [0] * (m * m), [[] for _ in range(m)]
+    placed = []
+    for q in sorted(x for x in arr.ring_start if x >= first):
+        g, e = sorted({arr.arc_owner[d >> 1] for d in arr.ring(q)})
+        placed.append((q - first, g, e))
         for x, y in ((g, e), (e, g)):
             edges[x] += 1
-            pairs[x * m + y] = pairs.get(x * m + y, 0) + 1
-            partners[x].add(y)
-    return (edges, pairs, partners) == (arr.edge_counts, arr.pair_counts,
-                                        arr.partners)
+            pairs[x * m + y] += 1
+            partners[x].append(y)
+    logged = [(i, *sorted(pair)) for i, pair in enumerate(arr.crossed)]
+    return (placed, edges, pairs, [sorted(p) for p in partners]) == (
+        logged, arr.edge_counts, arr.pair_counts,
+        [sorted(p) for p in arr.partners])
 
 
 def _state(arr):
-    return (list(arr.arc_owner), list(arr.dart_tail), list(arr.ring_next),
-            list(arr.ring_prev), dict(arr.ring_start), dict(arr.crossing_edges),
-            dict(arr.pair_counts), list(arr.edge_counts),
-            [set(p) for p in arr.partners])
+    # the live state: the arc and dart slots below ``arcs``
+    a = arr.arcs
+    return (a, arr.arc_owner[:a], arr.dart_tail[:2 * a],
+            arr.ring_next[:2 * a], arr.ring_prev[:2 * a], dict(arr.ring_start),
+            list(arr.crossed), list(arr.pair_counts), list(arr.edge_counts),
+            [list(p) for p in arr.partners])
 
 
 def test_arrangement_undo_restores_state_exactly():
@@ -462,9 +472,11 @@ def test_arrangement_undo_restores_state_exactly():
     # the route of (x, c) starts before the dart of (a, x) at x, whose
     # twin lies in the same face, so crossing it moves the cursor's dart.
     # (a, x) goes in first, so chords cross it while x is alone in its
-    # ring and the split hands x's only dart to a new arc
+    # ring and the split hands x's only dart to a new arc.  The slots
+    # start at the boundary plus one arc per edge, so a run with crossings
+    # doubles them, and its undos go back past the doubling
     rng = random.Random(77)
-    twin_crossings = lone_crossings = complete = 0
+    twin_crossings = lone_crossings = complete = grown = 0
     for _ in range(40):
         chords = random_anchored_graph(rng, n_edges=3)
         n = len(chords.anchors)
@@ -473,6 +485,8 @@ def test_arrangement_undo_restores_state_exactly():
         ag = AnchoredGraph(g, chords.anchors)
         arr = Arrangement(ag)
         pristine = _state(arr)
+        slots = len(arr.arc_owner)
+        assert slots == len(ag.anchors) + g.m
         commits = 0
         first = g.m - 2
         for e in (first, *(x for x in insertion_order(ag) if x != first)):
@@ -508,11 +522,12 @@ def test_arrangement_undo_restores_state_exactly():
         else:
             assert validate(_assemble(arr, ag)) == []
             complete += 1
+        grown += len(arr.arc_owner) > slots
         for _ in range(commits):
             arr.undo()
             assert _counts_hold(arr)
         assert _state(arr) == pristine
-    assert twin_crossings and lone_crossings and complete
+    assert twin_crossings and lone_crossings and complete and grown
 
 
 def test_search_leaves_nothing_to_the_cyclic_collector():
