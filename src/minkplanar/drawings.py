@@ -56,8 +56,8 @@ import collections
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
-from operator import attrgetter, contains, eq, itemgetter, ne
-from typing import Any, Iterable, NamedTuple
+from operator import attrgetter, contains, countOf, eq, itemgetter, ne
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .graphs import MAX_ID, Graph, _ids, _k
@@ -229,24 +229,36 @@ def validate(d: Drawing) -> list[str]:
 
 def _find_problems(d: Drawing) -> list[str]:
     g, vset, xs = d.graph, set(d.graph.vertices), d.crossings
+    m = len(g.edges)
     xids, pairs = list(map(_ID, xs)), list(map(_EDGES, xs))
     try:
         ends = list(chain.from_iterable(pairs))
     except TypeError:  # a pair that is no sequence: the crossing level says
         ends = None
     problems = _anchor_problems(d.anchors, vset) if d.anchored else []
-    problems += _crossing_problems(xs, g.m, vset, xids, pairs, ends)
-    if d.chains.keys() != set(range(g.m)):
+    cover = d.chains.keys() == set(range(m))
+    chains = list(map(d.chains.__getitem__, range(m))) if cover else []
+    size = sum(map(len, chains))
+    # ids follow graphs._id: a float or bool equals the int it stands in
+    # for, so every id in the crossings and chains is tested for type int
+    # in one pass; an id that does not hash, reported as a bad one, takes
+    # no part in the tests of identity
+    typed = ends is not None and countOf(
+        map(type, chain(xids, ends, *chains)), int) == (
+        len(xids) + len(ends) + size)
+    keys = xids if typed else list(filter(_hashable, xids))
+    problems += _crossing_problems(xs, m, vset, keys, typed, pairs, ends)
+    if not cover:
         return problems + ["chain: chains must cover exactly the edge ids"]
-    chains = list(map(d.chains.__getitem__, range(g.m)))
     # chains run between their edges' ends, and the crossings' labels fill
     # every inner slot, so each inner node is a crossing met once per chain
     if problems or not (
-            all(chains) and all(map(eq, map(_ENDS, chains), g.edges))
-            and sum(map(len, chains)) == 2 * g.m + len(ends)
+            typed and all(chains)
+            and all(map(eq, map(_ENDS, chains), g.edges))
+            and size == 2 * m + len(ends)
             and all(map(contains, map(chains.__getitem__, ends),
                         chain.from_iterable(zip(xids, xids))))):
-        problems += _chain_walk(g, vset, set(xids), chains)
+        problems += _chain_walk(g, vset, set(keys), chains)
         if problems:
             return problems
         problems = _label_walk(xs, chains)
@@ -260,20 +272,26 @@ def _anchor_problems(anchors: tuple[int, ...], vset: set) -> list[str]:
     out = ["boundary: an anchored drawing needs >= 2 anchors"] * (
         len(anchors) < 2)
     out += ["boundary: repeated anchor"] * (len(set(anchors)) != len(anchors))
+    if vset.issuperset(anchors):
+        return out
     return out + [f"boundary: anchor {a} is not a vertex"
                   for a in anchors if a not in vset]
 
 
 def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
-                       xids: list, pairs: list,
+                       keys: list, typed: bool, pairs: list,
                        ends: list | None) -> list[str]:
-    out = ["crossing: duplicate crossing id"] * (len(set(xids)) != len(xids))
-    clash = sorted(vset.intersection(xids))
-    out += [f"crossing: ids {clash} collide with vertices"] * bool(clash)
-    # ids follow graphs._id: a float or bool equals the int it stands in for
-    if ends is not None and (
-            set(map(type, xids)) <= {int} and set(map(type, ends)) <= {int}
-            and 0 <= min(xids, default=0) and max(xids, default=0) <= MAX_ID
+    # ``keys`` are the ids that hash, all of them when ``typed`` says that
+    # every id is an int
+    out = ["crossing: duplicate crossing id"] * (len(set(keys)) != len(keys))
+    clash = vset.intersection(keys)
+    if clash:
+        out.append(f"crossing: ids {sorted(clash)} collide with vertices")
+    # a pair is a tuple here; the walk below takes any sequence, but not a
+    # set or an iterator, whose order is no pair's
+    if typed and (
+            set(map(type, pairs)) <= {tuple}
+            and 0 <= min(keys, default=0) and max(keys, default=0) <= MAX_ID
             and set(map(len, pairs)) <= {2}
             and all(map(range(m).__contains__, ends))
             and not any(map(eq, ends[0::2], ends[1::2]))):
@@ -285,10 +303,12 @@ def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
 
 
 def _edge_pair(edges: Any, m: int) -> bool:
-    # two distinct edge ids, whatever ``edges`` is
+    # a sequence of two distinct edge ids, whatever ``edges`` is
+    if not isinstance(edges, Sequence):
+        return False
     try:
         e, f = edges
-    except (TypeError, ValueError):
+    except ValueError:
         return False
     return e != f and all(_integer(x) and 0 <= x < m for x in (e, f))
 
@@ -298,9 +318,21 @@ def _integer(v: Any) -> bool:
     return type(v) is not bool and hasattr(type(v), "__index__")
 
 
+def _hashable(v: Any) -> bool:
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
+
+
 def _chain_walk(g: Graph, vset: set, xset: set, chains: list) -> list[str]:
     out = []
     for e, (ch, (u, v)) in enumerate(zip(chains, g.edges)):
+        bad = [x for x in ch if not _integer(x)]
+        if bad:
+            out += [f"chain: edge {e} has a bad node id {x!r}" for x in bad]
+            continue
         if len(ch) < 2 or ch[0] != u or ch[-1] != v:
             out.append(f"chain: edge {e} must run from {u} to {v}; got {ch}")
             continue

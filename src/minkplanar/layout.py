@@ -17,8 +17,13 @@ stray intersections, and the same cyclic arc order around every node.
 bend points of their two curves, not dots.
 
 The barycentric system is a graph Laplacian, symmetric positive
-definite once the boundary is pinned, so ``cg`` solves it with numpy
-alone: a conjugate gradient with a Jacobi preconditioner.
+definite once the boundary is pinned.  No two apexes are adjacent, so
+they are eliminated exactly, as a Schur complement: the system solved
+has one unknown per free node of the planarization, and in it each node
+is pulled towards the means of its big faces' walks, once per time it
+occurs in each walk.  ``cg`` solves it with numpy alone, a conjugate
+gradient preconditioned by the Schur complement's exact diagonal, and
+each apex is then its face walk's mean.
 """
 
 from __future__ import annotations
@@ -26,29 +31,28 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress
+from typing import Callable
 
 import numpy as np
 
 from .drawings import Drawing, crossing_profile
 from .errors import GeometryError, LayoutError
 from .geometry import Point, Scene, scene_to_drawing
-from .graphs import Graph, components
+from .graphs import Graph
 
 
-def cg(diag: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def cg(diag: np.ndarray, times: Callable[[np.ndarray], np.ndarray],
        rhs: np.ndarray) -> np.ndarray:
     """Solve ``A @ x = rhs`` for both columns of the (n, 2) ``rhs`` at once.
 
-    A, symmetric positive definite, has ``diag`` on its diagonal and -1 at
-    each ``(rows[i], cols[i])``.  Jacobi-preconditioned conjugate gradient
-    on the columns stacked into one vector, so that one gather and one
-    bincount apply A to both; each stops at a relative residual of 1e-13.
-    Raises LayoutError when A shows itself not positive definite (a NaN
-    included) and when the iterations run out.
+    A, symmetric positive definite, has ``diag`` on its diagonal, and
+    ``times`` applies it to a (2, n) array of columns.  Jacobi-preconditioned
+    conjugate gradient on both columns together; each stops at a relative
+    residual of 1e-13.  Raises LayoutError when A shows itself not
+    positive definite (a NaN included) and when the iterations run out.
     """
     n = diag.shape[0]
-    src, dst = np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n))
     dot = functools.partial(np.einsum, "ij,ij->i")
     r = np.array(rhs.T, dtype=float, order="C")
     x, z = np.zeros_like(r), r / diag
@@ -58,8 +62,7 @@ def cg(diag: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         active = ~(rr <= goal)
         if not active.any():
             return x.T
-        ap = diag * p
-        ap -= np.bincount(src, p.ravel()[dst], 2 * n).reshape(2, n)
+        ap = times(p)
         pap = dot(p, ap)
         if not (pap[active] > 0).all():
             raise LayoutError("singular barycentric system")
@@ -102,20 +105,52 @@ def _least_rotation(walk: list[int]) -> tuple[int, ...]:
     return tuple(walk[i:] + walk[:i])
 
 
-def _outer_walk(walks: list[list[int]], d: Drawing) -> list[int]:
-    """Nodes of the face that will be pinned, in clockwise order."""
-    if d.anchored:
-        return list(d.anchors)
-    simple = [w for w in walks if len(w) >= 3 and len(set(w)) == len(w)]
-    if not simple:
-        raise LayoutError(
-            "no simple face cycle to pin as the boundary; "
-            "the planarization is too loosely connected"
-        )
-    # deterministic: the least rotation of the longest walks, so the pinned
-    # walk starts at its least node whatever dart its orbit was traced from
-    longest = max(map(len, simple))
-    return list(min(_least_rotation(w) for w in simple if len(w) == longest))
+def _outer_walk(corners: list[int], sizes: np.ndarray) -> list[int]:
+    """The face to pin when no anchors are given: the longest simple face
+    walk, as the least rotation among those of its length.  ``corners``
+    lists every face's walk, face after face, and ``sizes`` their lengths.
+    """
+    starts = np.cumsum(sizes) - sizes
+    # deterministic: the pinned walk starts at its least node whatever dart
+    # its orbit was traced from
+    for size in np.unique(sizes[sizes >= 3])[::-1].tolist():
+        simple = [w for w in (corners[s:s + size]
+                              for s in starts[sizes == size].tolist())
+                  if len(set(w)) == size]
+        if simple:
+            return list(min(map(_least_rotation, simple)))
+    raise LayoutError(
+        "no simple face cycle to pin as the boundary; "
+        "the planarization is too loosely connected"
+    )
+
+
+def _sums(at: np.ndarray, xy: np.ndarray, size: int) -> np.ndarray:
+    """The rows of the (k, 2) ``xy`` summed into ``size`` bins by ``at``."""
+    return np.stack([np.bincount(at, xy[:, c], size) for c in (0, 1)], 1)
+
+
+def _both(at: np.ndarray, size: int) -> np.ndarray:
+    """Indices ``at`` into the first row of a (2, size) array, then the same
+    into its second row."""
+    return np.concatenate((at, at + size))
+
+
+def _schur_times(p: np.ndarray, degree: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, spoke: np.ndarray, apex: np.ndarray,
+                 weight: np.ndarray) -> np.ndarray:
+    """S @ p for both (2, n) columns of ``p``, where S is the barycentric
+    system with the apexes eliminated: each free node's ``degree``, less its
+    free neighbours along the arcs ``src`` <- ``dst``, less each of its
+    faces' mean (``weight`` is 1/size) over the free spokes ``spoke`` of
+    face ``apex``.  Index arrays come through ``_both``."""
+    n, a = p.shape[1], weight.shape[0]
+    flat = p.ravel()
+    mean = np.bincount(apex, flat[spoke], 2 * a).reshape(2, a) * weight
+    out = degree * p
+    out -= np.bincount(src, flat[dst], 2 * n).reshape(2, n)
+    out -= np.bincount(spoke, mean.ravel()[apex], 2 * n).reshape(2, n)
+    return out
 
 
 def tutte_layout(d: Drawing) -> Layout:
@@ -127,69 +162,84 @@ def tutte_layout(d: Drawing) -> Layout:
     """
     d.require_valid()
     pm = d.planarization
-    nodes = list(d.graph.vertices) + list(d.crossing_ids())
+    ids = [*d.graph.vertices, *d.crossing_ids()]
 
     if not pm.arc_tail:
-        if nodes:
+        if ids:
             raise LayoutError("isolated nodes make the system singular")
         return Layout({}, (), 0.0)
 
-    walks = [[pm.tail(dart) for dart in orbit] for orbit in pm.faces]
-    walk = _outer_walk(walks, d)
-    pinned: dict[int, Point] = {
-        v: _circle_point(i, len(walk)) for i, v in enumerate(walk)
-    }
+    # node positions in ``ids``: of each dart's tail (dart 2a leaves arc
+    # a's tail, 2a + 1 its head), and of each face corner, face after face
+    key = np.array(ids, np.int64)
+    order = np.argsort(key)
+    place = functools.partial(np.searchsorted, key[order])
+    tail = order[place(np.array((pm.arc_tail, pm.arc_head), np.int64).T)]
+    tail = tail.ravel()
+    sizes = np.fromiter(map(len, pm.faces), np.intp, len(pm.faces))
+    corner = tail[np.fromiter(chain.from_iterable(pm.faces), np.intp,
+                              tail.size)]
+    walk = (list(d.anchors) if d.anchored
+            else _outer_walk(key[corner].tolist(), sizes))
 
-    # adjacency of the augmented graph: planarization arcs (boundary arcs
-    # of an anchored drawing included) plus one apex per big face
-    ends = list(zip(pm.arc_tail, pm.arc_head))
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    apex = max(nodes) + 1
-    # the pinned face itself stays hollow, in either orientation
-    hollow = {_least_rotation(walk), _least_rotation(walk[::-1])}
-    for face_walk in walks:
-        if len(face_walk) <= 3 or (
-            len(face_walk) == len(walk)
-            and _least_rotation(face_walk) in hollow
-        ):
-            continue
-        adj[apex] = []
-        ends += zip(repeat(apex), face_walk)
-        apex += 1
-    for a, b in ends:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    free = [v for v in adj if v not in pinned]
-    if any(not adj[v] for v in free):
+    if not np.bincount(tail, minlength=len(ids)).all():
         raise LayoutError("isolated nodes make the system singular")
-
+    # a valid drawing's components are spheres, V - E + F = 2 each, and
     # the pinned walk is connected, so one component means every free node
-    # reaches it: that doubles as the singularity check
-    if len(components(adj, adj.__getitem__)) > 1:
+    # reaches it: that doubles as the singularity check.  The apexes come
+    # inside faces and join nothing, so they are left out of the count
+    if len(ids) - len(pm.arc_tail) + len(pm.faces) > 2:
         raise LayoutError(
             "planarization has a component detached from the boundary"
         )
 
-    # system rows: the free nodes, then the pinned ones, whose coordinates
-    # are known; one (row, col) entry per adjacency, both ways round
-    n = len(free)
-    index = dict(zip(free + walk, range(n + len(walk))))
-    ij = np.fromiter(map(index.__getitem__, chain.from_iterable(ends)),
-                     np.intp, 2 * len(ends)).reshape(-1, 2)
-    row, col = np.concatenate((ij, ij[:, ::-1])).T
-    row, col = row[row < n], col[row < n]
-    diag = np.bincount(row, minlength=n).astype(float)
-    xy = np.concatenate((np.zeros((n, 2)), [pinned[v] for v in walk]))
-    inner = col < n
-    sums = [np.bincount(row[~inner], xy[col[~inner], c], n) for c in (0, 1)]
-    xy[:n] = cg(diag, row[inner], col[inner], np.stack(sums, 1))
-    sums = [np.bincount(row, xy[col, c], n) for c in (0, 1)]
-    off = xy[:n] - np.stack(sums, 1) / diag[:, None]
+    # system rows: the free nodes in ``ids`` order, then the pinned walk
+    n = len(ids) - len(walk)
+    pin = order[place(walk)]
+    free = np.ones(len(ids), bool)
+    free[pin] = False
+    rank = np.empty(len(ids), np.intp)
+    rank[free], rank[pin] = np.arange(n), np.arange(n, len(ids))
+    xy = np.zeros((len(ids), 2))
+    pinned = [_circle_point(i, len(walk)) for i in range(len(walk))]
+    xy[n:] = pinned
+    # every dart is a (tail, head) entry, and every corner of a face with
+    # more than three sides a spoke of that face's apex
+    node = rank[tail]
+    head = node.reshape(-1, 2)[:, ::-1].ravel()
+    big = sizes > 3
+    spoke = rank[corner[np.repeat(big, sizes)]]
+    apex = np.repeat(np.arange(np.count_nonzero(big)), sizes[big])
+    weight = 1.0 / sizes[big]
+    degree = (np.bincount(node, minlength=len(ids))
+              + np.bincount(spoke, minlength=len(ids)))[:n].astype(float)
+    # S's diagonal: node i's degree less c**2 / size over its faces, c the
+    # times that i occurs in the face's walk
+    pair, c = np.unique(spoke * weight.size + apex, return_counts=True)
+    diag = degree - np.bincount(pair // weight.size,
+                                c * c * weight[pair % weight.size],
+                                len(ids))[:n]
+
+    rows, fs = node < n, spoke < n
+    inner, outer = rows & (head < n), rows & (head >= n)
+    pinned_mean = _sums(apex[~fs], xy[spoke[~fs]], weight.size)
+    rhs = (_sums(node[outer], xy[head[outer]], n)
+           + _sums(spoke[fs], (pinned_mean * weight[:, None])[apex[fs]], n))
+    times = functools.partial(
+        _schur_times, degree=degree, src=_both(node[inner], n),
+        dst=_both(head[inner], n), spoke=_both(spoke[fs], n),
+        apex=_both(apex[fs], weight.size), weight=weight)
+    xy[:n] = cg(diag, times, rhs)
+
+    # each apex is its face's mean; the residual reads every free row of
+    # the stellated system, and the apex rows hold by that construction
+    mean = _sums(apex, xy[spoke], weight.size) * weight[:, None]
+    sums = (_sums(node[rows], xy[head[rows]], n)
+            + _sums(spoke[fs], mean[apex[fs]], n))
+    off = xy[:n] - sums / degree[:, None]
     residual = float(np.hypot(off[:, 0], off[:, 1]).max(initial=0.0))
-    # the apexes come last in ``free`` and are left out
-    coords: dict[int, Point] = dict(pinned)
-    coords.update(zip(free[:len(nodes) - len(walk)], zip(*xy.T.tolist())))
+    coords: dict[int, Point] = dict(zip(walk, pinned))
+    coords.update(zip(compress(ids, free.tolist()), zip(*xy[:n].T.tolist())))
     return Layout(coords, tuple(walk), residual)
 
 
@@ -288,6 +338,19 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
+def _pixels(points: list[Point]) -> tuple[list[float], list[float]]:
+    """The picture's x and y of each point, with ``_fmt``'s rule applied
+    ahead: a value that would print as -0.00 is 0.0."""
+    half = SVG_SIZE / 2.0
+    scale = half * (1.0 - SVG_MARGIN)
+    xy = np.fromiter(chain.from_iterable(points), float,
+                     2 * len(points)).reshape(-1, 2)
+    px, py = half + scale * xy[:, 0], half - scale * xy[:, 1]
+    for col in (px, py):
+        col[abs(col) < 0.005] = 0.0
+    return px.tolist(), py.tolist()
+
+
 def to_svg(d: Drawing, layout: Layout, k: int | None = None) -> str:
     """Deterministic standalone SVG for a drawing at these coordinates.
 
@@ -305,10 +368,6 @@ def to_svg(d: Drawing, layout: Layout, k: int | None = None) -> str:
 
     half = SVG_SIZE / 2.0
     scale = half * (1.0 - SVG_MARGIN)
-
-    def pix(p: Point) -> tuple[float, float]:
-        return (half + scale * p[0], half - scale * p[1])
-
     heavy = set() if k is None else set(crossing_profile(d).heavy_edges(k))
 
     out: list[str] = []
@@ -326,33 +385,29 @@ def to_svg(d: Drawing, layout: Layout, k: int | None = None) -> str:
         'stroke-dasharray="6 5"/>'
     )
 
-    light = [e for e in range(d.graph.m) if e not in heavy]
-    for bucket in (light, sorted(heavy)):
-        for e in bucket:
-            pts = " ".join(
-                f"{_fmt(x)},{_fmt(y)}"
-                for x, y in (pix(coords[nd]) for nd in d.chains[e])
-            )
-            color = HEAVY_COLOR if e in heavy else EDGE_COLOR
-            width = HEAVY_WIDTH if e in heavy else EDGE_WIDTH
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="{width}" stroke-linejoin="round" '
-                'stroke-linecap="round"/>'
-            )
+    # every chain point, light edges first, formatted in one pass; each
+    # polyline joins its slice
+    edges = [*(e for e in range(d.graph.m) if e not in heavy), *sorted(heavy)]
+    chains = list(map(d.chains.__getitem__, edges))
+    pts = list(map("{:.2f},{:.2f}".format, *_pixels(
+        list(map(coords.__getitem__, chain.from_iterable(chains))))))
+    stop = 0
+    for e, ch in zip(edges, chains):
+        start, stop = stop, stop + len(ch)
+        color = HEAVY_COLOR if e in heavy else EDGE_COLOR
+        width = HEAVY_WIDTH if e in heavy else EDGE_WIDTH
+        out.append(
+            f'<polyline points="{" ".join(pts[start:stop])}" fill="none" '
+            f'stroke="{color}" stroke-width="{width}" '
+            'stroke-linejoin="round" stroke-linecap="round"/>'
+        )
 
+    vertices = sorted(d.graph.vertices)
     anchor_set = set(d.anchors) if d.anchored else set()
-    for v in sorted(d.graph.vertices):
-        x, y = pix(coords[v])
-        if v in anchor_set:
-            out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                f'r="{ANCHOR_RADIUS}" fill="{ANCHOR_COLOR}"/>'
-            )
-        else:
-            out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                f'r="{VERTEX_RADIUS}" fill="{VERTEX_COLOR}"/>'
-            )
+    anchor = list(map(anchor_set.__contains__, vertices))
+    out += map('<circle cx="{:.2f}" cy="{:.2f}" r="{}" fill="{}"/>'.format,
+               *_pixels(list(map(coords.__getitem__, vertices))),
+               [ANCHOR_RADIUS if a else VERTEX_RADIUS for a in anchor],
+               [ANCHOR_COLOR if a else VERTEX_COLOR for a in anchor])
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -331,6 +331,50 @@ def test_a_crossing_id_that_is_no_integer_is_reported():
     assert validate(bad) == ["crossing: node 20.0 has a bad id"]
 
 
+@pytest.mark.parametrize("xid, pair, want", [
+    ([20], (0, 5), ["crossing: node [20] has a bad id",
+                    "chain: edge 0 visits undeclared node 20",
+                    "chain: edge 5 visits undeclared node 20"]),
+    (20, {0, 5}, ["crossing: node 20 has a bad edge pair {0, 5}"]),
+])
+def test_odd_crossing_shapes_are_reported(xid, pair, want):
+    # an id that does not hash, and a pair in no order
+    d = build_G2().drawing
+    bad = replace(d, crossings=tuple(
+        Crossing(xid, pair) if x.id == 20 else x for x in d.crossings))
+    assert validate(bad) == want
+
+
+def test_a_crossing_pair_given_as_an_iterator_is_reported():
+    d = build_G2().drawing
+    bad = replace(d, crossings=tuple(
+        Crossing(20, iter((0, 5))) if x.id == 20 else x
+        for x in d.crossings))
+    [report] = validate(bad)
+    assert report.startswith("crossing: node 20 has a bad edge pair <")
+
+
+def test_a_crossing_pair_may_be_a_list():
+    d = build_G2().drawing
+    ok = replace(d, crossings=tuple(Crossing(x.id, list(x.edges))
+                                    for x in d.crossings))
+    assert validate(ok) == []
+
+
+@pytest.mark.parametrize("where, bad", [(1, 20.0), (0, 0.0), (1, True)])
+def test_a_chain_node_id_that_is_no_integer_is_reported(where, bad):
+    # 20.0 and True equal nodes the drawing has, so only their types tell
+    # them apart; numpy's integers are ids as graphs._id reads them
+    d = build_G2().drawing
+    ch = list(d.chains[0])
+    assert ch[:2] == [0, 20]
+    ch[where] = bad
+    assert validate(replace(d, chains={**d.chains, 0: tuple(ch)})) == [
+        f"chain: edge 0 has a bad node id {bad!r}"]
+    numpy = {e: tuple(map(np.int64, c)) for e, c in d.chains.items()}
+    assert validate(replace(d, chains=numpy)) == []
+
+
 @pytest.mark.parametrize("refs", [([2, 0], (1, 4)), (2, (1, 4))])
 def test_rotation_entries_that_do_not_compare_are_reported(refs):
     d = build_G2().drawing

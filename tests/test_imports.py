@@ -577,8 +577,7 @@ def test_traced_benchmark_targets_resolve(monkeypatch):
 def test_traced_solve_counts_each_unknown_once(monkeypatch):
     # layers.TARGETS wraps the Tutte solver under two names, so they must
     # not be one object: one solve is one layout.solve span, and its
-    # layout.solve.unknowns are the free nodes plus one apex per face with
-    # more than three sides, the pinned anchor face aside
+    # layout.solve.unknowns are the free nodes, the apexes being eliminated
     from minkplanar.constructions import build_G2
     from minkplanar.layout import tutte_layout
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
@@ -589,9 +588,8 @@ def test_traced_solve_counts_each_unknown_once(monkeypatch):
         tutte_layout(d)
     assert [s[0] for s in tracer.spans].count("layout.solve") == 1
     nodes = len(d.graph.vertices) + len(d.crossings)
-    apexes = sum(len(f) > 3 for f in d.planarization.faces) - 1
     assert tracer.counts[("timed", "layout.solve.unknowns")] == (
-        nodes - len(d.anchors) + apexes)
+        nodes - len(d.anchors))
 
 
 def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:

@@ -105,6 +105,98 @@ def test_isolated_node_is_singular():
         tutte_layout(d)
 
 
+def test_detached_component_is_refused():
+    # a triangle floating inside the anchored one reaches no pinned node
+    g = Graph(frozenset(range(6)),
+              ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    chains = {e: g.edges[e] for e in range(6)}
+    rot = {0: ((0, 0), (2, 0)), 1: ((1, 0), (0, 0)), 2: ((2, 0), (1, 0)),
+           3: ((3, 0), (5, 0)), 4: ((4, 0), (3, 0)), 5: ((5, 0), (4, 0))}
+    for anchors in ((0, 1, 2), None):
+        d = Drawing(g, (), chains, rot, anchors)
+        assert validate(d) == []
+        with pytest.raises(LayoutError, match="^planarization has a "
+                           "component detached from the boundary$"):
+            tutte_layout(d)
+
+
+def _pendant_hub() -> Drawing:
+    # the triangle hub with a pendant edge 3-4: the face left of it walks
+    # 1, 0, 3, 4, 3, so the hub occurs twice in one face's walk
+    g = Graph(frozenset(range(5)), ((0, 3), (1, 3), (2, 3), (3, 4)))
+    chains = {e: g.edges[e] for e in range(4)}
+    rot = {0: ((0, 0),), 1: ((1, 0),), 2: ((2, 0),),
+           3: ((0, 0), (3, 0), (1, 0), (2, 0)), 4: ((3, 0),)}
+    return Drawing(g, (), chains, rot, (0, 1, 2))
+
+
+def _stellated_system(d: Drawing, pinned: dict):
+    """The whole stellated system, built from the drawing's faces: the
+    planarization's arcs, and one apex per face with more than three sides,
+    joined to each node of its face walk as often as the walk visits it.
+    Returns the matrix, the right-hand side from the ``pinned`` nodes, and
+    the unknowns: the free nodes in ``tutte_layout``'s order, then the
+    apexes.  An apex of the pinned face meets no free node, so stellating
+    that face too changes nothing."""
+    pm = d.planarization
+    walks = [[pm.tail(dart) for dart in face] for face in pm.faces]
+    apexes = [("apex", i) for i, w in enumerate(walks) if len(w) > 3]
+    ends = [*zip(pm.arc_tail, pm.arc_head),
+            *((a, v) for a in apexes for v in walks[a[1]])]
+    nodes = [*d.graph.vertices, *d.crossing_ids()]
+    free = [v for v in nodes if v not in pinned] + apexes
+    row = {v: i for i, v in enumerate(free)}
+    a, b = np.zeros((len(free), len(free))), np.zeros((len(free), 2))
+    for u, v in ends:
+        for s, t in ((u, v), (v, u)):
+            if s in row:
+                a[row[s], row[s]] += 1.0
+                if t in row:
+                    a[row[s], row[t]] -= 1.0
+                else:
+                    b[row[s]] += pinned[t]
+    return a, b, free
+
+
+_JUDGED = pytest.mark.parametrize(
+    "build", [lambda: build_G2().drawing, lambda: build_Gk(3).drawing,
+              _pendant_hub], ids=["G2", "Gk3", "pendant"])
+
+
+@_JUDGED
+def test_layout_agrees_with_a_dense_solve_of_the_stellated_system(build):
+    d = build()
+    lay = tutte_layout(d)
+    pinned = {v: lay.coordinates[v] for v in lay.boundary}
+    a, b, free = _stellated_system(d, pinned)
+    solved = np.linalg.solve(a, b)
+    want = {v: solved[i] for i, v in enumerate(free)
+            if v in lay.coordinates}
+    assert want and lay.coordinates.keys() == want.keys() | pinned.keys()
+    for v, (x, y) in want.items():
+        got = lay.coordinates[v]
+        assert abs(got[0] - x) < 1e-12 and abs(got[1] - y) < 1e-12, v
+    assert lay.residual < 1e-12
+
+
+@_JUDGED
+def test_cg_is_handed_the_schur_complement_of_the_apexes(monkeypatch, build):
+    # S = A_ff - B D^-1 B^T with B the free nodes' spokes, and its diagonal
+    # as the preconditioner
+    d = build()
+    [(diag, times, rhs)] = _solver_calls(monkeypatch, d)
+    lay = tutte_layout(d)
+    a, b, _ = _stellated_system(
+        d, {v: lay.coordinates[v] for v in lay.boundary})
+    n = diag.shape[0]
+    elim = a[:n, n:] @ np.linalg.inv(a[n:, n:])
+    s = a[:n, :n] - elim @ a[n:, :n]
+    assert np.abs(diag - np.diag(s)).max() < 1e-12
+    assert np.abs(rhs - (b[:n] - elim @ b[n:])).max() < 1e-12
+    p = np.random.default_rng(0).standard_normal((2, n))
+    assert np.abs(times(p) - p @ s).max() < 1e-12
+
+
 def _solver_calls(monkeypatch, d: Drawing) -> list[tuple]:
     """The arguments of each ``layout.cg`` call that ``tutte_layout(d)``
     makes."""
@@ -116,20 +208,10 @@ def _solver_calls(monkeypatch, d: Drawing) -> list[tuple]:
     return calls
 
 
-@pytest.mark.parametrize("build", [build_G2, lambda: build_Gk(3)])
-def test_cg_agrees_with_a_dense_solve(monkeypatch, build):
-    [(diag, rows, cols, rhs)] = _solver_calls(monkeypatch, build().drawing)
-    dense = np.diag(diag)
-    np.subtract.at(dense, (rows, cols), 1.0)
-    assert np.array_equal(dense, dense.T)
-    got = layout.cg(diag, rows, cols, rhs)
-    assert np.abs(got - np.linalg.solve(dense, rhs)).max() < 1e-12
-
-
 def test_cg_returns_zeros_at_once_for_a_zero_right_hand_side(monkeypatch):
-    [(diag, rows, cols, rhs)] = _solver_calls(monkeypatch, build_G2().drawing)
+    [(diag, times, rhs)] = _solver_calls(monkeypatch, build_G2().drawing)
     monkeypatch.setattr(np, "bincount", None)  # no product with A is taken
-    got = layout.cg(diag, rows, cols, np.zeros_like(rhs))
+    got = layout.cg(diag, times, np.zeros_like(rhs))
     assert got.shape == rhs.shape and not got.any()
 
 
@@ -138,9 +220,9 @@ def test_cg_returns_zeros_at_once_for_a_zero_right_hand_side(monkeypatch):
     ([2.0, 3.0], [[1.0, float("nan")], [1.0, 1.0]]),  # a NaN
 ])
 def test_cg_refuses_a_system_that_is_not_positive_definite(diag, rhs):
-    no = np.array([], dtype=np.intp)
+    diag = np.array(diag)
     with pytest.raises(LayoutError, match="singular barycentric system"):
-        layout.cg(np.array(diag), no, no, np.array(rhs))
+        layout.cg(diag, diag.__mul__, np.array(rhs))
 
 
 def test_cg_raises_when_its_iterations_run_out(monkeypatch):
@@ -152,13 +234,12 @@ def test_cg_raises_when_its_iterations_run_out(monkeypatch):
 
 def test_solver_sees_one_unknown_per_free_node(monkeypatch):
     # bench/layers.py records args[0].shape[0] as layout.solve.unknowns:
-    # the free nodes of the planarization plus one apex per face with
-    # more than three sides, the pinned anchor face aside
-    d = build_G2().drawing
-    [(diag, *_)] = _solver_calls(monkeypatch, d)
-    nodes = len(d.graph.vertices) + len(d.crossings)
-    apexes = sum(len(f) > 3 for f in d.planarization.faces) - 1
-    assert diag.shape == (nodes - len(d.anchors) + apexes,)
+    # the apexes are eliminated, so only the planarization's nodes off the
+    # pinned walk are unknowns
+    for d in (build_G2().drawing, _pendant_hub()):
+        [(diag, *_)] = _solver_calls(monkeypatch, d)
+        nodes = len(d.graph.vertices) + len(d.crossings)
+        assert diag.shape == (nodes - len(d.anchors),)
 
 
 # ----------------------------------------------------------------- audit
@@ -255,6 +336,20 @@ def test_svg_of_empty_drawing_is_just_the_disk():
     # no edge is heavy, and the converter redraws a scene with no routes
     assert to_svg(d, lay, k=2) == svg
     audit_layout(d, lay)
+
+
+def test_svg_prints_no_negative_zero():
+    # the hub drawn a hair left of the picture's edge: its pixel x is
+    # -0.003, which prints as 0.00, never -0.00
+    d = _triangle_hub()
+    lay = tutte_layout(d)
+    half = layout.SVG_SIZE / 2.0
+    edge = (-0.003 - half) / (half * (1.0 - layout.SVG_MARGIN))
+    svg = to_svg(d, replace(lay, coordinates={**lay.coordinates,
+                                              3: (edge, 0.0)}))
+    assert "-0.00" not in svg
+    assert svg.count(' 0.00,320.00"') == 3  # each edge ends at the hub
+    assert '<circle cx="0.00" cy="320.00" r="2.4"' in svg
 
 
 def test_svg_needs_full_coordinates():
