@@ -33,11 +33,12 @@ and ``pair_counts``, m * m ints, holds the crossings of e with f at both
 node ``first_crossing + i``, past every vertex id.
 
 Commits and undos are last in, first out, and resize no list of darts:
-the lists keep spare slots past the ``arcs`` arcs in use, which start at
-what a drawing without crossings needs (the boundary and one arc per
-edge) and double when full.  A commit writes every field of the slots it
-takes, an undo lowers ``arcs`` and relinks, and nothing reads a slot
-past ``arcs``.  A crossing appends to ``crossed`` and ``partners``, and
+the lists keep spare slots past the ``arcs`` arcs in use.  They start at
+what a drawing with as many crossings as edges needs, b + 3m slots for b
+anchors and m edges (the boundary, one arc per edge and two more per
+crossing), and double when full.  A commit writes every field of the
+slots it takes, an undo lowers ``arcs`` and relinks, and nothing reads a
+slot past ``arcs``.  A crossing appends to ``crossed`` and ``partners``, and
 its undo pops them.
 """
 
@@ -61,9 +62,9 @@ class Arrangement:
     def __init__(self, anchored: AnchoredGraph):
         g = anchored.graph
         anchors = anchored.anchors
-        b = len(anchors)
+        b, m = len(anchors), g.m
         self.anchor_set = set(anchors)
-        cap = b + g.m  # the boundary and one arc per edge, see the docstring
+        cap = b + 3 * m  # room for m crossings, see the module docstring
         self.arcs = b
         self.arc_owner: list[int] = [BOUNDARY] * cap
         self.dart_tail: list[int] = [0] * (2 * cap)
@@ -81,10 +82,10 @@ class Arrangement:
             self.ring_start[a] = fwd
         self.first_crossing = (max(g.vertices) + 1) if g.vertices else 0
         self.crossed: list[tuple[int, int]] = []
-        self.m = g.m  # pair slots are e * m + f, see the module docstring
-        self.edge_counts: list[int] = [0] * g.m
-        self.pair_counts: list[int] = [0] * (g.m * g.m)
-        self.partners: list[list[int]] = [[] for _ in range(g.m)]
+        self.m = m  # pair slots are e * m + f, see the module docstring
+        self.edge_counts: list[int] = [0] * m
+        self.pair_counts: list[int] = [0] * (m * m)
+        self.partners: list[list[int]] = [[] for _ in range(m)]
 
     def _grow(self) -> None:
         # double the slots in place: the search holds these very lists

@@ -40,7 +40,9 @@ links each node's ring and says whether those darts match the chains.
 Each drawing object is validated once: ``validate`` keeps its report on
 the object and ``Drawing.planarization`` keeps the one dart map, which
 validation builds, so every predicate can call ``require_valid`` and only
-the first call costs.
+the first call costs.  ``crossing_profile`` keeps its counts on the
+object the same way, so ``is_simple``, ``is_k_planar`` and
+``is_min_k_planar`` on one drawing count its crossings once between them.
 
 Chain surgery, the cutting and splicing of chains by ``restrict`` and
 ``simplify.swap_at``, renames arc ends in one place, ``splice_chains``.
@@ -57,7 +59,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from operator import attrgetter, contains, countOf, eq, itemgetter, ne
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .graphs import MAX_ID, Graph, _ids, _k
@@ -80,7 +82,8 @@ class Drawing:
 
     A drawing is never mutated, ``chains`` and ``rotation`` included, and
     ``replace`` makes a new object; so each object keeps its validation
-    report and its ``planarization`` once they are computed.
+    report, its ``planarization`` and its crossing profile once they are
+    computed.
     """
 
     graph: Graph
@@ -155,7 +158,7 @@ class PlanarizationMap:
         back, lead = [2 * b - 1, *range(1, 2 * b - 1, 2)][:b], len(tail)
         nxt = self._next = [-1] * lead + [0]
         nxt[0:2 * b:2], nxt[1:2 * b:2] = back, [*range(2, 2 * b, 2), 0][:b]
-        pos = {a: k for k, a in enumerate(anchors)}
+        pos = dict(zip(anchors, range(b)))
         self.agrees = self._permutes = False
         typed = at_ends = True
         try:
@@ -200,14 +203,16 @@ class PlanarizationMap:
         if not self._permutes:
             raise InputError("faces cannot be traced: the rotation must list "
                              "every arc end once, and no anchor may repeat")
-        seen = bytearray(len(self._next))
+        nxt = self._next
+        seen = bytearray(len(nxt))
         out = []
-        for start in range(len(self._next)):
-            if not seen[start]:
-                orbit = face_orbit(self._next, start)
-                for dart in orbit:
-                    seen[dart] = 1
-                out.append(tuple(orbit))
+        start = seen.find(0)  # the least dart on no orbit yet
+        while start >= 0:
+            orbit = face_orbit(nxt, start)
+            for dart in orbit:
+                seen[dart] = 1
+            out.append(tuple(orbit))
+            start = seen.find(0, start + 1)
         return tuple(out)
 
 
@@ -269,11 +274,11 @@ def _find_problems(d: Drawing) -> list[str]:
 
 
 def _anchor_problems(anchors: tuple[int, ...], vset: set) -> list[str]:
+    if 2 <= len(anchors) == len(set(anchors)) and vset.issuperset(anchors):
+        return []
     out = ["boundary: an anchored drawing needs >= 2 anchors"] * (
         len(anchors) < 2)
     out += ["boundary: repeated anchor"] * (len(set(anchors)) != len(anchors))
-    if vset.issuperset(anchors):
-        return out
     return out + [f"boundary: anchor {a} is not a vertex"
                   for a in anchors if a not in vset]
 
@@ -298,8 +303,17 @@ def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
         return out
     out += [f"crossing: node {x.id!r} has a bad id" for x in xs
             if not (_integer(x.id) and 0 <= x.id <= MAX_ID)]
-    return out + [f"crossing: node {x.id} has a bad edge pair {x.edges}"
+    return out + [f"crossing: node {x.id} has a bad edge pair "
+                  f"{_pair_text(x.edges)}"
                   for x in xs if not _edge_pair(x.edges, m)]
+
+
+def _pair_text(edges: Any) -> str:
+    # an iterator is named by its type: its repr holds its address, which
+    # changes from run to run
+    if isinstance(edges, Iterator):
+        return f"<{type(edges).__name__}>"
+    return f"{edges}"
 
 
 def _edge_pair(edges: Any, m: int) -> bool:
@@ -387,6 +401,8 @@ def _alternation_problems(rot: dict, xids: list) -> list[str]:
     # after the rotation level a crossing lists two ends of each of its
     # edges, which alternate when its first and third ends share an edge
     owner = list(map(_FIRST, chain.from_iterable(map(rot.__getitem__, xids))))
+    if owner[0::4] == owner[2::4]:
+        return []
     return [f"alternation: edges do not alternate at crossing {x}"
             for x in compress(xids, map(ne, owner[0::4], owner[2::4]))]
 
@@ -448,6 +464,8 @@ class CrossingProfile:
         """The first crossing pair of edges that both have more than k
         crossings, or None."""
         heavy = set(self.heavy_edges(k))
+        if len(heavy) < 2:  # a crossing pair is two edges
+            return None
         return next((p for p in sorted(self.per_pair) if heavy.issuperset(p)),
                     None)
 
@@ -457,16 +475,26 @@ class CrossingProfile:
 
 
 def crossing_profile(d: Drawing) -> CrossingProfile:
-    """Per-edge and per-pair crossing counts; the drawing is validated."""
-    d.require_valid()
-    per_edge = {e: 0 for e in range(d.graph.m)}
-    per_pair: dict[tuple[int, int], int] = collections.defaultdict(int)
-    for x in d.crossings:
-        e1, e2 = sorted(x.edges)
-        per_edge[e1] += 1
-        per_edge[e2] += 1
-        per_pair[(e1, e2)] += 1
-    return CrossingProfile(per_edge, dict(per_pair))
+    """Per-edge and per-pair crossing counts; the drawing is validated.
+
+    The profile is built once per drawing object and kept on it, as
+    ``validate`` keeps its report, so every caller shares it and none may
+    change its counts.
+    """
+    prof = vars(d).get("_profile")
+    if prof is None:
+        d.require_valid()
+        per_edge = dict.fromkeys(range(d.graph.m), 0)
+        per_pair: dict[tuple[int, int], int] = {}
+        for x in d.crossings:
+            e1, e2 = x.edges
+            if e2 < e1:
+                e1, e2 = e2, e1
+            per_edge[e1] += 1
+            per_edge[e2] += 1
+            per_pair[e1, e2] = per_pair.get((e1, e2), 0) + 1
+        prof = vars(d)["_profile"] = CrossingProfile(per_edge, per_pair)
+    return prof
 
 
 class Verdict(NamedTuple):
@@ -489,11 +517,12 @@ def is_simple(d: Drawing, check: bool = True) -> Verdict:
     The witness is the lexicographically first offending pair together with
     the reason.  ``check`` has no effect; it stays for existing callers.
     """
-    prof = crossing_profile(d)
-    for pair in sorted(prof.per_pair):
-        if prof.per_pair[pair] > 1:
+    per_pair = crossing_profile(d).per_pair
+    pairs = sorted(per_pair)
+    for pair in pairs:
+        if per_pair[pair] > 1:
             return Verdict(False, (pair, "pair crosses more than once"))
-    for pair in sorted(prof.per_pair):
+    for pair in pairs:
         if d.graph.adjacent_edges(*pair):
             return Verdict(False, (pair, "edges share a vertex and cross"))
     return Verdict(True)

@@ -129,33 +129,34 @@ def insertion_order(ag: AnchoredGraph) -> tuple[int, ...]:
     becomes ready once one of its endpoints is on the boundary or already
     reached, so the routed part always stays attached to the disk.
     """
-    g = ag.graph
-    anchors = set(ag.anchors)
+    edges = ag.graph.edges
     pos = {a: i for i, a in enumerate(ag.anchors)}
     n = len(ag.anchors)
-
-    def potential(e: int) -> int:
-        u, v = g.edges[e]
-        if u in anchors and v in anchors:
-            i, j = pos[u], pos[v]
-            return min((j - i - 1) % n, (i - j - 1) % n)
-        return -1
-
-    pot = [potential(e) for e in range(g.m)]
+    ranked = []
+    for e, (u, v) in enumerate(edges):
+        i, j = pos.get(u), pos.get(v)
+        if i is None or j is None:
+            ranked.append((1, e))
+        else:
+            ranked.append((-min((j - i - 1) % n, (i - j - 1) % n), e))
+    # the edges by (-potential, id): each step takes the first ready one
+    ranked.sort()
+    pending = [e for _, e in ranked]
     placed = set(ag.anchors)
-    remaining = set(range(g.m))
     out = []
-    while remaining:
-        ready = [e for e in remaining
-                 if g.edges[e][0] in placed or g.edges[e][1] in placed]
-        if not ready:
+    while pending:
+        for at, e in enumerate(pending):
+            u, v = edges[e]
+            if u in placed or v in placed:
+                break
+        else:
             raise InputError(
                 "a component with edges contains no anchor and cannot be "
                 "routed in the disk")
-        e = min(ready, key=lambda x: (-pot[x], x))
+        del pending[at]
         out.append(e)
-        remaining.remove(e)
-        placed.update(g.edges[e])
+        placed.add(u)
+        placed.add(v)
     return tuple(out)
 
 
@@ -166,38 +167,41 @@ def _assemble(arr: Arrangement, ag: AnchoredGraph) -> Drawing:
     """The drawing of a finished arrangement, chains walked off its rings."""
     g = ag.graph
     nxt, tail, owner = arr.ring_next, arr.dart_tail, arr.arc_owner
-    # each edge's first dart: the one dart leaving its first vertex on an
-    # arc the edge owns.  It need not be on the edge's lowest arc:
-    # crossing dart 2a + 1 moves the tail of arc a to the crossing
-    start = [u for u, _ in g.edges]
-    first = [0] * g.m
-    for dart, u in enumerate(tail[:2 * arr.arcs]):
-        e = owner[dart >> 1]
-        if e != BOUNDARY and u == start[e]:
-            first[e] = dart
+    starts, q0 = arr.ring_start, arr.first_crossing
     chains, refs = {}, {}
     for e, (u, _) in enumerate(g.edges):
-        dart = first[e]
-        chain = [u]
+        # the first dart: the one dart leaving u on an arc e owns.  It
+        # need not be on the edge's lowest arc: crossing dart 2a + 1
+        # moves the tail of arc a to the crossing
+        dart = starts[u]
+        while owner[dart >> 1] != e:
+            dart = nxt[dart]
+        chain, i = [u], 0
         while True:
-            refs[dart >> 1] = (e, len(chain) - 1)
+            refs[dart >> 1] = (e, i)
             node = tail[dart ^ 1]
             chain.append(node)
-            if node < arr.first_crossing:
+            if node < q0:
                 break
             dart = nxt[nxt[dart ^ 1]]
+            i += 1
         chains[e] = tuple(chain)
-    rotation = {}
-    for v in g.vertices:
-        darts = arr.ring(v) if v in arr.ring_start else []
-        if v in arr.anchor_set:
-            darts = darts[1:-1]
-        rotation[v] = tuple(refs[x >> 1] for x in darts)
-    crossings = []
-    for q, pair in enumerate(arr.crossed, arr.first_crossing):
-        crossings.append(Crossing(q, (min(pair), max(pair))))
-        rotation[q] = tuple(refs[x >> 1] for x in arr.ring(q))
-    return Drawing(graph=g, crossings=tuple(crossings), chains=chains,
+    # every node's darts from its ring start, less the boundary darts
+    # 0 .. 2b - 1 that lead and end an anchor's ring
+    boundary = 2 * len(ag.anchors)
+    rotation = dict.fromkeys(g.vertices, ())
+    for node, start in starts.items():
+        rot, dart = [], start
+        while True:
+            if dart >= boundary:
+                rot.append(refs[dart >> 1])
+            dart = nxt[dart]
+            if dart == start:
+                break
+        rotation[node] = tuple(rot)
+    crossings = tuple(Crossing(q, (f, e) if f < e else (e, f))
+                      for q, (f, e) in enumerate(arr.crossed, q0))
+    return Drawing(graph=g, crossings=crossings, chains=chains,
                    rotation=rotation, anchors=ag.anchors)
 
 
@@ -244,13 +248,14 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     cap = 1 if require_simple else 2
     # per edge, the arc owners its curve never crosses: the boundary, the
     # edge itself and, in a simple drawing, every edge sharing an endpoint
-    skips = [{BOUNDARY, e} for e in range(m)]
     if require_simple:
         at: dict[int, set[int]] = {v: set() for v in g.vertices}
         for e, (u, v) in enumerate(g.edges):
             at[u].add(e)
             at[v].add(e)
         skips = [{BOUNDARY} | at[u] | at[v] for u, v in g.edges]
+    else:
+        skips = [{BOUNDARY, e} for e in range(m)]
     owner, tail, nxt = arr.arc_owner, arr.dart_tail, arr.ring_next
     starts, counts = arr.ring_start, arr.edge_counts
     pairs, partners = arr.pair_counts, arr.partners

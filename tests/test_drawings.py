@@ -34,7 +34,9 @@ from minkplanar.drawings import (
     restrict,
     validate,
 )
-from minkplanar.search import search_anchored
+from minkplanar import drawings
+from minkplanar.search import (SearchOutcome, SearchStats, Status,
+                               search_anchored, verify_certificate)
 
 
 def anchored_triangle():
@@ -346,12 +348,14 @@ def test_odd_crossing_shapes_are_reported(xid, pair, want):
 
 
 def test_a_crossing_pair_given_as_an_iterator_is_reported():
+    # an iterator is named by its type, not by its repr, whose address
+    # changes from object to object
     d = build_G2().drawing
-    bad = replace(d, crossings=tuple(
+    reports = [validate(replace(d, crossings=tuple(
         Crossing(20, iter((0, 5))) if x.id == 20 else x
-        for x in d.crossings))
-    [report] = validate(bad)
-    assert report.startswith("crossing: node 20 has a bad edge pair <")
+        for x in d.crossings))) for _ in range(2)]
+    assert reports == [
+        ["crossing: node 20 has a bad edge pair <tuple_iterator>"]] * 2
 
 
 def test_a_crossing_pair_may_be_a_list():
@@ -747,6 +751,53 @@ def test_profile_of_crossing_chords():
     assert prof.per_pair == {(0, 1): 1}
     assert prof.heavy_edges(0) == (0, 1)
     assert prof.heavy_edges(1) == ()
+
+
+# the predicates' answers on the bundled drawings, as they were before the
+# profile was kept: is_simple, is_min_k_planar at k = 0..4, is_k_planar at
+# k = 3, 4, 5, 6, 9, and verify_certificate at k = 1, 2, 3, each without
+# and with simplicity
+_BUNDLE_VERDICTS = {
+    "G2": (
+        (False, ((0, 3), "edges share a vertex and cross")),
+        [(False, (0, 2)), (False, (0, 2)), (True, None), (True, None),
+         (True, None)],
+        [(False, 0), (False, 0), (True, None), (True, None), (True, None)],
+        [False, False, True, False, True, False]),
+    "Gk(3)": (
+        (False, ((0, 4), "pair crosses more than once")),
+        [(False, (0, 2)), (False, (0, 2)), (False, (0, 4)), (True, None),
+         (True, None)],
+        [(False, 0), (False, 0), (False, 0), (False, 0), (True, None)],
+        [False, False, False, False, True, False]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLE_VERDICTS))
+def test_the_crossing_profile_is_built_once_per_drawing(name, monkeypatch):
+    built = []
+    real = drawings.CrossingProfile
+
+    def counted(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(drawings, "CrossingProfile", counted)
+    b = build_G2() if name == "G2" else build_Gk(3)
+    d, ag = b.drawing, b.anchored_graph
+    found = SearchOutcome(Status.FOUND, d, SearchStats())
+    got = (is_simple(d), [is_min_k_planar(d, k) for k in range(5)],
+           [is_k_planar(d, k) for k in (3, 4, 5, 6, 9)],
+           [verify_certificate(found, ag, k, simple)
+            for k in (1, 2, 3) for simple in (False, True)])
+    assert len(built) == 1
+    assert got == _BUNDLE_VERDICTS[name]
+    # replace makes a new object, which builds a profile of its own
+    again = replace(d)
+    assert is_simple(again) == got[0]
+    assert len(built) == 2
+    assert crossing_profile(again) == crossing_profile(d)
+    assert len(built) == 2
 
 
 def test_simplicity_verdicts():

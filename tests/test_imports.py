@@ -19,7 +19,9 @@ stay unread, each with its reason.  The runtime dependencies in
 ``pyproject.toml`` are exactly the third-party packages the package
 imports, and every function the benchmark's tracer wraps still exists
 under the name it looks up, and a traced solve is counted once.  Importing the CLI imports neither networkx nor scipy, and
-the frame pipeline's commands run with scipy unimportable.
+the frame pipeline's commands run with scipy unimportable.  The brute
+oracle, the search's independent judge, takes nothing from the search
+but the types its answers come in.
 
 Every name in ``minkplanar.__all__`` is read, outside its own definition,
 somewhere in the package's modules (``__init__.py`` aside), the demos or
@@ -630,3 +632,54 @@ def test_networkx_is_not_imported_with_the_cli():
                       "print('networkx' in sys.modules, 'scipy' in sys.modules)")
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.split() == ["False", "False"]
+
+
+# the result types the brute oracle shares with the search it judges
+ORACLE_MAY_TAKE = {"SearchOutcome", "SearchStats", "Status"}
+
+
+def _taken_from_search(source: str) -> list[str]:
+    """What ``source``, a module of the package, takes from ``search``
+    beyond ``ORACLE_MAY_TAKE``: the module itself, or a name the search
+    defines, from it or through the package; each as ``line: name``."""
+    defined = {node.name for node in ast.parse(
+        (PACKAGE / "search.py").read_text(encoding="utf-8")).body
+        if isinstance(node, DEFINITIONS)}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names
+                     if "search" in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if path[-1] == "search":
+                names = [a.name for a in node.names
+                         if a.name not in ORACLE_MAY_TAKE]
+            elif path in ([""], ["minkplanar"]):
+                names = [a.name for a in node.names if a.name == "search"
+                         or a.name in defined - ORACLE_MAY_TAKE]
+            else:
+                names = []
+        else:
+            names = []
+        out += [f"{node.lineno}: {name}" for name in names]
+    return out
+
+
+def test_checker_sees_what_is_taken_from_the_search():
+    assert _taken_from_search(
+        "from .search import SearchOutcome, Status, search_anchored\n"
+        "from . import search\n"
+        "import minkplanar.search\n"
+        "from minkplanar import Budget, Graph\n"
+        "def f():\n    from .search import _assemble\n") == [
+        "1: search_anchored", "2: search", "3: minkplanar.search",
+        "4: Budget", "6: _assemble"]
+    assert _taken_from_search(
+        "from .search import SearchOutcome, SearchStats, Status\n"
+        "from .graphs import AnchoredGraph\n") == []
+
+
+def test_the_oracle_takes_only_result_types_from_the_search():
+    oracle = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert _taken_from_search(oracle) == []

@@ -350,6 +350,73 @@ def test_insertion_order_most_interleaving_first():
     assert {order[-1], order[-2]} == {b.edge("c1c2"), b.edge("c2c3")}
 
 
+def _reference_order(ag):
+    """The insertion order as ``insertion_order``'s docstring states it:
+    an edge between anchors scores the anchors strictly inside the
+    shorter of the two boundary stretches its ends cut off, an edge with
+    an interior endpoint scores -1, and of the edges with an endpoint
+    already placed (an anchor, or an end of an edge taken before) the
+    highest score goes first, ties to the lower id."""
+    g, anchors = ag.graph, list(ag.anchors)
+
+    def score(e):
+        u, v = g.edges[e]
+        if u not in anchors or v not in anchors:
+            return -1
+        inside = []
+        for a, b in ((u, v), (v, u)):
+            i, count = anchors.index(a), 0
+            while anchors[(i + 1) % len(anchors)] != b:
+                i, count = i + 1, count + 1
+            inside.append(count)
+        return min(inside)
+
+    placed, order = set(anchors), []
+    while len(order) < g.m:
+        ready = [e for e in range(g.m) if e not in order
+                 and placed.intersection(g.edges[e])]
+        if not ready:
+            raise InputError("no edge can be routed")
+        best = max(score(e) for e in ready)
+        e = min(e for e in ready if score(e) == best)
+        order.append(e)
+        placed.update(g.edges[e])
+    return tuple(order)
+
+
+def _with_interior(rng):
+    # 3-6 anchors in a shuffled clockwise order among shuffled ids, 1-3
+    # interior vertices and 3-7 distinct edges, which may leave a part of
+    # the graph with no anchor
+    n, inner = rng.randint(3, 6), rng.randint(1, 3)
+    ids = rng.sample(range(20), n + inner)
+    anchors = tuple(ids[:n])
+    pairs = list(itertools.combinations(ids, 2))
+    pairs = rng.sample(pairs, rng.randint(3, min(7, len(pairs))))
+    return AnchoredGraph(Graph(tuple(sorted(ids)), tuple(pairs)), anchors)
+
+
+def test_insertion_order_follows_its_rule_with_interior_vertices():
+    rng = random.Random(36)
+    routed = refused = 0
+    for _ in range(300):
+        ag = _with_interior(rng)
+        try:
+            want = _reference_order(ag)
+        except InputError:
+            with pytest.raises(InputError):
+                insertion_order(ag)
+            refused += 1
+        else:
+            assert insertion_order(ag) == want, ag
+            routed += 1
+    assert routed > 200 and refused
+    # a path hanging off no anchor: its component has edges but no anchor
+    g = Graph(tuple(range(6)), ((0, 1), (1, 2), (3, 4), (4, 5)))
+    with pytest.raises(InputError, match="contains no anchor"):
+        insertion_order(AnchoredGraph(g, (0, 1, 2)))
+
+
 # ------------------------------------------------------------ open question
 
 
@@ -473,7 +540,7 @@ def test_arrangement_undo_restores_state_exactly():
     # twin lies in the same face, so crossing it moves the cursor's dart.
     # (a, x) goes in first, so chords cross it while x is alone in its
     # ring and the split hands x's only dart to a new arc.  The slots
-    # start at the boundary plus one arc per edge, so a run with crossings
+    # start with room for as many crossings as edges, so a run with more
     # doubles them, and its undos go back past the doubling
     rng = random.Random(77)
     twin_crossings = lone_crossings = complete = grown = 0
@@ -486,7 +553,7 @@ def test_arrangement_undo_restores_state_exactly():
         arr = Arrangement(ag)
         pristine = _state(arr)
         slots = len(arr.arc_owner)
-        assert slots == len(ag.anchors) + g.m
+        assert slots == len(ag.anchors) + 3 * g.m
         commits = 0
         first = g.m - 2
         for e in (first, *(x for x in insertion_order(ag) if x != first)):
@@ -494,7 +561,7 @@ def test_arrangement_undo_restores_state_exactly():
             if u not in arr.ring_start:
                 u, v = v, u
             cursor = (rng.choice(arr.corners(u)), ())
-            for _ in range(rng.randint(0, 3)):
+            for _ in range(rng.randint(0, 5)):
                 orbit = face_orbit(arr.ring_next, cursor[0])
                 opts = [d for d in orbit
                         if arr.arc_owner[d >> 1] not in (BOUNDARY, e)
