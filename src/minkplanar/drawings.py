@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from operator import attrgetter, contains, countOf, eq, itemgetter, ne
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
@@ -107,10 +106,13 @@ class Drawing:
         if problems:
             raise InputError("invalid drawing: " + "; ".join(problems[:8]))
 
-    @cached_property
+    @property
     def planarization(self) -> PlanarizationMap:
         """The drawing's dart map, built on first use and kept."""
-        return PlanarizationMap(self)
+        pm = vars(self).get("_planarization")
+        if pm is None:
+            pm = vars(self)["_planarization"] = PlanarizationMap(self)
+        return pm
 
 
 # ----------------------------------------------------------- the dart map
@@ -191,7 +193,7 @@ class PlanarizationMap:
     def tail(self, dart: int) -> int:
         return self._tail[dart]
 
-    @cached_property
+    @property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Every face as its dart orbit, traced once and kept.
 
@@ -200,6 +202,9 @@ class PlanarizationMap:
         ``InputError`` when the rotation does not list every edge dart
         exactly once or an anchor repeats, since the orbits need not close.
         """
+        faces = vars(self).get("_faces")
+        if faces is not None:
+            return faces
         if not self._permutes:
             raise InputError("faces cannot be traced: the rotation must list "
                              "every arc end once, and no anchor may repeat")
@@ -213,7 +218,8 @@ class PlanarizationMap:
                 seen[dart] = 1
             out.append(tuple(orbit))
             start = seen.find(0, start + 1)
-        return tuple(out)
+        faces = vars(self)["_faces"] = tuple(out)
+        return faces
 
 
 # ------------------------------------------------------------- validation

@@ -15,6 +15,15 @@ Two pattern-level cuts keep the enumeration honest and small: a pair of
 boundary-to-boundary curves whose endpoints interleave around the circle
 must cross an odd number of times, and patterns whose crossing counts
 already violate the requested predicates need no drawing at all.
+
+The patterns are generated one at a time, by total crossings and then
+lexicographically, and only one is held at once.  They are filled in
+pair by pair, and a pair's count only adds to its two edges' loads, so a
+partial pattern in which a crossing pair already has both edges above k
+is dropped with every completion: the cut is exact.  Each gadget goes to
+the package's own planarity test (``planarity.is_planar``, Brandes'
+left-right test) as int adjacency sets.  A lens's parallel arcs merge
+there, which never changes whether the gadget is planar.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import time
 
 from .errors import InputError
 from .graphs import AnchoredGraph, _k
+from .planarity import is_planar
 from .search import SearchOutcome, SearchStats, Status
 
 MAX_ORACLE_EDGES = 5
@@ -69,17 +79,9 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
             allowed = tuple(range(cap + 1))
         choices.append(allowed)
 
-    patterns = sorted(itertools.product(*choices), key=sum)
     stats = SearchStats(pair_cap=cap)
     t0 = time.perf_counter()
-    for counts in patterns:
-        per_edge = [0] * g.m
-        for (e, f), c in zip(pairs, counts):
-            per_edge[e] += c
-            per_edge[f] += c
-        if any(c and per_edge[e] > k and per_edge[f] > k
-               for (e, f), c in zip(pairs, counts)):
-            continue
+    for counts in _patterns(pairs, choices, g.m, k):
         if _realizable(ag, pairs, counts, stats):
             stats.routes += 1
             stats.seconds = time.perf_counter() - t0
@@ -90,47 +92,77 @@ def brute_oracle(ag: AnchoredGraph, k: int, require_simple: bool = False)\
                          stats=stats)
 
 
-def _realizable(ag: AnchoredGraph, pairs, counts, stats: SearchStats) -> bool:
-    # networkx only serves this planarity test; importing it here keeps it
-    # out of every ``import minkplanar``
-    import networkx as nx
+def _patterns(pairs, choices, m: int, k: int):
+    """Count patterns over ``choices``, one at a time, by total and then
+    lexicographically; none in which a crossing pair has both edges above
+    ``k``.
 
+    Patterns are filled in pair by pair, one total at a time.  A prefix
+    goes on only while the pairs after it can still make the total, and
+    while none of its crossing pairs is overloaded: loads only grow along
+    a prefix, so an overloaded one has no completion to keep.
+    """
+    n = len(pairs)
+    # reach[i]: the totals that the counts of pairs i, i+1, ... can make
+    reach = [{0}]
+    for allowed in reversed(choices):
+        reach.append({t + c for t in reach[-1] for c in allowed})
+    reach.reverse()
+    counts = [0] * n
+    load = [0] * m
+
+    def fill(i: int, left: int):
+        if i == n:
+            yield tuple(counts)
+            return
+        e, f = pairs[i]
+        for c in choices[i]:
+            if left - c not in reach[i + 1]:
+                continue
+            counts[i] = c
+            load[e] += c
+            load[f] += c
+            if not c or not any(counts[j] and load[a] > k and load[b] > k
+                                for j, (a, b) in enumerate(pairs[:i + 1])):
+                yield from fill(i + 1, left - c)
+            load[e] -= c
+            load[f] -= c
+
+    for total in sorted(reach[0]):
+        yield from fill(0, total)
+
+
+def _realizable(ag: AnchoredGraph, pairs, counts, stats: SearchStats) -> bool:
+    """Whether some order of the crossings along every edge gives a planar
+    gadget; each order tried counts as a search node."""
     g = ag.graph
     node_seq = (max(g.vertices) + 1) if g.vertices else 0
-    slots: dict[int, list] = {e: [] for e in range(g.m)}
-    node_of = {}
+    # the crossing nodes on each edge, in the order the pairs made them
+    slots: list[list[int]] = [[] for _ in range(g.m)]
     for (e, f), c in zip(pairs, counts):
-        for copy in range(c):
-            node_of[(e, f, copy)] = node_seq
+        for _ in range(c):
+            slots[e].append(node_seq)
+            slots[f].append(node_seq)
             node_seq += 1
-            slots[e].append((f, copy))
-            slots[f].append((e, copy))
 
-    per_edge_orders = []
-    for e in range(g.m):
-        per_edge_orders.append(list(itertools.permutations(slots[e])))
-
-    sub_base = node_seq
-    apex = sub_base + len(ag.anchors)
-    boundary = []
+    apex = node_seq + len(ag.anchors)
+    wheel: list[set[int]] = [set() for _ in range(apex + 1)]
     for i, a in enumerate(ag.anchors):
-        s = sub_base + i
+        s = node_seq + i
         b = ag.anchors[(i + 1) % len(ag.anchors)]
-        boundary += [(a, s), (s, b), (apex, a), (apex, s)]
+        for x, y in ((a, s), (s, b), (apex, a), (apex, s)):
+            wheel[x].add(y)
+            wheel[y].add(x)
 
-    for combo in itertools.product(*per_edge_orders):
+    orders = [itertools.permutations(nodes) for nodes in slots]
+    for combo in itertools.product(*orders):
         stats.nodes += 1
-        gadget = nx.Graph()
-        gadget.add_nodes_from(g.vertices)
-        for e in range(g.m):
-            u, v = g.edges[e]
-            path = [u]
-            for f, copy in combo[e]:
-                key = (e, f, copy) if (e, f, copy) in node_of else (f, e, copy)
-                path.append(node_of[key])
-            path.append(v)
-            gadget.add_edges_from(zip(path, path[1:]))
-        gadget.add_edges_from(boundary)
-        if nx.check_planarity(gadget, counterexample=False)[0]:
+        adj = [set(ws) for ws in wheel]
+        for (u, v), inner in zip(g.edges, combo):
+            path = (u, *inner, v)
+            for x, y in zip(path, path[1:]):
+                adj[x].add(y)
+                adj[y].add(x)
+        if is_planar(adj):
             return True
     return False

@@ -110,7 +110,7 @@ def test_criterion_04_search_agrees_with_brute_oracle_everywhere():
     rng = random.Random(20260822)
     for i in range(200):
         ag = random_anchored_graph(rng, n_edges=5)
-        for k, simple in [(1, False), (1, True), (2, True)]:
+        for k, simple in [(1, False), (1, True), (2, True), (2, False)]:
             got = search_anchored(ag, k, require_simple=simple).status
             want = brute_oracle(ag, k, require_simple=simple).status
             assert got is want, (i, ag.graph.edges, ag.anchors, k, simple)

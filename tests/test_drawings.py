@@ -297,6 +297,31 @@ def test_dart_map_invariants(build):
     assert d.graph.n + len(d.crossings) - n_arcs + len(pm.faces) == 2
 
 
+def test_the_dart_map_and_its_faces_are_kept_but_a_raise_is_not(monkeypatch):
+    d = build_G2().drawing
+    pm = d.planarization
+    assert d.planarization is pm and pm.faces is pm.faces
+    assert replace(d).planarization is not pm
+    # an arc end missing from a rotation: faces raise on every access
+    bad = replace(d, rotation={**d.rotation, 19: d.rotation[19][:1]})
+    for _ in range(2):
+        with pytest.raises(InputError, match="faces cannot be traced"):
+            bad.planarization.faces
+    # a map whose construction raises is built again on the next access
+    fails = [MemoryError]
+
+    def flaky(drawing):
+        if fails:
+            raise fails.pop()
+        return PlanarizationMap(drawing)
+
+    monkeypatch.setattr(drawings, "PlanarizationMap", flaky)
+    fresh = replace(d)
+    with pytest.raises(MemoryError):
+        fresh.planarization
+    assert fresh.planarization.faces == pm.faces
+
+
 def test_a_rotation_entry_that_is_not_a_tuple_is_reported():
     d = crossing_chords()
     bad = replace(d, rotation={**d.rotation, 0: ([0, 0],)})

@@ -18,10 +18,12 @@ whole by ``asdict`` or ``_asdict``; ``UNREAD_FIELDS`` names the few that
 stay unread, each with its reason.  The runtime dependencies in
 ``pyproject.toml`` are exactly the third-party packages the package
 imports, and every function the benchmark's tracer wraps still exists
-under the name it looks up, and a traced solve is counted once.  Importing the CLI imports neither networkx nor scipy, and
-the frame pipeline's commands run with scipy unimportable.  The brute
-oracle, the search's independent judge, takes nothing from the search
-but the types its answers come in.
+under the name it looks up, and a traced solve is counted once.
+Importing the CLI and running the brute oracle, gadget planarity tests
+included, imports neither networkx nor scipy, and the frame pipeline's
+commands run with scipy unimportable.  The brute oracle, the search's
+independent judge, takes nothing from the search but the types its
+answers come in.
 
 Every name in ``minkplanar.__all__`` is read, outside its own definition,
 somewhere in the package's modules (``__init__.py`` aside), the demos or
@@ -624,12 +626,22 @@ def test_cli_runs_without_scipy(tmp_path):
     assert (tmp_path / "t1.svg").read_text().startswith("<?xml")
 
 
+_ORACLE_RUN = """
+import sys
+import minkplanar.cli
+from minkplanar import AnchoredGraph, Graph, brute_oracle
+ag = AnchoredGraph(Graph((0, 1, 2, 3), ((0, 2), (1, 3))), (0, 1, 2, 3))
+assert brute_oracle(ag, 1).status.value == "Found"
+assert brute_oracle(ag, 0).status.value == "ExhaustedUnsat"
+print('networkx' in sys.modules, 'scipy' in sys.modules)
+"""
+
+
 def test_networkx_is_not_imported_with_the_cli():
-    # only the brute oracle's planarity test needs networkx, at a tenth of
-    # a second or more of every start-up; scipy is needed by nothing, and
-    # must not come in through a dependency either
-    run = _run_python("import sys, minkplanar.cli; "
-                      "print('networkx' in sys.modules, 'scipy' in sys.modules)")
+    # networkx is only the tests' judge of the oracle's planarity test, and
+    # would cost a tenth of a second or more of every start-up; scipy is
+    # needed by nothing; neither may come in through a dependency
+    run = _run_python(_ORACLE_RUN)
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.split() == ["False", "False"]
 

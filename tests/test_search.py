@@ -15,7 +15,7 @@ from minkplanar.drawings import (crossing_profile, face_orbit, is_min_k_planar,
 from minkplanar.errors import InputError
 from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.jsonio import drawing_to_json
-from minkplanar.oracle import brute_oracle
+from minkplanar.oracle import _patterns, brute_oracle
 from minkplanar.sampling import random_anchored_graph
 from minkplanar.search import (Budget, SearchOutcome, Status, _assemble,
                                insertion_order, search_anchored,
@@ -274,6 +274,58 @@ def test_stats_carry_the_pair_cap():
     for simple, cap in ((True, 1), (False, 2)):
         assert search_anchored(ag, 1, simple).stats.pair_cap == cap
         assert brute_oracle(ag, 1, simple).stats.pair_cap == cap
+
+
+# --------------------------------------------------------- oracle patterns
+
+
+def _sorted_patterns(pairs, choices, m, k):
+    """The oracle's count patterns as it once listed them: all of them,
+    stably sorted by total, minus those with a crossing pair whose edges
+    both carry more than k crossings."""
+    out = []
+    for counts in sorted(itertools.product(*choices), key=sum):
+        load = [0] * m
+        for (e, f), c in zip(pairs, counts):
+            load[e] += c
+            load[f] += c
+        if not any(c and load[e] > k and load[f] > k
+                   for (e, f), c in zip(pairs, counts)):
+            out.append(counts)
+    return out
+
+
+def test_oracle_streams_patterns_in_sorted_order():
+    rng = random.Random(37)
+    allowed = [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)]
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        pairs = list(itertools.combinations(range(m), 2))
+        choices = [rng.choice(allowed) for _ in pairs]
+        # with k past every load nothing is cut: the plain sorted product
+        assert list(_patterns(pairs, choices, m, 4 * m)) == sorted(
+            itertools.product(*choices), key=sum)
+        k = rng.randint(0, 3)
+        assert list(_patterns(pairs, choices, m, k)) == _sorted_patterns(
+            pairs, choices, m, k), (choices, k)
+
+
+_ORACLE_DIGEST = ("f0487846408be2373765726bab9d372f"
+                  "e66af1cad082276c9629736f219b7647")
+
+
+def test_oracle_answers_are_pinned():
+    """Status, nodes and routes of the oracle on 300 random 5-edge queries,
+    as the oracle that sorted every pattern up front gave them."""
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for i in range(300):
+        ag = random_anchored_graph(rng, n_edges=5)
+        k, simple = _RANDOM_SETTINGS[i % len(_RANDOM_SETTINGS)]
+        out = brute_oracle(ag, k, simple)
+        digest.update(repr((out.status.value, out.stats.nodes,
+                            out.stats.routes)).encode())
+    assert digest.hexdigest() == _ORACLE_DIGEST
 
 
 # ------------------------------------------------------------------ octagon
