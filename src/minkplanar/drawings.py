@@ -28,21 +28,22 @@ rotation, so their orbit is exactly the forward darts by construction.
 The existence search's ``arrangement.Arrangement`` keeps its darts in the
 same numbering, and the search walks its faces by the same rule.
 
-``validate`` checks a drawing a level at a time: anchors, crossings,
-chains and the crossings on them, rotations, alternation at crossings,
-and Euler's formula.  Each level tests all its items in as few passes as
-it can, and only a level that fails that test is walked item by item, to
-word the report as it always has been worded.  The rotation level is the
-dart map itself: ``PlanarizationMap`` makes one loop over the chains for
-its arcs and one over the rotation, which turns every entry into a dart,
-links each node's ring and says whether those darts match the chains.
+A ``Drawing`` checks its ids as it is made, by ``graphs._ids``' rule:
+an int, or a numpy integer made an int, never a bool, from 0 to
+``MAX_ID``; its crossings, edge pairs, chains, rotations, arc references
+and anchors are tuples or lists, kept as tuples.  ``validate`` judges
+only the structure, a level at a time: anchors, crossings, chains and the
+crossings on them, rotations, alternation at crossings, and Euler's
+formula.  Each level tests all its items in as few passes as it can, and
+only a level that fails is walked item by item, to word its report.  The
+rotation level is the dart map: ``PlanarizationMap`` loops once over the
+chains for its arcs and once over the rotation, turning each entry into
+a dart, and says whether those darts match the chains.
 
-Each drawing object is validated once: ``validate`` keeps its report on
-the object and ``Drawing.planarization`` keeps the one dart map, which
-validation builds, so every predicate can call ``require_valid`` and only
-the first call costs.  ``crossing_profile`` keeps its counts on the
-object the same way, so ``is_simple``, ``is_k_planar`` and
-``is_min_k_planar`` on one drawing count its crossings once between them.
+Each drawing object is validated once: ``validate``, the dart map that
+it builds (``Drawing.planarization``) and ``crossing_profile`` keep their
+report, map and counts on the object, so every predicate can call
+``require_valid`` and count crossings, and only the first call costs.
 
 Chain surgery, the cutting and splicing of chains by ``restrict`` and
 ``simplify.swap_at``, renames arc ends in one place, ``splice_chains``.
@@ -56,12 +57,13 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import chain, compress, pairwise, repeat
-from operator import attrgetter, contains, countOf, eq, itemgetter, ne
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter, contains, countOf, eq, itemgetter, ne, or_
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .graphs import MAX_ID, Graph, _ids, _k
+from .graphs import MAX_ID, Graph, _id, _ids, _k
 
 ArcRef = tuple[int, int]
 
@@ -79,10 +81,11 @@ class Crossing:
 class Drawing:
     """A combinatorial drawing of ``graph``, possibly anchored.
 
-    A drawing is never mutated, ``chains`` and ``rotation`` included, and
-    ``replace`` makes a new object; so each object keeps its validation
-    report, its ``planarization`` and its crossing profile once they are
-    computed.
+    Its ids are checked as it is made (see the module docstring), and a
+    fault raises ``InputError`` with the JSON reader's pointer to its
+    slot, such as ``/rotation/19/1/0``.  A drawing is never mutated, and
+    ``replace`` makes a new object; so each object keeps its report, dart
+    map and crossing profile once they are computed.
     """
 
     graph: Graph
@@ -90,6 +93,41 @@ class Drawing:
     chains: dict[int, tuple[int, ...]]
     rotation: dict[int, tuple[ArcRef, ...]]
     anchors: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        # all ids in one test; the levels are walked, to name the first
+        # fault and to make numpy's integers ints, only when it fails
+        xs, chains, rot, anchors = (
+            self.crossings, self.chains, self.rotation, self.anchors)
+        try:  # with the edge pairs and arc references
+            pairs = [*map(_EDGES, xs), *chain.from_iterable(rot.values())]
+            ids = [*map(_ID, xs), *chains, *rot, *(anchors or ()),
+                   *chain.from_iterable(chains.values()),
+                   *chain.from_iterable(pairs)]
+        except TypeError:  # a container that is no sequence
+            pairs = ids = [None]
+        boxes = [*pairs, *chains.values(), *rot.values(), anchors or (), xs]
+        # or'ed together, ids from 0 to MAX_ID leave the bits above it
+        # clear, and a negative id sets them all
+        if countOf(map(type, boxes), tuple) == len(boxes) and countOf(
+                map(len, pairs), 2) == len(pairs) and countOf(
+                map(type, ids), int) == len(ids) and not reduce(
+                or_, ids, 0) & ~MAX_ID:
+            return
+        vars(self).update(
+            crossings=tuple(
+                Crossing(_id(x.id, f"/crossings/{i}/id"),
+                         _id_tuple(x.edges, f"/crossings/{i}/edges", 2))
+                for i, x in enumerate(_listed(xs, "/crossings"))),
+            chains={_id(e, f"/chains/{e}"): _id_tuple(ch, f"/chains/{e}")
+                    for e, ch in chains.items()},
+            rotation={
+                _id(v, f"/rotation/{v}"): tuple(
+                    _id_tuple(ref, f"/rotation/{v}/{j}", 2)
+                    for j, ref in enumerate(_listed(refs, f"/rotation/{v}")))
+                for v, refs in rot.items()},
+            anchors=None if anchors is None else _id_tuple(
+                anchors, "/outer_face"))
 
     @property
     def anchored(self) -> bool:
@@ -115,6 +153,18 @@ class Drawing:
         return pm
 
 
+def _listed(v: Any, where: str, n: int = 0) -> Sequence:
+    """``v`` if it is a tuple or list, of ``n`` items unless ``n`` is 0."""
+    if not isinstance(v, (tuple, list)) or n and len(v) != n:
+        raise InputError(f"{where}: expected a tuple or list"
+                         + f" of {n} items" * bool(n))
+    return v
+
+
+def _id_tuple(v: Any, where: str, n: int = 0) -> tuple[int, ...]:
+    return _ids(_listed(v, where, n), where)
+
+
 # ----------------------------------------------------------- the dart map
 
 
@@ -135,11 +185,11 @@ class PlanarizationMap:
     One loop over the chains lays out the arcs, and one over the rotation
     turns each entry ``(e, i)`` at a node into the dart of arc
     ``first_arc[e] + i`` that leaves it, next after the node's previous
-    entry.  ``agrees`` tells whether those darts, from tuples of integer
-    ids, hit every edge dart once, each at its own tail: ``validate``'s
-    rotation level, which builds the drawing's one map once the chains
-    are valid.  ``_next`` is meaningful only when the map agrees, and
-    ``faces`` refuses to trace it when it is not a permutation.
+    entry.  ``agrees`` tells whether those darts hit every edge dart
+    once, each at its own tail: ``validate``'s rotation level, which
+    builds the drawing's one map once the chains are valid.  ``_next`` is
+    meaningful only when the map agrees, and ``faces`` refuses to trace it
+    when it is not a permutation.
     """
 
     def __init__(self, d: Drawing):
@@ -161,34 +211,27 @@ class PlanarizationMap:
         nxt = self._next = [-1] * lead + [0]
         nxt[0:2 * b:2], nxt[1:2 * b:2] = back, [*range(2, 2 * b, 2), 0][:b]
         pos = dict(zip(anchors, range(b)))
-        self.agrees = self._permutes = False
-        typed = at_ends = True
-        try:
-            for node, refs in rot.items():
-                last = lead
-                for ref in refs:
-                    e, i = ref
-                    if type(e) is bool or type(i) is bool or not (
-                            0 <= e < m and 0 <= i < segs[e]):
-                        return
-                    typed = typed and type(ref) is tuple
-                    dart = 2 * (first[e] + i)  # it leaves its arc's tail
-                    if tail[dart] != node:
-                        dart += 1
-                        at_ends = at_ends and tail[dart] == node
-                    nxt[last] = last = dart
-                nxt[last] = nxt[lead]
-                k = pos.get(node)
-                if k is not None and last != lead:
-                    nxt[2 * k], nxt[last] = nxt[last], back[k]
-        except (TypeError, ValueError):  # no pair, or a float id
-            return
+        self.agrees = self._permutes = astray = False
+        for node, refs in rot.items():
+            last = lead
+            for e, i in refs:
+                if not (e < m and i < segs[e]):
+                    return
+                dart = 2 * (first[e] + i)  # it leaves its arc's tail
+                if tail[dart] != node:
+                    dart += 1
+                    astray = astray or tail[dart] != node
+                nxt[last] = last = dart
+            nxt[last] = nxt[lead]
+            k = pos.get(node)
+            if k is not None and last != lead:
+                nxt[2 * k], nxt[last] = nxt[last], back[k]
         # every listed dart has a successor: with as many entries as edge
         # darts, each is listed once and ``_next`` is a permutation
         del nxt[lead]
         once = -1 not in nxt and sum(map(len, rot.values())) == lead - 2 * b
         self._permutes = once and len(pos) == b
-        self.agrees = typed and once and at_ends
+        self.agrees = once and not astray
 
     def tail(self, dart: int) -> int:
         return self._tail[dart]
@@ -227,11 +270,7 @@ class PlanarizationMap:
 
 def validate(d: Drawing) -> list[str]:
     """Well-formedness report; an empty list means the drawing is valid.
-
-    The checks run once per drawing object, which keeps the report.  They
-    go a level at a time, as the module docstring says, and a level with a
-    fault ends the report where it always has.
-    """
+    It is made once per drawing object, a level at a time, and kept."""
     report = vars(d).get("_problems")
     if report is None:
         report = vars(d)["_problems"] = tuple(_find_problems(d))
@@ -241,35 +280,22 @@ def validate(d: Drawing) -> list[str]:
 def _find_problems(d: Drawing) -> list[str]:
     g, vset, xs = d.graph, set(d.graph.vertices), d.crossings
     m = len(g.edges)
-    xids, pairs = list(map(_ID, xs)), list(map(_EDGES, xs))
-    try:
-        ends = list(chain.from_iterable(pairs))
-    except TypeError:  # a pair that is no sequence: the crossing level says
-        ends = None
+    xids, ends = list(map(_ID, xs)), list(chain.from_iterable(map(_EDGES, xs)))
     problems = _anchor_problems(d.anchors, vset) if d.anchored else []
     cover = d.chains.keys() == set(range(m))
     chains = list(map(d.chains.__getitem__, range(m))) if cover else []
-    size = sum(map(len, chains))
-    # ids follow graphs._id: a float or bool equals the int it stands in
-    # for, so every id in the crossings and chains is tested for type int
-    # in one pass; an id that does not hash, reported as a bad one, takes
-    # no part in the tests of identity
-    typed = ends is not None and countOf(
-        map(type, chain(xids, ends, *chains)), int) == (
-        len(xids) + len(ends) + size)
-    keys = xids if typed else list(filter(_hashable, xids))
-    problems += _crossing_problems(xs, m, vset, keys, typed, pairs, ends)
+    problems += _crossing_problems(xs, m, vset, xids, ends)
     if not cover:
         return problems + ["chain: chains must cover exactly the edge ids"]
     # chains run between their edges' ends, and the crossings' labels fill
     # every inner slot, so each inner node is a crossing met once per chain
     if problems or not (
-            typed and all(chains)
+            all(chains)
             and all(map(eq, map(_ENDS, chains), g.edges))
-            and size == 2 * m + len(ends)
+            and sum(map(len, chains)) == 2 * m + len(ends)
             and all(map(contains, map(chains.__getitem__, ends),
                         chain.from_iterable(zip(xids, xids))))):
-        problems += _chain_walk(g, vset, set(keys), chains)
+        problems += _chain_walk(g, vset, set(xids), chains)
         if problems:
             return problems
         problems = _label_walk(xs, chains)
@@ -290,69 +316,20 @@ def _anchor_problems(anchors: tuple[int, ...], vset: set) -> list[str]:
 
 
 def _crossing_problems(xs: tuple[Crossing, ...], m: int, vset: set,
-                       keys: list, typed: bool, pairs: list,
-                       ends: list | None) -> list[str]:
-    # ``keys`` are the ids that hash, all of them when ``typed`` says that
-    # every id is an int
-    out = ["crossing: duplicate crossing id"] * (len(set(keys)) != len(keys))
-    clash = vset.intersection(keys)
+                       xids: list, ends: list) -> list[str]:
+    out = ["crossing: duplicate crossing id"] * (len(set(xids)) != len(xids))
+    clash = vset.intersection(xids)
     if clash:
         out.append(f"crossing: ids {sorted(clash)} collide with vertices")
-    # a pair is a tuple here; the walk below takes any sequence, but not a
-    # set or an iterator, whose order is no pair's
-    if typed and (
-            set(map(type, pairs)) <= {tuple}
-            and 0 <= min(keys, default=0) and max(keys, default=0) <= MAX_ID
-            and set(map(len, pairs)) <= {2}
-            and all(map(range(m).__contains__, ends))
-            and not any(map(eq, ends[0::2], ends[1::2]))):
+    if not ends or max(ends) < m and not any(map(eq, ends[0::2], ends[1::2])):
         return out
-    out += [f"crossing: node {x.id!r} has a bad id" for x in xs
-            if not (_integer(x.id) and 0 <= x.id <= MAX_ID)]
-    return out + [f"crossing: node {x.id} has a bad edge pair "
-                  f"{_pair_text(x.edges)}"
-                  for x in xs if not _edge_pair(x.edges, m)]
-
-
-def _pair_text(edges: Any) -> str:
-    # an iterator is named by its type: its repr holds its address, which
-    # changes from run to run
-    if isinstance(edges, Iterator):
-        return f"<{type(edges).__name__}>"
-    return f"{edges}"
-
-
-def _edge_pair(edges: Any, m: int) -> bool:
-    # a sequence of two distinct edge ids, whatever ``edges`` is
-    if not isinstance(edges, Sequence):
-        return False
-    try:
-        e, f = edges
-    except ValueError:
-        return False
-    return e != f and all(_integer(x) and 0 <= x < m for x in (e, f))
-
-
-def _integer(v: Any) -> bool:
-    # an integer as ``graphs._id`` reads ids: numpy's too, but not a bool
-    return type(v) is not bool and hasattr(type(v), "__index__")
-
-
-def _hashable(v: Any) -> bool:
-    try:
-        hash(v)
-    except TypeError:
-        return False
-    return True
+    return out + [f"crossing: node {x.id} has a bad edge pair {x.edges}"
+                  for x in xs if x.edges[0] == x.edges[1] or max(x.edges) >= m]
 
 
 def _chain_walk(g: Graph, vset: set, xset: set, chains: list) -> list[str]:
     out = []
     for e, (ch, (u, v)) in enumerate(zip(chains, g.edges)):
-        bad = [x for x in ch if not _integer(x)]
-        if bad:
-            out += [f"chain: edge {e} has a bad node id {x!r}" for x in bad]
-            continue
         if len(ch) < 2 or ch[0] != u or ch[-1] != v:
             out.append(f"chain: edge {e} must run from {u} to {v}; got {ch}")
             continue
@@ -383,24 +360,11 @@ def _rotation_problems(d: Drawing, nodes: set, chains: list) -> list[str]:
         for i, arc in enumerate(zip(ch, ch[1:])):
             for node in arc:
                 want[node].append((e, i))
-    got = {node: _sorted(d.rotation.get(node, ())) for node in nodes}
-    # a float or bool id equals the integer the chains imply
-    odd = {node for node in nodes for r in got[node]
-           if isinstance(r, tuple) and not all(map(_integer, r))}
+    got = {node: sorted(d.rotation.get(node, ())) for node in nodes}
     return [f"rotation: unknown node {node}"
             for node in sorted(d.rotation.keys() - nodes)] + [
         f"rotation: node {node} lists {got[node]} but its chains imply "
-        f"{want[node]}" for node in sorted(nodes)
-        if got[node] != want[node] or node in odd]
-
-
-def _sorted(refs: Iterable) -> list:
-    # entries that do not compare, such as a list beside a tuple, can
-    # match no chain, so they are reported as listed
-    try:
-        return sorted(refs)
-    except TypeError:
-        return list(refs)
+        f"{want[node]}" for node in sorted(nodes) if got[node] != want[node]]
 
 
 def _alternation_problems(rot: dict, xids: list) -> list[str]:

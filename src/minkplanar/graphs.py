@@ -2,8 +2,10 @@
 the package's one breadth-first walk, ``components``.
 
 Vertices and edges are opaque non-negative integers.  Vertex ids are
-checked, not coerced: ints, or numpy integers made ints, from 0 to
-``MAX_ID``; never bools, floats or strings.  Edge ids are simply
+checked by ``_ids``' rule: an int is kept as given and a numpy integer
+is made the int it stands for, from 0 to ``MAX_ID``; anything else, a
+bool, a float or a string, is refused, never coerced.  ``Drawing``
+checks its ids by the same rule.  Edge ids are simply
 positions in the edge tuple, so identical inputs always produce identical
 ids.  Loops are never allowed; parallel edges are allowed only when a
 graph is built with ``simple=False``.

@@ -16,8 +16,8 @@ the whole level with builtins that run in C, and walks the level's items
 one by one, to find the pointer, only when that test fails.  So each
 shape rule is stated once, and the first fault is named the same way
 whatever else is wrong.  An id in a document must be an int, as JSON
-text gives; Graph and AnchoredGraph also take numpy's integers from API
-callers.  Both bound ids by one rule (``graphs._id``).
+text gives; Graph, AnchoredGraph and Drawing also take numpy's integers
+from API callers.  All bound ids by one rule (``graphs._id``).
 
 Every document is written as ``json.dumps(doc, indent=1, sort_keys=True)``
 writes it.  Drawing and graph files, nearly all the bytes the CLI writes,

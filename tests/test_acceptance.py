@@ -24,9 +24,11 @@ from minkplanar.drawings import (
     validate,
 )
 from minkplanar.frames import build_frame, compose, separation_property_check
+from minkplanar.graphs import AnchoredGraph, Graph
 from minkplanar.jsonio import drawing_from_json, graph_from_json
 from minkplanar.layout import audit_layout, tutte_layout
 from minkplanar.obstructions import biclique_obstruction, extract_planar_amplification
+from minkplanar import oracle
 from minkplanar.oracle import brute_oracle
 from minkplanar.sampling import random_anchored_graph, random_min1_drawing
 from minkplanar.search import search_anchored
@@ -99,7 +101,17 @@ def test_criterion_03_no_simple_anchored_min2_drawing_of_g2(tmp_path, capsys):
     assert elapsed < 1800.0
 
 
-def test_criterion_04_search_agrees_with_brute_oracle_everywhere():
+def _spoked_graph(rng):
+    """4 to 6 anchors, three chords, and one interior vertex with spokes to
+    two anchors."""
+    n = rng.randint(4, 6)
+    chords = sorted(rng.sample(list(itertools.combinations(range(n), 2)), 3))
+    spokes = [(a, n) for a in sorted(rng.sample(range(n), 2))]
+    return AnchoredGraph(Graph(tuple(range(n + 1)), (*chords, *spokes)),
+                         tuple(range(n)))
+
+
+def test_criterion_04_search_agrees_with_brute_oracle_everywhere(monkeypatch):
     combos = [(0, False), (1, False), (1, True)]
     for ag in family_up_to_rotation(4):
         for k, simple in combos:
@@ -114,6 +126,23 @@ def test_criterion_04_search_agrees_with_brute_oracle_everywhere():
             got = search_anchored(ag, k, require_simple=simple).status
             want = brute_oracle(ag, k, require_simple=simple).status
             assert got is want, (i, ag.graph.edges, ag.anchors, k, simple)
+
+    # on chord-only instances the count-level cuts decide every status, so
+    # the oracle's planarity test is met only with an interior vertex
+    rng = random.Random(1)
+    spoked = [_spoked_graph(rng) for _ in range(300)]
+    settings = list(itertools.product((0, 1, 2), (False, True)))
+    statuses = []
+    for i, ag in enumerate(spoked):
+        for k, simple in settings:
+            got = search_anchored(ag, k, require_simple=simple).status
+            want = brute_oracle(ag, k, require_simple=simple).status
+            assert got is want, (i, ag.graph.edges, ag.anchors, k, simple)
+            statuses.append(want)
+    # and there, a planarity test that always answers "planar" is seen
+    monkeypatch.setattr(oracle, "is_planar", lambda adj: True)
+    assert statuses != [brute_oracle(ag, k, require_simple=simple).status
+                        for ag in spoked for k, simple in settings]
 
 
 def test_criterion_05_simplifier_on_thousand_fuzzed_min1_drawings():

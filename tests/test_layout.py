@@ -483,8 +483,10 @@ def test_rotation_entries_may_be_tuple_subclasses():
     d = build_G2().drawing
     sub = replace(d, rotation={node: tuple(map(_Ref, refs))
                                for node, refs in d.rotation.items()})
-    # the fast rotation test asks for plain tuples; the walk accepts these
-    assert not sub.planarization.agrees
+    # the drawing keeps them as plain tuples
+    assert sub.rotation == d.rotation
+    assert {type(ref) for refs in sub.rotation.values() for ref in refs} == {
+        tuple}
     assert validate(sub) == []
     lay = tutte_layout(sub)
     audit_layout(sub, lay)
