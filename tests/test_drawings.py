@@ -515,9 +515,17 @@ def _with_id(d, slot, value, pick):
     return (d.graph, tuple(xs), chains, rot, tuple(anchors)), at, old
 
 
+# the seed hypothesis derived from the test's source when it was pinned,
+# so that an edit to the test's body keeps every draw
+_NON_ID_SEED = int(
+    "f66d36c01f10004d70fac8097c05112037ab27ad4742ef65"
+    "ce59456a4494a1366d4bad3e7d8a018e46f834703063dbf6", 16)
+
+
 def test_a_non_id_in_any_slot_is_named_by_its_pointer():
     met = collections.Counter()
 
+    @seed(_NON_ID_SEED)
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None, suppress_health_check=list(HealthCheck))
     @given(st.binary(min_size=8, max_size=8))
@@ -777,9 +785,17 @@ def test_dart_map_matches_the_reference_on_certificates():
             _ReferenceMap(d))
 
 
+# the seed hypothesis derived from the test's source when it was pinned,
+# so that an edit to the test's body keeps every draw
+_DART_MAP_SEED = int(
+    "a107bbc6ef1b23e613ddaf96d80ddadcbee0bee762412da3"
+    "db1fceab017aa029ee05f13b0e8be3b0b561d5d5a8d04136", 16)
+
+
 def test_dart_map_matches_the_reference_on_mutated_drawings():
     seen = collections.Counter()
 
+    @seed(_DART_MAP_SEED)
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None, suppress_health_check=list(HealthCheck))
     @given(mutated_drawings())

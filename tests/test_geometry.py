@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from minkplanar.errors import GeometryError, InputError, MinkplanarError
 from minkplanar.graphs import Graph
@@ -894,6 +894,35 @@ def test_a_corpus_of_route_faults_converts_as_before():
 _ROUTE_DIGEST = "16531049ac188e33961977b11552b78a285ec562b32f30ebf43da6aa18ce9da6"
 
 
+# ------------------------------- pinned outcomes of the scenes workload's law
+
+def _law_scene(rng):
+    """A scene by the law of the benchmark's scenes workload: 4-7 anchors
+    on the circle of radius 3 and 2-5 chords between them, each with 0,
+    1 (half the time) or 2 bends within 0.75 of the radius."""
+    n, m = rng.randint(4, 7), rng.randint(2, 5)
+    pos = {i: on_circle(3.0, 90.0 - 360.0 * i / n) for i in range(n)}
+    pairs = sorted(rng.sample(list(itertools.combinations(range(n), 2)), m))
+    routes = {}
+    for e, (u, v) in enumerate(pairs):
+        bends = [on_circle(2.25 * rng.random() ** 0.5, rng.uniform(0.0, 360.0))
+                 for _ in range((0, 1, 1, 2)[rng.randrange(4)])]
+        routes[e] = (pos[u], *bends, pos[v])
+    return Scene(Graph(tuple(range(n)), tuple(pairs)), pos, routes,
+                 anchors=tuple(range(n)), radius=3.0)
+
+
+def test_the_scenes_law_converts_as_before():
+    rng = random.Random(1)
+    outcomes = "\n".join(_outcome(_law_scene(rng)) for _ in range(2000))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == _LAW_DIGEST
+
+
+# the digest of the 2,000 outcomes, recorded before the converter's array
+# passes were fused
+_LAW_DIGEST = "27c46780f10af45c7c3295d96820aa704a58150c49d6108c6bff2a303aa077bd"
+
+
 def _oracle(scene, tol):
     """Sorted crossing edge pairs by all-pairs ``_segment_intersection``,
     or None where the converter must reject the scene."""
@@ -1024,18 +1053,41 @@ def anchored_scenes(draw, interior=(0, 3), bent=(0, 3), spokes=False,
     return Scene(g, pos, routes, anchors=tuple(range(na)), radius=1.0)
 
 
+# the seed hypothesis derived from the test's source when it was pinned,
+# so that an edit to the test's body keeps every draw
+_ORACLE_SEED = int(
+    "9c733d48944a2568e507984aa10e5b81c267e2b896517793"
+    "48c01f66e2ee2c51a87c0271ccf72da1443634b6bd8f0576", 16)
+
+
+@seed(_ORACLE_SEED)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(anchored_scenes())
 def test_converter_agrees_with_all_pairs_oracle(scene):
     _agrees_with_oracle(scene)
 
 
+# the seeds hypothesis derived from each case's test id when they were
+# pinned, so that an edit to the test keeps every draw
+_SMALL_CHUNK_SEEDS = {
+    1: int("261f924615cb2ca2ce6633118cc6dc43533ccf116baba4e1"
+           "11df3fec5cebf37b0d73dac037e51ec026ba336454167e64", 16),
+    7: int("e5e2ced0a890871f963d9f2dc8e35569ce94f8d92ff80d4e"
+           "b2342953608fe169b611a68c621ad59b36dbf7a3feaf14bf", 16),
+}
+
+
 @pytest.mark.parametrize("per_slice", [1, 7])
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(scene=anchored_scenes())
-def test_converter_in_small_chunks_agrees_with_the_oracle(per_slice, scene):
-    with mock.patch.object(geometry, "_SWEEP_SLICE", per_slice):
-        _agrees_with_oracle(scene)
+def test_converter_in_small_chunks_agrees_with_the_oracle(per_slice):
+    @seed(_SMALL_CHUNK_SEEDS[per_slice])
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(anchored_scenes())
+    def check(scene):
+        with mock.patch.object(geometry, "_SWEEP_SLICE", per_slice):
+            _agrees_with_oracle(scene)
+
+    check()
 
 
 def _agrees_with_oracle(scene):

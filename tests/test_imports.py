@@ -695,3 +695,52 @@ def test_checker_sees_what_is_taken_from_the_search():
 def test_the_oracle_takes_only_result_types_from_the_search():
     oracle = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
     assert _taken_from_search(oracle) == []
+
+
+def _unseeded_derandomized(source: str) -> list[str]:
+    """The functions of ``source``, at any depth, that ``settings`` makes
+    derandomized but no ``seed`` decorator pins.  Hypothesis would seed
+    each from its own source, so that any edit to it changes every draw;
+    each as ``line: name``."""
+    def called(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        marks = node.decorator_list
+        derandomized = any(
+            called(d, "settings") and any(
+                k.arg == "derandomize" and isinstance(k.value, ast.Constant)
+                and k.value.value is True for k in d.keywords)
+            for d in marks)
+        if derandomized and not any(called(d, "seed") for d in marks):
+            out.append(f"{node.lineno}: {node.name}")
+    return out
+
+
+def test_checker_sees_a_derandomized_test_without_a_seed():
+    assert _unseeded_derandomized(
+        "@settings(max_examples=5, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_a(x):\n    pass\n"
+        "@seed(1)\n"
+        "@settings(derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_b(x):\n    pass\n"
+        "def test_c():\n"
+        "    @settings(derandomize=True, database=None)\n"
+        "    @given(st.integers())\n"
+        "    def check(x):\n        pass\n"
+        "@settings(derandomize=False)\n"
+        "@given(st.integers())\n"
+        "def test_d(x):\n    pass\n") == ["3: test_a", "13: check"]
+
+
+def test_every_derandomized_test_carries_a_seed():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert tests
+    assert {p.name: bad for p in tests if (bad := _unseeded_derandomized(
+        p.read_text(encoding="utf-8")))} == {}

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from minkplanar import jsonio
 from minkplanar.constructions import build_G2, build_Gk
@@ -118,6 +118,14 @@ def _stdlib(doc):
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+# the seed hypothesis derived from the test's source when it was pinned,
+# so that an edit to the test's body keeps every draw
+_WRITERS_SEED = int(
+    "644c9aef897b5ed92e1aaaf44e9f7cd3f316d93c51c8f91c"
+    "340a387ee2053ff740bb2442276327f1449338553e770b3c", 16)
+
+
+@seed(_WRITERS_SEED)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(anchored_scenes(), st.booleans(), st.booleans())
 def test_writers_write_converted_scenes_as_json_dumps_does(scene, anchored,
@@ -430,6 +438,14 @@ def mutated_documents(draw):
     return name, doc, f"/{which}/{new}"
 
 
+# the seed hypothesis derived from the test's source when it was pinned,
+# so that an edit to the test's body keeps every draw
+_MUTATED_DOCUMENTS_SEED = int(
+    "ffc2625b04ae3cd6e028a1b4783a046fb2e2840fc7543974"
+    "1c7030f8930cf151d59d9cafaf95f5f74e11f47abfe6c2d7", 16)
+
+
+@seed(_MUTATED_DOCUMENTS_SEED)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mutated_documents())
 def test_mutated_documents_raise_pointered_input_errors(case):

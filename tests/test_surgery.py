@@ -10,7 +10,7 @@ which the samplers in ``minkplanar.sampling`` never draw.
 import hashlib
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from minkplanar.drawings import is_min_k_planar, is_simple, restrict, validate
 from minkplanar.errors import GeometryError
@@ -71,9 +71,17 @@ _SPOKED_SCENES = anchored_scenes(interior=(1, 2), bent=(0, 2), spokes=True,
                                  faults=("none",))
 
 
+# the seed hypothesis derived from the test's source when it was pinned,
+# so that an edit to the test's body keeps every draw
+_SPOKED_SEED = int(
+    "4d7ebb807176252c2808cb748373f2ce0f4e268853a369cf"
+    "025bce094f2ac4832c2b9233e3b03b9a0ed3038de23c0c45", 16)
+
+
 def test_transforms_on_drawings_with_interior_vertices():
     swapped = []
 
+    @seed(_SPOKED_SEED)
     @settings(max_examples=400, deadline=None, derandomize=True,
               database=None)
     @given(scene=_SPOKED_SCENES, data=st.data())
