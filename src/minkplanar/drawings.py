@@ -56,6 +56,7 @@ no visit lists merge into one.
 from __future__ import annotations
 
 import collections
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain, compress, pairwise, repeat
@@ -104,9 +105,10 @@ class Drawing:
             ids = [*map(_ID, xs), *chains, *rot, *(anchors or ()),
                    *chain.from_iterable(chains.values()),
                    *chain.from_iterable(pairs)]
-        except TypeError:  # a container that is no sequence
-            pairs = ids = [None]
-        boxes = [*pairs, *chains.values(), *rot.values(), anchors or (), xs]
+            boxes = [*pairs, *chains.values(), *rot.values(), anchors or (),
+                     xs]
+        except (TypeError, AttributeError):  # no sequence, or no dict
+            pairs = ids = boxes = [None]
         # or'ed together, ids from 0 to MAX_ID leave the bits above it
         # clear, and a negative id sets them all
         if countOf(map(type, boxes), tuple) == len(boxes) and countOf(
@@ -120,12 +122,12 @@ class Drawing:
                          _id_tuple(x.edges, f"/crossings/{i}/edges", 2))
                 for i, x in enumerate(_listed(xs, "/crossings"))),
             chains={_id(e, f"/chains/{e}"): _id_tuple(ch, f"/chains/{e}")
-                    for e, ch in chains.items()},
+                    for e, ch in _keyed(chains, "/chains").items()},
             rotation={
                 _id(v, f"/rotation/{v}"): tuple(
                     _id_tuple(ref, f"/rotation/{v}/{j}", 2)
                     for j, ref in enumerate(_listed(refs, f"/rotation/{v}")))
-                for v, refs in rot.items()},
+                for v, refs in _keyed(rot, "/rotation").items()},
             anchors=None if anchors is None else _id_tuple(
                 anchors, "/outer_face"))
 
@@ -158,6 +160,13 @@ def _listed(v: Any, where: str, n: int = 0) -> Sequence:
     if not isinstance(v, (tuple, list)) or n and len(v) != n:
         raise InputError(f"{where}: expected a tuple or list"
                          + f" of {n} items" * bool(n))
+    return v
+
+
+def _keyed(v: Any, where: str) -> Mapping:
+    """``v`` if it is a mapping, such as a dict."""
+    if not isinstance(v, Mapping):
+        raise InputError(f"{where}: expected an object")
     return v
 
 

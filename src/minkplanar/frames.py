@@ -385,11 +385,15 @@ def _amplify(drawing: Drawing, one: EdgeClassMap, classes: EdgeClassMap,
     ids = np.arange(xid - len(crossings), xid)
     xe = np.array([x.edges for x in crossings], dtype=np.int64).T
     tail, head = _crossing_arms(points, start, xe)
+    # each crossing's places on its second edge and on its first, and its
+    # arms along each, on and back
+    spot = np.array(spot, dtype=np.int64).T
+    arms = np.array((head - tail, tail - head))[:, ::-1].reshape(2, -1, 2)
     anchors = scene.anchors
     rotation = _rotations(
         graph, anchors, np.array([scene.positions[a] for a in anchors]),
-        np.arctan2(way[:, 1], way[:, 0]), ids, xe,
-        np.array(spot, dtype=np.int64).T, tail, head)
+        np.arctan2(way[:, 1], way[:, 0]), ids, xe[::-1].ravel(),
+        spot[::-1].ravel(), np.arctan2(arms[..., 1], arms[..., 0]))
     return Drawing(graph, tuple(crossings), chains, rotation, anchors)
 
 

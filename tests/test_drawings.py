@@ -342,6 +342,14 @@ def test_chain_keys_that_are_not_all_ints_are_reported():
         replace(d, chains={"0": d.chains[0], 1: d.chains[1]})
 
 
+@pytest.mark.parametrize("field", ["chains", "rotation"])
+def test_chains_or_a_rotation_that_is_no_dict_is_reported(field):
+    # a list of the values, as a caller that lost the keys would pass
+    d = build_G2().drawing
+    with pytest.raises(InputError, match=f"^/{field}: expected an object$"):
+        replace(d, **{field: list(getattr(d, field).values())})
+
+
 def test_a_crossing_edge_list_that_is_not_a_pair_is_reported():
     d = comb()
     with pytest.raises(InputError,

@@ -283,6 +283,41 @@ def test_rejects_anchor_off_circle():
         scene_to_drawing(Scene(g, pos, {0: (pos[0], pos[1])}, anchors=(0, 1)))
 
 
+_CHORDS = {v: on_circle(1.0, 90.0 - 90.0 * v) for v in range(4)}
+_CHORD_ROUTES = {0: (_CHORDS[0], _CHORDS[2]), 1: (_CHORDS[1], _CHORDS[3])}
+
+
+@pytest.mark.parametrize("change, message", [
+    # each was a TypeError or a ValueError from sorting the keys, reading
+    # or reshaping the coordinates or comparing the radius
+    ({"routes": {0: _CHORD_ROUTES[0], "1": _CHORD_ROUTES[1]}},
+     "routes must cover exactly the edge ids"),
+    ({"routes": {0: _CHORD_ROUTES[0],
+                 1: (_CHORDS[1], (0.5, "x"), _CHORDS[3])}},
+     r"route of edge 1 has a point that is not two numbers: \(0.5, 'x'\)"),
+    ({"routes": {0: _CHORD_ROUTES[0],
+                 1: (_CHORDS[1], (0.5, 0.1, 0.0), _CHORDS[3])}},
+     r"route of edge 1 has a point that is not two numbers: "
+     r"\(0.5, 0.1, 0.0\)"),
+    ({"routes": {0: _CHORD_ROUTES[0], 1: None}},
+     "route of edge 1 is no sequence of points: None"),
+    ({"radius": "1.0"}, "the radius '1.0' is no number"),
+    ({"positions": {**_CHORDS, "x": (0.0, 0.0)}},
+     "the positions must be keyed by vertex ids"),
+    ({"positions": {**_CHORDS, 2: None}},
+     "the position of vertex 2 is not two numbers: None"),
+], ids=["route keys of mixed types", "a coordinate that is no number",
+        "a point of three coordinates", "a route that is None",
+        "a radius that is a string", "position keys of mixed types",
+        "a position that is None"])
+def test_a_malformed_scene_raises_an_input_error(change, message):
+    scene = {"graph": Graph((0, 1, 2, 3), ((0, 2), (1, 3))),
+             "positions": _CHORDS, "routes": _CHORD_ROUTES,
+             "anchors": (0, 1, 2, 3), **change}
+    with pytest.raises(InputError, match=f"^{message}$"):
+        scene_to_drawing(Scene(**scene))
+
+
 @pytest.mark.parametrize("anchors, message", [
     ((0, True), "anchors/1: expected a non-negative integer"),
     ((0, 1.0), "anchors/1: expected a non-negative integer"),
@@ -319,11 +354,13 @@ def _read_off(tip_way, arms=_ARMS):
     ``arms``."""
     g = Graph((0, 1, 2, 3, 9), ((0, 1), (1, 3), (2, 0)))
     x, y = np.array(tip_way, dtype=float).T
-    head = np.array(arms, dtype=float)[:, None]
+    head = np.array(arms, dtype=float)[::-1]
+    way = np.array((head - (0.0 - head), (0.0 - head) - head))
+    # the crossing lies first on edges 2 and 0, its arms on, then back
     return geometry._rotations(
         g, (1, 2), np.array([(0.0, 1.0), (0.0, -1.0)]), np.arctan2(y, x),
-        np.array([10]), np.array([[0], [2]]), np.array([[1], [1]]),
-        0.0 - head, head)
+        np.array([10]), np.array([2, 0]), np.array([1, 1]),
+        np.arctan2(way[..., 1], way[..., 0]))
 
 
 # out of 0 along edge 0, into 1; out of 1 along edge 1, into 3; out of 2
