@@ -230,7 +230,10 @@ def _rotations(g: Graph, anchors: tuple[int, ...], anchor_xy: np.ndarray,
     ``tip_angle[2e]`` and 2e + 1 out of its second, and two arms at each
     place of a crossing on an edge: each crossing ``ids[i]`` lies on the
     edge ``edge[i]`` at ``place[i]`` in its chain, and on ``edge[n + i]``
-    at ``place[n + i]``, for n crossings.  At a place, the arm on along
+    at ``place[n + i]``, for n crossings.  The ids must ascend and each
+    exceed every vertex id: the read-off finds the crossings' order
+    after the tips in its sort, and ids out of that order would list
+    the nodes in a wrong order, unreported.  At a place, the arm on along
     the edge leaves at angle ``arm_angle[0, j]`` along the arc out of it,
     and the arm back at ``arm_angle[1, j]`` along the arc into it.  A
     vertex or crossing lists its ends by falling angle, an anchor (at
@@ -252,12 +255,7 @@ def _rotations(g: Graph, anchors: tuple[int, ...], anchor_xy: np.ndarray,
         slot = slot[tip]
         t_cw = np.arctan2(anchor_xy[:, 1], anchor_xy[:, 0]) - math.pi / 2.0
         key[tip] = turn = (t_cw[slot] - tip_angle[tip]) % (2.0 * math.pi)
-        # an end leaves the disk where its turn is within 1e-12 of 0 or
-        # pi, or past pi: its sine is then below 2e-12, one test
-        out = (np.sin(turn) < 2e-12).nonzero()[0]
-        if out.size:
-            out = out[(turn[out] < 1e-12) | (turn[out] > math.pi - 1e-12)]
-            out = slot[out]
+        out = slot[(turn < 1e-12) | (turn > math.pi - 1e-12)]
     # the ends: the tips, then the arms on and the arms back.  A tip's
     # arc runs out of its edge's first vertex, or into its second after
     # all the edge's crossings.  The crossings' ids follow every vertex
@@ -328,6 +326,10 @@ class _Routes(NamedTuple):
     anchor_xy: np.ndarray  # (na, 2) the anchors' positions
 
 
+# what ``next`` returns from an iterator that has run out
+_END = object()
+
+
 def _no_point(p: object) -> bool:
     """Whether ``p`` is not a point: two coordinates that read as floats."""
     try:
@@ -388,7 +390,7 @@ def _route_arrays(scene: Scene) -> _Routes:
                                        *routes))
     try:
         xy = np.fromiter(coords, float, 2 * (nv + sum(size))).reshape(-1, 2)
-        if next(coords, None) is not None:
+        if next(coords, _END) is not _END:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise _unread(positions, vids, routes) from None
@@ -465,7 +467,7 @@ def _route_arrays(scene: Scene) -> _Routes:
     # one test keeps the bends where the cosine of the difference is
     # within 1e-12 of 1 (within about 1.4e-6), and only those are
     # measured by the dot and cross products of the two directions
-    bend = (np.cos(fore[1:nseg] - back[:nseg - 1])
+    bend = (np.cos(fore[1:nseg] - back[:nseg][:-1])
             > 1.0 - 1e-12).nonzero()[0]
     if bend.size or np.count_nonzero(off) or 1 in kept.tolist():
         w1, w2 = way.take(bend, 1), way.take(bend + 1, 1)
@@ -644,9 +646,7 @@ def _classify(r: _Routes, pair: np.ndarray) -> tuple[
     """Classifies the piece pairs, the columns of ``pair`` (lower piece
     over higher): their least fault or None, and without one their
     crossings, as the columns that cross and the parameters of each
-    crossing along the lower and the higher piece (none: []).  One test
-    clears the faults of pieces at an angle; their rules are told apart
-    only when it fails."""
+    crossing along the lower and the higher piece (none: [])."""
     nseg = r.edge.size
     wx, wy = r.way.take(pair, 1)
     tx, ty = r.tail.take(pair, 1)
@@ -706,12 +706,12 @@ def _classify(r: _Routes, pair: np.ndarray) -> tuple[
     crossed = (uv > eps) & (uv < 1.0 - eps)
     crossed = apart & crossed[0] & crossed[1]
     edge = r.edge[pair]
-    if (inside & ((edge[0] == edge[1]) | ~crossed)).nonzero()[0].size:
-        selfi = (inside & (edge[0] == edge[1])).nonzero()[0]
-        if selfi.size:
-            b, key = _least(selfi, pair[0], pair[1], nseg)
-            return (2, key, f"edge {edge[0, b]} crosses itself"), []
-        ti = (inside & ~crossed).nonzero()[0]
+    selfi = (inside & (edge[0] == edge[1])).nonzero()[0]
+    if selfi.size:
+        b, key = _least(selfi, pair[0], pair[1], nseg)
+        return (2, key, f"edge {edge[0, b]} crosses itself"), []
+    ti = (inside & ~crossed).nonzero()[0]
+    if ti.size:
         tp = np.array((tx[0, ti] + uv[0, ti] * wx[0, ti],
                        ty[0, ti] + uv[0, ti] * wy[0, ti]))
         ok = np.zeros(ti.size, dtype=bool)

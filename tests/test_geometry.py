@@ -255,6 +255,25 @@ def test_an_empty_route_collapses_to_a_point():
         scene_to_drawing(Scene(g, pos, {0: ()}))
 
 
+@pytest.mark.parametrize("nv", [3, 4])
+def test_an_empty_route_collapses_among_more_vertices(nv):
+    # the scene has no piece at all, but more vertex items than two
+    g = Graph(tuple(range(nv)), ((0, 1),))
+    pos = {v: (float(v), 0.0) for v in range(nv)}
+    with pytest.raises(GeometryError,
+                       match="route of edge 0 collapses to a point"):
+        scene_to_drawing(Scene(g, pos, {0: ()}))
+
+
+@pytest.mark.parametrize("nv", [0, 1, 2, 3, 4])
+def test_an_edgeless_scene_converts(nv):
+    g = Graph(tuple(range(nv)), ())
+    pos = {v: (float(v), 0.0) for v in range(nv)}
+    drawing, points = scene_to_drawing(Scene(g, pos, {}))
+    assert drawing.crossings == () and points == {}
+    assert drawing.rotation == dict.fromkeys(range(nv), ())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_bend_is_rejected(bad):
     # edge 1, a vertical chord, would cross edge 0 at its bend
@@ -299,6 +318,10 @@ _CHORD_ROUTES = {0: (_CHORDS[0], _CHORDS[2]), 1: (_CHORDS[1], _CHORDS[3])}
                  1: (_CHORDS[1], (0.5, 0.1, 0.0), _CHORDS[3])}},
      r"route of edge 1 has a point that is not two numbers: "
      r"\(0.5, 0.1, 0.0\)"),
+    ({"routes": {0: _CHORD_ROUTES[0],
+                 1: (_CHORDS[1], (0.0, 0.0, None))}},
+     r"route of edge 1 has a point that is not two numbers: "
+     r"\(0.0, 0.0, None\)"),
     ({"routes": {0: _CHORD_ROUTES[0], 1: None}},
      "route of edge 1 is no sequence of points: None"),
     ({"radius": "1.0"}, "the radius '1.0' is no number"),
@@ -307,7 +330,8 @@ _CHORD_ROUTES = {0: (_CHORDS[0], _CHORDS[2]), 1: (_CHORDS[1], _CHORDS[3])}
     ({"positions": {**_CHORDS, 2: None}},
      "the position of vertex 2 is not two numbers: None"),
 ], ids=["route keys of mixed types", "a coordinate that is no number",
-        "a point of three coordinates", "a route that is None",
+        "a point of three coordinates",
+        "a last point with a third coordinate None", "a route that is None",
         "a radius that is a string", "position keys of mixed types",
         "a position that is None"])
 def test_a_malformed_scene_raises_an_input_error(change, message):
