@@ -230,6 +230,11 @@ _RANDOM_SETTINGS = ((0, False), (1, False), (1, True), (2, False), (2, True),
                     (3, False))
 _RANDOM_DIGEST = ("d9fb648ee2755ca894a391e686255c20"
                   "498b886f7bf60956644414b9ed0dbcbe")
+# anchored graphs with one or two interior vertices: a vertex placed afresh
+# hangs on a pendant arc, whose two sides are one face, so some crossings
+# here reach the cursor's own face again
+_INTERIOR_DIGEST = ("ed6b80031c4fcbe9fd0d1072b073448e"
+                    "a2631a1f9ad8f410e325f956d7bc4fea")
 
 
 def test_traversal_is_pinned():
@@ -249,6 +254,28 @@ def test_traversal_is_pinned():
         k, simple = _RANDOM_SETTINGS[i % len(_RANDOM_SETTINGS)]
         digest.update(repr(_trace(ag, k, simple)).encode())
     assert digest.hexdigest() == _RANDOM_DIGEST
+    rng = random.Random(40)
+    digest = hashlib.sha256()
+    i = 0
+    while i < 200:
+        ag = _with_interior(rng, most_inner=2)
+        try:
+            insertion_order(ag)
+        except InputError:
+            continue
+        k, simple = _RANDOM_SETTINGS[i % len(_RANDOM_SETTINGS)]
+        digest.update(repr(_trace(ag, k, simple)).encode())
+        i += 1
+    assert digest.hexdigest() == _INTERIOR_DIGEST
+
+
+def test_a_budget_stop_counts_every_node():
+    # nodes whose face offers nothing count toward the budget as well
+    out = search_anchored(build_Gk(5).anchored_graph, 5,
+                          budget=Budget(nodes=20_000))
+    assert out.status is Status.BUDGET_EXCEEDED
+    assert (out.stats.nodes, out.stats.routes, out.stats.max_depth) == (
+        20_001, 90, 19)
 
 
 def test_min_k_cut_is_decided_before_the_crossing_is_built(monkeypatch):
@@ -436,11 +463,11 @@ def _reference_order(ag):
     return tuple(order)
 
 
-def _with_interior(rng):
-    # 3-6 anchors in a shuffled clockwise order among shuffled ids, 1-3
-    # interior vertices and 3-7 distinct edges, which may leave a part of
-    # the graph with no anchor
-    n, inner = rng.randint(3, 6), rng.randint(1, 3)
+def _with_interior(rng, most_inner=3):
+    # 3-6 anchors in a shuffled clockwise order among shuffled ids, 1 to
+    # most_inner interior vertices and 3-7 distinct edges, which may leave
+    # a part of the graph with no anchor
+    n, inner = rng.randint(3, 6), rng.randint(1, most_inner)
     ids = rng.sample(range(20), n + inner)
     anchors = tuple(ids[:n])
     pairs = list(itertools.combinations(ids, 2))
