@@ -23,14 +23,21 @@ banned)``: ``dart`` is the dart just clockwise of the corner the curve
 has reached, among those leaving the head's node, so the curve's next
 face is the one left of ``dart``; ``banned`` holds the two arc pieces
 flanking the crossing just made, which the search does not cross again
-right away (that would make an empty lens).  ``commit_cross`` returns the
-cursor past its crossing; a curve starts from ``(corner, ())``.
+right away (that would make an empty lens).  A curve starts from
+``(corner, ())``.  Crossing ``dart`` leaves it at ``(dart ^ 1, (arcs,
+dart >> 1))``, with ``arcs`` read before the crossing: ``commit_cross``
+splits off the far part of the crossed arc as arc ``arcs``, whose dart
+``2 * arcs + 1 - (dart & 1)`` leaves the far end from the corner the
+twin left, and the twin now leaves the crossing.  So the cursor is
+known before the crossing is built, and so is the face it walks, but
+for the new half of the crossed arc.
 
-The search prunes on flat integer state: ``edge_counts[e]`` counts the
-crossings on edge e, ``partners[e]`` lists the edge met at each of them,
-and ``pair_counts``, m * m ints, holds the crossings of e with f at both
-``e * m + f`` and ``f * m + e``.  Crossing i, the pair ``crossed[i]``, is
-node ``first_crossing + i``, past every vertex id.
+Crossing i, the pair ``crossed[i]`` of the crossed edge and the curve's,
+is node ``first_crossing + i``, past every vertex id.  A crossing has two
+halves: its counts, which only the search reads and so keeps itself, and
+its rings, which ``commit_cross`` builds here.  The search puts a
+crossing's counts in first and builds its rings only when the face
+beyond has something to try (see ``search``).
 
 Commits and undos are last in, first out, and resize no list of darts:
 the lists keep spare slots past the ``arcs`` arcs in use.  They start at
@@ -38,8 +45,8 @@ what a drawing with as many crossings as edges needs, b + 3m slots for b
 anchors and m edges (the boundary, one arc per edge and two more per
 crossing), and double when full.  A commit writes every field of the
 slots it takes, an undo lowers ``arcs`` and relinks, and nothing reads a
-slot past ``arcs``.  A crossing appends to ``crossed`` and ``partners``, and
-its undo pops them.
+slot past ``arcs``.  A crossing appends to ``crossed``, and its undo pops
+it.
 """
 
 from __future__ import annotations
@@ -56,8 +63,7 @@ Cursor = tuple[int, tuple[int, ...]]
 
 class Arrangement:
     __slots__ = ("anchor_set", "arcs", "arc_owner", "dart_tail", "ring_next",
-                 "ring_prev", "ring_start", "first_crossing", "crossed", "m",
-                 "edge_counts", "pair_counts", "partners")
+                 "ring_prev", "ring_start", "first_crossing", "crossed")
 
     def __init__(self, anchored: AnchoredGraph):
         g = anchored.graph
@@ -82,10 +88,6 @@ class Arrangement:
             self.ring_start[a] = fwd
         self.first_crossing = (max(g.vertices) + 1) if g.vertices else 0
         self.crossed: list[tuple[int, int]] = []
-        self.m = m  # pair slots are e * m + f, see the module docstring
-        self.edge_counts: list[int] = [0] * m
-        self.pair_counts: list[int] = [0] * (m * m)
-        self.partners: list[list[int]] = [[] for _ in range(m)]
 
     def _grow(self) -> None:
         # double the slots in place: the search holds these very lists
@@ -115,9 +117,9 @@ class Arrangement:
 
     # --------------------------------------------------------- routing
 
-    def commit_cross(self, e: int, cursor: Cursor, dart: int) -> Cursor:
+    def commit_cross(self, e: int, cursor: Cursor, dart: int) -> None:
         """Extend the curve of e across the arc of ``dart``, which lies in
-        the cursor's face; returns the cursor just past the crossing."""
+        the cursor's face, to a new crossing node: the crossing's rings."""
         beta = self.arcs
         self.arcs = beta + 2
         if beta + 2 > len(self.arc_owner):
@@ -125,8 +127,7 @@ class Arrangement:
         owner, tail = self.arc_owner, self.dart_tail
         nxt, prv = self.ring_next, self.ring_prev
         cd = cursor[0]
-        alpha = dart >> 1
-        g = owner[alpha]
+        g = owner[dart >> 1]
         far = dart ^ 1
         b = tail[far]
         crossed = self.crossed
@@ -160,15 +161,6 @@ class Arrangement:
         nxt[sq], nxt[bq], nxt[far] = bq, far, sq
         prv[bq], prv[far], prv[sq] = sq, bq, far
         self.ring_start[q] = sq
-        m, pairs = self.m, self.pair_counts
-        pairs[g * m + e] += 1
-        pairs[e * m + g] += 1
-        self.partners[g].append(e)
-        self.partners[e].append(g)
-        counts = self.edge_counts
-        counts[g] += 1
-        counts[e] += 1
-        return far, (beta, alpha)
 
     def commit_finish(self, e: int, cursor: Cursor, v: int,
                       corner: Optional[int]) -> None:
@@ -218,15 +210,7 @@ class Arrangement:
             if starts[b] == bb:
                 starts[b] = far
             del starts[end]
-            g, e = self.crossed.pop()
-            m, pairs = self.m, self.pair_counts
-            pairs[g * m + e] -= 1
-            pairs[e * m + g] -= 1
-            self.partners[g].pop()
-            self.partners[e].pop()
-            counts = self.edge_counts
-            counts[g] -= 1
-            counts[e] -= 1
+            self.crossed.pop()
             self.arcs = s - 1
         else:
             if nxt[sv] == sv:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, repeat, starmap
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -328,16 +328,14 @@ class _Routes(NamedTuple):
     anchor_xy: np.ndarray  # (na, 2) the anchors' positions
 
 
-# what ``next`` returns from an iterator that has run out
-_END = object()
-
-
 def _no_point(p: object) -> bool:
-    """Whether ``p`` is not a point: two coordinates that read as floats."""
+    """Whether ``p`` is not a point: two real numbers, which a string,
+    however numeric, is not."""
     try:
-        return np.fromiter(p, float).size != 2
+        math.copysign(*p)
     except (TypeError, ValueError, OverflowError):
         return True
+    return False
 
 
 def _unread(positions: dict, vids: list, routes: list) -> InputError:
@@ -368,10 +366,15 @@ def _route_arrays(scene: Scene) -> _Routes:
     # as sets, the keys are compared without an order among them
     if scene.routes.keys() != set(range(m)):
         raise InputError("routes must cover exactly the edge ids")
-    try:
-        vids = sorted(positions)
-    except TypeError:
-        raise InputError("the positions must be keyed by vertex ids") from None
+    # a key of no vertex must still be an id by the graphs' rule, so that
+    # 1.5 or "x" is no vertex row
+    if len(positions) != len(g.vertices):
+        try:
+            _ids(positions, "positions")
+        except InputError:
+            raise InputError("the positions must be keyed by vertex ids") \
+                from None
+    vids = sorted(positions)
     nv = len(vids)
     # every route point, each route a run of them.  An empty route is
     # read as its start vertex alone, which collapses below
@@ -387,13 +390,14 @@ def _route_arrays(scene: Scene) -> _Routes:
         for e in range(m):
             if not size[e]:
                 routes[e], size[e] = (positions[g.edges[e][0]],), 1
-    # the positions and then the route points, all finite
-    coords = chain.from_iterable(chain(map(positions.__getitem__, vids),
-                                       *routes))
+    # the positions and then the route points, each two real numbers and
+    # all finite.  copysign takes exactly two real numbers and no string,
+    # so one pass of it clears every point before numpy reads them
+    points = list(chain(map(positions.__getitem__, vids), *routes))
     try:
-        xy = np.fromiter(coords, float, 2 * (nv + sum(size))).reshape(-1, 2)
-        if next(coords, _END) is not _END:
-            raise ValueError
+        sum(starmap(math.copysign, points))
+        xy = np.fromiter(chain.from_iterable(points), float,
+                         2 * len(points)).reshape(-1, 2)
     except (TypeError, ValueError, OverflowError):
         raise _unread(positions, vids, routes) from None
     i = _not_finite(xy)
@@ -827,12 +831,13 @@ def scene_to_drawing(scene: Scene) -> tuple[Drawing, dict[int, Point]]:
     A point within TOL of the last point kept before it on its route is
     dropped, and the first and last points kept, which must lie within
     1e-6 of the edge's end vertices, are moved onto them.  The faults, in
-    order: a position or route point that is no point (InputError), or
-    not finite, by name; the anchors, which must be ids with positions,
-    and the radius, which must be a number; of the first edge that has
-    one, the first of: fewer than two points kept (an empty route), the
-    start off its vertex, the end off its vertex, a piece that runs
-    straight back along the one before; for an anchored scene, the first
+    order: a position keyed by no vertex id, then a position or route
+    point that is not two real numbers, such as a numeric string
+    (InputError), or not finite, by name; the anchors, which must be ids
+    with positions, and the radius, which must be a number; of the first
+    edge that has one, the first of: fewer than two points kept (an empty
+    route), the start off its vertex, the end off its vertex, a piece that
+    runs straight back along the one before; for an anchored scene, the first
     edge that leaves the disk; the least fault between pieces and
     vertices, by rule (a piece through a vertex, a collinear fault, a
     self-crossing, a touch away from a shared vertex) and then by the

@@ -27,8 +27,8 @@ A search node is a cursor, the corner the partial curve has reached
 of ``drawings.face_orbit`` written out inline.  That one walk collects
 both lists the node needs: the darts leaving the target, which are the
 corners where the curve can end, and the darts the curve may cross.
-Every cut is decided in the walk, from the arrangement's count state,
-all flat integers: crossings per edge, crossings per pair in one list of
+Every cut is decided in the walk, from count state the search keeps in
+flat integers: crossings per edge, crossings per pair in one list of
 m * m slots at ``e * m + f`` under both orders, and per edge the edge
 met at each of its crossings.  A candidate costs one set lookup for the
 owners its edge never crosses (the boundary, the edge itself and, in a
@@ -36,9 +36,28 @@ simple drawing, the edges sharing an endpoint with it, computed once per
 search), one list read for the pair cap, and count reads for the min-k
 cut: no crossing between two edges that would both exceed k, and none on
 an edge at k that already crosses an edge above k.  Children run only
-after the walk.  Each child's undo restores the counts exactly, so the
+after the walk.  Every child leaves the counts as it found them, so the
 lists read on entry are the ones a check before each child would give,
 and no crossing is built only to be undone.
+
+A crossing goes in as two halves.  Its counts go in first, in the
+parent's loop, and its node walks the face beyond on the rings as they
+were, from the crossed dart's twin.  Only a node whose walk finds a
+corner or a crossing to try builds the crossing's rings
+(``Arrangement.commit_cross``); the others, a third to nearly half of
+the nodes of the deep bundle queries, are counted as nodes and leave
+having touched no ring, and the parent takes the counts back out.  The
+built face is the walk plus the new half of the crossed arc, which the
+lens ban bars from crossing, so two fix-ups keep the walk exact.  When
+the far end is the target, the new half leaves it from the corner the
+twin left, so it takes the twin's place among the corners.  When both
+sides of the crossed arc are one face (a pendant arc, whose twin is also
+a candidate of the parent), the new segment splits that face, so the
+crossing is built first and the node walks it built.  Without the lens
+ban (ROADMAP item 1) both halves of the crossed arc become candidates:
+the twin is the walk's first dart already, and the new half, which the
+built walk meets last, is appended to the candidates after the walk, as
+it is put among the corners now.
 
 Statuses are Found, ExhaustedUnsat, and BudgetExceeded.  A budget stop is
 always reported as such; ExhaustedUnsat is only returned when the whole
@@ -257,10 +276,13 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
     else:
         skips = [{BOUNDARY, e} for e in range(m)]
     owner, tail, nxt = arr.arc_owner, arr.dart_tail, arr.ring_next
-    starts, counts = arr.ring_start, arr.edge_counts
-    pairs, partners = arr.pair_counts, arr.partners
+    starts = arr.ring_start
     commit_cross, commit_finish = arr.commit_cross, arr.commit_finish
     undo, corners = arr.undo, arr.corners
+    # the counts the cuts read, see the module docstring
+    counts = [0] * m
+    pairs = [0] * (m * m)
+    partners: list[list[int]] = [[] for _ in range(m)]
 
     stats = SearchStats(order=order, pair_cap=cap)
     t0 = time.perf_counter()
@@ -284,7 +306,11 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
             stats.max_depth = idx + 1
         route(idx + 1)
 
-    def extend(e: int, idx: int, target: int, cursor: Cursor) -> None:
+    def extend(e: int, idx: int, target: int, cursor: Cursor,
+               parent: Optional[Cursor]) -> None:
+        # ``parent`` is the cursor the curve crossed from when this node's
+        # crossing has its counts in place but no rings yet, and None when
+        # the node is built
         nonlocal nodes
         nodes += 1
         if nodes == stop_at or (
@@ -293,8 +319,9 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
             raise _Stop
         # one walk around the cursor's face collects the darts leaving the
         # target (the corners the curve can land in) and the darts it may
-        # cross.  Both read the counts on entry, which every child's undo
-        # restores, so deciding them before any child runs changes nothing
+        # cross.  Both read the counts on entry, which every child leaves
+        # as it found them, so deciding them before any child runs changes
+        # nothing
         start, banned = cursor
         skip = skips[e]
         row = e * m
@@ -320,7 +347,19 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
             dart = nxt[dart ^ 1]
             if dart == start:
                 break
-        if target in starts:
+        placed = target in starts
+        if parent:
+            # the walk ran on the rings before the crossing: the built face
+            # is the same walk plus the new half of the crossed arc, which
+            # is banned.  A node with nothing to try is never built
+            if not (lands or crosses) and placed:
+                return
+            commit_cross(e, parent, start ^ 1)
+            if lands and lands[0] == start:
+                # the far end is the target: the new half leaves it from
+                # the corner start left, and start now leaves the crossing
+                lands[0] = 2 * banned[0] + (start & 1)
+        if placed:
             # the face is never the outside, so its darts leaving the
             # target are the legal corners there; the face walk can meet
             # several out of rotation order, the order they are tried in
@@ -334,8 +373,33 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
             commit_finish(e, cursor, target, None)
             after_route(idx)
             undo()
+        beta = arr.arcs  # the arc each crossing splits off, see arrangement
         for dart in crosses:
-            extend(e, idx, target, commit_cross(e, cursor, dart))
+            # the crossing's counts go in before its node walks and come
+            # out after it
+            own = owner[dart >> 1]
+            pairs[row + own] += 1
+            pairs[own * m + e] += 1
+            partners[own].append(e)
+            partners[e].append(own)
+            counts[own] += 1
+            counts[e] += 1
+            past = dart ^ 1, (beta, dart >> 1)
+            if dart ^ 1 in crosses:
+                # a pendant arc, one face on both sides: the new segment
+                # splits that face, so the node walks it built
+                commit_cross(e, cursor, dart)
+                extend(e, idx, target, past, None)
+                undo()
+            else:
+                extend(e, idx, target, past, cursor)
+            pairs[row + own] -= 1
+            pairs[own * m + e] -= 1
+            partners[own].pop()
+            partners[e].pop()
+            counts[own] -= 1
+            counts[e] -= 1
+        if parent:
             undo()
 
     def route(idx: int) -> None:
@@ -346,7 +410,7 @@ def search_anchored(ag: AnchoredGraph, k: int, require_simple: bool = False,
         if u not in starts:  # a vertex is placed once it has a ring
             u, v = v, u
         for corner in corners(u):
-            extend(e, idx, v, (corner, ()))
+            extend(e, idx, v, (corner, ()), None)
 
     status = Status.EXHAUSTED_UNSAT
     certificate = None

@@ -329,11 +329,22 @@ _CHORD_ROUTES = {0: (_CHORDS[0], _CHORDS[2]), 1: (_CHORDS[1], _CHORDS[3])}
      "the positions must be keyed by vertex ids"),
     ({"positions": {**_CHORDS, 2: None}},
      "the position of vertex 2 is not two numbers: None"),
+    # these three were read as points or vertices
+    ({"routes": {0: _CHORD_ROUTES[0],
+                 1: (_CHORDS[1], (0.0, 0.0, 0.5), (0.3,), _CHORDS[3])}},
+     r"route of edge 1 has a point that is not two numbers: "
+     r"\(0.0, 0.0, 0.5\)"),
+    ({"routes": {0: _CHORD_ROUTES[0],
+                 1: (_CHORDS[1], (0.5, "0.5"), _CHORDS[3])}},
+     r"route of edge 1 has a point that is not two numbers: \(0.5, '0.5'\)"),
+    ({"positions": {**_CHORDS, 1.5: (0.0, 0.0)}},
+     "the positions must be keyed by vertex ids"),
 ], ids=["route keys of mixed types", "a coordinate that is no number",
         "a point of three coordinates",
         "a last point with a third coordinate None", "a route that is None",
         "a radius that is a string", "position keys of mixed types",
-        "a position that is None"])
+        "a position that is None", "points whose lengths cancel out",
+        "a numeric string", "a position keyed by a non-id"])
 def test_a_malformed_scene_raises_an_input_error(change, message):
     scene = {"graph": Graph((0, 1, 2, 3), ((0, 2), (1, 3))),
              "positions": _CHORDS, "routes": _CHORD_ROUTES,
